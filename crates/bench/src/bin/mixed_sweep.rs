@@ -1,7 +1,5 @@
-//! Mixed-workload sweep: concurrent SQL scans + inference serving, A/B'ing
-//! the unified work-stealing scheduler against the legacy three-pool
-//! baseline (per-query `thread::scope` operator pools, per-GEMM kernel
-//! pool, per-server worker pool).
+//! Mixed-workload sweep: concurrent SQL scans + inference serving on the
+//! one shared scheduler pool, fp32 against int8 serving.
 //!
 //! ```text
 //! cargo run --release -p bench --bin mixed_sweep [--quick]
@@ -9,8 +7,7 @@
 //!
 //! Half the clients hammer an aggregation scan over the fact table, half
 //! submit single-row predictions, all closed-loop. The scheduler's job is
-//! to (a) stop the three pools from over-subscribing the machine and
-//! (b) let Serve-class batches jump the morsel backlog, so the headline
+//! to let Serve-class batches jump the morsel backlog, so the headline
 //! numbers are total throughput and predict p99 at the highest client
 //! count. Results go to stdout and `BENCH_mixed.json`; `--quick` runs one
 //! tiny cell per mode as a smoke test and leaves the JSON untouched.
@@ -33,14 +30,11 @@ struct Cell {
     predict_p99_us: u64,
 }
 
-fn build_experiment(fact_rows: usize, unified: bool) -> Experiment {
-    // Paper-default partitioning and parallelism (12/12): the legacy
-    // baseline spawns `parallelism` scope threads per query and runs
-    // `parallelism` serve workers on top — the three-pool oversubscription
-    // the unified scheduler exists to eliminate. The unified mode sizes
-    // its single pool from `worker_threads` (0 = machine cores).
+fn build_experiment(fact_rows: usize) -> Experiment {
+    // Paper-default partitioning (12); the pool is sized from
+    // `worker_threads` (0 = machine cores).
     let config = ExperimentConfig {
-        engine: EngineConfig { vector_size: 256, unified_sched: unified, ..Default::default() },
+        engine: EngineConfig { vector_size: 256, ..Default::default() },
         ..ExperimentConfig::new(Workload::Dense { width: 64, depth: 4 }, fact_rows)
     };
     Experiment::build(config).expect("experiment setup")
@@ -53,11 +47,8 @@ fn run_cell(
     window: Duration,
     quantized: bool,
 ) -> Cell {
-    // The legacy baseline and the unified mode both get the serving
-    // configuration they would run in production: batching + model cache
-    // on, `parallelism` legacy workers vs one coordinator + shared pool.
+    // The production serving configuration: batching + model cache on.
     let mut cfg = ServeConfig::from_engine(&ex.config().engine);
-    cfg.workers = ex.config().engine.parallelism;
     cfg.batch_flush_us = 50;
     cfg.max_batch_rows = cfg.max_batch_rows.min(64);
     cfg.quantized = quantized;
@@ -104,16 +95,10 @@ fn main() {
     println!("mode,clients,sql_done,predict_done,total_rps,sql_p50,sql_p99,pred_p50,pred_p99");
 
     let mut cells: Vec<Cell> = Vec::new();
-    // Baseline first so the unified phase cannot warm it. The legacy mode
-    // also pins the tensor kernel path to its legacy pool so all three
-    // pre-scheduler pools are genuinely in play. The int8 cell rides the
-    // unified scheduler and swaps the serve path to the quantized model —
-    // same mixed load, integer GEMM under the predictions.
-    for (mode, unified, quantized) in
-        [("three-pool", false, false), ("unified", true, false), ("unified-int8", true, true)]
-    {
-        tensor::set_unified_scheduler(unified);
-        let ex = build_experiment(fact_rows, unified);
+    // The int8 cells swap the serve path to the quantized model — same
+    // mixed load, integer GEMM under the predictions.
+    for (mode, quantized) in [("unified", false), ("unified-int8", true)] {
+        let ex = build_experiment(fact_rows);
         for &clients in client_counts {
             let cell = run_cell(&ex, mode, clients, window, quantized);
             println!(
@@ -131,24 +116,15 @@ fn main() {
             cells.push(cell);
         }
     }
-    tensor::set_unified_scheduler(true);
 
     let max_clients = *client_counts.last().expect("non-empty");
     let find = |mode: &str| {
         cells.iter().find(|c| c.mode == mode && c.clients == max_clients).expect("cell measured")
     };
-    let (base, uni) = (find("three-pool"), find("unified"));
-    let speedup = uni.total_rps / base.total_rps.max(1e-9);
-    let p99_ratio = uni.predict_p99_us as f64 / (base.predict_p99_us as f64).max(1e-9);
-    println!("\nunified vs three-pool at {max_clients} clients: {speedup:.2}x throughput");
-    println!(
-        "predict p99 at {max_clients} clients: {}us (unified) vs {}us (three-pool), ratio {p99_ratio:.2}",
-        uni.predict_p99_us, base.predict_p99_us
-    );
-    let int8 = find("unified-int8");
+    let (uni, int8) = (find("unified"), find("unified-int8"));
     let i8_speedup = int8.total_rps / uni.total_rps.max(1e-9);
     println!(
-        "unified-int8 vs unified at {max_clients} clients: {i8_speedup:.2}x throughput, \
+        "\nunified-int8 vs unified at {max_clients} clients: {i8_speedup:.2}x throughput, \
          predict p99 {}us vs {}us",
         int8.predict_p99_us, uni.predict_p99_us
     );
@@ -183,12 +159,6 @@ fn main() {
         "  \"workload\": \"Dense(w=64,d=4) predicts + agg scan over {fact_rows} rows\",\n"
     ));
     json.push_str(&format!("  \"window_secs\": {},\n", window.as_secs_f64()));
-    json.push_str(&format!(
-        "  \"speedup_unified_vs_three_pool_at_{max_clients}_clients\": {speedup:.2},\n"
-    ));
-    json.push_str(&format!(
-        "  \"predict_p99_ratio_unified_vs_three_pool_at_{max_clients}_clients\": {p99_ratio:.2},\n"
-    ));
     json.push_str(&format!(
         "  \"speedup_int8_vs_unified_at_{max_clients}_clients\": {i8_speedup:.2},\n"
     ));

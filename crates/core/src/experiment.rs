@@ -202,14 +202,8 @@ impl Experiment {
         let session = Arc::new(Session::from_model("capi", &self.model, device.clone()));
         device.reset();
         let start = Instant::now();
-        let batches = execute_capi_join(
-            &self.engine,
-            "facts",
-            &self.input_refs(),
-            &["id"],
-            &session,
-            self.config.engine.parallelism,
-        )?;
+        let batches =
+            execute_capi_join(&self.engine, "facts", &self.input_refs(), &["id"], &session)?;
         let runtime = device.adjust(start.elapsed());
         let (rows, predictions) = gather_id_pred(&batches, 0, 1, collect)?;
         Ok(RunOutcome { approach, runtime, gpu_modeled: device.is_gpu(), rows, predictions })

@@ -173,7 +173,7 @@ fn class_stats(mut lat: Vec<u64>, retries: usize, wall: Duration) -> ClassStats 
 /// single-row inferences, all concurrently. This is the scheduler's
 /// contention case — long scan morsels competing with latency-sensitive
 /// serve batches for the same compute threads — and the measurement the
-/// `mixed_sweep` bench A/Bs with the unified scheduler on and off.
+/// `mixed_sweep` bench reports.
 pub fn drive_mixed_loop(
     server: &Server,
     model: &str,

@@ -1,7 +1,6 @@
 //! The parallel model build phase (paper Sec. 5.2).
 
 use model_repr::{Layout, ModelMeta, SlotKind};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use tensor::blas::{vs_add, vs_mul, Transpose};
 use tensor::{qgemm_dense, Activation, Device, Matrix, QuantScratch, QuantizedWeights};
@@ -446,16 +445,6 @@ fn fill_from_batch(batch: &Batch, router: &Router, slabs: &SlabPtrs) -> Result<(
     Ok(())
 }
 
-/// Process-wide count of [`build_parallel`] invocations. The hook the
-/// model-cache tests and serving stats use to prove that an unchanged
-/// model table is built exactly once across queries.
-static BUILD_COUNT: AtomicU64 = AtomicU64::new(0);
-
-/// Total number of model build phases this process has run.
-pub fn build_count() -> u64 {
-    BUILD_COUNT.load(Ordering::Relaxed)
-}
-
 /// Run the parallel build phase: allocate shared storage single-threaded,
 /// fill it from the model-table partitions in parallel, then assemble the
 /// [`BuiltModel`] (bias replication + one-shot GPU upload).
@@ -465,7 +454,10 @@ pub fn build_parallel(
     layout: Layout,
     device: &Device,
     vector_size: usize,
-    threads: usize,
+    // Unused (the fill runs on the scheduler pool); kept for
+    // benchmark/src/workloads/serve_point.rs until the next `benchmark`
+    // PR drops the argument.
+    _threads: usize,
 ) -> Result<BuiltModel> {
     if table.schema().len() != layout.column_count() {
         return Err(EngineError::Catalog(format!(
@@ -475,7 +467,6 @@ pub fn build_parallel(
             layout.column_count()
         )));
     }
-    BUILD_COUNT.fetch_add(1, Ordering::Relaxed);
     obs::metrics::MODELJOIN_BUILD_COUNT.add(1);
     let _span = obs::span(&obs::metrics::MODELJOIN_BUILD_US);
     let router = Router::new(meta, layout);
@@ -487,61 +478,20 @@ pub fn build_parallel(
         lens: bufs.iter().map(Vec::len).collect(),
     };
 
-    // Phase 2: parallel fill over the partitions. Under the unified
-    // scheduler each partition is one Query-class task on the shared pool
-    // (disjoint slab rows, so fills never conflict); otherwise the legacy
-    // per-build thread scope runs.
-    let partitions = table.partition_count();
-    if tensor::unified_scheduler() {
-        let mut slots: Vec<Option<Result<()>>> = (0..partitions).map(|_| None).collect();
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-            .iter_mut()
-            .enumerate()
-            .map(|(p, slot)| {
-                let slabs = &slabs;
-                let router = &router;
-                Box::new(move || {
-                    let result = table.partition_batches(p).and_then(|batches| {
-                        for batch in batches {
-                            fill_from_batch(&batch, router, slabs)?;
-                        }
-                        Ok(())
-                    });
-                    *slot = Some(result);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sched::global().run_scoped(sched::TaskClass::Query, tasks)
-        }))
-        .map_err(|_| EngineError::Execution("build worker panicked".into()))?;
-        for slot in slots {
-            slot.expect("every partition task ran")?;
+    // Phase 2: parallel fill over the partitions, one Query-class task
+    // each on the shared pool (disjoint slab rows, so fills never
+    // conflict). The join is the single synchronization barrier of
+    // Sec. 5.2.
+    let fill = |p: usize| -> Result<()> {
+        for batch in table.partition_batches(p)? {
+            fill_from_batch(&batch, &router, &slabs)?;
         }
-    } else {
-        let workers = threads.clamp(1, partitions.max(1));
-        std::thread::scope(|scope| -> Result<()> {
-            let mut handles = Vec::new();
-            for w in 0..workers {
-                let slabs = &slabs;
-                let router = &router;
-                handles.push(scope.spawn(move || -> Result<()> {
-                    let mut p = w;
-                    while p < partitions {
-                        for batch in table.partition_batches(p)? {
-                            fill_from_batch(&batch, router, slabs)?;
-                        }
-                        p += workers;
-                    }
-                    Ok(())
-                }));
-            }
-            // The join is the single synchronization barrier of Sec. 5.2.
-            for h in handles {
-                h.join().map_err(|_| EngineError::Execution("build worker panicked".into()))??;
-            }
-            Ok(())
-        })?;
+        Ok(())
+    };
+    for filled in
+        sched::global().fork_join(sched::TaskClass::Query, 0..table.partition_count(), fill)?
+    {
+        filled?;
     }
 
     // Phase 3: assemble layers — bias replication to vectorsize x m
@@ -834,7 +784,6 @@ pub struct SharedModel {
     layout: Layout,
     device: Device,
     vector_size: usize,
-    build_threads: usize,
     built: OnceLock<std::result::Result<Arc<BuiltModel>, EngineError>>,
     /// Int8 variant, derived lazily from `built` on the first quantized
     /// query; both dtypes coexist for the lifetime of the handle.
@@ -848,7 +797,10 @@ impl SharedModel {
         layout: Layout,
         device: Device,
         vector_size: usize,
-        build_threads: usize,
+        // Unused (the build runs on the scheduler pool); kept for
+        // benchmark/src/workloads/modeljoin_batch.rs until the next
+        // `benchmark` PR drops the argument.
+        _build_threads: usize,
     ) -> Arc<SharedModel> {
         Arc::new(SharedModel {
             table,
@@ -856,7 +808,6 @@ impl SharedModel {
             layout,
             device,
             vector_size,
-            build_threads,
             built: OnceLock::new(),
             quantized: OnceLock::new(),
         })
@@ -880,7 +831,6 @@ impl SharedModel {
             layout,
             device,
             vector_size,
-            build_threads: 1,
             built: OnceLock::new(),
             quantized: OnceLock::new(),
         };
@@ -917,7 +867,7 @@ impl SharedModel {
                     self.layout,
                     &self.device,
                     self.vector_size,
-                    self.build_threads,
+                    0,
                 )
                 .map(Arc::new)
             })
@@ -941,15 +891,12 @@ mod tests {
     use nn::paper;
     use vector_engine::{Engine, EngineConfig};
 
-    fn build_for(model: &nn::Model, layout: Layout, threads: usize) -> (BuiltModel, nn::Model) {
-        let engine = Engine::new(EngineConfig {
-            vector_size: 8,
-            partitions: 4,
-            parallelism: threads,
-            ..Default::default()
-        });
+    /// Build from a model table of `partitions` partitions: one fill task
+    /// each, so 1 is the serial (caller-only) build.
+    fn build_for(model: &nn::Model, layout: Layout, partitions: usize) -> (BuiltModel, nn::Model) {
+        let engine = Engine::new(EngineConfig { vector_size: 8, partitions, ..Default::default() });
         let (table, meta) = load_into_engine(&engine, "m", model, layout).unwrap();
-        let built = build_parallel(&table, &meta, layout, &Device::cpu(), 16, threads).unwrap();
+        let built = build_parallel(&table, &meta, layout, &Device::cpu(), 16, 0).unwrap();
         (built, model.clone())
     }
 
@@ -980,7 +927,7 @@ mod tests {
     }
 
     #[test]
-    fn single_and_multi_threaded_builds_agree() {
+    fn serial_and_partition_parallel_builds_agree() {
         let model = paper::dense_model(16, 4, 5);
         let (a, _) = build_for(&model, Layout::NodeId, 1);
         let (b, _) = build_for(&model, Layout::NodeId, 4);

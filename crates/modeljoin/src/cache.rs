@@ -70,7 +70,6 @@ impl ModelCache {
         layout: Layout,
         device: &Device,
         vector_size: usize,
-        threads: usize,
     ) -> Result<Arc<BuiltModel>> {
         let version = table.version();
         if let Some(entry) = self.entries.lock().get(&(table.name().to_string(), ModelDtype::F32)) {
@@ -84,7 +83,7 @@ impl ModelCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         obs::metrics::MODELJOIN_CACHE_MISSES.add(1);
-        let built = Arc::new(build_parallel(table, meta, layout, device, vector_size, threads)?);
+        let built = Arc::new(build_parallel(table, meta, layout, device, vector_size, 0)?);
         self.entries.lock().insert(
             (table.name().to_string(), ModelDtype::F32),
             CacheEntry { version, model: CachedModel::F32(Arc::clone(&built)) },
@@ -102,7 +101,6 @@ impl ModelCache {
         layout: Layout,
         device: &Device,
         vector_size: usize,
-        threads: usize,
     ) -> Result<Arc<QuantizedModel>> {
         let version = table.version();
         if let Some(entry) = self.entries.lock().get(&(table.name().to_string(), ModelDtype::I8)) {
@@ -116,7 +114,7 @@ impl ModelCache {
         }
         self.misses_i8.fetch_add(1, Ordering::Relaxed);
         obs::metrics::MODELJOIN_CACHE_MISSES_I8.add(1);
-        let built = self.get_or_build(table, meta, layout, device, vector_size, threads)?;
+        let built = self.get_or_build(table, meta, layout, device, vector_size)?;
         let quantized = Arc::new(QuantizedModel::from_built(&built));
         self.entries.lock().insert(
             (table.name().to_string(), ModelDtype::I8),
@@ -167,7 +165,6 @@ impl ModelCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::build_count;
     use crate::operator::execute_model_join;
     use crate::SharedModel;
     use model_repr::load_into_engine;
@@ -190,26 +187,24 @@ mod tests {
     fn unchanged_table_builds_exactly_once() {
         let (_engine, table, meta) = engine_with_model();
         let cache = ModelCache::new();
-        let before = build_count();
-        let a = cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, 1).unwrap();
-        let b = cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, 1).unwrap();
+        let a = cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16).unwrap();
+        let b = cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "second lookup must reuse the Arc");
-        assert_eq!(build_count() - before, 1, "exactly one build phase ran");
-        assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 1, 1));
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 1, 1), "one build, one hit");
     }
 
     #[test]
     fn dml_to_model_table_invalidates() {
         let (_engine, table, meta) = engine_with_model();
         let cache = ModelCache::new();
-        let a = cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, 1).unwrap();
+        let a = cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16).unwrap();
         // Append a row that routes nowhere harmful (an input-distribution
         // edge): the version bump alone must force a rebuild.
         let zeros = vec![ColumnVector::Float(vec![0.0]); table.schema().len() - 2];
         let mut cols = vec![ColumnVector::Int(vec![0]), ColumnVector::Int(vec![0])];
         cols.extend(zeros);
         table.append(cols).unwrap();
-        let b = cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, 1).unwrap();
+        let b = cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16).unwrap();
         assert!(!Arc::ptr_eq(&a, &b), "stale model must be rebuilt after DML");
         assert_eq!(cache.misses(), 2);
     }
@@ -218,7 +213,7 @@ mod tests {
     fn explicit_invalidate_drops_entry() {
         let (_engine, table, meta) = engine_with_model();
         let cache = ModelCache::new();
-        cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, 1).unwrap();
+        cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16).unwrap();
         assert_eq!(cache.len(), 1);
         cache.invalidate("M");
         assert!(cache.is_empty());
@@ -231,19 +226,20 @@ mod tests {
     fn dtypes_coexist_and_share_one_build() {
         let (_engine, table, meta) = engine_with_model();
         let cache = ModelCache::new();
-        let before = build_count();
-        let built =
-            cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, 1).unwrap();
+        let built = cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16).unwrap();
         let q1 = cache
-            .get_or_build_quantized(&table, &meta, Layout::NodeId, &Device::cpu(), 16, 1)
+            .get_or_build_quantized(&table, &meta, Layout::NodeId, &Device::cpu(), 16)
             .unwrap();
         let q2 = cache
-            .get_or_build_quantized(&table, &meta, Layout::NodeId, &Device::cpu(), 16, 1)
+            .get_or_build_quantized(&table, &meta, Layout::NodeId, &Device::cpu(), 16)
             .unwrap();
         assert!(Arc::ptr_eq(&q1, &q2), "second int8 lookup must reuse the Arc");
         assert_eq!(q1.input_dim, built.input_dim);
-        assert_eq!(build_count() - before, 1, "int8 quantizes the cached fp32 build");
-        assert_eq!((cache.hits(), cache.misses()), (1, 1), "int8 miss re-reads the fp32 entry");
+        assert_eq!(
+            (cache.hits(), cache.misses()),
+            (1, 1),
+            "int8 quantizes the cached fp32 build: its miss re-reads the fp32 entry"
+        );
         assert_eq!((cache.hits_i8(), cache.misses_i8()), (1, 1));
         assert_eq!(cache.len(), 2, "one entry per dtype");
         cache.invalidate("m");
@@ -271,17 +267,16 @@ mod tests {
         let (table, meta) = load_into_engine(&engine, "m", &model, Layout::NodeId).unwrap();
 
         let cache = ModelCache::new();
-        let before = build_count();
         let mut first: Option<Vec<f64>> = None;
         for _ in 0..2 {
             let built =
-                cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, 2).unwrap();
+                cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16).unwrap();
             let shared = SharedModel::with_built(
                 Arc::clone(&table),
                 meta.clone(),
                 Layout::NodeId,
                 Device::cpu(),
-                built,
+                Arc::clone(&built),
             );
             let batches = execute_model_join(
                 &engine,
@@ -292,6 +287,7 @@ mod tests {
                 2,
             )
             .unwrap();
+            assert!(Arc::ptr_eq(&shared.get().unwrap(), &built), "the query ran the cached build");
             let preds: Vec<f64> =
                 batches.iter().flat_map(|b| b.column(1).as_float().unwrap().to_vec()).collect();
             match &first {
@@ -299,6 +295,6 @@ mod tests {
                 Some(expected) => assert_eq!(expected, &preds, "cached build changes results"),
             }
         }
-        assert_eq!(build_count() - before, 1, "two queries, one build phase");
+        assert_eq!((cache.hits(), cache.misses()), (1, 1), "two queries, one build phase");
     }
 }

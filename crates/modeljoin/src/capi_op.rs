@@ -99,15 +99,15 @@ impl Operator for CapiInferenceOp {
 }
 
 /// Partition-parallel driver, mirroring
-/// [`crate::operator::execute_model_join`]; the session (like the real
-/// runtime's) is shared by all threads.
+/// [`crate::operator::execute_model_join`]: one Query-class task per
+/// partition on the shared scheduler pool; the session (like the real
+/// runtime's) is shared by all of them.
 pub fn execute_capi_join(
     engine: &Engine,
     fact_table: &str,
     input_cols: &[&str],
     payload_cols: &[&str],
     session: &Arc<Session>,
-    parallelism: usize,
 ) -> Result<Vec<Batch>> {
     let input_idx = crate::operator::resolve_columns(engine, fact_table, input_cols)?;
     let payload_idx = crate::operator::resolve_columns(engine, fact_table, payload_cols)?;
@@ -119,46 +119,20 @@ pub fn execute_capi_join(
         )));
     }
     let fact = engine.table(fact_table)?;
-    let partitions = fact.partition_count();
-    let workers = parallelism.clamp(1, partitions);
-    let mut slots: Vec<Result<Vec<Batch>>> = (0..partitions).map(|_| Ok(Vec::new())).collect();
-    std::thread::scope(|scope| -> Result<()> {
-        let mut handles = Vec::new();
-        for w in 0..workers {
-            let input_idx = input_idx.clone();
-            let payload_idx = payload_idx.clone();
-            let session = Arc::clone(session);
-            handles.push(scope.spawn(move || -> Vec<(usize, Result<Vec<Batch>>)> {
-                let mut out = Vec::new();
-                let mut p = w;
-                while p < partitions {
-                    let result = engine.scan_partition(fact_table, p).and_then(|scan| {
-                        let op = CapiInferenceOp::new(
-                            scan,
-                            Arc::clone(&session),
-                            input_idx.clone(),
-                            payload_idx.clone(),
-                        );
-                        drain(Box::new(op))
-                    });
-                    out.push((p, result));
-                    p += workers;
-                }
-                out
-            }));
-        }
-        for h in handles {
-            let results =
-                h.join().map_err(|_| EngineError::Execution("C-API worker panicked".into()))?;
-            for (p, r) in results {
-                slots[p] = r;
-            }
-        }
-        Ok(())
-    })?;
+    let results =
+        sched::global().fork_join(sched::TaskClass::Query, 0..fact.partition_count(), |p| {
+            let scan = engine.scan_partition(fact_table, p)?;
+            let op = CapiInferenceOp::new(
+                scan,
+                Arc::clone(session),
+                input_idx.clone(),
+                payload_idx.clone(),
+            );
+            drain(Box::new(op))
+        })?;
     let mut out = Vec::new();
-    for s in slots {
-        out.extend(s?);
+    for batches in results {
+        out.extend(batches?);
     }
     Ok(out)
 }
@@ -170,11 +144,11 @@ mod tests {
     use tensor::Device;
     use vector_engine::EngineConfig;
 
-    fn setup(model: &nn::Model, n: usize) -> (Engine, Vec<Vec<f32>>) {
+    fn setup(model: &nn::Model, n: usize, partitions: usize) -> (Engine, Vec<Vec<f32>>) {
         let engine = Engine::new(EngineConfig {
             vector_size: 16,
-            partitions: 3,
-            parallelism: 3,
+            partitions,
+            parallelism: partitions,
             ..Default::default()
         });
         let dim = model.input_dim();
@@ -198,14 +172,13 @@ mod tests {
         (engine, data)
     }
 
-    fn check(model: &nn::Model, device: Device) {
-        let n = 40;
-        let (engine, data) = setup(model, n);
+    /// `(id, prediction)` pairs of a full C-API join, sorted by id.
+    fn predictions(engine: &Engine, model: &nn::Model, device: Device) -> Vec<(i64, f64)> {
         let session = Arc::new(Session::from_model("test", model, device));
         let dim = model.input_dim();
         let input_cols: Vec<String> = (0..dim).map(|i| format!("c{i}")).collect();
         let refs: Vec<&str> = input_cols.iter().map(|s| s.as_str()).collect();
-        let batches = execute_capi_join(&engine, "facts", &refs, &["id"], &session, 3).unwrap();
+        let batches = execute_capi_join(engine, "facts", &refs, &["id"], &session).unwrap();
         let mut rows: Vec<(i64, f64)> = Vec::new();
         for b in &batches {
             let ids = b.column(0).as_int().unwrap();
@@ -213,6 +186,13 @@ mod tests {
             rows.extend(ids.iter().copied().zip(preds.iter().copied()));
         }
         rows.sort_by_key(|r| r.0);
+        rows
+    }
+
+    fn check(model: &nn::Model, device: Device) {
+        let n = 40;
+        let (engine, data) = setup(model, n, 3);
+        let rows = predictions(&engine, model, device);
         assert_eq!(rows.len(), n);
         for (id, pred) in rows {
             let expected = model.predict_row(&data[id as usize])[0] as f64;
@@ -233,10 +213,23 @@ mod tests {
     }
 
     #[test]
+    fn four_partition_join_is_bit_identical_to_one_partition() {
+        let model = paper::dense_model(8, 2, 3);
+        let bits = |partitions| -> Vec<(i64, u64)> {
+            let (engine, _) = setup(&model, 100, partitions);
+            predictions(&engine, &model, Device::cpu())
+                .into_iter()
+                .map(|(id, pred)| (id, pred.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(4), bits(1));
+    }
+
+    #[test]
     fn capi_validates_input_arity() {
         let model = paper::dense_model(4, 2, 1);
-        let (engine, _) = setup(&model, 5);
+        let (engine, _) = setup(&model, 5, 3);
         let session = Arc::new(Session::from_model("t", &model, Device::cpu()));
-        assert!(execute_capi_join(&engine, "facts", &["c0"], &[], &session, 1).is_err());
+        assert!(execute_capi_join(&engine, "facts", &["c0"], &[], &session).is_err());
     }
 }

@@ -30,8 +30,8 @@ pub mod capi_op;
 pub mod operator;
 
 pub use build::{
-    build_count, build_parallel, BuiltModel, InferScratch, QuantInferScratch, QuantizedLayer,
-    QuantizedModel, SharedModel,
+    build_parallel, BuiltModel, InferScratch, QuantInferScratch, QuantizedLayer, QuantizedModel,
+    SharedModel,
 };
 pub use cache::{ModelCache, ModelDtype};
 pub use capi_op::CapiInferenceOp;

@@ -183,15 +183,19 @@ pub fn output_names(payload: &[&str], output_dim: usize) -> Vec<String> {
 }
 
 /// Partition-parallel ModelJoin execution (paper Sec. 5.2/5.4): one
-/// operator instance per partition of the fact table, all sharing the
-/// model; batches are gathered in partition order.
+/// operator instance per partition of the fact table — each a Query-class
+/// task on the shared scheduler pool — all sharing the model; batches are
+/// gathered in partition order.
 pub fn execute_model_join(
     engine: &Engine,
     fact_table: &str,
     input_cols: &[&str],
     payload_cols: &[&str],
     shared: &Arc<SharedModel>,
-    parallelism: usize,
+    // Unused (the pool is sized by `EngineConfig::worker_threads`); kept
+    // for benchmark/src/workloads/modeljoin_batch.rs until the next
+    // `benchmark` PR drops the argument.
+    _parallelism: usize,
 ) -> Result<Vec<Batch>> {
     let input_idx = resolve_columns(engine, fact_table, input_cols)?;
     let payload_idx = resolve_columns(engine, fact_table, payload_cols)?;
@@ -204,85 +208,23 @@ pub fn execute_model_join(
     }
     let fact = engine.table(fact_table)?;
     // Apply the engine's thread budget to the kernel dispatch layer so
-    // large per-batch multiplies can fan out; under the unified scheduler
-    // the fan-out shares the same worker pool as the partition tasks.
-    tensor::set_unified_scheduler(engine.config().unified_sched);
+    // large per-batch multiplies can fan out over the same worker pool as
+    // the partition tasks.
     tensor::parallel::set_kernel_threads(engine.config().effective_worker_threads());
     // Int8 inference is CPU-only: the quantized kernels have no device
     // path, so a GPU-resident model silently keeps the fp32 route.
     let quantized = engine.config().quantized_inference && !shared.device().is_gpu();
-    let partitions = fact.partition_count();
-    if engine.config().unified_sched {
-        // One Query-class task per partition on the shared pool; the
-        // model is shared, batches gather in partition order.
-        let mut slots: Vec<Option<Result<Vec<Batch>>>> = (0..partitions).map(|_| None).collect();
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-            .iter_mut()
-            .enumerate()
-            .map(|(p, slot)| {
-                let input_idx = input_idx.clone();
-                let payload_idx = payload_idx.clone();
-                let shared = Arc::clone(shared);
-                Box::new(move || {
-                    let result = engine.scan_partition(fact_table, p).and_then(|scan| {
-                        let op = ModelJoinOp::new(scan, shared, input_idx, payload_idx)
-                            .with_quantized(quantized);
-                        drain(Box::new(op))
-                    });
-                    *slot = Some(result);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sched::global().run_scoped(sched::TaskClass::Query, tasks)
-        }))
-        .map_err(|_| EngineError::Execution("ModelJoin worker panicked".into()))?;
-        let mut out = Vec::new();
-        for s in slots {
-            out.extend(s.expect("every partition task ran")?);
-        }
-        return Ok(out);
-    }
-    let workers = parallelism.clamp(1, partitions);
-    let mut slots: Vec<Result<Vec<Batch>>> = (0..partitions).map(|_| Ok(Vec::new())).collect();
-    std::thread::scope(|scope| -> Result<()> {
-        let mut handles = Vec::new();
-        for w in 0..workers {
-            let input_idx = input_idx.clone();
-            let payload_idx = payload_idx.clone();
-            let shared = Arc::clone(shared);
-            handles.push(scope.spawn(move || -> Vec<(usize, Result<Vec<Batch>>)> {
-                let mut out = Vec::new();
-                let mut p = w;
-                while p < partitions {
-                    let result = engine.scan_partition(fact_table, p).and_then(|scan| {
-                        let op = ModelJoinOp::new(
-                            scan,
-                            Arc::clone(&shared),
-                            input_idx.clone(),
-                            payload_idx.clone(),
-                        )
-                        .with_quantized(quantized);
-                        drain(Box::new(op))
-                    });
-                    out.push((p, result));
-                    p += workers;
-                }
-                out
-            }));
-        }
-        for h in handles {
-            let results =
-                h.join().map_err(|_| EngineError::Execution("ModelJoin worker panicked".into()))?;
-            for (p, r) in results {
-                slots[p] = r;
-            }
-        }
-        Ok(())
-    })?;
+    let results =
+        sched::global().fork_join(sched::TaskClass::Query, 0..fact.partition_count(), |p| {
+            let scan = engine.scan_partition(fact_table, p)?;
+            let op =
+                ModelJoinOp::new(scan, Arc::clone(shared), input_idx.clone(), payload_idx.clone())
+                    .with_quantized(quantized);
+            drain(Box::new(op))
+        })?;
     let mut out = Vec::new();
-    for s in slots {
-        out.extend(s?);
+    for batches in results {
+        out.extend(batches?);
     }
     Ok(out)
 }

@@ -16,10 +16,9 @@ use crate::{Counter, Gauge, Histogram, StageMetrics};
 pub static TENSOR_GEMM_CALLS: Counter = Counter::new();
 /// Floating-point operations issued to `sgemm` (2·m·k·n per call).
 pub static TENSOR_GEMM_FLOPS: Counter = Counter::new();
-/// Jobs pushed to the persistent kernel worker pool.
+/// GEMM tile tasks a kernel handed to the scheduler pool (the caller's
+/// own tile is not counted).
 pub static TENSOR_POOL_JOBS: Counter = Counter::new();
-/// Worker threads currently spawned in the kernel pool.
-pub static TENSOR_POOL_WORKERS: Gauge = Gauge::new();
 /// Wall time of each `sgemm` call, µs (span-gated).
 pub static TENSOR_GEMM_US: Histogram = Histogram::new();
 /// Time spent packing A/B panels into kernel scratch, µs (span-gated).
@@ -265,7 +264,6 @@ pub static COUNTERS: &[(&str, &Counter)] = &[
 pub static GAUGES: &[(&str, &Gauge)] = &[
     ("sched.workers", &SCHED_WORKERS),
     ("sched.queue.depth", &SCHED_QUEUE_DEPTH),
-    ("tensor.pool.workers", &TENSOR_POOL_WORKERS),
     ("serve.queue.depth", &SERVE_QUEUE_DEPTH),
     ("shard.count", &SHARD_COUNT),
     ("storage.pool.occupancy", &STORAGE_POOL_OCCUPANCY),

@@ -1,15 +1,11 @@
-//! The unified morsel-driven work-stealing scheduler.
-//!
-//! Before this crate, the repository ran three independent thread pools —
-//! the tensor kernel pool (GEMM tile ranges), the per-query
-//! `std::thread::scope` partition workers of the vectorized engine, and
-//! the serve crate's batch workers. Under mixed SQL + inference traffic
-//! they oversubscribe the machine and fight for cores: a 12-way partition
-//! scope inside each of 12 serve workers can ask for 144 runnable threads.
-//! This crate replaces all three with **one process-wide pool** that owns
-//! every compute thread and schedules every unit of work — a GEMM tile
-//! range, an operator morsel, a coalesced inference batch — from the same
-//! queues.
+//! The morsel-driven work-stealing scheduler: the **one process-wide
+//! pool** that owns every compute thread of the stack and schedules every
+//! unit of work — a GEMM tile range (`tensor`), an operator morsel
+//! (`vector-engine`, `modeljoin`, `shard`), a coalesced inference batch
+//! (`serve`) — from the same queues. No other crate spawns compute
+//! threads, so mixed SQL + inference traffic cannot oversubscribe the
+//! machine (a 12-way partition fan-out inside each of 12 serve batches is
+//! 144 queued tasks, not 144 runnable threads).
 //!
 //! # Architecture
 //!
@@ -33,9 +29,10 @@
 //!   fork-join primitive: the caller keeps one task for itself, submits
 //!   the rest, and while waiting *helps* by claiming and running tasks
 //!   **of its own scope** that no peer has stolen yet. A worker therefore
-//!   never blocks while its own sub-tasks sit queued — the fix for the
-//!   pool-size double-subscription the three-pool design suffered from
-//!   (partition workers spawning kernel threads). Helping is deliberately
+//!   never blocks while its own sub-tasks sit queued (a partition task
+//!   whose GEMM fans out runs the tiles itself if no one else does).
+//!   [`Scheduler::fork_join`] is the ordered, value-returning form every
+//!   operator fan-out uses. Helping is deliberately
 //!   scope-restricted: running *unrelated* tasks on the waiting stack
 //!   could re-enter thread-local kernel scratch state mid-borrow and adds
 //!   unbounded latency to the blocked scope.
@@ -46,7 +43,7 @@
 //!
 //! The process-wide instance lives behind [`global`]; the engine sizes it
 //! via [`configure_workers`] from `EngineConfig::worker_threads`
-//! (grow-only, like the kernel pool it replaces). Independent instances
+//! (grow-only). Independent instances
 //! ([`Scheduler::new`]) exist for tests, which also exercise
 //! [`Scheduler::shutdown`] — drain semantics guarantee no submitted task
 //! is ever lost, even racing shutdown.
@@ -330,6 +327,19 @@ impl Latch {
     }
 }
 
+/// A task of a [`Scheduler::fork_join`] fan-out panicked. Every task of
+/// the fan-out had finished by the time this was returned.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TaskPanicked;
+
+impl std::fmt::Display for TaskPanicked {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("parallel worker panicked")
+    }
+}
+
+impl std::error::Error for TaskPanicked {}
+
 /// A work-stealing pool. Most callers use the process-wide [`global`]
 /// instance; owned instances exist for tests and support [`Scheduler::shutdown`].
 pub struct Scheduler {
@@ -507,6 +517,38 @@ impl Scheduler {
         }
     }
 
+    /// Ordered fork-join: run `task` once per input on the pool (the
+    /// caller takes part, see [`Scheduler::run_scoped`]) and return the
+    /// results in input order. Zero or one input runs inline on the
+    /// caller. A panicking task yields [`TaskPanicked`] — an error value,
+    /// not an unwind — and only after every sibling has finished, so
+    /// `task` and the inputs may borrow from the caller's stack.
+    pub fn fork_join<I, T, F>(
+        &self,
+        class: TaskClass,
+        inputs: impl IntoIterator<Item = I>,
+        task: F,
+    ) -> Result<Vec<T>, TaskPanicked>
+    where
+        I: Send,
+        T: Send,
+        F: Fn(I) -> T + Sync,
+    {
+        let inputs: Vec<I> = inputs.into_iter().collect();
+        let mut slots: Vec<Option<T>> = inputs.iter().map(|_| None).collect();
+        let task = &task;
+        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = slots
+            .iter_mut()
+            .zip(inputs)
+            .map(|(slot, input)| {
+                Box::new(move || *slot = Some(task(input))) as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect();
+        catch_unwind(AssertUnwindSafe(|| self.run_scoped(class, jobs)))
+            .map_err(|_| TaskPanicked)?;
+        Ok(slots.into_iter().map(|s| s.expect("run_scoped returned, so every task ran")).collect())
+    }
+
     /// Claim and run one queued high-priority (Serve-class) task inline on
     /// the calling thread; returns whether anything ran. Lets a producer
     /// that just spawned a Serve task (the batch coordinator) execute it
@@ -649,6 +691,59 @@ mod tests {
             .collect();
         s.run_scoped(TaskClass::Query, tasks);
         assert_eq!(counter.load(Ordering::Relaxed), 4);
+        s.shutdown();
+    }
+
+    #[test]
+    fn fork_join_results_are_in_index_order_under_stealing() {
+        let s = Arc::new(Scheduler::new(3));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let pool = Arc::clone(&s);
+        s.spawn(TaskClass::Query, move || {
+            // On a pool worker the fan-out lands in that worker's own
+            // deque. It blocks in task 0 until tasks 1 and 2 also reach
+            // the barrier, which they only can on siblings that stole them.
+            let barrier = std::sync::Barrier::new(3);
+            let out = pool.fork_join(TaskClass::Query, 0..64usize, |i| {
+                if i < 3 {
+                    barrier.wait();
+                }
+                i * 10
+            });
+            tx.send(out).unwrap();
+        });
+        let want: Vec<usize> = (0..64).map(|i| i * 10).collect();
+        assert_eq!(rx.recv().unwrap(), Ok(want));
+        s.shutdown();
+    }
+
+    #[test]
+    fn fork_join_reports_a_panic_only_after_every_sibling_ran() {
+        let s = Scheduler::new(2);
+        // Borrowed by every task: must stay alive until the last one ends,
+        // although the caller's own task (index 0) panics first.
+        let ran = AtomicUsize::new(0);
+        let out = s.fork_join(TaskClass::Query, 0..8usize, |i| {
+            if i % 4 == 0 {
+                panic!("fork_join boom");
+            }
+            ran.fetch_add(1, Ordering::Relaxed);
+            i
+        });
+        assert_eq!(out, Err(TaskPanicked));
+        assert_eq!(ran.load(Ordering::Relaxed), 6, "both panics waited for all six siblings");
+        s.shutdown();
+    }
+
+    #[test]
+    fn fork_join_runs_zero_and_one_task_on_the_caller() {
+        let s = Scheduler::new(1);
+        let me = std::thread::current().id();
+        assert_eq!(s.fork_join(TaskClass::Query, Vec::<u8>::new(), |b| b), Ok(Vec::new()));
+        let one = s.fork_join(TaskClass::Query, [7], |x| (x, std::thread::current().id()));
+        assert_eq!(one, Ok(vec![(7, me)]));
+        let solo = s.fork_join(TaskClass::Query, [()], |()| -> u8 { panic!("solo boom") });
+        assert_eq!(solo, Err(TaskPanicked), "an inline task's panic is still an error value");
         s.shutdown();
     }
 

@@ -1,4 +1,6 @@
-//! Serving-layer configuration.
+//! Serving-layer configuration. The server owns no compute threads —
+//! batches run as tasks on the process-wide `sched` pool — so nothing
+//! here sizes a thread pool.
 
 use vector_engine::EngineConfig;
 
@@ -7,13 +9,15 @@ use vector_engine::EngineConfig;
 /// file drives both layers.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Worker threads consuming the request queue. Zero is legal (useful
-    /// for deterministic admission-control tests): requests queue until
-    /// shutdown drains them.
+    /// Only zero vs non-zero matters. Non-zero starts the coordinator
+    /// thread that drains the request queue into scheduler tasks (compute
+    /// parallelism is the scheduler pool's, not this number). Zero starts
+    /// nothing (deterministic admission-control tests): requests queue
+    /// until shutdown drains them.
     pub workers: usize,
     /// Bounded queue capacity; a full queue rejects with `Overloaded`.
     pub queue_depth: usize,
-    /// Max time a worker waits for a batch to fill before flushing it.
+    /// Max time the coordinator holds a partial batch before flushing it.
     pub batch_flush_us: u64,
     /// Rows per coalesced inference batch (the engine's vector size is the
     /// natural choice: one batch is one vector through the kernels).
@@ -27,11 +31,6 @@ pub struct ServeConfig {
     pub model_cache: bool,
     /// Default per-request deadline in milliseconds; 0 disables it.
     pub default_timeout_ms: u64,
-    /// Run batch execution on the process-wide unified scheduler
-    /// (default, from `EngineConfig::unified_sched`): one coordinator
-    /// thread coalesces batches and submits them as high-priority
-    /// Serve-class tasks. Off = the legacy dedicated worker pool.
-    pub unified: bool,
     /// Serve predictions through the int8 quantized model (from
     /// `EngineConfig::quantized_inference`). CPU-only — a GPU-resident
     /// model keeps the fp32 route regardless.
@@ -57,7 +56,6 @@ impl ServeConfig {
             batching: true,
             model_cache: true,
             default_timeout_ms: 0,
-            unified: cfg.unified_sched,
             quantized: cfg.quantized_inference,
         }
     }
@@ -80,7 +78,6 @@ mod tests {
         assert_eq!((s.workers, s.queue_depth, s.batch_flush_us, s.max_batch_rows), (3, 9, 77, 256));
         assert!(s.batching && s.model_cache);
         assert_eq!(s.default_timeout_ms, 0);
-        assert!(s.unified, "serve rides the unified scheduler by default");
         assert!(!s.quantized, "serving defaults to exact fp32");
 
         let q = ServeConfig::from_engine(&EngineConfig {

@@ -1,40 +1,34 @@
-//! The multi-threaded inference server.
+//! The inference server.
 //!
-//! A [`Server`] owns an `Arc<Engine>` plus a pool of worker threads fed by
-//! one bounded request queue. Callers submit work with
-//! [`Server::submit_predict`] / [`Server::submit_sql`] and get back a
-//! [`RequestHandle`] — a future-like completion slot they can block on.
+//! A [`Server`] owns an `Arc<Engine>`, one bounded request queue and **one
+//! coordinator thread**; all compute runs on the process-wide pool in
+//! `crates/sched`. Callers submit work with [`Server::submit_predict`] /
+//! [`Server::submit_sql`] and get back a [`RequestHandle`] — a future-like
+//! completion slot they can block on.
 //!
-//! Workers run the dynamic micro-batcher: a worker that dequeues a predict
-//! request keeps collecting further requests **for the same model** until
-//! the batch reaches `max_batch_rows` or the flush deadline
-//! (`batch_flush_us`) passes, then runs one vectorized inference over the
-//! coalesced `rows x input_dim` matrix and distributes the output rows
-//! back to the per-request slots. SQL requests bypass the batcher and go
-//! through the engine's plan cache ([`Engine::execute_cached`]).
+//! The coordinator runs the dynamic micro-batcher: it drains the admission
+//! queue and coalesces predict requests **per model** (every model
+//! accumulates its own batch at once) until a batch reaches
+//! `max_batch_rows` or its flush deadline (`batch_flush_us`) passes, then
+//! submits it as a high-priority Serve-class task — so inference shares
+//! workers with, and preempts, queued scan morsels. The task runs one
+//! vectorized inference over the coalesced `rows x input_dim` matrix and
+//! distributes the output rows back to the per-request slots. SQL requests
+//! bypass the batcher and go through the engine's plan cache
+//! ([`Engine::execute_cached`]) as Query-class tasks.
 //!
 //! Admission control is strict: a full queue rejects with
 //! [`ServeError::Overloaded`] at submission (never blocking the client and
 //! never dropping silently), per-request deadlines are enforced both at
-//! dequeue and at drain, and shutdown drains the queue gracefully —
-//! workers finish what is queued, and anything left after the workers exit
-//! (possible only with zero workers) completes with
-//! [`ServeError::ShuttingDown`].
-//!
-//! Under the unified scheduler (`ServeConfig::unified`, the default) the
-//! per-server worker pool is replaced by **one coordinator thread** that
-//! drains the admission queue, coalesces per-model batches concurrently
-//! (every model accumulates its own batch at once, where the legacy pool
-//! needed one worker per model to do that), and submits each ready batch
-//! as a high-priority Serve-class task to the process-wide pool in
-//! `crates/sched` — so inference shares workers with, and preempts,
-//! queued scan morsels. An in-flight count tracks submitted tasks;
-//! [`Server::shutdown`] first joins the coordinator (which flushes every
-//! pending batch) and then waits for the scheduler to finish all of them,
-//! so no batch is abandoned mid-pool. The PR-5 panic contract is kept:
-//! inference panics are caught per batch (`serve.panics_caught`), and a
-//! scheduler-side backstop completes a batch's slots with
-//! [`ServeError::Internal`] if anything else in the task unwinds.
+//! submission and at execution, and shutdown drains gracefully. An
+//! in-flight count tracks submitted tasks; [`Server::shutdown`] first
+//! joins the coordinator (which flushes every pending batch) and then
+//! waits for the scheduler to finish all of them, so no batch is abandoned
+//! mid-pool; anything still queued afterwards (possible only with zero
+//! workers) completes with [`ServeError::ShuttingDown`]. Inference panics
+//! are caught per batch (`serve.panics_caught`), and a scheduler-side
+//! backstop completes a batch's slots with [`ServeError::Internal`] if
+//! anything else in the task unwinds.
 
 use crate::config::ServeConfig;
 use crate::error::ServeError;
@@ -233,13 +227,13 @@ struct Shared {
     engine: Arc<Engine>,
     cfg: ServeConfig,
     state: Mutex<QueueState>,
-    /// Workers wait here for work; submitters notify.
+    /// The coordinator waits here for work; submitters notify.
     work_cv: Condvar,
     models: Mutex<HashMap<String, ModelEntry>>,
     model_cache: ModelCache,
     counters: Counters,
-    /// Unified mode: batches handed to the scheduler and not yet finished.
-    /// Shutdown waits for this to reach zero after the coordinator exits.
+    /// Batches handed to the scheduler and not yet finished. Shutdown
+    /// waits for this to reach zero after the coordinator exits.
     inflight: Mutex<usize>,
     inflight_cv: Condvar,
 }
@@ -247,11 +241,12 @@ struct Shared {
 /// The serving front end. See the module docs for the architecture.
 pub struct Server {
     shared: Arc<Shared>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    coordinator: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Server {
-    /// Start a server over `engine` with `cfg.workers` worker threads.
+    /// Start a server over `engine`. Non-zero `cfg.workers` starts the
+    /// coordinator; compute happens on the scheduler pool.
     pub fn start(engine: Arc<Engine>, cfg: ServeConfig) -> Server {
         let shared = Arc::new(Shared {
             engine,
@@ -264,28 +259,16 @@ impl Server {
             inflight: Mutex::new(0),
             inflight_cv: Condvar::new(),
         });
-        let workers = if shared.cfg.unified {
-            if shared.cfg.workers > 0 {
-                // One coordinator regardless of `workers`: compute happens
-                // on the scheduler, which must have at least one thread
-                // for detached Serve tasks to make progress.
-                sched::configure_workers(1);
-                let shared = Arc::clone(&shared);
-                vec![std::thread::spawn(move || coordinator_loop(&shared))]
-            } else {
-                // Zero workers stays inert (admission-control tests rely
-                // on nothing consuming the queue until shutdown).
-                Vec::new()
-            }
-        } else {
-            (0..shared.cfg.workers)
-                .map(|_| {
-                    let shared = Arc::clone(&shared);
-                    std::thread::spawn(move || worker_loop(&shared))
-                })
-                .collect()
-        };
-        Server { shared, workers: Mutex::new(workers) }
+        // Zero workers stays inert (admission-control tests rely on
+        // nothing consuming the queue until shutdown).
+        let coordinator = (shared.cfg.workers > 0).then(|| {
+            // The scheduler must have at least one thread for detached
+            // Serve tasks to make progress.
+            sched::configure_workers(1);
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || coordinator_loop(&shared))
+        });
+        Server { shared, coordinator: Mutex::new(coordinator) }
     }
 
     /// Make `name` servable: requests against it will read the model from
@@ -371,16 +354,15 @@ impl Server {
             }
         }
         let queued = Queued { work, slot: Arc::clone(&slot), deadline };
-        // Unified mode: work that never coalesces (SQL always; predicts
-        // when batching is off) skips the coordinator and goes straight to
-        // the scheduler — the submit → coordinator → worker double handoff
-        // would otherwise dominate small-request latency. Admission is then
+        // Work that never coalesces (SQL always; predicts when batching is
+        // off) skips the coordinator and goes straight to the scheduler —
+        // the submit → coordinator → worker double handoff would otherwise
+        // dominate small-request latency. Admission is then
         // measured on the in-flight task count, the scheduler-side analogue
         // of queue depth. Dispatch happens under the state lock so a
         // concurrent shutdown either sees `accepting == false` here or
         // observes the incremented in-flight count in its drain wait.
-        let direct = self.shared.cfg.unified
-            && self.shared.cfg.workers > 0
+        let direct = self.shared.cfg.workers > 0
             && (matches!(queued.work, Work::Sql(_)) || !self.shared.cfg.batching);
         // With batching off the server is in synchronous point-serving
         // mode: nothing ever coalesces, so the cheapest correct execution
@@ -428,30 +410,30 @@ impl Server {
         if let Some((model, q)) = caller_runs {
             run_batch(&self.shared, model, vec![q]);
         } else if !direct {
-            // notify_all: a worker parked in its flush-deadline wait must
-            // also see new arrivals, not only idle workers.
+            // Wakes the coordinator, idle or in a flush-deadline wait.
             self.shared.work_cv.notify_all();
         }
         Ok(RequestHandle { slot })
     }
 
-    /// Stop admitting work, let the workers drain the queue, and join
-    /// them. Requests still queued after the workers exit (possible only
-    /// with zero workers) complete with [`ServeError::ShuttingDown`] —
-    /// nothing is ever silently dropped. Idempotent.
+    /// Stop admitting work, let the coordinator flush the queue, join it,
+    /// and wait for the flushed batches. Requests still queued afterwards
+    /// (possible only with zero workers) complete with
+    /// [`ServeError::ShuttingDown`] — nothing is ever silently dropped.
+    /// Idempotent.
     pub fn shutdown(&self) {
         {
             let mut state = lock_recover(&self.shared.state);
             state.accepting = false;
         }
         self.shared.work_cv.notify_all();
-        let workers = std::mem::take(&mut *lock_recover(&self.workers));
-        for w in workers {
-            let _ = w.join();
+        let coordinator = lock_recover(&self.coordinator).take();
+        if let Some(c) = coordinator {
+            let _ = c.join();
         }
-        // Unified mode: the coordinator has flushed every pending batch to
-        // the scheduler; wait for those tasks to finish so no request is
-        // abandoned mid-pool. (Always zero in legacy mode.)
+        // The coordinator has flushed every pending batch to the
+        // scheduler; wait for those tasks to finish so no request is
+        // abandoned mid-pool.
         {
             let mut inflight = lock_recover(&self.shared.inflight);
             while *inflight > 0 {
@@ -588,7 +570,7 @@ fn run_batch(shared: &Arc<Shared>, model: Option<String>, batch: Vec<Queued>) {
     }
 }
 
-/// The unified-mode coordinator: drains the admission queue, coalesces
+/// The coordinator: drains the admission queue, coalesces
 /// per-model batches concurrently, and flushes each one to the scheduler
 /// when it fills, when its flush deadline passes, or at shutdown. Exits
 /// once the server stops accepting and everything pending is flushed.
@@ -697,66 +679,6 @@ fn coordinator_loop(shared: &Arc<Shared>) {
     }
 }
 
-fn worker_loop(shared: &Shared) {
-    loop {
-        let mut state = lock_recover(&shared.state);
-        let head = loop {
-            if let Some(q) = state.queue.pop_front() {
-                om::SERVE_QUEUE_DEPTH.set(state.queue.len() as i64);
-                break q;
-            }
-            if !state.accepting {
-                return;
-            }
-            state = wait_recover(&shared.work_cv, state);
-        };
-
-        match head.work {
-            Work::Sql(_) => {
-                drop(state);
-                execute_sql(shared, head);
-            }
-            Work::Predict { ref model, .. } => {
-                let model_name = model.clone();
-                let mut batch = vec![head];
-                if shared.cfg.batching {
-                    let flush_at =
-                        Instant::now() + Duration::from_micros(shared.cfg.batch_flush_us);
-                    // Collect same-model requests until the batch is full
-                    // or the flush deadline passes. Requests for other
-                    // models / SQL stay queued for the other workers.
-                    loop {
-                        let mut i = 0;
-                        while i < state.queue.len() && batch.len() < shared.cfg.max_batch_rows {
-                            let same = matches!(
-                                &state.queue[i].work,
-                                Work::Predict { model, .. } if *model == model_name
-                            );
-                            if same {
-                                batch.push(state.queue.remove(i).expect("index in bounds"));
-                            } else {
-                                i += 1;
-                            }
-                        }
-                        om::SERVE_QUEUE_DEPTH.set(state.queue.len() as i64);
-                        if batch.len() >= shared.cfg.max_batch_rows || !state.accepting {
-                            break;
-                        }
-                        let now = Instant::now();
-                        if now >= flush_at {
-                            om::SERVE_FLUSH_DEADLINE_FIRES.add(1);
-                            break;
-                        }
-                        state = wait_timeout_recover(&shared.work_cv, state, flush_at - now);
-                    }
-                }
-                drop(state);
-                execute_predict_batch(shared, &model_name, batch);
-            }
-        }
-    }
-}
-
 fn execute_sql(shared: &Shared, q: Queued) {
     shared.counters.completed.fetch_add(1, Ordering::Relaxed);
     if expired(shared, &q) {
@@ -816,7 +738,6 @@ fn execute_predict_batch(shared: &Shared, model_name: &str, batch: Vec<Queued>) 
     };
     // The model's vector size must cover the largest batch we coalesce.
     let vector_size = shared.cfg.max_batch_rows.max(shared.engine.config().vector_size);
-    let parallelism = shared.engine.config().parallelism;
     // Int8 serving is CPU-only: a GPU-resident model keeps the fp32
     // device route regardless of the config knob.
     let quantized = shared.cfg.quantized && !entry.device.is_gpu();
@@ -839,21 +760,13 @@ fn execute_predict_batch(shared: &Shared, model_name: &str, batch: Vec<Queued>) 
                 entry.layout,
                 &entry.device,
                 vector_size,
-                parallelism,
             )
         } else {
             // Naive mode: the fp32 build *and* the quantization pass are
             // both paid per batch, mirroring the fp32 baseline's cost
             // model.
-            build_parallel(
-                &table,
-                &entry.meta,
-                entry.layout,
-                &entry.device,
-                vector_size,
-                parallelism,
-            )
-            .map(|b| Arc::new(QuantizedModel::from_built(&b)))
+            build_parallel(&table, &entry.meta, entry.layout, &entry.device, vector_size, 0)
+                .map(|b| Arc::new(QuantizedModel::from_built(&b)))
         };
         let built_q = match built_q {
             Ok(b) => b,
@@ -868,20 +781,12 @@ fn execute_predict_batch(shared: &Shared, model_name: &str, batch: Vec<Queued>) 
                 entry.layout,
                 &entry.device,
                 vector_size,
-                parallelism,
             )
         } else {
             // Naive mode (the serve_sweep baseline): rebuild per batch, the
             // cost every request pays when the built model is query-scoped.
-            build_parallel(
-                &table,
-                &entry.meta,
-                entry.layout,
-                &entry.device,
-                vector_size,
-                parallelism,
-            )
-            .map(Arc::new)
+            build_parallel(&table, &entry.meta, entry.layout, &entry.device, vector_size, 0)
+                .map(Arc::new)
         };
         let built = match built {
             Ok(b) => b,
@@ -931,7 +836,6 @@ mod tests {
             batching: true,
             model_cache: true,
             default_timeout_ms: 0,
-            unified: true,
             quantized: false,
         }
     }
@@ -1030,7 +934,7 @@ mod tests {
         const REQUESTS: usize = 8;
         let e = engine();
         // A generous flush window: all 8 requests are submitted within it,
-        // so the single worker must coalesce them into one full batch.
+        // so the coordinator must coalesce them into one full batch.
         let server = Server::start(
             Arc::clone(&e),
             ServeConfig {
@@ -1041,11 +945,18 @@ mod tests {
             },
         );
         register_dense(&server, &e, "m");
+        // Stand in for a busy pool: with nothing in flight the coordinator
+        // flushes partial batches at once (work-conserving), so whether the
+        // first request leaves alone would depend on thread timing.
+        *lock_recover(&server.shared.inflight) += 1;
         let handles: Vec<RequestHandle> = (0..REQUESTS)
             .map(|i| server.submit_predict("m", vec![i as f32 * 0.1; 4]).unwrap())
             .collect();
-        for h in handles {
-            let Response::Prediction(row) = h.wait().unwrap() else { panic!("prediction") };
+        let responses: Vec<_> = handles.into_iter().map(RequestHandle::wait).collect();
+        // Released before anything can panic: shutdown waits for zero.
+        *lock_recover(&server.shared.inflight) -= 1;
+        for response in responses {
+            let Response::Prediction(row) = response.unwrap() else { panic!("prediction") };
             assert_eq!(row.len(), 1);
             assert!(row[0].is_finite());
         }

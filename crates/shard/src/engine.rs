@@ -680,23 +680,15 @@ impl ShardedEngine {
         T: Send,
         F: Fn(usize, &Engine) -> Result<T> + Sync,
     {
-        let mut slots: Vec<Option<Result<T>>> = (0..self.shards.len()).map(|_| None).collect();
-        {
+        let results = {
             let _span = obs::span(&om::SHARD_GATHER_WAIT_US);
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-                .iter_mut()
-                .enumerate()
-                .map(|(i, slot)| {
-                    let f = &f;
-                    let shard = &self.shards[i];
-                    Box::new(move || {
-                        *slot = Some(f(i, shard));
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            run_tasks(tasks)?;
-        }
-        slots.into_iter().map(|s| s.expect("every shard task ran")).collect()
+            sched::global().fork_join(
+                sched::TaskClass::Query,
+                self.shards.iter().enumerate(),
+                |(i, shard)| f(i, shard),
+            )?
+        };
+        results.into_iter().collect()
     }
 
     fn run_scatter(&self, sql: &str, plan0: &LogicalPlan) -> Result<QueryResult> {
@@ -810,32 +802,26 @@ impl ShardedEngine {
             }
         }
         // Join each target's bucket pair on the pool; gather in target order.
-        let mut slots: Vec<Option<Result<Vec<Batch>>>> = (0..nshards).map(|_| None).collect();
-        {
+        let results = {
             let _span = obs::span(&om::SHARD_GATHER_WAIT_US);
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-                .iter_mut()
-                .zip(left_t.into_iter().zip(right_t))
-                .map(|(slot, (lb, rb))| {
-                    let lk = lk0.clone();
-                    let rk = rk0.clone();
-                    Box::new(move || {
-                        let op: Box<dyn Operator> = Box::new(HashJoinExec::new(
-                            batches_operator(lb),
-                            batches_operator(rb),
-                            lk,
-                            rk,
-                            vs,
-                        ));
-                        *slot = Some(drain(op));
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            run_tasks(tasks)?;
-        }
+            sched::global().fork_join(
+                sched::TaskClass::Query,
+                left_t.into_iter().zip(right_t),
+                |(lb, rb)| {
+                    let op: Box<dyn Operator> = Box::new(HashJoinExec::new(
+                        batches_operator(lb),
+                        batches_operator(rb),
+                        lk0.clone(),
+                        rk0.clone(),
+                        vs,
+                    ));
+                    drain(op)
+                },
+            )?
+        };
         let mut joined = Vec::new();
-        for s in slots {
-            joined.extend(s.expect("every shuffle target ran")?);
+        for batches in results {
+            joined.extend(batches?);
         }
         let out = apply_chain(&upper0, joined, vs)?;
         let out = apply_posts(&posts, out, vs)?;
@@ -928,16 +914,6 @@ fn load_sharding_map(root: &Path) -> Result<HashMap<String, String>> {
         map.insert(table.to_string(), key.to_string());
     }
     Ok(map)
-}
-
-/// Run borrowed tasks on the global scheduler as `Query`-class work,
-/// converting a task panic into an execution error (same contract as the
-/// partition-parallel layer).
-fn run_tasks(tasks: Vec<Box<dyn FnOnce() + Send + '_>>) -> Result<()> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        sched::global().run_scoped(sched::TaskClass::Query, tasks)
-    }))
-    .map_err(|_| EngineError::Execution("shard worker panicked".into()))
 }
 
 /// Top-of-plan operators that must run once at the facade, outermost

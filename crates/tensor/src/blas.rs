@@ -16,8 +16,8 @@
 //!   [`crate::microkernel`]. All four transpose combinations are absorbed
 //!   at packing time and share this single multiplication path;
 //! * large multiplies additionally split their M-block grid across the
-//!   persistent worker pool ([`crate::parallel`]) when the
-//!   `kernel_threads` knob is above 1.
+//!   shared scheduler pool ([`crate::parallel`]) when the kernel thread
+//!   budget ([`crate::set_kernel_threads`]) is above 1.
 //!
 //! [`sgemm_reference`] is the deliberately naive oracle that the
 //! equivalence tests and the `gemm_sweep` benchmark compare against.

@@ -27,6 +27,6 @@ mod simd;
 pub use activation::Activation;
 pub use device::{Device, DeviceKind, DeviceReport, GpuModel};
 pub use matrix::Matrix;
-pub use parallel::{kernel_threads, set_kernel_threads, set_unified_scheduler, unified_scheduler};
+pub use parallel::{kernel_threads, set_kernel_threads, set_unified_scheduler};
 pub use quant::{qgemm_dense, QuantScratch, QuantizedWeights};
 pub use simd::{f32_kernel_name, i8_kernel_name};

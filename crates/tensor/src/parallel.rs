@@ -1,59 +1,34 @@
-//! Persistent worker pool for intra-kernel parallelism.
+//! Intra-kernel parallelism: the tensor crate's door to the scheduler.
 //!
 //! The paper's MKL-backed operator gets its throughput from a kernel layer
-//! that can split one large `sgemm` across cores. This module provides the
-//! equivalent: a process-wide pool of persistent worker threads that the
-//! blocked GEMM hands M-block ranges to. The pool size is governed by the
-//! [`set_kernel_threads`] knob (wired to `EngineConfig::kernel_threads` in
-//! the engine crate); the default of 1 keeps kernels single-threaded so
-//! partition parallelism — the engine's primary parallel axis — is not
-//! oversubscribed. Raise the knob for large single-query multiplies.
-//!
-//! Workers are spawned lazily on first use, never exit, and park on a
-//! condvar while idle, so an idle pool costs nothing on the hot path.
-//!
-//! Since the unified scheduler landed, this module is a *dispatch layer*:
-//! by default ([`unified_scheduler`] = true) `run_scoped` forwards kernel
-//! tile tasks to the process-wide work-stealing scheduler in `crates/sched`
-//! as `TaskClass::Kernel` work, so GEMM tiles share workers with operator
-//! morsels and serve batches instead of owning a private pool. The legacy
-//! dedicated pool is kept behind [`set_unified_scheduler`] (false) for A/B
-//! measurement against the three-pool baseline.
+//! that can split one large `sgemm` across cores. Here the blocked GEMM
+//! hands its M-block ranges to [`run_scoped`], which forwards them to the
+//! process-wide work-stealing pool in `crates/sched` as
+//! `TaskClass::Kernel` tasks, so GEMM tiles share workers with operator
+//! morsels and serve batches. This module owns no threads; it holds only
+//! the [`set_kernel_threads`] budget — how many ways one large kernel may
+//! split. The default of 1 keeps kernels single-threaded for standalone
+//! callers; `execute_model_join` raises it to the engine's pool size.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Requested intra-kernel thread count (including the calling thread).
 static KERNEL_THREADS: AtomicUsize = AtomicUsize::new(1);
 
-/// Route kernel fan-outs through the unified scheduler (default) instead
-/// of the legacy dedicated pool.
-static USE_SCHED: AtomicBool = AtomicBool::new(true);
-
-/// Choose between the unified scheduler (true, default) and the legacy
-/// dedicated kernel pool (false). Process-wide; wired to
-/// `EngineConfig::unified_sched` by the engine crate.
-pub fn set_unified_scheduler(on: bool) {
-    USE_SCHED.store(on, Ordering::Relaxed);
-}
-
-/// Whether kernel fan-outs currently go to the unified scheduler.
-pub fn unified_scheduler() -> bool {
-    USE_SCHED.load(Ordering::Relaxed)
-}
+/// No-op: kernel fan-outs always run on the `sched` pool. Kept only
+/// because `benchmark/src/probes.rs` (frozen outside `benchmark` PRs)
+/// calls it; the next `benchmark` PR drops the call and this function.
+pub fn set_unified_scheduler(_on: bool) {}
 
 /// Set how many threads a single large kernel may use (clamped to ≥ 1).
-/// Cheap to call per query; the pool grows lazily and never shrinks. In
-/// unified mode this also grows the shared scheduler so standalone kernel
-/// callers (benches, tests) get the parallelism they asked for — `n`
-/// includes the calling thread, hence `n - 1` pool workers.
+/// Cheap to call per query. Also grows the shared scheduler (grow-only)
+/// so standalone kernel callers (benches, tests) get the parallelism they
+/// asked for — `n` includes the calling thread, hence `n - 1` pool
+/// workers.
 pub fn set_kernel_threads(n: usize) {
     let n = n.max(1);
     KERNEL_THREADS.store(n, Ordering::Relaxed);
-    if unified_scheduler() {
-        sched::configure_workers(n - 1);
-    }
+    sched::configure_workers(n - 1);
 }
 
 /// Current intra-kernel thread budget.
@@ -61,161 +36,15 @@ pub fn kernel_threads() -> usize {
     KERNEL_THREADS.load(Ordering::Relaxed)
 }
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-struct PoolShared {
-    queue: Mutex<VecDeque<Job>>,
-    available: Condvar,
-}
-
-struct Pool {
-    shared: Arc<PoolShared>,
-    /// Worker threads spawned so far (grow-only).
-    spawned: Mutex<usize>,
-}
-
-static POOL: OnceLock<Pool> = OnceLock::new();
-
-fn pool() -> &'static Pool {
-    POOL.get_or_init(|| Pool {
-        shared: Arc::new(PoolShared {
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-        }),
-        spawned: Mutex::new(0),
-    })
-}
-
-impl Pool {
-    /// Make sure at least `n` workers exist.
-    fn ensure_workers(&self, n: usize) {
-        let mut spawned = self.spawned.lock().unwrap();
-        while *spawned < n {
-            let shared = Arc::clone(&self.shared);
-            std::thread::Builder::new()
-                .name(format!("tensor-kernel-{spawned}"))
-                .spawn(move || worker_loop(&shared))
-                .expect("spawn kernel worker");
-            *spawned += 1;
-        }
-        obs::metrics::TENSOR_POOL_WORKERS.set(*spawned as i64);
-    }
-
-    fn push(&self, job: Job) {
-        obs::metrics::TENSOR_POOL_JOBS.add(1);
-        self.shared.queue.lock().unwrap().push_back(job);
-        self.shared.available.notify_one();
-    }
-}
-
-fn worker_loop(shared: &PoolShared) {
-    loop {
-        let job = {
-            let mut queue = shared.queue.lock().unwrap();
-            loop {
-                if let Some(job) = queue.pop_front() {
-                    break job;
-                }
-                queue = shared.available.wait(queue).unwrap();
-            }
-        };
-        job();
-    }
-}
-
-/// Tracks completion (and panics) of one fan-out batch.
-struct Latch {
-    remaining: Mutex<usize>,
-    done: Condvar,
-    panicked: AtomicBool,
-}
-
-impl Latch {
-    fn new(count: usize) -> Latch {
-        Latch {
-            remaining: Mutex::new(count),
-            done: Condvar::new(),
-            panicked: AtomicBool::new(false),
-        }
-    }
-
-    fn count_down(&self) {
-        let mut remaining = self.remaining.lock().unwrap();
-        *remaining -= 1;
-        if *remaining == 0 {
-            self.done.notify_all();
-        }
-    }
-
-    fn wait(&self) {
-        let mut remaining = self.remaining.lock().unwrap();
-        while *remaining > 0 {
-            remaining = self.done.wait(remaining).unwrap();
-        }
-    }
-}
-
-/// Run `tasks` to completion, using pool workers for all but the first task
-/// (which runs on the calling thread). Blocks until every task has
-/// finished, so tasks may borrow from the caller's stack.
-///
-/// A panicking task is caught on its worker, and the panic is re-raised
-/// here after all tasks have completed — the borrow scope is never exited
-/// while a worker still holds a reference into it.
+/// Run `tasks` to completion as Kernel-class work on the shared pool: the
+/// calling thread runs the first task and helps with the rest of its own
+/// scope, so a kernel fan-out nested inside an operator morsel never
+/// blocks a scheduler worker on stealable work. Blocks until every task
+/// has finished, so tasks may borrow from the caller's stack; a task
+/// panic is re-raised here after all tasks have completed.
 pub(crate) fn run_scoped(tasks: Vec<Box<dyn FnOnce() + Send + '_>>) {
-    let n = tasks.len();
-    if n == 0 {
-        return;
-    }
-    if n == 1 {
-        for t in tasks {
-            t();
-        }
-        return;
-    }
-    if unified_scheduler() {
-        // Unified path: tiles become Kernel-class tasks on the shared
-        // pool; the caller cooperatively helps run its own scope, so a
-        // kernel fan-out nested inside an operator morsel never blocks a
-        // scheduler worker on stealable work.
-        obs::metrics::TENSOR_POOL_JOBS.add((n - 1) as u64);
-        sched::global().run_scoped(sched::TaskClass::Kernel, tasks);
-        return;
-    }
-    let pool = pool();
-    pool.ensure_workers(n - 1);
-    let latch = Arc::new(Latch::new(n));
-    let mut iter = tasks.into_iter();
-    let own = iter.next().expect("n >= 1");
-    for task in iter {
-        // SAFETY: the job only outlives this function if we return before
-        // `latch.wait()` observes every count_down. We wait unconditionally
-        // (including when our own task panics — see below), so the borrowed
-        // data outlives every job. The transmute only erases the lifetime;
-        // layout of `Box<dyn FnOnce() + Send>` is lifetime-independent.
-        let job: Job = unsafe {
-            std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Box<dyn FnOnce() + Send + 'static>>(
-                task,
-            )
-        };
-        let latch = Arc::clone(&latch);
-        pool.push(Box::new(move || {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-            if result.is_err() {
-                latch.panicked.store(true, Ordering::Relaxed);
-            }
-            latch.count_down();
-        }));
-    }
-    let own_result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(own));
-    latch.count_down();
-    latch.wait();
-    if let Err(payload) = own_result {
-        std::panic::resume_unwind(payload);
-    }
-    if latch.panicked.load(Ordering::Relaxed) {
-        panic!("tensor kernel worker panicked");
-    }
+    obs::metrics::TENSOR_POOL_JOBS.add(tasks.len().saturating_sub(1) as u64);
+    sched::global().run_scoped(sched::TaskClass::Kernel, tasks);
 }
 
 #[cfg(test)]
@@ -259,22 +88,6 @@ mod tests {
             run_scoped(tasks);
         });
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn legacy_pool_still_works_when_unified_disabled() {
-        set_unified_scheduler(false);
-        let counter = std::sync::atomic::AtomicUsize::new(0);
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..4)
-            .map(|_| {
-                Box::new(|| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        run_scoped(tasks);
-        assert_eq!(counter.load(Ordering::Relaxed), 4);
-        set_unified_scheduler(true);
     }
 
     #[test]

@@ -148,33 +148,24 @@ proptest! {
     }
 }
 
-/// The unified scheduler is a drop-in for the legacy kernel pool: the tile
-/// decomposition is identical, only which thread runs each tile changes,
-/// so threaded GEMM through the scheduler must be bit-identical to the
-/// same GEMM on the legacy pool and to a single-threaded run.
+/// The tile decomposition does not depend on the thread budget — only
+/// which scheduler thread runs each tile changes — so a 4-way threaded
+/// GEMM must be bit-identical to a single-threaded run, also on shapes
+/// whose edges are not tile multiples.
 #[test]
-fn unified_scheduler_gemm_bit_identical_to_legacy_pool() {
+fn scheduler_threaded_gemm_bit_identical_to_serial() {
     for (m, k, n, seed) in [(512, 256, 64, 1u64), (777, 300, 200, 2), (1024, 511, 129, 3)] {
         let a = fill(m, k, seed);
         let b = fill(k, n, seed ^ 0xa076_1d64_78bd_642f);
         let mut serial = Matrix::zeros(m, n);
-        let mut unified = Matrix::zeros(m, n);
-        let mut legacy = Matrix::zeros(m, n);
+        let mut threaded = Matrix::zeros(m, n);
 
         tensor::set_kernel_threads(1);
         sgemm(Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut serial);
-
-        tensor::set_unified_scheduler(true);
         tensor::set_kernel_threads(4);
-        sgemm(Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut unified);
-
-        tensor::set_unified_scheduler(false);
-        sgemm(Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut legacy);
-
-        tensor::set_unified_scheduler(true);
+        sgemm(Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut threaded);
         tensor::set_kernel_threads(1);
 
-        assert_eq!(serial, unified, "unified-scheduler GEMM diverged from serial ({m}x{k}x{n})");
-        assert_eq!(serial, legacy, "legacy-pool GEMM diverged from serial ({m}x{k}x{n})");
+        assert_eq!(serial, threaded, "threaded GEMM diverged from serial ({m}x{k}x{n})");
     }
 }

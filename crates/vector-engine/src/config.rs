@@ -12,7 +12,10 @@ pub struct EngineConfig {
     pub vector_size: usize,
     /// Number of table partitions.
     pub partitions: usize,
-    /// Number of worker threads for partition-parallel queries.
+    /// Whether queries fan out over table partitions: values above 1
+    /// enable partition-parallel execution on the scheduler pool (whose
+    /// size is [`EngineConfig::worker_threads`]), 1 runs every plan
+    /// serially on the calling thread.
     pub parallelism: usize,
     /// Enable min/max (SMA) block pruning in scans — the optimization
     /// ML-To-SQL's layer filters rely on (paper Sec. 4.4).
@@ -29,16 +32,8 @@ pub struct EngineConfig {
     /// Worker threads owned by the process-wide unified scheduler — the
     /// single pool that runs operator morsels, GEMM tile tasks, and serve
     /// batches. 0 (the default) sizes the pool to the machine
-    /// (`std::thread::available_parallelism`). Replaces the old
-    /// per-kernel `kernel_threads` knob, which `from_kv` still accepts as
-    /// a deprecated alias for this field.
+    /// (`std::thread::available_parallelism`).
     pub worker_threads: usize,
-    /// Run all compute through the unified work-stealing scheduler
-    /// (default). When false, the engine reverts to the pre-scheduler
-    /// three-pool layout (per-query `thread::scope` partition workers, a
-    /// dedicated tensor kernel pool, dedicated serve workers) — kept so
-    /// benchmarks can measure the baseline this layer replaced.
-    pub unified_sched: bool,
     /// Run joins and aggregations through the seed value-at-a-time
     /// operators (`exec::rowwise`) instead of the vectorized ones. Off by
     /// default; exists so benchmarks can measure the pre-vectorization
@@ -113,7 +108,6 @@ impl Default for EngineConfig {
             predicate_pushdown: true,
             column_pruning: true,
             worker_threads: 0,
-            unified_sched: true,
             rowwise_ops: false,
             plan_cache_entries: 128,
             serve_queue_depth: 1024,
@@ -157,8 +151,7 @@ impl EngineConfig {
     pub fn to_kv(&self) -> String {
         format!(
             "vector_size={}\npartitions={}\nparallelism={}\nsma_pruning={}\nhash_join={}\n\
-             predicate_pushdown={}\ncolumn_pruning={}\nworker_threads={}\nunified_sched={}\n\
-             rowwise_ops={}\n\
+             predicate_pushdown={}\ncolumn_pruning={}\nworker_threads={}\nrowwise_ops={}\n\
              plan_cache_entries={}\nserve_queue_depth={}\nbatch_flush_us={}\n\
              quantized_inference={}\nobs_spans={}\nshards={}\n\
              data_dir={}\nbuffer_pool_pages={}\nwal_fsync={}\n",
@@ -170,7 +163,6 @@ impl EngineConfig {
             self.predicate_pushdown,
             self.column_pruning,
             self.worker_threads,
-            self.unified_sched,
             self.rowwise_ops,
             self.plan_cache_entries,
             self.serve_queue_depth,
@@ -215,14 +207,6 @@ impl EngineConfig {
                 }
                 "worker_threads" => {
                     cfg.worker_threads = value.parse().map_err(|_| bad(key, value))?
-                }
-                // Deprecated alias from the pre-scheduler era; the old
-                // intra-kernel knob now sizes the unified worker pool.
-                "kernel_threads" => {
-                    cfg.worker_threads = value.parse().map_err(|_| bad(key, value))?
-                }
-                "unified_sched" => {
-                    cfg.unified_sched = value.parse().map_err(|_| bad(key, value))?
                 }
                 "rowwise_ops" => cfg.rowwise_ops = value.parse().map_err(|_| bad(key, value))?,
                 "plan_cache_entries" => {
@@ -277,7 +261,6 @@ mod tests {
         assert_eq!(c.parallelism, 12);
         assert!(c.sma_pruning && c.hash_join && c.predicate_pushdown && c.column_pruning);
         assert_eq!(c.worker_threads, 0, "scheduler pool auto-sizes to the machine");
-        assert!(c.unified_sched, "the unified scheduler is the default execution mode");
         assert!(c.effective_worker_threads() >= 1);
         assert!(!c.rowwise_ops, "vectorized operators are the default");
         assert_eq!(c.plan_cache_entries, 128);
@@ -299,7 +282,6 @@ mod tests {
         let modified = EngineConfig {
             vector_size: 64,
             worker_threads: 5,
-            unified_sched: false,
             rowwise_ops: true,
             plan_cache_entries: 0,
             serve_queue_depth: 7,
@@ -323,10 +305,9 @@ mod tests {
     }
 
     #[test]
-    fn kv_accepts_deprecated_kernel_threads_alias() {
-        let cfg = EngineConfig::from_kv("kernel_threads=3").unwrap();
-        assert_eq!(cfg.worker_threads, 3, "alias writes worker_threads");
-        assert_eq!(cfg.effective_worker_threads(), 3);
+    fn kv_rejects_removed_kernel_threads_alias() {
+        let err = EngineConfig::from_kv("kernel_threads=3").unwrap_err();
+        assert!(err.to_string().contains("unknown knob \"kernel_threads\""), "{err}");
     }
 
     #[test]
@@ -357,7 +338,6 @@ mod tests {
             predicate_pushdown in proptest::prelude::any::<bool>(),
             column_pruning in proptest::prelude::any::<bool>(),
             worker_threads in 0usize..64,
-            unified_sched in proptest::prelude::any::<bool>(),
             rowwise_ops in proptest::prelude::any::<bool>(),
             plan_cache_entries in 0usize..1000,
             serve_queue_depth in 0usize..10000,
@@ -384,7 +364,6 @@ mod tests {
                 predicate_pushdown,
                 column_pruning,
                 worker_threads,
-                unified_sched,
                 rowwise_ops,
                 plan_cache_entries,
                 serve_queue_depth,

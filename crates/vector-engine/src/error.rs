@@ -44,6 +44,12 @@ impl From<storage::StorageError> for EngineError {
     }
 }
 
+impl From<sched::TaskPanicked> for EngineError {
+    fn from(e: sched::TaskPanicked) -> EngineError {
+        EngineError::Execution(e.to_string())
+    }
+}
+
 /// Convenience alias used across the engine.
 pub type Result<T> = std::result::Result<T, EngineError>;
 

@@ -26,20 +26,17 @@
 //! Top-level `ORDER BY` / `LIMIT` are peeled off and applied serially over
 //! the gathered partition results.
 //!
-//! Under the unified scheduler (`EngineConfig::unified_sched`, default)
-//! the unit of parallelism is the **morsel** — a block range within one
+//! The unit of parallelism is the **morsel** — a block range within one
 //! partition, at most [`MORSEL_ROWS`] rows — submitted as Query-class
 //! tasks to the process-wide work-stealing pool in `crates/sched`. The
 //! driving thread cooperatively runs its own morsels while waiting, so
 //! queries never spawn threads, and stealing balances skewed partitions.
 //! Results (and partial-aggregate merges) are gathered in (partition,
-//! block-range) order, preserving the legacy path's deterministic output.
-//! When the flag is off, the pre-scheduler per-query `thread::scope`
-//! strategy below runs instead (kept as the benchmark baseline).
+//! block-range) order, so output is deterministic.
 
 use crate::column::Batch;
 use crate::config::EngineConfig;
-use crate::error::{EngineError, Result};
+use crate::error::Result;
 use crate::exec::agg::GroupedAggState;
 use crate::exec::physical::{batches_operator, build_operator, drain, ExecContext, Operator};
 use crate::exec::simple::{LimitExec, SortExec};
@@ -55,11 +52,9 @@ const MORSEL_ROWS: usize = 65536;
 
 /// Execute a plan to completion, using partition parallelism when safe.
 pub fn execute(plan: &LogicalPlan, config: &EngineConfig) -> Result<Vec<Batch>> {
-    if config.unified_sched {
-        // Grow-only and cheap when already satisfied; direct callers
-        // (tests, benches) get a sized pool without an Engine.
-        sched::configure_workers(config.effective_worker_threads());
-    }
+    // Grow-only and cheap when already satisfied; direct callers (tests,
+    // benches) get a sized pool without an Engine.
+    sched::configure_workers(config.effective_worker_threads());
     // Peel the serial tail.
     let mut post: Vec<PostOp> = Vec::new();
     let mut core = plan;
@@ -124,16 +119,6 @@ fn build_morsels(table: &Arc<Table>, config: &EngineConfig) -> Vec<(usize, (usiz
     morsels
 }
 
-/// Run borrowed tasks on the global scheduler as Query-class work,
-/// converting a task panic into the same execution error the legacy
-/// `thread::scope` path reports.
-fn run_on_scheduler(tasks: Vec<Box<dyn FnOnce() + Send + '_>>) -> Result<()> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        sched::global().run_scoped(sched::TaskClass::Query, tasks)
-    }))
-    .map_err(|_| EngineError::Execution("parallel worker panicked".into()))
-}
-
 /// If `core` is an aggregation that the group-on-unique-key rule rejects
 /// but whose input alone is partition-safe, pick the partial-aggregate
 /// plan: the partition table plus the aggregation pieces.
@@ -152,8 +137,8 @@ fn partial_agg_target<'p>(
     Some((table, input, group, aggs, schema.types()))
 }
 
-/// Run `input` once per partition, folding each partition into a typed
-/// [`GroupedAggState`]; merge the partials in partition order and finalize.
+/// Run `input` once per morsel, folding each morsel into a typed
+/// [`GroupedAggState`]; merge the partials in morsel order and finalize.
 fn execute_partial_agg(
     input: &LogicalPlan,
     group: &[Expr],
@@ -162,61 +147,19 @@ fn execute_partial_agg(
     table: &Arc<Table>,
     config: &EngineConfig,
 ) -> Result<Vec<Batch>> {
-    let partitions = table.partition_count();
     let ngroup = group.len();
     let agg_types = &output_types[ngroup..];
 
-    let states: Vec<Result<GroupedAggState>> = if config.unified_sched {
-        // Morsel path: one partial state per block range, merged in
-        // (partition, range) order — same deterministic group order as the
-        // legacy per-partition merge.
-        let morsels = build_morsels(table, config);
-        let mut slots: Vec<Option<Result<GroupedAggState>>> =
-            (0..morsels.len()).map(|_| None).collect();
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-            .iter_mut()
-            .zip(&morsels)
-            .map(|(slot, &(p, range))| {
-                let table = Arc::clone(table);
-                Box::new(move || {
-                    let ctx = ExecContext::for_morsel(config, table, p, Some(range));
-                    *slot = Some(partition_state(input, group, aggs, agg_types, &ctx));
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        run_on_scheduler(tasks)?;
-        slots.into_iter().map(|s| s.expect("every morsel task ran")).collect()
-    } else {
-        let workers = config.parallelism.min(partitions).max(1);
-        let mut slots: Vec<Option<Result<GroupedAggState>>> =
-            (0..partitions).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for w in 0..workers {
-                let table = Arc::clone(table);
-                handles.push(scope.spawn(move || -> Vec<(usize, Result<GroupedAggState>)> {
-                    let mut out = Vec::new();
-                    let mut p = w;
-                    while p < partitions {
-                        let ctx = ExecContext::for_partition(config, Arc::clone(&table), p);
-                        out.push((p, partition_state(input, group, aggs, agg_types, &ctx)));
-                        p += workers;
-                    }
-                    out
-                }));
-            }
-            for h in handles {
-                let results = h
-                    .join()
-                    .map_err(|_| EngineError::Execution("parallel worker panicked".into()))?;
-                for (p, r) in results {
-                    slots[p] = Some(r);
-                }
-            }
-            Ok::<(), EngineError>(())
-        })?;
-        slots.into_iter().map(|s| s.expect("every partition was assigned to a worker")).collect()
-    };
+    // One partial state per morsel, merged in (partition, range) order so
+    // group order and float sums are deterministic.
+    let states = sched::global().fork_join(
+        sched::TaskClass::Query,
+        build_morsels(table, config),
+        |(p, range)| {
+            let ctx = ExecContext::for_morsel(config, Arc::clone(table), p, Some(range));
+            partition_state(input, group, aggs, agg_types, &ctx)
+        },
+    )?;
 
     let mut merged = GroupedAggState::new(aggs, agg_types);
     for state in states {
@@ -235,7 +178,7 @@ fn execute_partial_agg(
     Ok(out)
 }
 
-/// One worker's partial aggregate over one partition.
+/// The partial aggregate over one morsel.
 fn partition_state(
     input: &LogicalPlan,
     group: &[Expr],
@@ -255,83 +198,25 @@ fn partition_state(
     Ok(state)
 }
 
+/// Partitioned execution: each morsel drains a private plan copy
+/// restricted to its block range; results gather in (partition, range)
+/// order.
 fn execute_partitioned(
     plan: &LogicalPlan,
     table: &Arc<Table>,
     config: &EngineConfig,
 ) -> Result<Vec<Batch>> {
-    if config.unified_sched {
-        return execute_morsels(plan, table, config);
-    }
-    let partitions = table.partition_count();
-    let workers = config.parallelism.min(partitions).max(1);
-    let mut slots: Vec<Result<Vec<Batch>>> = (0..partitions).map(|_| Ok(Vec::new())).collect();
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for w in 0..workers {
-            let table = Arc::clone(table);
-            handles.push(scope.spawn(move || -> Vec<(usize, Result<Vec<Batch>>)> {
-                let mut out = Vec::new();
-                let mut p = w;
-                while p < partitions {
-                    let ctx = ExecContext::for_partition(config, Arc::clone(&table), p);
-                    let result = build_operator(plan, &ctx).and_then(drain);
-                    out.push((p, result));
-                    p += workers;
-                }
-                out
-            }));
-        }
-        for h in handles {
-            let results =
-                h.join().map_err(|_| EngineError::Execution("parallel worker panicked".into()));
-            match results {
-                Ok(results) => {
-                    for (p, r) in results {
-                        slots[p] = r;
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    })?;
-
-    // Gather in partition order for deterministic output.
+    let results = sched::global().fork_join(
+        sched::TaskClass::Query,
+        build_morsels(table, config),
+        |(p, range)| {
+            let ctx = ExecContext::for_morsel(config, Arc::clone(table), p, Some(range));
+            build_operator(plan, &ctx).and_then(drain)
+        },
+    )?;
     let mut out = Vec::new();
-    for slot in slots {
-        out.extend(slot?);
-    }
-    Ok(out)
-}
-
-/// Unified-scheduler partitioned execution: each morsel drains a private
-/// plan copy restricted to its block range; results gather in (partition,
-/// range) order, matching the legacy path's partition-order output.
-fn execute_morsels(
-    plan: &LogicalPlan,
-    table: &Arc<Table>,
-    config: &EngineConfig,
-) -> Result<Vec<Batch>> {
-    let morsels = build_morsels(table, config);
-    let mut slots: Vec<Option<Result<Vec<Batch>>>> = (0..morsels.len()).map(|_| None).collect();
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-        .iter_mut()
-        .zip(&morsels)
-        .map(|(slot, &(p, range))| {
-            let table = Arc::clone(table);
-            Box::new(move || {
-                let ctx = ExecContext::for_morsel(config, table, p, Some(range));
-                *slot = Some(build_operator(plan, &ctx).and_then(drain));
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    run_on_scheduler(tasks)?;
-
-    let mut out = Vec::new();
-    for slot in slots {
-        out.extend(slot.expect("every morsel task ran")?);
+    for batches in results {
+        out.extend(batches?);
     }
     Ok(out)
 }
@@ -591,64 +476,53 @@ mod tests {
     // Regression test for merge-order determinism: partial aggregates over
     // non-dyadic floats (0.1 steps do not sum associatively in binary) must
     // fold in partition/morsel index order, so repeated runs of the same
-    // query produce bit-identical floats — on both the unified-scheduler
-    // morsel path and the legacy thread-scope path. The sharded facade
-    // (crates/shard) extends the same guarantee to shard index order.
+    // query produce bit-identical floats. The sharded facade (crates/shard)
+    // extends the same guarantee to shard index order.
     #[test]
     fn repeated_partial_aggregate_runs_are_bit_identical() {
-        for unified in [true, false] {
-            let cfg = EngineConfig {
-                vector_size: 8,
-                partitions: 4,
-                parallelism: 4,
-                unified_sched: unified,
-                ..Default::default()
-            };
-            let cat = Catalog::new();
-            let facts = cat
-                .create_table(
-                    "facts",
-                    Schema::new(vec![
-                        ColumnDef::new("id", DataType::Int),
-                        ColumnDef::new("v", DataType::Float),
-                    ])
-                    .unwrap(),
-                    &cfg,
-                )
-                .unwrap();
-            let n = 200i64;
-            facts
-                .append(vec![
-                    ColumnVector::Int((0..n).collect()),
-                    ColumnVector::Float((0..n).map(|i| i as f64 * 0.1).collect()),
+        let cfg =
+            EngineConfig { vector_size: 8, partitions: 4, parallelism: 4, ..Default::default() };
+        let cat = Catalog::new();
+        let facts = cat
+            .create_table(
+                "facts",
+                Schema::new(vec![
+                    ColumnDef::new("id", DataType::Int),
+                    ColumnDef::new("v", DataType::Float),
                 ])
-                .unwrap();
-            facts.declare_unique("id").unwrap();
-            let sql = "SELECT id % 7 AS g, SUM(v) AS s, AVG(v) AS m FROM facts \
-                       GROUP BY id % 7 ORDER BY 1";
-            // Compare raw float bit patterns, not `==` (which would let
-            // -0.0 == 0.0 slip through the bit-identity claim).
-            let bits = |rows: &Vec<Vec<Value>>| -> Vec<Vec<u64>> {
-                rows.iter()
-                    .map(|r| {
-                        r.iter()
-                            .map(|v| match v {
-                                Value::Float(f) => f.to_bits(),
-                                Value::Int(i) => *i as u64,
-                                other => panic!("unexpected value {other:?}"),
-                            })
-                            .collect()
-                    })
-                    .collect()
-            };
-            let first = bits(&run(sql, &cfg, &cat));
-            for _ in 0..11 {
-                let again = bits(&run(sql, &cfg, &cat));
-                assert_eq!(
-                    first, again,
-                    "partial-aggregate merge must be index-ordered (unified={unified})"
-                );
-            }
+                .unwrap(),
+                &cfg,
+            )
+            .unwrap();
+        let n = 200i64;
+        facts
+            .append(vec![
+                ColumnVector::Int((0..n).collect()),
+                ColumnVector::Float((0..n).map(|i| i as f64 * 0.1).collect()),
+            ])
+            .unwrap();
+        facts.declare_unique("id").unwrap();
+        let sql = "SELECT id % 7 AS g, SUM(v) AS s, AVG(v) AS m FROM facts \
+                   GROUP BY id % 7 ORDER BY 1";
+        // Compare raw float bit patterns, not `==` (which would let
+        // -0.0 == 0.0 slip through the bit-identity claim).
+        let bits = |rows: &Vec<Vec<Value>>| -> Vec<Vec<u64>> {
+            rows.iter()
+                .map(|r| {
+                    r.iter()
+                        .map(|v| match v {
+                            Value::Float(f) => f.to_bits(),
+                            Value::Int(i) => *i as u64,
+                            other => panic!("unexpected value {other:?}"),
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        let first = bits(&run(sql, &cfg, &cat));
+        for _ in 0..11 {
+            let again = bits(&run(sql, &cfg, &cat));
+            assert_eq!(first, again, "partial-aggregate merge must be index-ordered");
         }
     }
 

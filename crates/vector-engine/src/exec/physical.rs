@@ -55,11 +55,6 @@ pub struct ExecContext {
     /// this `[start, end)` block range — one morsel of the unified
     /// scheduler, so a skewed partition splits across stealable tasks.
     pub scan_blocks: Option<(usize, usize)>,
-    /// Unified scheduler pool budget (`EngineConfig::worker_threads`,
-    /// resolved), carried to operators that issue tensor kernels. The
-    /// engine itself never spawns these threads; consumers (the ModelJoin
-    /// crate) hand the value to the kernel dispatch layer.
-    pub worker_threads: usize,
     /// Build the seed value-at-a-time join/agg operators instead of the
     /// vectorized ones (`EngineConfig::rowwise_ops`).
     pub rowwise_ops: bool,
@@ -74,7 +69,6 @@ impl ExecContext {
             vector_size,
             scan_restrict: None,
             scan_blocks: None,
-            worker_threads: 1,
             rowwise_ops: false,
             obs_spans: true,
         }
@@ -86,18 +80,9 @@ impl ExecContext {
             vector_size: config.vector_size,
             scan_restrict: None,
             scan_blocks: None,
-            worker_threads: config.effective_worker_threads(),
             rowwise_ops: config.rowwise_ops,
             obs_spans: config.obs_spans,
         }
-    }
-
-    pub fn for_partition(
-        config: &crate::config::EngineConfig,
-        table: Arc<Table>,
-        partition: usize,
-    ) -> ExecContext {
-        ExecContext { scan_restrict: Some((table, partition)), ..ExecContext::from_config(config) }
     }
 
     /// Context for one scheduler morsel: a block range within one

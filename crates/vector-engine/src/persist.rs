@@ -78,10 +78,10 @@ pub const REC_APPEND: u8 = 3;
 pub const REC_UNIQUE: u8 = 4;
 
 const DIRECTORY_MAGIC: &[u8; 4] = b"IDBD";
-/// v2 added the data-file generation and the free-page list (raw page
-/// ids); v3 run-length encodes the free list as `(start, len)` pairs so
-/// directory size is bounded by fragmentation, not freed-page count.
-/// Both older formats still decode.
+/// The one format [`decode_directory`] accepts: data-file generation plus
+/// the free list run-length encoded as `(start, len)` pairs, so directory
+/// size is bounded by fragmentation, not freed-page count. Any other
+/// version is rejected by name.
 const DIRECTORY_VERSION: u8 = 3;
 
 /// File name of data generation `gen`: generation 0 keeps the original
@@ -719,34 +719,21 @@ fn decode_directory(bytes: &[u8]) -> Result<DirectoryFile> {
         return Err(EngineError::Io("directory.bin: bad magic".into()));
     }
     let version = r.u8()?;
-    if version == 0 || version > DIRECTORY_VERSION {
-        return Err(EngineError::Io(format!("directory.bin: unknown version {version}")));
+    if version != DIRECTORY_VERSION {
+        return Err(EngineError::Io(format!(
+            "directory.bin: version {version} found, only version {DIRECTORY_VERSION} is supported"
+        )));
     }
     let next_page = r.u64()?;
     let checkpoint_lsn = r.u64()?;
-    // v1 predates reclamation: generation 0, nothing free. v2 stored
-    // the free list as raw page ids; v3 as `(start, len)` runs.
-    let (generation, free) = if version >= 3 {
-        let generation = r.u64()?;
-        let nruns = r.u32()? as usize;
-        let mut free = Vec::with_capacity(nruns);
-        for _ in 0..nruns {
-            let start = r.u64()?;
-            let len = r.u64()?;
-            free.push((start, len));
-        }
-        (generation, free)
-    } else if version == 2 {
-        let generation = r.u64()?;
-        let nfree = r.u32()? as usize;
-        let mut pages = Vec::with_capacity(nfree);
-        for _ in 0..nfree {
-            pages.push(r.u64()?);
-        }
-        (generation, runs_from_pages(pages))
-    } else {
-        (0, Vec::new())
-    };
+    let generation = r.u64()?;
+    let nruns = r.u32()? as usize;
+    let mut free = Vec::with_capacity(nruns);
+    for _ in 0..nruns {
+        let start = r.u64()?;
+        let len = r.u64()?;
+        free.push((start, len));
+    }
     let ntables = r.u32()? as usize;
     let mut tables = Vec::with_capacity(ntables);
     for _ in 0..ntables {
@@ -1136,25 +1123,37 @@ mod tests {
     }
 
     #[test]
-    fn directory_v2_raw_free_list_decodes_as_runs() {
-        // Hand-build a v2 header (raw page-id free list, no tables).
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(DIRECTORY_MAGIC);
-        bytes.push(2);
-        bytes.extend_from_slice(&99u64.to_le_bytes()); // next_page
-        bytes.extend_from_slice(&7u64.to_le_bytes()); // checkpoint_lsn
-        bytes.extend_from_slice(&1u64.to_le_bytes()); // generation
-        let pages: [u64; 4] = [4, 5, 6, 9];
-        bytes.extend_from_slice(&(pages.len() as u32).to_le_bytes());
-        for p in pages {
-            bytes.extend_from_slice(&p.to_le_bytes());
+    fn directory_versions_other_than_current_are_rejected() {
+        // Hand-built headers: v1 (no generation, no free list), v2 (raw
+        // page-id free list) and a future v4, each with zero tables.
+        let header = |version: u8, body: &[u64], counts: &[u32]| {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(DIRECTORY_MAGIC);
+            bytes.push(version);
+            for v in body {
+                bytes.extend_from_slice(&v.to_le_bytes());
+            }
+            for c in counts {
+                bytes.extend_from_slice(&c.to_le_bytes());
+            }
+            bytes
+        };
+        let v1 = header(1, &[99, 7], &[0]);
+        let v2 = header(2, &[99, 7, 1], &[0, 0]);
+        let v4 = header(4, &[99, 7, 1], &[0, 0]);
+        for (version, bytes) in [(1, v1), (2, v2), (4, v4)] {
+            let Err(EngineError::Io(msg)) = decode_directory(&bytes).map(|_| ()) else {
+                panic!("directory version {version} must be rejected");
+            };
+            assert_eq!(
+                msg,
+                format!("directory.bin: version {version} found, only version 3 is supported")
+            );
         }
-        bytes.extend_from_slice(&0u32.to_le_bytes()); // ntables
-        let dir = decode_directory(&bytes).unwrap();
-        assert_eq!(dir.next_page, 99);
-        assert_eq!(dir.checkpoint_lsn, 7);
-        assert_eq!(dir.generation, 1);
-        assert_eq!(dir.free, vec![(4, 3), (9, 1)]);
+        // The same shape at the current version decodes.
+        let v3 = header(DIRECTORY_VERSION, &[99, 7, 1], &[0, 0]);
+        let dir = decode_directory(&v3).unwrap();
+        assert_eq!((dir.next_page, dir.checkpoint_lsn, dir.generation), (99, 7, 1));
     }
 
     #[test]

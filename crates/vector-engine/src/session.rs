@@ -172,11 +172,9 @@ impl Engine {
         // The span gate is process-global (metrics are process-wide, see
         // the obs crate docs); the last engine constructed wins.
         obs::set_spans_enabled(config.obs_spans);
-        if config.unified_sched {
-            // Size the process-wide scheduler (grow-only) for this
-            // engine's workload; every compute layer shares the pool.
-            sched::configure_workers(config.effective_worker_threads());
-        }
+        // Size the process-wide scheduler (grow-only) for this engine's
+        // workload; every compute layer shares the pool.
+        sched::configure_workers(config.effective_worker_threads());
         let catalog = match &config.data_dir {
             None => Arc::new(Catalog::new()),
             Some(dir) => crate::persist::open_catalog(std::path::Path::new(dir), &config)?,

@@ -1,17 +1,13 @@
-//! Equivalence tests pinning the unified-scheduler execution path to
-//! single-thread oracles. Two layers of guarantee:
+//! Equivalence tests pinning the scheduler's morsel execution path to the
+//! single-partition serial oracle (`EngineConfig::serial()`, which runs
+//! every plan on the calling thread):
 //!
-//! 1. **Drop-in**: the same engine config with `unified_sched` on vs off
-//!    must produce *bitwise identical* results (including float bits) —
-//!    the morsel path gathers per-partition output in partition order,
-//!    exactly like the legacy `thread::scope` pool it replaces.
-//! 2. **Semantic**: a multi-partition unified engine must agree with a
-//!    single-partition serial engine on every order-insensitive result
-//!    (joins, counts, integer sums, grouped rows after ORDER BY).
-//!
-//! A third test forces tables past `MORSEL_ROWS` so one partition splits
-//! into several morsels, exercising the block-range scan restriction and
-//! the morsel-order partial-aggregation merge.
+//! * a multi-partition engine must agree with the serial engine on every
+//!   order-insensitive result (joins, counts, integer sums, grouped rows
+//!   after ORDER BY);
+//! * tables forced past `MORSEL_ROWS`, so one partition splits into
+//!   several morsels, exercise the block-range scan restriction and the
+//!   morsel-order partial-aggregation merge.
 
 use vector_engine::column::ColumnVector;
 use vector_engine::{Engine, EngineConfig, Value};
@@ -83,49 +79,20 @@ const QUERIES: &[&str] = &[
     "SELECT id FROM facts ORDER BY id DESC LIMIT 10",
 ];
 
-fn fresh_engine(partitions: usize, unified: bool) -> Engine {
-    Engine::new(EngineConfig {
+/// A 4-partition engine agrees with the 1-partition serial oracle.
+/// Grouped-float sums may legally reassociate across partition merges, so
+/// float queries are restricted to dyadic values (exactly representable;
+/// the merge adds partial sums of whole groups in group order on both
+/// sides, which for these magnitudes is exact).
+#[test]
+fn multi_partition_matches_serial_oracle() {
+    let parallel = Engine::new(EngineConfig {
         vector_size: 8,
-        partitions,
+        partitions: 4,
         parallelism: 4,
-        unified_sched: unified,
-        ..Default::default()
-    })
-}
-
-/// Layer 1: scheduler on vs off over the identical multi-partition layout
-/// is bitwise identical — same morsels, same gather order, same float
-/// association. The unified pool is a drop-in replacement.
-#[test]
-fn unified_scheduler_is_bitwise_identical_to_legacy_pool() {
-    let unified = fresh_engine(4, true);
-    let legacy = fresh_engine(4, false);
-    for e in [&unified, &legacy] {
-        load_facts(e, 500, 42);
-        load_dims(e, 40, 42);
-    }
-    for q in QUERIES {
-        let got = canon(unified.execute(q).unwrap().rows());
-        let want = canon(legacy.execute(q).unwrap().rows());
-        assert_eq!(got, want, "unified vs legacy diverged on {q:?}");
-    }
-}
-
-/// Layer 2: a 4-partition unified engine agrees with the 1-partition
-/// serial oracle. Grouped-float sums may legally reassociate across
-/// partition merges, so float queries are restricted to dyadic values
-/// (exactly representable; the merge adds partial sums of whole groups in
-/// group order on both sides, which for these magnitudes is exact).
-#[test]
-fn unified_multi_partition_matches_serial_oracle() {
-    let parallel = fresh_engine(4, true);
-    let serial = Engine::new(EngineConfig {
-        vector_size: 8,
-        partitions: 1,
-        parallelism: 1,
-        unified_sched: false,
         ..Default::default()
     });
+    let serial = Engine::new(EngineConfig { vector_size: 8, ..EngineConfig::serial() });
     for e in [&parallel, &serial] {
         load_facts(e, 500, 7);
         load_dims(e, 40, 7);
@@ -133,11 +100,11 @@ fn unified_multi_partition_matches_serial_oracle() {
     for q in QUERIES {
         let got = canon_sorted(parallel.execute(q).unwrap().rows());
         let want = canon_sorted(serial.execute(q).unwrap().rows());
-        assert_eq!(got, want, "parallel unified vs serial oracle diverged on {q:?}");
+        assert_eq!(got, want, "parallel vs serial oracle diverged on {q:?}");
     }
 }
 
-/// Layer 3: push one partition past MORSEL_ROWS (65536) so scans split
+/// Push one partition past MORSEL_ROWS (65536) so scans split
 /// into block-range morsels within a partition. Integer aggregates are
 /// association-free, so the multi-morsel result must equal the serial
 /// oracle exactly; the morsel boundaries must not drop, duplicate, or
@@ -149,16 +116,9 @@ fn multi_morsel_partitions_match_serial_oracle() {
         vector_size: 1024,
         partitions: 2,
         parallelism: 4,
-        unified_sched: true,
         ..Default::default()
     });
-    let serial = Engine::new(EngineConfig {
-        vector_size: 1024,
-        partitions: 1,
-        parallelism: 1,
-        unified_sched: false,
-        ..Default::default()
-    });
+    let serial = Engine::new(EngineConfig::serial());
     for e in [&parallel, &serial] {
         load_facts(e, N, 3);
     }
