@@ -1,7 +1,9 @@
 //! End-to-end ML-To-SQL sweep: the generated ModelJoin SQL (nested joins +
 //! per-layer `SUM ... GROUP BY` aggregations, Sec. 4.3–4.4) timed through
-//! the seed value-at-a-time operators (`EngineConfig::rowwise_ops`) and
-//! through the vectorized join/agg path of this PR.
+//! the vectorized join/agg operators. The committed `BENCH_ml2sql.json` is
+//! PR 3's record of the rowwise-vs-vectorized comparison; the rowwise
+//! operators are now only a test oracle, so this sweep times vectorized
+//! cells alone.
 //!
 //! ```text
 //! cargo run --release -p bench --bin ml2sql_sweep [--quick]
@@ -10,16 +12,15 @@
 //! Widths {32, 128, 512} × depths {2, 4}; fact rows are sized per model so
 //! every cell materializes roughly the same number of intermediate
 //! (tuple, edge) rows — the quantity that dominates ML-To-SQL runtime (the
-//! paper's scaling wall, Sec. 6.2.1). Both modes run the paper's engine
-//! setup (vector size 1024, 12 partitions, parallelism 12); the ML-To-SQL
-//! plan scans the fact table twice, so partition parallelism does not
-//! apply and the comparison isolates the operator rewrite. Results go to
+//! paper's scaling wall, Sec. 6.2.1). Cells run the paper's engine setup
+//! (vector size 1024, 12 partitions, parallelism 12); the ML-To-SQL plan
+//! scans the fact table twice, so partition parallelism does not apply and
+//! the cells time the join/agg operators. Results go to
 //! stdout and `BENCH_ml2sql.json` at the repository root; `--quick` runs
 //! one tiny cell as a smoke test and leaves the JSON untouched.
 
 use bench::ml2sql_cost;
 use indbml_core::{Approach, Experiment, ExperimentConfig, Workload};
-use vector_engine::EngineConfig;
 
 struct SweepRow {
     width: usize,
@@ -27,25 +28,13 @@ struct SweepRow {
     rows: usize,
     /// Intermediate (tuple, edge) rows the relational plan materializes.
     work: u64,
-    rowwise_s: f64,
     vectorized_s: f64,
 }
 
-/// Best-of-`reps` ML-To-SQL runtime under the given operator mode. The
-/// minimum is robust against scheduler interference on the shared
-/// single-core host; both modes are timed the same way.
-///
-/// `obs_spans` goes through the engine config (not the global flag
-/// directly) because `Engine::new` re-applies its config's value.
-fn time_ml2sql(
-    workload: Workload,
-    rows: usize,
-    rowwise_ops: bool,
-    obs_spans: bool,
-    reps: usize,
-) -> Option<f64> {
-    let engine = EngineConfig { rowwise_ops, obs_spans, ..Default::default() };
-    let config = ExperimentConfig { engine, ..ExperimentConfig::new(workload, rows) };
+/// Best-of-`reps` ML-To-SQL runtime. The minimum is robust against
+/// scheduler interference on the shared single-core host.
+fn time_ml2sql(workload: Workload, rows: usize, reps: usize) -> Option<f64> {
+    let config = ExperimentConfig::new(workload, rows);
     let experiment = match Experiment::build(config) {
         Ok(e) => e,
         Err(e) => {
@@ -71,7 +60,7 @@ fn main() {
         if quick { (200_000, 1, &[32], &[2]) } else { (12_000_000, 5, &[32, 128, 512], &[2, 4]) };
 
     println!("# ML-To-SQL operator sweep (cores = {cores}, budget = {budget} edge-rows)");
-    println!("width,depth,rows,work,rowwise_s,vectorized_s,speedup");
+    println!("width,depth,rows,work,vectorized_s,edge_rows_per_s");
 
     let mut rows_out: Vec<SweepRow> = Vec::new();
     for &depth in depths {
@@ -80,17 +69,14 @@ fn main() {
             let edges = ml2sql_cost(1, &workload.model(0));
             let rows = ((budget / edges.max(1)) as usize).clamp(24, 200_000);
             let work = ml2sql_cost(rows, &workload.model(0));
-            let Some(rowwise_s) = time_ml2sql(workload, rows, true, true, reps) else {
-                continue;
-            };
-            let Some(vectorized_s) = time_ml2sql(workload, rows, false, true, reps) else {
+            let Some(vectorized_s) = time_ml2sql(workload, rows, reps) else {
                 continue;
             };
             println!(
-                "{width},{depth},{rows},{work},{rowwise_s:.4},{vectorized_s:.4},{:.2}",
-                rowwise_s / vectorized_s
+                "{width},{depth},{rows},{work},{vectorized_s:.4},{:.0}",
+                work as f64 / vectorized_s
             );
-            rows_out.push(SweepRow { width, depth, rows, work, rowwise_s, vectorized_s });
+            rows_out.push(SweepRow { width, depth, rows, work, vectorized_s });
         }
     }
 
@@ -105,10 +91,12 @@ fn main() {
         let rows = ((budget / edges.max(1)) as usize).clamp(24, 200_000);
         let (mut off, mut on) = (f64::INFINITY, f64::INFINITY);
         for _ in 0..3 {
-            if let Some(t) = time_ml2sql(workload, rows, false, false, 1) {
+            obs::set_spans_enabled(false);
+            if let Some(t) = time_ml2sql(workload, rows, 1) {
                 off = off.min(t);
             }
-            if let Some(t) = time_ml2sql(workload, rows, false, true, 1) {
+            obs::set_spans_enabled(true);
+            if let Some(t) = time_ml2sql(workload, rows, 1) {
                 on = on.min(t);
             }
         }
@@ -125,20 +113,13 @@ fn main() {
     json.push_str("{\n");
     json.push_str(&format!("  \"cores\": {cores},\n"));
     json.push_str(&format!("  \"edge_row_budget\": {budget},\n"));
-    json.push_str("  \"baseline\": \"seed row-at-a-time join/agg (EngineConfig::rowwise_ops)\",\n");
     json.push_str("  \"ml2sql\": [\n");
     for (i, r) in rows_out.iter().enumerate() {
         let sep = if i + 1 < rows_out.len() { "," } else { "" };
         json.push_str(&format!(
             "    {{\"width\": {}, \"depth\": {}, \"rows\": {}, \"work\": {}, \
-             \"rowwise_s\": {:.4}, \"vectorized_s\": {:.4}, \"speedup\": {:.3}}}{sep}\n",
-            r.width,
-            r.depth,
-            r.rows,
-            r.work,
-            r.rowwise_s,
-            r.vectorized_s,
-            r.rowwise_s / r.vectorized_s
+             \"vectorized_s\": {:.4}}}{sep}\n",
+            r.width, r.depth, r.rows, r.work, r.vectorized_s
         ));
     }
     json.push_str("  ],\n");

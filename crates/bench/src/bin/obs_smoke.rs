@@ -23,14 +23,12 @@ const GROUPS: usize = 64;
 const ROWS: usize = 20_000;
 const AGG_SQL: &str = "SELECT k, SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY k";
 
-/// A fresh engine (its config re-applies the global span flag) with the
-/// smoke table loaded.
-fn setup(obs_spans: bool) -> Engine {
+/// An engine with the smoke table loaded.
+fn setup() -> Engine {
     let engine = Engine::new(EngineConfig {
         vector_size: 1024,
         partitions: 2,
         parallelism: 2,
-        obs_spans,
         ..Default::default()
     });
     engine.execute("CREATE TABLE t (k INT, v FLOAT)").unwrap();
@@ -63,7 +61,7 @@ fn min_agg_time(engine: &Engine, reps: usize) -> f64 {
 
 fn main() {
     // 1. The report reflects real work.
-    let engine = setup(true);
+    let engine = setup();
     engine.execute_cached(AGG_SQL).unwrap();
     engine.execute_cached(AGG_SQL).unwrap();
     let report = engine.metrics_report();
@@ -92,12 +90,14 @@ fn main() {
     assert!(ns_per_call < 50.0, "disabled span too expensive: {ns_per_call:.1} ns/call");
 
     // 3. Enabled spans stay within budget on a span-dense aggregation.
-    // Fresh engines per side so each `Engine::new` pins the global flag to
-    // that side's setting; interleaved so scheduler noise hits both.
+    // The process-wide gate is the only switch; interleaved so scheduler
+    // noise hits both sides.
     let (mut off, mut on) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..3 {
-        off = off.min(min_agg_time(&setup(false), 5));
-        on = on.min(min_agg_time(&setup(true), 5));
+        obs::set_spans_enabled(false);
+        off = off.min(min_agg_time(&engine, 5));
+        obs::set_spans_enabled(true);
+        on = on.min(min_agg_time(&engine, 5));
     }
     let overhead = (on / off - 1.0) * 100.0;
     println!("enabled spans overhead on GROUP BY: {overhead:+.2}% (on {on:.6}s, off {off:.6}s)");

@@ -99,7 +99,6 @@ fn run_cell(
     requests_per_client: usize,
 ) -> Cell {
     let mut cfg = ServeConfig::from_engine(&ex.config().engine);
-    cfg.workers = ex.config().engine.parallelism;
     cfg.batch_flush_us = flush_us;
     cfg.max_batch_rows = cfg.max_batch_rows.min(64);
     mode.apply(&mut cfg);
@@ -166,7 +165,6 @@ fn run_sharded_cell(
         t.append(model_cols.clone()).expect("model load");
     }
     let mut cfg = ServeConfig::from_engine(&ex.config().engine);
-    cfg.workers = ex.config().engine.parallelism;
     cfg.batch_flush_us = flush_us;
     cfg.max_batch_rows = cfg.max_batch_rows.min(64);
     mode.apply(&mut cfg);
@@ -244,7 +242,6 @@ fn measure_accuracy_delta(ex: &Experiment) -> f32 {
     let mut predictions: Vec<Vec<Vec<f32>>> = Vec::new();
     for quantized in [false, true] {
         let mut cfg = ServeConfig::from_engine(&ex.config().engine);
-        cfg.workers = ex.config().engine.parallelism;
         cfg.quantized = quantized;
         let server = ex.serve(cfg, Device::cpu());
         let rows: Vec<Vec<f32>> = inputs

@@ -290,7 +290,6 @@ mod tests {
         let ex = Experiment::build(config).unwrap();
         let server = ex.serve(
             ServeConfig {
-                workers: 2,
                 queue_depth: 8,
                 batch_flush_us: 100,
                 max_batch_rows: 8,
@@ -325,11 +324,7 @@ mod tests {
         };
         let ex = Experiment::build(config).unwrap();
         let server = ex.serve(
-            ServeConfig {
-                workers: 2,
-                batch_flush_us: 100,
-                ..ServeConfig::from_engine(&ex.config().engine)
-            },
+            ServeConfig { batch_flush_us: 100, ..ServeConfig::from_engine(&ex.config().engine) },
             Device::cpu(),
         );
         let inputs: Vec<Vec<f32>> =

@@ -15,8 +15,8 @@
 //! * [`span`] — a scoped timer recording its elapsed microseconds into a
 //!   histogram on drop. Spans are the only primitive with measurable
 //!   cost (two `Instant::now` calls), so they are gated by a global flag
-//!   ([`set_spans_enabled`], wired to the engine's `obs_spans` knob); the
-//!   disabled path is one relaxed load and no clock read.
+//!   ([`set_spans_enabled`], the only switch — no engine config writes
+//!   it); the disabled path is one relaxed load and no clock read.
 //!
 //! Every metric lives in the static catalog of [`metrics`] — plain
 //! `static` items referenced directly by the instrumented crates, so
@@ -212,10 +212,9 @@ impl HistogramSnapshot {
     }
 }
 
-/// Global span gate. Defaults to on; `Engine::new` stores the
-/// `EngineConfig::obs_spans` knob here (process-wide — the last engine
-/// constructed wins, which is what single-engine processes and the
-/// benches want).
+/// Global span gate. Defaults to on; [`set_spans_enabled`] is the only
+/// writer (the overhead-measuring benches flip it), so constructing an
+/// engine never changes it.
 static SPANS_ENABLED: AtomicBool = AtomicBool::new(true);
 
 pub fn set_spans_enabled(enabled: bool) {

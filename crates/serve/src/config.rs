@@ -4,9 +4,9 @@
 
 use vector_engine::EngineConfig;
 
-/// Knobs of the serving layer. [`ServeConfig::from_engine`] derives the
-/// queue/batch knobs from the engine's own [`EngineConfig`] so one config
-/// file drives both layers.
+/// Knobs of the serving layer — the only home of the queue and flush
+/// knobs. [`ServeConfig::from_engine`] takes the batch size and the
+/// quantization choice from the engine's [`EngineConfig`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Only zero vs non-zero matters. Non-zero starts the coordinator
@@ -44,14 +44,15 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Derive the serving knobs from an engine config: `serve_queue_depth`,
-    /// `batch_flush_us` and `vector_size` (as the batch size) come from
-    /// the engine; `workers` defaults to the engine's parallelism.
+    /// Serving defaults for an engine: one coordinator, a 1024-deep queue,
+    /// a 200 µs flush deadline, and the engine's `vector_size` (as the batch
+    /// size) and `quantized_inference`. `workers` is always 1 — a running
+    /// coordinator — whatever the engine's `parallelism` (which may be 0).
     pub fn from_engine(cfg: &EngineConfig) -> ServeConfig {
         ServeConfig {
-            workers: cfg.parallelism,
-            queue_depth: cfg.serve_queue_depth,
-            batch_flush_us: cfg.batch_flush_us,
+            workers: 1,
+            queue_depth: 1024,
+            batch_flush_us: 200,
             max_batch_rows: cfg.vector_size,
             batching: true,
             model_cache: true,
@@ -67,15 +68,12 @@ mod tests {
 
     #[test]
     fn derives_from_engine_config() {
-        let e = EngineConfig {
-            vector_size: 256,
-            parallelism: 3,
-            serve_queue_depth: 9,
-            batch_flush_us: 77,
-            ..Default::default()
-        };
+        let e = EngineConfig { vector_size: 256, parallelism: 3, ..Default::default() };
         let s = ServeConfig::from_engine(&e);
-        assert_eq!((s.workers, s.queue_depth, s.batch_flush_us, s.max_batch_rows), (3, 9, 77, 256));
+        assert_eq!(
+            (s.workers, s.queue_depth, s.batch_flush_us, s.max_batch_rows),
+            (1, 1024, 200, 256)
+        );
         assert!(s.batching && s.model_cache);
         assert_eq!(s.default_timeout_ms, 0);
         assert!(!s.quantized, "serving defaults to exact fp32");

@@ -897,6 +897,34 @@ mod tests {
         assert_eq!((stats.submitted, stats.completed), (2, 2));
     }
 
+    /// A serial engine (`parallelism: 0`) still gets a running coordinator
+    /// from `from_engine`: without one, every SQL and batched predict
+    /// would queue until shutdown.
+    #[test]
+    fn from_engine_serves_a_zero_parallelism_engine() {
+        let e = Arc::new(Engine::new(EngineConfig {
+            vector_size: 16,
+            partitions: 2,
+            parallelism: 0,
+            ..Default::default()
+        }));
+        e.execute("CREATE TABLE t (id INT)").unwrap();
+        e.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
+        let server = Server::start(Arc::clone(&e), ServeConfig::from_engine(e.config()));
+        register_dense(&server, &e, "m");
+        let patience = Duration::from_secs(30);
+        let sql = server.submit_sql("SELECT COUNT(*) AS n FROM t").unwrap();
+        let Some(Ok(Response::Rows(q))) = sql.wait_timeout(patience) else {
+            panic!("SQL on a parallelism-0 engine never completed")
+        };
+        assert_eq!(q.row(0)[0], Value::Int(3));
+        let predict = server.submit_predict("m", vec![0.1; 4]).unwrap();
+        let Some(Ok(Response::Prediction(row))) = predict.wait_timeout(patience) else {
+            panic!("batched predict on a parallelism-0 engine never completed")
+        };
+        assert!(row[0].is_finite());
+    }
+
     #[test]
     fn submission_validates_model_and_arity() {
         let e = engine();
@@ -937,12 +965,7 @@ mod tests {
         // so the coordinator must coalesce them into one full batch.
         let server = Server::start(
             Arc::clone(&e),
-            ServeConfig {
-                workers: 1,
-                batch_flush_us: 200_000,
-                max_batch_rows: REQUESTS,
-                ..config()
-            },
+            ServeConfig { batch_flush_us: 200_000, max_batch_rows: REQUESTS, ..config() },
         );
         register_dense(&server, &e, "m");
         // Stand in for a busy pool: with nothing in flight the coordinator
@@ -975,7 +998,7 @@ mod tests {
         let e = engine();
         let server = Server::start(
             Arc::clone(&e),
-            ServeConfig { workers: 1, batching: false, quantized: true, ..config() },
+            ServeConfig { batching: false, quantized: true, ..config() },
         );
         let model = paper::dense_model(4, 2, 7);
         let (_, meta) = load_into_engine(&e, "mq_table", &model, Layout::NodeId).unwrap();
@@ -1003,8 +1026,7 @@ mod tests {
         let e = engine();
         // Batching off: every request is its own batch, so cache hits are
         // observable per request.
-        let server =
-            Server::start(Arc::clone(&e), ServeConfig { workers: 1, batching: false, ..config() });
+        let server = Server::start(Arc::clone(&e), ServeConfig { batching: false, ..config() });
         register_dense(&server, &e, "m");
         for _ in 0..3 {
             server.submit_predict("m", vec![0.1; 4]).unwrap().wait().unwrap();

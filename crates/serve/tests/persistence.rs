@@ -10,10 +10,6 @@ use std::sync::Arc;
 use tensor::Device;
 use vector_engine::{ColumnVector, Engine, EngineConfig};
 
-fn serve_cfg() -> ServeConfig {
-    ServeConfig { workers: 2, ..ServeConfig::default() }
-}
-
 fn predict_all(server: &Server, requests: &[Vec<f32>]) -> Vec<Vec<u32>> {
     let handles: Vec<_> =
         requests.iter().map(|x| server.submit_predict("m", x.clone()).unwrap()).collect();
@@ -63,12 +59,12 @@ fn recovered_model_table_serves_bit_identical_predictions() {
         })
         .collect();
 
-    let mem_server = Server::start(Arc::clone(&mem), serve_cfg());
+    let mem_server = Server::start(Arc::clone(&mem), ServeConfig::default());
     mem_server.register_model("m", "weights", meta.clone(), Layout::NodeId, device.clone());
     let expected = predict_all(&mem_server, &requests);
     mem_server.shutdown();
 
-    let server = Server::start(Arc::clone(&recovered), serve_cfg());
+    let server = Server::start(Arc::clone(&recovered), ServeConfig::default());
     server.register_model("m", "weights", meta, Layout::NodeId, device);
     // Concurrent DML on the same engine while predict batches are in
     // flight: appends go to a separate fact table, and the model reads are

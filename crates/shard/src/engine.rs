@@ -515,16 +515,14 @@ impl ShardedEngine {
         if shard_safe(core, &sharded).is_some() {
             return Ok(Route::Scatter);
         }
-        if !self.config().rowwise_ops {
-            if let Some((_, LogicalPlan::Aggregate { input, .. })) = split_at(core, false) {
-                if shard_safe(input, &sharded).is_some() {
-                    return Ok(Route::PartialAgg);
-                }
+        if let Some((_, LogicalPlan::Aggregate { input, .. })) = split_at(core, false) {
+            if shard_safe(input, &sharded).is_some() {
+                return Ok(Route::PartialAgg);
             }
-            if let Some((_, LogicalPlan::HashJoin { left, right, .. })) = split_at(core, true) {
-                if shard_safe(left, &sharded).is_some() && shard_safe(right, &sharded).is_some() {
-                    return Ok(Route::Shuffle);
-                }
+        }
+        if let Some((_, LogicalPlan::HashJoin { left, right, .. })) = split_at(core, true) {
+            if shard_safe(left, &sharded).is_some() && shard_safe(right, &sharded).is_some() {
+                return Ok(Route::Shuffle);
             }
         }
         Err(EngineError::Unsupported(format!(

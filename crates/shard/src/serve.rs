@@ -136,14 +136,10 @@ mod tests {
         Arc::new(e)
     }
 
-    fn serve_cfg() -> ServeConfig {
-        ServeConfig { workers: 1, ..ServeConfig::default() }
-    }
-
     #[test]
     fn routed_point_sql_is_served_by_the_owning_shard() {
         let engine = sharded(4);
-        let server = ShardedServer::start(Arc::clone(&engine), serve_cfg());
+        let server = ShardedServer::start(Arc::clone(&engine), ServeConfig::default());
         for id in [3i64, 17, 42] {
             let h = server.submit_sql(&format!("SELECT v FROM facts WHERE id = {id}")).unwrap();
             match h.wait().unwrap() {
@@ -162,7 +158,7 @@ mod tests {
     #[test]
     fn scatter_sql_completes_inline_with_a_ready_handle() {
         let engine = sharded(3);
-        let server = ShardedServer::start(Arc::clone(&engine), serve_cfg());
+        let server = ShardedServer::start(Arc::clone(&engine), ServeConfig::default());
         let h = server.submit_sql("SELECT COUNT(*) AS n FROM facts").unwrap();
         match h.wait().unwrap() {
             Response::Rows(r) => assert_eq!(r.row(0), vec![Value::Int(64)]),

@@ -18,8 +18,7 @@
 //! serial execution: each worker folds its partitions into a typed
 //! [`GroupedAggState`] and the partials are merged in partition order — the
 //! classic local/global aggregation split, enabled by the vectorized
-//! accumulators (`EngineConfig::rowwise_ops` disables it together with the
-//! vectorized operators). Group order stays deterministic (first seen in
+//! accumulators. Group order stays deterministic (first seen in
 //! partition order); floating-point sums may differ from serial execution
 //! in the last bits because partials reassociate the additions.
 //!
@@ -80,7 +79,7 @@ pub fn execute(plan: &LogicalPlan, config: &EngineConfig) -> Result<Vec<Batch>> 
             Some((table, input, group, aggs, types)) => {
                 execute_partial_agg(input, group, aggs, &types, &table, config)?
             }
-            None => drain(build_operator(core, &ExecContext::from_config(config))?)?,
+            None => drain(build_operator(core, &ExecContext::new(config.vector_size))?)?,
         },
     };
 
@@ -127,7 +126,7 @@ fn partial_agg_target<'p>(
     core: &'p LogicalPlan,
     config: &EngineConfig,
 ) -> Option<(Arc<Table>, &'p LogicalPlan, &'p [Expr], &'p [AggSpec], Vec<DataType>)> {
-    if config.parallelism <= 1 || config.rowwise_ops {
+    if config.parallelism <= 1 {
         return None;
     }
     let LogicalPlan::Aggregate { input, group, aggs, schema } = core else {
@@ -156,7 +155,8 @@ fn execute_partial_agg(
         sched::TaskClass::Query,
         build_morsels(table, config),
         |(p, range)| {
-            let ctx = ExecContext::for_morsel(config, Arc::clone(table), p, Some(range));
+            let ctx =
+                ExecContext::for_morsel(config.vector_size, Arc::clone(table), p, Some(range));
             partition_state(input, group, aggs, agg_types, &ctx)
         },
     )?;
@@ -210,7 +210,8 @@ fn execute_partitioned(
         sched::TaskClass::Query,
         build_morsels(table, config),
         |(p, range)| {
-            let ctx = ExecContext::for_morsel(config, Arc::clone(table), p, Some(range));
+            let ctx =
+                ExecContext::for_morsel(config.vector_size, Arc::clone(table), p, Some(range));
             build_operator(plan, &ctx).and_then(drain)
         },
     )?;
@@ -434,28 +435,6 @@ mod tests {
         let b = run(sql, &ser, &setup(&ser));
         assert_eq!(a, b);
         assert_eq!(a[0][0], Value::Int(50));
-    }
-
-    #[test]
-    fn rowwise_ops_config_stays_correct() {
-        let cfg = EngineConfig {
-            vector_size: 8,
-            partitions: 4,
-            parallelism: 4,
-            rowwise_ops: true,
-            ..Default::default()
-        };
-        let cat = setup(&cfg);
-        let rows = run(
-            "SELECT id % 5 AS g, COUNT(*) AS n FROM facts GROUP BY id % 5 ORDER BY 1",
-            &cfg,
-            &cat,
-        );
-        assert_eq!(rows.len(), 5);
-        assert!(rows.iter().all(|r| r[1] == Value::Int(10)));
-        let rows =
-            run("SELECT a.id FROM facts a, facts b WHERE a.id = b.id ORDER BY 1", &cfg, &cat);
-        assert_eq!(rows.len(), 50);
     }
 
     #[test]

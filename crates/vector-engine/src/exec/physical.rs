@@ -4,7 +4,6 @@ use crate::column::Batch;
 use crate::error::Result;
 use crate::exec::agg::HashAggExec;
 use crate::exec::join::{CrossJoinExec, HashJoinExec};
-use crate::exec::rowwise::{RowHashAggExec, RowHashJoinExec};
 use crate::exec::scan::ScanExec;
 use crate::exec::simple::{BatchesExec, FilterExec, LimitExec, ProjectExec, SortExec, ValuesExec};
 use crate::plan::logical::LogicalPlan;
@@ -55,62 +54,35 @@ pub struct ExecContext {
     /// this `[start, end)` block range — one morsel of the unified
     /// scheduler, so a skewed partition splits across stealable tasks.
     pub scan_blocks: Option<(usize, usize)>,
-    /// Build the seed value-at-a-time join/agg operators instead of the
-    /// vectorized ones (`EngineConfig::rowwise_ops`).
-    pub rowwise_ops: bool,
-    /// Time each operator's `next()` into the per-stage histograms
-    /// (`EngineConfig::obs_spans`). Row/batch counters stay on regardless.
-    pub obs_spans: bool,
 }
 
 impl ExecContext {
     pub fn new(vector_size: usize) -> ExecContext {
-        ExecContext {
-            vector_size,
-            scan_restrict: None,
-            scan_blocks: None,
-            rowwise_ops: false,
-            obs_spans: true,
-        }
-    }
-
-    /// Context for a full (non-partitioned) execution under `config`.
-    pub fn from_config(config: &crate::config::EngineConfig) -> ExecContext {
-        ExecContext {
-            vector_size: config.vector_size,
-            scan_restrict: None,
-            scan_blocks: None,
-            rowwise_ops: config.rowwise_ops,
-            obs_spans: config.obs_spans,
-        }
+        ExecContext { vector_size, scan_restrict: None, scan_blocks: None }
     }
 
     /// Context for one scheduler morsel: a block range within one
     /// partition of the driving table.
     pub fn for_morsel(
-        config: &crate::config::EngineConfig,
+        vector_size: usize,
         table: Arc<Table>,
         partition: usize,
         blocks: Option<(usize, usize)>,
     ) -> ExecContext {
-        ExecContext {
-            scan_restrict: Some((table, partition)),
-            scan_blocks: blocks,
-            ..ExecContext::from_config(config)
-        }
+        ExecContext { vector_size, scan_restrict: Some((table, partition)), scan_blocks: blocks }
     }
 }
 
 /// Instruments an operator with the stage metrics of its plan kind: every
-/// `next()` counts the produced batch and rows, and (when spans are on)
-/// records its wall time. The timing is *inclusive* — an operator's
-/// `next()` pulls from its children inside the measured window — so stage
+/// `next()` counts the produced batch and rows, and (when the process-wide
+/// [`obs::set_spans_enabled`] gate is on) records its wall time. The
+/// timing is *inclusive* — an operator's `next()` pulls from its children
+/// inside the measured window — so stage
 /// times overlap and must be read as "time spent with this stage on top
 /// of the iterator stack's call path", not a disjoint breakdown.
 struct MeteredOp {
     inner: Box<dyn Operator>,
     stage: &'static obs::StageMetrics,
-    spans: bool,
 }
 
 impl Operator for MeteredOp {
@@ -119,10 +91,8 @@ impl Operator for MeteredOp {
     }
 
     fn next(&mut self) -> Result<Option<Batch>> {
-        let result = if self.spans {
+        let result = {
             let _span = obs::span(&self.stage.time_us);
-            self.inner.next()
-        } else {
             self.inner.next()
         };
         if let Ok(Some(batch)) = &result {
@@ -154,7 +124,7 @@ fn stage_of(plan: &LogicalPlan) -> &'static obs::StageMetrics {
 /// wrapped in a [`MeteredOp`] reporting into its stage's metrics.
 pub fn build_operator(plan: &LogicalPlan, ctx: &ExecContext) -> Result<Box<dyn Operator>> {
     let inner = build_operator_inner(plan, ctx)?;
-    Ok(Box::new(MeteredOp { inner, stage: stage_of(plan), spans: ctx.obs_spans }))
+    Ok(Box::new(MeteredOp { inner, stage: stage_of(plan) }))
 }
 
 fn build_operator_inner(plan: &LogicalPlan, ctx: &ExecContext) -> Result<Box<dyn Operator>> {
@@ -178,34 +148,21 @@ fn build_operator_inner(plan: &LogicalPlan, ctx: &ExecContext) -> Result<Box<dyn
             ctx.vector_size,
         )),
         LogicalPlan::HashJoin { left, right, left_keys, right_keys, .. } => {
-            let (l, r) = (build_operator(left, ctx)?, build_operator(right, ctx)?);
-            let (lk, rk) = (left_keys.clone(), right_keys.clone());
-            if ctx.rowwise_ops {
-                Box::new(RowHashJoinExec::new(l, r, lk, rk, ctx.vector_size))
-            } else {
-                Box::new(HashJoinExec::new(l, r, lk, rk, ctx.vector_size))
-            }
+            Box::new(HashJoinExec::new(
+                build_operator(left, ctx)?,
+                build_operator(right, ctx)?,
+                left_keys.clone(),
+                right_keys.clone(),
+                ctx.vector_size,
+            ))
         }
-        LogicalPlan::Aggregate { input, group, aggs, schema } => {
-            let input = build_operator(input, ctx)?;
-            if ctx.rowwise_ops {
-                Box::new(RowHashAggExec::new(
-                    input,
-                    group.clone(),
-                    aggs.clone(),
-                    schema.types(),
-                    ctx.vector_size,
-                ))
-            } else {
-                Box::new(HashAggExec::new(
-                    input,
-                    group.clone(),
-                    aggs.clone(),
-                    schema.types(),
-                    ctx.vector_size,
-                ))
-            }
-        }
+        LogicalPlan::Aggregate { input, group, aggs, schema } => Box::new(HashAggExec::new(
+            build_operator(input, ctx)?,
+            group.clone(),
+            aggs.clone(),
+            schema.types(),
+            ctx.vector_size,
+        )),
         LogicalPlan::Sort { input, keys } => {
             Box::new(SortExec::new(build_operator(input, ctx)?, keys.clone(), ctx.vector_size))
         }

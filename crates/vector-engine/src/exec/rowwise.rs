@@ -2,13 +2,9 @@
 //! verbatim (renamed `Row*`) after the vectorized rewrite of
 //! [`crate::exec::join`] / [`crate::exec::agg`].
 //!
-//! They serve two purposes:
-//!
-//! * the **naive oracle** the property tests pin the vectorized operators
-//!   against (`tests/exec_equivalence.rs`), and
-//! * the **pre-PR baseline** of the ML-To-SQL end-to-end benchmark
-//!   (`bench --bin ml2sql_sweep`), selected via
-//!   [`crate::config::EngineConfig::rowwise_ops`].
+//! Their one role is the **naive oracle** the property tests pin the
+//! vectorized operators against (`tests/exec_equivalence.rs`); no query
+//! plan builds them.
 //!
 //! Their cost profile is exactly what the rewrite removes: a heap-allocated
 //! `Vec<KeyPart>` per row (cloning every string key), SipHash over an enum

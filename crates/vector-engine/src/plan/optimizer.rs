@@ -14,8 +14,9 @@ use crate::plan::logical::{LogicalPlan, PlanSchema, PrunePredicate};
 use crate::types::Value;
 use std::collections::BTreeSet;
 
-/// The optimizer; behaviour is controlled by [`EngineConfig`] flags so the
-/// ablation benchmarks can switch individual rules off.
+/// The optimizer. Predicate pushdown, hash-join extraction and SMA pruning
+/// each follow their [`EngineConfig`] flag; column pruning and constant
+/// folding always run.
 pub struct Optimizer {
     config: EngineConfig,
 }
@@ -41,20 +42,11 @@ impl Optimizer {
                     LogicalPlan::Filter { input: Box::new(input), predicate }
                 }
             }
-            LogicalPlan::Project { input, exprs, schema } => {
-                let input = self.rewrite(*input);
-                let (input, exprs) = if self.config.column_pruning {
-                    match prune_join_inputs(input, cols_of(&exprs)) {
-                        (input, Some(map)) => {
-                            let exprs =
-                                exprs.into_iter().map(|e| e.map_columns(&|i| map[i])).collect();
-                            (input, exprs)
-                        }
-                        (input, None) => (input, exprs),
-                    }
-                } else {
-                    (input, exprs)
-                };
+            LogicalPlan::Project { input, mut exprs, schema } => {
+                let (input, map) = prune_join_inputs(self.rewrite(*input), cols_of(&exprs));
+                if let Some(map) = map {
+                    exprs = exprs.into_iter().map(|e| e.map_columns(&|i| map[i])).collect();
+                }
                 LogicalPlan::Project { input: Box::new(input), exprs, schema }
             }
             LogicalPlan::CrossJoin { left, right, schema } => LogicalPlan::CrossJoin {
@@ -71,33 +63,17 @@ impl Optimizer {
                     schema,
                 }
             }
-            LogicalPlan::Aggregate { input, group, aggs, schema } => {
-                let input = self.rewrite(*input);
-                let (input, group, aggs) = if self.config.column_pruning {
-                    let mut used = cols_of(&group);
-                    for a in &aggs {
-                        if let Some(e) = &a.arg {
-                            used.extend(e.columns());
-                        }
+            LogicalPlan::Aggregate { input, mut group, mut aggs, schema } => {
+                let args = aggs.iter().filter_map(|a| a.arg.as_ref());
+                let used = group.iter().chain(args).flat_map(|e| e.columns()).collect();
+                let (input, map) = prune_join_inputs(self.rewrite(*input), used);
+                if let Some(map) = map {
+                    let remap = |e: Expr| e.map_columns(&|i| map[i]);
+                    group = group.into_iter().map(remap).collect();
+                    for a in &mut aggs {
+                        a.arg = a.arg.take().map(remap);
                     }
-                    match prune_join_inputs(input, used) {
-                        (input, Some(map)) => {
-                            let group =
-                                group.into_iter().map(|e| e.map_columns(&|i| map[i])).collect();
-                            let aggs = aggs
-                                .into_iter()
-                                .map(|mut a| {
-                                    a.arg = a.arg.map(|e| e.map_columns(&|i| map[i]));
-                                    a
-                                })
-                                .collect();
-                            (input, group, aggs)
-                        }
-                        (input, None) => (input, group, aggs),
-                    }
-                } else {
-                    (input, group, aggs)
-                };
+                }
                 LogicalPlan::Aggregate { input: Box::new(input), group, aggs, schema }
             }
             LogicalPlan::Sort { input, keys } => {
@@ -562,5 +538,41 @@ mod tests {
         let s = plan.display_indent();
         assert!(s.starts_with("Project"), "{s}");
         assert!(s.contains("CrossJoin"), "{s}");
+    }
+
+    #[test]
+    fn column_pruning_narrows_both_join_inputs() {
+        // a(id, x, pad_a) ⋈ b(k, y, pad_b): the pads are never read.
+        let e = crate::Engine::new(EngineConfig::test_small());
+        e.execute("CREATE TABLE a (id INT, x FLOAT, pad_a FLOAT)").unwrap();
+        e.execute("CREATE TABLE b (k INT, y FLOAT, pad_b FLOAT)").unwrap();
+        e.execute(
+            "INSERT INTO a VALUES (0, 0, -1), (1, 1, -1), (2, 2, -1), (3, 0, -1), (4, 1, -1)",
+        )
+        .unwrap();
+        e.execute(
+            "INSERT INTO b VALUES (3, 30, -2), (2, 20, -2), (1, 10, -2), (0, 5, -2), (9, 99, -2)",
+        )
+        .unwrap();
+        let sql = "SELECT a.x, SUM(b.y) AS s FROM a, b WHERE a.id = b.k GROUP BY a.x ORDER BY 1";
+        let plan = e.plan(sql).unwrap();
+        let mut node = &plan;
+        while let LogicalPlan::Sort { input, .. }
+        | LogicalPlan::Project { input, .. }
+        | LogicalPlan::Aggregate { input, .. } = node
+        {
+            node = input;
+        }
+        let LogicalPlan::HashJoin { left, right, .. } = node else { panic!("{plan}") };
+        let names = |p: &LogicalPlan| -> Vec<String> {
+            p.schema().fields.iter().map(|f| f.name.clone()).collect()
+        };
+        assert_eq!(names(left), ["id", "x"], "{plan}");
+        assert_eq!(names(right), ["k", "y"], "{plan}");
+
+        // Matches id 0..=3: x = [0, 1, 2, 0], y = [5, 10, 20, 30].
+        let f = Value::Float;
+        let expected = vec![vec![f(0.0), f(35.0)], vec![f(1.0), f(10.0)], vec![f(2.0), f(20.0)]];
+        assert_eq!(e.execute(sql).unwrap().rows(), expected);
     }
 }

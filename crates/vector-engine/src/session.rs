@@ -169,9 +169,6 @@ impl Engine {
     /// is bit-identical to one that executed exactly the committed
     /// statement prefix before the crash.
     pub fn open(config: EngineConfig) -> Result<Engine> {
-        // The span gate is process-global (metrics are process-wide, see
-        // the obs crate docs); the last engine constructed wins.
-        obs::set_spans_enabled(config.obs_spans);
         // Size the process-wide scheduler (grow-only) for this engine's
         // workload; every compute layer shares the pool.
         sched::configure_workers(config.effective_worker_threads());
@@ -403,7 +400,7 @@ impl Engine {
     /// the caller (used by approaches that embed the engine).
     pub fn compile(&self, sql: &str) -> Result<Box<dyn Operator>> {
         let plan = self.plan(sql)?;
-        build_operator(&plan, &ExecContext::from_config(&self.config))
+        build_operator(&plan, &ExecContext::new(self.config.vector_size))
     }
 }
 
