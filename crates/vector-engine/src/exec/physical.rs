@@ -6,7 +6,8 @@ use crate::exec::agg::HashAggExec;
 use crate::exec::join::{CrossJoinExec, HashJoinExec};
 use crate::exec::scan::ScanExec;
 use crate::exec::simple::{BatchesExec, FilterExec, LimitExec, ProjectExec, SortExec, ValuesExec};
-use crate::plan::logical::LogicalPlan;
+use crate::expr::Expr;
+use crate::plan::logical::{LogicalPlan, PrunePredicate};
 use crate::storage::Table;
 use std::sync::Arc;
 
@@ -107,10 +108,34 @@ impl Operator for MeteredOp {
     }
 }
 
+/// If `exprs` are plain column references and `input` is a `Scan` — the
+/// shape the optimizer's column pruning produces — the projection runs as
+/// one [`ScanExec`] that loads only those columns. Returns the table, its
+/// SMA pruning predicates, and the table ordinals to load in output order.
+pub(crate) fn column_scan<'p>(
+    input: &'p LogicalPlan,
+    exprs: &[Expr],
+) -> Option<(&'p Arc<Table>, &'p [PrunePredicate], Vec<usize>)> {
+    let LogicalPlan::Scan { table, pruning, .. } = input else {
+        return None;
+    };
+    let columns = exprs
+        .iter()
+        .map(|e| match e {
+            Expr::Column(i) => Some(*i),
+            _ => None,
+        })
+        .collect::<Option<Vec<usize>>>()?;
+    Some((table, pruning, columns))
+}
+
 /// The stage-metric bundle a plan node reports under.
 fn stage_of(plan: &LogicalPlan) -> &'static obs::StageMetrics {
     match plan {
         LogicalPlan::Scan { .. } => &obs::metrics::EXEC_SCAN,
+        LogicalPlan::Project { input, exprs, .. } if column_scan(input, exprs).is_some() => {
+            &obs::metrics::EXEC_SCAN
+        }
         LogicalPlan::Filter { .. } => &obs::metrics::EXEC_FILTER,
         LogicalPlan::Project { .. } => &obs::metrics::EXEC_PROJECT,
         LogicalPlan::CrossJoin { .. } | LogicalPlan::HashJoin { .. } => &obs::metrics::EXEC_JOIN,
@@ -129,19 +154,16 @@ pub fn build_operator(plan: &LogicalPlan, ctx: &ExecContext) -> Result<Box<dyn O
 
 fn build_operator_inner(plan: &LogicalPlan, ctx: &ExecContext) -> Result<Box<dyn Operator>> {
     Ok(match plan {
-        LogicalPlan::Scan { table, pruning, .. } => {
-            let (partition, blocks) = match &ctx.scan_restrict {
-                Some((t, p)) if Arc::ptr_eq(t, table) => (Some(*p), ctx.scan_blocks),
-                _ => (None, None),
-            };
-            Box::new(ScanExec::with_blocks(Arc::clone(table), pruning.clone(), partition, blocks))
+        LogicalPlan::Scan { table, pruning, schema } => {
+            scan_exec(table, pruning, (0..schema.len()).collect(), ctx)
         }
         LogicalPlan::Filter { input, predicate } => {
             Box::new(FilterExec::new(build_operator(input, ctx)?, predicate.clone()))
         }
-        LogicalPlan::Project { input, exprs, .. } => {
-            Box::new(ProjectExec::new(build_operator(input, ctx)?, exprs.clone()))
-        }
+        LogicalPlan::Project { input, exprs, .. } => match column_scan(input, exprs) {
+            Some((table, pruning, columns)) => scan_exec(table, pruning, columns, ctx),
+            None => Box::new(ProjectExec::new(build_operator(input, ctx)?, exprs.clone())),
+        },
         LogicalPlan::CrossJoin { left, right, .. } => Box::new(CrossJoinExec::new(
             build_operator(left, ctx)?,
             build_operator(right, ctx)?,
@@ -173,6 +195,21 @@ fn build_operator_inner(plan: &LogicalPlan, ctx: &ExecContext) -> Result<Box<dyn
             Box::new(ValuesExec::new(rows.clone(), schema.types()))
         }
     })
+}
+
+/// A scan of `columns` of `table`, restricted to the context's partition
+/// and block range when `table` is the one the parallel driver splits.
+fn scan_exec(
+    table: &Arc<Table>,
+    pruning: &[PrunePredicate],
+    columns: Vec<usize>,
+    ctx: &ExecContext,
+) -> Box<dyn Operator> {
+    let (partition, blocks) = match &ctx.scan_restrict {
+        Some((t, p)) if Arc::ptr_eq(t, table) => (Some(*p), ctx.scan_blocks),
+        _ => (None, None),
+    };
+    Box::new(ScanExec::with_blocks(Arc::clone(table), columns, pruning.to_vec(), partition, blocks))
 }
 
 /// Wrap pre-computed batches as an operator (used by the parallel driver to

@@ -1,4 +1,4 @@
-//! Table scan with SMA block pruning.
+//! Table scan with column selection and SMA block pruning.
 
 use crate::column::Batch;
 use crate::error::Result;
@@ -10,12 +10,17 @@ use crate::types::Value;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-/// Scans a table block by block. Blocks whose min/max SMA proves the
-/// pruning predicates can never match are skipped without being read — the
-/// paper's Sec. 4.4 optimization ("applying the filter before joining ...
-/// enabling block pruning of the model table").
+/// Scans a table block by block, loading only its listed columns. Blocks
+/// whose min/max SMA proves the pruning predicates can never match are
+/// skipped without being read — the paper's Sec. 4.4 optimization
+/// ("applying the filter before joining ... enabling block pruning of the
+/// model table").
 pub struct ScanExec {
     table: Arc<Table>,
+    /// Table ordinals of the columns to load, in output order.
+    columns: Vec<usize>,
+    /// Checked against each block's SMA; `PrunePredicate::column` is a
+    /// table ordinal, whether or not that column is in `columns`.
     pruning: Vec<PrunePredicate>,
     /// Restrict to one partition (parallel workers) or scan all.
     partition: Option<usize>,
@@ -38,18 +43,22 @@ pub struct ScanExec {
 }
 
 impl ScanExec {
+    /// A scan of every column of `table`.
     pub fn new(
         table: Arc<Table>,
         pruning: Vec<PrunePredicate>,
         partition: Option<usize>,
     ) -> ScanExec {
-        ScanExec::with_blocks(table, pruning, partition, None)
+        let columns = (0..table.schema().len()).collect();
+        ScanExec::with_blocks(table, columns, pruning, partition, None)
     }
 
-    /// A scan additionally restricted to a block range — used by morsel
-    /// execution to split one partition across several tasks.
+    /// A scan of the given `columns` (table ordinals, in output order),
+    /// optionally restricted to a block range — morsel execution splits
+    /// one partition across several tasks this way.
     pub fn with_blocks(
         table: Arc<Table>,
+        columns: Vec<usize>,
         pruning: Vec<PrunePredicate>,
         partition: Option<usize>,
         blocks: Option<(usize, usize)>,
@@ -59,6 +68,7 @@ impl ScanExec {
         let snapshot = table.snapshot();
         ScanExec {
             table,
+            columns,
             pruning,
             partition,
             blocks,
@@ -117,7 +127,7 @@ impl Operator for ScanExec {
                         return Step::Pruned;
                     }
                 }
-                Step::Read(part.block_batch(b, self.table.storage_env()))
+                Step::Read(part.block_batch(b, &self.columns, self.table.storage_env()))
             });
             match step {
                 Step::EndOfPartition => {
@@ -181,12 +191,22 @@ mod tests {
         let t = table();
         // Appends round-robin whole blocks: partition 0 holds blocks
         // [0..4) and [8..12), partition 1 holds [4..8) and [12..16).
-        let m0 =
-            drain(Box::new(ScanExec::with_blocks(Arc::clone(&t), vec![], Some(0), Some((0, 1)))))
-                .unwrap();
-        let m1 =
-            drain(Box::new(ScanExec::with_blocks(Arc::clone(&t), vec![], Some(0), Some((1, 2)))))
-                .unwrap();
+        let m0 = drain(Box::new(ScanExec::with_blocks(
+            Arc::clone(&t),
+            vec![0],
+            vec![],
+            Some(0),
+            Some((0, 1)),
+        )))
+        .unwrap();
+        let m1 = drain(Box::new(ScanExec::with_blocks(
+            Arc::clone(&t),
+            vec![0],
+            vec![],
+            Some(0),
+            Some((1, 2)),
+        )))
+        .unwrap();
         let rows = |bs: &[Batch]| -> Vec<i64> {
             bs.iter().flat_map(|b| b.column(0).as_int().unwrap().to_vec()).collect()
         };
@@ -194,7 +214,8 @@ mod tests {
         assert_eq!(rows(&m1), vec![8, 9, 10, 11]);
         // An end past the real block count clamps instead of panicking.
         let tail =
-            drain(Box::new(ScanExec::with_blocks(t, vec![], Some(1), Some((1, 99))))).unwrap();
+            drain(Box::new(ScanExec::with_blocks(t, vec![0], vec![], Some(1), Some((1, 99)))))
+                .unwrap();
         assert_eq!(rows(&tail), vec![12, 13, 14, 15]);
     }
 
@@ -228,6 +249,40 @@ mod tests {
         }
         assert_eq!(rows, vec![4, 5, 6, 7]);
         assert_eq!(scan.blocks_pruned, 3);
+    }
+
+    #[test]
+    fn column_list_and_sma_pruning_use_different_columns() {
+        // (id, v, w): prune on id (table ordinal 0), load only w then v.
+        let cfg = EngineConfig { vector_size: 4, partitions: 2, ..Default::default() };
+        let schema = Schema::new(vec![
+            ColumnDef::new("id", DataType::Int),
+            ColumnDef::new("v", DataType::Float),
+            ColumnDef::new("w", DataType::Int),
+        ])
+        .unwrap();
+        let t = Arc::new(Table::new("t", schema, &cfg));
+        t.append(vec![
+            ColumnVector::Int((0..16).collect()),
+            ColumnVector::Float((0..16).map(|i| i as f64 * 0.5).collect()),
+            ColumnVector::Int((0..16).map(|i| -i).collect()),
+        ])
+        .unwrap();
+        let pred = PrunePredicate { column: 0, op: BinaryOp::GtEq, value: Value::Int(12) };
+        let mut scan = ScanExec::with_blocks(t, vec![2, 1], vec![pred], None, None);
+        let batches = {
+            let mut out = Vec::new();
+            while let Some(b) = scan.next().unwrap() {
+                out.push(b);
+            }
+            out
+        };
+        assert_eq!((scan.blocks_pruned, scan.blocks_read), (3, 1));
+        assert_eq!(batches.len(), 1);
+        let b = &batches[0];
+        assert_eq!(b.num_columns(), 2, "only the listed columns are loaded");
+        assert_eq!(b.column(0).as_int().unwrap(), &[-12, -13, -14, -15]);
+        assert_eq!(b.column(1).as_float().unwrap(), &[6.0, 6.5, 7.0, 7.5]);
     }
 
     #[test]

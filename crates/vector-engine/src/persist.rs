@@ -422,6 +422,13 @@ impl<'a> Reader<'a> {
         self.pos >= self.buf.len()
     }
 
+    /// A capacity for `count` items read from this buffer, each at least
+    /// `item_bytes` long: never more than the bytes left can hold, so a
+    /// corrupt count cannot size an allocation.
+    fn capacity(&self, count: usize, item_bytes: usize) -> usize {
+        count.min((self.buf.len() - self.pos) / item_bytes)
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.pos + n > self.buf.len() {
             return Err(EngineError::Io(format!(
@@ -546,28 +553,28 @@ pub(crate) fn decode_column(r: &mut Reader) -> Result<ColumnVector> {
     let len = r.u32()? as usize;
     Ok(match dtype {
         DataType::Int => {
-            let mut v = Vec::with_capacity(len);
+            let mut v = Vec::with_capacity(r.capacity(len, 8));
             for _ in 0..len {
                 v.push(r.i64()?);
             }
             ColumnVector::Int(v)
         }
         DataType::Float => {
-            let mut v = Vec::with_capacity(len);
+            let mut v = Vec::with_capacity(r.capacity(len, 8));
             for _ in 0..len {
                 v.push(r.f64()?);
             }
             ColumnVector::Float(v)
         }
         DataType::Bool => {
-            let mut v = Vec::with_capacity(len);
+            let mut v = Vec::with_capacity(r.capacity(len, 1));
             for _ in 0..len {
                 v.push(r.u8()? != 0);
             }
             ColumnVector::Bool(v)
         }
         DataType::Str => {
-            let mut v = Vec::with_capacity(len);
+            let mut v = Vec::with_capacity(r.capacity(len, 4));
             for _ in 0..len {
                 v.push(r.str()?);
             }
@@ -586,7 +593,8 @@ fn encode_schema(out: &mut Vec<u8>, schema: &Schema) {
 
 fn decode_schema(r: &mut Reader) -> Result<Schema> {
     let n = r.u32()? as usize;
-    let mut cols = Vec::with_capacity(n);
+    // Each column is at least a name length and a type tag.
+    let mut cols = Vec::with_capacity(r.capacity(n, 5));
     for _ in 0..n {
         let name = r.str()?;
         let dtype = tag_dtype(r.u8()?)?;
@@ -602,8 +610,27 @@ fn encode_chunk(out: &mut Vec<u8>, chunk: &PagedChunk) {
     out.extend_from_slice(&chunk.rows.to_le_bytes());
 }
 
-fn decode_chunk(r: &mut Reader) -> Result<PagedChunk> {
-    Ok(PagedChunk { first_page: r.u64()?, pages: r.u32()?, bytes: r.u64()?, rows: r.u32()? })
+/// Encoded size of one [`PagedChunk`].
+const CHUNK_BYTES: usize = 24;
+
+/// Decode a chunk location from the directory, rejecting any that
+/// [`StorageEnv::write_chunk`] cannot have written: the page count must be
+/// exactly what `bytes` needs, and every page must lie below the
+/// allocator's high-water mark `next_page`. A scan then reads at most
+/// `bytes` from pages that exist, whatever the directory held.
+fn decode_chunk(r: &mut Reader, next_page: u64) -> Result<PagedChunk> {
+    let chunk =
+        PagedChunk { first_page: r.u64()?, pages: r.u32()?, bytes: r.u64()?, rows: r.u32()? };
+    let pages_needed = usize::try_from(chunk.bytes).map(pages_for);
+    let end = chunk.first_page.checked_add(u64::from(chunk.pages));
+    if pages_needed != Ok(chunk.pages as usize) || end.is_none_or(|end| end > next_page) {
+        return Err(EngineError::Io(format!(
+            "directory.bin: chunk of {} bytes in {} pages at page {} is invalid \
+             (data file holds {next_page} pages)",
+            chunk.bytes, chunk.pages, chunk.first_page
+        )));
+    }
+    Ok(chunk)
 }
 
 // ---------------------------------------------------------------------
@@ -727,41 +754,53 @@ fn decode_directory(bytes: &[u8]) -> Result<DirectoryFile> {
     let next_page = r.u64()?;
     let checkpoint_lsn = r.u64()?;
     let generation = r.u64()?;
+    // Every count below is untrusted, so each capacity is capped by how
+    // many items of the smallest encoding the rest of the file can hold.
     let nruns = r.u32()? as usize;
-    let mut free = Vec::with_capacity(nruns);
+    let mut free = Vec::with_capacity(r.capacity(nruns, 16));
     for _ in 0..nruns {
         let start = r.u64()?;
         let len = r.u64()?;
         free.push((start, len));
     }
     let ntables = r.u32()? as usize;
-    let mut tables = Vec::with_capacity(ntables);
+    let mut tables = Vec::with_capacity(r.capacity(ntables, 4));
     for _ in 0..ntables {
         let name = r.str()?;
         let schema = decode_schema(&mut r)?;
         let vector_size = r.u32()? as usize;
         let next_partition = r.u64()?;
         let nunique = r.u32()? as usize;
-        let mut unique_columns = Vec::with_capacity(nunique);
+        let mut unique_columns = Vec::with_capacity(r.capacity(nunique, 4));
         for _ in 0..nunique {
             unique_columns.push(r.u32()? as usize);
         }
         let nparts = r.u32()? as usize;
-        let mut partitions = Vec::with_capacity(nparts);
+        let mut partitions = Vec::with_capacity(r.capacity(nparts, 12));
         for _ in 0..nparts {
             let rows = r.u64()? as usize;
             let ncols = r.u32()? as usize;
-            let mut columns = Vec::with_capacity(ncols);
+            let mut columns = Vec::with_capacity(r.capacity(ncols, 4));
             for _ in 0..ncols {
                 let nblocks = r.u32()? as usize;
-                let mut blocks = Vec::with_capacity(nblocks);
+                // A chunk plus two SMA values of at least two bytes each.
+                let mut blocks = Vec::with_capacity(r.capacity(nblocks, CHUNK_BYTES + 4));
                 for _ in 0..nblocks {
-                    let chunk = decode_chunk(&mut r)?;
+                    let chunk = decode_chunk(&mut r, next_page)?;
                     let min = decode_value(&mut r)?;
                     let max = decode_value(&mut r)?;
                     blocks.push(BlockMeta { chunk, min, max });
                 }
                 columns.push(blocks);
+            }
+            // Scans index every column's blocks by one block number.
+            let ragged = columns.iter().any(|c| c.len() != columns.first().map_or(0, Vec::len));
+            if columns.len() != schema.len() || ragged {
+                return Err(EngineError::Io(format!(
+                    "directory.bin: table {name:?} has a partition that does not match its \
+                     {} columns",
+                    schema.len()
+                )));
             }
             partitions.push(PartitionMeta { rows, columns });
         }
@@ -1154,6 +1193,58 @@ mod tests {
         let v3 = header(DIRECTORY_VERSION, &[99, 7, 1], &[0, 0]);
         let dir = decode_directory(&v3).unwrap();
         assert_eq!((dir.next_page, dir.checkpoint_lsn, dir.generation), (99, 7, 1));
+    }
+
+    #[test]
+    fn corrupt_directory_counts_and_chunks_are_errors() {
+        // A version-3 header: next_page 4, checkpoint LSN 0, generation 0.
+        let mut head = DIRECTORY_MAGIC.to_vec();
+        head.push(DIRECTORY_VERSION);
+        for v in [4u64, 0, 0] {
+            head.extend(v.to_le_bytes());
+        }
+        // Free-run or table counts of 2^32 - 1 with nothing behind them
+        // must not size an allocation.
+        for counts in [[u32::MAX, 0], [0, u32::MAX]] {
+            let mut bytes = head.clone();
+            for c in counts {
+                bytes.extend(c.to_le_bytes());
+            }
+            assert!(matches!(decode_directory(&bytes), Err(EngineError::Io(_))), "{counts:?}");
+        }
+        // One table `t (id INT)` with one block, whose chunk varies.
+        let one_block = |chunk: PagedChunk| {
+            let mut bytes = head.clone();
+            for count in [0u32, 1] {
+                bytes.extend(count.to_le_bytes()); // free runs, tables
+            }
+            put_str(&mut bytes, "t");
+            let schema = Schema::new(vec![ColumnDef::new("id", DataType::Int)]).unwrap();
+            encode_schema(&mut bytes, &schema);
+            bytes.extend(8u32.to_le_bytes()); // vector size
+            bytes.extend(0u64.to_le_bytes()); // round-robin cursor
+            bytes.extend(0u32.to_le_bytes()); // unique columns
+            bytes.extend(1u32.to_le_bytes()); // partitions
+            bytes.extend(1u64.to_le_bytes()); // rows
+            bytes.extend(1u32.to_le_bytes()); // columns
+            bytes.extend(1u32.to_le_bytes()); // blocks
+            encode_chunk(&mut bytes, &chunk);
+            encode_value(&mut bytes, &Value::Int(7));
+            encode_value(&mut bytes, &Value::Int(7));
+            decode_directory(&bytes).map(|_| ())
+        };
+        let good = PagedChunk { first_page: 3, pages: 1, bytes: 13, rows: 1 };
+        assert_eq!(one_block(good), Ok(()));
+        for bad in [
+            PagedChunk { pages: 0, ..good },
+            PagedChunk { pages: 1 << 31 | 1, ..good },
+            PagedChunk { bytes: good.bytes | 1 << 62, ..good },
+            PagedChunk { bytes: PAYLOAD_SIZE as u64 + 1, ..good },
+            PagedChunk { first_page: 4, ..good },
+            PagedChunk { first_page: 1 << 63 | 3, ..good },
+        ] {
+            assert!(matches!(one_block(bad), Err(EngineError::Io(_))), "{bad:?}");
+        }
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! (Sec. 4.4): predicate pushdown through projections and cross joins,
 //! extraction of hash equi-joins from cross join + equality conjuncts
 //! (including computed keys like `node = model.node - offset`), SMA
-//! block-pruning predicates on scans, column pruning through joins, and
-//! constant folding.
+//! block-pruning predicates on scans, column pruning down to the scans
+//! (through filters and joins), and constant folding.
 
 use crate::column::Batch;
 use crate::config::EngineConfig;
@@ -43,7 +43,7 @@ impl Optimizer {
                 }
             }
             LogicalPlan::Project { input, mut exprs, schema } => {
-                let (input, map) = prune_join_inputs(self.rewrite(*input), cols_of(&exprs));
+                let (input, map) = prune_input(self.rewrite(*input), cols_of(&exprs));
                 if let Some(map) = map {
                     exprs = exprs.into_iter().map(|e| e.map_columns(&|i| map[i])).collect();
                 }
@@ -66,7 +66,7 @@ impl Optimizer {
             LogicalPlan::Aggregate { input, mut group, mut aggs, schema } => {
                 let args = aggs.iter().filter_map(|a| a.arg.as_ref());
                 let used = group.iter().chain(args).flat_map(|e| e.columns()).collect();
-                let (input, map) = prune_join_inputs(self.rewrite(*input), used);
+                let (input, map) = prune_input(self.rewrite(*input), used);
                 if let Some(map) = map {
                     let remap = |e: Expr| e.map_columns(&|i| map[i]);
                     group = group.into_iter().map(remap).collect();
@@ -189,17 +189,32 @@ fn cols_of(exprs: &[Expr]) -> BTreeSet<usize> {
     exprs.iter().flat_map(|e| e.columns()).collect()
 }
 
-/// Column pruning through joins (late materialization): when the consumer
-/// of a join reads only `used` output columns, narrow each join input to
-/// the referenced columns (plus its key columns) so the join's per-row
-/// gather materializes only live data. Returns the rewritten plan and, if
-/// anything changed, the old→new output-column map the consumer must remap
-/// its expressions through.
-fn prune_join_inputs(
-    plan: LogicalPlan,
-    used: BTreeSet<usize>,
-) -> (LogicalPlan, Option<Vec<usize>>) {
+/// Column pruning (late materialization): narrow `plan`, the input of a
+/// consumer that reads only its `used` output columns. A scan is narrowed
+/// to the referenced columns by a column-only projection, which the
+/// physical layer runs as a scan that loads only those columns; a filter
+/// adds its own columns and passes the narrowing on below it; each join
+/// input is narrowed to its referenced columns plus its key columns, so
+/// the join's per-row gather materializes only live data. Returns the
+/// rewritten plan — whose output may keep columns beyond `used`: filter
+/// columns and join keys — and, if anything changed, the old→new
+/// output-column map the consumer must remap its expressions through.
+fn prune_input(plan: LogicalPlan, used: BTreeSet<usize>) -> (LogicalPlan, Option<Vec<usize>>) {
     match plan {
+        LogicalPlan::Scan { .. } if used.len() < plan.schema().len() => {
+            let (scan, map) = project_columns(plan, used);
+            (scan, Some(map))
+        }
+        LogicalPlan::Filter { input, predicate } => {
+            let mut keep = used;
+            keep.extend(predicate.columns());
+            let (input, map) = prune_input(*input, keep);
+            let predicate = match &map {
+                Some(map) => predicate.map_columns(&|i| map[i]),
+                None => predicate,
+            };
+            (LogicalPlan::Filter { input: Box::new(input), predicate }, map)
+        }
         LogicalPlan::HashJoin { left, right, left_keys, right_keys, schema } => {
             let nleft = left.schema().len();
             let mut keep_left: BTreeSet<usize> =
@@ -251,11 +266,24 @@ fn prune_join_inputs(
     }
 }
 
-/// Narrow `plan` to the `keep` columns via a projection. Returns the
-/// old→new column map (`usize::MAX` for dropped columns, which the caller
-/// never references). At least one column is always kept: a zero-column
-/// projection would lose the row count.
-fn narrow(plan: LogicalPlan, mut keep: BTreeSet<usize>) -> (LogicalPlan, Vec<usize>) {
+/// Narrow `plan` to exactly the `keep` columns (a join input): prune below
+/// it, then project away what the pruning kept beyond `keep` — filter-only
+/// columns are loaded and filtered on, but not handed to the join. Returns
+/// the old→new column map (`usize::MAX` for dropped columns, which the
+/// caller never references).
+fn narrow(plan: LogicalPlan, keep: BTreeSet<usize>) -> (LogicalPlan, Vec<usize>) {
+    let n = plan.schema().len();
+    let (plan, inner) = prune_input(plan, keep.clone());
+    let inner = inner.unwrap_or_else(|| (0..n).collect());
+    let (plan, outer) = project_columns(plan, keep.iter().map(|&c| inner[c]).collect());
+    let map = inner.iter().map(|&i| if i == usize::MAX { i } else { outer[i] }).collect();
+    (plan, map)
+}
+
+/// Project `plan` onto its `keep` columns, in order. Returns the old→new
+/// column map (`usize::MAX` for dropped columns). At least one column is
+/// always kept: a zero-column projection would lose the row count.
+fn project_columns(plan: LogicalPlan, mut keep: BTreeSet<usize>) -> (LogicalPlan, Vec<usize>) {
     let n = plan.schema().len();
     if keep.is_empty() && n > 0 {
         keep.insert(0);
@@ -416,6 +444,7 @@ pub fn fold_expr(expr: Expr) -> Expr {
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
+    use crate::exec::physical::column_scan;
     use crate::plan::binder::Binder;
     use crate::sql::{parse_statement, Statement};
     use crate::storage::{ColumnDef, Schema};
@@ -438,6 +467,17 @@ mod tests {
             Schema::new(vec![
                 ColumnDef::new("node", DataType::Int),
                 ColumnDef::new("w", DataType::Float),
+            ])
+            .unwrap(),
+            &config,
+        )
+        .unwrap();
+        cat.create_table(
+            "wide",
+            Schema::new(vec![
+                ColumnDef::new("a", DataType::Int),
+                ColumnDef::new("b", DataType::Float),
+                ColumnDef::new("c", DataType::Float),
             ])
             .unwrap(),
             &config,
@@ -574,5 +614,112 @@ mod tests {
         let f = Value::Float;
         let expected = vec![vec![f(0.0), f(35.0)], vec![f(1.0), f(10.0)], vec![f(2.0), f(20.0)]];
         assert_eq!(e.execute(sql).unwrap().rows(), expected);
+    }
+
+    /// `(table, columns loaded)` for every scan in `plan`, left to right:
+    /// what the physical layer reads once it fuses column-only projections
+    /// into their scans.
+    fn loads(plan: &LogicalPlan) -> Vec<(String, Vec<usize>)> {
+        fn walk(plan: &LogicalPlan, out: &mut Vec<(String, Vec<usize>)>) {
+            match plan {
+                LogicalPlan::Scan { table, schema, .. } => {
+                    out.push((table.name().to_string(), (0..schema.len()).collect()))
+                }
+                LogicalPlan::Project { input, exprs, .. } => match column_scan(input, exprs) {
+                    Some((table, _, columns)) => out.push((table.name().to_string(), columns)),
+                    None => walk(input, out),
+                },
+                LogicalPlan::Filter { input, .. }
+                | LogicalPlan::Aggregate { input, .. }
+                | LogicalPlan::Sort { input, .. }
+                | LogicalPlan::Limit { input, .. } => walk(input, out),
+                LogicalPlan::CrossJoin { left, right, .. }
+                | LogicalPlan::HashJoin { left, right, .. } => {
+                    walk(left, out);
+                    walk(right, out);
+                }
+                LogicalPlan::Values { .. } => {}
+            }
+        }
+        let mut out = Vec::new();
+        walk(plan, &mut out);
+        out
+    }
+
+    /// The first node under `plan` that is not a Project, Aggregate, Sort
+    /// or Filter.
+    fn below_unary(plan: &LogicalPlan) -> &LogicalPlan {
+        match plan {
+            LogicalPlan::Project { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Filter { input, .. } => below_unary(input),
+            other => other,
+        }
+    }
+
+    fn wide(columns: &[usize]) -> Vec<(String, Vec<usize>)> {
+        vec![("wide".to_string(), columns.to_vec())]
+    }
+
+    #[test]
+    fn aggregate_over_scan_is_narrowed() {
+        let plan = optimize("SELECT SUM(c), MAX(c) FROM wide", EngineConfig::default());
+        assert_eq!(loads(&plan), wide(&[2]), "{plan}");
+        let LogicalPlan::Project { input, .. } = &plan else { panic!("{plan}") };
+        let LogicalPlan::Aggregate { input, aggs, .. } = input.as_ref() else { panic!("{plan}") };
+        assert!(matches!(input.as_ref(), LogicalPlan::Project { .. }), "{plan}");
+        assert_eq!(aggs[0].arg, Some(Expr::col(0)), "remapped onto the narrowed input");
+    }
+
+    #[test]
+    fn filter_only_column_is_loaded_but_not_emitted() {
+        // Under an aggregate: the scan loads b and c, the filter reads c.
+        let plan = optimize("SELECT SUM(b) FROM wide WHERE c > 0.5", EngineConfig::default());
+        assert_eq!(loads(&plan), wide(&[1, 2]), "{plan}");
+        // Under a join: c is loaded and filtered on, but the join input
+        // carries only a (the key) and b.
+        let plan = optimize(
+            "SELECT x.b, m.w FROM wide x, m WHERE x.a = m.node AND x.c > 0.5",
+            EngineConfig::default(),
+        );
+        let LogicalPlan::HashJoin { left, .. } = below_unary(&plan) else { panic!("{plan}") };
+        let names: Vec<&str> = left.schema().fields.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["a", "b"], "{plan}");
+        assert_eq!(loads(left), wide(&[0, 1, 2]), "{plan}");
+    }
+
+    #[test]
+    fn count_star_alone_keeps_one_column() {
+        let plan = optimize("SELECT COUNT(*) FROM wide", EngineConfig::default());
+        assert_eq!(loads(&plan), wide(&[0]), "{plan}");
+        // With a filter, the filter's column is the one kept.
+        let plan = optimize("SELECT COUNT(*) FROM wide WHERE c > 0.5", EngineConfig::default());
+        assert_eq!(loads(&plan), wide(&[2]), "{plan}");
+    }
+
+    #[test]
+    fn self_join_reads_different_columns_on_each_side() {
+        let plan = optimize(
+            "SELECT x.b, y.c FROM wide x, wide y WHERE x.a = y.a",
+            EngineConfig::default(),
+        );
+        let mut both = wide(&[0, 1]);
+        both.extend(wide(&[0, 2]));
+        assert_eq!(loads(&plan), both, "{plan}");
+    }
+
+    #[test]
+    fn join_input_narrowing_sinks_below_the_filter() {
+        // The right input is Filter(Scan wide): the projection goes under
+        // the filter, and b — read by both — needs none above it.
+        let plan = optimize(
+            "SELECT wide.b FROM t, wide WHERE t.id = wide.a AND wide.b > 0.5",
+            EngineConfig::default(),
+        );
+        let LogicalPlan::HashJoin { right, .. } = below_unary(&plan) else { panic!("{plan}") };
+        let LogicalPlan::Filter { input, .. } = right.as_ref() else { panic!("{plan}") };
+        assert_eq!(loads(input), wide(&[0, 1]), "{plan}");
+        assert_eq!(right.schema().len(), 2, "{plan}");
     }
 }

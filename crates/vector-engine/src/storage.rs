@@ -234,11 +234,17 @@ impl Partition {
         self.columns.first().map_or(0, Vec::len)
     }
 
-    /// The `b`-th block of every column as a batch, reading paged blocks
-    /// through the buffer pool.
-    pub fn block_batch(&self, b: usize, env: Option<&StorageEnv>) -> Result<Batch> {
+    /// The `b`-th block of the given columns (table ordinals, in output
+    /// order) as a batch, reading paged blocks through the buffer pool.
+    /// Columns not listed are neither read nor decoded.
+    pub fn block_batch(
+        &self,
+        b: usize,
+        columns: &[usize],
+        env: Option<&StorageEnv>,
+    ) -> Result<Batch> {
         let columns: Result<Vec<ColumnVector>> =
-            self.columns.iter().map(|col| col[b].load(env)).collect();
+            columns.iter().map(|&c| self.columns[c][b].load(env)).collect();
         Ok(Batch::new(columns?))
     }
 
@@ -726,7 +732,8 @@ impl Table {
     pub fn partition_batches(&self, p: usize) -> Result<Vec<Batch>> {
         let parts = self.partitions.read();
         let part = &parts[p];
-        (0..part.block_count()).map(|b| part.block_batch(b, self.storage_env())).collect()
+        let columns: Vec<usize> = (0..self.schema.len()).collect();
+        (0..part.block_count()).map(|b| part.block_batch(b, &columns, self.storage_env())).collect()
     }
 
     /// Materialize the whole table as one batch per block.

@@ -2,7 +2,7 @@
 //! checkpointing, snapshot visibility, and equivalence with the
 //! in-memory engine.
 
-use vector_engine::{ColumnVector, Engine, EngineConfig, Value};
+use vector_engine::{ColumnVector, Engine, EngineConfig, EngineError, Value};
 
 fn tmp_dir(name: &str) -> String {
     let dir = std::env::temp_dir().join(format!("idb-persist-{}-{name}", std::process::id()));
@@ -174,4 +174,69 @@ fn torn_directory_is_rejected_not_misread() {
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
     assert!(Engine::open(persistent_config(&dir)).is_err());
+}
+
+#[test]
+fn corrupt_page_fails_only_the_queries_that_read_it() {
+    let dir = tmp_dir("corrupt-page");
+    {
+        let e = Engine::open(persistent_config(&dir)).unwrap();
+        e.execute("CREATE TABLE f (id INT, c0 FLOAT, c1 FLOAT, c2 FLOAT, c3 FLOAT)").unwrap();
+        // Column ck holds 1000·k + row, so each column's bytes are distinct.
+        let col = |k: f64| ColumnVector::Float((0..64).map(|i| 1000.0 * k + i as f64).collect());
+        let id = ColumnVector::Int((0..64).collect());
+        e.insert_columns("f", vec![id, col(0.0), col(1.0), col(2.0), col(3.0)]).unwrap();
+        e.checkpoint().unwrap();
+    }
+    // Flip one byte of the value 3000.0, inside a page of column c3.
+    let path = std::path::Path::new(&dir).join("data.idb");
+    let mut data = std::fs::read(&path).unwrap();
+    let needle = 3000.0f64.to_le_bytes();
+    let at = data.windows(8).position(|w| w == needle).expect("a c3 page");
+    data[at] ^= 0x01;
+    std::fs::write(&path, &data).unwrap();
+
+    let e = Engine::open(persistent_config(&dir)).unwrap();
+    let sum_c0 = e.execute("SELECT SUM(c0) FROM f").unwrap();
+    assert_eq!(sum_c0.rows(), vec![vec![Value::Float(2016.0)]], "c0's pages are intact");
+    for sql in ["SELECT SUM(c3) FROM f", "SELECT SUM(c0) FROM f WHERE c3 >= 0"] {
+        let r = e.execute(sql);
+        assert!(matches!(r, Err(EngineError::Io(ref m)) if m.contains("checksum")), "{sql}: {r:?}");
+    }
+}
+
+#[test]
+fn hand_edited_directory_chunk_is_an_error_not_an_abort() {
+    let dir = tmp_dir("edited-dir");
+    {
+        let e = Engine::open(persistent_config(&dir)).unwrap();
+        e.execute("CREATE TABLE t (id INT)").unwrap();
+        e.execute("INSERT INTO t VALUES (1), (2)").unwrap();
+        e.checkpoint().unwrap();
+    }
+    let path = std::path::Path::new(&dir).join("directory.bin");
+    let clean = std::fs::read(&path).unwrap();
+    // The table's one chunk as the directory encodes it: first page 0,
+    // 1 page, 21 bytes (type tag, length, two INTs), 2 rows.
+    let chunk =
+        [&0u64.to_le_bytes()[..], &1u32.to_le_bytes(), &21u64.to_le_bytes(), &2u32.to_le_bytes()]
+            .concat();
+    let at = clean.windows(chunk.len()).position(|w| w == chunk).expect("chunk in directory");
+    // Set the top bit of the first page, the page count, the byte count.
+    for top_byte in [7, 11, 19] {
+        let mut edited = clean.clone();
+        edited[at + top_byte] |= 0x80;
+        std::fs::write(&path, &edited).unwrap();
+        match Engine::open(persistent_config(&dir)) {
+            Err(EngineError::Io(_)) => {}
+            Ok(e) => {
+                let r = e.execute("SELECT SUM(id) FROM t");
+                assert!(matches!(r, Err(EngineError::Io(_))), "byte {top_byte}: {r:?}");
+            }
+            Err(other) => panic!("byte {top_byte}: expected an I/O error, got {other}"),
+        }
+    }
+    std::fs::write(&path, &clean).unwrap();
+    let e = Engine::open(persistent_config(&dir)).unwrap();
+    assert_eq!(e.execute("SELECT SUM(id) FROM t").unwrap().rows(), vec![vec![Value::Int(3)]]);
 }
