@@ -30,28 +30,28 @@ struct Cell {
     predict_p99_us: u64,
 }
 
-fn build_experiment(fact_rows: usize) -> Experiment {
+/// One experiment per serving dtype: `quantized` turns the engine's
+/// `quantized_inference` on, which is what routes predictions through
+/// the int8 model.
+fn build_experiment(fact_rows: usize, quantized: bool) -> Experiment {
     // Paper-default partitioning (12); the pool is sized from
     // `worker_threads` (0 = machine cores).
     let config = ExperimentConfig {
-        engine: EngineConfig { vector_size: 256, ..Default::default() },
+        engine: EngineConfig {
+            vector_size: 256,
+            quantized_inference: quantized,
+            ..Default::default()
+        },
         ..ExperimentConfig::new(Workload::Dense { width: 64, depth: 4 }, fact_rows)
     };
     Experiment::build(config).expect("experiment setup")
 }
 
-fn run_cell(
-    ex: &Experiment,
-    mode: &'static str,
-    clients: usize,
-    window: Duration,
-    quantized: bool,
-) -> Cell {
+fn run_cell(ex: &Experiment, mode: &'static str, clients: usize, window: Duration) -> Cell {
     // The production serving configuration: batching + model cache on.
     let mut cfg = ServeConfig::from_engine(&ex.config().engine);
     cfg.batch_flush_us = 50;
     cfg.max_batch_rows = cfg.max_batch_rows.min(64);
-    cfg.quantized = quantized;
     let server = ex.serve(cfg, Device::cpu());
 
     let dim = ex.meta.input_dim;
@@ -98,9 +98,9 @@ fn main() {
     // The int8 cells swap the serve path to the quantized model — same
     // mixed load, integer GEMM under the predictions.
     for (mode, quantized) in [("unified", false), ("unified-int8", true)] {
-        let ex = build_experiment(fact_rows);
+        let ex = build_experiment(fact_rows, quantized);
         for &clients in client_counts {
-            let cell = run_cell(&ex, mode, clients, window, quantized);
+            let cell = run_cell(&ex, mode, clients, window);
             println!(
                 "{},{},{},{},{:.1},{},{},{},{}",
                 cell.mode,

@@ -15,8 +15,8 @@
 //! * `batched` — model cache + dynamic micro-batching: concurrent requests
 //!   coalesce into one vectorized inference (the server-side analogue of
 //!   the paper's vector-at-a-time inference, Sec. 5.4).
-//! * `quantized` — batched + the int8 inference path (PR 7): the cache
-//!   serves the quantized model variant and every coalesced batch runs
+//! * `quantized` — batched, over an engine with `quantized_inference`
+//!   on: the cache serves the int8 model and every coalesced batch runs
 //!   through the integer GEMM. The sweep also measures the prediction
 //!   accuracy delta this trades for throughput, recorded next to the
 //!   throughput numbers.
@@ -65,14 +65,10 @@ impl Mode {
                 cfg.model_cache = true;
                 cfg.batching = false;
             }
-            Mode::Batched => {
+            // Quantized differs from Batched only in its engine.
+            Mode::Batched | Mode::Quantized => {
                 cfg.model_cache = true;
                 cfg.batching = true;
-            }
-            Mode::Quantized => {
-                cfg.model_cache = true;
-                cfg.batching = true;
-                cfg.quantized = true;
             }
         }
     }
@@ -234,16 +230,14 @@ fn run_sharded_cell(
 /// Max-abs prediction delta between fp32 and int8 serving over a fixed
 /// input set — the accuracy cost the quantized column of the sweep pays
 /// for its throughput, recorded alongside it in the JSON.
-fn measure_accuracy_delta(ex: &Experiment) -> f32 {
+fn measure_accuracy_delta(ex: &Experiment, ex_i8: &Experiment) -> f32 {
     let dim = ex.meta.input_dim;
     let inputs: Vec<Vec<f32>> = (0..64)
         .map(|i| (0..dim).map(|c| ((i * 31 + c * 7) % 100) as f32 / 100.0).collect())
         .collect();
     let mut predictions: Vec<Vec<Vec<f32>>> = Vec::new();
-    for quantized in [false, true] {
-        let mut cfg = ServeConfig::from_engine(&ex.config().engine);
-        cfg.quantized = quantized;
-        let server = ex.serve(cfg, Device::cpu());
+    for ex in [ex, ex_i8] {
+        let server = ex.serve(ServeConfig::from_engine(&ex.config().engine), Device::cpu());
         let rows: Vec<Vec<f32>> = inputs
             .iter()
             .map(|input| {
@@ -284,7 +278,13 @@ fn main() {
         },
         ..ExperimentConfig::new(Workload::Dense { width: 64, depth: 4 }, 64)
     };
-    let ex = Experiment::build(config).expect("experiment setup");
+    let ex = Experiment::build(config.clone()).expect("experiment setup");
+    // The int8 legs serve from an engine with `quantized_inference` on:
+    // precision is an engine property, not a serving knob.
+    let engine_i8 = EngineConfig { quantized_inference: true, ..config.engine.clone() };
+    let ex_i8 = Experiment::build(ExperimentConfig { engine: engine_i8, ..config })
+        .expect("int8 experiment setup");
+    let ex_for = |mode: Mode| if mode == Mode::Quantized { &ex_i8 } else { &ex };
 
     println!("# serve_sweep (cores = {cores}, requests/client = {requests_per_client})");
     println!("mode,clients,flush_us,completed,retries,throughput_rps,p50_us,p99_us,batches");
@@ -297,7 +297,7 @@ fn main() {
     for mode in Mode::ALL {
         for &clients in client_counts {
             let flush = headline_flush;
-            let cell = run_cell(&ex, mode, clients, flush, requests_per_client);
+            let cell = run_cell(ex_for(mode), mode, clients, flush, requests_per_client);
             println!(
                 "{},{},{},{},{},{:.1},{},{},{}",
                 cell.mode,
@@ -377,7 +377,7 @@ fn main() {
     let speedup = tput("batched", max_clients) / tput("naive", max_clients).max(1e-9);
     println!("\nbatched vs naive at {max_clients} clients: {speedup:.1}x");
     let i8_speedup = tput("quantized", max_clients) / tput("batched", max_clients).max(1e-9);
-    let i8_delta = measure_accuracy_delta(&ex);
+    let i8_delta = measure_accuracy_delta(&ex, &ex_i8);
     println!(
         "quantized vs batched at {max_clients} clients: {i8_speedup:.2}x, \
          max|pred delta| {i8_delta:.2e}"

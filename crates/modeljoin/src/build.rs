@@ -1,37 +1,125 @@
-//! The parallel model build phase (paper Sec. 5.2).
+//! The parallel model build phase (paper Sec. 5.2) and the built model's
+//! vectorized inference (Sec. 5.4), in fp32 or int8.
 
-use model_repr::{Layout, ModelMeta, SlotKind};
+use model_repr::{Layout, ModelMeta, SlotInfo, SlotKind};
 use std::sync::{Arc, OnceLock};
-use tensor::blas::{vs_add, vs_mul, Transpose};
+use tensor::blas::Transpose;
 use tensor::{qgemm_dense, Activation, Device, Matrix, QuantScratch, QuantizedWeights};
-use vector_engine::{Batch, EngineError, Result, Table};
+use vector_engine::{Batch, EngineConfig, EngineError, Result, Table};
+
+/// The numeric representation a built model runs in.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum ModelDtype {
+    F32,
+    I8,
+}
+
+impl ModelDtype {
+    /// The one place the dtype is decided: int8 when the engine's
+    /// `quantized_inference` knob asks for it and the model is
+    /// CPU-resident. The quantized kernels have no device path, so a
+    /// GPU-resident model keeps fp32 whatever the knob says.
+    pub fn for_engine(config: &EngineConfig, device: &Device) -> ModelDtype {
+        if config.quantized_inference && !device.is_gpu() {
+            ModelDtype::I8
+        } else {
+            ModelDtype::F32
+        }
+    }
+}
+
+/// The weights of one GEMM of a built layer and the bias it adds (empty
+/// for the LSTM recurrent matrices, which add none).
+#[derive(Clone)]
+pub enum Weights {
+    /// `input_dim x units` row-major. (The paper stores the weight
+    /// matrices "already in a transposed way" so cuBLAS's column-major
+    /// `sgemm` computes `A^T x^T`; a row-major `input x units` buffer is
+    /// byte-identical to that transposed column-major matrix, so the
+    /// layout on disk matches.) The bias is replicated to
+    /// `vectorsize x units` (Sec. 5.4).
+    F32 { w: Matrix, bias_matrix: Matrix },
+    /// Weights quantized per output channel. The bias stays fp32 as a
+    /// plain per-unit vector: the fused dequantization epilogue adds the
+    /// scalar directly, so no replicated matrix is needed.
+    I8 { w: QuantizedWeights, bias: Vec<f32> },
+}
+
+impl Weights {
+    fn units(&self) -> usize {
+        match self {
+            Weights::F32 { w, .. } => w.cols(),
+            Weights::I8 { w, .. } => w.cols(),
+        }
+    }
+
+    fn quantize(&self) -> Weights {
+        match self {
+            Weights::F32 { w, bias_matrix } => Weights::I8 {
+                w: QuantizedWeights::quantize(w),
+                // Row 0 of the replicated bias matrix is the bias itself.
+                bias: bias_matrix.row(0).to_vec(),
+            },
+            Weights::I8 { .. } => self.clone(),
+        }
+    }
+}
+
+/// `out = act(x·W + b)`, into an `out` already shaped `x.rows() x units`.
+fn affine(
+    x: &Matrix,
+    weights: &Weights,
+    act: Activation,
+    device: &Device,
+    q: &mut QuantScratch,
+    out: &mut Matrix,
+) {
+    match weights {
+        Weights::F32 { w, bias_matrix } => {
+            // C pre-loaded with the replicated bias rows, beta = 1: the
+            // bias addition comes for free with the sgemm (Sec. 5.4).
+            device.copy(&bias_matrix.as_slice()[..out.len()], out.as_mut_slice());
+            device.gemm(Transpose::No, Transpose::No, 1.0, x, w, 1.0, out);
+            device.activation(act, out.as_mut_slice());
+        }
+        Weights::I8 { w, bias } => qgemm_dense(x, w, Some(bias), act, false, out, q),
+    }
+}
+
+/// `out += h·U` (the LSTM recurrent term).
+fn accumulate(
+    h: &Matrix,
+    weights: &Weights,
+    device: &Device,
+    q: &mut QuantScratch,
+    out: &mut Matrix,
+) {
+    match weights {
+        Weights::F32 { w, .. } => device.gemm(Transpose::No, Transpose::No, 1.0, h, w, 1.0, out),
+        Weights::I8 { w, .. } => qgemm_dense(h, w, None, Activation::Linear, true, out, q),
+    }
+}
 
 /// A layer of the built (in-memory) model.
 #[allow(clippy::large_enum_variant)] // models hold few layers; boxing buys nothing
 pub enum BuiltLayer {
     Dense {
-        /// `input_dim x units` row-major. (The paper stores the weight
-        /// matrices "already in a transposed way" so cuBLAS's
-        /// column-major `sgemm` computes `A^T x^T`; a row-major
-        /// `input x units` buffer is byte-identical to that transposed
-        /// column-major matrix, so the layout on disk matches.)
-        weights: Matrix,
-        /// Bias replicated to `vectorsize x units` (Sec. 5.4).
-        bias_matrix: Matrix,
+        weights: Weights,
         activation: Activation,
     },
     Lstm {
         features: usize,
         timesteps: usize,
         units: usize,
-        /// Gate order i, f, c, o.
-        kernel: [Matrix; 4],
-        recurrent: [Matrix; 4],
-        bias_matrix: [Matrix; 4],
+        /// Gate order i, f, c, o; each with its gate bias.
+        kernel: [Weights; 4],
+        recurrent: [Weights; 4],
     },
 }
 
-/// The shared in-memory model produced by the build phase.
+/// The shared in-memory model produced by the build phase — fp32, or
+/// int8 after [`BuiltModel::quantize`]. Both run through the same layer
+/// loop; only the GEMM calls differ.
 pub struct BuiltModel {
     pub layers: Vec<BuiltLayer>,
     pub input_dim: usize,
@@ -40,15 +128,18 @@ pub struct BuiltModel {
 }
 
 /// Per-operator scratch arena for [`BuiltModel::infer_into`]: every buffer
-/// inference needs — the ping-pong layer output matrices and the LSTM gate
-/// and state buffers — lives here and is reused across batches. Capacity is
-/// retained when the batch shrinks (the short final vector of a partition),
-/// so steady-state inference allocates nothing.
+/// inference needs — the ping-pong layer output matrices, the int8 GEMM
+/// scratch and the LSTM gate and state buffers — lives here and is reused
+/// across batches. Capacity is retained when the batch shrinks (the short
+/// final vector of a partition), so steady-state inference allocates
+/// nothing.
 #[derive(Default)]
 pub struct InferScratch {
     /// Ping-pong layer outputs: layer `l` writes one while reading the other.
     ping: Matrix,
     pong: Matrix,
+    /// Quantized activations, row scales and i32 accumulator of the int8 GEMM.
+    q: QuantScratch,
     lstm: LstmScratch,
 }
 
@@ -70,6 +161,37 @@ struct LstmScratch {
 impl BuiltModel {
     pub fn vector_size(&self) -> usize {
         self.vector_size
+    }
+
+    /// The int8 variant of this model: every GEMM operand quantized per
+    /// output channel, biases kept in fp32. Runs on the host CPU only —
+    /// [`ModelDtype::for_engine`] keeps GPU-resident models in fp32.
+    pub fn quantize(&self) -> BuiltModel {
+        obs::metrics::MODELJOIN_QUANT_BUILDS.add(1);
+        let layers = self
+            .layers
+            .iter()
+            .map(|layer| match layer {
+                BuiltLayer::Dense { weights, activation } => {
+                    BuiltLayer::Dense { weights: weights.quantize(), activation: *activation }
+                }
+                BuiltLayer::Lstm { features, timesteps, units, kernel, recurrent } => {
+                    BuiltLayer::Lstm {
+                        features: *features,
+                        timesteps: *timesteps,
+                        units: *units,
+                        kernel: kernel.each_ref().map(Weights::quantize),
+                        recurrent: recurrent.each_ref().map(Weights::quantize),
+                    }
+                }
+            })
+            .collect();
+        BuiltModel {
+            layers,
+            input_dim: self.input_dim,
+            output_dim: self.output_dim,
+            vector_size: self.vector_size,
+        }
     }
 
     /// Vectorized inference (paper Sec. 5.4): one pass over the layer list
@@ -98,7 +220,7 @@ impl BuiltModel {
         let _span = obs::span(&probe.time_us);
         device.transfer_h2d(input.byte_len());
         let rows = input.rows();
-        let InferScratch { ping, pong, lstm } = scratch;
+        let InferScratch { ping, pong, q, lstm } = scratch;
         // Invariant: the current layer input lives in `ping` (or is the
         // caller's matrix on the first layer); each layer computes into
         // `pong`, then the two swap — a pointer swap, never a data copy.
@@ -106,27 +228,13 @@ impl BuiltModel {
         for layer in &self.layers {
             let cur: &Matrix = if first { input } else { &*ping };
             match layer {
-                BuiltLayer::Dense { weights, bias_matrix, activation } => {
-                    // C pre-loaded with the replicated bias rows, beta = 1:
-                    // the bias addition comes for free with the sgemm
-                    // (Sec. 5.4).
-                    let units = weights.cols();
-                    pong.resize_zeroed(rows, units);
-                    device.copy(&bias_matrix.as_slice()[..rows * units], pong.as_mut_slice());
-                    device.gemm(Transpose::No, Transpose::No, 1.0, cur, weights, 1.0, pong);
-                    device.activation(*activation, pong.as_mut_slice());
+                BuiltLayer::Dense { weights, activation } => {
+                    pong.resize_zeroed(rows, weights.units());
+                    affine(cur, weights, *activation, device, q, pong);
                 }
-                BuiltLayer::Lstm { features, timesteps, units, kernel, recurrent, bias_matrix } => {
+                BuiltLayer::Lstm { features, timesteps, units, kernel, recurrent } => {
                     lstm_forward_into(
-                        cur,
-                        *features,
-                        *timesteps,
-                        *units,
-                        kernel,
-                        recurrent,
-                        bias_matrix,
-                        device,
-                        lstm,
+                        cur, *features, *timesteps, *units, kernel, recurrent, device, q, lstm,
                         pong,
                     );
                 }
@@ -149,17 +257,19 @@ impl BuiltModel {
 /// batch: per time step `z_x := bias ; z_x += X_t W_x ; z_x += H U_x`,
 /// gate activations, cell/hidden update. The hidden state `h` lives
 /// directly in `out`, which holds the final `h` when the loop ends; all
-/// other working buffers come from `scratch`.
+/// other working buffers come from `scratch`. In int8 both GEMM inputs
+/// are re-quantized row-wise per step (`h` changes every iteration);
+/// the gate activations and elementwise updates stay fp32.
 #[allow(clippy::too_many_arguments)]
 fn lstm_forward_into(
     input: &Matrix,
     features: usize,
     timesteps: usize,
     units: usize,
-    kernel: &[Matrix; 4],
-    recurrent: &[Matrix; 4],
-    bias_matrix: &[Matrix; 4],
+    kernel: &[Weights; 4],
+    recurrent: &[Weights; 4],
     device: &Device,
+    q: &mut QuantScratch,
     scratch: &mut LstmScratch,
     out: &mut Matrix,
 ) {
@@ -182,11 +292,9 @@ fn lstm_forward_into(
             x_t.row_mut(r).copy_from_slice(&input.row(r)[t * features..(t + 1) * features]);
         }
         for (g, zg) in z.iter_mut().enumerate() {
-            // COPY(z_x, bias_x) — from the pre-replicated bias matrix.
-            device.copy(&bias_matrix[g].as_slice()[..rows * units], zg.as_mut_slice());
-            device.gemm(Transpose::No, Transpose::No, 1.0, x_t, &kernel[g], 1.0, zg);
+            affine(x_t, &kernel[g], Activation::Linear, device, q, zg);
             if t > 0 {
-                device.gemm(Transpose::No, Transpose::No, 1.0, h, &recurrent[g], 1.0, zg);
+                accumulate(h, &recurrent[g], device, q, zg);
             }
         }
         device.activation(Activation::Sigmoid, z[0].as_mut_slice());
@@ -206,25 +314,14 @@ fn lstm_forward_into(
     }
 }
 
-/// Description of one flat weight buffer to fill.
-struct SlabSpec {
-    len: usize,
-}
-
-/// Where an edge's weights land: resolved from the edge endpoints.
-struct EdgeTarget {
-    /// Writes as (buffer index, offset, weight-column index).
-    writes: [(usize, usize, usize); 4],
-    write_count: usize,
-}
-
 /// Routing tables from the model metadata.
 struct Router {
     meta: ModelMeta,
     layout: Layout,
-    /// Per slot: (first buffer index, kind).
+    /// Per slot: its first buffer index.
     slot_buffers: Vec<usize>,
-    specs: Vec<SlabSpec>,
+    /// Length of each flat weight buffer to fill.
+    buffer_lens: Vec<usize>,
 }
 
 /// Weight-vector column ordinals within the 12 weight columns.
@@ -234,153 +331,97 @@ const B0: usize = 8;
 
 impl Router {
     fn new(meta: &ModelMeta, layout: Layout) -> Router {
-        let mut specs = Vec::new();
+        let mut buffer_lens = Vec::new();
         let mut slot_buffers = Vec::new();
         let mut prev_dim = meta.input_dim;
         for slot in &meta.slots {
-            slot_buffers.push(specs.len());
+            slot_buffers.push(buffer_lens.len());
             match slot.kind {
                 SlotKind::Input => {}
                 SlotKind::Dense(_) => {
-                    specs.push(SlabSpec { len: prev_dim * slot.dim }); // W
-                    specs.push(SlabSpec { len: slot.dim }); // bias
+                    buffer_lens.push(prev_dim * slot.dim); // W
+                    buffer_lens.push(slot.dim); // bias
                     prev_dim = slot.dim;
                 }
                 SlotKind::LstmKernel => {
-                    for _ in 0..4 {
-                        specs.push(SlabSpec { len: slot.features * slot.dim }); // K_g
-                    }
-                    for _ in 0..4 {
-                        specs.push(SlabSpec { len: slot.dim }); // b_g
-                    }
+                    buffer_lens.extend([slot.features * slot.dim; 4]); // K_g
+                    buffer_lens.extend([slot.dim; 4]); // b_g
                 }
                 SlotKind::LstmRecurrent => {
-                    for _ in 0..4 {
-                        specs.push(SlabSpec { len: slot.dim * slot.dim }); // U_g
-                    }
+                    buffer_lens.extend([slot.dim * slot.dim; 4]); // U_g
                     prev_dim = slot.dim;
                 }
             }
         }
-        Router { meta: meta.clone(), layout, slot_buffers, specs }
+        Router { meta: meta.clone(), layout, slot_buffers, buffer_lens }
     }
 
-    /// Resolve an edge (by its endpoint columns) to its write targets.
-    /// Returns `None` for input-distribution edges (no learnable weights).
-    fn route(&self, endpoints: &[i64]) -> Option<EdgeTarget> {
+    /// Resolve an edge (by its endpoint columns) and call `write` with
+    /// every (buffer index, offset, weight-column index) it fills — none
+    /// for input-distribution edges (no learnable weights).
+    fn route(&self, endpoints: &[i64], mut write: impl FnMut(usize, usize, usize)) {
         let (slot_idx, rel_in, rel_out) = match self.layout {
             Layout::LayerNode => {
                 let (_, node_in, layer, node) =
                     (endpoints[0], endpoints[1], endpoints[2], endpoints[3]);
                 if layer <= 0 {
-                    return None; // input distribution edges
+                    return; // input distribution edges
                 }
                 (layer as usize, node_in as usize, node as usize)
             }
             Layout::NodeId => {
                 let (node_in, node) = (endpoints[0], endpoints[1]);
-                let slot_idx = self
-                    .meta
-                    .slots
-                    .iter()
-                    .position(|s| node >= s.node_base && node < s.node_base + s.dim as i64)?;
+                let slots = &self.meta.slots;
+                let holds =
+                    |s: &SlotInfo, id: i64| id >= s.node_base && id < s.node_base + s.dim as i64;
+                let Some(slot_idx) = slots.iter().position(|s| holds(s, node)) else {
+                    return;
+                };
                 if slot_idx == 0 {
-                    return None;
+                    return;
                 }
-                let dst = &self.meta.slots[slot_idx];
+                let dst = &slots[slot_idx];
                 let src_base = match dst.kind {
-                    SlotKind::LstmRecurrent => self.meta.slots[slot_idx - 1].node_base,
-                    _ => {
-                        // Edges into dense / kernel slots come from the slot
-                        // the source id falls into.
-                        self.meta
-                            .slots
-                            .iter()
-                            .find(|s| {
-                                node_in >= s.node_base && node_in < s.node_base + s.dim as i64
-                            })?
-                            .node_base
-                    }
+                    SlotKind::LstmRecurrent => slots[slot_idx - 1].node_base,
+                    // Edges into dense / kernel slots come from the slot
+                    // the source id falls into.
+                    _ => match slots.iter().find(|s| holds(s, node_in)) {
+                        Some(src) => src.node_base,
+                        None => return,
+                    },
                 };
                 (slot_idx, (node_in - src_base) as usize, (node - dst.node_base) as usize)
             }
         };
         let slot = &self.meta.slots[slot_idx];
         let base = self.slot_buffers[slot_idx];
-        let mut writes = [(0usize, 0usize, 0usize); 4];
-        let mut n;
+        let at = rel_in * slot.dim + rel_out;
+        // A bias is replicated on every incoming edge; exactly one edge
+        // (rel_in == 0) writes it so threads never race.
         match slot.kind {
-            SlotKind::Input => return None,
+            SlotKind::Input => {}
             SlotKind::Dense(_) => {
-                writes[0] = (base, rel_in * slot.dim + rel_out, W0);
-                n = 1;
+                write(base, at, W0);
                 if rel_in == 0 {
-                    // Bias is replicated on every incoming edge; exactly one
-                    // edge (rel_in == 0) writes it so threads never race.
-                    writes[1] = (base + 1, rel_out, B0);
-                    n = 2;
+                    write(base + 1, rel_out, B0);
                 }
             }
             SlotKind::LstmKernel => {
-                for (g, w) in writes.iter_mut().enumerate().take(4) {
-                    *w = (base + g, rel_in * slot.dim + rel_out, W0 + g);
+                for g in 0..4 {
+                    write(base + g, at, W0 + g);
                 }
-                n = 4;
-                // Kernel bias written by the f == 0 edge only, handled via a
-                // second target below (see `route_bias`).
+                if rel_in == 0 {
+                    for g in 0..4 {
+                        write(base + 4 + g, rel_out, B0 + g);
+                    }
+                }
             }
             SlotKind::LstmRecurrent => {
-                for (g, w) in writes.iter_mut().enumerate().take(4) {
-                    *w = (base + g, rel_in * slot.dim + rel_out, U0 + g);
+                for g in 0..4 {
+                    write(base + g, at, U0 + g);
                 }
-                n = 4;
             }
         }
-        Some(EdgeTarget { writes, write_count: n })
-    }
-
-    /// Additional bias writes for LSTM kernel edges with `rel_in == 0`.
-    fn route_lstm_bias(&self, endpoints: &[i64]) -> Option<EdgeTarget> {
-        let (slot_idx, rel_in, rel_out) =
-            match self.layout {
-                Layout::LayerNode => {
-                    let (_, node_in, layer, node) =
-                        (endpoints[0], endpoints[1], endpoints[2], endpoints[3]);
-                    if layer <= 0 {
-                        return None;
-                    }
-                    (layer as usize, node_in as usize, node as usize)
-                }
-                Layout::NodeId => {
-                    let (node_in, node) = (endpoints[0], endpoints[1]);
-                    let slot_idx =
-                        self.meta.slots.iter().position(|s| {
-                            node >= s.node_base && node < s.node_base + s.dim as i64
-                        })?;
-                    if slot_idx == 0 {
-                        return None;
-                    }
-                    let src =
-                        self.meta.slots.iter().find(|s| {
-                            node_in >= s.node_base && node_in < s.node_base + s.dim as i64
-                        })?;
-                    (
-                        slot_idx,
-                        (node_in - src.node_base) as usize,
-                        (node - self.meta.slots[slot_idx].node_base) as usize,
-                    )
-                }
-            };
-        let slot = &self.meta.slots[slot_idx];
-        if slot.kind != SlotKind::LstmKernel || rel_in != 0 {
-            return None;
-        }
-        let base = self.slot_buffers[slot_idx];
-        let mut writes = [(0usize, 0usize, 0usize); 4];
-        for (g, w) in writes.iter_mut().enumerate() {
-            *w = (base + 4 + g, rel_out, B0 + g);
-        }
-        Some(EdgeTarget { writes, write_count: 4 })
     }
 }
 
@@ -426,28 +467,18 @@ fn fill_from_batch(batch: &Batch, router: &Router, slabs: &SlabPtrs) -> Result<(
         for (e, col) in endpoints.iter_mut().zip(&end_cols) {
             *e = col[row];
         }
-        if let Some(target) = router.route(&endpoints) {
-            for w in &target.writes[..target.write_count] {
-                let (buf, offset, wcol) = *w;
-                // SAFETY: see SlabPtrs — disjoint offsets across rows,
-                // disjoint rows across threads.
-                unsafe { slabs.write(buf, offset, weight_cols[wcol][row] as f32) };
-            }
-        }
-        if let Some(target) = router.route_lstm_bias(&endpoints) {
-            for w in &target.writes[..target.write_count] {
-                let (buf, offset, wcol) = *w;
-                // SAFETY: as above.
-                unsafe { slabs.write(buf, offset, weight_cols[wcol][row] as f32) };
-            }
-        }
+        router.route(&endpoints, |buf, offset, wcol| {
+            // SAFETY: see SlabPtrs — disjoint offsets across rows,
+            // disjoint rows across threads.
+            unsafe { slabs.write(buf, offset, weight_cols[wcol][row] as f32) };
+        });
     }
     Ok(())
 }
 
 /// Run the parallel build phase: allocate shared storage single-threaded,
 /// fill it from the model-table partitions in parallel, then assemble the
-/// [`BuiltModel`] (bias replication + one-shot GPU upload).
+/// fp32 [`BuiltModel`] (bias replication + one-shot GPU upload).
 pub fn build_parallel(
     table: &Table,
     meta: &ModelMeta,
@@ -472,7 +503,7 @@ pub fn build_parallel(
     let router = Router::new(meta, layout);
     // Phase 1: single-threaded allocation (paper: "memory allocation ...
     // is performed single-threaded to a shared memory location").
-    let mut bufs: Vec<Vec<f32>> = router.specs.iter().map(|s| vec![0.0; s.len]).collect();
+    let mut bufs: Vec<Vec<f32>> = router.buffer_lens.iter().map(|&len| vec![0.0; len]).collect();
     let slabs = SlabPtrs {
         ptrs: bufs.iter_mut().map(|b| b.as_mut_ptr()).collect(),
         lens: bufs.iter().map(Vec::len).collect(),
@@ -503,275 +534,65 @@ pub fn build_parallel(
     let mut prev_dim = meta.input_dim;
     let mut buf_iter = bufs.into_iter();
     let mut total_bytes = 0usize;
+    let mut f32_weights = |rows: usize, cols: usize, w: Vec<f32>, b: Option<Vec<f32>>| {
+        total_bytes += (w.len() + b.as_ref().map_or(0, Vec::len) * vector_size) * 4;
+        let bias_matrix = match b {
+            Some(b) => Matrix::from_fn(vector_size, cols, |_, c| b[c]),
+            None => Matrix::default(),
+        };
+        Weights::F32 { w: Matrix::from_vec(rows, cols, w), bias_matrix }
+    };
+    let gate_mismatch = |_| EngineError::Execution("gate count mismatch".into());
     for slot in &meta.slots {
         match slot.kind {
             SlotKind::Input => {}
             SlotKind::Dense(activation) => {
                 let w = buf_iter.next().expect("allocated");
                 let b = buf_iter.next().expect("allocated");
-                total_bytes += (w.len() + b.len() * vector_size) * 4;
                 layers.push(BuiltLayer::Dense {
-                    weights: Matrix::from_vec(prev_dim, slot.dim, w),
-                    bias_matrix: Matrix::from_fn(vector_size, slot.dim, |_, c| b[c]),
+                    weights: f32_weights(prev_dim, slot.dim, w, Some(b)),
                     activation,
                 });
                 prev_dim = slot.dim;
             }
             SlotKind::LstmKernel => {
-                let mut kernel = Vec::with_capacity(4);
-                for _ in 0..4 {
-                    let k = buf_iter.next().expect("allocated");
-                    total_bytes += k.len() * 4;
-                    kernel.push(Matrix::from_vec(slot.features, slot.dim, k));
-                }
-                let mut bias_matrix = Vec::with_capacity(4);
-                for _ in 0..4 {
-                    let b = buf_iter.next().expect("allocated");
-                    total_bytes += b.len() * vector_size * 4;
-                    bias_matrix.push(Matrix::from_fn(vector_size, slot.dim, |_, c| b[c]));
-                }
-                // The recurrent slot follows immediately; consume it here.
+                let k: Vec<Vec<f32>> = buf_iter.by_ref().take(4).collect();
+                let b: Vec<Vec<f32>> = buf_iter.by_ref().take(4).collect();
+                let kernel: Vec<Weights> = k
+                    .into_iter()
+                    .zip(b)
+                    .map(|(k, b)| f32_weights(slot.features, slot.dim, k, Some(b)))
+                    .collect();
+                // The recurrent slot follows immediately and fills in
+                // `recurrent` below.
+                let empty =
+                    || Weights::F32 { w: Matrix::default(), bias_matrix: Matrix::default() };
                 layers.push(BuiltLayer::Lstm {
                     features: slot.features,
                     timesteps: slot.timesteps,
                     units: slot.dim,
-                    kernel: kernel
-                        .try_into()
-                        .map_err(|_| EngineError::Execution("gate count mismatch".into()))?,
-                    recurrent: [
-                        Matrix::zeros(0, 0),
-                        Matrix::zeros(0, 0),
-                        Matrix::zeros(0, 0),
-                        Matrix::zeros(0, 0),
-                    ],
-                    bias_matrix: bias_matrix
-                        .try_into()
-                        .map_err(|_| EngineError::Execution("gate count mismatch".into()))?,
+                    kernel: kernel.try_into().map_err(gate_mismatch)?,
+                    recurrent: std::array::from_fn(|_| empty()),
                 });
             }
             SlotKind::LstmRecurrent => {
-                let mut recurrent = Vec::with_capacity(4);
-                for _ in 0..4 {
-                    let u = buf_iter.next().expect("allocated");
-                    total_bytes += u.len() * 4;
-                    recurrent.push(Matrix::from_vec(slot.dim, slot.dim, u));
-                }
+                let recurrent: Vec<Weights> = buf_iter
+                    .by_ref()
+                    .take(4)
+                    .map(|u| f32_weights(slot.dim, slot.dim, u, None))
+                    .collect();
                 let Some(BuiltLayer::Lstm { recurrent: rec_slot, .. }) = layers.last_mut() else {
                     return Err(EngineError::Execution(
                         "recurrent slot without kernel slot".into(),
                     ));
                 };
-                *rec_slot = recurrent
-                    .try_into()
-                    .map_err(|_| EngineError::Execution("gate count mismatch".into()))?;
+                *rec_slot = recurrent.try_into().map_err(gate_mismatch)?;
                 prev_dim = slot.dim;
             }
         }
     }
     device.transfer_h2d(total_bytes);
     Ok(BuiltModel { layers, input_dim: meta.input_dim, output_dim: meta.output_dim(), vector_size })
-}
-
-/// A layer of the int8 quantized model: the same shapes as [`BuiltLayer`]
-/// with weights quantized per output channel. Biases stay fp32 as plain
-/// per-unit vectors — the fused dequantization epilogue adds the scalar
-/// directly, so the replicated `vectorsize x units` bias matrix of the
-/// fp32 beta-trick is not needed.
-#[allow(clippy::large_enum_variant)] // models hold few layers; boxing buys nothing
-pub enum QuantizedLayer {
-    Dense {
-        weights: QuantizedWeights,
-        bias: Vec<f32>,
-        activation: Activation,
-    },
-    Lstm {
-        features: usize,
-        timesteps: usize,
-        units: usize,
-        /// Gate order i, f, c, o.
-        kernel: [QuantizedWeights; 4],
-        recurrent: [QuantizedWeights; 4],
-        bias: [Vec<f32>; 4],
-    },
-}
-
-/// The int8 variant of a [`BuiltModel`]: derived once per model build by
-/// [`QuantizedModel::from_built`] (per-layer, per-output-channel scales),
-/// then served like any built model. Runs on the host CPU only — the
-/// simulated GPU backend keeps the fp32 path.
-pub struct QuantizedModel {
-    pub layers: Vec<QuantizedLayer>,
-    pub input_dim: usize,
-    pub output_dim: usize,
-    vector_size: usize,
-}
-
-/// Per-operator scratch arena for [`QuantizedModel::infer_into`]: the
-/// ping-pong output matrices, the shared int8 GEMM scratch (quantized
-/// activations, row scales, i32 accumulator) and the LSTM state buffers.
-/// Reused across batches, so steady-state quantized inference allocates
-/// nothing.
-#[derive(Default)]
-pub struct QuantInferScratch {
-    ping: Matrix,
-    pong: Matrix,
-    q: QuantScratch,
-    lstm: QuantLstmScratch,
-}
-
-/// Working state of one quantized LSTM forward pass.
-#[derive(Default)]
-struct QuantLstmScratch {
-    c: Matrix,
-    x_t: Matrix,
-    z: [Matrix; 4],
-    tmp_a: Vec<f32>,
-    tmp_b: Vec<f32>,
-}
-
-impl QuantizedModel {
-    /// Quantize a built fp32 model: per-output-channel weight scales per
-    /// layer, biases copied through in fp32.
-    pub fn from_built(built: &BuiltModel) -> QuantizedModel {
-        obs::metrics::MODELJOIN_QUANT_BUILDS.add(1);
-        let layers = built
-            .layers
-            .iter()
-            .map(|layer| match layer {
-                BuiltLayer::Dense { weights, bias_matrix, activation } => QuantizedLayer::Dense {
-                    weights: QuantizedWeights::quantize(weights),
-                    // Row 0 of the replicated bias matrix is the bias itself.
-                    bias: bias_matrix.row(0).to_vec(),
-                    activation: *activation,
-                },
-                BuiltLayer::Lstm { features, timesteps, units, kernel, recurrent, bias_matrix } => {
-                    QuantizedLayer::Lstm {
-                        features: *features,
-                        timesteps: *timesteps,
-                        units: *units,
-                        kernel: std::array::from_fn(|g| QuantizedWeights::quantize(&kernel[g])),
-                        recurrent: std::array::from_fn(|g| {
-                            QuantizedWeights::quantize(&recurrent[g])
-                        }),
-                        bias: std::array::from_fn(|g| bias_matrix[g].row(0).to_vec()),
-                    }
-                }
-            })
-            .collect();
-        QuantizedModel {
-            layers,
-            input_dim: built.input_dim,
-            output_dim: built.output_dim,
-            vector_size: built.vector_size(),
-        }
-    }
-
-    pub fn vector_size(&self) -> usize {
-        self.vector_size
-    }
-
-    /// Allocating wrapper around [`QuantizedModel::infer_into`] for
-    /// one-shot callers (the serving layer's batch executor).
-    pub fn infer(&self, input: &Matrix) -> Matrix {
-        let mut scratch = QuantInferScratch::default();
-        self.infer_into(input, &mut scratch).clone()
-    }
-
-    /// Quantized inference writing exclusively into `scratch`; mirrors
-    /// [`BuiltModel::infer_into`] with each dense sgemm replaced by the
-    /// int8 `qgemm_dense` (activation quantization per batch, dequant +
-    /// bias + activation fused into the epilogue).
-    pub fn infer_into<'s>(&self, input: &Matrix, scratch: &'s mut QuantInferScratch) -> &'s Matrix {
-        assert!(input.rows() <= self.vector_size, "batch exceeds vector size");
-        assert_eq!(input.cols(), self.input_dim, "input width mismatch");
-        let probe = &obs::metrics::MODELJOIN_PROBE;
-        probe.batches.add(1);
-        probe.rows.add(input.rows() as u64);
-        let _span = obs::span(&probe.time_us);
-        let rows = input.rows();
-        let QuantInferScratch { ping, pong, q, lstm } = scratch;
-        let mut first = true;
-        for layer in &self.layers {
-            let cur: &Matrix = if first { input } else { &*ping };
-            match layer {
-                QuantizedLayer::Dense { weights, bias, activation } => {
-                    pong.resize_zeroed(rows, weights.cols());
-                    qgemm_dense(cur, weights, Some(bias), *activation, false, pong, q);
-                }
-                QuantizedLayer::Lstm { features, timesteps, units, kernel, recurrent, bias } => {
-                    quant_lstm_forward_into(
-                        cur, *features, *timesteps, *units, kernel, recurrent, bias, q, lstm, pong,
-                    );
-                }
-            }
-            std::mem::swap(ping, pong);
-            first = false;
-        }
-        if first {
-            ping.resize_zeroed(rows, input.cols());
-            ping.as_mut_slice().copy_from_slice(input.as_slice());
-        }
-        &*ping
-    }
-}
-
-/// The quantized LSTM forward pass: per time step each gate pre-activation
-/// is one overwriting `qgemm_dense` (bias fused, linear) for `X_t K_g`
-/// plus one accumulating call for `H U_g` — both inputs re-quantized
-/// row-wise per step, since `h` changes every iteration. Gate activations
-/// and the cell/hidden elementwise updates stay fp32.
-#[allow(clippy::too_many_arguments)]
-fn quant_lstm_forward_into(
-    input: &Matrix,
-    features: usize,
-    timesteps: usize,
-    units: usize,
-    kernel: &[QuantizedWeights; 4],
-    recurrent: &[QuantizedWeights; 4],
-    bias: &[Vec<f32>; 4],
-    q: &mut QuantScratch,
-    scratch: &mut QuantLstmScratch,
-    out: &mut Matrix,
-) {
-    let rows = input.rows();
-    let h = out;
-    h.resize_zeroed(rows, units);
-    scratch.c.resize_zeroed(rows, units);
-    scratch.x_t.resize_zeroed(rows, features);
-    for zg in &mut scratch.z {
-        zg.resize_zeroed(rows, units);
-    }
-    scratch.tmp_a.clear();
-    scratch.tmp_a.resize(rows * units, 0.0);
-    scratch.tmp_b.clear();
-    scratch.tmp_b.resize(rows * units, 0.0);
-    let QuantLstmScratch { c, x_t, z, tmp_a, tmp_b } = scratch;
-
-    for t in 0..timesteps {
-        for r in 0..rows {
-            x_t.row_mut(r).copy_from_slice(&input.row(r)[t * features..(t + 1) * features]);
-        }
-        for (g, zg) in z.iter_mut().enumerate() {
-            qgemm_dense(x_t, &kernel[g], Some(&bias[g]), Activation::Linear, false, zg, q);
-            if t > 0 {
-                qgemm_dense(h, &recurrent[g], None, Activation::Linear, true, zg, q);
-            }
-        }
-        Activation::Sigmoid.apply(z[0].as_mut_slice());
-        Activation::Sigmoid.apply(z[1].as_mut_slice());
-        Activation::Tanh.apply(z[2].as_mut_slice());
-        Activation::Sigmoid.apply(z[3].as_mut_slice());
-
-        // c := f*c + i*c~
-        vs_mul(z[1].as_slice(), c.as_slice(), tmp_a);
-        vs_mul(z[0].as_slice(), z[2].as_slice(), tmp_b);
-        vs_add(tmp_a, tmp_b, c.as_mut_slice());
-
-        // h := o * tanh(c)
-        tmp_a.copy_from_slice(c.as_slice());
-        Activation::Tanh.apply(tmp_a);
-        vs_mul(z[3].as_slice(), tmp_a, h.as_mut_slice());
-    }
 }
 
 /// The shared model handle of the parallel ModelJoin: all per-partition
@@ -784,10 +605,9 @@ pub struct SharedModel {
     layout: Layout,
     device: Device,
     vector_size: usize,
-    built: OnceLock<std::result::Result<Arc<BuiltModel>, EngineError>>,
-    /// Int8 variant, derived lazily from `built` on the first quantized
-    /// query; both dtypes coexist for the lifetime of the handle.
-    quantized: OnceLock<std::result::Result<Arc<QuantizedModel>, EngineError>>,
+    /// The model per dtype, indexed by `ModelDtype as usize`: fp32 from
+    /// the build phase, int8 quantized from it on the first int8 query.
+    models: [OnceLock<std::result::Result<Arc<BuiltModel>, EngineError>>; 2],
 }
 
 impl SharedModel {
@@ -808,15 +628,14 @@ impl SharedModel {
             layout,
             device,
             vector_size,
-            built: OnceLock::new(),
-            quantized: OnceLock::new(),
+            models: Default::default(),
         })
     }
 
-    /// A `SharedModel` whose build phase already happened elsewhere — the
-    /// constructor the serving layer's model cache uses so a query reuses
-    /// the cached `Arc<BuiltModel>` instead of re-running the build on its
-    /// first `next()` call.
+    /// A `SharedModel` whose fp32 build phase already happened elsewhere
+    /// (e.g. in a [`crate::ModelCache`]), so a query reuses that
+    /// `Arc<BuiltModel>` instead of re-running the build on its first
+    /// `next()` call.
     pub fn with_built(
         table: Arc<Table>,
         meta: ModelMeta,
@@ -824,18 +643,14 @@ impl SharedModel {
         device: Device,
         built: Arc<BuiltModel>,
     ) -> Arc<SharedModel> {
-        let vector_size = built.vector_size();
         let shared = SharedModel {
             table,
             meta,
             layout,
             device,
-            vector_size,
-            built: OnceLock::new(),
-            quantized: OnceLock::new(),
+            vector_size: built.vector_size(),
+            models: [OnceLock::from(Ok(built)), OnceLock::new()],
         };
-        let set = shared.built.set(Ok(built));
-        debug_assert!(set.is_ok(), "fresh OnceLock cannot be set already");
         Arc::new(shared)
     }
 
@@ -851,17 +666,18 @@ impl SharedModel {
         self.vector_size
     }
 
-    /// The built model, if the build phase has run (or was injected via
-    /// [`SharedModel::with_built`]) — without triggering a build.
-    pub fn built(&self) -> Option<Arc<BuiltModel>> {
-        self.built.get().and_then(|r| r.as_ref().ok().cloned())
+    /// Get (building on first use) the shared fp32 model.
+    pub fn get(&self) -> Result<Arc<BuiltModel>> {
+        self.get_as(ModelDtype::F32)
     }
 
-    /// Get (building on first use) the shared built model.
-    pub fn get(&self) -> Result<Arc<BuiltModel>> {
-        self.built
-            .get_or_init(|| {
-                build_parallel(
+    /// Get (building on first use) the shared model in `dtype`. The int8
+    /// model is quantized once per handle from the fp32 model the regular
+    /// build phase produced out of the relational representation.
+    pub fn get_as(&self, dtype: ModelDtype) -> Result<Arc<BuiltModel>> {
+        self.models[dtype as usize]
+            .get_or_init(|| match dtype {
+                ModelDtype::F32 => build_parallel(
                     &self.table,
                     &self.meta,
                     self.layout,
@@ -869,17 +685,9 @@ impl SharedModel {
                     self.vector_size,
                     0,
                 )
-                .map(Arc::new)
+                .map(Arc::new),
+                ModelDtype::I8 => self.get().map(|built| Arc::new(built.quantize())),
             })
-            .clone()
-    }
-
-    /// Get (quantizing on first use) the int8 variant of the shared model.
-    /// Quantization happens once per handle, from the fp32 model the
-    /// regular build phase produced out of the relational representation.
-    pub fn get_quantized(&self) -> Result<Arc<QuantizedModel>> {
-        self.quantized
-            .get_or_init(|| self.get().map(|built| Arc::new(QuantizedModel::from_built(&built))))
             .clone()
     }
 }
@@ -953,6 +761,36 @@ mod tests {
                 assert!(diff < 1e-4, "rows {rows}: max diff {diff}");
             }
         }
+    }
+
+    /// The quantized Dense model computes exactly the naive quantized
+    /// reference GEMM, layer by layer, over its own `QuantizedWeights`:
+    /// int8 inference is pinned bit for bit, not only within tolerance.
+    #[test]
+    fn quantized_dense_infer_is_bit_exact_to_reference_chain() {
+        let (built, model) = build_for(&paper::dense_model(8, 3, 21), Layout::NodeId, 2);
+        let quantized = built.quantize();
+        let x = Matrix::from_fn(13, model.input_dim(), |r, c| ((r * 5 + c) as f32 * 0.29).cos());
+        let mut expected = x.clone();
+        for layer in &quantized.layers {
+            let BuiltLayer::Dense { weights: Weights::I8 { w, bias }, activation } = layer else {
+                panic!("a quantized Dense model holds int8 Dense layers only")
+            };
+            let mut out = Matrix::zeros(expected.rows(), w.cols());
+            tensor::quant::qgemm_dense_reference(
+                &expected,
+                w,
+                Some(bias),
+                *activation,
+                false,
+                &mut out,
+            );
+            expected = out;
+        }
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let got = quantized.infer(&x, &Device::cpu());
+        assert_eq!(bits(&got), bits(&expected));
+        assert!(got.max_abs_diff(&model.predict(&x)) < 5e-2, "int8 drifted from the fp32 oracle");
     }
 
     #[test]

@@ -3,51 +3,46 @@
 //! The paper's headline finding — the ModelJoin wins because the model is
 //! built once and tuples then stream through it — only survives real
 //! traffic if the built model outlives a single query. This cache keys a
-//! model by **(model table name, table data version, dtype)**: any DML
-//! to the model table bumps [`Table::version`] and the next lookup rebuilds
-//! (the stale entry is replaced in place), and the fp32 and int8 variants
-//! of one model coexist under their dtype keys so mixed-precision traffic
-//! never evicts the other representation. Unrelated catalog activity does
-//! not invalidate entries, so a busy serving engine keeps its models hot.
+//! model by **(model table name, dtype)** and validates each entry against
+//! the table it was built from: the same `Table` allocation at the same
+//! [`Table::version`]. Any DML to the model table bumps the version, and
+//! dropping and re-creating the table yields a new allocation, so either
+//! makes the next lookup rebuild (the stale entry is replaced in place).
+//! The fp32 and int8 variants of one model coexist under their dtype keys
+//! so mixed-precision traffic never evicts the other representation.
+//! Unrelated catalog activity does not invalidate entries, so a busy
+//! serving engine keeps its models hot.
 
-use crate::build::{build_parallel, BuiltModel, QuantizedModel};
+use crate::build::{build_parallel, BuiltModel, ModelDtype};
 use model_repr::{Layout, ModelMeta};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use tensor::Device;
 use vector_engine::{Result, Table};
 
-/// The numeric representation a cached model runs in.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum ModelDtype {
-    F32,
-    I8,
-}
-
-enum CachedModel {
-    F32(Arc<BuiltModel>),
-    I8(Arc<QuantizedModel>),
-}
-
 struct CacheEntry {
+    /// The model table the entry was built from. Holding the `Weak` keeps
+    /// the table's allocation alive, so a table dropped and re-created
+    /// under the same name can never reuse its address — and [`Table::version`]
+    /// restarts at 0 for every new table, so the version alone cannot
+    /// tell the two apart.
+    table: Weak<Table>,
     /// [`Table::version`] of the model table at build time.
     version: u64,
-    model: CachedModel,
+    model: Arc<BuiltModel>,
 }
 
-/// A thread-safe map from (model table name, dtype) to its built model,
-/// invalidated by the table's data version. Model counts are small (at
-/// most two entries per registered model), so there is no eviction
-/// policy — DML replaces entries in place.
+/// A thread-safe map from (model table name, dtype) to its built model.
+/// Model counts are small (at most two entries per registered model), so
+/// there is no eviction policy — stale entries are replaced in place.
 #[derive(Default)]
 pub struct ModelCache {
     entries: Mutex<HashMap<(String, ModelDtype), CacheEntry>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    hits_i8: AtomicU64,
-    misses_i8: AtomicU64,
+    /// Hits and misses per dtype, indexed by `ModelDtype as usize`.
+    hits: [AtomicU64; 2],
+    misses: [AtomicU64; 2],
 }
 
 impl ModelCache {
@@ -55,8 +50,10 @@ impl ModelCache {
         ModelCache::default()
     }
 
-    /// The cached fp32 model for `table` if its data version still
-    /// matches, else run the parallel build phase and cache the result.
+    /// The cached `dtype` model for `table` if it was built from this very
+    /// table at its current data version, else build it and cache the
+    /// result: fp32 runs the parallel build phase, int8 quantizes the fp32
+    /// entry (itself built through this cache if cold).
     ///
     /// The build runs outside the map lock: a long build must not block
     /// hits on other models. Two threads racing on the same cold entry may
@@ -70,86 +67,43 @@ impl ModelCache {
         layout: Layout,
         device: &Device,
         vector_size: usize,
+        dtype: ModelDtype,
     ) -> Result<Arc<BuiltModel>> {
+        let key = (table.name().to_string(), dtype);
         let version = table.version();
-        if let Some(entry) = self.entries.lock().get(&(table.name().to_string(), ModelDtype::F32)) {
-            if entry.version == version {
-                if let CachedModel::F32(built) = &entry.model {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    obs::metrics::MODELJOIN_CACHE_HITS.add(1);
-                    return Ok(Arc::clone(built));
-                }
+        let (hits, misses) = match dtype {
+            ModelDtype::F32 => {
+                (&obs::metrics::MODELJOIN_CACHE_HITS, &obs::metrics::MODELJOIN_CACHE_MISSES)
+            }
+            ModelDtype::I8 => {
+                (&obs::metrics::MODELJOIN_CACHE_HITS_I8, &obs::metrics::MODELJOIN_CACHE_MISSES_I8)
+            }
+        };
+        if let Some(entry) = self.entries.lock().get(&key) {
+            if entry.version == version && std::ptr::eq(entry.table.as_ptr(), Arc::as_ptr(table)) {
+                self.hits[dtype as usize].fetch_add(1, Ordering::Relaxed);
+                hits.add(1);
+                return Ok(Arc::clone(&entry.model));
             }
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        obs::metrics::MODELJOIN_CACHE_MISSES.add(1);
-        let built = Arc::new(build_parallel(table, meta, layout, device, vector_size, 0)?);
-        self.entries.lock().insert(
-            (table.name().to_string(), ModelDtype::F32),
-            CacheEntry { version, model: CachedModel::F32(Arc::clone(&built)) },
-        );
-        Ok(built)
+        self.misses[dtype as usize].fetch_add(1, Ordering::Relaxed);
+        misses.add(1);
+        let model = Arc::new(match dtype {
+            ModelDtype::F32 => build_parallel(table, meta, layout, device, vector_size, 0)?,
+            ModelDtype::I8 => self
+                .get_or_build(table, meta, layout, device, vector_size, ModelDtype::F32)?
+                .quantize(),
+        });
+        let entry = CacheEntry { table: Arc::downgrade(table), version, model: Arc::clone(&model) };
+        self.entries.lock().insert(key, entry);
+        Ok(model)
     }
 
-    /// The cached int8 model for `table` if its data version still
-    /// matches, else quantize (from the fp32 entry, itself built through
-    /// this cache if cold) and cache the result under the I8 dtype key.
-    pub fn get_or_build_quantized(
-        &self,
-        table: &Arc<Table>,
-        meta: &ModelMeta,
-        layout: Layout,
-        device: &Device,
-        vector_size: usize,
-    ) -> Result<Arc<QuantizedModel>> {
-        let version = table.version();
-        if let Some(entry) = self.entries.lock().get(&(table.name().to_string(), ModelDtype::I8)) {
-            if entry.version == version {
-                if let CachedModel::I8(quantized) = &entry.model {
-                    self.hits_i8.fetch_add(1, Ordering::Relaxed);
-                    obs::metrics::MODELJOIN_CACHE_HITS_I8.add(1);
-                    return Ok(Arc::clone(quantized));
-                }
-            }
-        }
-        self.misses_i8.fetch_add(1, Ordering::Relaxed);
-        obs::metrics::MODELJOIN_CACHE_MISSES_I8.add(1);
-        let built = self.get_or_build(table, meta, layout, device, vector_size)?;
-        let quantized = Arc::new(QuantizedModel::from_built(&built));
-        self.entries.lock().insert(
-            (table.name().to_string(), ModelDtype::I8),
-            CacheEntry { version, model: CachedModel::I8(Arc::clone(&quantized)) },
-        );
-        Ok(quantized)
-    }
-
-    /// Drop the entries for a model table, both dtypes (explicit
-    /// invalidation; version mismatches already invalidate implicitly).
-    pub fn invalidate(&self, table_name: &str) {
-        let name = table_name.to_ascii_lowercase();
-        let mut entries = self.entries.lock();
-        entries.remove(&(name.clone(), ModelDtype::F32));
-        entries.remove(&(name, ModelDtype::I8));
-    }
-
-    /// fp32 lookups answered from the cache.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// fp32 lookups that ran a build.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// int8 lookups answered from the cache.
-    pub fn hits_i8(&self) -> u64 {
-        self.hits_i8.load(Ordering::Relaxed)
-    }
-
-    /// int8 lookups that ran a quantization (and possibly a build).
-    pub fn misses_i8(&self) -> u64 {
-        self.misses_i8.load(Ordering::Relaxed)
+    /// `(hits, misses)` of the `dtype` lookups so far. An int8 miss
+    /// quantizes (and looks up the fp32 entry, counted on that side).
+    pub fn stats(&self, dtype: ModelDtype) -> (u64, u64) {
+        let i = dtype as usize;
+        (self.hits[i].load(Ordering::Relaxed), self.misses[i].load(Ordering::Relaxed))
     }
 
     /// Resident entries, counting each dtype separately.
@@ -171,6 +125,8 @@ mod tests {
     use nn::paper;
     use vector_engine::{ColumnVector, Engine, EngineConfig};
 
+    const F32: ModelDtype = ModelDtype::F32;
+
     fn engine_with_model() -> (Engine, Arc<Table>, ModelMeta) {
         let engine = Engine::new(EngineConfig {
             vector_size: 16,
@@ -187,63 +143,68 @@ mod tests {
     fn unchanged_table_builds_exactly_once() {
         let (_engine, table, meta) = engine_with_model();
         let cache = ModelCache::new();
-        let a = cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16).unwrap();
-        let b = cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16).unwrap();
+        let a = cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, F32).unwrap();
+        let b = cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, F32).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "second lookup must reuse the Arc");
-        assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 1, 1), "one build, one hit");
+        assert_eq!((cache.stats(F32), cache.len()), ((1, 1), 1), "one build, one hit");
     }
 
     #[test]
     fn dml_to_model_table_invalidates() {
         let (_engine, table, meta) = engine_with_model();
         let cache = ModelCache::new();
-        let a = cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16).unwrap();
+        let a = cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, F32).unwrap();
         // Append a row that routes nowhere harmful (an input-distribution
         // edge): the version bump alone must force a rebuild.
         let zeros = vec![ColumnVector::Float(vec![0.0]); table.schema().len() - 2];
         let mut cols = vec![ColumnVector::Int(vec![0]), ColumnVector::Int(vec![0])];
         cols.extend(zeros);
         table.append(cols).unwrap();
-        let b = cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16).unwrap();
+        let b = cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, F32).unwrap();
         assert!(!Arc::ptr_eq(&a, &b), "stale model must be rebuilt after DML");
-        assert_eq!(cache.misses(), 2);
+        assert_eq!(cache.stats(F32).1, 2);
     }
 
+    /// A model table dropped and re-created under the same name starts
+    /// again at the same data version; the entry must still not match it.
     #[test]
-    fn explicit_invalidate_drops_entry() {
-        let (_engine, table, meta) = engine_with_model();
+    fn recreated_table_of_equal_version_rebuilds() {
+        let (engine, table, meta) = engine_with_model();
         let cache = ModelCache::new();
-        cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16).unwrap();
-        assert_eq!(cache.len(), 1);
-        cache.invalidate("M");
-        assert!(cache.is_empty());
+        let a = cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, F32).unwrap();
+        engine.execute("DROP TABLE m").unwrap();
+        let other = paper::dense_model(4, 2, 12);
+        let (table2, meta2) = load_into_engine(&engine, "m", &other, Layout::NodeId).unwrap();
+        assert_eq!(table2.version(), table.version(), "versions alone cannot tell them apart");
+        let b =
+            cache.get_or_build(&table2, &meta2, Layout::NodeId, &Device::cpu(), 16, F32).unwrap();
+        assert!(!Arc::ptr_eq(&a, &b), "the re-created table must be rebuilt");
+        assert_eq!(cache.stats(F32), (0, 2));
     }
 
     /// fp32 and int8 variants of one model coexist under their dtype keys:
-    /// the quantized lookup reuses the fp32 build (one build phase total),
-    /// repeat lookups of either dtype hit, and invalidation drops both.
+    /// the quantized lookup reuses the fp32 build (one build phase total)
+    /// and repeat lookups of either dtype hit.
     #[test]
     fn dtypes_coexist_and_share_one_build() {
         let (_engine, table, meta) = engine_with_model();
         let cache = ModelCache::new();
-        let built = cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16).unwrap();
-        let q1 = cache
-            .get_or_build_quantized(&table, &meta, Layout::NodeId, &Device::cpu(), 16)
-            .unwrap();
-        let q2 = cache
-            .get_or_build_quantized(&table, &meta, Layout::NodeId, &Device::cpu(), 16)
-            .unwrap();
+        let lookup = |dtype| {
+            cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, dtype).unwrap()
+        };
+        let built = lookup(F32);
+        let q1 = lookup(ModelDtype::I8);
+        let q2 = lookup(ModelDtype::I8);
         assert!(Arc::ptr_eq(&q1, &q2), "second int8 lookup must reuse the Arc");
+        assert!(!Arc::ptr_eq(&q1, &built), "int8 is its own entry");
         assert_eq!(q1.input_dim, built.input_dim);
         assert_eq!(
-            (cache.hits(), cache.misses()),
+            cache.stats(F32),
             (1, 1),
             "int8 quantizes the cached fp32 build: its miss re-reads the fp32 entry"
         );
-        assert_eq!((cache.hits_i8(), cache.misses_i8()), (1, 1));
+        assert_eq!(cache.stats(ModelDtype::I8), (1, 1));
         assert_eq!(cache.len(), 2, "one entry per dtype");
-        cache.invalidate("m");
-        assert!(cache.is_empty(), "invalidation drops both dtype entries");
     }
 
     /// The satellite's end-to-end shape: two *queries* against an
@@ -270,7 +231,7 @@ mod tests {
         let mut first: Option<Vec<f64>> = None;
         for _ in 0..2 {
             let built =
-                cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16).unwrap();
+                cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, F32).unwrap();
             let shared = SharedModel::with_built(
                 Arc::clone(&table),
                 meta.clone(),
@@ -295,6 +256,6 @@ mod tests {
                 Some(expected) => assert_eq!(expected, &preds, "cached build changes results"),
             }
         }
-        assert_eq!((cache.hits(), cache.misses()), (1, 1), "two queries, one build phase");
+        assert_eq!(cache.stats(F32), (1, 1), "two queries, one build phase");
     }
 }

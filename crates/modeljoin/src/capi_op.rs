@@ -9,10 +9,12 @@
 //! back ("This requires moving data from a columnar format into a
 //! row-major matrix, and results back to columnar layout").
 
+use crate::operator::{execute_partitioned, output_batch, pack_rows};
 use mlruntime::Session;
 use std::sync::Arc;
-use vector_engine::exec::physical::{drain, Operator};
-use vector_engine::{Batch, ColumnVector, Engine, EngineError, Result};
+use tensor::Matrix;
+use vector_engine::exec::physical::Operator;
+use vector_engine::{Batch, Engine, EngineError, Result};
 
 /// Inference operator backed by the external runtime's C-API session.
 pub struct CapiInferenceOp {
@@ -21,7 +23,7 @@ pub struct CapiInferenceOp {
     input_cols: Vec<usize>,
     payload_cols: Vec<usize>,
     /// Reused row-major staging buffer.
-    staging: Vec<f32>,
+    staging: Matrix,
 }
 
 impl CapiInferenceOp {
@@ -31,36 +33,7 @@ impl CapiInferenceOp {
         input_cols: Vec<usize>,
         payload_cols: Vec<usize>,
     ) -> CapiInferenceOp {
-        CapiInferenceOp { input, session, input_cols, payload_cols, staging: Vec::new() }
-    }
-
-    /// Columnar → row-major conversion at the C-API boundary.
-    fn stage_row_major(&mut self, batch: &Batch) -> Result<()> {
-        let rows = batch.num_rows();
-        let n = self.input_cols.len();
-        self.staging.clear();
-        self.staging.resize(rows * n, 0.0);
-        for (k, &ci) in self.input_cols.iter().enumerate() {
-            match batch.column(ci) {
-                ColumnVector::Float(vals) => {
-                    for (r, &v) in vals.iter().enumerate() {
-                        self.staging[r * n + k] = v as f32;
-                    }
-                }
-                ColumnVector::Int(vals) => {
-                    for (r, &v) in vals.iter().enumerate() {
-                        self.staging[r * n + k] = v as f32;
-                    }
-                }
-                other => {
-                    return Err(EngineError::Type(format!(
-                        "runtime input column must be numeric, found {}",
-                        other.data_type().name()
-                    )))
-                }
-            }
-        }
-        Ok(())
+        CapiInferenceOp { input, session, input_cols, payload_cols, staging: Matrix::default() }
     }
 }
 
@@ -77,20 +50,11 @@ impl Operator for CapiInferenceOp {
         if rows == 0 {
             return Ok(Some(Batch::of_rows(0)));
         }
-        self.stage_row_major(&batch)?;
-        let out = self.session.run(&self.staging, rows).map_err(EngineError::Execution)?;
-        let p = self.session.output_dim();
-        let mut columns: Vec<ColumnVector> =
-            self.payload_cols.iter().map(|&ci| batch.column(ci).clone()).collect();
-        // Row-major → columnar conversion of the predictions.
-        for j in 0..p {
-            let mut col = Vec::with_capacity(rows);
-            for r in 0..rows {
-                col.push(out[r * p + j] as f64);
-            }
-            columns.push(ColumnVector::Float(col));
-        }
-        Ok(Some(Batch::new(columns)))
+        // Columnar → row-major at the C-API boundary, and back.
+        pack_rows(&batch, &self.input_cols, &mut self.staging)?;
+        let out =
+            self.session.run(self.staging.as_slice(), rows).map_err(EngineError::Execution)?;
+        Ok(Some(output_batch(&batch, &self.payload_cols, &out, self.session.output_dim())))
     }
 
     fn close(&mut self) {
@@ -98,9 +62,9 @@ impl Operator for CapiInferenceOp {
     }
 }
 
-/// Partition-parallel driver, mirroring
-/// [`crate::operator::execute_model_join`]: one Query-class task per
-/// partition on the shared scheduler pool; the session (like the real
+/// Partition-parallel C-API join: one [`CapiInferenceOp`] per partition
+/// of the fact table, run by the same partition fan-out as
+/// [`crate::operator::execute_model_join`]; the session (like the real
 /// runtime's) is shared by all of them.
 pub fn execute_capi_join(
     engine: &Engine,
@@ -109,32 +73,10 @@ pub fn execute_capi_join(
     payload_cols: &[&str],
     session: &Arc<Session>,
 ) -> Result<Vec<Batch>> {
-    let input_idx = crate::operator::resolve_columns(engine, fact_table, input_cols)?;
-    let payload_idx = crate::operator::resolve_columns(engine, fact_table, payload_cols)?;
-    if input_idx.len() != session.input_dim() {
-        return Err(EngineError::Plan(format!(
-            "session expects {} input columns, got {}",
-            session.input_dim(),
-            input_idx.len()
-        )));
-    }
-    let fact = engine.table(fact_table)?;
-    let results =
-        sched::global().fork_join(sched::TaskClass::Query, 0..fact.partition_count(), |p| {
-            let scan = engine.scan_partition(fact_table, p)?;
-            let op = CapiInferenceOp::new(
-                scan,
-                Arc::clone(session),
-                input_idx.clone(),
-                payload_idx.clone(),
-            );
-            drain(Box::new(op))
-        })?;
-    let mut out = Vec::new();
-    for batches in results {
-        out.extend(batches?);
-    }
-    Ok(out)
+    let input_dim = session.input_dim();
+    execute_partitioned(engine, fact_table, input_cols, payload_cols, input_dim, |scan, i, p| {
+        Box::new(CapiInferenceOp::new(scan, Arc::clone(session), i, p))
+    })
 }
 
 #[cfg(test)]
@@ -142,7 +84,7 @@ mod tests {
     use super::*;
     use nn::paper;
     use tensor::Device;
-    use vector_engine::EngineConfig;
+    use vector_engine::{ColumnVector, EngineConfig};
 
     fn setup(model: &nn::Model, n: usize, partitions: usize) -> (Engine, Vec<Vec<f32>>) {
         let engine = Engine::new(EngineConfig {

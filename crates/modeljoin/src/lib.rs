@@ -20,6 +20,13 @@
 //!   payload columns. The operator pipelines: it never materializes the
 //!   full input, so it is not a pipeline breaker.
 //!
+//! One model type serves both precisions: [`BuiltModel::quantize`] turns
+//! the fp32 build into an int8 [`BuiltModel`] whose GEMM operands are
+//! per-channel quantized [`build::Weights`], and the same layer loop runs it.
+//! [`ModelDtype::for_engine`] is the one place that picks the dtype (int8
+//! only for `EngineConfig::quantized_inference` on a CPU-resident model);
+//! [`ModelCache`] keeps one entry per (model table, dtype).
+//!
 //! [`capi_op`] implements the competing approach: the same operator shape,
 //! but delegating inference to the external `mlruntime` through its C-API,
 //! paying the columnar → row-major → columnar conversion at the boundary.
@@ -29,10 +36,7 @@ pub mod cache;
 pub mod capi_op;
 pub mod operator;
 
-pub use build::{
-    build_parallel, BuiltModel, InferScratch, QuantInferScratch, QuantizedLayer, QuantizedModel,
-    SharedModel,
-};
-pub use cache::{ModelCache, ModelDtype};
+pub use build::{build_parallel, BuiltModel, InferScratch, ModelDtype, SharedModel};
+pub use cache::ModelCache;
 pub use capi_op::CapiInferenceOp;
 pub use operator::ModelJoinOp;

@@ -1,6 +1,7 @@
-//! The ModelJoin operator and its partition-parallel driver.
+//! The ModelJoin operator, and the partition-parallel fan-out and
+//! columnar ↔ row-major conversions it shares with the C-API operator.
 
-use crate::build::{BuiltModel, InferScratch, QuantInferScratch, QuantizedModel, SharedModel};
+use crate::build::{BuiltModel, InferScratch, ModelDtype, SharedModel};
 use std::sync::Arc;
 use tensor::Matrix;
 use vector_engine::exec::physical::{drain, Operator};
@@ -19,16 +20,14 @@ pub struct ModelJoinOp {
     /// native operator can "leave columns untouched ... introducing no
     /// overhead" (Sec. 5.3) — no late-projection join needed.
     payload_cols: Vec<usize>,
+    /// The dtype inference runs in (see [`ModelDtype::for_engine`]).
+    dtype: ModelDtype,
     built: Option<Arc<BuiltModel>>,
-    /// Run inference through the int8 quantized model instead of fp32.
-    quantized: bool,
-    built_q: Option<Arc<QuantizedModel>>,
     /// Reused input matrix buffer.
     packed: Matrix,
     /// Per-operator inference arena: layer outputs, LSTM gate and state
     /// buffers — reused across every batch this operator processes.
     scratch: InferScratch,
-    scratch_q: QuantInferScratch,
 }
 
 impl ModelJoinOp {
@@ -37,65 +36,18 @@ impl ModelJoinOp {
         shared: Arc<SharedModel>,
         input_cols: Vec<usize>,
         payload_cols: Vec<usize>,
+        dtype: ModelDtype,
     ) -> ModelJoinOp {
         ModelJoinOp {
             input,
             shared,
             input_cols,
             payload_cols,
+            dtype,
             built: None,
-            quantized: false,
-            built_q: None,
             packed: Matrix::default(),
             scratch: InferScratch::default(),
-            scratch_q: QuantInferScratch::default(),
         }
-    }
-
-    /// Select int8 quantized inference. The quantized model variant is
-    /// built (quantized from the shared fp32 build) on the first `next()`
-    /// call, exactly like the fp32 build phase. CPU-only: callers must not
-    /// enable this for a GPU-resident model — the quantized kernels have
-    /// no device path.
-    pub fn with_quantized(mut self, quantized: bool) -> ModelJoinOp {
-        self.quantized = quantized;
-        self
-    }
-
-    /// Pack the batch's input columns into the `rows x n` input matrix
-    /// (paper Fig. 7, step 1): each column vector is touched exactly once.
-    /// The buffer is capacity-reusing: a shorter batch (the tail vector of
-    /// a partition) shrinks the matrix in place instead of discarding it,
-    /// so steady-state packing never allocates.
-    fn pack(&mut self, batch: &Batch) -> Result<()> {
-        let rows = batch.num_rows();
-        let n = self.input_cols.len();
-        let m = &mut self.packed;
-        if m.rows() != rows || m.cols() != n {
-            m.resize_zeroed(rows, n);
-        }
-        for (k, &ci) in self.input_cols.iter().enumerate() {
-            let col = batch.column(ci);
-            match col {
-                ColumnVector::Float(vals) => {
-                    for (r, &v) in vals.iter().enumerate() {
-                        m.row_mut(r)[k] = v as f32;
-                    }
-                }
-                ColumnVector::Int(vals) => {
-                    for (r, &v) in vals.iter().enumerate() {
-                        m.row_mut(r)[k] = v as f32;
-                    }
-                }
-                other => {
-                    return Err(EngineError::Type(format!(
-                        "ModelJoin input column must be numeric, found {}",
-                        other.data_type().name()
-                    )))
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -105,15 +57,11 @@ impl Operator for ModelJoinOp {
     }
 
     fn next(&mut self) -> Result<Option<Batch>> {
-        // Build phase on the first call (Fig. 5). The quantized variant is
-        // derived from the shared fp32 build, so both modes share one
+        // Build phase on the first call (Fig. 5). The int8 model is
+        // quantized from the shared fp32 build, so both dtypes share one
         // partition-parallel weight-load pass.
-        if self.quantized {
-            if self.built_q.is_none() {
-                self.built_q = Some(self.shared.get_quantized()?);
-            }
-        } else if self.built.is_none() {
-            self.built = Some(self.shared.get()?);
+        if self.built.is_none() {
+            self.built = Some(self.shared.get_as(self.dtype)?);
         }
         let Some(batch) = self.input.next()? else {
             return Ok(None);
@@ -121,42 +69,79 @@ impl Operator for ModelJoinOp {
         if batch.num_rows() == 0 {
             return Ok(Some(Batch::of_rows(0)));
         }
-        self.pack(&batch)?;
-        let result = if self.quantized {
-            let built = self.built_q.as_ref().expect("built above").clone();
-            built.infer_into(&self.packed, &mut self.scratch_q)
-        } else {
-            let built = self.built.as_ref().expect("built above").clone();
-            built.infer_into(&self.packed, self.shared.device(), &mut self.scratch)
-        };
-
-        // Unpack the result matrix back into column vectors (Fig. 7,
-        // last step), appended to the untouched payload columns.
-        let mut columns: Vec<ColumnVector> =
-            self.payload_cols.iter().map(|&ci| batch.column(ci).clone()).collect();
-        let rows = result.rows();
-        for j in 0..result.cols() {
-            let mut out = Vec::with_capacity(rows);
-            for r in 0..rows {
-                out.push(result.get(r, j) as f64);
-            }
-            columns.push(ColumnVector::Float(out));
-        }
-        Ok(Some(Batch::new(columns)))
+        pack_rows(&batch, &self.input_cols, &mut self.packed)?;
+        let built = self.built.as_ref().expect("built above").clone();
+        let result = built.infer_into(&self.packed, self.shared.device(), &mut self.scratch);
+        Ok(Some(output_batch(&batch, &self.payload_cols, result.as_slice(), result.cols())))
     }
 
     fn close(&mut self) {
         self.built = None;
-        self.built_q = None;
         self.packed = Matrix::default();
         self.scratch = InferScratch::default();
-        self.scratch_q = QuantInferScratch::default();
         self.input.close();
     }
 }
 
+/// Pack the batch's numeric input columns into the `rows x cols.len()`
+/// row-major matrix `out` (paper Fig. 7, step 1) — the columnar →
+/// row-major conversion both inference operators pay. Each column vector
+/// is touched exactly once. The buffer is capacity-reusing: a shorter
+/// batch (the tail vector of a partition) shrinks the matrix in place
+/// instead of discarding it, so steady-state packing never allocates.
+pub(crate) fn pack_rows(batch: &Batch, cols: &[usize], out: &mut Matrix) -> Result<()> {
+    let (rows, n) = (batch.num_rows(), cols.len());
+    if out.rows() != rows || out.cols() != n {
+        out.resize_zeroed(rows, n);
+    }
+    let out = out.as_mut_slice();
+    for (k, &ci) in cols.iter().enumerate() {
+        match batch.column(ci) {
+            ColumnVector::Float(vals) => {
+                for (r, &v) in vals.iter().enumerate() {
+                    out[r * n + k] = v as f32;
+                }
+            }
+            ColumnVector::Int(vals) => {
+                for (r, &v) in vals.iter().enumerate() {
+                    out[r * n + k] = v as f32;
+                }
+            }
+            other => {
+                return Err(EngineError::Type(format!(
+                    "model input column must be numeric, found {}",
+                    other.data_type().name()
+                )))
+            }
+        }
+    }
+    Ok(())
+}
+
+/// An operator's output batch (Fig. 7, last step): the untouched payload
+/// columns of `batch`, then one Float column per model output, unpacked
+/// from the row-major `rows x outputs` `result`.
+pub(crate) fn output_batch(
+    batch: &Batch,
+    payload_cols: &[usize],
+    result: &[f32],
+    outputs: usize,
+) -> Batch {
+    let rows = batch.num_rows();
+    let mut columns: Vec<ColumnVector> =
+        payload_cols.iter().map(|&ci| batch.column(ci).clone()).collect();
+    for j in 0..outputs {
+        let mut out = Vec::with_capacity(rows);
+        for r in 0..rows {
+            out.push(result[r * outputs + j] as f64);
+        }
+        columns.push(ColumnVector::Float(out));
+    }
+    Batch::new(columns)
+}
+
 /// Resolve column names to ordinals for a table.
-pub fn resolve_columns(engine: &Engine, table: &str, names: &[&str]) -> Result<Vec<usize>> {
+fn resolve_columns(engine: &Engine, table: &str, names: &[&str]) -> Result<Vec<usize>> {
     let t = engine.table(table)?;
     names
         .iter()
@@ -182,10 +167,44 @@ pub fn output_names(payload: &[&str], output_dim: usize) -> Vec<String> {
     names
 }
 
-/// Partition-parallel ModelJoin execution (paper Sec. 5.2/5.4): one
-/// operator instance per partition of the fact table — each a Query-class
-/// task on the shared scheduler pool — all sharing the model; batches are
-/// gathered in partition order.
+/// The partition-parallel fan-out of both inference operators (paper
+/// Sec. 5.2/5.4): resolve the input and payload columns, check them
+/// against the model's `input_dim`, then run one operator — built by
+/// `make_op` over a partition scan, the input ordinals and the payload
+/// ordinals — per fact-table partition, each a Query-class task on the
+/// shared scheduler pool. Batches are gathered in partition order.
+pub(crate) fn execute_partitioned(
+    engine: &Engine,
+    fact_table: &str,
+    input_cols: &[&str],
+    payload_cols: &[&str],
+    input_dim: usize,
+    make_op: impl Fn(Box<dyn Operator>, Vec<usize>, Vec<usize>) -> Box<dyn Operator> + Sync,
+) -> Result<Vec<Batch>> {
+    let input_idx = resolve_columns(engine, fact_table, input_cols)?;
+    let payload_idx = resolve_columns(engine, fact_table, payload_cols)?;
+    if input_idx.len() != input_dim {
+        return Err(EngineError::Plan(format!(
+            "model expects {input_dim} input columns, got {}",
+            input_idx.len()
+        )));
+    }
+    let fact = engine.table(fact_table)?;
+    let results =
+        sched::global().fork_join(sched::TaskClass::Query, 0..fact.partition_count(), |p| {
+            let scan = engine.scan_partition(fact_table, p)?;
+            drain(make_op(scan, input_idx.clone(), payload_idx.clone()))
+        })?;
+    let mut out = Vec::new();
+    for batches in results {
+        out.extend(batches?);
+    }
+    Ok(out)
+}
+
+/// Partition-parallel ModelJoin execution: one [`ModelJoinOp`] per
+/// partition of the fact table, all sharing the model, in the dtype
+/// [`ModelDtype::for_engine`] picks for the engine and the model's device.
 pub fn execute_model_join(
     engine: &Engine,
     fact_table: &str,
@@ -193,40 +212,18 @@ pub fn execute_model_join(
     payload_cols: &[&str],
     shared: &Arc<SharedModel>,
     // Unused (the pool is sized by `EngineConfig::worker_threads`); kept
-    // for benchmark/src/workloads/modeljoin_batch.rs until the next
-    // `benchmark` PR drops the argument.
+    // because benchmark/src/workloads/modeljoin_batch.rs still passes it.
     _parallelism: usize,
 ) -> Result<Vec<Batch>> {
-    let input_idx = resolve_columns(engine, fact_table, input_cols)?;
-    let payload_idx = resolve_columns(engine, fact_table, payload_cols)?;
-    if input_idx.len() != shared.meta().input_dim {
-        return Err(EngineError::Plan(format!(
-            "model expects {} input columns, got {}",
-            shared.meta().input_dim,
-            input_idx.len()
-        )));
-    }
-    let fact = engine.table(fact_table)?;
     // Apply the engine's thread budget to the kernel dispatch layer so
     // large per-batch multiplies can fan out over the same worker pool as
     // the partition tasks.
     tensor::parallel::set_kernel_threads(engine.config().effective_worker_threads());
-    // Int8 inference is CPU-only: the quantized kernels have no device
-    // path, so a GPU-resident model silently keeps the fp32 route.
-    let quantized = engine.config().quantized_inference && !shared.device().is_gpu();
-    let results =
-        sched::global().fork_join(sched::TaskClass::Query, 0..fact.partition_count(), |p| {
-            let scan = engine.scan_partition(fact_table, p)?;
-            let op =
-                ModelJoinOp::new(scan, Arc::clone(shared), input_idx.clone(), payload_idx.clone())
-                    .with_quantized(quantized);
-            drain(Box::new(op))
-        })?;
-    let mut out = Vec::new();
-    for batches in results {
-        out.extend(batches?);
-    }
-    Ok(out)
+    let dtype = ModelDtype::for_engine(engine.config(), shared.device());
+    let input_dim = shared.meta().input_dim;
+    execute_partitioned(engine, fact_table, input_cols, payload_cols, input_dim, |scan, i, p| {
+        Box::new(ModelJoinOp::new(scan, Arc::clone(shared), i, p, dtype))
+    })
 }
 
 #[cfg(test)]

@@ -5,8 +5,11 @@
 use vector_engine::EngineConfig;
 
 /// Knobs of the serving layer — the only home of the queue and flush
-/// knobs. [`ServeConfig::from_engine`] takes the batch size and the
-/// quantization choice from the engine's [`EngineConfig`].
+/// knobs. [`ServeConfig::from_engine`] takes the batch size from the
+/// engine's [`EngineConfig`]. The precision is not a serving knob: the
+/// server runs each model in the dtype
+/// [`modeljoin::ModelDtype::for_engine`] picks from its engine's
+/// `quantized_inference`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Only zero vs non-zero matters. Non-zero starts the coordinator
@@ -31,10 +34,6 @@ pub struct ServeConfig {
     pub model_cache: bool,
     /// Default per-request deadline in milliseconds; 0 disables it.
     pub default_timeout_ms: u64,
-    /// Serve predictions through the int8 quantized model (from
-    /// `EngineConfig::quantized_inference`). CPU-only — a GPU-resident
-    /// model keeps the fp32 route regardless.
-    pub quantized: bool,
 }
 
 impl Default for ServeConfig {
@@ -45,8 +44,8 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// Serving defaults for an engine: one coordinator, a 1024-deep queue,
-    /// a 200 µs flush deadline, and the engine's `vector_size` (as the batch
-    /// size) and `quantized_inference`. `workers` is always 1 — a running
+    /// a 200 µs flush deadline, and the engine's `vector_size` as the batch
+    /// size. `workers` is always 1 — a running
     /// coordinator — whatever the engine's `parallelism` (which may be 0).
     pub fn from_engine(cfg: &EngineConfig) -> ServeConfig {
         ServeConfig {
@@ -57,7 +56,6 @@ impl ServeConfig {
             batching: true,
             model_cache: true,
             default_timeout_ms: 0,
-            quantized: cfg.quantized_inference,
         }
     }
 }
@@ -76,12 +74,5 @@ mod tests {
         );
         assert!(s.batching && s.model_cache);
         assert_eq!(s.default_timeout_ms, 0);
-        assert!(!s.quantized, "serving defaults to exact fp32");
-
-        let q = ServeConfig::from_engine(&EngineConfig {
-            quantized_inference: true,
-            ..Default::default()
-        });
-        assert!(q.quantized, "the engine knob reaches the serving layer");
     }
 }

@@ -12,8 +12,9 @@
 //!   same model coalesce into one `rows x n` matrix (up to
 //!   `max_batch_rows`, waiting at most `batch_flush_us`), amortizing one
 //!   build + one BLAS dispatch over the whole batch;
-//! * **caches built models** across requests, keyed by the model table's
-//!   data version (DML to the model table invalidates exactly that
+//! * **caches built models** across requests, one per model table and
+//!   dtype, valid for that table at its data version (DML to the model
+//!   table, or dropping and reloading it, invalidates exactly that
 //!   model — [`modeljoin::ModelCache`]);
 //! * **caches SQL plans** by routing SQL requests through the engine's
 //!   catalog-epoch-stamped plan cache

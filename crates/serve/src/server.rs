@@ -33,7 +33,7 @@
 use crate::config::ServeConfig;
 use crate::error::ServeError;
 use model_repr::{Layout, ModelMeta};
-use modeljoin::{build_parallel, ModelCache, QuantizedModel};
+use modeljoin::{ModelCache, ModelDtype, SharedModel};
 use obs::metrics as om;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -479,14 +479,9 @@ impl Server {
         }
     }
 
-    /// Hits/misses of the cross-query model cache (fp32 lookups).
-    pub fn model_cache_stats(&self) -> (u64, u64) {
-        (self.shared.model_cache.hits(), self.shared.model_cache.misses())
-    }
-
-    /// Hits/misses of the int8 side of the model cache.
-    pub fn model_cache_stats_i8(&self) -> (u64, u64) {
-        (self.shared.model_cache.hits_i8(), self.shared.model_cache.misses_i8())
+    /// Hits/misses of the cross-query model cache's `dtype` lookups.
+    pub fn model_cache_stats(&self, dtype: ModelDtype) -> (u64, u64) {
+        self.shared.model_cache.stats(dtype)
     }
 
     /// The engine this server fronts.
@@ -738,9 +733,7 @@ fn execute_predict_batch(shared: &Shared, model_name: &str, batch: Vec<Queued>) 
     };
     // The model's vector size must cover the largest batch we coalesce.
     let vector_size = shared.cfg.max_batch_rows.max(shared.engine.config().vector_size);
-    // Int8 serving is CPU-only: a GPU-resident model keeps the fp32
-    // device route regardless of the config knob.
-    let quantized = shared.cfg.quantized && !entry.device.is_gpu();
+    let dtype = ModelDtype::for_engine(shared.engine.config(), &entry.device);
 
     let rows = live.len();
     let packed = Matrix::from_fn(rows, entry.meta.input_dim, |r, c| {
@@ -749,51 +742,30 @@ fn execute_predict_batch(shared: &Shared, model_name: &str, batch: Vec<Queued>) 
         };
         input[c]
     });
+    let built = if shared.cfg.model_cache {
+        shared.model_cache.get_or_build(
+            &table,
+            &entry.meta,
+            entry.layout,
+            &entry.device,
+            vector_size,
+            dtype,
+        )
+    } else {
+        // Naive mode (the serve_sweep baseline): a query-scoped model,
+        // built (and for int8 quantized) again for every batch.
+        let device = entry.device.clone();
+        SharedModel::new(table, entry.meta.clone(), entry.layout, device, vector_size, 0)
+            .get_as(dtype)
+    };
+    let built = match built {
+        Ok(b) => b,
+        Err(e) => return fail(e.into()),
+    };
     // Catch inference panics per batch: the affected requests complete
     // with `Internal` and the worker (plus every lock it may hold above
     // this frame) survives to serve the next request.
-    let output = if quantized {
-        let built_q = if shared.cfg.model_cache {
-            shared.model_cache.get_or_build_quantized(
-                &table,
-                &entry.meta,
-                entry.layout,
-                &entry.device,
-                vector_size,
-            )
-        } else {
-            // Naive mode: the fp32 build *and* the quantization pass are
-            // both paid per batch, mirroring the fp32 baseline's cost
-            // model.
-            build_parallel(&table, &entry.meta, entry.layout, &entry.device, vector_size, 0)
-                .map(|b| Arc::new(QuantizedModel::from_built(&b)))
-        };
-        let built_q = match built_q {
-            Ok(b) => b,
-            Err(e) => return fail(e.into()),
-        };
-        catch_unwind(AssertUnwindSafe(|| built_q.infer(&packed)))
-    } else {
-        let built = if shared.cfg.model_cache {
-            shared.model_cache.get_or_build(
-                &table,
-                &entry.meta,
-                entry.layout,
-                &entry.device,
-                vector_size,
-            )
-        } else {
-            // Naive mode (the serve_sweep baseline): rebuild per batch, the
-            // cost every request pays when the built model is query-scoped.
-            build_parallel(&table, &entry.meta, entry.layout, &entry.device, vector_size, 0)
-                .map(Arc::new)
-        };
-        let built = match built {
-            Ok(b) => b,
-            Err(e) => return fail(e.into()),
-        };
-        catch_unwind(AssertUnwindSafe(|| built.infer(&packed, &entry.device)))
-    };
+    let output = catch_unwind(AssertUnwindSafe(|| built.infer(&packed, &entry.device)));
     let output = match output {
         Ok(output) => output,
         Err(payload) => {
@@ -818,13 +790,12 @@ mod tests {
     use nn::paper;
     use vector_engine::{EngineConfig, Value};
 
+    fn e_config() -> EngineConfig {
+        EngineConfig { vector_size: 16, partitions: 2, parallelism: 2, ..Default::default() }
+    }
+
     fn engine() -> Arc<Engine> {
-        Arc::new(Engine::new(EngineConfig {
-            vector_size: 16,
-            partitions: 2,
-            parallelism: 2,
-            ..Default::default()
-        }))
+        Arc::new(Engine::new(e_config()))
     }
 
     fn config() -> ServeConfig {
@@ -836,7 +807,6 @@ mod tests {
             batching: true,
             model_cache: true,
             default_timeout_ms: 0,
-            quantized: false,
         }
     }
 
@@ -987,19 +957,17 @@ mod tests {
         assert_eq!(stats.batches, 1, "requests must coalesce: {stats:?}");
         assert_eq!(stats.batched_rows, REQUESTS as u64);
         // One batch, one (cached) model build.
-        assert_eq!(server.model_cache_stats().1, 1);
+        assert_eq!(server.model_cache_stats(ModelDtype::F32).1, 1);
     }
 
-    /// Quantized serving tracks the fp32 oracle within the int8 error
-    /// budget and populates the I8 side of the dual-dtype cache: one
-    /// quantization pass (riding one fp32 build), then i8 hits.
+    /// Quantized serving (an engine with `quantized_inference`) tracks the
+    /// fp32 oracle within the int8 error budget and populates the I8 side
+    /// of the dual-dtype cache: one quantization pass (riding one fp32
+    /// build), then i8 hits.
     #[test]
     fn quantized_serving_tracks_oracle_and_caches_per_dtype() {
-        let e = engine();
-        let server = Server::start(
-            Arc::clone(&e),
-            ServeConfig { batching: false, quantized: true, ..config() },
-        );
+        let e = Arc::new(Engine::new(EngineConfig { quantized_inference: true, ..e_config() }));
+        let server = Server::start(Arc::clone(&e), ServeConfig { batching: false, ..config() });
         let model = paper::dense_model(4, 2, 7);
         let (_, meta) = load_into_engine(&e, "mq_table", &model, Layout::NodeId).unwrap();
         server.register_model("mq", "mq_table", meta, Layout::NodeId, Device::cpu());
@@ -1017,8 +985,8 @@ mod tests {
                 row[0]
             );
         }
-        assert_eq!(server.model_cache_stats_i8(), (2, 1), "one quantization, then i8 hits");
-        assert_eq!(server.model_cache_stats(), (0, 1), "the fp32 build fed the quantizer");
+        assert_eq!(server.model_cache_stats(ModelDtype::I8), (2, 1), "one quantization, then hits");
+        assert_eq!(server.model_cache_stats(ModelDtype::F32), (0, 1), "fp32 fed the quantizer");
     }
 
     #[test]
@@ -1031,13 +999,45 @@ mod tests {
         for _ in 0..3 {
             server.submit_predict("m", vec![0.1; 4]).unwrap().wait().unwrap();
         }
-        let (hits, misses) = server.model_cache_stats();
+        let (hits, misses) = server.model_cache_stats(ModelDtype::F32);
         assert_eq!((hits, misses), (2, 1), "one build, then cache hits");
 
         // DML to the model table invalidates: the next request rebuilds.
         let zeros: Vec<String> = (0..12).map(|_| "0.0".into()).collect();
         e.execute(&format!("INSERT INTO m_table VALUES (0, 0, {})", zeros.join(", "))).unwrap();
         server.submit_predict("m", vec![0.1; 4]).unwrap().wait().unwrap();
-        assert_eq!(server.model_cache_stats().1, 2, "DML must force a rebuild");
+        assert_eq!(server.model_cache_stats(ModelDtype::F32).1, 2, "DML must force a rebuild");
+    }
+
+    /// `DROP TABLE` plus a reload of a different, same-shaped model under
+    /// the same table name must serve the new weights. The new table's
+    /// data version equals the old one's, so only the table's identity
+    /// tells the cached model apart.
+    #[test]
+    fn replaced_model_table_serves_the_new_model() {
+        let e = engine();
+        let server = Server::start(Arc::clone(&e), ServeConfig { batching: false, ..config() });
+        let input = vec![0.3, -0.2, 0.5, 0.1];
+        let predict = || {
+            let Response::Prediction(row) =
+                server.submit_predict("m", input.clone()).unwrap().wait().unwrap()
+            else {
+                panic!("prediction")
+            };
+            row[0]
+        };
+        for seed in [7, 8] {
+            let model = paper::dense_model(4, 2, seed);
+            e.execute("DROP TABLE IF EXISTS m_table").unwrap();
+            let (_, meta) = load_into_engine(&e, "m_table", &model, Layout::NodeId).unwrap();
+            server.register_model("m", "m_table", meta, Layout::NodeId, Device::cpu());
+            let expected = model.predict_row(&input)[0];
+            let got = predict();
+            assert!(
+                (got - expected).abs() < 1e-5,
+                "seed {seed}: served {got}, model says {expected}"
+            );
+        }
+        assert_eq!(server.model_cache_stats(ModelDtype::F32), (0, 2), "the reload rebuilt");
     }
 }

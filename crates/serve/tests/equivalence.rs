@@ -51,7 +51,6 @@ fn served_predictions_are_bit_identical_to_unbatched_inference() {
             batching: true,
             model_cache: true,
             default_timeout_ms: 0,
-            quantized: false,
         },
     );
     server.register_model(

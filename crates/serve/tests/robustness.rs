@@ -34,7 +34,6 @@ fn config() -> ServeConfig {
         batching: true,
         model_cache: true,
         default_timeout_ms: 0,
-        quantized: false,
     }
 }
 
