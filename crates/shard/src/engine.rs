@@ -15,20 +15,17 @@ use modeljoin::operator::execute_model_join;
 use modeljoin::SharedModel;
 use obs::metrics as om;
 use tensor::Device;
-use vector_engine::exec::agg::{GroupedAggState, HashAggExec};
 use vector_engine::exec::hash::hash_key_columns;
 use vector_engine::exec::join::HashJoinExec;
-use vector_engine::exec::parallel::{self, collect_scan_tables, column_source};
+use vector_engine::exec::parallel::{self, collect_scan_tables, column_source, split_safe};
 use vector_engine::exec::physical::{batches_operator, drain};
-use vector_engine::exec::simple::{concat_batches, FilterExec, LimitExec, ProjectExec, SortExec};
 use vector_engine::exec::Operator;
 use vector_engine::expr::{BinaryOp, Expr};
-use vector_engine::plan::binder::Binder;
 use vector_engine::plan::logical::LogicalPlan;
 use vector_engine::sql::{parse_statement, Statement};
-use vector_engine::storage::{Schema, Table};
+use vector_engine::storage::Table;
 use vector_engine::{
-    Batch, ColumnVector, DataType, Engine, EngineConfig, EngineError, QueryResult, Result, Value,
+    Batch, ColumnVector, Engine, EngineConfig, EngineError, QueryResult, Result, Value,
 };
 
 /// How the shard planner decided to run one `SELECT`.
@@ -50,14 +47,6 @@ pub enum Route {
     /// sides repartition by join-key hash (the exchange), each target
     /// shard joins its bucket.
     Shuffle,
-}
-
-/// One sharded table referenced by a plan: its shard-key column ordinal
-/// and how many times the plan scans it.
-struct ShardedScan {
-    table: Arc<Table>,
-    key: usize,
-    scans: usize,
 }
 
 /// N in-process engines behind one engine-shaped facade.
@@ -247,15 +236,14 @@ impl ShardedEngine {
         }
         match parse_statement(sql)? {
             Statement::Select(_) => self.select(sql, cached),
+            // Evaluated once; replicated tables get the columns on every
+            // shard, sharded ones route each row by shard-key hash.
             Statement::Insert { table, columns, rows } => {
-                let _ = rows;
-                self.insert(sql, &table, columns.as_deref())
+                let values = self.shards[0].insert_values(&table, columns.as_deref(), &rows)?;
+                Ok(QueryResult::empty(self.insert_columns(&table, values)?))
             }
             Statement::DropTable { name, .. } => {
-                let mut last = QueryResult { names: Vec::new(), columns: Vec::new(), affected: 0 };
-                for s in &self.shards {
-                    last = s.execute(sql)?;
-                }
+                let last = self.on_every_shard(sql)?;
                 let key = name.to_ascii_lowercase();
                 if self.shards[0].catalog().transaction_open() {
                     self.pending_unshard.write().expect("pending unshard poisoned").push(key);
@@ -269,10 +257,7 @@ impl ShardedEngine {
                 Ok(last)
             }
             Statement::CreateTable { .. } => {
-                let mut last = QueryResult { names: Vec::new(), columns: Vec::new(), affected: 0 };
-                for s in &self.shards {
-                    last = s.execute(sql)?;
-                }
+                let last = self.on_every_shard(sql)?;
                 self.invalidate_routes();
                 Ok(last)
             }
@@ -282,7 +267,7 @@ impl ShardedEngine {
             // ROLLBACK can resurrect dropped tables and VACUUM relocates
             // chunks, so both invalidate cached routes.
             Statement::Begin => {
-                let mut last = QueryResult { names: Vec::new(), columns: Vec::new(), affected: 0 };
+                let mut last = QueryResult::empty(0);
                 for (i, s) in self.shards.iter().enumerate() {
                     match s.execute(sql) {
                         Ok(r) => last = r,
@@ -306,7 +291,7 @@ impl ShardedEngine {
             // force-rolled-back and the divergence is surfaced instead
             // of returning a silent partial commit.
             Statement::Commit => {
-                let mut last = QueryResult { names: Vec::new(), columns: Vec::new(), affected: 0 };
+                let mut last = QueryResult::empty(0);
                 for (i, s) in self.shards.iter().enumerate() {
                     if let Err(e) = s.execute(sql).map(|r| last = r) {
                         // Shards 0..i sealed; shard i's seal failed (its
@@ -350,7 +335,7 @@ impl ShardedEngine {
                 // Every shard is attempted even if one errors, so a
                 // facade ROLLBACK never leaves later shards with open
                 // transactions; the first error still surfaces.
-                let mut last = QueryResult { names: Vec::new(), columns: Vec::new(), affected: 0 };
+                let mut last = QueryResult::empty(0);
                 let mut first_err = None;
                 for s in &self.shards {
                     match s.execute(sql) {
@@ -371,9 +356,19 @@ impl ShardedEngine {
             }
             Statement::Vacuum => {
                 self.vacuum()?;
-                Ok(QueryResult { names: Vec::new(), columns: Vec::new(), affected: 0 })
+                Ok(QueryResult::empty(0))
             }
         }
+    }
+
+    /// Run `sql` on every shard in index order, stopping at the first
+    /// error; the last shard's result.
+    fn on_every_shard(&self, sql: &str) -> Result<QueryResult> {
+        let mut last = QueryResult::empty(0);
+        for s in &self.shards {
+            last = s.execute(sql)?;
+        }
+        Ok(last)
     }
 
     /// Rebuild every shard's data file, reclaiming dead pages. Cached
@@ -386,61 +381,9 @@ impl ShardedEngine {
         Ok(())
     }
 
-    /// `INSERT`: replicated tables get the statement verbatim on every
-    /// shard; sharded tables evaluate the rows once and route each row
-    /// by shard-key hash.
-    fn insert(&self, sql: &str, table: &str, columns: Option<&[String]>) -> Result<QueryResult> {
-        let key = self.shard_key(table);
-        let Some(key) = key else {
-            let mut affected = 0;
-            for s in &self.shards {
-                affected = s.execute(sql)?.affected;
-            }
-            return Ok(QueryResult { names: Vec::new(), columns: Vec::new(), affected });
-        };
-        let Statement::Insert { rows, .. } = parse_statement(sql)? else {
-            return Err(EngineError::Plan("insert statement expected".into()));
-        };
-        let t0 = self.shards[0].table(table)?;
-        let binder = Binder::new(self.shards[0].catalog());
-        let mut evaled = Vec::with_capacity(rows.len());
-        for row in &rows {
-            let mut vals = Vec::with_capacity(row.len());
-            for e in row {
-                vals.push(binder.eval_const(e)?);
-            }
-            evaled.push(vals);
-        }
-        let evaled = match columns {
-            Some(cols) => reorder_insert(t0.schema(), cols, evaled)?,
-            None => evaled,
-        };
-        let key_idx = t0
-            .schema()
-            .index_of(&key)
-            .ok_or_else(|| EngineError::Catalog(format!("shard key {key:?} vanished")))?;
-        let n = self.shards.len();
-        let mut per: Vec<Vec<Vec<Value>>> = (0..n).map(|_| Vec::new()).collect();
-        for row in evaled {
-            let kv = row.get(key_idx).ok_or_else(|| {
-                EngineError::Catalog("INSERT row narrower than the shard key".into())
-            })?;
-            per[(value_hash(kv) % n as u64) as usize].push(row);
-        }
-        let mut affected = 0;
-        for (i, shard_rows) in per.into_iter().enumerate() {
-            if shard_rows.is_empty() {
-                continue;
-            }
-            self.shards[i].table(table)?.append_rows(&shard_rows)?;
-            om::SHARD_ROWS_PER_SHARD.record(shard_rows.len() as u64);
-            affected += shard_rows.len();
-        }
-        Ok(QueryResult { names: Vec::new(), columns: Vec::new(), affected })
-    }
-
-    /// Columnar bulk load, the fast path benchmarks use: one hash pass
-    /// over the key column, one `take` per target shard.
+    /// Columnar load, and the path every `INSERT` takes: replicated tables
+    /// get the columns on every shard; sharded tables take one hash pass
+    /// over the key column and one `take` per target shard.
     pub fn insert_columns(&self, table: &str, columns: Vec<ColumnVector>) -> Result<usize> {
         let Some(key) = self.shard_key(table) else {
             let mut n = 0;
@@ -449,12 +392,12 @@ impl ShardedEngine {
             }
             return Ok(n);
         };
-        let key_idx = self.shards[0]
-            .table(table)?
+        let t0 = self.shards[0].table(table)?;
+        let rows = t0.check_columns(&columns)?;
+        let key_idx = t0
             .schema()
             .index_of(&key)
             .ok_or_else(|| EngineError::Catalog(format!("shard key {key:?} vanished")))?;
-        let rows = columns.first().map_or(0, ColumnVector::len);
         let mut hashes = Vec::new();
         hash_key_columns(std::slice::from_ref(&columns[key_idx]), rows, &mut hashes);
         let n = self.shards.len();
@@ -508,20 +451,20 @@ impl ShardedEngine {
         if self.shards.len() == 1 {
             return Ok(Route::Single(0));
         }
-        let (core, _) = peel(plan);
+        let (core, _) = parallel::peel_tail(plan);
         if let Some(t) = self.pinned_shard(core) {
             return Ok(Route::Single(t));
         }
-        if shard_safe(core, &sharded).is_some() {
+        if split_safe(core, &sharded).is_some() {
             return Ok(Route::Scatter);
         }
         if let Some((_, LogicalPlan::Aggregate { input, .. })) = split_at(core, false) {
-            if shard_safe(input, &sharded).is_some() {
+            if split_safe(input, &sharded).is_some() {
                 return Ok(Route::PartialAgg);
             }
         }
         if let Some((_, LogicalPlan::HashJoin { left, right, .. })) = split_at(core, true) {
-            if shard_safe(left, &sharded).is_some() && shard_safe(right, &sharded).is_some() {
+            if split_safe(left, &sharded).is_some() && split_safe(right, &sharded).is_some() {
                 return Ok(Route::Shuffle);
             }
         }
@@ -571,21 +514,17 @@ impl ShardedEngine {
         }
     }
 
-    /// Sharded tables scanned by `plan`, with scan multiplicity.
-    fn sharded_in(&self, plan: &LogicalPlan) -> Result<Vec<ShardedScan>> {
+    /// The sharded tables `plan` scans, each with its shard-key column:
+    /// the split tables [`split_safe`] takes.
+    fn sharded_in(&self, plan: &LogicalPlan) -> Result<Vec<(Arc<Table>, Option<usize>)>> {
         let map = self.sharding.read().expect("sharding map poisoned");
-        let mut tabs = Vec::new();
-        collect_scan_tables(plan, &mut tabs);
-        let mut out: Vec<ShardedScan> = Vec::new();
-        for t in tabs {
+        let mut out = Vec::new();
+        for (t, _) in parallel::scan_counts(plan) {
             let Some(key) = map.get(&t.name().to_ascii_lowercase()) else { continue };
             let key = t.schema().index_of(key).ok_or_else(|| {
                 EngineError::Catalog(format!("shard key {key:?} missing from {}", t.name()))
             })?;
-            match out.iter_mut().find(|s| Arc::ptr_eq(&s.table, &t)) {
-                Some(s) => s.scans += 1,
-                None => out.push(ShardedScan { table: t, key, scans: 1 }),
-            }
+            out.push((t, Some(key)));
         }
         Ok(out)
     }
@@ -594,8 +533,8 @@ impl ShardedEngine {
     /// conjunct and all the literals hash to the same shard, return it.
     ///
     /// Pins are attributed to individual scan *instances* (a self-join
-    /// needs both sides pinned), traced through the plan the same way
-    /// [`column_source`] traces group keys.
+    /// needs both sides pinned), the scan ordinal [`column_source`]
+    /// traces a pinned column to.
     fn pinned_shard(&self, core: &LogicalPlan) -> Option<usize> {
         let map = self.sharding.read().expect("sharding map poisoned");
         let mut tabs = Vec::new();
@@ -631,21 +570,25 @@ impl ShardedEngine {
 
     /// Walk `plan` recording, per global scan ordinal, the hash of a
     /// shard-key equality pin found in some filter above that scan.
-    /// `offset` is the number of scans to the left of this subtree.
-    fn collect_pins(&self, plan: &LogicalPlan, offset: usize, pins: &mut Vec<Option<u64>>) {
+    /// `offset` is the number of scans to the left of this subtree; the
+    /// return value is the number of scans in it.
+    fn collect_pins(
+        &self,
+        plan: &LogicalPlan,
+        offset: usize,
+        pins: &mut Vec<Option<u64>>,
+    ) -> usize {
         match plan {
             LogicalPlan::Filter { input, predicate } => {
                 let map = self.sharding.read().expect("sharding map poisoned");
-                let mut conjuncts = Vec::new();
-                split_and(predicate, &mut conjuncts);
-                for c in conjuncts {
-                    let Expr::Binary { op: BinaryOp::Eq, left, right } = c else { continue };
+                for c in predicate.split_conjuncts() {
+                    let Expr::Binary { op: BinaryOp::Eq, left, right } = &c else { continue };
                     let (i, v) = match (&**left, &**right) {
                         (Expr::Column(i), Expr::Literal(v))
                         | (Expr::Literal(v), Expr::Column(i)) => (*i, v),
                         _ => continue,
                     };
-                    let Some((scan, table, col)) = trace_to_scan(input, i) else { continue };
+                    let Some((scan, table, col)) = column_source(input, i) else { continue };
                     let is_key = map
                         .get(&table.name().to_ascii_lowercase())
                         .and_then(|key| table.schema().index_of(key))
@@ -655,7 +598,7 @@ impl ShardedEngine {
                     }
                 }
                 drop(map);
-                self.collect_pins(input, offset, pins);
+                self.collect_pins(input, offset, pins)
             }
             LogicalPlan::Project { input, .. }
             | LogicalPlan::Aggregate { input, .. }
@@ -663,10 +606,11 @@ impl ShardedEngine {
             | LogicalPlan::Limit { input, .. } => self.collect_pins(input, offset, pins),
             LogicalPlan::CrossJoin { left, right, .. }
             | LogicalPlan::HashJoin { left, right, .. } => {
-                self.collect_pins(left, offset, pins);
-                self.collect_pins(right, offset + count_scans(left), pins);
+                let l = self.collect_pins(left, offset, pins);
+                l + self.collect_pins(right, offset + l, pins)
             }
-            LogicalPlan::Scan { .. } | LogicalPlan::Values { .. } => {}
+            LogicalPlan::Scan { .. } => 1,
+            LogicalPlan::Values { .. } => 0,
         }
     }
 
@@ -690,85 +634,64 @@ impl ShardedEngine {
     }
 
     fn run_scatter(&self, sql: &str, plan0: &LogicalPlan) -> Result<QueryResult> {
-        let vs = self.config().vector_size;
-        let (_, posts) = peel(plan0);
         let results = self.scatter(|_i, shard| {
             let plan = shard.plan(sql)?;
-            let (core, _) = peel(&plan);
-            let batches = parallel::execute(core, shard.config())?;
-            om::SHARD_ROWS_PER_SHARD
-                .record(batches.iter().map(Batch::num_rows).sum::<usize>() as u64);
+            let batches = parallel::execute(parallel::peel_tail(&plan).0, shard.config())?;
+            om::SHARD_ROWS_PER_SHARD.record(rows_in(&batches));
             Ok(batches)
         })?;
-        let gathered: Vec<Batch> = results.into_iter().flatten().collect();
-        let out = apply_posts(&posts, gathered, vs)?;
-        Ok(result_from(plan0, out))
+        let (_, tail) = parallel::peel_tail(plan0);
+        self.gather(plan0, &tail, results.into_iter().flatten().collect())
     }
 
     fn run_partial_agg(&self, sql: &str, plan0: &LogicalPlan) -> Result<QueryResult> {
-        let vs = self.config().vector_size;
-        let (core0, posts) = peel(plan0);
-        let (upper0, agg0) = split_at(core0, false)
-            .ok_or_else(|| EngineError::Execution("partial-agg plan shape vanished".into()))?;
-        let LogicalPlan::Aggregate { group: group0, aggs: aggs0, schema, .. } = agg0 else {
-            return Err(EngineError::Execution("partial-agg target is not an aggregate".into()));
+        let (core0, mut chain) = parallel::peel_tail(plan0);
+        let Some((upper0, LogicalPlan::Aggregate { group: group0, aggs: aggs0, schema, .. })) =
+            split_at(core0, false)
+        else {
+            return Err(EngineError::Execution("partial-agg plan shape vanished".into()));
         };
         let output_types = schema.types();
-        let ngroup = group0.len();
-        let agg_types: Vec<DataType> = output_types[ngroup..].to_vec();
+        let agg_types = &output_types[group0.len()..];
         let states = self.scatter(|_i, shard| {
             let plan = shard.plan(sql)?;
-            let (core, _) = peel(&plan);
-            let (_, agg) = split_at(core, false)
-                .ok_or_else(|| EngineError::Execution("partial-agg plan diverged".into()))?;
-            let LogicalPlan::Aggregate { input, group, aggs, .. } = agg else {
+            let Some((_, LogicalPlan::Aggregate { input, group, aggs, .. })) =
+                split_at(parallel::peel_tail(&plan).0, false)
+            else {
                 return Err(EngineError::Execution("partial-agg plan diverged".into()));
             };
             let batches = parallel::execute(input, shard.config())?;
-            let mut rows = 0u64;
-            let mut state = GroupedAggState::new(aggs, &agg_types);
-            for b in &batches {
-                rows += b.num_rows() as u64;
-                state.absorb_batch(b, group, aggs)?;
-            }
-            om::SHARD_ROWS_PER_SHARD.record(rows);
-            Ok(state)
+            om::SHARD_ROWS_PER_SHARD.record(rows_in(&batches));
+            parallel::absorb(batches_operator(batches), group, aggs, agg_types)
         })?;
-        // Fold the partials in shard index order: with the partition-level
-        // merge inside each shard also index-ordered, repeated runs are
-        // bit-identical (satellite: deterministic float aggregate merges).
-        let mut merged = GroupedAggState::new(aggs0, &agg_types);
-        for s in states {
-            merged.merge(s)?;
-        }
-        let batch = merged.finalize(ngroup, &output_types)?;
-        let out = apply_chain(&upper0, vec![batch], vs)?;
-        let out = apply_posts(&posts, out, vs)?;
-        Ok(result_from(plan0, out))
+        // Shard index order: with each shard's own partition-level merge
+        // also index-ordered, repeated runs are bit-identical.
+        let batch = parallel::merge_partials(states, group0.len(), aggs0, &output_types)?;
+        chain.extend(upper0);
+        self.gather(plan0, &chain, vec![batch])
     }
 
     fn run_shuffle(&self, sql: &str, plan0: &LogicalPlan) -> Result<QueryResult> {
         let nshards = self.shards.len();
         let vs = self.config().vector_size;
-        let (core0, posts) = peel(plan0);
-        let (upper0, join0) = split_at(core0, true)
-            .ok_or_else(|| EngineError::Execution("shuffle-join plan shape vanished".into()))?;
-        let LogicalPlan::HashJoin { left: l0, right: r0, left_keys: lk0, right_keys: rk0, .. } =
-            join0
+        let (core0, mut chain) = parallel::peel_tail(plan0);
+        let Some((
+            upper0,
+            LogicalPlan::HashJoin { left: l0, right: r0, left_keys: lk0, right_keys: rk0, .. },
+        )) = split_at(core0, true)
         else {
-            return Err(EngineError::Execution("shuffle target is not a hash join".into()));
+            return Err(EngineError::Execution("shuffle-join plan shape vanished".into()));
         };
         let sharded = self.sharded_in(plan0)?;
         // A side without sharded scans is replicated everywhere: evaluate
         // it once (on shard 0) or the exchange would duplicate it N times.
-        let left_sharded = shard_safe(l0, &sharded) == Some(true);
-        let right_sharded = shard_safe(r0, &sharded) == Some(true);
+        let left_sharded = split_safe(l0, &sharded) == Some(true);
+        let right_sharded = split_safe(r0, &sharded) == Some(true);
         let parts = self.scatter(|i, shard| {
             let plan = shard.plan(sql)?;
-            let (core, _) = peel(&plan);
-            let (_, join) = split_at(core, true)
-                .ok_or_else(|| EngineError::Execution("shuffle plan diverged".into()))?;
-            let LogicalPlan::HashJoin { left, right, left_keys, right_keys, .. } = join else {
+            let Some((_, LogicalPlan::HashJoin { left, right, left_keys, right_keys, .. })) =
+                split_at(parallel::peel_tail(&plan).0, true)
+            else {
                 return Err(EngineError::Execution("shuffle plan diverged".into()));
             };
             let lb = if left_sharded || i == 0 {
@@ -781,10 +704,7 @@ impl ShardedEngine {
             } else {
                 Vec::new()
             };
-            om::SHARD_ROWS_PER_SHARD.record(
-                (lb.iter().map(Batch::num_rows).sum::<usize>()
-                    + rb.iter().map(Batch::num_rows).sum::<usize>()) as u64,
-            );
+            om::SHARD_ROWS_PER_SHARD.record(rows_in(&lb) + rows_in(&rb));
             Ok((repartition(&lb, left_keys, nshards)?, repartition(&rb, right_keys, nshards)?))
         })?;
         // The exchange: transpose source-shard buckets into per-target
@@ -821,9 +741,21 @@ impl ShardedEngine {
         for batches in results {
             joined.extend(batches?);
         }
-        let out = apply_chain(&upper0, joined, vs)?;
-        let out = apply_posts(&posts, out, vs)?;
-        Ok(result_from(plan0, out))
+        chain.extend(upper0);
+        self.gather(plan0, &chain, joined)
+    }
+
+    /// Replay `chain` — the peeled tail, then any upper chain above the
+    /// split node, outermost first — over the gathered batches at the
+    /// facade, and assemble the result of `plan0`.
+    fn gather(
+        &self,
+        plan0: &LogicalPlan,
+        chain: &[&LogicalPlan],
+        batches: Vec<Batch>,
+    ) -> Result<QueryResult> {
+        let out = parallel::replay(chain, batches, self.config().vector_size)?;
+        Ok(QueryResult::from_batches(plan0, out))
     }
 
     /// Scatter-gather ModelJoin: the inference operator runs per shard
@@ -887,12 +819,16 @@ impl ShardedEngine {
                 &shareds[i],
                 parallelism,
             )?;
-            om::SHARD_ROWS_PER_SHARD
-                .record(batches.iter().map(Batch::num_rows).sum::<usize>() as u64);
+            om::SHARD_ROWS_PER_SHARD.record(rows_in(&batches));
             Ok(batches)
         })?;
         Ok(results.into_iter().flatten().collect())
     }
+}
+
+/// Total rows of `batches` (the `shard.rows.per_shard` unit).
+fn rows_in(batches: &[Batch]) -> u64 {
+    batches.iter().map(Batch::num_rows).sum::<usize>() as u64
 }
 
 /// Read `root/sharding.kv` (`table=key` per line); absent file means no
@@ -912,47 +848,6 @@ fn load_sharding_map(root: &Path) -> Result<HashMap<String, String>> {
         map.insert(table.to_string(), key.to_string());
     }
     Ok(map)
-}
-
-/// Top-of-plan operators that must run once at the facade, outermost
-/// first. A per-shard `LIMIT` could truncate the global answer and a
-/// per-shard `ORDER BY` does not survive the gather concatenation, so
-/// both are peeled before shard execution and replayed after it.
-enum Post<'p> {
-    Sort(&'p [(Expr, bool)]),
-    Limit(u64),
-}
-
-fn peel(plan: &LogicalPlan) -> (&LogicalPlan, Vec<Post<'_>>) {
-    let mut posts = Vec::new();
-    let mut node = plan;
-    loop {
-        match node {
-            LogicalPlan::Sort { input, keys } => {
-                posts.push(Post::Sort(keys));
-                node = input;
-            }
-            LogicalPlan::Limit { input, n } => {
-                posts.push(Post::Limit(*n));
-                node = input;
-            }
-            _ => return (node, posts),
-        }
-    }
-}
-
-fn apply_posts(posts: &[Post], batches: Vec<Batch>, vector_size: usize) -> Result<Vec<Batch>> {
-    if posts.is_empty() {
-        return Ok(batches);
-    }
-    let mut op: Box<dyn Operator> = batches_operator(batches);
-    for p in posts.iter().rev() {
-        op = match p {
-            Post::Sort(keys) => Box::new(SortExec::new(op, keys.to_vec(), vector_size)),
-            Post::Limit(n) => Box::new(LimitExec::new(op, *n)),
-        };
-    }
-    drain(op)
 }
 
 /// Split the unary operator chain above the first aggregate (`want_join ==
@@ -977,41 +872,6 @@ fn split_at(core: &LogicalPlan, want_join: bool) -> Option<(Vec<&LogicalPlan>, &
             _ => return None,
         }
     }
-}
-
-/// Replay a peeled unary chain over gathered batches by rebuilding the
-/// corresponding physical operators (single-threaded, at the facade).
-fn apply_chain(
-    upper: &[&LogicalPlan],
-    batches: Vec<Batch>,
-    vector_size: usize,
-) -> Result<Vec<Batch>> {
-    let mut op: Box<dyn Operator> = batches_operator(batches);
-    for node in upper.iter().rev() {
-        op = match node {
-            LogicalPlan::Filter { predicate, .. } => {
-                Box::new(FilterExec::new(op, predicate.clone()))
-            }
-            LogicalPlan::Project { exprs, .. } => Box::new(ProjectExec::new(op, exprs.clone())),
-            LogicalPlan::Sort { keys, .. } => {
-                Box::new(SortExec::new(op, keys.clone(), vector_size))
-            }
-            LogicalPlan::Limit { n, .. } => Box::new(LimitExec::new(op, *n)),
-            LogicalPlan::Aggregate { group, aggs, schema, .. } => Box::new(HashAggExec::new(
-                op,
-                group.clone(),
-                aggs.clone(),
-                schema.types(),
-                vector_size,
-            )),
-            _ => {
-                return Err(EngineError::Execution(
-                    "unexpected operator in gathered upper chain".into(),
-                ))
-            }
-        };
-    }
-    drain(op)
 }
 
 /// Hash-partition batches by join-key hash into `nshards` buckets — the
@@ -1056,146 +916,6 @@ fn batch_bytes(b: &Batch) -> u64 {
         .sum()
 }
 
-/// Is per-shard execution of `plan` over each shard's slice guaranteed to
-/// produce a disjoint partition of the full answer?
-///
-/// Returns `Some(contains_sharded_scan)` when safe, `None` when not. The
-/// rules mirror the partition-parallel `is_safe` one level up:
-/// * joins that combine two sharded subtrees must carry an equi-key pair
-///   tracing to the shard keys on both sides (co-partitioned rows meet on
-///   the shard that owns them);
-/// * aggregations over sharded rows must group on a shard key or on a
-///   unique column of a sharded table (then no group spans shards);
-/// * an interior `LIMIT` would multiply across shards.
-fn shard_safe(plan: &LogicalPlan, sharded: &[ShardedScan]) -> Option<bool> {
-    match plan {
-        LogicalPlan::Scan { table, .. } => {
-            Some(sharded.iter().any(|s| Arc::ptr_eq(&s.table, table)))
-        }
-        LogicalPlan::Values { .. } => Some(false),
-        LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Sort { input, .. } => shard_safe(input, sharded),
-        LogicalPlan::Limit { .. } => None,
-        LogicalPlan::Aggregate { input, group, .. } => {
-            let inner = shard_safe(input, sharded)?;
-            if !inner {
-                return Some(false);
-            }
-            let pinned = group.iter().any(|g| {
-                if let Expr::Column(i) = g {
-                    matches!(
-                        column_source(input, *i),
-                        Some((src, c)) if sharded.iter().any(|s| Arc::ptr_eq(&s.table, &src)
-                            && (s.key == c || src.is_unique_column(c)))
-                    )
-                } else {
-                    false
-                }
-            });
-            if pinned {
-                Some(true)
-            } else {
-                None
-            }
-        }
-        LogicalPlan::CrossJoin { left, right, .. } => {
-            let l = shard_safe(left, sharded)?;
-            let r = shard_safe(right, sharded)?;
-            if l && r {
-                // Cross-shard pairs never meet on one shard.
-                None
-            } else {
-                Some(l || r)
-            }
-        }
-        LogicalPlan::HashJoin { left, right, left_keys, right_keys, .. } => {
-            let l = shard_safe(left, sharded)?;
-            let r = shard_safe(right, sharded)?;
-            if l && r {
-                let aligned = left_keys.iter().zip(right_keys).any(|(lk, rk)| {
-                    traces_to_shard_key(left, lk, sharded)
-                        && traces_to_shard_key(right, rk, sharded)
-                });
-                if aligned {
-                    Some(true)
-                } else {
-                    None
-                }
-            } else {
-                Some(l || r)
-            }
-        }
-    }
-}
-
-/// Does `expr`, evaluated against `side`, pass through a shard-key column?
-fn traces_to_shard_key(side: &LogicalPlan, expr: &Expr, sharded: &[ShardedScan]) -> bool {
-    if let Expr::Column(i) = expr {
-        matches!(
-            column_source(side, *i),
-            Some((t, c)) if sharded.iter().any(|s| Arc::ptr_eq(&s.table, &t) && s.key == c)
-        )
-    } else {
-        false
-    }
-}
-
-/// Flatten a conjunction into its `AND`-free conjuncts.
-fn split_and<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
-    if let Expr::Binary { op: BinaryOp::And, left, right } = e {
-        split_and(left, out);
-        split_and(right, out);
-    } else {
-        out.push(e);
-    }
-}
-
-fn count_scans(plan: &LogicalPlan) -> usize {
-    match plan {
-        LogicalPlan::Scan { .. } => 1,
-        LogicalPlan::Values { .. } => 0,
-        LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Aggregate { input, .. }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Limit { input, .. } => count_scans(input),
-        LogicalPlan::CrossJoin { left, right, .. } | LogicalPlan::HashJoin { left, right, .. } => {
-            count_scans(left) + count_scans(right)
-        }
-    }
-}
-
-/// Trace output column `idx` of `plan` to the scan instance it passes
-/// through: `(scan ordinal within this subtree, table, base column)`.
-/// Scan ordinals follow the left-to-right DFS order of
-/// [`collect_scan_tables`].
-fn trace_to_scan(plan: &LogicalPlan, idx: usize) -> Option<(usize, Arc<Table>, usize)> {
-    match plan {
-        LogicalPlan::Scan { table, .. } => Some((0, Arc::clone(table), idx)),
-        LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Limit { input, .. } => trace_to_scan(input, idx),
-        LogicalPlan::Project { input, exprs, .. } => match exprs.get(idx)? {
-            Expr::Column(i) => trace_to_scan(input, *i),
-            _ => None,
-        },
-        LogicalPlan::Aggregate { input, group, .. } => match group.get(idx)? {
-            Expr::Column(i) => trace_to_scan(input, *i),
-            _ => None,
-        },
-        LogicalPlan::CrossJoin { left, right, .. } | LogicalPlan::HashJoin { left, right, .. } => {
-            let nleft = left.schema().len();
-            if idx < nleft {
-                trace_to_scan(left, idx)
-            } else {
-                trace_to_scan(right, idx - nleft).map(|(s, t, c)| (s + count_scans(left), t, c))
-            }
-        }
-        LogicalPlan::Values { .. } => None,
-    }
-}
-
 /// The shard-routing hash of one value — the same hash family rows are
 /// split with on insert, so `hash(literal) % N` names the owning shard.
 fn value_hash(v: &Value) -> u64 {
@@ -1208,53 +928,6 @@ fn value_hash(v: &Value) -> u64 {
     let mut hashes = Vec::new();
     hash_key_columns(std::slice::from_ref(&col), 1, &mut hashes);
     hashes[0]
-}
-
-/// Reorder `INSERT (cols...) VALUES` rows into schema order (same
-/// contract as the single engine: the list must cover every column).
-fn reorder_insert(
-    schema: &Schema,
-    cols: &[String],
-    rows: Vec<Vec<Value>>,
-) -> Result<Vec<Vec<Value>>> {
-    if cols.len() != schema.len() {
-        return Err(EngineError::Catalog(format!(
-            "INSERT column list must cover all {} columns (no NULL/default support)",
-            schema.len()
-        )));
-    }
-    let mut positions = Vec::with_capacity(cols.len());
-    for c in cols {
-        positions.push(
-            schema
-                .index_of(c)
-                .ok_or_else(|| EngineError::Catalog(format!("unknown column {c:?} in INSERT")))?,
-        );
-    }
-    let mut out = Vec::with_capacity(rows.len());
-    for row in rows {
-        if row.len() != positions.len() {
-            return Err(EngineError::Catalog("INSERT row arity mismatch".into()));
-        }
-        let mut reordered = vec![Value::Int(0); row.len()];
-        for (value, &pos) in row.into_iter().zip(&positions) {
-            reordered[pos] = value;
-        }
-        out.push(reordered);
-    }
-    Ok(out)
-}
-
-fn result_from(plan0: &LogicalPlan, batches: Vec<Batch>) -> QueryResult {
-    let names = plan0.schema().fields.iter().map(|f| f.name.clone()).collect();
-    let types = plan0.schema().types();
-    let b = concat_batches(&batches);
-    let columns = if b.num_columns() == 0 {
-        types.into_iter().map(ColumnVector::empty).collect()
-    } else {
-        b.into_columns()
-    };
-    QueryResult { names, columns, affected: 0 }
 }
 
 #[cfg(test)]
@@ -1507,5 +1180,40 @@ mod tests {
                 "{sql}"
             );
         }
+    }
+
+    #[test]
+    fn empty_select_has_typed_columns_on_engine_and_facade() {
+        let sql = "SELECT id, v FROM facts WHERE id < 0";
+        let shape = |r: QueryResult| {
+            let types: Vec<_> = r.columns.iter().map(ColumnVector::data_type).collect();
+            assert!(r.column("v").is_ok());
+            (r.names.clone(), types, r.num_rows())
+        };
+        let expect = shape(oracle(20).execute(sql).unwrap());
+        assert_eq!(expect.1.len(), 2, "the plain engine returned {expect:?}");
+        for shards in [1, 3] {
+            let e = engine(shards);
+            load_facts(&e, 20);
+            assert_eq!(shape(e.execute(sql).unwrap()), expect, "{shards} shards");
+        }
+    }
+
+    #[test]
+    fn short_or_mistyped_columns_get_the_engine_error_not_a_panic() {
+        let e = engine(3);
+        e.execute("CREATE TABLE t (v FLOAT, id INT)").unwrap();
+        e.declare_sharded("t", "id").unwrap();
+        let o = Engine::with_defaults();
+        o.execute("CREATE TABLE t (v FLOAT, id INT)").unwrap();
+        for cols in [
+            vec![ColumnVector::Float(vec![1.0])],
+            vec![ColumnVector::Int(vec![1]), ColumnVector::Int(vec![1])],
+        ] {
+            let want = o.insert_columns("t", cols.clone()).unwrap_err().to_string();
+            let got = e.insert_columns("t", cols).unwrap_err().to_string();
+            assert_eq!(got, want);
+        }
+        assert_eq!(e.execute("SELECT COUNT(*) AS n FROM t").unwrap().row(0), vec![Value::Int(0)]);
     }
 }

@@ -46,6 +46,14 @@
 //! execution and applied serially after the gather, so per-shard limits
 //! cannot truncate the global answer.
 //!
+//! Shard safety is the partition-parallel executor's own split rule,
+//! [`split_safe`](vector_engine::exec::parallel::split_safe), called with
+//! every sharded table and its shard key; lineage tracing, tail peeling
+//! and replay, and the partial-aggregate fold and merge come from
+//! [`vector_engine::exec::parallel`] too. This crate holds only what is
+//! shard-specific: key pins and [`Route`] classification, the shuffle
+//! exchange, DDL and transaction replication, and scattered ModelJoin.
+//!
 //! All scatter work runs as `Query`-class tasks on the global
 //! work-stealing pool in [`sched`]; gather waits are recorded under
 //! `shard.gather.wait_us`, shuffle volume under `shard.shuffle.*`, and

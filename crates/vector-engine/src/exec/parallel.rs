@@ -1,4 +1,5 @@
-//! Partition-parallel plan execution.
+//! Partition-parallel plan execution, and the split planner it shares with
+//! the sharded facade (`crates/shard`).
 //!
 //! Mirrors the paper's x100 parallelism model (Sec. 4.4 / 5.2): the largest
 //! scanned table is the partitioned one; each worker thread runs a private
@@ -6,24 +7,34 @@
 //! (e.g. the model table) are read fully by every worker. Parallelism is
 //! only used when it provably preserves results:
 //!
-//! * the partitioned table is scanned exactly once in the plan,
-//! * every aggregation groups on a column that traces back to a declared
-//!   unique column of the partitioned table (so no group spans partitions —
-//!   the paper's "no repartitioning is necessary" argument), and
-//! * the parallel section contains no `LIMIT`.
+//! * the partitioned table is scanned exactly once in the plan, and
+//! * [`split_safe`] accepts the plan with that table split and no placement
+//!   key: every aggregation over its rows groups on a column that traces
+//!   back to a declared unique column of it (so no group spans partitions —
+//!   the paper's "no repartitioning is necessary" argument), and the
+//!   parallel section contains no `LIMIT`. An aggregation over a subtree
+//!   that does not scan the partitioned table is safe: every worker reads
+//!   that subtree whole, exactly as it reads the model table.
+//!
+//! [`split_safe`] is the one split rule of the workspace. The shard planner
+//! calls it one level up, with every sharded table and its shard key as
+//! the placement key; there, grouping on the key and equi-joins on the keys
+//! of two split tables also qualify.
 //!
 //! When the top-level node is an aggregation whose *group key does not*
 //! satisfy the unique-column rule but whose input is otherwise partition-
 //! safe, the driver falls back to a **partial-aggregate** plan instead of
 //! serial execution: each worker folds its partitions into a typed
-//! [`GroupedAggState`] and the partials are merged in partition order — the
-//! classic local/global aggregation split, enabled by the vectorized
-//! accumulators. Group order stays deterministic (first seen in
-//! partition order); floating-point sums may differ from serial execution
-//! in the last bits because partials reassociate the additions.
+//! [`GroupedAggState`] ([`absorb`]) and the partials are merged in
+//! partition order ([`merge_partials`]) — the classic local/global
+//! aggregation split, enabled by the vectorized accumulators. The shard
+//! level's partial aggregate uses the same two helpers. Group order stays
+//! deterministic (first seen in partition order); floating-point sums may
+//! differ from serial execution in the last bits because partials
+//! reassociate the additions.
 //!
-//! Top-level `ORDER BY` / `LIMIT` are peeled off and applied serially over
-//! the gathered partition results.
+//! Top-level `ORDER BY` / `LIMIT` are peeled off ([`peel_tail`]) and
+//! replayed serially over the gathered partition results ([`replay`]).
 //!
 //! The unit of parallelism is the **morsel** — a block range within one
 //! partition, at most [`MORSEL_ROWS`] rows — submitted as Query-class
@@ -35,10 +46,10 @@
 
 use crate::column::Batch;
 use crate::config::EngineConfig;
-use crate::error::Result;
-use crate::exec::agg::GroupedAggState;
+use crate::error::{EngineError, Result};
+use crate::exec::agg::{GroupedAggState, HashAggExec};
 use crate::exec::physical::{batches_operator, build_operator, drain, ExecContext, Operator};
-use crate::exec::simple::{LimitExec, SortExec};
+use crate::exec::simple::{FilterExec, LimitExec, ProjectExec, SortExec};
 use crate::expr::Expr;
 use crate::plan::logical::{AggSpec, LogicalPlan};
 use crate::storage::Table;
@@ -54,23 +65,7 @@ pub fn execute(plan: &LogicalPlan, config: &EngineConfig) -> Result<Vec<Batch>> 
     // Grow-only and cheap when already satisfied; direct callers (tests,
     // benches) get a sized pool without an Engine.
     sched::configure_workers(config.effective_worker_threads());
-    // Peel the serial tail.
-    let mut post: Vec<PostOp> = Vec::new();
-    let mut core = plan;
-    loop {
-        match core {
-            LogicalPlan::Sort { input, keys } => {
-                post.push(PostOp::Sort(keys.clone()));
-                core = input;
-            }
-            LogicalPlan::Limit { input, n } => {
-                post.push(PostOp::Limit(*n));
-                core = input;
-            }
-            _ => break,
-        }
-    }
-
+    let (core, tail) = peel_tail(plan);
     let target = if config.parallelism > 1 { choose_partition_table(core) } else { None };
 
     let batches = match target {
@@ -82,21 +77,54 @@ pub fn execute(plan: &LogicalPlan, config: &EngineConfig) -> Result<Vec<Batch>> 
             None => drain(build_operator(core, &ExecContext::new(config.vector_size))?)?,
         },
     };
+    replay(&tail, batches, config.vector_size)
+}
 
-    // Apply the peeled tail serially (innermost first).
+/// Split the top-of-plan `ORDER BY` / `LIMIT` chain off `plan`: the core
+/// below it, and the peeled nodes outermost first. A split task's `LIMIT`
+/// could truncate the global answer and its `ORDER BY` does not survive
+/// the gather, so both run once, over the gathered batches ([`replay`]).
+pub fn peel_tail(plan: &LogicalPlan) -> (&LogicalPlan, Vec<&LogicalPlan>) {
+    let mut tail = Vec::new();
+    let mut core = plan;
+    while let LogicalPlan::Sort { input, .. } | LogicalPlan::Limit { input, .. } = core {
+        tail.push(core);
+        core = input;
+    }
+    (core, tail)
+}
+
+/// Run a chain of unary plan nodes (outermost first) serially over
+/// gathered batches: a peeled tail, or the shard planner's upper chain.
+pub fn replay(
+    chain: &[&LogicalPlan],
+    batches: Vec<Batch>,
+    vector_size: usize,
+) -> Result<Vec<Batch>> {
     let mut op: Box<dyn Operator> = batches_operator(batches);
-    for p in post.into_iter().rev() {
-        op = match p {
-            PostOp::Sort(keys) => Box::new(SortExec::new(op, keys, config.vector_size)),
-            PostOp::Limit(n) => Box::new(LimitExec::new(op, n)),
+    for node in chain.iter().rev() {
+        op = match node {
+            LogicalPlan::Filter { predicate, .. } => {
+                Box::new(FilterExec::new(op, predicate.clone()))
+            }
+            LogicalPlan::Project { exprs, .. } => Box::new(ProjectExec::new(op, exprs.clone())),
+            LogicalPlan::Sort { keys, .. } => {
+                Box::new(SortExec::new(op, keys.clone(), vector_size))
+            }
+            LogicalPlan::Limit { n, .. } => Box::new(LimitExec::new(op, *n)),
+            LogicalPlan::Aggregate { group, aggs, schema, .. } => Box::new(HashAggExec::new(
+                op,
+                group.clone(),
+                aggs.clone(),
+                schema.types(),
+                vector_size,
+            )),
+            _ => {
+                return Err(EngineError::Execution("replayed chain holds a non-unary node".into()))
+            }
         };
     }
     drain(op)
-}
-
-enum PostOp {
-    Sort(Vec<(Expr, bool)>),
-    Limit(u64),
 }
 
 /// The morsel list for `table`: `(partition, [start, end) block range)`
@@ -146,26 +174,19 @@ fn execute_partial_agg(
     table: &Arc<Table>,
     config: &EngineConfig,
 ) -> Result<Vec<Batch>> {
-    let ngroup = group.len();
-    let agg_types = &output_types[ngroup..];
-
-    // One partial state per morsel, merged in (partition, range) order so
-    // group order and float sums are deterministic.
+    let agg_types = &output_types[group.len()..];
+    // One partial state per morsel, merged in (partition, range) order.
     let states = sched::global().fork_join(
         sched::TaskClass::Query,
         build_morsels(table, config),
         |(p, range)| {
             let ctx =
                 ExecContext::for_morsel(config.vector_size, Arc::clone(table), p, Some(range));
-            partition_state(input, group, aggs, agg_types, &ctx)
+            absorb(build_operator(input, &ctx)?, group, aggs, agg_types)
         },
     )?;
-
-    let mut merged = GroupedAggState::new(aggs, agg_types);
-    for state in states {
-        merged.merge(state?)?;
-    }
-    let result = merged.finalize(ngroup, output_types)?;
+    let states = states.into_iter().collect::<Result<Vec<_>>>()?;
+    let result = merge_partials(states, group.len(), aggs, output_types)?;
 
     let mut out = Vec::new();
     let (rows, step) = (result.num_rows(), config.vector_size.max(1));
@@ -178,15 +199,14 @@ fn execute_partial_agg(
     Ok(out)
 }
 
-/// The partial aggregate over one morsel.
-fn partition_state(
-    input: &LogicalPlan,
+/// Fold every batch `op` yields into a fresh partial aggregate state: the
+/// per-task half of a partial aggregate, over one morsel or one shard.
+pub fn absorb(
+    mut op: Box<dyn Operator>,
     group: &[Expr],
     aggs: &[AggSpec],
     agg_types: &[DataType],
-    ctx: &ExecContext,
 ) -> Result<GroupedAggState> {
-    let mut op = build_operator(input, ctx)?;
     op.open()?;
     let mut state = GroupedAggState::new(aggs, agg_types);
     while let Some(batch) = op.next()? {
@@ -196,6 +216,22 @@ fn partition_state(
     }
     op.close();
     Ok(state)
+}
+
+/// Merge partial states in index order and finalize them into one batch
+/// of `ngroup` group columns then the aggregates. The fixed order keeps
+/// group order and float sums identical from run to run.
+pub fn merge_partials(
+    states: Vec<GroupedAggState>,
+    ngroup: usize,
+    aggs: &[AggSpec],
+    output_types: &[DataType],
+) -> Result<Batch> {
+    let mut merged = GroupedAggState::new(aggs, &output_types[ngroup..]);
+    for state in states {
+        merged.merge(state)?;
+    }
+    merged.finalize(ngroup, output_types)
 }
 
 /// Partitioned execution: each morsel drains a private plan copy
@@ -225,29 +261,37 @@ fn execute_partitioned(
 /// Pick the table to partition: the largest multi-partition scanned table
 /// for which partitioned execution is provably safe.
 fn choose_partition_table(plan: &LogicalPlan) -> Option<Arc<Table>> {
-    let mut tables: Vec<Arc<Table>> = Vec::new();
-    collect_scan_tables(plan, &mut tables);
-    // Deduplicate by identity, remembering scan counts.
-    let mut uniq: Vec<(Arc<Table>, usize)> = Vec::new();
-    for t in tables {
-        match uniq.iter_mut().find(|(u, _)| Arc::ptr_eq(u, &t)) {
-            Some((_, n)) => *n += 1,
-            None => uniq.push((t, 1)),
-        }
-    }
-    uniq.sort_by_key(|(t, _)| std::cmp::Reverse(t.row_count()));
-    for (table, scans) in uniq {
-        if scans == 1 && table.partition_count() > 1 && is_safe(plan, &table) {
+    let mut tables = scan_counts(plan);
+    tables.sort_by_key(|(t, _)| std::cmp::Reverse(t.row_count()));
+    for (table, scans) in tables {
+        if scans == 1
+            && table.partition_count() > 1
+            && split_safe(plan, &[(Arc::clone(&table), None)]).is_some()
+        {
             return Some(table);
         }
     }
     None
 }
 
+/// The distinct tables `plan` scans (by identity), in first-scan order,
+/// each with the number of times it is scanned.
+pub fn scan_counts(plan: &LogicalPlan) -> Vec<(Arc<Table>, usize)> {
+    let mut tables = Vec::new();
+    collect_scan_tables(plan, &mut tables);
+    let mut counts: Vec<(Arc<Table>, usize)> = Vec::new();
+    for t in tables {
+        match counts.iter_mut().find(|(u, _)| Arc::ptr_eq(u, &t)) {
+            Some((_, n)) => *n += 1,
+            None => counts.push((t, 1)),
+        }
+    }
+    counts
+}
+
 /// Append every base table scanned by `plan` to `out` (one entry per scan,
-/// so a table referenced twice appears twice). Public for the shard
-/// planner, which applies the same scanned-exactly-once rule at the
-/// shard level that [`execute`] applies at the partition level.
+/// so a table referenced twice appears twice), in left-to-right order —
+/// the order that numbers the scan instances of [`column_source`].
 pub fn collect_scan_tables(plan: &LogicalPlan, out: &mut Vec<Arc<Table>>) {
     match plan {
         LogicalPlan::Scan { table, .. } => out.push(Arc::clone(table)),
@@ -264,42 +308,71 @@ pub fn collect_scan_tables(plan: &LogicalPlan, out: &mut Vec<Arc<Table>>) {
     }
 }
 
-/// Is partition-parallel execution over `table` result-preserving?
-fn is_safe(plan: &LogicalPlan, table: &Arc<Table>) -> bool {
+/// Does running `plan` once per slice of the split tables — every other
+/// table read whole by every task — and concatenating the outputs give
+/// the rows of one run over all the data? `split` lists each split table
+/// (by identity) with its placement key: the column whose hash picks a
+/// row's slice (shards), or `None` where placement is arbitrary
+/// (partitions).
+///
+/// `Some(reads_split)` when safe — `reads_split` says whether `plan` scans
+/// a split table at all — and `None` when not:
+/// * a `LIMIT` would apply once per slice;
+/// * an aggregation over split rows must group on a placement key or a
+///   declared-unique column of a split table, so no group spans slices;
+///   one over a subtree that scans no split table is computed whole by
+///   every task;
+/// * a join of two split subtrees must carry an equi-key pair that traces
+///   to placement keys on both sides, so matching rows share a slice —
+///   without keys no join qualifies, and a cross join never does.
+pub fn split_safe(plan: &LogicalPlan, split: &[(Arc<Table>, Option<usize>)]) -> Option<bool> {
+    // Does `expr` over `side` pass through a split table's placement key
+    // (or, with `unique`, a declared-unique column of a split table)?
+    let traces = |side: &LogicalPlan, expr: &Expr, unique: bool| match expr {
+        Expr::Column(i) => matches!(
+            column_source(side, *i),
+            Some((_, t, c)) if split.iter().any(|(s, key)| Arc::ptr_eq(s, &t)
+                && (*key == Some(c) || unique && t.is_unique_column(c)))
+        ),
+        _ => false,
+    };
     match plan {
-        // A nested LIMIT would multiply across partitions.
-        LogicalPlan::Limit { .. } => false,
-        LogicalPlan::Aggregate { input, group, .. } => {
-            let grouped_on_key = group.iter().any(|g| {
-                if let Expr::Column(i) = g {
-                    matches!(
-                        column_source(input, *i),
-                        Some((src, col)) if Arc::ptr_eq(&src, table)
-                            && src.is_unique_column(col)
-                    )
-                } else {
-                    false
-                }
-            });
-            grouped_on_key && is_safe(input, table)
-        }
+        LogicalPlan::Scan { table, .. } => Some(split.iter().any(|(s, _)| Arc::ptr_eq(s, table))),
+        LogicalPlan::Values { .. } => Some(false),
         LogicalPlan::Filter { input, .. }
         | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Sort { input, .. } => is_safe(input, table),
-        LogicalPlan::CrossJoin { left, right, .. } | LogicalPlan::HashJoin { left, right, .. } => {
-            is_safe(left, table) && is_safe(right, table)
+        | LogicalPlan::Sort { input, .. } => split_safe(input, split),
+        LogicalPlan::Limit { .. } => None,
+        LogicalPlan::Aggregate { input, group, .. } => {
+            if !split_safe(input, split)? {
+                return Some(false);
+            }
+            group.iter().any(|g| traces(input, g, true)).then_some(true)
         }
-        LogicalPlan::Scan { .. } | LogicalPlan::Values { .. } => true,
+        LogicalPlan::CrossJoin { left, right, .. } => {
+            let (l, r) = (split_safe(left, split)?, split_safe(right, split)?);
+            (!(l && r)).then_some(l || r)
+        }
+        LogicalPlan::HashJoin { left, right, left_keys, right_keys, .. } => {
+            let (l, r) = (split_safe(left, split)?, split_safe(right, split)?);
+            let aligned = || {
+                left_keys
+                    .iter()
+                    .zip(right_keys)
+                    .any(|(lk, rk)| traces(left, lk, false) && traces(right, rk, false))
+            };
+            (!(l && r) || aligned()).then_some(l || r)
+        }
     }
 }
 
-/// Trace an output column of `plan` back to a base table column, if the
-/// lineage is a pure passthrough. Public for the shard planner, which
-/// needs the same lineage argument to decide whether a group key or an
-/// equality predicate pins the sharding column.
-pub fn column_source(plan: &LogicalPlan, idx: usize) -> Option<(Arc<Table>, usize)> {
+/// Trace output column `idx` of `plan` back to a base table column, if the
+/// lineage is a pure passthrough: `(scan, table, column)`, where `scan`
+/// numbers the scan instance within `plan` in [`collect_scan_tables`]
+/// order, so the two sides of a self-join stay apart.
+pub fn column_source(plan: &LogicalPlan, idx: usize) -> Option<(usize, Arc<Table>, usize)> {
     match plan {
-        LogicalPlan::Scan { table, .. } => Some((Arc::clone(table), idx)),
+        LogicalPlan::Scan { table, .. } => Some((0, Arc::clone(table), idx)),
         LogicalPlan::Filter { input, .. }
         | LogicalPlan::Sort { input, .. }
         | LogicalPlan::Limit { input, .. } => column_source(input, idx),
@@ -312,7 +385,10 @@ pub fn column_source(plan: &LogicalPlan, idx: usize) -> Option<(Arc<Table>, usiz
             if idx < nleft {
                 column_source(left, idx)
             } else {
-                column_source(right, idx - nleft)
+                let (s, t, c) = column_source(right, idx - nleft)?;
+                let mut left_scans = Vec::new();
+                collect_scan_tables(left, &mut left_scans);
+                Some((s + left_scans.len(), t, c))
             }
         }
         LogicalPlan::Aggregate { input, group, .. } => match group.get(idx)? {
@@ -521,5 +597,114 @@ mod tests {
         );
         assert_eq!(rows[0], vec![Value::Int(0), Value::Float(0.0)]);
         assert_eq!(rows[1], vec![Value::Int(1), Value::Float(1.0)]);
+    }
+
+    /// An engine holding `facts` (`id` declared unique) and `dims`, both
+    /// `(id INT, grp INT, x FLOAT)` with `grp = id % 5` and `x = id / 4`
+    /// (dyadic, so sums are exact in any order), and `rows` rows each.
+    fn two_tables(config: EngineConfig, rows: [i64; 2]) -> crate::Engine {
+        let engine = crate::Engine::new(config);
+        for (table, n) in [("facts", rows[0]), ("dims", rows[1])] {
+            engine.execute(&format!("CREATE TABLE {table} (id INT, grp INT, x FLOAT)")).unwrap();
+            engine
+                .insert_columns(
+                    table,
+                    vec![
+                        ColumnVector::Int((0..n).collect()),
+                        ColumnVector::Int((0..n).map(|i| i % 5).collect()),
+                        ColumnVector::Float((0..n).map(|i| i as f64 * 0.25).collect()),
+                    ],
+                )
+                .unwrap();
+        }
+        engine.table("facts").unwrap().declare_unique("id").unwrap();
+        engine
+    }
+
+    #[test]
+    fn split_safety_rules() {
+        let engine = two_tables(EngineConfig::default(), [0, 0]);
+        let (facts, dims) = (engine.table("facts").unwrap(), engine.table("dims").unwrap());
+        let cat = engine.catalog();
+        let plan = |sql: &str| {
+            let Statement::Select(s) = parse_statement(sql).unwrap() else { panic!("{sql}") };
+            Optimizer::new(EngineConfig::default())
+                .optimize(Binder::new(cat).bind_select(&s).unwrap())
+        };
+        // Partitions split facts with no placement key; shards split both
+        // tables on `id`.
+        let partitions = [(Arc::clone(&facts), None)];
+        let shards = [(Arc::clone(&facts), Some(0)), (Arc::clone(&dims), Some(0))];
+        let cases = [
+            (
+                "partition split, grouped on a unique column",
+                &partitions[..],
+                "SELECT id, SUM(x) AS s FROM facts GROUP BY id",
+                true,
+            ),
+            (
+                "partition split, grouped on a non-unique column",
+                &partitions[..],
+                "SELECT grp, SUM(x) AS s FROM facts GROUP BY grp",
+                false,
+            ),
+            (
+                "shard join on the key",
+                &shards[..],
+                "SELECT f.x, d.x FROM facts AS f, dims AS d WHERE f.id = d.id",
+                true,
+            ),
+            (
+                "shard join off the key",
+                &shards[..],
+                "SELECT f.x, d.x FROM facts AS f, dims AS d WHERE f.grp = d.grp",
+                false,
+            ),
+            (
+                "cross join of two sharded tables",
+                &shards[..],
+                "SELECT f.x, d.x FROM facts AS f, dims AS d",
+                false,
+            ),
+            (
+                "interior LIMIT",
+                &partitions[..],
+                "SELECT q.id FROM (SELECT id FROM facts LIMIT 3) AS q WHERE q.id > 0",
+                false,
+            ),
+            (
+                "aggregate over a subtree that scans no split table",
+                &partitions[..],
+                "SELECT f.id, g.n FROM facts AS f, \
+                 (SELECT grp, COUNT(*) AS n FROM dims GROUP BY grp) AS g WHERE f.grp = g.grp",
+                true,
+            ),
+        ];
+        for (case, split, sql, safe) in cases {
+            assert_eq!(split_safe(&plan(sql), split).is_some(), safe, "{case}: {sql}");
+        }
+    }
+
+    #[test]
+    fn join_to_an_aggregate_over_an_unsplit_table_runs_partitioned_and_matches_serial() {
+        let sql = "SELECT f.id, g.n, g.s FROM facts AS f, \
+                   (SELECT grp, COUNT(*) AS n, SUM(x) AS s FROM dims GROUP BY grp) AS g \
+                   WHERE f.grp = g.grp ORDER BY f.id";
+        let par =
+            EngineConfig { vector_size: 8, partitions: 4, parallelism: 4, ..Default::default() };
+        let results: Vec<Vec<Vec<Value>>> = [par, EngineConfig::serial()]
+            .into_iter()
+            .map(|cfg| {
+                let engine = two_tables(cfg, [40, 10]);
+                if engine.config().parallelism > 1 {
+                    let plan = engine.plan(sql).unwrap();
+                    let chosen = choose_partition_table(peel_tail(&plan).0);
+                    assert_eq!(chosen.map(|t| t.name().to_string()).as_deref(), Some("facts"));
+                }
+                engine.execute(sql).unwrap().rows()
+            })
+            .collect();
+        assert_eq!(results[0].len(), 40);
+        assert_eq!(results[0], results[1]);
     }
 }

@@ -1,7 +1,7 @@
 //! The engine facade: SQL execution and programmatic table access.
 
 use crate::catalog::Catalog;
-use crate::column::ColumnVector;
+use crate::column::{Batch, ColumnVector};
 use crate::config::EngineConfig;
 use crate::error::{EngineError, Result};
 use crate::exec::parallel;
@@ -11,7 +11,7 @@ use crate::exec::simple::concat_batches;
 use crate::plan::binder::Binder;
 use crate::plan::logical::LogicalPlan;
 use crate::plan::optimizer::Optimizer;
-use crate::sql::{parse_statement, Statement};
+use crate::sql::{parse_statement, AstExpr, Statement};
 use crate::storage::{ColumnDef, Schema, Table};
 use crate::types::{DataType, Value};
 use parking_lot::Mutex;
@@ -30,8 +30,23 @@ pub struct QueryResult {
 }
 
 impl QueryResult {
-    fn empty(affected: usize) -> QueryResult {
+    /// The result of a statement that returns no rows (DDL, DML,
+    /// transaction control).
+    pub fn empty(affected: usize) -> QueryResult {
         QueryResult { names: Vec::new(), columns: Vec::new(), affected }
+    }
+
+    /// The result of `plan` from its output batches. With no batches, each
+    /// output field still gets a typed, empty column.
+    pub fn from_batches(plan: &LogicalPlan, batches: Vec<Batch>) -> QueryResult {
+        let schema = plan.schema();
+        let columns = if batches.is_empty() {
+            schema.types().into_iter().map(ColumnVector::empty).collect()
+        } else {
+            concat_batches(&batches).into_columns()
+        };
+        let names = schema.fields.iter().map(|f| f.name.clone()).collect();
+        QueryResult { names, columns, affected: 0 }
     }
 
     pub fn num_rows(&self) -> usize {
@@ -300,21 +315,8 @@ impl Engine {
                 Ok(QueryResult::empty(0))
             }
             Statement::Insert { table, columns, rows } => {
-                let t = self.catalog.table(&table)?;
-                let binder = Binder::new(&self.catalog);
-                let mut value_rows = Vec::with_capacity(rows.len());
-                for row in &rows {
-                    let values: Result<Vec<Value>> =
-                        row.iter().map(|e| binder.eval_const(e)).collect();
-                    value_rows.push(values?);
-                }
-                let value_rows = match &columns {
-                    None => value_rows,
-                    Some(cols) => reorder_insert(&t, cols, value_rows)?,
-                };
-                let n = value_rows.len();
-                t.append_rows(&value_rows)?;
-                Ok(QueryResult::empty(n))
+                let values = self.insert_values(&table, columns.as_deref(), &rows)?;
+                Ok(QueryResult::empty(self.insert_columns(&table, values)?))
             }
             Statement::DropTable { name, if_exists } => {
                 self.catalog.drop_table(&name, if_exists)?;
@@ -353,10 +355,40 @@ impl Engine {
 
     /// Execute an already-optimized logical plan.
     pub fn execute_plan(&self, plan: &LogicalPlan) -> Result<QueryResult> {
-        let batches = parallel::execute(plan, &self.config)?;
-        let all = concat_batches(&batches);
-        let names = plan.schema().fields.iter().map(|f| f.name.clone()).collect();
-        Ok(QueryResult { names, columns: all.into_columns(), affected: 0 })
+        Ok(QueryResult::from_batches(plan, parallel::execute(plan, &self.config)?))
+    }
+
+    /// Evaluate the `VALUES` rows of `INSERT INTO table [(columns)]` into
+    /// typed columns in the table's schema order. The one INSERT
+    /// evaluation: the sharded facade routes these columns to its shards.
+    pub fn insert_values(
+        &self,
+        table: &str,
+        columns: Option<&[String]>,
+        rows: &[Vec<AstExpr>],
+    ) -> Result<Vec<ColumnVector>> {
+        let t = self.catalog.table(table)?;
+        let schema = t.schema();
+        let positions = match columns {
+            Some(cols) => reorder_insert(schema, cols)?,
+            None => (0..schema.len()).collect(),
+        };
+        let binder = Binder::new(&self.catalog);
+        let mut out: Vec<ColumnVector> =
+            schema.columns().iter().map(|c| ColumnVector::empty(c.dtype)).collect();
+        for row in rows {
+            if row.len() != positions.len() {
+                return Err(EngineError::Catalog(format!(
+                    "table {table}: expected {} values per row, got {}",
+                    positions.len(),
+                    row.len()
+                )));
+            }
+            for (expr, &pos) in row.iter().zip(&positions) {
+                out[pos].push(binder.eval_const(expr)?)?;
+            }
+        }
+        Ok(out)
     }
 
     /// Create a table programmatically.
@@ -404,38 +436,23 @@ impl Engine {
     }
 }
 
-fn reorder_insert(
-    table: &Table,
-    cols: &[String],
-    rows: Vec<Vec<Value>>,
-) -> Result<Vec<Vec<Value>>> {
-    let schema = table.schema();
+/// The schema position of each column an `INSERT (cols...)` list names, in
+/// list order. The list must cover every column (no NULL/default support);
+/// a column named twice leaves another one short, which the append rejects.
+fn reorder_insert(schema: &Schema, cols: &[String]) -> Result<Vec<usize>> {
     if cols.len() != schema.len() {
         return Err(EngineError::Catalog(format!(
             "INSERT column list must cover all {} columns (no NULL/default support)",
             schema.len()
         )));
     }
-    let mut positions = Vec::with_capacity(cols.len());
-    for c in cols {
-        positions.push(
+    cols.iter()
+        .map(|c| {
             schema
                 .index_of(c)
-                .ok_or_else(|| EngineError::Catalog(format!("unknown column {c:?} in INSERT")))?,
-        );
-    }
-    let mut out = Vec::with_capacity(rows.len());
-    for row in rows {
-        if row.len() != positions.len() {
-            return Err(EngineError::Catalog("INSERT row arity mismatch".into()));
-        }
-        let mut reordered = vec![Value::Int(0); row.len()];
-        for (value, &pos) in row.into_iter().zip(&positions) {
-            reordered[pos] = value;
-        }
-        out.push(reordered);
-    }
-    Ok(out)
+                .ok_or_else(|| EngineError::Catalog(format!("unknown column {c:?} in INSERT")))
+        })
+        .collect()
 }
 
 #[cfg(test)]

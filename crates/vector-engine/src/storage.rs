@@ -534,6 +534,21 @@ impl Table {
     /// unique key column yields the balanced, key-disjoint partitioning the
     /// paper's parallel ModelJoin assumes (Sec. 4.4).
     pub fn append(&self, columns: Vec<ColumnVector>) -> Result<()> {
+        let rows = self.check_columns(&columns)?;
+        if rows == 0 {
+            return Ok(());
+        }
+        match self.env.clone() {
+            None => self.append_mem(&columns, rows),
+            Some(env) => self.append_persistent(&env, &columns, rows),
+        }
+    }
+
+    /// Check columnar input against the schema — column count, equal
+    /// lengths, column types — and return its row count. [`Table::append`]
+    /// runs this first; a caller that splits the columns before appending
+    /// runs it before the split.
+    pub fn check_columns(&self, columns: &[ColumnVector]) -> Result<usize> {
         if columns.len() != self.schema.len() {
             return Err(EngineError::Catalog(format!(
                 "table {}: expected {} columns, got {}",
@@ -560,13 +575,7 @@ impl Table {
                 )));
             }
         }
-        if rows == 0 {
-            return Ok(());
-        }
-        match self.env.clone() {
-            None => self.append_mem(&columns, rows),
-            Some(env) => self.append_persistent(&env, &columns, rows),
-        }
+        Ok(rows)
     }
 
     /// Pre-append undo record: per-partition (block count, rows) plus
