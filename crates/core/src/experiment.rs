@@ -396,11 +396,19 @@ mod tests {
         }
     }
 
-    fn assert_all_approaches_agree(workload: Workload, rows: usize) {
-        let ex = Experiment::build(tiny_config(workload, rows)).unwrap();
+    /// Each of `approaches` matches the `nn` oracle, and every fp32
+    /// series — all but ML-To-SQL — equals ModelJoin_CPU bit for bit: they
+    /// run one forward pass and differ only in where the model comes from
+    /// and how the rows reach it.
+    fn assert_approaches_agree(config: ExperimentConfig, approaches: &[Approach]) {
+        let rows = config.fact_rows;
+        let ex = Experiment::build(config).unwrap();
         let oracle = ex.oracle_predictions().unwrap();
         assert_eq!(oracle.len(), rows);
-        for approach in Approach::ALL {
+        let bits =
+            |preds: &[(i64, f64)]| preds.iter().map(|(_, p)| p.to_bits()).collect::<Vec<_>>();
+        let native = bits(&ex.run(Approach::ModelJoinCpu, true).unwrap().predictions.unwrap());
+        for &approach in approaches {
             let outcome = ex.run(approach, true).unwrap();
             assert_eq!(outcome.rows, rows, "{approach}: row count");
             let preds = outcome.predictions.unwrap();
@@ -409,18 +417,41 @@ mod tests {
                 assert_eq!(id_a, id_b, "{approach}: id order");
                 assert!((p - o).abs() < 1e-4, "{approach} id {id_a}: {p} vs oracle {o}");
             }
+            if approach != Approach::Ml2Sql {
+                assert!(bits(&preds) == native, "{approach} is not bit-identical to ModelJoin_CPU");
+            }
             assert_eq!(outcome.gpu_modeled, approach.uses_gpu());
         }
     }
 
     #[test]
     fn all_approaches_agree_on_dense_workload() {
-        assert_all_approaches_agree(Workload::Dense { width: 8, depth: 2 }, 70);
+        let config = tiny_config(Workload::Dense { width: 8, depth: 2 }, 70);
+        assert_approaches_agree(config, &Approach::ALL);
     }
 
     #[test]
     fn all_approaches_agree_on_lstm_workload() {
-        assert_all_approaches_agree(Workload::Lstm { width: 4 }, 40);
+        assert_approaches_agree(tiny_config(Workload::Lstm { width: 4 }, 40), &Approach::ALL);
+    }
+
+    /// The paper's engine shape (vector size 1024) with models wide enough
+    /// that the batches take the blocked GEMM, at 1 and 12 partitions.
+    /// ML-To-SQL is left out: at these sizes it is minutes of debug-build
+    /// joins, and it is not an fp32 series.
+    #[test]
+    fn fp32_series_are_bit_identical_at_blocked_gemm_sizes() {
+        let fp32: Vec<Approach> =
+            Approach::ALL.into_iter().filter(|&a| a != Approach::Ml2Sql).collect();
+        let dense = Workload::Dense { width: 128, depth: 4 };
+        for (workload, rows) in [(dense, 4_096), (Workload::Lstm { width: 32 }, 2_048)] {
+            for partitions in [1, 12] {
+                let engine =
+                    EngineConfig { partitions, parallelism: partitions, ..Default::default() };
+                let config = ExperimentConfig { engine, ..ExperimentConfig::new(workload, rows) };
+                assert_approaches_agree(config, &fp32);
+            }
+        }
     }
 
     #[test]

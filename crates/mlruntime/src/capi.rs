@@ -7,7 +7,6 @@
 //! interface is what matters for reproducing the integration cost.)
 
 use crate::session::Session;
-use nn::Model;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,19 +53,6 @@ pub fn tf_new_session(saved_model: &str, device: TfDeviceKind) -> Result<u64, Tf
     let handle = NEXT_HANDLE.fetch_add(1, Ordering::Relaxed);
     with_registry(|r| r.insert(handle, Arc::new(session)));
     Ok(handle)
-}
-
-/// Create a session directly from a model object (fast path used inside
-/// the repository; real C-APIs go through the serialized form).
-pub fn tf_new_session_from_model(model: &Model, device: TfDeviceKind) -> u64 {
-    let dev = match device {
-        TfDeviceKind::Cpu => Device::cpu(),
-        TfDeviceKind::Gpu => Device::gpu(),
-    };
-    let session = Session::from_model("capi", model, dev);
-    let handle = NEXT_HANDLE.fetch_add(1, Ordering::Relaxed);
-    with_registry(|r| r.insert(handle, Arc::new(session)));
-    handle
 }
 
 /// Look up a live session.
@@ -120,8 +106,9 @@ mod tests {
     #[test]
     fn gpu_session_matches_cpu_session() {
         let model = paper::dense_model(8, 2, 5);
-        let cpu = tf_new_session_from_model(&model, TfDeviceKind::Cpu);
-        let gpu = tf_new_session_from_model(&model, TfDeviceKind::Gpu);
+        let text = nn::serial::to_string(&model);
+        let cpu = tf_new_session(&text, TfDeviceKind::Cpu).unwrap();
+        let gpu = tf_new_session(&text, TfDeviceKind::Gpu).unwrap();
         let input: Vec<f32> = (0..16).map(|i| i as f32 * 0.05).collect();
         let a = tf_session_run(cpu, &input, 4).unwrap();
         let b = tf_session_run(gpu, &input, 4).unwrap();

@@ -1,28 +1,32 @@
-//! An external ML runtime stand-in ("TensorFlow") with a C-API-style
-//! session interface.
+//! The ML runtime: the one batched forward pass every approach but
+//! ML-To-SQL runs, and an external-runtime stand-in ("TensorFlow") with a
+//! C-API-style session interface over it.
+//!
+//! *The runtime runs models, ModelJoin builds them from a table, and the
+//! C-API builds them from a model file.*
+//!
+//! * [`forward`] — [`BuiltModel`]: dense weight matrices (fp32 with the
+//!   bias replicated to `vectorsize x units`, or int8) and one layer loop
+//!   over a `rows x input_dim` batch on a [`tensor::Device`] (CPU or
+//!   simulated GPU), with a reusable [`InferScratch`] arena;
+//! * [`session::Session`] — a model file built into a [`BuiltModel`] at
+//!   the paper's vector size of 1,024 rows (load → run → drop);
+//! * [`capi`] — the C-style surface: opaque integer handles, status codes,
+//!   `tf_new_session` / `tf_session_run` / `tf_delete_session`.
 //!
 //! The paper's Raven-like operator integrates TensorFlow into the engine
 //! through its C-API (Sec. 6.1): models are loaded into opaque sessions,
 //! inference consumes **row-major** `f32` tensors, and the caller pays the
-//! columnar↔row-major conversion at the boundary. This crate reproduces
-//! that interface:
-//!
-//! * [`compiled::CompiledModel`] — a model compiled to dense row-major
-//!   weight tensors executing on a [`tensor::Device`] (CPU or simulated
-//!   GPU), in `f32` like the real runtime;
-//! * [`session::Session`] — a safe session object (load → run → drop);
-//! * [`capi`] — the C-style surface: opaque integer handles, status codes,
-//!   `tf_new_session` / `tf_session_run` / `tf_delete_session`.
-//!
-//! The kernels are the same `tensor` BLAS routines the native ModelJoin
-//! uses, which mirrors the paper's finding that a mature runtime over the
-//! C-API and a native operator land within a small factor of each other —
-//! the measured difference is the data conversion at the API boundary.
+//! columnar↔row-major conversion at the boundary. The native ModelJoin
+//! and the C-API therefore run the same forward pass over the same
+//! `tensor` BLAS routines, as the paper explains "native ≈ C-API": what
+//! differs is where the model comes from and the data conversion at the
+//! API boundary.
 
 pub mod capi;
-pub mod compiled;
+pub mod forward;
 pub mod session;
 
 pub use capi::{tf_delete_session, tf_new_session, tf_session_run, TfDeviceKind, TfStatus};
-pub use compiled::CompiledModel;
+pub use forward::{BuiltModel, InferScratch};
 pub use session::Session;

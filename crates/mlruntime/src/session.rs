@@ -1,20 +1,26 @@
-//! Safe session API over compiled models.
+//! Safe session API over a built model.
 
-use crate::compiled::CompiledModel;
+use crate::forward::{BuiltModel, InferScratch};
 use nn::Model;
 use tensor::{Device, Matrix};
 
-/// A loaded inference session. Holds the compiled model and its device;
+/// Rows per forward pass: the paper's vector size. [`Session::run`] runs a
+/// longer input in slices of this many rows.
+const VECTOR_SIZE: usize = 1024;
+
+/// A loaded inference session. Holds the built model and its device;
 /// sessions are immutable after creation and can be shared across threads.
 pub struct Session {
-    compiled: CompiledModel,
+    model: BuiltModel,
+    device: Device,
     name: String,
 }
 
 impl Session {
     /// Load a model object.
     pub fn from_model(name: &str, model: &Model, device: Device) -> Session {
-        Session { compiled: CompiledModel::compile(model, device), name: name.to_string() }
+        let model = BuiltModel::from_model(model, &device, VECTOR_SIZE);
+        Session { model, device, name: name.to_string() }
     }
 
     /// Load a serialized model (the "saved model file" path the paper's
@@ -29,37 +35,39 @@ impl Session {
     }
 
     pub fn input_dim(&self) -> usize {
-        self.compiled.input_dim()
+        self.model.input_dim
     }
 
     pub fn output_dim(&self) -> usize {
-        self.compiled.output_dim()
+        self.model.output_dim
     }
 
     pub fn device(&self) -> &Device {
-        self.compiled.device()
+        &self.device
     }
 
     /// Row-major batched inference: `input.len()` must be
     /// `rows * input_dim`; the result has `rows * output_dim` values.
     pub fn run(&self, input: &[f32], rows: usize) -> Result<Vec<f32>, String> {
-        if input.len() != rows * self.input_dim() {
+        let dim = self.input_dim();
+        if input.len() != rows * dim {
             return Err(format!(
                 "session {}: expected {} values ({} rows x {} columns), got {}",
                 self.name,
-                rows * self.input_dim(),
+                rows * dim,
                 rows,
-                self.input_dim(),
+                dim,
                 input.len()
             ));
         }
-        let m = Matrix::from_vec(rows, self.input_dim(), input.to_vec());
-        Ok(self.compiled.run(&m).into_vec())
-    }
-
-    /// Matrix-in / matrix-out variant (no extra copies).
-    pub fn run_matrix(&self, input: &Matrix) -> Matrix {
-        self.compiled.run(input)
+        let mut scratch = InferScratch::default();
+        let mut out = Vec::with_capacity(rows * self.output_dim());
+        for start in (0..rows).step_by(VECTOR_SIZE) {
+            let end = (start + VECTOR_SIZE).min(rows);
+            let x = Matrix::from_vec(end - start, dim, input[start * dim..end * dim].to_vec());
+            out.extend_from_slice(self.model.infer_into(&x, &self.device, &mut scratch).as_slice());
+        }
+        Ok(out)
     }
 }
 
@@ -82,6 +90,17 @@ mod tests {
             let expected = model.predict_row(&input[r * 4..(r + 1) * 4])[0];
             assert!((out[r] - expected).abs() < 1e-5);
         }
+    }
+
+    #[test]
+    fn input_longer_than_the_vector_size_runs_in_slices() {
+        let model = paper::dense_model(8, 2, 7);
+        let session = Session::from_model("m", &model, Device::cpu());
+        let rows = 2_500; // three slices: 1024, 1024, 452
+        let input: Vec<f32> = (0..rows * 4).map(|i| (i as f32 * 0.37).sin()).collect();
+        let out = session.run(&input, rows).unwrap();
+        let expected = model.predict(&Matrix::from_vec(rows, 4, input));
+        assert!(Matrix::from_vec(rows, 1, out).max_abs_diff(&expected) < 1e-5);
     }
 
     #[test]

@@ -1,10 +1,13 @@
-//! The parallel model build phase (paper Sec. 5.2) and the built model's
-//! vectorized inference (Sec. 5.4), in fp32 or int8.
+//! The parallel model build phase (paper Sec. 5.2): the relational model
+//! table's edges routed into weight and bias buffers, which the runtime
+//! assembles into a [`BuiltModel`]; plus the shared per-query handle and
+//! the one dtype decision.
 
+use mlruntime::BuiltModel;
 use model_repr::{Layout, ModelMeta, SlotInfo, SlotKind};
+use nn::{DenseLayer, Layer, LstmLayer};
 use std::sync::{Arc, OnceLock};
-use tensor::blas::Transpose;
-use tensor::{qgemm_dense, Activation, Device, Matrix, QuantScratch, QuantizedWeights};
+use tensor::{Device, Matrix};
 use vector_engine::{Batch, EngineConfig, EngineError, Result, Table};
 
 /// The numeric representation a built model runs in.
@@ -28,300 +31,14 @@ impl ModelDtype {
     }
 }
 
-/// The weights of one GEMM of a built layer and the bias it adds (empty
-/// for the LSTM recurrent matrices, which add none).
-#[derive(Clone)]
-pub enum Weights {
-    /// `input_dim x units` row-major. (The paper stores the weight
-    /// matrices "already in a transposed way" so cuBLAS's column-major
-    /// `sgemm` computes `A^T x^T`; a row-major `input x units` buffer is
-    /// byte-identical to that transposed column-major matrix, so the
-    /// layout on disk matches.) The bias is replicated to
-    /// `vectorsize x units` (Sec. 5.4).
-    F32 { w: Matrix, bias_matrix: Matrix },
-    /// Weights quantized per output channel. The bias stays fp32 as a
-    /// plain per-unit vector: the fused dequantization epilogue adds the
-    /// scalar directly, so no replicated matrix is needed.
-    I8 { w: QuantizedWeights, bias: Vec<f32> },
-}
-
-impl Weights {
-    fn units(&self) -> usize {
-        match self {
-            Weights::F32 { w, .. } => w.cols(),
-            Weights::I8 { w, .. } => w.cols(),
-        }
-    }
-
-    fn quantize(&self) -> Weights {
-        match self {
-            Weights::F32 { w, bias_matrix } => Weights::I8 {
-                w: QuantizedWeights::quantize(w),
-                // Row 0 of the replicated bias matrix is the bias itself.
-                bias: bias_matrix.row(0).to_vec(),
-            },
-            Weights::I8 { .. } => self.clone(),
-        }
-    }
-}
-
-/// `out = act(x·W + b)`, into an `out` already shaped `x.rows() x units`.
-fn affine(
-    x: &Matrix,
-    weights: &Weights,
-    act: Activation,
-    device: &Device,
-    q: &mut QuantScratch,
-    out: &mut Matrix,
-) {
-    match weights {
-        Weights::F32 { w, bias_matrix } => {
-            // C pre-loaded with the replicated bias rows, beta = 1: the
-            // bias addition comes for free with the sgemm (Sec. 5.4).
-            device.copy(&bias_matrix.as_slice()[..out.len()], out.as_mut_slice());
-            device.gemm(Transpose::No, Transpose::No, 1.0, x, w, 1.0, out);
-            device.activation(act, out.as_mut_slice());
-        }
-        Weights::I8 { w, bias } => qgemm_dense(x, w, Some(bias), act, false, out, q),
-    }
-}
-
-/// `out += h·U` (the LSTM recurrent term).
-fn accumulate(
-    h: &Matrix,
-    weights: &Weights,
-    device: &Device,
-    q: &mut QuantScratch,
-    out: &mut Matrix,
-) {
-    match weights {
-        Weights::F32 { w, .. } => device.gemm(Transpose::No, Transpose::No, 1.0, h, w, 1.0, out),
-        Weights::I8 { w, .. } => qgemm_dense(h, w, None, Activation::Linear, true, out, q),
-    }
-}
-
-/// A layer of the built (in-memory) model.
-#[allow(clippy::large_enum_variant)] // models hold few layers; boxing buys nothing
-pub enum BuiltLayer {
-    Dense {
-        weights: Weights,
-        activation: Activation,
-    },
-    Lstm {
-        features: usize,
-        timesteps: usize,
-        units: usize,
-        /// Gate order i, f, c, o; each with its gate bias.
-        kernel: [Weights; 4],
-        recurrent: [Weights; 4],
-    },
-}
-
-/// The shared in-memory model produced by the build phase — fp32, or
-/// int8 after [`BuiltModel::quantize`]. Both run through the same layer
-/// loop; only the GEMM calls differ.
-pub struct BuiltModel {
-    pub layers: Vec<BuiltLayer>,
-    pub input_dim: usize,
-    pub output_dim: usize,
-    vector_size: usize,
-}
-
-/// Per-operator scratch arena for [`BuiltModel::infer_into`]: every buffer
-/// inference needs — the ping-pong layer output matrices, the int8 GEMM
-/// scratch and the LSTM gate and state buffers — lives here and is reused
-/// across batches. Capacity is retained when the batch shrinks (the short
-/// final vector of a partition), so steady-state inference allocates
-/// nothing.
-#[derive(Default)]
-pub struct InferScratch {
-    /// Ping-pong layer outputs: layer `l` writes one while reading the other.
-    ping: Matrix,
-    pong: Matrix,
-    /// Quantized activations, row scales and i32 accumulator of the int8 GEMM.
-    q: QuantScratch,
-    lstm: LstmScratch,
-}
-
-/// Working state of one LSTM forward pass (see [`lstm_forward_into`]).
-#[derive(Default)]
-struct LstmScratch {
-    /// Cell state `c`.
-    c: Matrix,
-    /// The time-step input slice `X_t`.
-    x_t: Matrix,
-    /// Gate pre-activations/activations `z_i, z_f, z_c, z_o`.
-    z: [Matrix; 4],
-    /// `f * c` (then reused for `tanh(c)`).
-    tmp_a: Vec<f32>,
-    /// `i * c~`.
-    tmp_b: Vec<f32>,
-}
-
-impl BuiltModel {
-    pub fn vector_size(&self) -> usize {
-        self.vector_size
-    }
-
-    /// The int8 variant of this model: every GEMM operand quantized per
-    /// output channel, biases kept in fp32. Runs on the host CPU only —
-    /// [`ModelDtype::for_engine`] keeps GPU-resident models in fp32.
-    pub fn quantize(&self) -> BuiltModel {
-        obs::metrics::MODELJOIN_QUANT_BUILDS.add(1);
-        let layers = self
-            .layers
-            .iter()
-            .map(|layer| match layer {
-                BuiltLayer::Dense { weights, activation } => {
-                    BuiltLayer::Dense { weights: weights.quantize(), activation: *activation }
-                }
-                BuiltLayer::Lstm { features, timesteps, units, kernel, recurrent } => {
-                    BuiltLayer::Lstm {
-                        features: *features,
-                        timesteps: *timesteps,
-                        units: *units,
-                        kernel: kernel.each_ref().map(Weights::quantize),
-                        recurrent: recurrent.each_ref().map(Weights::quantize),
-                    }
-                }
-            })
-            .collect();
-        BuiltModel {
-            layers,
-            input_dim: self.input_dim,
-            output_dim: self.output_dim,
-            vector_size: self.vector_size,
-        }
-    }
-
-    /// Vectorized inference (paper Sec. 5.4): one pass over the layer list
-    /// for a whole `rows x input_dim` input matrix. Allocating wrapper
-    /// around [`BuiltModel::infer_into`] for one-shot callers.
-    pub fn infer(&self, input: &Matrix, device: &Device) -> Matrix {
-        let mut scratch = InferScratch::default();
-        self.infer_into(input, device, &mut scratch).clone()
-    }
-
-    /// Inference writing exclusively into `scratch`; the returned reference
-    /// points at the scratch buffer holding the final layer's output.
-    /// Batch-at-a-time callers (the ModelJoin operator) pass the same
-    /// scratch every call and pay zero allocations after the first batch.
-    pub fn infer_into<'s>(
-        &self,
-        input: &Matrix,
-        device: &Device,
-        scratch: &'s mut InferScratch,
-    ) -> &'s Matrix {
-        assert!(input.rows() <= self.vector_size, "batch exceeds vector size");
-        assert_eq!(input.cols(), self.input_dim, "input width mismatch");
-        let probe = &obs::metrics::MODELJOIN_PROBE;
-        probe.batches.add(1);
-        probe.rows.add(input.rows() as u64);
-        let _span = obs::span(&probe.time_us);
-        device.transfer_h2d(input.byte_len());
-        let rows = input.rows();
-        let InferScratch { ping, pong, q, lstm } = scratch;
-        // Invariant: the current layer input lives in `ping` (or is the
-        // caller's matrix on the first layer); each layer computes into
-        // `pong`, then the two swap — a pointer swap, never a data copy.
-        let mut first = true;
-        for layer in &self.layers {
-            let cur: &Matrix = if first { input } else { &*ping };
-            match layer {
-                BuiltLayer::Dense { weights, activation } => {
-                    pong.resize_zeroed(rows, weights.units());
-                    affine(cur, weights, *activation, device, q, pong);
-                }
-                BuiltLayer::Lstm { features, timesteps, units, kernel, recurrent } => {
-                    lstm_forward_into(
-                        cur, *features, *timesteps, *units, kernel, recurrent, device, q, lstm,
-                        pong,
-                    );
-                }
-            }
-            std::mem::swap(ping, pong);
-            first = false;
-        }
-        if first {
-            // Zero-layer model: the output is the input, copied so the
-            // return value always borrows from the scratch.
-            ping.resize_zeroed(rows, input.cols());
-            ping.as_mut_slice().copy_from_slice(input.as_slice());
-        }
-        device.transfer_d2h(ping.byte_len());
-        &*ping
-    }
-}
-
-/// The LSTM layer forward function of paper Listing 5, vectorized over the
-/// batch: per time step `z_x := bias ; z_x += X_t W_x ; z_x += H U_x`,
-/// gate activations, cell/hidden update. The hidden state `h` lives
-/// directly in `out`, which holds the final `h` when the loop ends; all
-/// other working buffers come from `scratch`. In int8 both GEMM inputs
-/// are re-quantized row-wise per step (`h` changes every iteration);
-/// the gate activations and elementwise updates stay fp32.
-#[allow(clippy::too_many_arguments)]
-fn lstm_forward_into(
-    input: &Matrix,
-    features: usize,
-    timesteps: usize,
-    units: usize,
-    kernel: &[Weights; 4],
-    recurrent: &[Weights; 4],
-    device: &Device,
-    q: &mut QuantScratch,
-    scratch: &mut LstmScratch,
-    out: &mut Matrix,
-) {
-    let rows = input.rows();
-    let h = out;
-    h.resize_zeroed(rows, units);
-    scratch.c.resize_zeroed(rows, units);
-    scratch.x_t.resize_zeroed(rows, features);
-    for zg in &mut scratch.z {
-        zg.resize_zeroed(rows, units);
-    }
-    scratch.tmp_a.clear();
-    scratch.tmp_a.resize(rows * units, 0.0);
-    scratch.tmp_b.clear();
-    scratch.tmp_b.resize(rows * units, 0.0);
-    let LstmScratch { c, x_t, z, tmp_a, tmp_b } = scratch;
-
-    for t in 0..timesteps {
-        for r in 0..rows {
-            x_t.row_mut(r).copy_from_slice(&input.row(r)[t * features..(t + 1) * features]);
-        }
-        for (g, zg) in z.iter_mut().enumerate() {
-            affine(x_t, &kernel[g], Activation::Linear, device, q, zg);
-            if t > 0 {
-                accumulate(h, &recurrent[g], device, q, zg);
-            }
-        }
-        device.activation(Activation::Sigmoid, z[0].as_mut_slice());
-        device.activation(Activation::Sigmoid, z[1].as_mut_slice());
-        device.activation(Activation::Tanh, z[2].as_mut_slice());
-        device.activation(Activation::Sigmoid, z[3].as_mut_slice());
-
-        // c := f*c + i*c~   (vsMul / vsAdd of Listing 5)
-        device.vs_mul(z[1].as_slice(), c.as_slice(), tmp_a);
-        device.vs_mul(z[0].as_slice(), z[2].as_slice(), tmp_b);
-        device.vs_add(tmp_a, tmp_b, c.as_mut_slice());
-
-        // h := o * tanh(c)
-        tmp_a.copy_from_slice(c.as_slice());
-        device.activation(Activation::Tanh, tmp_a);
-        device.vs_mul(z[3].as_slice(), tmp_a, h.as_mut_slice());
-    }
-}
-
 /// Routing tables from the model metadata.
 struct Router {
     meta: ModelMeta,
     layout: Layout,
     /// Per slot: its first buffer index.
     slot_buffers: Vec<usize>,
-    /// Length of each flat weight buffer to fill.
-    buffer_lens: Vec<usize>,
+    /// `(rows, cols)` of each flat row-major weight buffer to fill.
+    buffer_shapes: Vec<(usize, usize)>,
 }
 
 /// Weight-vector column ordinals within the 12 weight columns.
@@ -331,29 +48,29 @@ const B0: usize = 8;
 
 impl Router {
     fn new(meta: &ModelMeta, layout: Layout) -> Router {
-        let mut buffer_lens = Vec::new();
+        let mut buffer_shapes = Vec::new();
         let mut slot_buffers = Vec::new();
         let mut prev_dim = meta.input_dim;
         for slot in &meta.slots {
-            slot_buffers.push(buffer_lens.len());
+            slot_buffers.push(buffer_shapes.len());
             match slot.kind {
                 SlotKind::Input => {}
                 SlotKind::Dense(_) => {
-                    buffer_lens.push(prev_dim * slot.dim); // W
-                    buffer_lens.push(slot.dim); // bias
+                    buffer_shapes.push((prev_dim, slot.dim)); // W
+                    buffer_shapes.push((1, slot.dim)); // bias
                     prev_dim = slot.dim;
                 }
                 SlotKind::LstmKernel => {
-                    buffer_lens.extend([slot.features * slot.dim; 4]); // K_g
-                    buffer_lens.extend([slot.dim; 4]); // b_g
+                    buffer_shapes.extend([(slot.features, slot.dim); 4]); // K_g
+                    buffer_shapes.extend([(1, slot.dim); 4]); // b_g
                 }
                 SlotKind::LstmRecurrent => {
-                    buffer_lens.extend([slot.dim * slot.dim; 4]); // U_g
+                    buffer_shapes.extend([(slot.dim, slot.dim); 4]); // U_g
                     prev_dim = slot.dim;
                 }
             }
         }
-        Router { meta: meta.clone(), layout, slot_buffers, buffer_lens }
+        Router { meta: meta.clone(), layout, slot_buffers, buffer_shapes }
     }
 
     /// Resolve an edge (by its endpoint columns) and call `write` with
@@ -503,7 +220,8 @@ pub fn build_parallel(
     let router = Router::new(meta, layout);
     // Phase 1: single-threaded allocation (paper: "memory allocation ...
     // is performed single-threaded to a shared memory location").
-    let mut bufs: Vec<Vec<f32>> = router.buffer_lens.iter().map(|&len| vec![0.0; len]).collect();
+    let mut bufs: Vec<Vec<f32>> =
+        router.buffer_shapes.iter().map(|&(rows, cols)| vec![0.0; rows * cols]).collect();
     let slabs = SlabPtrs {
         ptrs: bufs.iter_mut().map(|b| b.as_mut_ptr()).collect(),
         lens: bufs.iter().map(Vec::len).collect(),
@@ -525,74 +243,51 @@ pub fn build_parallel(
         filled?;
     }
 
-    // Phase 3: assemble layers — bias replication to vectorsize x m
+    // Phase 3: the filled buffers become the layers' weights and biases,
+    // which the runtime assembles: bias replication to vectorsize x m
     // (Sec. 5.4) and, for the GPU variant, one bulk transfer of the whole
     // model (Sec. 5.2: "always perform the parallel model build phase on
     // the host memory and move the model to GPU memory once building is
     // finished").
+    let mut mats = bufs
+        .into_iter()
+        .zip(&router.buffer_shapes)
+        .map(|(buf, &(rows, cols))| Matrix::from_vec(rows, cols, buf));
+    let mut next = || mats.next().expect("one buffer per routed weight vector");
     let mut layers = Vec::new();
-    let mut prev_dim = meta.input_dim;
-    let mut buf_iter = bufs.into_iter();
-    let mut total_bytes = 0usize;
-    let mut f32_weights = |rows: usize, cols: usize, w: Vec<f32>, b: Option<Vec<f32>>| {
-        total_bytes += (w.len() + b.as_ref().map_or(0, Vec::len) * vector_size) * 4;
-        let bias_matrix = match b {
-            Some(b) => Matrix::from_fn(vector_size, cols, |_, c| b[c]),
-            None => Matrix::default(),
-        };
-        Weights::F32 { w: Matrix::from_vec(rows, cols, w), bias_matrix }
-    };
-    let gate_mismatch = |_| EngineError::Execution("gate count mismatch".into());
     for slot in &meta.slots {
         match slot.kind {
-            SlotKind::Input => {}
+            SlotKind::Input | SlotKind::LstmRecurrent => {}
             SlotKind::Dense(activation) => {
-                let w = buf_iter.next().expect("allocated");
-                let b = buf_iter.next().expect("allocated");
-                layers.push(BuiltLayer::Dense {
-                    weights: f32_weights(prev_dim, slot.dim, w, Some(b)),
-                    activation,
-                });
-                prev_dim = slot.dim;
+                let weights = next();
+                let bias = next().into_vec();
+                layers.push(Layer::Dense(DenseLayer { weights, bias, activation }));
             }
             SlotKind::LstmKernel => {
-                let k: Vec<Vec<f32>> = buf_iter.by_ref().take(4).collect();
-                let b: Vec<Vec<f32>> = buf_iter.by_ref().take(4).collect();
-                let kernel: Vec<Weights> = k
-                    .into_iter()
-                    .zip(b)
-                    .map(|(k, b)| f32_weights(slot.features, slot.dim, k, Some(b)))
-                    .collect();
-                // The recurrent slot follows immediately and fills in
-                // `recurrent` below.
-                let empty =
-                    || Weights::F32 { w: Matrix::default(), bias_matrix: Matrix::default() };
-                layers.push(BuiltLayer::Lstm {
-                    features: slot.features,
-                    timesteps: slot.timesteps,
-                    units: slot.dim,
-                    kernel: kernel.try_into().map_err(gate_mismatch)?,
-                    recurrent: std::array::from_fn(|_| empty()),
-                });
-            }
-            SlotKind::LstmRecurrent => {
-                let recurrent: Vec<Weights> = buf_iter
-                    .by_ref()
-                    .take(4)
-                    .map(|u| f32_weights(slot.dim, slot.dim, u, None))
-                    .collect();
-                let Some(BuiltLayer::Lstm { recurrent: rec_slot, .. }) = layers.last_mut() else {
-                    return Err(EngineError::Execution(
-                        "recurrent slot without kernel slot".into(),
-                    ));
-                };
-                *rec_slot = recurrent.try_into().map_err(gate_mismatch)?;
-                prev_dim = slot.dim;
+                // Buffer order: this slot's K_i..K_o and b_i..b_o, then the
+                // U_i..U_o of the recurrent slot that always follows it.
+                let kernel = std::array::from_fn(|_| next());
+                let bias = std::array::from_fn(|_| next().into_vec());
+                let recurrent = std::array::from_fn(|_| next());
+                let (input_features, timesteps) = (slot.features, slot.timesteps);
+                layers.push(Layer::Lstm(LstmLayer {
+                    input_features,
+                    timesteps,
+                    kernel,
+                    recurrent,
+                    bias,
+                }));
             }
         }
     }
-    device.transfer_h2d(total_bytes);
-    Ok(BuiltModel { layers, input_dim: meta.input_dim, output_dim: meta.output_dim(), vector_size })
+    Ok(BuiltModel::from_layers(meta.input_dim, layers, device, vector_size))
+}
+
+/// The int8 variant of a built fp32 model, counted under
+/// `modeljoin.quant.builds`.
+pub(crate) fn quantize(built: &BuiltModel) -> BuiltModel {
+    obs::metrics::MODELJOIN_QUANT_BUILDS.add(1);
+    built.quantize()
 }
 
 /// The shared model handle of the parallel ModelJoin: all per-partition
@@ -686,7 +381,7 @@ impl SharedModel {
                     0,
                 )
                 .map(Arc::new),
-                ModelDtype::I8 => self.get().map(|built| Arc::new(built.quantize())),
+                ModelDtype::I8 => self.get().map(|built| Arc::new(quantize(&built))),
             })
             .clone()
     }
@@ -695,6 +390,8 @@ impl SharedModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlruntime::forward::{BuiltLayer, Weights};
+    use mlruntime::InferScratch;
     use model_repr::load_into_engine;
     use nn::paper;
     use vector_engine::{Engine, EngineConfig};
@@ -731,6 +428,36 @@ mod tests {
         for layout in [Layout::LayerNode, Layout::NodeId] {
             let (built, model) = build_for(&model, layout, 4);
             assert_infer_matches(&model, &built, 10);
+        }
+    }
+
+    /// The table build and the runtime's own build of the same `nn` model
+    /// are the same model: bit-identical outputs, equal GPU upload bytes.
+    #[test]
+    fn table_build_equals_model_object_build() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for model in [paper::dense_model(8, 3, 21), paper::lstm_model(6, 13)] {
+            let x =
+                Matrix::from_fn(16, model.input_dim(), |r, c| ((r * 3 + c) as f32 * 0.41).sin());
+            let direct_gpu = Device::gpu();
+            let direct = BuiltModel::from_model(&model, &direct_gpu, 16);
+            for layout in [Layout::NodeId, Layout::LayerNode] {
+                let engine = Engine::new(EngineConfig {
+                    vector_size: 8,
+                    partitions: 3,
+                    ..Default::default()
+                });
+                let (table, meta) = load_into_engine(&engine, "m", &model, layout).unwrap();
+                let gpu = Device::gpu();
+                let built = build_parallel(&table, &meta, layout, &gpu, 16, 0).unwrap();
+                assert_eq!(gpu.report().h2d_bytes, direct_gpu.report().h2d_bytes, "{layout:?}");
+                let cpu = Device::cpu();
+                assert_eq!(
+                    bits(&built.infer(&x, &cpu)),
+                    bits(&direct.infer(&x, &cpu)),
+                    "{layout:?}"
+                );
+            }
         }
     }
 

@@ -13,7 +13,8 @@
 //! Unrelated catalog activity does not invalidate entries, so a busy
 //! serving engine keeps its models hot.
 
-use crate::build::{build_parallel, BuiltModel, ModelDtype};
+use crate::build::{build_parallel, quantize, ModelDtype};
+use mlruntime::BuiltModel;
 use model_repr::{Layout, ModelMeta};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -90,9 +91,11 @@ impl ModelCache {
         misses.add(1);
         let model = Arc::new(match dtype {
             ModelDtype::F32 => build_parallel(table, meta, layout, device, vector_size, 0)?,
-            ModelDtype::I8 => self
-                .get_or_build(table, meta, layout, device, vector_size, ModelDtype::F32)?
-                .quantize(),
+            ModelDtype::I8 => {
+                let fp32 =
+                    self.get_or_build(table, meta, layout, device, vector_size, ModelDtype::F32)?;
+                quantize(&fp32)
+            }
         });
         let entry = CacheEntry { table: Arc::downgrade(table), version, model: Arc::clone(&model) };
         self.entries.lock().insert(key, entry);

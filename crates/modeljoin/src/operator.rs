@@ -1,7 +1,8 @@
 //! The ModelJoin operator, and the partition-parallel fan-out and
 //! columnar ↔ row-major conversions it shares with the C-API operator.
 
-use crate::build::{BuiltModel, InferScratch, ModelDtype, SharedModel};
+use crate::build::{ModelDtype, SharedModel};
+use mlruntime::{BuiltModel, InferScratch};
 use std::sync::Arc;
 use tensor::Matrix;
 use vector_engine::exec::physical::{drain, Operator};
@@ -71,7 +72,13 @@ impl Operator for ModelJoinOp {
         }
         pack_rows(&batch, &self.input_cols, &mut self.packed)?;
         let built = self.built.as_ref().expect("built above").clone();
-        let result = built.infer_into(&self.packed, self.shared.device(), &mut self.scratch);
+        let probe = &obs::metrics::MODELJOIN_PROBE;
+        probe.batches.add(1);
+        probe.rows.add(batch.num_rows() as u64);
+        let result = {
+            let _span = obs::span(&probe.time_us);
+            built.infer_into(&self.packed, self.shared.device(), &mut self.scratch)
+        };
         Ok(Some(output_batch(&batch, &self.payload_cols, result.as_slice(), result.cols())))
     }
 

@@ -96,7 +96,10 @@ pub static MODELJOIN_CACHE_HITS_I8: Counter = Counter::new();
 pub static MODELJOIN_CACHE_MISSES_I8: Counter = Counter::new();
 /// Wall time of each model build, µs (span-gated).
 pub static MODELJOIN_BUILD_US: Histogram = Histogram::new();
-/// Probe-side inference throughput and time (rows/batches/µs).
+/// Inference over built models inside the engine: one batch per
+/// `ModelJoinOp` vector and per served predict batch, with their rows and
+/// the forward pass's µs. The C-API, UDF and client series are not
+/// counted.
 pub static MODELJOIN_PROBE: StageMetrics = StageMetrics::new();
 
 // --- shard: sharded scatter-gather facade ---------------------------------

@@ -68,7 +68,14 @@ impl UdfHost {
     pub fn invoke(&self, rows: &[Vec<f64>]) -> Result<Vec<f64>, String> {
         // Engine → UDF serialization.
         let mut writer = WireWriter::new(self.input_dim);
-        for row in rows {
+        for (r, row) in rows.iter().enumerate() {
+            if row.len() != self.input_dim {
+                return Err(format!(
+                    "UDF row {r} has {} values, the model takes {}",
+                    row.len(),
+                    self.input_dim
+                ));
+            }
             writer.write_row(row);
         }
         let payload = writer.finish();
@@ -166,6 +173,17 @@ mod tests {
         let model = paper::dense_model(4, 2, 2);
         let host = UdfHost::spawn(&nn::serial::to_string(&model), Device::cpu()).unwrap();
         assert!(host.invoke(&[]).unwrap().is_empty());
+    }
+
+    #[test]
+    fn wrong_arity_row_is_an_error_not_a_panic() {
+        let model = paper::dense_model(4, 2, 2);
+        let host = UdfHost::spawn(&nn::serial::to_string(&model), Device::cpu()).unwrap();
+        let rows = vec![vec![0.1, 0.2, 0.3, 0.4], vec![0.1, 0.2, 0.3]];
+        let err = host.invoke(&rows).unwrap_err();
+        assert!(err.contains("row 1 has 3 values, the model takes 4"), "{err}");
+        // The host still serves well-formed vectors afterwards.
+        assert_eq!(host.invoke(&rows[..1]).unwrap().len(), 1);
     }
 
     #[test]

@@ -765,7 +765,12 @@ fn execute_predict_batch(shared: &Shared, model_name: &str, batch: Vec<Queued>) 
     // Catch inference panics per batch: the affected requests complete
     // with `Internal` and the worker (plus every lock it may hold above
     // this frame) survives to serve the next request.
-    let output = catch_unwind(AssertUnwindSafe(|| built.infer(&packed, &entry.device)));
+    om::MODELJOIN_PROBE.batches.add(1);
+    om::MODELJOIN_PROBE.rows.add(rows as u64);
+    let output = {
+        let _span = obs::span(&om::MODELJOIN_PROBE.time_us);
+        catch_unwind(AssertUnwindSafe(|| built.infer(&packed, &entry.device)))
+    };
     let output = match output {
         Ok(output) => output,
         Err(payload) => {
