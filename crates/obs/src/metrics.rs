@@ -71,6 +71,19 @@ pub static EXEC_PLAN_CACHE_MISSES: Counter = Counter::new();
 pub static EXEC_PLAN_CACHE_INVALIDATIONS: Counter = Counter::new();
 /// Catalog epoch bumps (CREATE/DROP/append).
 pub static EXEC_CATALOG_EPOCH_BUMPS: Counter = Counter::new();
+/// Plans `exec::parallel::execute` ran serially on the calling thread.
+pub static EXEC_PLANS_SERIAL: Counter = Counter::new();
+/// Plans it ran once per morsel of a split table, gathering the outputs.
+pub static EXEC_PLANS_PARTITIONED: Counter = Counter::new();
+/// Plans it ran as per-morsel partial aggregates merged in morsel order.
+pub static EXEC_PLANS_PARTIAL_AGG: Counter = Counter::new();
+/// Partition splits admitted with no placement key.
+pub static EXEC_SPLIT_KEY_NONE: Counter = Counter::new();
+/// Partition splits admitted on a declared-unique key column.
+pub static EXEC_SPLIT_KEY_UNIQUE: Counter = Counter::new();
+/// Partition splits admitted on a key column whose morsel SMA ranges are
+/// pairwise disjoint.
+pub static EXEC_SPLIT_KEY_SMA: Counter = Counter::new();
 
 pub static EXEC_SCAN: StageMetrics = StageMetrics::new();
 pub static EXEC_FILTER: StageMetrics = StageMetrics::new();
@@ -223,6 +236,12 @@ pub static COUNTERS: &[(&str, &Counter)] = &[
     ("exec.plan_cache.misses", &EXEC_PLAN_CACHE_MISSES),
     ("exec.plan_cache.invalidations", &EXEC_PLAN_CACHE_INVALIDATIONS),
     ("exec.catalog.epoch_bumps", &EXEC_CATALOG_EPOCH_BUMPS),
+    ("exec.plans.serial", &EXEC_PLANS_SERIAL),
+    ("exec.plans.partitioned", &EXEC_PLANS_PARTITIONED),
+    ("exec.plans.partial_agg", &EXEC_PLANS_PARTIAL_AGG),
+    ("exec.split_key.none", &EXEC_SPLIT_KEY_NONE),
+    ("exec.split_key.unique", &EXEC_SPLIT_KEY_UNIQUE),
+    ("exec.split_key.sma", &EXEC_SPLIT_KEY_SMA),
     ("modeljoin.build.count", &MODELJOIN_BUILD_COUNT),
     ("modeljoin.quant.builds", &MODELJOIN_QUANT_BUILDS),
     ("modeljoin.cache.hits", &MODELJOIN_CACHE_HITS),

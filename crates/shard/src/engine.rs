@@ -519,7 +519,7 @@ impl ShardedEngine {
     fn sharded_in(&self, plan: &LogicalPlan) -> Result<Vec<(Arc<Table>, Option<usize>)>> {
         let map = self.sharding.read().expect("sharding map poisoned");
         let mut out = Vec::new();
-        for (t, _) in parallel::scan_counts(plan) {
+        for t in parallel::scanned_tables(plan) {
             let Some(key) = map.get(&t.name().to_ascii_lowercase()) else { continue };
             let key = t.schema().index_of(key).ok_or_else(|| {
                 EngineError::Catalog(format!("shard key {key:?} missing from {}", t.name()))

@@ -2,39 +2,51 @@
 //! the sharded facade (`crates/shard`).
 //!
 //! Mirrors the paper's x100 parallelism model (Sec. 4.4 / 5.2): the largest
-//! scanned table is the partitioned one; each worker thread runs a private
-//! copy of the plan restricted to its partitions while all other tables
-//! (e.g. the model table) are read fully by every worker. Parallelism is
-//! only used when it provably preserves results:
+//! scanned table is the partitioned one; each task runs a private copy of
+//! the plan in which every scan of that table reads one morsel of it (so
+//! both sides of a self-join read the same morsel), while all other tables
+//! (e.g. the model table) are read fully by every task. Parallelism is
+//! only used when [`split_safe`] accepts the plan with that table split —
+//! among its rules, no `LIMIT` inside the split section — under one
+//! placement key, tried in this order:
 //!
-//! * the partitioned table is scanned exactly once in the plan, and
-//! * [`split_safe`] accepts the plan with that table split and no placement
-//!   key: every aggregation over its rows groups on a column that traces
-//!   back to a declared unique column of it (so no group spans partitions —
-//!   the paper's "no repartitioning is necessary" argument), and the
-//!   parallel section contains no `LIMIT`. An aggregation over a subtree
-//!   that does not scan the partitioned table is safe: every worker reads
-//!   that subtree whole, exactly as it reads the model table.
+//! * **none** — the paper's "no repartitioning is necessary" argument in
+//!   its plain form: every aggregation over the split rows groups on a
+//!   declared-unique column of the table, so no group spans morsels, and
+//!   no join combines two subtrees that read the table;
+//! * **one column `c` that is a key of the morsel list** — `c` is declared
+//!   unique, or the morsels' SMA `[min, max]` ranges for `c` are pairwise
+//!   disjoint ([`sma_disjoint`], block metadata only: no data page is
+//!   read). All rows with one value of `c` then lie in one morsel, so an
+//!   aggregation grouping on `c` and a join of two split subtrees on
+//!   `c = c` are morsel-local. This is how ML-To-SQL splits: its
+//!   statement scans the fact table twice (input function and late
+//!   projection) and joins the two on the id. Each attempt passes one
+//!   column: two different key columns do not put matching rows in one
+//!   morsel.
+//!
+//! The plan check runs first and the proof only for a column it accepts,
+//! so a statement that cannot split never reads an SMA. A proof holds for
+//! the morsel list it was made on, so execution runs exactly that list.
 //!
 //! [`split_safe`] is the one split rule of the workspace. The shard planner
 //! calls it one level up, with every sharded table and its shard key as
-//! the placement key; there, grouping on the key and equi-joins on the keys
-//! of two split tables also qualify.
+//! the placement key.
 //!
 //! When the top-level node is an aggregation whose *group key does not*
-//! satisfy the unique-column rule but whose input is otherwise partition-
-//! safe, the driver falls back to a **partial-aggregate** plan instead of
-//! serial execution: each worker folds its partitions into a typed
-//! [`GroupedAggState`] ([`absorb`]) and the partials are merged in
-//! partition order ([`merge_partials`]) — the classic local/global
-//! aggregation split, enabled by the vectorized accumulators. The shard
-//! level's partial aggregate uses the same two helpers. Group order stays
-//! deterministic (first seen in partition order); floating-point sums may
-//! differ from serial execution in the last bits because partials
-//! reassociate the additions.
+//! satisfy the rule but whose input is otherwise partition-safe, the
+//! driver falls back to a **partial-aggregate** plan instead of serial
+//! execution: each morsel folds into a typed [`GroupedAggState`]
+//! ([`absorb`]) and the partials are merged in morsel order
+//! ([`merge_partials`]) — the classic local/global aggregation split,
+//! enabled by the vectorized accumulators. The shard level's partial
+//! aggregate uses the same two helpers. Group order stays deterministic
+//! (first seen in morsel order); floating-point sums may differ from
+//! serial execution in the last bits because partials reassociate the
+//! additions.
 //!
 //! Top-level `ORDER BY` / `LIMIT` are peeled off ([`peel_tail`]) and
-//! replayed serially over the gathered partition results ([`replay`]).
+//! replayed serially over the gathered morsel results ([`replay`]).
 //!
 //! The unit of parallelism is the **morsel** — a block range within one
 //! partition, at most [`MORSEL_ROWS`] rows — submitted as Query-class
@@ -42,7 +54,9 @@
 //! driving thread cooperatively runs its own morsels while waiting, so
 //! queries never spawn threads, and stealing balances skewed partitions.
 //! Results (and partial-aggregate merges) are gathered in (partition,
-//! block-range) order, so output is deterministic.
+//! block-range) order, so output is deterministic. The path each plan
+//! takes and the proof that admitted its split are counted in
+//! `exec.plans.*` and `exec.split_key.*`.
 
 use crate::column::Batch;
 use crate::config::EngineConfig;
@@ -53,12 +67,45 @@ use crate::exec::simple::{FilterExec, LimitExec, ProjectExec, SortExec};
 use crate::expr::Expr;
 use crate::plan::logical::{AggSpec, LogicalPlan};
 use crate::storage::Table;
-use crate::types::DataType;
+use crate::types::{DataType, Value};
+use obs::metrics as om;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Target rows per scheduler morsel: large enough that per-task overhead
 /// vanishes, small enough that stealing can balance a skewed partition.
 const MORSEL_ROWS: usize = 65536;
+
+/// One scheduler morsel: a partition and a `[start, end)` block range in it.
+type Morsel = (usize, (usize, usize));
+
+/// A table chosen to split, with the morsel list its placement proof was
+/// made on.
+struct Split {
+    table: Arc<Table>,
+    morsels: Vec<Morsel>,
+}
+
+impl Split {
+    /// Run `task` once per morsel on the scheduler pool, each with a
+    /// context whose scans of the split table read only that morsel;
+    /// results come back in morsel order.
+    fn fork_join<T: Send>(
+        &self,
+        config: &EngineConfig,
+        task: impl Fn(&ExecContext) -> Result<T> + Sync,
+    ) -> Result<Vec<T>> {
+        let results = sched::global().fork_join(
+            sched::TaskClass::Query,
+            self.morsels.iter().copied(),
+            |(p, range)| {
+                let table = Arc::clone(&self.table);
+                task(&ExecContext::for_morsel(config.vector_size, table, p, Some(range)))
+            },
+        )?;
+        results.into_iter().collect()
+    }
+}
 
 /// Execute a plan to completion, using partition parallelism when safe.
 pub fn execute(plan: &LogicalPlan, config: &EngineConfig) -> Result<Vec<Batch>> {
@@ -69,12 +116,19 @@ pub fn execute(plan: &LogicalPlan, config: &EngineConfig) -> Result<Vec<Batch>> 
     let target = if config.parallelism > 1 { choose_partition_table(core) } else { None };
 
     let batches = match target {
-        Some(table) => execute_partitioned(core, &table, config)?,
+        Some(split) => {
+            om::EXEC_PLANS_PARTITIONED.add(1);
+            execute_partitioned(core, &split, config)?
+        }
         None => match partial_agg_target(core, config) {
-            Some((table, input, group, aggs, types)) => {
-                execute_partial_agg(input, group, aggs, &types, &table, config)?
+            Some((split, input, group, aggs, types)) => {
+                om::EXEC_PLANS_PARTIAL_AGG.add(1);
+                execute_partial_agg(input, group, aggs, &types, &split, config)?
             }
-            None => drain(build_operator(core, &ExecContext::new(config.vector_size))?)?,
+            None => {
+                om::EXEC_PLANS_SERIAL.add(1);
+                drain(build_operator(core, &ExecContext::new(config.vector_size))?)?
+            }
         },
     };
     replay(&tail, batches, config.vector_size)
@@ -129,39 +183,41 @@ pub fn replay(
 
 /// The morsel list for `table`: `(partition, [start, end) block range)`
 /// entries in (partition, range) order, covering every block exactly once.
-/// Empty partitions contribute nothing.
-fn build_morsels(table: &Arc<Table>, config: &EngineConfig) -> Vec<(usize, (usize, usize))> {
-    let block_counts: Vec<usize> =
-        table.with_partitions(|parts| parts.iter().map(|p| p.block_count()).collect());
-    let blocks_per_morsel = (MORSEL_ROWS / config.vector_size.max(1)).max(1);
-    let mut morsels = Vec::new();
-    for (p, &blocks) in block_counts.iter().enumerate() {
-        let mut start = 0;
-        while start < blocks {
-            let end = (start + blocks_per_morsel).min(blocks);
-            morsels.push((p, (start, end)));
-            start = end;
+/// Empty partitions contribute nothing. Sized by the table's own block
+/// size, which a reopened table keeps whatever the engine config says.
+fn build_morsels(table: &Table) -> Vec<Morsel> {
+    let blocks_per_morsel = (MORSEL_ROWS / table.vector_size()).max(1);
+    table.with_partitions(|parts| {
+        let mut morsels = Vec::new();
+        for (p, part) in parts.iter().enumerate() {
+            let blocks = part.block_count();
+            let mut start = 0;
+            while start < blocks {
+                let end = (start + blocks_per_morsel).min(blocks);
+                morsels.push((p, (start, end)));
+                start = end;
+            }
         }
-    }
-    morsels
+        morsels
+    })
 }
 
-/// If `core` is an aggregation that the group-on-unique-key rule rejects
-/// but whose input alone is partition-safe, pick the partial-aggregate
-/// plan: the partition table plus the aggregation pieces.
+/// If `core` is an aggregation that the split rule rejects but whose input
+/// alone can split, pick the partial-aggregate plan: the split plus the
+/// aggregation pieces.
 #[allow(clippy::type_complexity)]
 fn partial_agg_target<'p>(
     core: &'p LogicalPlan,
     config: &EngineConfig,
-) -> Option<(Arc<Table>, &'p LogicalPlan, &'p [Expr], &'p [AggSpec], Vec<DataType>)> {
+) -> Option<(Split, &'p LogicalPlan, &'p [Expr], &'p [AggSpec], Vec<DataType>)> {
     if config.parallelism <= 1 {
         return None;
     }
     let LogicalPlan::Aggregate { input, group, aggs, schema } = core else {
         return None;
     };
-    let table = choose_partition_table(input)?;
-    Some((table, input, group, aggs, schema.types()))
+    let split = choose_partition_table(input)?;
+    Some((split, input, group, aggs, schema.types()))
 }
 
 /// Run `input` once per morsel, folding each morsel into a typed
@@ -171,21 +227,12 @@ fn execute_partial_agg(
     group: &[Expr],
     aggs: &[AggSpec],
     output_types: &[DataType],
-    table: &Arc<Table>,
+    split: &Split,
     config: &EngineConfig,
 ) -> Result<Vec<Batch>> {
     let agg_types = &output_types[group.len()..];
-    // One partial state per morsel, merged in (partition, range) order.
-    let states = sched::global().fork_join(
-        sched::TaskClass::Query,
-        build_morsels(table, config),
-        |(p, range)| {
-            let ctx =
-                ExecContext::for_morsel(config.vector_size, Arc::clone(table), p, Some(range));
-            absorb(build_operator(input, &ctx)?, group, aggs, agg_types)
-        },
-    )?;
-    let states = states.into_iter().collect::<Result<Vec<_>>>()?;
+    let states = split
+        .fork_join(config, |ctx| absorb(build_operator(input, ctx)?, group, aggs, agg_types))?;
     let result = merge_partials(states, group.len(), aggs, output_types)?;
 
     let mut out = Vec::new();
@@ -239,54 +286,86 @@ pub fn merge_partials(
 /// order.
 fn execute_partitioned(
     plan: &LogicalPlan,
-    table: &Arc<Table>,
+    split: &Split,
     config: &EngineConfig,
 ) -> Result<Vec<Batch>> {
-    let results = sched::global().fork_join(
-        sched::TaskClass::Query,
-        build_morsels(table, config),
-        |(p, range)| {
-            let ctx =
-                ExecContext::for_morsel(config.vector_size, Arc::clone(table), p, Some(range));
-            build_operator(plan, &ctx).and_then(drain)
-        },
-    )?;
-    let mut out = Vec::new();
-    for batches in results {
-        out.extend(batches?);
-    }
-    Ok(out)
+    let results = split.fork_join(config, |ctx| build_operator(plan, ctx).and_then(drain))?;
+    Ok(results.into_iter().flatten().collect())
 }
 
-/// Pick the table to partition: the largest multi-partition scanned table
-/// for which partitioned execution is provably safe.
-fn choose_partition_table(plan: &LogicalPlan) -> Option<Arc<Table>> {
-    let mut tables = scan_counts(plan);
-    tables.sort_by_key(|(t, _)| std::cmp::Reverse(t.row_count()));
-    for (table, scans) in tables {
-        if scans == 1
-            && table.partition_count() > 1
-            && split_safe(plan, &[(Arc::clone(&table), None)]).is_some()
-        {
-            return Some(table);
-        }
-    }
-    None
+/// Pick the table to split: the largest multi-partition scanned table that
+/// [`split_safe`] accepts with no placement key, or with one column that is
+/// a key of the table's morsel list — declared unique, or with pairwise
+/// disjoint morsel SMA ranges ([`sma_disjoint`]). A column is proved only
+/// after the plan check accepts it, so a plan that cannot split never reads
+/// an SMA.
+fn choose_partition_table(plan: &LogicalPlan) -> Option<Split> {
+    let mut tables = scanned_tables(plan);
+    tables.sort_by_key(|t| std::cmp::Reverse(t.row_count()));
+    tables.into_iter().filter(|t| t.partition_count() > 1).find_map(|table| {
+        let accepts = |key| split_safe(plan, &[(Arc::clone(&table), key)]).is_some();
+        let morsels = build_morsels(&table);
+        let proof = if accepts(None) {
+            &om::EXEC_SPLIT_KEY_NONE
+        } else {
+            (0..table.schema().len()).filter(|&c| accepts(Some(c))).find_map(|c| {
+                if table.is_unique_column(c) {
+                    Some(&om::EXEC_SPLIT_KEY_UNIQUE)
+                } else {
+                    sma_disjoint(&table, &morsels, c).then_some(&om::EXEC_SPLIT_KEY_SMA)
+                }
+            })?
+        };
+        proof.add(1);
+        Some(Split { table, morsels })
+    })
 }
 
-/// The distinct tables `plan` scans (by identity), in first-scan order,
-/// each with the number of times it is scanned.
-pub fn scan_counts(plan: &LogicalPlan) -> Vec<(Arc<Table>, usize)> {
-    let mut tables = Vec::new();
-    collect_scan_tables(plan, &mut tables);
-    let mut counts: Vec<(Arc<Table>, usize)> = Vec::new();
-    for t in tables {
-        match counts.iter_mut().find(|(u, _)| Arc::ptr_eq(u, &t)) {
-            Some((_, n)) => *n += 1,
-            None => counts.push((t, 1)),
+/// Are the morsels' SMA `[min, max]` ranges for column `c` pairwise
+/// disjoint? Then all rows holding one value of `c` lie in one morsel.
+/// Reads block metadata only. Floats compare with IEEE `<`, so ranges
+/// meeting at `-0.0`/`0.0` (one key to the hash operators) or holding NaN
+/// never count as apart. A morsel past the table's blocks (a concurrent
+/// rollback) fails the proof.
+fn sma_disjoint(table: &Table, morsels: &[Morsel], c: usize) -> bool {
+    let ranges = table.with_partitions(|parts| {
+        morsels
+            .iter()
+            .map(|&(p, (start, end))| {
+                let part = parts.get(p).filter(|part| end <= part.block_count())?;
+                let (mut lo, mut hi) = part.sma(c, start);
+                for b in start + 1..end {
+                    let (min, max) = part.sma(c, b);
+                    if min.total_cmp(lo) == Ordering::Less {
+                        lo = min;
+                    }
+                    if max.total_cmp(hi) == Ordering::Greater {
+                        hi = max;
+                    }
+                }
+                Some((lo.clone(), hi.clone()))
+            })
+            .collect::<Option<Vec<(Value, Value)>>>()
+    });
+    let Some(mut ranges) = ranges else { return false };
+    ranges.sort_by(|a, b| a.0.total_cmp(&b.0));
+    ranges.windows(2).all(|w| match (&w[0].1, &w[1].0) {
+        (Value::Float(hi), Value::Float(lo)) => hi < lo,
+        (hi, lo) => hi.total_cmp(lo) == Ordering::Less,
+    })
+}
+
+/// The distinct tables `plan` scans (by identity), in first-scan order.
+pub fn scanned_tables(plan: &LogicalPlan) -> Vec<Arc<Table>> {
+    let mut scans = Vec::new();
+    collect_scan_tables(plan, &mut scans);
+    let mut tables: Vec<Arc<Table>> = Vec::new();
+    for t in scans {
+        if !tables.iter().any(|u| Arc::ptr_eq(u, &t)) {
+            tables.push(t);
         }
     }
-    counts
+    tables
 }
 
 /// Append every base table scanned by `plan` to `out` (one entry per scan,
@@ -311,9 +390,10 @@ pub fn collect_scan_tables(plan: &LogicalPlan, out: &mut Vec<Arc<Table>>) {
 /// Does running `plan` once per slice of the split tables — every other
 /// table read whole by every task — and concatenating the outputs give
 /// the rows of one run over all the data? `split` lists each split table
-/// (by identity) with its placement key: the column whose hash picks a
-/// row's slice (shards), or `None` where placement is arbitrary
-/// (partitions).
+/// (by identity) with its placement key, a column whose equal values
+/// always share a slice: the shard key, whose hash picks a row's shard, or
+/// a key of the partition level's morsel list (see the module doc). `None`
+/// says placement is arbitrary.
 ///
 /// `Some(reads_split)` when safe — `reads_split` says whether `plan` scans
 /// a split table at all — and `None` when not:
@@ -324,7 +404,8 @@ pub fn collect_scan_tables(plan: &LogicalPlan, out: &mut Vec<Arc<Table>>) {
 ///   every task;
 /// * a join of two split subtrees must carry an equi-key pair that traces
 ///   to placement keys on both sides, so matching rows share a slice —
-///   without keys no join qualifies, and a cross join never does.
+///   without keys no join qualifies, and a cross join never does. With
+///   one split table and one key, both sides trace to the same column.
 pub fn split_safe(plan: &LogicalPlan, split: &[(Arc<Table>, Option<usize>)]) -> Option<bool> {
     // Does `expr` over `side` pass through a split table's placement key
     // (or, with `unique`, a declared-unique column of a split table)?
@@ -434,11 +515,13 @@ mod tests {
         cat
     }
 
+    fn plan(sql: &str, config: &EngineConfig, cat: &Catalog) -> LogicalPlan {
+        let Statement::Select(s) = parse_statement(sql).unwrap() else { panic!("{sql}") };
+        Optimizer::new(config.clone()).optimize(Binder::new(cat).bind_select(&s).unwrap())
+    }
+
     fn run(sql: &str, config: &EngineConfig, cat: &Catalog) -> Vec<Vec<Value>> {
-        let binder = Binder::new(cat);
-        let Statement::Select(s) = parse_statement(sql).unwrap() else { panic!() };
-        let plan = Optimizer::new(config.clone()).optimize(binder.bind_select(&s).unwrap());
-        let batches = execute(&plan, config).unwrap();
+        let batches = execute(&plan(sql, config, cat), config).unwrap();
         let mut rows = Vec::new();
         for b in batches {
             for r in 0..b.num_rows() {
@@ -514,18 +597,115 @@ mod tests {
     }
 
     #[test]
-    fn choose_rejects_tables_scanned_twice() {
+    fn self_join_on_a_unique_key_splits_and_matches_serial() {
         let cfg =
             EngineConfig { vector_size: 8, partitions: 4, parallelism: 4, ..Default::default() };
         let cat = setup(&cfg);
-        // Self join: the table appears twice, so no partition target exists;
-        // results must still be correct (serial fallback).
-        let rows = run(
-            "SELECT a.id FROM facts a, facts b WHERE a.id = b.id AND a.id < 5 ORDER BY 1",
-            &cfg,
-            &cat,
-        );
+        // Both sides of the self join read the same morsel, and the one
+        // row with a given declared-unique id lies in exactly one morsel.
+        let sql =
+            "SELECT a.id, b.v FROM facts a, facts b WHERE a.id = b.id AND a.id < 5 ORDER BY 1";
+        assert!(choose_partition_table(peel_tail(&plan(sql, &cfg, &cat)).0).is_some());
+        let rows = run(sql, &cfg, &cat);
         assert_eq!(rows.len(), 5);
+        assert_eq!(rows, run(sql, &EngineConfig { parallelism: 1, ..cfg }, &cat));
+    }
+
+    #[test]
+    fn morsels_follow_the_table_block_size_not_the_engine_vector_size() {
+        // The table keeps 16-row blocks, as a table reopened under another
+        // vector size keeps its stored layout; the query runs at 1024.
+        let blocks16 = EngineConfig { vector_size: 16, partitions: 2, ..Default::default() };
+        let cat = Catalog::new();
+        let schema = Schema::new(vec![ColumnDef::new("id", DataType::Int)]).unwrap();
+        let t = cat.create_table("t", schema, &blocks16).unwrap();
+        let rows = 4 * MORSEL_ROWS as i64;
+        t.append(vec![ColumnVector::Int((0..rows).collect())]).unwrap();
+        let cfg = EngineConfig { vector_size: 1024, partitions: 2, ..Default::default() };
+        let sql = "SELECT id FROM t";
+        let split = choose_partition_table(&plan(sql, &cfg, &cat)).expect("a plain scan splits");
+        // 2 partitions x 2 * MORSEL_ROWS rows: two full morsels each.
+        assert_eq!(split.morsels.len(), 4);
+        t.with_partitions(|parts| {
+            for &(p, (start, end)) in &split.morsels {
+                let blocks = &parts[p].columns()[0][start..end];
+                assert_eq!(blocks.iter().map(|b| b.len()).sum::<usize>(), MORSEL_ROWS);
+            }
+        });
+        assert_eq!(run(sql, &cfg, &cat).len(), rows as usize);
+    }
+
+    #[test]
+    fn partition_key_rules() {
+        // One 8-row block per partition, so one morsel per block. `x` is
+        // the row number and `y = x + 8`: each is SMA-disjoint across
+        // morsels, but `x = y` matches rows one morsel apart. `z = x % 8`
+        // spans 0..=7 in every morsel. `f` is -7..=-0.0 in one morsel and
+        // 0.0..=7 in the other: disjoint under `total_cmp`, yet `-0.0`
+        // and `0.0` are one join key.
+        let cfg =
+            EngineConfig { vector_size: 8, partitions: 4, parallelism: 4, ..Default::default() };
+        let engine = crate::Engine::new(cfg.clone());
+        engine.execute("CREATE TABLE t (x INT, y INT, z INT)").unwrap();
+        engine
+            .insert_columns(
+                "t",
+                vec![
+                    ColumnVector::Int((0..32).collect()),
+                    ColumnVector::Int((8..40).collect()),
+                    ColumnVector::Int((0..32).map(|x| x % 8).collect()),
+                ],
+            )
+            .unwrap();
+        engine.execute("CREATE TABLE u (f FLOAT)").unwrap();
+        let f =
+            (-7..=7).map(f64::from).flat_map(|v| if v == 0.0 { vec![-0.0, 0.0] } else { vec![v] });
+        engine.insert_columns("u", vec![ColumnVector::Float(f.collect())]).unwrap();
+        // (case, statement, whether it splits, rows in the answer)
+        let cases = [
+            (
+                "self-join on an SMA-disjoint column",
+                "SELECT a.z, b.z FROM t a, t b WHERE a.x = b.x",
+                true,
+                32,
+            ),
+            (
+                "self-join on overlapping morsel ranges",
+                "SELECT a.x, b.x FROM t a, t b WHERE a.z = b.z",
+                false,
+                8 * 4 * 4,
+            ),
+            (
+                "join of two disjoint columns",
+                "SELECT a.x, b.x FROM t a, t b WHERE a.x = b.y",
+                false,
+                24,
+            ),
+            (
+                "ranges meeting at -0.0 and 0.0",
+                "SELECT a.f, b.f FROM u a, u b WHERE a.f = b.f",
+                false,
+                14 + 2 * 2,
+            ),
+        ];
+        let sorted_rows = |batches: Vec<Batch>| {
+            let mut rows: Vec<String> = batches
+                .iter()
+                .flat_map(|b| (0..b.num_rows()).map(move |r| format!("{:?}", b.row(r))))
+                .collect();
+            rows.sort();
+            rows
+        };
+        let serial = EngineConfig { parallelism: 1, ..cfg.clone() };
+        for (case, sql, splits, rows) in cases {
+            let plan = engine.plan(sql).unwrap();
+            let chosen = choose_partition_table(peel_tail(&plan).0);
+            assert_eq!(chosen.is_some(), splits, "{case}: {sql}");
+            // A wrong split would drop the matches that cross morsels.
+            let want = sorted_rows(execute(&plan, &serial).unwrap());
+            assert_eq!(want.len(), rows, "{case}: {sql}");
+            assert_eq!(sorted_rows(execute(&plan, &cfg).unwrap()), want, "{case}: {sql}");
+        }
     }
 
     // Regression test for merge-order determinism: partial aggregates over
@@ -699,7 +879,8 @@ mod tests {
                 if engine.config().parallelism > 1 {
                     let plan = engine.plan(sql).unwrap();
                     let chosen = choose_partition_table(peel_tail(&plan).0);
-                    assert_eq!(chosen.map(|t| t.name().to_string()).as_deref(), Some("facts"));
+                    let chosen = chosen.map(|split| split.table.name().to_string());
+                    assert_eq!(chosen.as_deref(), Some("facts"));
                 }
                 engine.execute(sql).unwrap().rows()
             })

@@ -320,14 +320,17 @@ pub struct Table {
     name: String,
     schema: Schema,
     partitions: RwLock<Vec<Partition>>,
+    /// Rows per block, fixed at creation: a restored table keeps its
+    /// stored block size whatever the current config says.
     vector_size: usize,
     /// Round-robin cursor so successive bulk loads stay balanced.
     next_partition: AtomicUsize,
     /// Ordinals of columns declared unique by the loader. The
     /// partition-parallel driver relies on this to prove that a GROUP BY
-    /// containing such a column never spans partitions (paper Sec. 4.4:
-    /// "the grouping key (ID, Node) ... can be derived from a partitioning
-    /// based on ID, no repartitioning is necessary").
+    /// containing such a column, or a self-join on one, never spans
+    /// morsels (paper Sec. 4.4: "the grouping key (ID, Node) ... can be
+    /// derived from a partitioning based on ID, no repartitioning is
+    /// necessary").
     unique_columns: RwLock<Vec<usize>>,
     /// Monotonic data version, bumped on every non-empty append. The
     /// invalidation primitive the serving-layer caches key on: a cache
@@ -529,10 +532,13 @@ impl Table {
         self.partitions.read().iter().map(Partition::rows).sum()
     }
 
-    /// Bulk-append columnar data. Rows are cut into `vector_size` chunks and
-    /// distributed round-robin over the partitions, which for a table with a
-    /// unique key column yields the balanced, key-disjoint partitioning the
-    /// paper's parallel ModelJoin assumes (Sec. 4.4).
+    /// Bulk-append columnar data. Rows are cut into chunks of the table's
+    /// block size and dealt round-robin over the partitions, which keeps
+    /// them balanced. Placement ignores values: a partition gets every
+    /// `partition_count()`-th chunk, so even sequential ids interleave
+    /// across partitions once a partition holds two chunks. Only a
+    /// declared-unique column, or SMA ranges that happen to be disjoint,
+    /// lets the partition-parallel driver treat a column as a key.
     pub fn append(&self, columns: Vec<ColumnVector>) -> Result<()> {
         let rows = self.check_columns(&columns)?;
         if rows == 0 {
