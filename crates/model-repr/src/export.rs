@@ -3,16 +3,19 @@
 use crate::meta::{ModelMeta, SlotKind};
 use crate::schema::{model_table_schema, Layout};
 use nn::{Layer, Model};
-use vector_engine::{ColumnVector, Engine, Table};
+use vector_engine::{ColumnVector, Engine, Result, Table};
 
 /// Gate index aliases into the 12-element weight vector.
 const W: usize = 0; // w_i..w_o at 0..4
 const U: usize = 4; // u_i..u_o at 4..8
 const B: usize = 8; // b_i..b_o at 8..12
 
-/// Collects edges in columnar form.
-struct Sink {
+/// Collects edges in columnar form and hands them to `out` every
+/// `handoff` edges; [`Sink::flush`] hands off the rest.
+struct Sink<F> {
     layout: Layout,
+    handoff: usize,
+    out: F,
     layer_in: Vec<i64>,
     node_in: Vec<i64>,
     layer: Vec<i64>,
@@ -20,10 +23,12 @@ struct Sink {
     weights: Vec<Vec<f64>>,
 }
 
-impl Sink {
-    fn new(layout: Layout) -> Sink {
+impl<F: FnMut(Vec<ColumnVector>) -> Result<()>> Sink<F> {
+    fn new(layout: Layout, handoff: usize, out: F) -> Sink<F> {
         Sink {
             layout,
+            handoff,
+            out,
             layer_in: Vec::new(),
             node_in: Vec::new(),
             layer: Vec::new(),
@@ -44,7 +49,7 @@ impl Sink {
         node_in_id: i64,
         node_id: i64,
         w: [f64; 12],
-    ) {
+    ) -> Result<()> {
         match self.layout {
             Layout::LayerNode => {
                 self.layer_in.push(layer_in);
@@ -60,24 +65,24 @@ impl Sink {
         for (col, v) in self.weights.iter_mut().zip(w) {
             col.push(v);
         }
+        if self.node.len() == self.handoff {
+            self.flush()?;
+        }
+        Ok(())
     }
 
-    fn into_columns(self) -> Vec<ColumnVector> {
-        let mut cols = Vec::with_capacity(self.layout.column_count());
-        match self.layout {
+    /// Hand the edges collected so far to `out` as model-table columns.
+    fn flush(&mut self) -> Result<()> {
+        let endpoints = match self.layout {
             Layout::LayerNode => {
-                cols.push(ColumnVector::Int(self.layer_in));
-                cols.push(ColumnVector::Int(self.node_in));
-                cols.push(ColumnVector::Int(self.layer));
-                cols.push(ColumnVector::Int(self.node));
+                vec![&mut self.layer_in, &mut self.node_in, &mut self.layer, &mut self.node]
             }
-            Layout::NodeId => {
-                cols.push(ColumnVector::Int(self.node_in));
-                cols.push(ColumnVector::Int(self.node));
-            }
-        }
-        cols.extend(self.weights.into_iter().map(ColumnVector::Float));
-        cols
+            Layout::NodeId => vec![&mut self.node_in, &mut self.node],
+        };
+        let mut cols: Vec<ColumnVector> =
+            endpoints.into_iter().map(|v| ColumnVector::Int(std::mem::take(v))).collect();
+        cols.extend(self.weights.iter_mut().map(|w| ColumnVector::Float(std::mem::take(w))));
+        (self.out)(cols)
     }
 }
 
@@ -85,8 +90,20 @@ impl Sink {
 /// Returns the columns together with the metadata describing them.
 pub fn export_columns(model: &Model, layout: Layout) -> (Vec<ColumnVector>, ModelMeta) {
     let meta = ModelMeta::of(model);
-    let mut sink = Sink::new(layout);
+    let mut columns = Vec::new();
+    let sink = Sink::new(layout, usize::MAX, |cols| {
+        columns = cols;
+        Ok(())
+    });
+    export_edges(model, &meta, sink).expect("collecting edges in memory cannot fail");
+    (columns, meta)
+}
 
+/// Emit every edge of `model` into `sink`, in the model table's row order.
+fn export_edges<F>(model: &Model, meta: &ModelMeta, mut sink: Sink<F>) -> Result<()>
+where
+    F: FnMut(Vec<ColumnVector>) -> Result<()>,
+{
     // 1. Artificial input node → input distribution layer, weight W_i = 1
     //    (paper Sec. 4.3.1). The artificial node is (layer -1, node -1) /
     //    node ID -1.
@@ -94,7 +111,7 @@ pub fn export_columns(model: &Model, layout: Layout) -> (Vec<ColumnVector>, Mode
     for i in 0..input_slot.dim {
         let mut w = [0.0; 12];
         w[W] = 1.0;
-        sink.edge(-1, -1, input_slot.layer, i as i64, -1, input_slot.node_base + i as i64, w);
+        sink.edge(-1, -1, input_slot.layer, i as i64, -1, input_slot.node_base + i as i64, w)?;
     }
 
     // 2. Model layers. `prev` tracks the slot feeding the current layer.
@@ -120,7 +137,7 @@ pub fn export_columns(model: &Model, layout: Layout) -> (Vec<ColumnVector>, Mode
                             p.node_base + i as i64,
                             s.node_base + j as i64,
                             w,
-                        );
+                        )?;
                     }
                 }
                 prev = slot;
@@ -150,7 +167,7 @@ pub fn export_columns(model: &Model, layout: Layout) -> (Vec<ColumnVector>, Mode
                             p.node_base + f as i64,
                             kernel_slot.node_base + j as i64,
                             w,
-                        );
+                        )?;
                     }
                 }
                 // Recurrent-kernel sublayer.
@@ -168,7 +185,7 @@ pub fn export_columns(model: &Model, layout: Layout) -> (Vec<ColumnVector>, Mode
                             kernel_slot.node_base + h as i64,
                             rec_slot.node_base + j as i64,
                             w,
-                        );
+                        )?;
                     }
                 }
                 prev = slot + 1;
@@ -176,22 +193,36 @@ pub fn export_columns(model: &Model, layout: Layout) -> (Vec<ColumnVector>, Mode
             }
         }
     }
-    (sink.into_columns(), meta)
+    sink.flush()
 }
+
+/// Model-table blocks per hand-off of [`load_into_engine`]'s stream.
+const HANDOFF_BLOCKS: usize = 64;
 
 /// Create the model table in an engine and bulk-load the edges; returns the
 /// table and metadata. This is the Rust analogue of ML-To-SQL's
 /// "automatically load a Python model object into the relational table
 /// representation" (Sec. 4.1).
+///
+/// The export streams into an in-memory table: every 64 × `vector_size`
+/// edges go in as one append, a whole number of blocks, so block
+/// boundaries and partition placement are those of one big append and no
+/// full-size copy of the table ever exists. A persistent table logs every
+/// append as one durable statement, so it takes the whole export in one
+/// append: a crash must not leave a prefix of a model behind.
 pub fn load_into_engine(
     engine: &Engine,
     table_name: &str,
     model: &Model,
     layout: Layout,
-) -> vector_engine::Result<(std::sync::Arc<Table>, ModelMeta)> {
+) -> Result<(std::sync::Arc<Table>, ModelMeta)> {
     let table = engine.create_table(table_name, model_table_schema(layout))?;
-    let (columns, meta) = export_columns(model, layout);
-    table.append(columns)?;
+    let meta = ModelMeta::of(model);
+    let handoff = match engine.storage_env() {
+        Some(_) => usize::MAX,
+        None => HANDOFF_BLOCKS * table.vector_size(),
+    };
+    export_edges(model, &meta, Sink::new(layout, handoff, |cols| table.append(cols)))?;
     Ok((table, meta))
 }
 
@@ -248,6 +279,48 @@ mod tests {
             node.iter().zip(b_col).filter(|(n, _)| **n == target).map(|(_, b)| *b).collect();
         assert_eq!(biases.len(), 4);
         assert!(biases.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    /// The streamed load lays the table out exactly as one append of the
+    /// whole export: same blocks per partition, same rows, same bits in the
+    /// same scan order. At vector size 4 a hand-off is 256 edges; both
+    /// models span two hand-offs plus a tail that ends mid-block.
+    #[test]
+    fn streamed_load_equals_one_append() {
+        let bits = |t: &Table| -> Vec<Vec<u64>> {
+            let batches = t.all_batches().unwrap();
+            let cell = |c: &ColumnVector, r: usize| match c {
+                ColumnVector::Int(v) => v[r] as u64,
+                ColumnVector::Float(v) => v[r].to_bits(),
+                other => panic!("model tables hold no {:?} columns", other.data_type()),
+            };
+            batches
+                .iter()
+                .flat_map(|b| {
+                    (0..b.num_rows())
+                        .map(|r| b.columns().iter().map(|c| cell(c, r)).collect::<Vec<_>>())
+                        .collect::<Vec<_>>()
+                })
+                .collect()
+        };
+        let rows =
+            |t: &Table| t.with_partitions(|ps| ps.iter().map(|p| p.rows()).collect::<Vec<_>>());
+        // 4 + 4·15 + 2·15² + 15 = 529 = 2·256 + 17 edges; 3 + 24 + 24² + 24
+        // = 627 = 2·256 + 115.
+        for model in [paper::dense_model(15, 3, 4), paper::lstm_model(24, 9)] {
+            for layout in [Layout::NodeId, Layout::LayerNode] {
+                let streamed = Engine::new(EngineConfig::test_small());
+                let (table, _) = load_into_engine(&streamed, "m", &model, layout).unwrap();
+                let whole = Engine::new(EngineConfig::test_small());
+                let oracle = whole.create_table("m", model_table_schema(layout)).unwrap();
+                let (columns, _) = export_columns(&model, layout);
+                assert!(columns[0].len() > 512 && columns[0].len() % 4 != 0);
+                oracle.append(columns).unwrap();
+                assert_eq!(table.snapshot(), oracle.snapshot(), "{layout:?}");
+                assert_eq!(rows(&table), rows(&oracle), "{layout:?}");
+                assert_eq!(bits(&table), bits(&oracle), "{layout:?}");
+            }
+        }
     }
 
     #[test]

@@ -145,16 +145,20 @@ pub fn import_model(columns: &[ColumnVector], meta: &ModelMeta, layout: Layout) 
     Model::new(layers).map_err(EngineError::Catalog)
 }
 
-/// Import from a stored engine table.
+/// Import from a stored engine table, appending each block straight into
+/// one set of columns.
 pub fn import_from_table(table: &Table, meta: &ModelMeta, layout: Layout) -> Result<Model> {
-    let batches = table.all_batches()?;
-    let schema_len = table.schema().len();
+    let schema = table.schema();
+    let all: Vec<usize> = (0..schema.len()).collect();
     let mut columns: Vec<ColumnVector> =
-        (0..schema_len).map(|i| ColumnVector::empty(table.schema().column(i).dtype)).collect();
-    for b in &batches {
-        for (dst, src) in columns.iter_mut().zip(b.columns()) {
-            dst.append(src);
-        }
+        schema.columns().iter().map(|c| ColumnVector::empty(c.dtype)).collect();
+    for p in 0..table.partition_count() {
+        table.for_each_block(p, &all, |batch| {
+            for (dst, src) in columns.iter_mut().zip(batch.columns()) {
+                dst.append(src);
+            }
+            Ok(())
+        })?;
     }
     import_model(&columns, meta, layout)
 }
@@ -204,11 +208,12 @@ mod tests {
     #[test]
     fn round_trip_through_engine_table() {
         use vector_engine::{Engine, EngineConfig};
-        let engine = Engine::new(EngineConfig::test_small());
-        let model = paper::lstm_model(4, 3);
-        let (table, meta) =
-            crate::export::load_into_engine(&engine, "m", &model, Layout::NodeId).unwrap();
-        let back = import_from_table(&table, &meta, Layout::NodeId).unwrap();
-        assert_eq!(model, back);
+        for model in [paper::lstm_model(4, 3), paper::dense_model(15, 3, 4)] {
+            let engine = Engine::new(EngineConfig::test_small());
+            let (table, meta) =
+                crate::export::load_into_engine(&engine, "m", &model, Layout::NodeId).unwrap();
+            let back = import_from_table(&table, &meta, Layout::NodeId).unwrap();
+            assert_eq!(model, back);
+        }
     }
 }

@@ -40,6 +40,9 @@ struct Router {
     slot_buffers: Vec<usize>,
     /// `(rows, cols)` of each flat row-major weight buffer to fill.
     buffer_shapes: Vec<(usize, usize)>,
+    /// The weight columns (ordinals within the 12) the slots read: `w_i`
+    /// and `b_i` while every slot is Dense, all 12 once one is LSTM.
+    weights: Vec<usize>,
 }
 
 /// Weight-vector column ordinals within the 12 weight columns.
@@ -71,7 +74,19 @@ impl Router {
                 }
             }
         }
-        Router { meta: meta.clone(), layout, slot_buffers, buffer_shapes }
+        let lstm = meta
+            .slots
+            .iter()
+            .any(|s| matches!(s.kind, SlotKind::LstmKernel | SlotKind::LstmRecurrent));
+        let weights = if lstm { (0..12).collect() } else { vec![W0, B0] };
+        Router { meta: meta.clone(), layout, slot_buffers, buffer_shapes, weights }
+    }
+
+    /// Table ordinals of the columns the build reads: the endpoint
+    /// columns, then the routed weight columns.
+    fn read_columns(&self) -> Vec<usize> {
+        let nend = self.layout.column_count() - 12;
+        (0..nend).chain(self.weights.iter().map(|w| nend + w)).collect()
     }
 
     /// Resolve an edge (by its endpoint columns) and call `write` with
@@ -173,12 +188,15 @@ impl SlabPtrs {
     }
 }
 
+/// Fill from one block of [`Router::read_columns`].
 fn fill_from_batch(batch: &Batch, router: &Router, slabs: &SlabPtrs) -> Result<()> {
     let nend = router.layout.column_count() - 12;
     let mut endpoints = vec![0i64; nend];
-    let weight_cols: Result<Vec<&[f64]>> =
-        (nend..nend + 12).map(|i| batch.column(i).as_float()).collect();
-    let weight_cols = weight_cols?;
+    // Unread weight columns stay empty: routing never names them.
+    let mut weight_cols: [&[f64]; 12] = [&[]; 12];
+    for (i, &w) in router.weights.iter().enumerate() {
+        weight_cols[w] = batch.column(nend + i).as_float()?;
+    }
     let end_cols: Result<Vec<&[i64]>> = (0..nend).map(|i| batch.column(i).as_int()).collect();
     let end_cols = end_cols?;
     for row in 0..batch.num_rows() {
@@ -231,12 +249,11 @@ pub fn build_parallel(
     // Phase 2: parallel fill over the partitions, one Query-class task
     // each on the shared pool (disjoint slab rows, so fills never
     // conflict). The join is the single synchronization barrier of
-    // Sec. 5.2.
-    let fill = |p: usize| -> Result<()> {
-        for batch in table.partition_batches(p)? {
-            fill_from_batch(&batch, &router, &slabs)?;
-        }
-        Ok(())
+    // Sec. 5.2. A task reads its partition one block at a time, and only
+    // the columns the router reads (a Dense model: 4 of 14).
+    let columns = router.read_columns();
+    let fill = |p: usize| {
+        table.for_each_block(p, &columns, |batch| fill_from_batch(&batch, &router, &slabs))
     };
     for filled in
         sched::global().fork_join(sched::TaskClass::Query, 0..table.partition_count(), fill)?

@@ -228,16 +228,6 @@ impl ColumnVector {
             ))),
         }
     }
-
-    /// Approximate heap size in bytes (used by memory accounting).
-    pub fn byte_size(&self) -> usize {
-        match self {
-            ColumnVector::Int(v) => v.len() * 8,
-            ColumnVector::Float(v) => v.len() * 8,
-            ColumnVector::Bool(v) => v.len(),
-            ColumnVector::Str(v) => v.iter().map(|s| s.len() + 24).sum(),
-        }
-    }
 }
 
 /// A horizontal slice of a relation: one vector per column, all of equal

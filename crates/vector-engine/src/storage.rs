@@ -74,12 +74,13 @@ impl Schema {
     }
 }
 
-/// Where a block's values live: resident in memory (the in-memory
-/// engine's only variant) or as a paged column chunk read back through
-/// the buffer pool on demand.
+/// Where a block's values live: resident in memory, implied by the SMA
+/// (every row equals min = max, so only the row count is kept), or as a
+/// paged column chunk read back through the buffer pool on demand.
 #[derive(Clone, Debug)]
 enum BlockData {
     Mem(ColumnVector),
+    Const(usize),
     Paged(PagedChunk),
 }
 
@@ -127,9 +128,19 @@ pub(crate) struct PartitionMeta {
 }
 
 impl Block {
+    /// A memory-resident block. When its min and max are equal under
+    /// [`Value::total_cmp`] every row is that value (for floats: the same
+    /// bits, so `0.0`/`-0.0` or distinct NaN payloads stay `Mem`), and the
+    /// block keeps no values — a model table's all-zero gate columns cost
+    /// nothing.
     fn new(data: ColumnVector) -> Block {
         let (min, max) = minmax(&data);
-        Block { data: BlockData::Mem(data), min, max }
+        let data = if min.total_cmp(&max) == Ordering::Equal {
+            BlockData::Const(data.len())
+        } else {
+            BlockData::Mem(data)
+        };
+        Block { data, min, max }
     }
 
     fn paged(chunk: PagedChunk, min: Value, max: Value) -> Block {
@@ -141,6 +152,7 @@ impl Block {
     pub fn load(&self, env: Option<&StorageEnv>) -> Result<ColumnVector> {
         match &self.data {
             BlockData::Mem(v) => Ok(v.clone()),
+            BlockData::Const(rows) => Ok(ColumnVector::repeat(&self.min, *rows)),
             BlockData::Paged(chunk) => {
                 let env = env.ok_or_else(|| {
                     EngineError::Io("paged block read without a storage environment".into())
@@ -172,6 +184,7 @@ impl Block {
     pub fn len(&self) -> usize {
         match &self.data {
             BlockData::Mem(v) => v.len(),
+            BlockData::Const(rows) => *rows,
             BlockData::Paged(chunk) => chunk.rows as usize,
         }
     }
@@ -180,19 +193,12 @@ impl Block {
         false
     }
 
-    fn byte_size(&self) -> usize {
-        match &self.data {
-            BlockData::Mem(v) => v.byte_size(),
-            BlockData::Paged(chunk) => chunk.bytes as usize,
-        }
-    }
-
     fn meta(&self) -> Result<BlockMeta> {
         match &self.data {
             BlockData::Paged(chunk) => {
                 Ok(BlockMeta { chunk: *chunk, min: self.min.clone(), max: self.max.clone() })
             }
-            BlockData::Mem(_) => Err(EngineError::Io(
+            BlockData::Mem(_) | BlockData::Const(_) => Err(EngineError::Io(
                 "checkpoint found a memory-resident block in a persistent table".into(),
             )),
         }
@@ -202,7 +208,7 @@ impl Block {
     pub(crate) fn paged_chunk(&self) -> Option<PagedChunk> {
         match &self.data {
             BlockData::Paged(chunk) => Some(*chunk),
-            BlockData::Mem(_) => None,
+            BlockData::Mem(_) | BlockData::Const(_) => None,
         }
     }
 
@@ -252,14 +258,6 @@ impl Partition {
     pub fn sma(&self, c: usize, b: usize) -> (&Value, &Value) {
         let blk = &self.columns[c][b];
         (&blk.min, &blk.max)
-    }
-
-    fn append_chunk(&mut self, chunk: &[ColumnVector]) {
-        debug_assert_eq!(chunk.len(), self.columns.len());
-        for (col, vec) in self.columns.iter_mut().zip(chunk) {
-            col.push(Block::new(vec.clone()));
-        }
-        self.rows += chunk.first().map_or(0, ColumnVector::len);
     }
 
     /// Publish one already-paged chunk: one block per column, `rows` new
@@ -433,7 +431,8 @@ impl Table {
         self.env.as_deref()
     }
 
-    pub(crate) fn vector_size(&self) -> usize {
+    /// Rows per block (the last block of an append may hold fewer).
+    pub fn vector_size(&self) -> usize {
         self.vector_size
     }
 
@@ -545,7 +544,7 @@ impl Table {
             return Ok(());
         }
         match self.env.clone() {
-            None => self.append_mem(&columns, rows),
+            None => self.append_mem(columns, rows),
             Some(env) => self.append_persistent(&env, &columns, rows),
         }
     }
@@ -595,19 +594,29 @@ impl Table {
         }
     }
 
-    /// The in-memory append path (unchanged pre-persistence behavior).
-    fn append_mem(&self, columns: &[ColumnVector], rows: usize) -> Result<()> {
+    /// The in-memory append path. Chunk `k` goes to partition
+    /// `(next_partition + k) % partition_count()`, as the persistent path
+    /// deals them. The input is consumed column by column, each chunk
+    /// copied once into its block and the column freed before the next,
+    /// so the append holds at most one input column beside the table.
+    fn append_mem(&self, columns: Vec<ColumnVector>, rows: usize) -> Result<()> {
         let mut parts = self.partitions.write();
         let undo = self.append_undo(&parts);
         self.txn.record(|| undo);
         let pcount = parts.len();
-        let mut start = 0;
-        while start < rows {
-            let end = (start + self.vector_size).min(rows);
-            let chunk: Vec<ColumnVector> = columns.iter().map(|c| c.slice(start, end)).collect();
-            let p = self.next_partition.fetch_add(1, AtomicOrdering::Relaxed) % pcount;
-            parts[p].append_chunk(&chunk);
-            start = end;
+        let chunks = rows.div_ceil(self.vector_size);
+        let first = self.next_partition.fetch_add(chunks, AtomicOrdering::Relaxed);
+        let chunk_range = |k: usize| (k * self.vector_size, ((k + 1) * self.vector_size).min(rows));
+        for (c, column) in columns.into_iter().enumerate() {
+            for k in 0..chunks {
+                let (start, end) = chunk_range(k);
+                let p = first.wrapping_add(k) % pcount;
+                parts[p].columns[c].push(Block::new(column.slice(start, end)));
+            }
+        }
+        for k in 0..chunks {
+            let (start, end) = chunk_range(k);
+            parts[first.wrapping_add(k) % pcount].rows += end - start;
         }
         // Version bumps happen while the partition write lock is still
         // held, so a reader that observes the old version has not yet seen
@@ -742,37 +751,36 @@ impl Table {
         freed
     }
 
-    /// Materialize one partition as a list of batches (one per block row
-    /// group).
-    pub fn partition_batches(&self, p: usize) -> Result<Vec<Batch>> {
+    /// Visit partition `p` one block at a time, each as a batch of the
+    /// given columns (table ordinals, in output order); columns not listed
+    /// are neither read nor decoded. The partition read guard is held for
+    /// the whole visit, so a rollback cannot truncate blocks under it; `f`
+    /// must therefore not call back into this table.
+    pub fn for_each_block(
+        &self,
+        p: usize,
+        columns: &[usize],
+        mut f: impl FnMut(Batch) -> Result<()>,
+    ) -> Result<()> {
         let parts = self.partitions.read();
         let part = &parts[p];
-        let columns: Vec<usize> = (0..self.schema.len()).collect();
-        (0..part.block_count()).map(|b| part.block_batch(b, &columns, self.storage_env())).collect()
+        for b in 0..part.block_count() {
+            f(part.block_batch(b, columns, self.storage_env())?)?;
+        }
+        Ok(())
     }
 
     /// Materialize the whole table as one batch per block.
     pub fn all_batches(&self) -> Result<Vec<Batch>> {
+        let columns: Vec<usize> = (0..self.schema.len()).collect();
         let mut out = Vec::new();
         for p in 0..self.partition_count() {
-            out.extend(self.partition_batches(p)?);
+            self.for_each_block(p, &columns, |batch| {
+                out.push(batch);
+                Ok(())
+            })?;
         }
         Ok(out)
-    }
-
-    /// Approximate data footprint in bytes (heap for memory-resident
-    /// blocks, on-disk chunk size for paged ones).
-    pub fn byte_size(&self) -> usize {
-        let parts = self.partitions.read();
-        parts
-            .iter()
-            .map(|p| {
-                p.columns
-                    .iter()
-                    .map(|blocks| blocks.iter().map(Block::byte_size).sum::<usize>())
-                    .sum::<usize>()
-            })
-            .sum()
     }
 }
 
@@ -902,6 +910,165 @@ mod tests {
         assert_eq!(t.version(), 1);
         t.append_rows(&[vec![Value::Int(2), Value::Float(0.2)]]).unwrap();
         assert_eq!(t.version(), 2);
+    }
+
+    /// Equal values, floats compared by their bits.
+    fn same_bits(a: &ColumnVector, b: &ColumnVector) -> bool {
+        match (a, b) {
+            (ColumnVector::Float(x), ColumnVector::Float(y)) => {
+                x.iter().map(|v| v.to_bits()).eq(y.iter().map(|v| v.to_bits()))
+            }
+            _ => a == b,
+        }
+    }
+
+    /// Every column of the table, concatenated over its blocks in scan
+    /// order.
+    fn scanned(t: &Table) -> Vec<ColumnVector> {
+        let mut out: Vec<ColumnVector> =
+            t.schema().columns().iter().map(|c| ColumnVector::empty(c.dtype)).collect();
+        for batch in t.all_batches().unwrap() {
+            for (dst, src) in out.iter_mut().zip(batch.columns()) {
+                dst.append(src);
+            }
+        }
+        out
+    }
+
+    /// Per partition, per column, whether each block stores no values.
+    fn const_blocks(t: &Table) -> Vec<Vec<Vec<bool>>> {
+        t.with_partitions(|parts| {
+            parts
+                .iter()
+                .map(|p| {
+                    p.columns
+                        .iter()
+                        .map(|blocks| {
+                            blocks.iter().map(|b| matches!(b.data, BlockData::Const(_))).collect()
+                        })
+                        .collect()
+                })
+                .collect()
+        })
+    }
+
+    fn one_of_each_schema() -> Schema {
+        Schema::new(vec![
+            ColumnDef::new("i", DataType::Int),
+            ColumnDef::new("f", DataType::Float),
+            ColumnDef::new("b", DataType::Bool),
+            ColumnDef::new("s", DataType::Str),
+        ])
+        .unwrap()
+    }
+
+    #[test]
+    fn all_equal_blocks_are_const_and_load_bit_identically() {
+        let t = Table::new("t", one_of_each_schema(), &config());
+        // Three whole blocks and a one-row tail, every one all-equal; the
+        // float blocks are -0.0, a NaN and 0.5.
+        let nan = f64::from_bits(f64::NAN.to_bits() | 5);
+        let floats = [-0.0, nan, 0.5, 0.5];
+        let input = vec![
+            ColumnVector::Int([7, -1, 0, 3].iter().flat_map(|&v| vec![v; 4]).take(13).collect()),
+            ColumnVector::Float(floats.iter().flat_map(|&v| vec![v; 4]).take(13).collect()),
+            ColumnVector::Bool(
+                [true, false, true, true].iter().flat_map(|&v| vec![v; 4]).take(13).collect(),
+            ),
+            ColumnVector::Str(
+                ["x", "", "yy", "x"]
+                    .iter()
+                    .flat_map(|&v| vec![v.to_string(); 4])
+                    .take(13)
+                    .collect(),
+            ),
+        ];
+        t.append(input.clone()).unwrap();
+        assert!(const_blocks(&t).iter().flatten().flatten().all(|&c| c));
+        // Round-robin over 3 partitions puts blocks 0 and 3 in partition 0.
+        let expect: Vec<ColumnVector> =
+            input.iter().map(|c| c.take(&[0, 1, 2, 3, 12, 4, 5, 6, 7, 8, 9, 10, 11])).collect();
+        for (got, want) in scanned(&t).iter().zip(&expect) {
+            assert!(same_bits(got, want), "{got:?} != {want:?}");
+        }
+    }
+
+    #[test]
+    fn signed_zeros_and_distinct_nan_payloads_stay_mem() {
+        let schema = Schema::new(vec![ColumnDef::new("f", DataType::Float)]).unwrap();
+        let cfg = EngineConfig { vector_size: 4, partitions: 1, ..Default::default() };
+        let t = Table::new("t", schema, &cfg);
+        let (nan_a, nan_b) = (f64::NAN, f64::from_bits(f64::NAN.to_bits() | 1));
+        let input = ColumnVector::Float(vec![0.0, -0.0, 0.0, -0.0, nan_a, nan_b, nan_b, nan_a]);
+        t.append(vec![input.clone()]).unwrap();
+        assert_eq!(const_blocks(&t), vec![vec![vec![false, false]]]);
+        assert!(same_bits(&scanned(&t)[0], &input));
+    }
+
+    #[test]
+    fn sma_pruning_skips_and_keeps_const_blocks() {
+        use crate::exec::physical::Operator;
+        use crate::exec::scan::ScanExec;
+        use crate::expr::BinaryOp;
+        use crate::plan::logical::PrunePredicate;
+
+        let engine = crate::session::Engine::new(config());
+        engine.execute("CREATE TABLE t (c INT)").unwrap();
+        let values: Vec<i64> = [5, 5, 5, 5, 9, 9, 9, 9, 5, 5, 5, 5, 1, 2, 3, 4].to_vec();
+        engine.insert_columns("t", vec![ColumnVector::Int(values)]).unwrap();
+        let t = engine.table("t").unwrap();
+        let kinds: Vec<bool> = const_blocks(&t).into_iter().flat_map(|p| p[0].clone()).collect();
+        assert_eq!(kinds.iter().filter(|&&c| c).count(), 3, "three of four blocks are constant");
+        for (k, rows, read) in [(5, 8, 2), (9, 4, 1), (3, 1, 1), (6, 0, 0)] {
+            let q = engine.execute(&format!("SELECT COUNT(*) AS n FROM t WHERE c = {k}")).unwrap();
+            assert_eq!(q.rows()[0][0], Value::Int(rows), "c = {k}");
+            let pred = PrunePredicate { column: 0, op: BinaryOp::Eq, value: Value::Int(k) };
+            let mut scan = ScanExec::new(Arc::clone(&t), vec![pred], None);
+            let mut kept = Vec::new();
+            while let Some(batch) = scan.next().unwrap() {
+                kept.extend_from_slice(batch.column(0).as_int().unwrap());
+            }
+            assert_eq!((scan.blocks_read, scan.blocks_pruned), (read, 4 - read), "c = {k}");
+            assert_eq!(kept.iter().filter(|&&v| v == k).count() as i64, rows, "c = {k}");
+        }
+    }
+
+    #[test]
+    fn rollback_over_const_blocks_restores_the_prestate() {
+        let engine = crate::session::Engine::new(config());
+        let oracle = crate::session::Engine::new(config());
+        let bulk = |base: f64| {
+            vec![
+                ColumnVector::Int(vec![1, 1, 1, 1, 2, 2, 2, 2, 3]),
+                ColumnVector::Float(vec![base, base, base, base, 0.0, 0.0, 0.0, 0.0, 0.5]),
+            ]
+        };
+        for e in [&engine, &oracle] {
+            e.execute("CREATE TABLE t (id INT, w FLOAT)").unwrap();
+            e.insert_columns("t", bulk(0.0)).unwrap();
+        }
+        let t = engine.table("t").unwrap();
+        let prestate = (t.snapshot(), const_blocks(&t), scanned(&t));
+        engine.execute("BEGIN").unwrap();
+        engine.execute("INSERT INTO t VALUES (4, 0.0), (4, 0.0)").unwrap();
+        engine.insert_columns("t", bulk(-0.0)).unwrap();
+        engine.execute("ROLLBACK").unwrap();
+        assert_eq!(t.snapshot(), prestate.0);
+        assert_eq!(const_blocks(&t), prestate.1);
+        for (got, want) in scanned(&t).iter().zip(&prestate.2) {
+            assert!(same_bits(got, want));
+        }
+        // The round-robin cursor is restored too: the next append lands
+        // where it lands on a table that never saw the transaction.
+        for e in [&engine, &oracle] {
+            e.insert_columns("t", bulk(1.0)).unwrap();
+        }
+        let o = oracle.table("t").unwrap();
+        assert_eq!(t.snapshot(), o.snapshot());
+        assert_eq!(const_blocks(&t), const_blocks(&o));
+        for (got, want) in scanned(&t).iter().zip(&scanned(&o)) {
+            assert!(same_bits(got, want));
+        }
     }
 
     #[test]

@@ -76,3 +76,59 @@ fn approaches_with_larger_working_sets_report_larger_peaks() {
     assert!(ml2sql > modeljoin, "ML-To-SQL ({ml2sql}) should exceed ModelJoin ({modeljoin})");
     assert!(python > modeljoin, "TF(Python) ({python}) should exceed ModelJoin ({modeljoin})");
 }
+
+/// Bytes of one `load_into_engine` hand-off of a NodeId model table at
+/// `vector_size`: 64 blocks of its 14 eight-byte columns.
+fn handoff_bytes(vector_size: usize) -> usize {
+    64 * vector_size * 14 * 8
+}
+
+#[test]
+fn model_load_streams_without_a_full_size_copy() {
+    use indb_ml::model_repr::{load_into_engine, Layout};
+    use vector_engine::{Engine, EngineConfig};
+
+    let _exclusive = exclusive_peak_counter();
+    let model = indb_ml::nn::paper::dense_model(256, 4, 1);
+    let engine = Engine::new(EngineConfig::default());
+    memtrack::reset_peak();
+    let before = memtrack::current_bytes();
+    let (table, _) = load_into_engine(&engine, "m", &model, Layout::NodeId).unwrap();
+    let live = memtrack::current_bytes() - before;
+    let peak = memtrack::peak_bytes();
+    // 197,892 edges: a whole export is 21 MiB. One append of it peaks at
+    // twice that; the stream holds the table plus one 7 MiB slice.
+    let bound = live + handoff_bytes(table.vector_size()) + (1 << 20);
+    assert!(peak <= bound, "load peaked at {peak} B, table {live} B, bound {bound} B");
+}
+
+#[test]
+fn model_build_reads_one_block_at_a_time() {
+    use indb_ml::model_repr::{load_into_engine, Layout};
+    use indb_ml::modeljoin::build_parallel;
+    use tensor::Device;
+    use vector_engine::{Engine, EngineConfig};
+
+    let _exclusive = exclusive_peak_counter();
+    let model = indb_ml::nn::paper::dense_model(256, 4, 1);
+    // Two partitions of ~97 blocks: a whole partition of all 14 columns
+    // is ~10 MiB, one block of the 4 routed columns 32 KiB.
+    let config = EngineConfig { partitions: 2, ..Default::default() };
+    let engine = Engine::new(config.clone());
+    let (table, meta) = load_into_engine(&engine, "m", &model, Layout::NodeId).unwrap();
+    let build = || {
+        build_parallel(&table, &meta, Layout::NodeId, &Device::cpu(), config.vector_size, 0)
+            .unwrap()
+    };
+    // Warm the scheduler pool and its per-thread state outside the window.
+    drop(build());
+    memtrack::reset_peak();
+    let before = memtrack::current_bytes();
+    let built = build();
+    let model_bytes = memtrack::current_bytes() - before;
+    let peak = memtrack::peak_bytes();
+    let blocks = table.partition_count() * config.vector_size * 14 * 8;
+    let bound = model_bytes + blocks + (1 << 20);
+    assert!(peak <= bound, "build peaked at {peak} B, model {model_bytes} B, bound {bound} B");
+    drop(built);
+}
