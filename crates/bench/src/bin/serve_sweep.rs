@@ -1,20 +1,19 @@
 //! Serving-layer sweep: closed-loop clients against the inference server
-//! in three modes, isolating what each serving optimization buys.
+//! in three modes, isolating what batching and int8 buy.
 //!
 //! ```text
 //! cargo run --release -p bench --bin serve_sweep [--quick]
 //! ```
 //!
+//! Every mode serves the model's catalog registration, whose cache builds
+//! it once per model table.
+//!
 //! Modes:
-//! * `naive`   — no model cache, no batching: every request rebuilds the
-//!   model from its table and runs a 1-row inference. This is what
-//!   query-scoped model state (the paper's per-query ModelJoin build)
-//!   costs when clients arrive one request at a time.
-//! * `cached`  — model cache on, batching off: the build is amortized
-//!   across requests, inference still runs row-at-a-time.
-//! * `batched` — model cache + dynamic micro-batching: concurrent requests
-//!   coalesce into one vectorized inference (the server-side analogue of
-//!   the paper's vector-at-a-time inference, Sec. 5.4).
+//! * `cached`  — batching off: each request runs a 1-row inference on the
+//!   submitting thread.
+//! * `batched` — dynamic micro-batching: concurrent requests coalesce into
+//!   one vectorized inference (the server-side analogue of the paper's
+//!   vector-at-a-time inference, Sec. 5.4).
 //! * `quantized` — batched, over an engine with `quantized_inference`
 //!   on: the cache serves the int8 model and every coalesced batch runs
 //!   through the integer GEMM. The sweep also measures the prediction
@@ -37,18 +36,16 @@ use vector_engine::EngineConfig;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
-    Naive,
     Cached,
     Batched,
     Quantized,
 }
 
 impl Mode {
-    const ALL: [Mode; 4] = [Mode::Naive, Mode::Cached, Mode::Batched, Mode::Quantized];
+    const ALL: [Mode; 3] = [Mode::Cached, Mode::Batched, Mode::Quantized];
 
     fn name(self) -> &'static str {
         match self {
-            Mode::Naive => "naive",
             Mode::Cached => "cached",
             Mode::Batched => "batched",
             Mode::Quantized => "quantized",
@@ -56,21 +53,8 @@ impl Mode {
     }
 
     fn apply(self, cfg: &mut ServeConfig) {
-        match self {
-            Mode::Naive => {
-                cfg.model_cache = false;
-                cfg.batching = false;
-            }
-            Mode::Cached => {
-                cfg.model_cache = true;
-                cfg.batching = false;
-            }
-            // Quantized differs from Batched only in its engine.
-            Mode::Batched | Mode::Quantized => {
-                cfg.model_cache = true;
-                cfg.batching = true;
-            }
-        }
+        // Quantized differs from Batched only in its engine.
+        cfg.batching = self != Mode::Cached;
     }
 }
 
@@ -124,8 +108,8 @@ fn run_cell(
 
 /// A predict cell against a [`ShardedServer`]: the model table is
 /// replicated onto every shard and requests round-robin across the
-/// per-shard servers, so each shard runs its own cache, batcher, and
-/// admission queue. (On a single-core host the shards time-slice one
+/// per-shard servers, so each shard runs its own registration, batcher,
+/// and admission queue. (On a single-core host the shards time-slice one
 /// CPU — these cells measure the facade's overhead and fairness, not
 /// parallel speedup.)
 struct ShardCell {
@@ -266,9 +250,8 @@ fn main() {
     let (requests_per_client, client_counts, flushes): (usize, &[usize], &[u64]) =
         if quick { (10, &[2], &[200]) } else { (150, &[1, 2, 4, 8], &[50, 200, 1000]) };
 
-    // A mid-size dense model: big enough that the per-request build the
-    // naive mode pays is realistic (~13k edges through the build phase),
-    // small enough that a full sweep runs in minutes on the shared host.
+    // A mid-size dense model (~13k edges through the build phase), small
+    // enough that a full sweep runs in minutes on the shared host.
     let config = ExperimentConfig {
         engine: EngineConfig {
             vector_size: 256,
@@ -374,8 +357,8 @@ fn main() {
             .map(|c| c.throughput_rps)
             .unwrap_or(0.0)
     };
-    let speedup = tput("batched", max_clients) / tput("naive", max_clients).max(1e-9);
-    println!("\nbatched vs naive at {max_clients} clients: {speedup:.1}x");
+    let speedup = tput("batched", max_clients) / tput("cached", max_clients).max(1e-9);
+    println!("\nbatched vs cached at {max_clients} clients: {speedup:.1}x");
     let i8_speedup = tput("quantized", max_clients) / tput("batched", max_clients).max(1e-9);
     let i8_delta = measure_accuracy_delta(&ex, &ex_i8);
     println!(
@@ -413,7 +396,7 @@ fn main() {
     json.push_str("  \"workload\": \"Dense(w=64,d=4), 1-row requests\",\n");
     json.push_str(&format!("  \"requests_per_client\": {requests_per_client},\n"));
     json.push_str(&format!(
-        "  \"speedup_batched_vs_naive_at_{max_clients}_clients\": {speedup:.2},\n"
+        "  \"speedup_batched_vs_cached_at_{max_clients}_clients\": {speedup:.2},\n"
     ));
     json.push_str(&format!(
         "  \"speedup_quantized_vs_batched_at_{max_clients}_clients\": {i8_speedup:.2},\n"

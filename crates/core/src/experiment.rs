@@ -134,8 +134,9 @@ impl Experiment {
     }
 
     /// Stand up a serving front end over this experiment's engine, with
-    /// `"model"` registered against the loaded model table (so DML to
-    /// `model_table` invalidates the server's model cache).
+    /// `"model"` registered in the engine's catalog against the loaded
+    /// model table (so `PREDICT(model, …)` shares its build, and DML to
+    /// `model_table` invalidates it).
     pub fn serve(&self, cfg: serve::ServeConfig, device: Device) -> serve::Server {
         let server = serve::Server::start(Arc::clone(&self.engine), cfg);
         server.register_model(

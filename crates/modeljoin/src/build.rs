@@ -315,7 +315,9 @@ pub(crate) fn quantize(built: &BuiltModel) -> BuiltModel {
 /// 5.2: "all threads build a shared model").
 pub struct SharedModel {
     pub(crate) table: Arc<Table>,
-    meta: ModelMeta,
+    /// Shared with the registration, so a handle per statement or served
+    /// batch copies no metadata.
+    meta: Arc<ModelMeta>,
     layout: Layout,
     device: Device,
     vector_size: usize,
@@ -338,7 +340,7 @@ impl SharedModel {
         // `benchmark` PR drops the argument.
         _build_threads: usize,
     ) -> Arc<SharedModel> {
-        let (cache, models) = (None, Default::default());
+        let (meta, cache, models) = (Arc::new(meta), None, Default::default());
         Arc::new(SharedModel { table, meta, layout, device, vector_size, cache, models })
     }
 
@@ -347,7 +349,7 @@ impl SharedModel {
     pub(crate) fn cached(
         cache: Arc<ModelCache>,
         table: Arc<Table>,
-        meta: ModelMeta,
+        meta: Arc<ModelMeta>,
         layout: Layout,
         device: Device,
         vector_size: usize,

@@ -83,6 +83,10 @@ impl InferModel for CapiNode {
     fn operator(&self, input: Box<dyn Operator>, args: &[usize]) -> Box<dyn Operator> {
         Box::new(CapiInferenceOp::new(input, Arc::clone(&self.0), args.to_vec()))
     }
+
+    fn infer_rows(&self, input: &[f32], rows: usize) -> Result<Vec<f32>> {
+        self.0.run(input, rows).map_err(EngineError::Execution)
+    }
 }
 
 /// The C-API join over every row of `fact_table`: the same plan as

@@ -9,7 +9,9 @@
 //! Both operators run inside the engine's one planner, as the physical
 //! operator of a `LogicalPlan::Infer` node (`vector_engine::plan::InferModel`
 //! is the seam). [`register_model`] names a model table for SQL —
-//! `SELECT id, prediction FROM PREDICT(model, facts, c0, c1) WHERE …` — and
+//! `SELECT id, prediction FROM PREDICT(model, facts, c0, c1) WHERE …` —
+//! and for `serve::Server`, whose batches run the seam's row-major
+//! `infer_rows` on the same registration, and
 //! [`operator::execute_model_join`] and [`capi_op::execute_capi_join`] run
 //! the plan `Project(Infer(Scan))` over a handle of their own. Either way
 //! the partition split, the shard router, column pruning and SMA pruning

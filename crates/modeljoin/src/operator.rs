@@ -183,15 +183,35 @@ impl InferModel for ModelJoinNode {
         tensor::parallel::set_kernel_threads(self.kernel_threads);
         Box::new(ModelJoinOp::new(input, Arc::clone(&self.shared), args.to_vec(), self.dtype))
     }
+
+    fn infer_rows(&self, input: &[f32], rows: usize) -> Result<Vec<f32>> {
+        let built = self.shared.get_as(self.dtype)?;
+        if input.len() != rows * built.input_dim {
+            return Err(EngineError::Execution(format!(
+                "model {} takes {} inputs per row, got {} values for {rows} rows",
+                self.name(),
+                built.input_dim,
+                input.len()
+            )));
+        }
+        let input = Matrix::from_vec(rows, built.input_dim, input.to_vec());
+        let probe = &obs::metrics::MODELJOIN_PROBE;
+        probe.batches.add(1);
+        probe.rows.add(rows as u64);
+        let _span = obs::span(&probe.time_us);
+        let scratch = &mut InferScratch::default();
+        Ok(built.infer_rows(&input, self.shared.device(), scratch).into_owned())
+    }
 }
 
-/// Register `name` on `engine` for `PREDICT(name, input, args…)`: the model
-/// stored in `model_table` under `layout`, run on `device`. Every
-/// statement naming it resolves `model_table` when it is bound and gets
-/// one [`SharedModel`], which looks the model up in this registration's
-/// own [`ModelCache`] on its first `next()`: an unchanged model table
-/// builds once across statements. Returns that cache, whose
-/// [`ModelCache::stats`] count this model's lookups.
+/// Register `name` on `engine` for `PREDICT(name, input, args…)` and for
+/// `serve::Server`'s predicts: the model stored in `model_table` under
+/// `layout`, run on `device`. Every statement or served batch naming it
+/// resolves `model_table` when it is bound and gets one [`SharedModel`],
+/// which looks the model up in this registration's own [`ModelCache`] on
+/// first use: an unchanged model table builds once across statements and
+/// served batches. Returns that cache, whose [`ModelCache::stats`] count
+/// this model's lookups.
 pub fn register_model(
     engine: &Engine,
     name: &str,
@@ -200,14 +220,15 @@ pub fn register_model(
     layout: Layout,
     device: Device,
 ) -> Arc<ModelCache> {
-    let (config, model_table) = (engine.config().clone(), model_table.to_string());
+    let (config, model_table, meta) =
+        (engine.config().clone(), model_table.to_string(), Arc::new(meta));
     let cache = Arc::new(ModelCache::new());
     let lookups = Arc::clone(&cache);
     let bind = move |catalog: &Catalog| -> Result<Arc<dyn InferModel>> {
         let shared = SharedModel::cached(
             Arc::clone(&lookups),
             catalog.table(&model_table)?,
-            meta.clone(),
+            Arc::clone(&meta),
             layout,
             device.clone(),
             config.vector_size,

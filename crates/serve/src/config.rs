@@ -6,10 +6,10 @@ use vector_engine::EngineConfig;
 
 /// Knobs of the serving layer — the only home of the queue and flush
 /// knobs. [`ServeConfig::from_engine`] takes the batch size from the
-/// engine's [`EngineConfig`]. The precision is not a serving knob: the
-/// server runs each model in the dtype
-/// [`modeljoin::ModelDtype::for_engine`] picks from its engine's
-/// `quantized_inference`.
+/// engine's [`EngineConfig`]. Neither the precision nor the model cache is
+/// a serving knob: a served model is the engine's `PREDICT` registration,
+/// which runs in the dtype [`modeljoin::ModelDtype::for_engine`] picks from
+/// the engine's `quantized_inference` and caches its build.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Only zero vs non-zero matters. Non-zero starts the coordinator
@@ -26,12 +26,9 @@ pub struct ServeConfig {
     /// natural choice: one batch is one vector through the kernels).
     pub max_batch_rows: usize,
     /// Coalesce same-model requests into one vectorized inference. Off =
-    /// one engine call per request (the naive baseline `serve_sweep`
-    /// measures against).
+    /// one inference per request, run by the submitting thread (the
+    /// `cached` mode `serve_sweep` measures batching against).
     pub batching: bool,
-    /// Reuse built models across requests until model-table DML
-    /// invalidates them. Off = rebuild per batch.
-    pub model_cache: bool,
     /// Default per-request deadline in milliseconds; 0 disables it.
     pub default_timeout_ms: u64,
 }
@@ -54,7 +51,6 @@ impl ServeConfig {
             batch_flush_us: 200,
             max_batch_rows: cfg.vector_size,
             batching: true,
-            model_cache: true,
             default_timeout_ms: 0,
         }
     }
@@ -72,7 +68,7 @@ mod tests {
             (s.workers, s.queue_depth, s.batch_flush_us, s.max_batch_rows),
             (1, 1024, 200, 256)
         );
-        assert!(s.batching && s.model_cache);
+        assert!(s.batching);
         assert_eq!(s.default_timeout_ms, 0);
     }
 }

@@ -12,10 +12,11 @@
 //!   same model coalesce into one `rows x n` matrix (up to
 //!   `max_batch_rows`, waiting at most `batch_flush_us`), amortizing one
 //!   build + one BLAS dispatch over the whole batch;
-//! * **caches built models** across requests, one per model table and
-//!   dtype, valid for that table at its data version (DML to the model
-//!   table, or dropping and reloading it, invalidates exactly that
-//!   model — [`modeljoin::ModelCache`]);
+//! * **serves the catalog's models** — a served model is the engine's
+//!   `PREDICT` registration, so SQL and served predicts share one build
+//!   per model table and dtype, valid for that table at its data version
+//!   (DML to the model table, or dropping and reloading it, invalidates
+//!   exactly that model — [`modeljoin::ModelCache`]);
 //! * **caches SQL plans** by routing SQL requests through the engine's
 //!   catalog-epoch-stamped plan cache
 //!   ([`Engine::execute_cached`](vector_engine::Engine::execute_cached));

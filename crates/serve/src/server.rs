@@ -13,7 +13,13 @@
 //! submits it as a high-priority Serve-class task — so inference shares
 //! workers with, and preempts, queued scan morsels. The task runs one
 //! vectorized inference over the coalesced `rows x input_dim` matrix and
-//! distributes the output rows back to the per-request slots. SQL requests
+//! distributes the output rows back to the per-request slots.
+//!
+//! The server holds no models of its own. [`Server::register_model`] is the
+//! engine catalog's `PREDICT` registration ([`modeljoin::register_model`]),
+//! and a batch runs the model the catalog binds for its name
+//! ([`InferModel::infer_rows`]), so SQL and served predicts share one
+//! build per model table and dtype. SQL requests
 //! bypass the batcher and go through the engine's plan cache
 //! ([`Engine::execute_cached`]) as Query-class tasks.
 //!
@@ -33,22 +39,23 @@
 use crate::config::ServeConfig;
 use crate::error::ServeError;
 use model_repr::{Layout, ModelMeta};
-use modeljoin::{ModelCache, ModelDtype, SharedModel};
+use modeljoin::ModelCache;
 use obs::metrics as om;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use tensor::{Device, Matrix};
+use tensor::Device;
+use vector_engine::plan::InferModel;
 use vector_engine::{Engine, QueryResult};
 
 /// Lock a mutex, recovering from poisoning instead of cascading the
 /// failure. Every mutex in this module protects state that is valid at
-/// each point a panic can unwind through it (queue, model map, completion
-/// slots — all updated atomically under the guard), so after a caught
-/// inference panic the data is safe to keep using. Each recovery is
+/// each point a panic can unwind through it (queue, in-flight count,
+/// completion slots — all updated atomically under the guard), so after a
+/// caught inference panic the data is safe to keep using. Each recovery is
 /// counted under `serve.locks_recovered`.
 fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| {
@@ -184,16 +191,6 @@ struct QueueState {
     accepting: bool,
 }
 
-/// A registered model: where its table lives plus everything needed to
-/// (re)build it.
-#[derive(Clone)]
-struct ModelEntry {
-    table: String,
-    meta: ModelMeta,
-    layout: Layout,
-    device: Device,
-}
-
 /// Monotonic serving counters (all relaxed; read via [`Server::stats`]).
 #[derive(Default)]
 struct Counters {
@@ -229,8 +226,6 @@ struct Shared {
     state: Mutex<QueueState>,
     /// The coordinator waits here for work; submitters notify.
     work_cv: Condvar,
-    models: Mutex<HashMap<String, ModelEntry>>,
-    model_cache: ModelCache,
     counters: Counters,
     /// Batches handed to the scheduler and not yet finished. Shutdown
     /// waits for this to reach zero after the coordinator exits.
@@ -253,8 +248,6 @@ impl Server {
             cfg,
             state: Mutex::new(QueueState { queue: VecDeque::new(), accepting: true }),
             work_cv: Condvar::new(),
-            models: Mutex::new(HashMap::new()),
-            model_cache: ModelCache::new(),
             counters: Counters::default(),
             inflight: Mutex::new(0),
             inflight_cv: Condvar::new(),
@@ -271,9 +264,11 @@ impl Server {
         Server { shared, coordinator: Mutex::new(coordinator) }
     }
 
-    /// Make `name` servable: requests against it will read the model from
-    /// `table` in the engine's catalog (through the model cache, so the
-    /// build phase runs once until DML to `table` bumps its version).
+    /// Make `name` servable, and callable as `PREDICT(name, …)`: registers
+    /// the model stored in `table` in the engine's catalog
+    /// ([`modeljoin::register_model`]). Served batches and statements share
+    /// the returned cache, so the build phase runs once until DML to
+    /// `table` bumps its version.
     pub fn register_model(
         &self,
         name: &str,
@@ -281,11 +276,8 @@ impl Server {
         meta: ModelMeta,
         layout: Layout,
         device: Device,
-    ) {
-        lock_recover(&self.shared.models).insert(
-            name.to_string(),
-            ModelEntry { table: table.to_string(), meta, layout, device },
-        );
+    ) -> Arc<ModelCache> {
+        modeljoin::register_model(&self.shared.engine, name, table, meta, layout, device)
     }
 
     /// Submit an inference request for one input row against a registered
@@ -312,17 +304,12 @@ impl Server {
     ) -> Result<RequestHandle, ServeError> {
         // Validate at submission so malformed requests fail fast instead
         // of poisoning a coalesced batch.
-        {
-            let models = lock_recover(&self.shared.models);
-            let entry =
-                models.get(model).ok_or_else(|| ServeError::UnknownModel(model.to_string()))?;
-            if input.len() != entry.meta.input_dim {
-                return Err(ServeError::BadRequest(format!(
-                    "model {model:?} takes {} inputs, got {}",
-                    entry.meta.input_dim,
-                    input.len()
-                )));
-            }
+        let input_dim = bind(&self.shared.engine, model)?.input_dim();
+        if input.len() != input_dim {
+            return Err(ServeError::BadRequest(format!(
+                "model {model:?} takes {input_dim} inputs, got {}",
+                input.len()
+            )));
         }
         self.enqueue(Work::Predict { model: model.to_string(), input }, timeout)
     }
@@ -477,11 +464,6 @@ impl Server {
             batches: c.batches.load(Ordering::Relaxed),
             batched_rows: c.batched_rows.load(Ordering::Relaxed),
         }
-    }
-
-    /// Hits/misses of the cross-query model cache's `dtype` lookups.
-    pub fn model_cache_stats(&self, dtype: ModelDtype) -> (u64, u64) {
-        self.shared.model_cache.stats(dtype)
     }
 
     /// The engine this server fronts.
@@ -698,6 +680,20 @@ fn expired(shared: &Shared, q: &Queued) -> bool {
     }
 }
 
+/// The catalog's handle of the model registered as `name`. A name nobody
+/// registered is [`ServeError::UnknownModel`]; a registered model whose
+/// bind fails (its table was dropped) is the engine's error.
+fn bind(engine: &Engine, name: &str) -> Result<Arc<dyn InferModel>, ServeError> {
+    let catalog = engine.catalog();
+    catalog.model(name).map_err(|e| {
+        if catalog.has_model(name) {
+            e.into()
+        } else {
+            ServeError::UnknownModel(name.to_string())
+        }
+    })
+}
+
 /// Best-effort text of a caught panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -721,58 +717,24 @@ fn execute_predict_batch(shared: &Shared, model_name: &str, batch: Vec<Queued>) 
         }
     };
 
-    let Some(entry) = lock_recover(&shared.models).get(model_name).cloned() else {
-        // Registered at submission; a concurrent re-registration map would
-        // be needed to remove entries, so this is unreachable today.
-        fail(ServeError::UnknownModel(model_name.to_string()));
-        return;
+    let model = match bind(&shared.engine, model_name) {
+        Ok(m) => m,
+        Err(e) => return fail(e),
     };
-    let table = match shared.engine.table(&entry.table) {
-        Ok(t) => t,
-        Err(e) => return fail(e.into()),
-    };
-    // The model's vector size must cover the largest batch we coalesce.
-    let vector_size = shared.cfg.max_batch_rows.max(shared.engine.config().vector_size);
-    let dtype = ModelDtype::for_engine(shared.engine.config(), &entry.device);
-
     let rows = live.len();
-    let packed = Matrix::from_fn(rows, entry.meta.input_dim, |r, c| {
-        let Work::Predict { input, .. } = &live[r].work else {
+    let mut packed = Vec::with_capacity(rows * model.input_dim());
+    for q in &live {
+        let Work::Predict { input, .. } = &q.work else {
             unreachable!("predict batches hold only predict work")
         };
-        input[c]
-    });
-    let built = if shared.cfg.model_cache {
-        shared.model_cache.get_or_build(
-            &table,
-            &entry.meta,
-            entry.layout,
-            &entry.device,
-            vector_size,
-            dtype,
-        )
-    } else {
-        // Naive mode (the serve_sweep baseline): a query-scoped model,
-        // built (and for int8 quantized) again for every batch.
-        let device = entry.device.clone();
-        SharedModel::new(table, entry.meta.clone(), entry.layout, device, vector_size, 0)
-            .get_as(dtype)
-    };
-    let built = match built {
-        Ok(b) => b,
-        Err(e) => return fail(e.into()),
-    };
+        packed.extend_from_slice(input);
+    }
     // Catch inference panics per batch: the affected requests complete
     // with `Internal` and the worker (plus every lock it may hold above
     // this frame) survives to serve the next request.
-    om::MODELJOIN_PROBE.batches.add(1);
-    om::MODELJOIN_PROBE.rows.add(rows as u64);
-    let output = {
-        let _span = obs::span(&om::MODELJOIN_PROBE.time_us);
-        catch_unwind(AssertUnwindSafe(|| built.infer(&packed, &entry.device)))
-    };
-    let output = match output {
-        Ok(output) => output,
+    let output = match catch_unwind(AssertUnwindSafe(|| model.infer_rows(&packed, rows))) {
+        Ok(Ok(output)) => output,
+        Ok(Err(e)) => return fail(e.into()),
         Err(payload) => {
             om::SERVE_PANICS_CAUGHT.add(1);
             let msg = panic_message(payload.as_ref());
@@ -782,8 +744,8 @@ fn execute_predict_batch(shared: &Shared, model_name: &str, batch: Vec<Queued>) 
     shared.counters.batches.fetch_add(1, Ordering::Relaxed);
     shared.counters.batched_rows.fetch_add(rows as u64, Ordering::Relaxed);
     om::SERVE_BATCH_ROWS.record(rows as u64);
-    for (r, q) in live.iter().enumerate() {
-        q.slot.complete(Ok(Response::Prediction(output.row(r).to_vec())));
+    for (q, row) in live.iter().zip(output.chunks_exact(model.output_dim())) {
+        q.slot.complete(Ok(Response::Prediction(row.to_vec())));
     }
 }
 
@@ -792,6 +754,7 @@ mod tests {
     use super::*;
     use crate::config::ServeConfig;
     use model_repr::load_into_engine;
+    use modeljoin::ModelDtype;
     use nn::paper;
     use vector_engine::{EngineConfig, Value};
 
@@ -810,18 +773,15 @@ mod tests {
             batch_flush_us: 200,
             max_batch_rows: 16,
             batching: true,
-            model_cache: true,
             default_timeout_ms: 0,
         }
     }
 
-    fn register_dense(server: &Server, e: &Engine, name: &str) -> usize {
+    fn register_dense(server: &Server, e: &Engine, name: &str) -> Arc<ModelCache> {
         let model = paper::dense_model(4, 2, 7);
         let (_, meta) =
             load_into_engine(e, &format!("{name}_table"), &model, Layout::NodeId).unwrap();
-        let dim = meta.input_dim;
-        server.register_model(name, &format!("{name}_table"), meta, Layout::NodeId, Device::cpu());
-        dim
+        server.register_model(name, &format!("{name}_table"), meta, Layout::NodeId, Device::cpu())
     }
 
     #[test]
@@ -913,6 +873,13 @@ mod tests {
             server.submit_predict("m", vec![0.0; 3]).unwrap_err(),
             ServeError::BadRequest(_)
         ));
+        // A registered model whose table is gone is the engine's fault,
+        // named by its table, not an unknown model.
+        e.execute("DROP TABLE m_table").unwrap();
+        match server.submit_predict("m", vec![0.0; 4]).unwrap_err() {
+            ServeError::Engine(msg) => assert!(msg.contains("m_table"), "{msg}"),
+            other => panic!("expected the engine's error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -942,7 +909,7 @@ mod tests {
             Arc::clone(&e),
             ServeConfig { batch_flush_us: 200_000, max_batch_rows: REQUESTS, ..config() },
         );
-        register_dense(&server, &e, "m");
+        let cache = register_dense(&server, &e, "m");
         // Stand in for a busy pool: with nothing in flight the coordinator
         // flushes partial batches at once (work-conserving), so whether the
         // first request leaves alone would depend on thread timing.
@@ -962,7 +929,7 @@ mod tests {
         assert_eq!(stats.batches, 1, "requests must coalesce: {stats:?}");
         assert_eq!(stats.batched_rows, REQUESTS as u64);
         // One batch, one (cached) model build.
-        assert_eq!(server.model_cache_stats(ModelDtype::F32).1, 1);
+        assert_eq!(cache.stats(ModelDtype::F32).1, 1);
     }
 
     /// Quantized serving (an engine with `quantized_inference`) tracks the
@@ -975,7 +942,7 @@ mod tests {
         let server = Server::start(Arc::clone(&e), ServeConfig { batching: false, ..config() });
         let model = paper::dense_model(4, 2, 7);
         let (_, meta) = load_into_engine(&e, "mq_table", &model, Layout::NodeId).unwrap();
-        server.register_model("mq", "mq_table", meta, Layout::NodeId, Device::cpu());
+        let cache = server.register_model("mq", "mq_table", meta, Layout::NodeId, Device::cpu());
         for i in 0..3 {
             let input = vec![0.1 * (i + 1) as f32; 4];
             let Response::Prediction(row) =
@@ -990,8 +957,8 @@ mod tests {
                 row[0]
             );
         }
-        assert_eq!(server.model_cache_stats(ModelDtype::I8), (2, 1), "one quantization, then hits");
-        assert_eq!(server.model_cache_stats(ModelDtype::F32), (0, 1), "fp32 fed the quantizer");
+        assert_eq!(cache.stats(ModelDtype::I8), (2, 1), "one quantization, then hits");
+        assert_eq!(cache.stats(ModelDtype::F32), (0, 1), "fp32 fed the quantizer");
     }
 
     #[test]
@@ -1000,24 +967,25 @@ mod tests {
         // Batching off: every request is its own batch, so cache hits are
         // observable per request.
         let server = Server::start(Arc::clone(&e), ServeConfig { batching: false, ..config() });
-        register_dense(&server, &e, "m");
+        let cache = register_dense(&server, &e, "m");
         for _ in 0..3 {
             server.submit_predict("m", vec![0.1; 4]).unwrap().wait().unwrap();
         }
-        let (hits, misses) = server.model_cache_stats(ModelDtype::F32);
+        let (hits, misses) = cache.stats(ModelDtype::F32);
         assert_eq!((hits, misses), (2, 1), "one build, then cache hits");
 
         // DML to the model table invalidates: the next request rebuilds.
         let zeros: Vec<String> = (0..12).map(|_| "0.0".into()).collect();
         e.execute(&format!("INSERT INTO m_table VALUES (0, 0, {})", zeros.join(", "))).unwrap();
         server.submit_predict("m", vec![0.1; 4]).unwrap().wait().unwrap();
-        assert_eq!(server.model_cache_stats(ModelDtype::F32).1, 2, "DML must force a rebuild");
+        assert_eq!(cache.stats(ModelDtype::F32).1, 2, "DML must force a rebuild");
     }
 
     /// `DROP TABLE` plus a reload of a different, same-shaped model under
     /// the same table name must serve the new weights. The new table's
     /// data version equals the old one's, so only the table's identity
-    /// tells the cached model apart.
+    /// tells the cached model apart: the model is registered once, so the
+    /// reload meets the registration's cache, not a fresh one.
     #[test]
     fn replaced_model_table_serves_the_new_model() {
         let e = engine();
@@ -1031,11 +999,14 @@ mod tests {
             };
             row[0]
         };
+        let mut cache = None;
         for seed in [7, 8] {
             let model = paper::dense_model(4, 2, seed);
             e.execute("DROP TABLE IF EXISTS m_table").unwrap();
             let (_, meta) = load_into_engine(&e, "m_table", &model, Layout::NodeId).unwrap();
-            server.register_model("m", "m_table", meta, Layout::NodeId, Device::cpu());
+            cache.get_or_insert_with(|| {
+                server.register_model("m", "m_table", meta, Layout::NodeId, Device::cpu())
+            });
             let expected = model.predict_row(&input)[0];
             let got = predict();
             assert!(
@@ -1043,6 +1014,7 @@ mod tests {
                 "seed {seed}: served {got}, model says {expected}"
             );
         }
-        assert_eq!(server.model_cache_stats(ModelDtype::F32), (0, 2), "the reload rebuilt");
+        let cache = cache.expect("registered in the first round");
+        assert_eq!(cache.stats(ModelDtype::F32), (0, 2), "the reload rebuilt");
     }
 }

@@ -6,20 +6,45 @@
 //! independent of the number of rows in the batch (the i-k-j kernel
 //! accumulates over `k` in the same order for every row), so the coalesced
 //! server batch must reproduce the oracle's f32 bits exactly — for the
-//! dense MLP and for the sequential LSTM.
+//! dense MLP and for the sequential LSTM, and for served batches longer
+//! than the vector size the model is built for, which run in vector-size
+//! slices.
 
 use model_repr::{load_into_engine, Layout};
 use modeljoin::build_parallel;
 use nn::paper;
-use serve::{Response, ServeConfig, Server};
+use serve::{Response, ServeConfig, ServeStats, Server};
 use std::sync::Arc;
 use tensor::{Device, Matrix};
 use vector_engine::{Engine, EngineConfig};
 
 #[test]
 fn served_predictions_are_bit_identical_to_unbatched_inference() {
+    let stats = serve_against_the_oracle(16, 16);
+    assert_eq!(stats.batched_rows, 40);
+}
+
+/// The registration builds at the engine's vector size (4 here), so a
+/// coalesced batch of up to 16 rows runs in slices of 4 — bit-identical
+/// all the same. Rounds repeat until one batch has held more than 4 rows.
+#[test]
+fn served_batches_longer_than_the_vector_size_are_bit_identical() {
+    for _ in 0..50 {
+        let stats = serve_against_the_oracle(4, 16);
+        if stats.batched_rows > 4 * stats.batches {
+            return;
+        }
+    }
+    panic!("no served batch outgrew the vector size in 50 rounds");
+}
+
+/// Serve ~40 interleaved dense and LSTM requests on an engine of
+/// `vector_size` with batches of up to `max_batch_rows`, assert every
+/// answer bit-identical to the single-row oracle, and return the server's
+/// counters.
+fn serve_against_the_oracle(vector_size: usize, max_batch_rows: usize) -> ServeStats {
     let engine = Arc::new(Engine::new(EngineConfig {
-        vector_size: 16,
+        vector_size,
         partitions: 2,
         parallelism: 2,
         ..Default::default()
@@ -37,9 +62,10 @@ fn served_predictions_are_bit_identical_to_unbatched_inference() {
 
     let device = Device::cpu();
     let dense_oracle =
-        build_parallel(&dense_table, &dense_meta, Layout::NodeId, &device, 16, 2).unwrap();
+        build_parallel(&dense_table, &dense_meta, Layout::NodeId, &device, vector_size, 2).unwrap();
     let lstm_oracle =
-        build_parallel(&lstm_table, &lstm_meta, Layout::LayerNode, &device, 16, 2).unwrap();
+        build_parallel(&lstm_table, &lstm_meta, Layout::LayerNode, &device, vector_size, 2)
+            .unwrap();
 
     let server = Server::start(
         Arc::clone(&engine),
@@ -47,9 +73,8 @@ fn served_predictions_are_bit_identical_to_unbatched_inference() {
             workers: 2,
             queue_depth: 128,
             batch_flush_us: 1_000,
-            max_batch_rows: 16,
+            max_batch_rows,
             batching: true,
-            model_cache: true,
             default_timeout_ms: 0,
         },
     );
@@ -110,5 +135,5 @@ fn served_predictions_are_bit_identical_to_unbatched_inference() {
     // batches), so the equality above compared batched against unbatched.
     let stats = server.stats();
     assert!(stats.batches < stats.batched_rows, "expected at least one coalesced batch: {stats:?}");
-    assert_eq!(stats.batched_rows, 40);
+    stats
 }

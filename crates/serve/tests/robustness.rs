@@ -32,7 +32,6 @@ fn config() -> ServeConfig {
         batch_flush_us: 200,
         max_batch_rows: 16,
         batching: true,
-        model_cache: true,
         default_timeout_ms: 0,
     }
 }

@@ -11,6 +11,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, RwLock};
 
 use model_repr::{Layout, ModelMeta};
+use modeljoin::ModelCache;
 use obs::metrics as om;
 use tensor::Device;
 use vector_engine::exec::hash::hash_key_columns;
@@ -759,9 +760,9 @@ impl ShardedEngine {
 
     /// Register `name` for `PREDICT(name, …)` on every shard, each against
     /// its own copy of the replicated `model_table` and with its own model
-    /// cache. A `PREDICT` over a sharded table then scatters with its probe
-    /// side like any shard-safe plan, and one pinned by `key = literal`
-    /// routes to one shard.
+    /// cache, returned in shard order. A `PREDICT` over a sharded table then
+    /// scatters with its probe side like any shard-safe plan, and one
+    /// pinned by `key = literal` routes to one shard.
     pub fn register_model(
         &self,
         name: &str,
@@ -769,10 +770,11 @@ impl ShardedEngine {
         meta: ModelMeta,
         layout: Layout,
         device: &Device,
-    ) {
-        for s in &self.shards {
-            modeljoin::register_model(s, name, model_table, meta.clone(), layout, device.clone());
-        }
+    ) -> Vec<Arc<ModelCache>> {
+        let register = |s: &Arc<Engine>| {
+            modeljoin::register_model(s, name, model_table, meta.clone(), layout, device.clone())
+        };
+        self.shards.iter().map(register).collect()
     }
 }
 

@@ -3,8 +3,9 @@
 //!
 //! Routing rules:
 //! * `submit_predict` — models are replicated (every shard holds the
-//!   model table), so predict traffic round-robins across the shard
-//!   servers; each request is served entirely by one shard.
+//!   model table and its own `PREDICT` registration), so predict traffic
+//!   round-robins across the shard servers; each request is served
+//!   entirely by one shard.
 //! * `submit_sql` — the shard planner classifies the statement.
 //!   Replicated and pinned statements enqueue on the owning shard's
 //!   server (admission control, batching, and the plan cache all apply
@@ -16,6 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use model_repr::{Layout, ModelMeta};
+use modeljoin::ModelCache;
 use serve::{RequestHandle, Response, ServeConfig, ServeError, ServeStats, Server};
 use tensor::Device;
 
@@ -45,7 +47,9 @@ impl ShardedServer {
         &self.servers
     }
 
-    /// Register a (replicated) model table on every shard server.
+    /// Register a (replicated) model table on every shard
+    /// ([`ShardedEngine::register_model`]): each shard's server serves that
+    /// shard's registration. Returns the per-shard model caches.
     pub fn register_model(
         &self,
         name: &str,
@@ -53,10 +57,8 @@ impl ShardedServer {
         meta: ModelMeta,
         layout: Layout,
         device: &Device,
-    ) {
-        for s in &self.servers {
-            s.register_model(name, table, meta.clone(), layout, device.clone());
-        }
+    ) -> Vec<Arc<ModelCache>> {
+        self.engine.register_model(name, table, meta, layout, device)
     }
 
     /// Round-robin an inference request onto one shard's server.

@@ -214,6 +214,12 @@ impl Catalog {
         factory.ok_or_else(|| EngineError::Catalog(format!("unknown model {key:?}")))?(self)
     }
 
+    /// Whether a model is registered as `name`: tells an unknown name
+    /// from a registered model whose [`Catalog::model`] bind failed.
+    pub fn has_model(&self, name: &str) -> bool {
+        self.models.read().contains_key(&name.to_ascii_lowercase())
+    }
+
     /// Names of all tables, sorted.
     pub fn table_names(&self) -> Vec<String> {
         let mut names: Vec<String> = self.tables.read().keys().cloned().collect();

@@ -1,5 +1,7 @@
 //! Engine configuration.
 
+use std::sync::OnceLock;
+
 /// Engine tuning knobs. Defaults reproduce the paper's evaluation setup
 /// (Sec. 6.1): "the batch size is equal to the database engine's vector size
 /// of 1024. Tables are partitioned into 12 partitions and the engine runs
@@ -103,10 +105,13 @@ impl EngineConfig {
 
     /// The scheduler pool size this configuration asks for: the explicit
     /// [`EngineConfig::worker_threads`] value, or the machine's available
-    /// parallelism when it is 0 (auto). Always ≥ 1.
+    /// parallelism when it is 0 (auto). Always ≥ 1. The machine's count is
+    /// read once per process: the query costs tens of microseconds (cgroup
+    /// files on Linux), and every statement and `PREDICT` bind asks.
     pub fn effective_worker_threads(&self) -> usize {
+        static CORES: OnceLock<usize> = OnceLock::new();
         if self.worker_threads == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+            *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
         } else {
             self.worker_threads
         }

@@ -191,6 +191,11 @@ pub trait InferModel: Send + Sync {
     /// columns. The model itself is built or looked up on the operator's
     /// first `next()` (paper Fig. 5), never here.
     fn operator(&self, input: Box<dyn Operator>, args: &[usize]) -> Box<dyn Operator>;
+    /// The model over `rows` row-major input rows of `input_dim` values
+    /// each, returning `rows` row-major rows of `output_dim` predictions:
+    /// the served-predict path, which has no columnar batch to run an
+    /// operator over.
+    fn infer_rows(&self, input: &[f32], rows: usize) -> Result<Vec<f32>>;
 }
 
 impl fmt::Debug for dyn InferModel {

@@ -1,8 +1,10 @@
 //! `PREDICT(model, input, args…)`: inference as a plan node. The SQL form,
 //! the `execute_model_join` wrapper and the `nn` oracle agree; a filtered
 //! `PREDICT` over a persistent table reads only the pages of the columns it
-//! uses; an empty answer keeps its types; bad calls are errors; and a
-//! re-registered model is never replayed from a cached plan.
+//! uses; an empty answer keeps its types; bad calls are errors; a
+//! re-registered model is never replayed from a cached plan; and a model
+//! served by `serve::Server` is the registration `PREDICT` runs, built once
+//! for both.
 //!
 //! The buffer-pool counters are process-global: only
 //! `filtered_predict_fetches_only_its_columns_pages` reads them, and it is
@@ -12,9 +14,11 @@ use indb_ml::mlruntime::Session;
 use indb_ml::model_repr::{load_into_engine, Layout, ModelMeta};
 use indb_ml::modeljoin::capi_op::execute_capi_join;
 use indb_ml::modeljoin::operator::execute_model_join;
-use indb_ml::modeljoin::{register_model, SharedModel};
+use indb_ml::modeljoin::{register_model, ModelDtype, SharedModel};
 use indb_ml::nn::{paper, Activation, Model, ModelBuilder};
+use indb_ml::serve::{RequestHandle, Response, ServeConfig, ServeError, Server};
 use indb_ml::tensor::Device;
+use shard::{ShardedEngine, ShardedServer};
 use std::sync::Arc;
 use vector_engine::{
     Batch, ColumnVector, DataType, Engine, EngineConfig, EngineError, QueryResult,
@@ -236,4 +240,78 @@ fn reregistering_a_model_invalidates_cached_plans() {
     assert_eq!(e.plan_cache_stats().invalidations, 1);
     assert_ne!(again, first, "the old model was replayed");
     assert_eq!(again, e.execute(PREDICT).unwrap().rows());
+}
+
+/// The served prediction bits of every id of `rows`, in order: every
+/// request is submitted before the first wait, so batches can coalesce.
+fn served(
+    rows: &[(i64, u64)],
+    submit: impl Fn(Vec<f32>) -> Result<RequestHandle, ServeError>,
+) -> Vec<(i64, u64)> {
+    let input = |id| (0..4).map(|k| feature(id, k) as f32).collect();
+    let handles: Vec<_> = rows.iter().map(|&(id, _)| (id, submit(input(id)).unwrap())).collect();
+    let bits = |h: RequestHandle| match h.wait().unwrap() {
+        Response::Prediction(p) => (p[0] as f64).to_bits(),
+        other => panic!("expected a prediction, got {other:?}"),
+    };
+    handles.into_iter().map(|(id, h)| (id, bits(h))).collect()
+}
+
+/// One config for the shared-build tests: a model this small keeps both
+/// paths below the blocked-GEMM threshold, so their bits can be compared.
+fn small_config() -> EngineConfig {
+    EngineConfig { vector_size: 16, partitions: 2, parallelism: 2, ..Default::default() }
+}
+
+/// A model registered once with `Server::register_model` is the one
+/// `PREDICT` runs: with batching on and off, SQL and served predicts build
+/// it once (one cache miss; every served batch is a hit on the same cache)
+/// and agree bit for bit.
+#[test]
+fn served_predicts_and_predict_share_one_build() {
+    let model = paper::dense_model(4, 2, 7);
+    for batching in [true, false] {
+        let engine = Arc::new(Engine::new(small_config()));
+        engine
+            .execute("CREATE TABLE facts (id INT, c0 FLOAT, c1 FLOAT, c2 FLOAT, c3 FLOAT)")
+            .unwrap();
+        engine.insert_columns("facts", columns(40, 4)).unwrap();
+        let (_, meta) = load_into_engine(&engine, "m", &model, Layout::NodeId).unwrap();
+        let config = ServeConfig { batching, ..ServeConfig::from_engine(engine.config()) };
+        let server = Server::start(Arc::clone(&engine), config);
+        let cache = server.register_model("m", "m", meta, Layout::NodeId, Device::cpu());
+        let sql = result_rows(engine.execute(&format!("{PREDICT} ORDER BY id")).unwrap());
+        assert_eq!(sql.len(), 40);
+        assert_eq!(served(&sql, |x| server.submit_predict("m", x)), sql, "batching {batching}");
+        let lookups = (server.stats().batches, 1);
+        assert_eq!(cache.stats(ModelDtype::F32), lookups, "batching {batching}: one build");
+    }
+}
+
+/// Sharded, the same holds per shard: `ShardedServer::register_model`
+/// registers on every shard, and a scattered `PREDICT` plus round-robin
+/// served predicts build once on each.
+#[test]
+fn sharded_served_predicts_and_predict_build_once_per_shard() {
+    let model = paper::dense_model(4, 2, 7);
+    let engine = Arc::new(ShardedEngine::with_shards(small_config(), 2));
+    engine.execute("CREATE TABLE facts (id INT, c0 FLOAT, c1 FLOAT, c2 FLOAT, c3 FLOAT)").unwrap();
+    engine.declare_sharded("facts", "id").unwrap();
+    engine.insert_columns("facts", columns(40, 4)).unwrap();
+    let mut meta = None;
+    for shard in engine.shards() {
+        meta = Some(load_into_engine(shard, "m", &model, Layout::NodeId).unwrap().1);
+    }
+    let config = ServeConfig::from_engine(engine.config());
+    let server = ShardedServer::start(Arc::clone(&engine), config);
+    let meta = meta.expect("two shards");
+    let caches = server.register_model("m", "m", meta, Layout::NodeId, &Device::cpu());
+    let sql = result_rows(engine.execute(&format!("{PREDICT} ORDER BY id")).unwrap());
+    assert_eq!(sql.len(), 40);
+    assert_eq!(served(&sql, |x| server.submit_predict("m", x)), sql);
+    assert_eq!(caches.len(), 2);
+    for (shard, cache) in caches.iter().enumerate() {
+        let lookups = (server.servers()[shard].stats().batches, 1);
+        assert_eq!(cache.stats(ModelDtype::F32), lookups, "shard {shard}: one build");
+    }
 }
