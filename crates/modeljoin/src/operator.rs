@@ -131,17 +131,16 @@ pub(crate) fn pack_rows(batch: &Batch, cols: &[usize], out: &mut Matrix) -> Resu
 }
 
 /// An operator's output batch (Fig. 7, last step): every column of
-/// `batch`, moved, then one Float column per model output, unpacked from
+/// `batch`, shared, then one Float column per model output, unpacked from
 /// the row-major `rows x outputs` `result`. An empty batch keeps the full
 /// width.
 pub(crate) fn output_batch(batch: Batch, result: &[f32], outputs: usize) -> Batch {
     let rows = batch.num_rows();
     let mut columns = batch.into_columns();
-    columns.extend(
-        (0..outputs).map(|j| {
-            ColumnVector::Float((0..rows).map(|r| result[r * outputs + j] as f64).collect())
-        }),
-    );
+    columns.extend((0..outputs).map(|j| {
+        let col = (0..rows).map(|r| result[r * outputs + j] as f64).collect();
+        Arc::new(ColumnVector::Float(col))
+    }));
     Batch::new(columns)
 }
 

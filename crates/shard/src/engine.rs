@@ -411,7 +411,8 @@ impl ShardedEngine {
                 continue;
             }
             om::SHARD_ROWS_PER_SHARD.record(rows_i.len() as u64);
-            total += self.shards[i].insert_columns(table, batch.take(&rows_i).into_columns())?;
+            total +=
+                self.shards[i].insert_columns(table, batch.take(&rows_i).into_owned_columns())?;
         }
         Ok(total)
     }
@@ -835,7 +836,8 @@ fn repartition(batches: &[Batch], keys: &[Expr], nshards: usize) -> Result<Vec<V
         if b.num_rows() == 0 {
             continue;
         }
-        let key_cols: Vec<ColumnVector> = keys.iter().map(|e| e.eval(b)).collect::<Result<_>>()?;
+        let key_cols: Vec<Arc<ColumnVector>> =
+            keys.iter().map(|e| e.eval(b)).collect::<Result<_>>()?;
         hash_key_columns(&key_cols, b.num_rows(), &mut hashes);
         let mut idx: Vec<Vec<usize>> = (0..nshards).map(|_| Vec::new()).collect();
         for (r, h) in hashes.iter().enumerate() {

@@ -2,6 +2,41 @@
 
 use crate::error::{EngineError, Result};
 use crate::types::{DataType, Value};
+use std::sync::Arc;
+
+/// Fill `out` with the index of every set entry of `mask`, in order — the
+/// selection vector behind every filter. Branch-free: each row writes its
+/// index and the cursor advances by the mask bit (`idx[k] = i; k += m`), so
+/// a mask of random selectivity costs no mispredicted branches. Rows go
+/// through a 64-entry stack buffer, so the output never holds more than
+/// the kept rows, and a 64-row chunk with no set entry (most of a point
+/// lookup's mask) is skipped after one vectorized OR.
+pub fn select_into(mask: &[bool], out: &mut Vec<usize>) {
+    const CHUNK: usize = 64;
+    out.clear();
+    let mut idx = [0usize; CHUNK];
+    for (c, chunk) in mask.chunks(CHUNK).enumerate() {
+        if !chunk.iter().fold(false, |any, &m| any | m) {
+            continue;
+        }
+        let base = c * CHUNK;
+        let mut k = 0;
+        for (i, &m) in chunk.iter().enumerate() {
+            // k <= i < CHUNK at every write; the mask only lets the
+            // compiler drop the bounds check.
+            idx[k & (CHUNK - 1)] = base + i;
+            k += m as usize;
+        }
+        out.extend_from_slice(&idx[..k]);
+    }
+}
+
+/// The selection vector of `mask`, built as [`select_into`] builds it.
+pub fn selection(mask: &[bool]) -> Vec<usize> {
+    let mut out = Vec::new();
+    select_into(mask, &mut out);
+    out
+}
 
 /// A typed vector of column values (one attribute, up to `vector_size`
 /// rows). This is the x100 "vector" the whole engine operates on.
@@ -160,8 +195,7 @@ impl ColumnVector {
     /// Keep rows where `mask` is true (filter compaction).
     pub fn filter(&self, mask: &[bool]) -> ColumnVector {
         debug_assert_eq!(mask.len(), self.len());
-        let idx: Vec<usize> = mask.iter().enumerate().filter(|(_, &m)| m).map(|(i, _)| i).collect();
-        self.take(&idx)
+        self.take(&selection(mask))
     }
 
     /// Rows `from..to` as a new vector.
@@ -233,15 +267,23 @@ impl ColumnVector {
 /// A horizontal slice of a relation: one vector per column, all of equal
 /// length. The engine streams batches of at most `vector_size` rows between
 /// operators.
+///
+/// Columns are shared: a scan hands out its blocks' vectors, and a column
+/// reference or a column-only projection passes them on, each a pointer
+/// copy. Only operators that produce new rows (gather, filter, slice,
+/// computed expressions) allocate vectors.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Batch {
-    columns: Vec<ColumnVector>,
+    columns: Vec<Arc<ColumnVector>>,
     rows: usize,
 }
 
 impl Batch {
-    pub fn new(columns: Vec<ColumnVector>) -> Batch {
-        let rows = columns.first().map_or(0, ColumnVector::len);
+    /// A batch of `columns`, owned (`ColumnVector`) or shared
+    /// (`Arc<ColumnVector>`).
+    pub fn new<C: Into<Arc<ColumnVector>>>(columns: Vec<C>) -> Batch {
+        let columns: Vec<Arc<ColumnVector>> = columns.into_iter().map(Into::into).collect();
+        let rows = columns.first().map_or(0, |c| c.len());
         for (i, c) in columns.iter().enumerate() {
             assert_eq!(c.len(), rows, "column {i} length differs from column 0");
         }
@@ -266,12 +308,24 @@ impl Batch {
         &self.columns[i]
     }
 
-    pub fn columns(&self) -> &[ColumnVector] {
-        &self.columns
+    /// Column `i` as the shared vector; cloning it is a pointer copy.
+    pub fn shared_column(&self, i: usize) -> &Arc<ColumnVector> {
+        &self.columns[i]
     }
 
-    pub fn into_columns(self) -> Vec<ColumnVector> {
+    /// The columns, borrowed as plain vectors.
+    pub fn columns(&self) -> Columns<'_> {
+        Columns(&self.columns)
+    }
+
+    pub fn into_columns(self) -> Vec<Arc<ColumnVector>> {
         self.columns
+    }
+
+    /// The columns as owned vectors: moved out where this batch holds the
+    /// only reference, copied where a block or another batch shares them.
+    pub fn into_owned_columns(self) -> Vec<ColumnVector> {
+        self.columns.into_iter().map(Arc::unwrap_or_clone).collect()
     }
 
     /// Row `i` as a vector of values (slow path, for tests and result sets).
@@ -281,27 +335,48 @@ impl Batch {
 
     /// Filter all columns by a boolean mask.
     pub fn filter(&self, mask: &[bool]) -> Batch {
-        let kept = mask.iter().filter(|&&m| m).count();
-        let columns = self.columns.iter().map(|c| c.filter(mask)).collect();
-        Batch { columns, rows: kept }
+        debug_assert_eq!(mask.len(), self.rows);
+        self.take(&selection(mask))
     }
 
     /// Gather rows by index.
     pub fn take(&self, indices: &[usize]) -> Batch {
-        let columns = self.columns.iter().map(|c| c.take(indices)).collect();
+        let columns = self.columns.iter().map(|c| Arc::new(c.take(indices))).collect();
         Batch { columns, rows: indices.len() }
     }
 
     /// Gather rows by index, run-optimized ([`ColumnVector::take_runs`]).
     pub fn take_runs(&self, indices: &[usize]) -> Batch {
-        let columns = self.columns.iter().map(|c| c.take_runs(indices)).collect();
+        let columns = self.columns.iter().map(|c| Arc::new(c.take_runs(indices))).collect();
         Batch { columns, rows: indices.len() }
     }
 
     /// Rows `from..to`.
     pub fn slice(&self, from: usize, to: usize) -> Batch {
-        let columns = self.columns.iter().map(|c| c.slice(from, to)).collect();
+        let columns = self.columns.iter().map(|c| Arc::new(c.slice(from, to))).collect();
         Batch { columns, rows: to - from }
+    }
+}
+
+/// A batch's columns borrowed as plain vectors ([`Batch::columns`]).
+#[derive(Clone, Copy, Debug)]
+pub struct Columns<'a>(&'a [Arc<ColumnVector>]);
+
+impl<'a> Columns<'a> {
+    pub fn iter(self) -> impl ExactSizeIterator<Item = &'a ColumnVector> {
+        self.into_iter()
+    }
+}
+
+impl<'a> IntoIterator for Columns<'a> {
+    type Item = &'a ColumnVector;
+    type IntoIter = std::iter::Map<
+        std::slice::Iter<'a, Arc<ColumnVector>>,
+        fn(&'a Arc<ColumnVector>) -> &'a ColumnVector,
+    >;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter().map(|c| &**c)
     }
 }
 

@@ -20,12 +20,101 @@ use crate::expr::Expr;
 use crate::plan::logical::{AggFunc, AggSpec};
 use crate::types::{DataType, Value};
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// Largest / smallest f64 under `f64::total_cmp` — the absorbing identities
 /// for typed MIN / MAX slots. Every real group receives at least one row
 /// (the engine is NULL-free), so sentinels never leak into results.
 const TOTAL_ORD_MAX: f64 = f64::from_bits(0x7fff_ffff_ffff_ffff);
 const TOTAL_ORD_MIN: f64 = f64::from_bits(0xffff_ffff_ffff_ffff);
+
+/// Which slot each row of a batch folds into.
+#[derive(Clone, Copy)]
+enum Slots<'a> {
+    /// Row `i` folds into slot `gids[i]`.
+    Grouped(&'a [u32]),
+    /// All of the batch's rows (this many) fold into slot 0: the one group
+    /// of a global aggregate, with no group-id vector.
+    Global(usize),
+}
+
+/// Fold one value per row into `acc` through `f`, in row order — the
+/// order the row-at-a-time oracle folds in, so float sums keep their bits.
+fn fold<A, T>(
+    acc: &mut [A],
+    slots: Slots<'_>,
+    values: impl Iterator<Item = T>,
+    mut f: impl FnMut(&mut A, T) -> Result<()>,
+) -> Result<()> {
+    match slots {
+        Slots::Grouped(gids) => {
+            for (&g, x) in gids.iter().zip(values) {
+                f(&mut acc[g as usize], x)?;
+            }
+        }
+        Slots::Global(_) => {
+            let slot = &mut acc[0];
+            for x in values {
+                f(slot, x)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Count the rows per slot: a global aggregate adds the batch's row count.
+fn count_rows(n: &mut [i64], slots: Slots<'_>) {
+    match slots {
+        Slots::Grouped(gids) => {
+            for &g in gids {
+                n[g as usize] += 1;
+            }
+        }
+        Slots::Global(rows) => n[0] += rows as i64,
+    }
+}
+
+/// Every row of `col` as a `Value` (the untyped fallback of the kernels).
+fn value_iter(col: &ColumnVector) -> impl Iterator<Item = Value> + '_ {
+    (0..col.len()).map(|i| col.value(i))
+}
+
+/// `SUM` over INT errors on overflow, in debug and release builds alike.
+fn checked_sum(slot: &mut i64, x: i64) -> Result<()> {
+    *slot = slot
+        .checked_add(x)
+        .ok_or_else(|| EngineError::Execution("SUM overflowed the INT range".into()))?;
+    Ok(())
+}
+
+fn add_float(slot: &mut f64, x: f64) -> Result<()> {
+    *slot += x;
+    Ok(())
+}
+
+fn min_int(slot: &mut i64, x: i64) -> Result<()> {
+    *slot = (*slot).min(x);
+    Ok(())
+}
+
+fn max_int(slot: &mut i64, x: i64) -> Result<()> {
+    *slot = (*slot).max(x);
+    Ok(())
+}
+
+fn min_float(slot: &mut f64, x: f64) -> Result<()> {
+    if x.total_cmp(slot) == Ordering::Less {
+        *slot = x;
+    }
+    Ok(())
+}
+
+fn max_float(slot: &mut f64, x: f64) -> Result<()> {
+    if x.total_cmp(slot) == Ordering::Greater {
+        *slot = x;
+    }
+    Ok(())
+}
 
 /// Typed per-aggregate slot arrays, indexed by dense group id.
 #[derive(Clone, Debug)]
@@ -90,181 +179,75 @@ impl Accumulator {
         }
     }
 
-    /// Fold one batch into the slots: `gids[i]` is the group of row `i` of
-    /// `arg`. Each arm is a tight loop over the typed column slice.
-    fn update_batch(&mut self, gids: &[u32], arg: Option<&ColumnVector>) -> Result<()> {
+    /// Fold one batch into the slots `slots` assigns its rows to, in row
+    /// order. Each arm is a tight loop over the typed column slice.
+    fn update_batch(&mut self, slots: Slots<'_>, arg: Option<&ColumnVector>) -> Result<()> {
+        let arg = || arg.expect("every aggregate but COUNT has an argument");
         match self {
             Accumulator::Count(n) => {
-                for &g in gids {
-                    n[g as usize] += 1;
-                }
+                count_rows(n, slots);
+                Ok(())
             }
-            Accumulator::SumInt(acc) => match arg.expect("SUM has an argument") {
-                ColumnVector::Int(v) => {
-                    for (&g, &x) in gids.iter().zip(v) {
-                        acc[g as usize] += x;
-                    }
-                }
+            Accumulator::SumInt(acc) => match arg() {
+                ColumnVector::Int(v) => fold(acc, slots, v.iter().copied(), checked_sum),
                 ColumnVector::Float(v) => {
-                    for (&g, &x) in gids.iter().zip(v) {
-                        acc[g as usize] += x as i64;
-                    }
+                    fold(acc, slots, v.iter().map(|&x| x as i64), checked_sum)
                 }
-                other => {
-                    for (i, &g) in gids.iter().enumerate() {
-                        acc[g as usize] += other.value(i).as_i64()?;
-                    }
-                }
+                other => fold(acc, slots, value_iter(other), |s, x| checked_sum(s, x.as_i64()?)),
             },
-            Accumulator::SumFloat(acc) => match arg.expect("SUM has an argument") {
-                ColumnVector::Float(v) => {
-                    for (&g, &x) in gids.iter().zip(v) {
-                        acc[g as usize] += x;
-                    }
-                }
-                ColumnVector::Int(v) => {
-                    for (&g, &x) in gids.iter().zip(v) {
-                        acc[g as usize] += x as f64;
-                    }
-                }
-                other => {
-                    for (i, &g) in gids.iter().enumerate() {
-                        acc[g as usize] += other.value(i).as_f64()?;
-                    }
-                }
+            Accumulator::SumFloat(acc) => match arg() {
+                ColumnVector::Float(v) => fold(acc, slots, v.iter().copied(), add_float),
+                ColumnVector::Int(v) => fold(acc, slots, v.iter().map(|&x| x as f64), add_float),
+                other => fold(acc, slots, value_iter(other), |s, x| add_float(s, x.as_f64()?)),
             },
-            Accumulator::Avg { sum, count } => match arg.expect("AVG has an argument") {
-                ColumnVector::Float(v) => {
-                    for (&g, &x) in gids.iter().zip(v) {
-                        sum[g as usize] += x;
-                        count[g as usize] += 1;
+            Accumulator::Avg { sum, count } => {
+                match arg() {
+                    ColumnVector::Float(v) => fold(sum, slots, v.iter().copied(), add_float)?,
+                    ColumnVector::Int(v) => {
+                        fold(sum, slots, v.iter().map(|&x| x as f64), add_float)?
                     }
+                    other => fold(sum, slots, value_iter(other), |s, x| add_float(s, x.as_f64()?))?,
                 }
-                ColumnVector::Int(v) => {
-                    for (&g, &x) in gids.iter().zip(v) {
-                        sum[g as usize] += x as f64;
-                        count[g as usize] += 1;
-                    }
-                }
-                other => {
-                    for (i, &g) in gids.iter().enumerate() {
-                        sum[g as usize] += other.value(i).as_f64()?;
-                        count[g as usize] += 1;
-                    }
-                }
-            },
-            Accumulator::MinInt(acc) => match arg.expect("MIN has an argument") {
-                ColumnVector::Int(v) => {
-                    for (&g, &x) in gids.iter().zip(v) {
-                        let slot = &mut acc[g as usize];
-                        *slot = (*slot).min(x);
-                    }
-                }
-                other => {
-                    for (i, &g) in gids.iter().enumerate() {
-                        let x = other.value(i).as_i64()?;
-                        let slot = &mut acc[g as usize];
-                        *slot = (*slot).min(x);
-                    }
-                }
-            },
-            Accumulator::MaxInt(acc) => match arg.expect("MAX has an argument") {
-                ColumnVector::Int(v) => {
-                    for (&g, &x) in gids.iter().zip(v) {
-                        let slot = &mut acc[g as usize];
-                        *slot = (*slot).max(x);
-                    }
-                }
-                other => {
-                    for (i, &g) in gids.iter().enumerate() {
-                        let x = other.value(i).as_i64()?;
-                        let slot = &mut acc[g as usize];
-                        *slot = (*slot).max(x);
-                    }
-                }
-            },
-            Accumulator::MinFloat(acc) => match arg.expect("MIN has an argument") {
-                ColumnVector::Float(v) => {
-                    for (&g, &x) in gids.iter().zip(v) {
-                        let slot = &mut acc[g as usize];
-                        if x.total_cmp(slot) == Ordering::Less {
-                            *slot = x;
-                        }
-                    }
-                }
-                ColumnVector::Int(v) => {
-                    for (&g, &x) in gids.iter().zip(v) {
-                        let slot = &mut acc[g as usize];
-                        if (x as f64).total_cmp(slot) == Ordering::Less {
-                            *slot = x as f64;
-                        }
-                    }
-                }
-                other => {
-                    for (i, &g) in gids.iter().enumerate() {
-                        let x = other.value(i).as_f64()?;
-                        let slot = &mut acc[g as usize];
-                        if x.total_cmp(slot) == Ordering::Less {
-                            *slot = x;
-                        }
-                    }
-                }
-            },
-            Accumulator::MaxFloat(acc) => match arg.expect("MAX has an argument") {
-                ColumnVector::Float(v) => {
-                    for (&g, &x) in gids.iter().zip(v) {
-                        let slot = &mut acc[g as usize];
-                        if x.total_cmp(slot) == Ordering::Greater {
-                            *slot = x;
-                        }
-                    }
-                }
-                ColumnVector::Int(v) => {
-                    for (&g, &x) in gids.iter().zip(v) {
-                        let slot = &mut acc[g as usize];
-                        if (x as f64).total_cmp(slot) == Ordering::Greater {
-                            *slot = x as f64;
-                        }
-                    }
-                }
-                other => {
-                    for (i, &g) in gids.iter().enumerate() {
-                        let x = other.value(i).as_f64()?;
-                        let slot = &mut acc[g as usize];
-                        if x.total_cmp(slot) == Ordering::Greater {
-                            *slot = x;
-                        }
-                    }
-                }
-            },
-            Accumulator::MinVal(acc) => {
-                let col = arg.expect("MIN has an argument");
-                for (i, &g) in gids.iter().enumerate() {
-                    let v = col.value(i);
-                    let slot = &mut acc[g as usize];
-                    if slot.as_ref().is_none_or(|c| v.total_cmp(c) == Ordering::Less) {
-                        *slot = Some(v);
-                    }
-                }
+                count_rows(count, slots);
+                Ok(())
             }
-            Accumulator::MaxVal(acc) => {
-                let col = arg.expect("MAX has an argument");
-                for (i, &g) in gids.iter().enumerate() {
-                    let v = col.value(i);
-                    let slot = &mut acc[g as usize];
-                    if slot.as_ref().is_none_or(|c| v.total_cmp(c) == Ordering::Greater) {
-                        *slot = Some(v);
-                    }
+            Accumulator::MinInt(acc) => match arg() {
+                ColumnVector::Int(v) => fold(acc, slots, v.iter().copied(), min_int),
+                other => fold(acc, slots, value_iter(other), |s, x| min_int(s, x.as_i64()?)),
+            },
+            Accumulator::MaxInt(acc) => match arg() {
+                ColumnVector::Int(v) => fold(acc, slots, v.iter().copied(), max_int),
+                other => fold(acc, slots, value_iter(other), |s, x| max_int(s, x.as_i64()?)),
+            },
+            Accumulator::MinFloat(acc) => match arg() {
+                ColumnVector::Float(v) => fold(acc, slots, v.iter().copied(), min_float),
+                ColumnVector::Int(v) => fold(acc, slots, v.iter().map(|&x| x as f64), min_float),
+                other => fold(acc, slots, value_iter(other), |s, x| min_float(s, x.as_f64()?)),
+            },
+            Accumulator::MaxFloat(acc) => match arg() {
+                ColumnVector::Float(v) => fold(acc, slots, v.iter().copied(), max_float),
+                ColumnVector::Int(v) => fold(acc, slots, v.iter().map(|&x| x as f64), max_float),
+                other => fold(acc, slots, value_iter(other), |s, x| max_float(s, x.as_f64()?)),
+            },
+            Accumulator::MinVal(acc) => fold(acc, slots, value_iter(arg()), |slot, v| {
+                if slot.as_ref().is_none_or(|c| v.total_cmp(c) == Ordering::Less) {
+                    *slot = Some(v);
                 }
-            }
+                Ok(())
+            }),
+            Accumulator::MaxVal(acc) => fold(acc, slots, value_iter(arg()), |slot, v| {
+                if slot.as_ref().is_none_or(|c| v.total_cmp(c) == Ordering::Greater) {
+                    *slot = Some(v);
+                }
+                Ok(())
+            }),
         }
-        Ok(())
     }
 
     /// Merge slot `src` of a partial aggregate into slot `dst` of `self`.
-    fn merge_slot(&mut self, dst: usize, other: &Accumulator, src: usize) {
+    fn merge_slot(&mut self, dst: usize, other: &Accumulator, src: usize) -> Result<()> {
         match (self, other) {
-            (Accumulator::SumInt(a), Accumulator::SumInt(b)) => a[dst] += b[src],
+            (Accumulator::SumInt(a), Accumulator::SumInt(b)) => checked_sum(&mut a[dst], b[src])?,
             (Accumulator::SumFloat(a), Accumulator::SumFloat(b)) => a[dst] += b[src],
             (Accumulator::Count(a), Accumulator::Count(b)) => a[dst] += b[src],
             (Accumulator::Avg { sum: s, count: c }, Accumulator::Avg { sum: os, count: oc }) => {
@@ -273,16 +256,8 @@ impl Accumulator {
             }
             (Accumulator::MinInt(a), Accumulator::MinInt(b)) => a[dst] = a[dst].min(b[src]),
             (Accumulator::MaxInt(a), Accumulator::MaxInt(b)) => a[dst] = a[dst].max(b[src]),
-            (Accumulator::MinFloat(a), Accumulator::MinFloat(b)) => {
-                if b[src].total_cmp(&a[dst]) == Ordering::Less {
-                    a[dst] = b[src];
-                }
-            }
-            (Accumulator::MaxFloat(a), Accumulator::MaxFloat(b)) => {
-                if b[src].total_cmp(&a[dst]) == Ordering::Greater {
-                    a[dst] = b[src];
-                }
-            }
+            (Accumulator::MinFloat(a), Accumulator::MinFloat(b)) => min_float(&mut a[dst], b[src])?,
+            (Accumulator::MaxFloat(a), Accumulator::MaxFloat(b)) => max_float(&mut a[dst], b[src])?,
             (Accumulator::MinVal(a), Accumulator::MinVal(b)) => {
                 if let Some(v) = &b[src] {
                     if a[dst].as_ref().is_none_or(|c| v.total_cmp(c) == Ordering::Less) {
@@ -299,6 +274,7 @@ impl Accumulator {
             }
             _ => unreachable!("partial aggregates built from one plan share variants"),
         }
+        Ok(())
     }
 
     /// Turn the slot arrays into the output column. `empty_global` marks the
@@ -367,16 +343,33 @@ impl Accumulator {
     }
 }
 
+/// Append the identity slot of a new group to every accumulator and return
+/// the group's id.
+fn new_group(accs: &mut [Accumulator], groups: &mut usize) -> usize {
+    for acc in accs {
+        acc.push_group();
+    }
+    *groups += 1;
+    *groups - 1
+}
+
 /// The vectorized grouping core: retained typed group-key columns, a
 /// [`KeyTable`] mapping key hashes to dense group ids, and one
 /// [`Accumulator`] per aggregate. Groups are numbered in first-seen order,
 /// which keeps results deterministic and lets partial aggregates merge in
 /// partition order.
+///
+/// A global aggregate (no group keys) has at most one group and uses none
+/// of the grouping machinery: no hash vector, no table probe, no group-id
+/// vector. `COUNT` adds each batch's row count and the other aggregates
+/// fold the argument column into slot 0 in row order.
 pub struct GroupedAggState {
     /// Evaluated group-key columns of every distinct group, in first-seen
     /// order. `None` until the first batch fixes the key column types.
     group_cols: Option<Vec<ColumnVector>>,
     table: KeyTable,
+    /// Groups found so far (the table's length, or 0/1 when global).
+    groups: usize,
     accs: Vec<Accumulator>,
     /// Reused per-batch scratch: row hashes and dense group ids.
     hashes: Vec<u64>,
@@ -388,6 +381,7 @@ impl GroupedAggState {
         GroupedAggState {
             group_cols: None,
             table: KeyTable::with_capacity(0),
+            groups: 0,
             accs: aggs.iter().zip(agg_types).map(|(s, t)| Accumulator::new(s, *t)).collect(),
             hashes: Vec::new(),
             gids: Vec::new(),
@@ -395,28 +389,40 @@ impl GroupedAggState {
     }
 
     pub fn num_groups(&self) -> usize {
-        self.table.len()
+        self.groups
     }
 
     /// Evaluate the group and aggregate expressions over `batch` and fold
     /// the rows in.
     pub fn absorb_batch(&mut self, batch: &Batch, group: &[Expr], aggs: &[AggSpec]) -> Result<()> {
-        let key_cols: Result<Vec<ColumnVector>> = group.iter().map(|e| e.eval(batch)).collect();
-        let arg_cols: Result<Vec<Option<ColumnVector>>> =
+        let key_cols: Result<Vec<Arc<ColumnVector>>> =
+            group.iter().map(|e| e.eval(batch)).collect();
+        let arg_cols: Result<Vec<Option<Arc<ColumnVector>>>> =
             aggs.iter().map(|s| s.arg.as_ref().map(|a| a.eval(batch)).transpose()).collect();
         self.absorb(&key_cols?, &arg_cols?, batch.num_rows())
     }
 
     /// Fold `rows` rows of evaluated key and argument columns in: assign a
     /// dense group id per row (creating groups on first sight), then run
-    /// each accumulator's batch kernel.
+    /// each accumulator's batch kernel. With no key columns every row
+    /// belongs to the one global group.
     pub fn absorb(
         &mut self,
-        key_cols: &[ColumnVector],
-        arg_cols: &[Option<ColumnVector>],
+        key_cols: &[Arc<ColumnVector>],
+        arg_cols: &[Option<Arc<ColumnVector>>],
         rows: usize,
     ) -> Result<()> {
         if rows == 0 {
+            return Ok(());
+        }
+        if key_cols.is_empty() {
+            if self.groups == 0 {
+                self.group_cols = Some(Vec::new());
+                new_group(&mut self.accs, &mut self.groups);
+            }
+            for (acc, arg) in self.accs.iter_mut().zip(arg_cols) {
+                acc.update_batch(Slots::Global(rows), arg.as_deref())?;
+            }
             return Ok(());
         }
         hash_key_columns(key_cols, rows, &mut self.hashes);
@@ -426,31 +432,22 @@ impl GroupedAggState {
         self.gids.clear();
         self.gids.reserve(rows);
         for (row, &h) in self.hashes.iter().enumerate() {
-            let mut gid = None;
-            for cand in self.table.candidates(h) {
-                if keys_equal(group_cols, cand, key_cols, row) {
-                    gid = Some(cand as u32);
-                    break;
-                }
-            }
-            let gid = match gid {
+            let found =
+                self.table.candidates(h).find(|&cand| keys_equal(group_cols, cand, key_cols, row));
+            let gid = match found {
                 Some(g) => g,
                 None => {
-                    let g = self.table.len() as u32;
                     self.table.insert(h);
                     for (gc, kc) in group_cols.iter_mut().zip(key_cols) {
                         gc.push_from(kc, row);
                     }
-                    for acc in &mut self.accs {
-                        acc.push_group();
-                    }
-                    g
+                    new_group(&mut self.accs, &mut self.groups)
                 }
             };
-            self.gids.push(gid);
+            self.gids.push(gid as u32);
         }
         for (acc, arg) in self.accs.iter_mut().zip(arg_cols) {
-            acc.update_batch(&self.gids, arg.as_ref())?;
+            acc.update_batch(Slots::Grouped(&self.gids), arg.as_deref())?;
         }
         Ok(())
     }
@@ -463,36 +460,39 @@ impl GroupedAggState {
         let Some(other_cols) = &other.group_cols else {
             return Ok(());
         };
-        let groups = other.num_groups();
+        if other_cols.is_empty() {
+            // Global: one slot on each side.
+            if self.groups == 0 {
+                self.group_cols = Some(Vec::new());
+                new_group(&mut self.accs, &mut self.groups);
+            }
+            for (acc, oacc) in self.accs.iter_mut().zip(&other.accs) {
+                acc.merge_slot(0, oacc, 0)?;
+            }
+            return Ok(());
+        }
         let mut hashes = Vec::new();
-        hash_key_columns(other_cols, groups, &mut hashes);
+        hash_key_columns(other_cols, other.num_groups(), &mut hashes);
         let group_cols = self.group_cols.get_or_insert_with(|| {
             other_cols.iter().map(|c| ColumnVector::empty(c.data_type())).collect()
         });
         for (src, &h) in hashes.iter().enumerate() {
-            let mut gid = None;
-            for cand in self.table.candidates(h) {
-                if keys_equal(group_cols, cand, other_cols, src) {
-                    gid = Some(cand);
-                    break;
-                }
-            }
-            let dst = match gid {
+            let found = self
+                .table
+                .candidates(h)
+                .find(|&cand| keys_equal(group_cols, cand, other_cols, src));
+            let dst = match found {
                 Some(g) => g,
                 None => {
-                    let g = self.table.len();
                     self.table.insert(h);
                     for (gc, oc) in group_cols.iter_mut().zip(other_cols) {
                         gc.push_from(oc, src);
                     }
-                    for acc in &mut self.accs {
-                        acc.push_group();
-                    }
-                    g
+                    new_group(&mut self.accs, &mut self.groups)
                 }
             };
             for (acc, oacc) in self.accs.iter_mut().zip(&other.accs) {
-                acc.merge_slot(dst, oacc, src);
+                acc.merge_slot(dst, oacc, src)?;
             }
         }
         Ok(())
@@ -505,9 +505,7 @@ impl GroupedAggState {
     pub fn finalize(mut self, ngroup: usize, output_types: &[DataType]) -> Result<Batch> {
         let empty_global = ngroup == 0 && self.num_groups() == 0;
         if empty_global {
-            for acc in &mut self.accs {
-                acc.push_group();
-            }
+            new_group(&mut self.accs, &mut self.groups);
         }
         let mut cols: Vec<ColumnVector> = Vec::with_capacity(output_types.len());
         let group_cols = self.group_cols.take().unwrap_or_default();

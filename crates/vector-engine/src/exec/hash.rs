@@ -19,6 +19,7 @@
 //!   collisions before touching the key columns.
 
 use crate::column::ColumnVector;
+use std::borrow::Borrow;
 
 /// splitmix64 finalizer: full-avalanche mix of one 64-bit code.
 #[inline]
@@ -67,13 +68,13 @@ fn str_code(s: &str) -> u64 {
 
 /// Compute the composite hash vector of `rows` rows over `cols`. The output
 /// buffer is reused across batches by the callers (cleared, then filled) —
-/// the per-row path performs no allocation.
-pub fn hash_key_columns(cols: &[ColumnVector], rows: usize, hashes: &mut Vec<u64>) {
+/// the per-row path performs no allocation. Columns may be owned or shared.
+pub fn hash_key_columns<C: Borrow<ColumnVector>>(cols: &[C], rows: usize, hashes: &mut Vec<u64>) {
     hashes.clear();
     hashes.resize(rows, 0);
     for (ci, col) in cols.iter().enumerate() {
         let first = ci == 0;
-        match col {
+        match col.borrow() {
             ColumnVector::Int(v) => {
                 for (h, &x) in hashes.iter_mut().zip(v) {
                     *h = if first { mix(x as u64) } else { combine(*h, x as u64) };
@@ -129,8 +130,13 @@ fn int_eq_float(i: i64, f: f64) -> bool {
 
 /// Composite-key equality of row `ai` of `a` against row `bi` of `b`.
 #[inline]
-pub fn keys_equal(a: &[ColumnVector], ai: usize, b: &[ColumnVector], bi: usize) -> bool {
-    a.iter().zip(b).all(|(ca, cb)| col_equal(ca, ai, cb, bi))
+pub fn keys_equal<A: Borrow<ColumnVector>, B: Borrow<ColumnVector>>(
+    a: &[A],
+    ai: usize,
+    b: &[B],
+    bi: usize,
+) -> bool {
+    a.iter().zip(b).all(|(ca, cb)| col_equal(ca.borrow(), ai, cb.borrow(), bi))
 }
 
 /// A bucket-chained hash table over row indices. It stores no keys: entry

@@ -6,6 +6,7 @@ use crate::exec::hash::{hash_key_columns, keys_equal, KeyTable};
 use crate::exec::physical::Operator;
 use crate::exec::simple::concat_batches;
 use crate::expr::Expr;
+use std::sync::Arc;
 
 fn glue(left: Batch, right: Batch) -> Batch {
     let mut cols = left.into_columns();
@@ -21,7 +22,7 @@ pub struct CrossJoinExec {
     left: Box<dyn Operator>,
     right: Box<dyn Operator>,
     vector_size: usize,
-    right_batch: Option<std::sync::Arc<Batch>>,
+    right_batch: Option<Arc<Batch>>,
     current_left: Option<Batch>,
     left_row: usize,
     right_pos: usize,
@@ -49,7 +50,7 @@ impl CrossJoinExec {
         while let Some(b) = self.right.next()? {
             batches.push(b);
         }
-        self.right_batch = Some(std::sync::Arc::new(concat_batches(&batches)));
+        self.right_batch = Some(Arc::new(concat_batches(&batches)));
         Ok(())
     }
 }
@@ -64,7 +65,7 @@ impl Operator for CrossJoinExec {
         if self.right_batch.is_none() {
             self.build()?;
         }
-        let right = std::sync::Arc::clone(self.right_batch.as_ref().expect("built"));
+        let right = Arc::clone(self.right_batch.as_ref().expect("built"));
         let r_rows = right.num_rows();
         if r_rows == 0 {
             return Ok(None);
@@ -154,7 +155,7 @@ pub struct HashJoinExec {
 struct BuildSide {
     batch: Batch,
     /// Evaluated key columns, retained for collision resolution.
-    key_cols: Vec<ColumnVector>,
+    key_cols: Vec<Arc<ColumnVector>>,
     /// One entry per distinct key.
     table: KeyTable,
     /// Per table entry: first build row carrying that key (also the
@@ -212,7 +213,7 @@ impl HashJoinExec {
         let mut counts: Vec<u32> = Vec::new();
         let mut entry_of: Vec<u32> = vec![0; rows];
         if rows > 0 {
-            let cols: Result<Vec<ColumnVector>> =
+            let cols: Result<Vec<Arc<ColumnVector>>> =
                 self.right_keys.iter().map(|e| e.eval(&batch)).collect();
             key_cols = cols?;
             let mut hashes = Vec::new();
@@ -303,7 +304,7 @@ impl Operator for HashJoinExec {
             if build_empty || left_batch.num_rows() == 0 {
                 continue;
             }
-            let key_cols: Result<Vec<ColumnVector>> =
+            let key_cols: Result<Vec<Arc<ColumnVector>>> =
                 self.left_keys.iter().map(|e| e.eval(&left_batch)).collect();
             let key_cols = key_cols?;
             let build = self.built.as_ref().expect("built");

@@ -19,6 +19,7 @@ use crate::plan::logical::{AggFunc, AggSpec};
 use crate::types::{DataType, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A hashable, type-normalized join/group key component. Numeric values
 /// that represent the same number (e.g. `INT 3` and `FLOAT 3.0`) map to the
@@ -52,7 +53,7 @@ pub fn key_part(v: &Value) -> KeyPart {
 }
 
 /// Extract the composite key of row `row` from evaluated key columns.
-pub fn row_key(cols: &[ColumnVector], row: usize) -> Vec<KeyPart> {
+pub fn row_key(cols: &[Arc<ColumnVector>], row: usize) -> Vec<KeyPart> {
     cols.iter().map(|c| key_part(&c.value(row))).collect()
 }
 
@@ -114,7 +115,7 @@ impl RowHashJoinExec {
         let batch = concat_batches(&batches);
         let mut table: HashMap<Vec<KeyPart>, Vec<usize>> = HashMap::new();
         if batch.num_rows() > 0 {
-            let key_cols: Result<Vec<ColumnVector>> =
+            let key_cols: Result<Vec<Arc<ColumnVector>>> =
                 self.right_keys.iter().map(|e| e.eval(&batch)).collect();
             let key_cols = key_cols?;
             for row in 0..batch.num_rows() {
@@ -166,7 +167,7 @@ impl Operator for RowHashJoinExec {
             if build_empty || left_batch.num_rows() == 0 {
                 continue;
             }
-            let key_cols: Result<Vec<ColumnVector>> =
+            let key_cols: Result<Vec<Arc<ColumnVector>>> =
                 self.left_keys.iter().map(|e| e.eval(&left_batch)).collect();
             let key_cols = key_cols?;
             let build = self.built.as_ref().expect("built");
@@ -225,7 +226,10 @@ impl AggState {
         match self {
             AggState::Count(n) => *n += 1,
             AggState::SumInt(acc) => {
-                *acc += value.expect("SUM has an argument").as_i64()?;
+                let x = value.expect("SUM has an argument").as_i64()?;
+                *acc = acc
+                    .checked_add(x)
+                    .ok_or_else(|| EngineError::Execution("SUM overflowed the INT range".into()))?;
             }
             AggState::SumFloat(acc) => {
                 *acc += value.expect("SUM has an argument").as_f64()?;
@@ -318,10 +322,10 @@ impl RowHashAggExec {
             if batch.num_rows() == 0 {
                 continue;
             }
-            let key_cols: Result<Vec<ColumnVector>> =
+            let key_cols: Result<Vec<Arc<ColumnVector>>> =
                 self.group.iter().map(|e| e.eval(&batch)).collect();
             let key_cols = key_cols?;
-            let arg_cols: Result<Vec<Option<ColumnVector>>> = self
+            let arg_cols: Result<Vec<Option<Arc<ColumnVector>>>> = self
                 .aggs
                 .iter()
                 .map(|s| s.arg.as_ref().map(|a| a.eval(&batch)).transpose())

@@ -1,21 +1,24 @@
 //! Single-input operators: filter, project, sort, limit, values.
 
-use crate::column::{Batch, ColumnVector};
+use crate::column::{select_into, Batch, ColumnVector};
 use crate::error::{EngineError, Result};
 use crate::exec::physical::Operator;
 use crate::expr::Expr;
 use crate::types::{DataType, Value};
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// Applies a boolean predicate and compacts the batch.
 pub struct FilterExec {
     input: Box<dyn Operator>,
     predicate: Expr,
+    /// Reused selection vector of the current batch.
+    selection: Vec<usize>,
 }
 
 impl FilterExec {
     pub fn new(input: Box<dyn Operator>, predicate: Expr) -> FilterExec {
-        FilterExec { input, predicate }
+        FilterExec { input, predicate, selection: Vec::new() }
     }
 }
 
@@ -26,16 +29,13 @@ impl Operator for FilterExec {
 
     fn next(&mut self) -> Result<Option<Batch>> {
         while let Some(batch) = self.input.next()? {
-            let mask_col = self.predicate.eval(&batch)?;
-            let mask = mask_col.as_bool()?;
-            let kept = mask.iter().filter(|&&m| m).count();
-            if kept == 0 {
-                continue;
+            let mask = self.predicate.eval(&batch)?;
+            select_into(mask.as_bool()?, &mut self.selection);
+            match self.selection.len() {
+                0 => continue,
+                kept if kept == batch.num_rows() => return Ok(Some(batch)),
+                _ => return Ok(Some(batch.take(&self.selection))),
             }
-            if kept == batch.num_rows() {
-                return Ok(Some(batch));
-            }
-            return Ok(Some(batch.filter(mask)));
         }
         Ok(None)
     }
@@ -66,7 +66,7 @@ impl Operator for ProjectExec {
         match self.input.next()? {
             None => Ok(None),
             Some(batch) => {
-                let cols: Result<Vec<ColumnVector>> =
+                let cols: Result<Vec<Arc<ColumnVector>>> =
                     self.exprs.iter().map(|e| e.eval(&batch)).collect();
                 Ok(Some(Batch::new(cols?)))
             }

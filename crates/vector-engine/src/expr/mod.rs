@@ -13,6 +13,7 @@ use crate::types::{DataType, Value};
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Binary operators, in SQL semantics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,6 +51,19 @@ impl BinaryOp {
             self,
             BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div | BinaryOp::Mod
         )
+    }
+
+    /// The comparison that holds for `(b, a)` exactly when `self` holds
+    /// for `(a, b)`: `lit < col` is `col > lit`. Non-comparisons map to
+    /// themselves.
+    fn flip(self) -> BinaryOp {
+        match self {
+            BinaryOp::Lt => BinaryOp::Gt,
+            BinaryOp::LtEq => BinaryOp::GtEq,
+            BinaryOp::Gt => BinaryOp::Lt,
+            BinaryOp::GtEq => BinaryOp::LtEq,
+            other => other,
+        }
     }
 
     pub fn sql_symbol(self) -> &'static str {
@@ -199,44 +213,75 @@ impl Expr {
         }
     }
 
-    /// Vectorized evaluation over a batch.
-    pub fn eval(&self, batch: &Batch) -> Result<ColumnVector> {
+    /// Vectorized evaluation over a batch. A column reference returns the
+    /// batch's own shared vector (a pointer copy); every other node
+    /// computes a new one.
+    pub fn eval(&self, batch: &Batch) -> Result<Arc<ColumnVector>> {
         match self {
-            Expr::Column(i) => Ok(batch.column(*i).clone()),
-            Expr::Literal(v) => Ok(ColumnVector::repeat(v, batch.num_rows())),
+            Expr::Column(i) => Ok(Arc::clone(batch.shared_column(*i))),
+            Expr::Literal(v) => Ok(Arc::new(ColumnVector::repeat(v, batch.num_rows()))),
             Expr::Binary { op, left, right } => {
+                if op.is_comparison() {
+                    // `col <op> literal`, literal on either side, compares
+                    // the column against the scalar; no broadcast vector.
+                    let literal_side = match (&**left, &**right) {
+                        (_, Expr::Literal(v)) => Some((left, v, false)),
+                        (Expr::Literal(v), _) => Some((right, v, true)),
+                        _ => None,
+                    };
+                    if let Some((expr, v, flipped)) = literal_side {
+                        let col = expr.eval(batch)?;
+                        let scalar_op = if flipped { op.flip() } else { *op };
+                        if let Some(mask) = compare_scalar(scalar_op, &col, v) {
+                            return Ok(Arc::new(mask));
+                        }
+                        // Mixed types: broadcast the literal and cast.
+                        let lit = ColumnVector::repeat(v, batch.num_rows());
+                        let (l, r) = if flipped { (&lit, &*col) } else { (&*col, &lit) };
+                        return Ok(Arc::new(eval_binary(*op, l, r)?));
+                    }
+                }
                 let l = left.eval(batch)?;
                 let r = right.eval(batch)?;
-                eval_binary(*op, &l, &r)
+                Ok(Arc::new(eval_binary(*op, &l, &r)?))
             }
             Expr::Unary { op, expr } => {
                 let v = expr.eval(batch)?;
-                match op {
-                    UnaryOp::Neg => match v {
-                        ColumnVector::Int(xs) => {
-                            Ok(ColumnVector::Int(xs.iter().map(|x| -x).collect()))
-                        }
+                let out = match op {
+                    UnaryOp::Neg => match &*v {
+                        ColumnVector::Int(xs) => ColumnVector::Int(xs.iter().map(|x| -x).collect()),
                         ColumnVector::Float(xs) => {
-                            Ok(ColumnVector::Float(xs.iter().map(|x| -x).collect()))
+                            ColumnVector::Float(xs.iter().map(|x| -x).collect())
                         }
-                        other => Err(EngineError::Type(format!(
-                            "cannot negate {}",
-                            other.data_type().name()
-                        ))),
+                        other => {
+                            return Err(EngineError::Type(format!(
+                                "cannot negate {}",
+                                other.data_type().name()
+                            )))
+                        }
                     },
                     UnaryOp::Not => {
                         let b = v.as_bool()?;
-                        Ok(ColumnVector::Bool(b.iter().map(|x| !x).collect()))
+                        ColumnVector::Bool(b.iter().map(|x| !x).collect())
                     }
-                }
+                };
+                Ok(Arc::new(out))
             }
-            Expr::Case { whens, else_expr } => eval_case(whens, else_expr.as_deref(), batch),
+            Expr::Case { whens, else_expr } => {
+                Ok(Arc::new(eval_case(whens, else_expr.as_deref(), batch)?))
+            }
             Expr::Func { func, args } => {
-                let evaluated: Result<Vec<ColumnVector>> =
+                let evaluated: Result<Vec<Arc<ColumnVector>>> =
                     args.iter().map(|a| a.eval(batch)).collect();
-                func.eval(&evaluated?, batch.num_rows())
+                Ok(Arc::new(func.eval(&evaluated?, batch.num_rows())?))
             }
-            Expr::Cast { expr, to } => expr.eval(batch)?.cast(*to),
+            Expr::Cast { expr, to } => {
+                let v = expr.eval(batch)?;
+                if v.data_type() == *to {
+                    return Ok(v);
+                }
+                Ok(Arc::new(v.cast(*to)?))
+            }
         }
     }
 
@@ -348,6 +393,49 @@ fn compare(op: BinaryOp, ord: Ordering) -> bool {
         BinaryOp::GtEq => ord != Ordering::Less,
         _ => unreachable!("not a comparison"),
     }
+}
+
+/// `f64::total_cmp`'s ordering key: comparing two keys as `i64` orders the
+/// floats exactly as `total_cmp` does (it is how `total_cmp` is defined).
+#[inline]
+fn total_order_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// `key(v[i]) <op> x` for every row, the op matched once per batch so each
+/// arm is a straight loop over the slice.
+fn compare_keys<T: Copy, K: Ord + Copy>(
+    v: &[T],
+    key: impl Fn(T) -> K,
+    x: K,
+    op: BinaryOp,
+) -> Vec<bool> {
+    let keys = v.iter().map(|&a| key(a));
+    match op {
+        BinaryOp::Eq => keys.map(|k| k == x).collect(),
+        BinaryOp::NotEq => keys.map(|k| k != x).collect(),
+        BinaryOp::Lt => keys.map(|k| k < x).collect(),
+        BinaryOp::LtEq => keys.map(|k| k <= x).collect(),
+        BinaryOp::Gt => keys.map(|k| k > x).collect(),
+        BinaryOp::GtEq => keys.map(|k| k >= x).collect(),
+        _ => unreachable!("not a comparison"),
+    }
+}
+
+/// `col <op> lit` over a borrowed INT or FLOAT column and a scalar of the
+/// same type, with the same result as the vector-vs-vector path (`cmp` for
+/// INT, `total_cmp` for FLOAT). `None` for every other pairing, which takes
+/// the general path.
+fn compare_scalar(op: BinaryOp, col: &ColumnVector, lit: &Value) -> Option<ColumnVector> {
+    let mask = match (col, lit) {
+        (ColumnVector::Int(v), Value::Int(x)) => compare_keys(v, |a| a, *x, op),
+        (ColumnVector::Float(v), Value::Float(x)) => {
+            compare_keys(v, total_order_key, total_order_key(*x), op)
+        }
+        _ => return None,
+    };
+    Some(ColumnVector::Bool(mask))
 }
 
 fn eval_binary(op: BinaryOp, l: &ColumnVector, r: &ColumnVector) -> Result<ColumnVector> {
@@ -473,18 +561,21 @@ fn eval_case(
     }
     let mut out_type = values
         .first()
-        .map(ColumnVector::data_type)
+        .map(|v| v.data_type())
         .ok_or_else(|| EngineError::Plan("CASE with no branches".into()))?;
     for v in &values {
         if v.data_type() != out_type {
             out_type = out_type.promote(v.data_type())?;
         }
     }
-    let values: Result<Vec<ColumnVector>> = values.iter().map(|v| v.cast(out_type)).collect();
-    let values = values?;
+    for v in &mut values {
+        if v.data_type() != out_type {
+            *v = Arc::new(v.cast(out_type)?);
+        }
+    }
     // Extract the branch masks once; the row loop then runs over plain
     // `&[bool]` slices instead of re-checking the column type per row.
-    let masks: Result<Vec<&[bool]>> = conds.iter().map(ColumnVector::as_bool).collect();
+    let masks: Result<Vec<&[bool]>> = conds.iter().map(|c| c.as_bool()).collect();
     let masks = masks?;
     let mut out = ColumnVector::with_capacity(out_type, rows);
     'rows: for row in 0..rows {
@@ -565,13 +656,13 @@ mod tests {
     fn arithmetic_promotes_int_to_float() {
         let e = Expr::binary(BinaryOp::Add, Expr::col(0), Expr::col(1));
         assert_eq!(e.data_type(&[DataType::Int, DataType::Float]).unwrap(), DataType::Float);
-        assert_eq!(e.eval(&batch()).unwrap(), ColumnVector::Float(vec![1.5, 3.5, 5.5, 7.5]));
+        assert_eq!(*e.eval(&batch()).unwrap(), ColumnVector::Float(vec![1.5, 3.5, 5.5, 7.5]));
     }
 
     #[test]
     fn int_arithmetic_stays_int() {
         let e = Expr::binary(BinaryOp::Mul, Expr::col(0), Expr::lit(Value::Int(10)));
-        assert_eq!(e.eval(&batch()).unwrap(), ColumnVector::Int(vec![10, 20, 30, 40]));
+        assert_eq!(*e.eval(&batch()).unwrap(), ColumnVector::Int(vec![10, 20, 30, 40]));
     }
 
     #[test]
@@ -590,13 +681,16 @@ mod tests {
             Expr::binary(BinaryOp::Gt, Expr::col(0), Expr::lit(Value::Int(1))),
             Expr::binary(BinaryOp::Lt, Expr::col(1), Expr::lit(Value::Float(3.0))),
         );
-        assert_eq!(e.eval(&batch()).unwrap(), ColumnVector::Bool(vec![false, true, true, false]));
+        assert_eq!(*e.eval(&batch()).unwrap(), ColumnVector::Bool(vec![false, true, true, false]));
     }
 
     #[test]
     fn mixed_numeric_comparison() {
         let e = Expr::binary(BinaryOp::GtEq, Expr::col(1), Expr::col(0));
-        assert_eq!(e.eval(&batch()).unwrap(), ColumnVector::Bool(vec![false, false, false, false]));
+        assert_eq!(
+            *e.eval(&batch()).unwrap(),
+            ColumnVector::Bool(vec![false, false, false, false])
+        );
     }
 
     #[test]
@@ -611,21 +705,24 @@ mod tests {
             e.data_type(&[DataType::Int, DataType::Float, DataType::Bool]).unwrap(),
             DataType::Float
         );
-        assert_eq!(e.eval(&batch()).unwrap(), ColumnVector::Float(vec![1.0, 1.5, 3.0, 3.5]));
+        assert_eq!(*e.eval(&batch()).unwrap(), ColumnVector::Float(vec![1.0, 1.5, 3.0, 3.5]));
     }
 
     #[test]
     fn case_without_else_yields_zero() {
         let e = Expr::Case { whens: vec![(Expr::col(2), Expr::col(0))], else_expr: None };
-        assert_eq!(e.eval(&batch()).unwrap(), ColumnVector::Int(vec![1, 0, 3, 0]));
+        assert_eq!(*e.eval(&batch()).unwrap(), ColumnVector::Int(vec![1, 0, 3, 0]));
     }
 
     #[test]
     fn unary_ops() {
         let neg = Expr::Unary { op: UnaryOp::Neg, expr: Box::new(Expr::col(0)) };
-        assert_eq!(neg.eval(&batch()).unwrap(), ColumnVector::Int(vec![-1, -2, -3, -4]));
+        assert_eq!(*neg.eval(&batch()).unwrap(), ColumnVector::Int(vec![-1, -2, -3, -4]));
         let not = Expr::Unary { op: UnaryOp::Not, expr: Box::new(Expr::col(2)) };
-        assert_eq!(not.eval(&batch()).unwrap(), ColumnVector::Bool(vec![false, true, false, true]));
+        assert_eq!(
+            *not.eval(&batch()).unwrap(),
+            ColumnVector::Bool(vec![false, true, false, true])
+        );
     }
 
     #[test]

@@ -9,6 +9,7 @@ use crate::column::ColumnVector;
 use crate::error::{EngineError, Result};
 use crate::expr::Expr;
 use crate::types::DataType;
+use std::borrow::Borrow;
 
 /// Built-in scalar functions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -124,8 +125,10 @@ impl ScalarFunc {
         }
     }
 
-    /// Vectorized evaluation over pre-evaluated argument columns.
-    pub fn eval(self, args: &[ColumnVector], rows: usize) -> Result<ColumnVector> {
+    /// Vectorized evaluation over pre-evaluated argument columns, owned or
+    /// shared.
+    pub fn eval<C: Borrow<ColumnVector>>(self, args: &[C], rows: usize) -> Result<ColumnVector> {
+        let args: Vec<&ColumnVector> = args.iter().map(Borrow::borrow).collect();
         let (min, max) = self.arity();
         if args.len() < min || args.len() > max {
             return Err(EngineError::Execution(format!(

@@ -43,7 +43,7 @@ impl QueryResult {
         let columns = if batches.is_empty() {
             schema.types().into_iter().map(ColumnVector::empty).collect()
         } else {
-            concat_batches(&batches).into_columns()
+            concat_batches(&batches).into_owned_columns()
         };
         let names = schema.fields.iter().map(|f| f.name.clone()).collect();
         QueryResult { names, columns, affected: 0 }

@@ -74,12 +74,13 @@ impl Schema {
     }
 }
 
-/// Where a block's values live: resident in memory, implied by the SMA
-/// (every row equals min = max, so only the row count is kept), or as a
-/// paged column chunk read back through the buffer pool on demand.
+/// Where a block's values live: resident in memory (shared with every
+/// batch a scan hands out), implied by the SMA (every row equals min = max,
+/// so only the row count is kept), or as a paged column chunk read back
+/// through the buffer pool on demand.
 #[derive(Clone, Debug)]
 enum BlockData {
-    Mem(ColumnVector),
+    Mem(Arc<ColumnVector>),
     Const(usize),
     Paged(PagedChunk),
 }
@@ -138,7 +139,7 @@ impl Block {
         let data = if min.total_cmp(&max) == Ordering::Equal {
             BlockData::Const(data.len())
         } else {
-            BlockData::Mem(data)
+            BlockData::Mem(Arc::new(data))
         };
         Block { data, min, max }
     }
@@ -147,12 +148,13 @@ impl Block {
         Block { data: BlockData::Paged(chunk), min, max }
     }
 
-    /// Materialize the block's values, reading through the buffer pool
-    /// when paged.
-    pub fn load(&self, env: Option<&StorageEnv>) -> Result<ColumnVector> {
+    /// The block's values: a memory-resident block shares its vector (a
+    /// pointer copy); a constant block materializes its rows; a paged block
+    /// reads through the buffer pool and decodes into a new vector.
+    pub fn load(&self, env: Option<&StorageEnv>) -> Result<Arc<ColumnVector>> {
         match &self.data {
-            BlockData::Mem(v) => Ok(v.clone()),
-            BlockData::Const(rows) => Ok(ColumnVector::repeat(&self.min, *rows)),
+            BlockData::Mem(v) => Ok(Arc::clone(v)),
+            BlockData::Const(rows) => Ok(Arc::new(ColumnVector::repeat(&self.min, *rows))),
             BlockData::Paged(chunk) => {
                 let env = env.ok_or_else(|| {
                     EngineError::Io("paged block read without a storage environment".into())
@@ -168,7 +170,7 @@ impl Block {
                         chunk.rows
                     )));
                 }
-                Ok(col)
+                Ok(Arc::new(col))
             }
         }
     }
@@ -249,7 +251,7 @@ impl Partition {
         columns: &[usize],
         env: Option<&StorageEnv>,
     ) -> Result<Batch> {
-        let columns: Result<Vec<ColumnVector>> =
+        let columns: Result<Vec<Arc<ColumnVector>>> =
             columns.iter().map(|&c| self.columns[c][b].load(env)).collect();
         Ok(Batch::new(columns?))
     }

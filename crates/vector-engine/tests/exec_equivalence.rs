@@ -11,10 +11,11 @@ use vector_engine::exec::agg::HashAggExec;
 use vector_engine::exec::join::HashJoinExec;
 use vector_engine::exec::physical::{drain, Operator};
 use vector_engine::exec::rowwise::{RowHashAggExec, RowHashJoinExec};
-use vector_engine::exec::simple::BatchesExec;
+use vector_engine::exec::simple::{BatchesExec, FilterExec};
 use vector_engine::expr::Expr;
 use vector_engine::plan::logical::{AggFunc, AggSpec};
 use vector_engine::types::{DataType, Value};
+use vector_engine::{Engine, EngineConfig, EngineError};
 
 /// What type the key column is built from. `FloatIntegral` produces whole
 /// numbers, so against `Int` keys it exercises SQL's cross-type equality.
@@ -222,6 +223,160 @@ fn check_global_agg(n: usize, chunk: usize, seed: u64) -> Result<(), String> {
     Ok(())
 }
 
+/// Floats that stress bitwise agreement: one NaN payload (so a sum's NaN
+/// has one possible payload), signed zeros, and values whose sums round.
+const SUM_SPECIALS: [f64; 5] = [f64::NAN, 0.0, -0.0, 0.1, 1e300];
+
+/// What MIN/MAX alone see besides: NaNs of both signs and another payload,
+/// which the total order puts below / above every number, and infinities.
+const ORDER_SPECIALS: [f64; 6] = [
+    f64::NAN,
+    f64::from_bits(0xfff8_0000_0000_0000),
+    f64::from_bits(0x7ff8_0000_0000_0001),
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    -0.0,
+];
+
+/// Tenths, whose float sums depend on the order they are added in, with
+/// one row in 2, 8 or 64 (by seed) a special value, or none.
+fn special_float_column(n: usize, seed: u64, specials: &[f64]) -> ColumnVector {
+    let every = [2, 8, 64, u64::MAX][(seed % 4) as usize];
+    ColumnVector::Float(
+        (0..n)
+            .map(|i| {
+                let r = lcg(seed, i);
+                if r.is_multiple_of(every) {
+                    specials[(r >> 32) as usize % specials.len()]
+                } else {
+                    (r % 2048) as f64 / 10.0 - 102.4
+                }
+            })
+            .collect(),
+    )
+}
+
+/// Run one global aggregate through the vectorized operator and the oracle
+/// over the same input, keeping only the rows where `keep` holds.
+fn run_global(
+    cols: &[ColumnVector],
+    chunk: usize,
+    keep: &Expr,
+    aggs: &[AggSpec],
+    types: &[DataType],
+    vectorized: bool,
+) -> Result<Vec<Vec<Value>>, String> {
+    let input = Box::new(FilterExec::new(operator_from(cols.to_vec(), chunk), keep.clone()));
+    let (aggs, types) = (aggs.to_vec(), types.to_vec());
+    let op: Box<dyn Operator> = if vectorized {
+        Box::new(HashAggExec::new(input, vec![], aggs, types, 1024))
+    } else {
+        Box::new(RowHashAggExec::new(input, vec![], aggs, types, 1024))
+    };
+    drain(op).map(collect_rows).map_err(|e| e.to_string())
+}
+
+/// Every aggregate over every column type, bit for bit against the
+/// oracle: COUNT/SUM/AVG over floats with NaN and signed zeros, MIN/MAX
+/// over INT, FLOAT (NaN payloads of both signs, infinities), VARCHAR and
+/// BOOLEAN. With `empty`, a filter removes every row first: the sums give
+/// their identities and MIN/MAX fail, the same way on both sides.
+fn check_global_agg_bitwise(n: usize, chunk: usize, seed: u64, empty: bool) -> Result<(), String> {
+    let cols = vec![
+        special_float_column(n, seed, &SUM_SPECIALS),
+        special_float_column(n, seed ^ 0x2718, &ORDER_SPECIALS),
+        int_column(n, seed ^ 0x3141),
+        key_column(KeyKind::Str, n, 64, seed ^ 0x1618),
+        key_column(KeyKind::Bool, n, 2, seed ^ 0x1414),
+    ];
+    let keep = Expr::lit(Value::Bool(!empty));
+    let arg = |func, c| AggSpec { func, arg: Some(Expr::col(c)) };
+    let sums = [
+        AggSpec { func: AggFunc::Count, arg: None },
+        arg(AggFunc::Sum, 0),
+        arg(AggFunc::Sum, 2),
+        arg(AggFunc::Avg, 0),
+        arg(AggFunc::Avg, 2),
+    ];
+    let sum_types =
+        [DataType::Int, DataType::Float, DataType::Int, DataType::Float, DataType::Float];
+    let mut min_max = Vec::new();
+    let mut min_max_types = Vec::new();
+    for (c, t) in [
+        (0, DataType::Float),
+        (1, DataType::Float),
+        (2, DataType::Int),
+        (3, DataType::Str),
+        (4, DataType::Bool),
+    ] {
+        min_max.extend([arg(AggFunc::Min, c), arg(AggFunc::Max, c)]);
+        min_max_types.extend([t, t]);
+    }
+    for (aggs, types) in [(&sums[..], &sum_types[..]), (&min_max[..], &min_max_types[..])] {
+        let got = run_global(&cols, chunk, &keep, aggs, types, true);
+        let want = run_global(&cols, chunk, &keep, aggs, types, false);
+        let same = match (&got, &want) {
+            (Ok(g), Ok(w)) => rows_bitwise_equal(g, w),
+            (Err(g), Err(w)) => g == w,
+            _ => false,
+        };
+        if !same {
+            return Err(format!(
+                "global agg mismatch (n={n}, chunk={chunk}, empty={empty}): \
+                 {got:?} vs oracle {want:?}"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// `SUM` over INT overflows the same way in debug and release builds, and
+/// in the vectorized operator, its partial-aggregate merge and the oracle:
+/// an `Execution` error naming `SUM`.
+#[test]
+fn int_sum_overflow_is_an_error() {
+    let half = i64::MAX / 2 + 1;
+    let cols = vec![ColumnVector::Int(vec![half, half])];
+    let aggs = vec![AggSpec { func: AggFunc::Sum, arg: Some(Expr::col(0)) }];
+    let types = vec![DataType::Int];
+    for chunk in [1, 2] {
+        let vec_agg = HashAggExec::new(
+            operator_from(cols.clone(), chunk),
+            vec![],
+            aggs.clone(),
+            types.clone(),
+            1024,
+        );
+        let row_agg = RowHashAggExec::new(
+            operator_from(cols.clone(), chunk),
+            vec![],
+            aggs.clone(),
+            types.clone(),
+            1024,
+        );
+        for op in [Box::new(vec_agg) as Box<dyn Operator>, Box::new(row_agg)] {
+            match drain(op) {
+                Err(EngineError::Execution(msg)) => assert!(msg.contains("SUM"), "{msg}"),
+                other => panic!("expected a SUM overflow error, got {other:?}"),
+            }
+        }
+    }
+    for partitions in [1, 4] {
+        let engine = Engine::new(EngineConfig { partitions, ..Default::default() });
+        engine.execute("CREATE TABLE t (x INT)").unwrap();
+        // Two statements: with 4 partitions the rows land in different
+        // partitions, so the overflow happens when partials merge.
+        engine.execute(&format!("INSERT INTO t VALUES ({half})")).unwrap();
+        engine.execute(&format!("INSERT INTO t VALUES ({half})")).unwrap();
+        for sql in ["SELECT SUM(x) FROM t", "SELECT x % 1, SUM(x) FROM t GROUP BY x % 1"] {
+            match engine.execute(sql) {
+                Err(EngineError::Execution(msg)) => assert!(msg.contains("SUM"), "{msg}"),
+                other => panic!("{sql} at {partitions} partitions: got {other:?}"),
+            }
+        }
+    }
+}
+
 fn arb_rows() -> impl Strategy<Value = usize> {
     prop_oneof![Just(0usize), 1usize..4, 4usize..40, 40usize..160]
 }
@@ -274,8 +429,10 @@ proptest! {
         n in arb_rows(),
         chunk in arb_chunk(),
         seed in 0u64..1_000_000,
+        empty in any::<bool>(),
     ) {
         check_global_agg(n, chunk, seed)?;
+        check_global_agg_bitwise(n, chunk, seed, empty)?;
     }
 }
 
