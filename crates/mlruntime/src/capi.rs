@@ -6,7 +6,7 @@
 //! `f32` buffers. (The functions are safe Rust — the *shape* of the
 //! interface is what matters for reproducing the integration cost.)
 
-use crate::session::Session;
+use crate::session::{RowModel, Session};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -10,7 +10,9 @@
 //!   over a `rows x input_dim` batch on a [`tensor::Device`] (CPU or
 //!   simulated GPU), with a reusable [`InferScratch`] arena;
 //! * [`session::Session`] — a model file built into a [`BuiltModel`] at
-//!   the paper's vector size of 1,024 rows (load → run → drop);
+//!   the paper's vector size of 1,024 rows (load → run → drop), and
+//!   [`RowModel`], the row-major `run` an engine operator calls on a
+//!   session or on a pool of UDF hosts;
 //! * [`capi`] — the C-style surface: opaque integer handles, status codes,
 //!   `tf_new_session` / `tf_session_run` / `tf_delete_session`.
 //!
@@ -29,4 +31,4 @@ pub mod session;
 
 pub use capi::{tf_delete_session, tf_new_session, tf_session_run, TfDeviceKind, TfStatus};
 pub use forward::{BuiltModel, InferScratch};
-pub use session::Session;
+pub use session::{RowModel, Session};

@@ -30,25 +30,38 @@ impl Session {
         Ok(Session::from_model(name, &model, device))
     }
 
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    pub fn input_dim(&self) -> usize {
-        self.model.input_dim
-    }
-
-    pub fn output_dim(&self) -> usize {
-        self.model.output_dim
-    }
-
     pub fn device(&self) -> &Device {
         &self.device
     }
+}
 
+/// A model an engine operator runs over row-major `f32` rows, shared by
+/// the operators of every task of a plan: the C-API [`Session`], or a pool
+/// of UDF hosts.
+pub trait RowModel: Send + Sync {
+    /// The name plan renderings show.
+    fn name(&self) -> &str;
+    fn input_dim(&self) -> usize;
+    fn output_dim(&self) -> usize;
     /// Row-major batched inference: `input.len()` must be
     /// `rows * input_dim`; the result has `rows * output_dim` values.
-    pub fn run(&self, input: &[f32], rows: usize) -> Result<Vec<f32>, String> {
+    fn run(&self, input: &[f32], rows: usize) -> Result<Vec<f32>, String>;
+}
+
+impl RowModel for Session {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn input_dim(&self) -> usize {
+        self.model.input_dim
+    }
+
+    fn output_dim(&self) -> usize {
+        self.model.output_dim
+    }
+
+    fn run(&self, input: &[f32], rows: usize) -> Result<Vec<f32>, String> {
         let dim = self.input_dim();
         if input.len() != rows * dim {
             return Err(format!(

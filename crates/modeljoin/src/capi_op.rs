@@ -3,25 +3,27 @@
 //! C-API").
 //!
 //! Shaped like the ModelJoin, but inference is delegated to an
-//! [`mlruntime::Session`]. The cost the paper attributes to this approach
-//! is explicit here: every vector of columnar data is converted into the
-//! runtime's **row-major** tensor layout and the predictions are converted
-//! back ("This requires moving data from a columnar format into a
-//! row-major matrix, and results back to columnar layout").
+//! [`mlruntime::RowModel`]: a C-API [`mlruntime::Session`], or the pool of
+//! UDF hosts the vectorized UDF runs on. The cost the paper attributes to
+//! this approach is explicit here: every vector of columnar data is
+//! converted into the runtime's **row-major** tensor layout and the
+//! predictions are converted back ("This requires moving data from a
+//! columnar format into a row-major matrix, and results back to columnar
+//! layout").
 
-use crate::operator::{execute_infer, output_batch, pack_rows};
-use mlruntime::Session;
+use crate::operator::{output_batch, pack_rows};
+use mlruntime::RowModel;
 use std::sync::Arc;
 use tensor::Matrix;
 use vector_engine::exec::physical::Operator;
 use vector_engine::plan::InferModel;
-use vector_engine::{Batch, Engine, EngineError, Result};
+use vector_engine::{Batch, Catalog, Engine, EngineError, Result};
 
-/// Inference operator backed by the external runtime's C-API session. It
-/// emits every input column, then the predictions.
+/// Inference operator backed by a row-major runtime model. It emits every
+/// input column, then the predictions.
 pub struct CapiInferenceOp {
     input: Box<dyn Operator>,
-    session: Arc<Session>,
+    model: Arc<dyn RowModel>,
     input_cols: Vec<usize>,
     /// Reused row-major staging buffer.
     staging: Matrix,
@@ -30,10 +32,10 @@ pub struct CapiInferenceOp {
 impl CapiInferenceOp {
     pub fn new(
         input: Box<dyn Operator>,
-        session: Arc<Session>,
+        model: Arc<dyn RowModel>,
         input_cols: Vec<usize>,
     ) -> CapiInferenceOp {
-        CapiInferenceOp { input, session, input_cols, staging: Matrix::default() }
+        CapiInferenceOp { input, model, input_cols, staging: Matrix::default() }
     }
 }
 
@@ -46,14 +48,13 @@ impl Operator for CapiInferenceOp {
         let Some(batch) = self.input.next()? else {
             return Ok(None);
         };
-        let (rows, outputs) = (batch.num_rows(), self.session.output_dim());
+        let (rows, outputs) = (batch.num_rows(), self.model.output_dim());
         if rows == 0 {
             return Ok(Some(output_batch(batch, &[], outputs)));
         }
         // Columnar → row-major at the C-API boundary, and back.
         pack_rows(&batch, &self.input_cols, &mut self.staging)?;
-        let out =
-            self.session.run(self.staging.as_slice(), rows).map_err(EngineError::Execution)?;
+        let out = self.model.run(self.staging.as_slice(), rows).map_err(EngineError::Execution)?;
         Ok(Some(output_batch(batch, &out, outputs)))
     }
 
@@ -62,10 +63,10 @@ impl Operator for CapiInferenceOp {
     }
 }
 
-/// A C-API session as the model of a `LogicalPlan::Infer` node: one
-/// [`CapiInferenceOp`] per task, all sharing the session (like the real
-/// runtime's).
-struct CapiNode(Arc<Session>);
+/// A runtime model as the model of a `LogicalPlan::Infer` node: one
+/// [`CapiInferenceOp`] per task, all sharing the model (like the real
+/// runtime's session).
+struct CapiNode(Arc<dyn RowModel>);
 
 impl InferModel for CapiNode {
     fn name(&self) -> &str {
@@ -89,23 +90,22 @@ impl InferModel for CapiNode {
     }
 }
 
-/// The C-API join over every row of `fact_table`: the same plan as
-/// [`crate::operator::execute_model_join`], with inference delegated to
-/// `session`.
-pub fn execute_capi_join(
-    engine: &Engine,
-    fact_table: &str,
-    input_cols: &[&str],
-    payload_cols: &[&str],
-    session: &Arc<Session>,
-) -> Result<Vec<Batch>> {
-    let model = Arc::new(CapiNode(Arc::clone(session)));
-    execute_infer(engine, fact_table, input_cols, payload_cols, model)
+/// Register `model` on `engine` as `name` for `PREDICT(name, input,
+/// args…)` and for `serve::Server`'s predicts, as [`crate::register_model`]
+/// does for a model table. The model is loaded already (a session, or the
+/// spawned UDF hosts), so a statement pays no load. Registering a name
+/// again drops the old model once no running statement holds it.
+pub fn register_runtime(engine: &Engine, name: &str, model: Arc<dyn RowModel>) {
+    let bind = move |_: &Catalog| -> Result<Arc<dyn InferModel>> {
+        Ok(Arc::new(CapiNode(Arc::clone(&model))))
+    };
+    engine.catalog().register_model(name, Arc::new(bind));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlruntime::Session;
     use nn::paper;
     use tensor::Device;
     use vector_engine::{ColumnVector, EngineConfig};
@@ -138,21 +138,23 @@ mod tests {
         (engine, data)
     }
 
-    /// `(id, prediction)` pairs of a full C-API join, sorted by id.
+    /// `(id, prediction)` pairs of `PREDICT` over a registered session,
+    /// sorted by id.
     fn predictions(engine: &Engine, model: &nn::Model, device: Device) -> Vec<(i64, f64)> {
-        let session = Arc::new(Session::from_model("test", model, device));
-        let dim = model.input_dim();
-        let input_cols: Vec<String> = (0..dim).map(|i| format!("c{i}")).collect();
-        let refs: Vec<&str> = input_cols.iter().map(|s| s.as_str()).collect();
-        let batches = execute_capi_join(engine, "facts", &refs, &["id"], &session).unwrap();
-        let mut rows: Vec<(i64, f64)> = Vec::new();
-        for b in &batches {
-            let ids = b.column(0).as_int().unwrap();
-            let preds = b.column(1).as_float().unwrap();
-            rows.extend(ids.iter().copied().zip(preds.iter().copied()));
-        }
-        rows.sort_by_key(|r| r.0);
-        rows
+        register_runtime(engine, "capi", Arc::new(Session::from_model("test", model, device)));
+        let args: Vec<String> = (0..model.input_dim()).map(|i| format!("c{i}")).collect();
+        let sql = format!(
+            "SELECT id, prediction FROM PREDICT(capi, facts, {}) ORDER BY id",
+            args.join(", ")
+        );
+        let r = engine.execute(&sql).unwrap();
+        let (ids, preds) = (r.column("id").unwrap(), r.column("prediction").unwrap());
+        ids.as_int()
+            .unwrap()
+            .iter()
+            .copied()
+            .zip(preds.as_float().unwrap().iter().copied())
+            .collect()
     }
 
     fn check(model: &nn::Model, device: Device) {
@@ -191,11 +193,19 @@ mod tests {
         assert_eq!(bits(4), bits(1));
     }
 
+    /// A `PREDICT` over a registered session with the wrong number of
+    /// arguments fails in the binder.
     #[test]
     fn capi_validates_input_arity() {
         let model = paper::dense_model(4, 2, 1);
         let (engine, _) = setup(&model, 5, 3);
-        let session = Arc::new(Session::from_model("t", &model, Device::cpu()));
-        assert!(execute_capi_join(&engine, "facts", &["c0"], &[], &session).is_err());
+        register_runtime(
+            &engine,
+            "capi",
+            Arc::new(Session::from_model("t", &model, Device::cpu())),
+        );
+        let err =
+            engine.execute("SELECT id, prediction FROM PREDICT(capi, facts, c0)").unwrap_err();
+        assert!(err.to_string().contains("expects 4 input columns, got 1"), "{err}");
     }
 }

@@ -11,12 +11,13 @@
 //! is the seam). [`register_model`] names a model table for SQL —
 //! `SELECT id, prediction FROM PREDICT(model, facts, c0, c1) WHERE …` —
 //! and for `serve::Server`, whose batches run the seam's row-major
-//! `infer_rows` on the same registration, and
-//! [`operator::execute_model_join`] and [`capi_op::execute_capi_join`] run
-//! the plan `Project(Infer(Scan))` over a handle of their own. Either way
-//! the partition split, the shard router, column pruning and SMA pruning
-//! treat the node as a projection that passes its input columns through,
-//! and `EngineConfig::parallelism` decides the fan-out.
+//! `infer_rows` on the same registration; [`capi_op::register_runtime`]
+//! names a loaded [`mlruntime::RowModel`] (a C-API session, or a pool of
+//! UDF hosts) the same way. [`operator::execute_model_join`] runs the plan
+//! `Project(Infer(Scan))` over a handle of its own. Either way the
+//! partition split, the shard router, column pruning and SMA pruning treat
+//! the node as a projection that passes its input columns through, and
+//! `EngineConfig::parallelism` decides the fan-out.
 //!
 //! The ModelJoin is a two-phase operator in the Volcano model (Fig. 5):
 //!
@@ -47,9 +48,10 @@
 //! CPU-resident model); [`ModelCache`] keeps one entry per (model table,
 //! dtype) and builds a cold entry once.
 //!
-//! [`capi_op`] implements the competing approach: the same operator shape,
-//! but delegating inference to an `mlruntime` session through its C-API,
-//! paying the columnar → row-major → columnar conversion at the boundary.
+//! [`capi_op`] implements the competing approaches: the same operator
+//! shape, but delegating inference to an `mlruntime` session through its
+//! C-API, or to UDF hosts, paying the columnar → row-major → columnar
+//! conversion at the boundary.
 
 pub mod build;
 pub mod cache;
@@ -58,6 +60,6 @@ pub mod operator;
 
 pub use build::{build_parallel, ModelDtype, SharedModel};
 pub use cache::ModelCache;
-pub use capi_op::CapiInferenceOp;
+pub use capi_op::{register_runtime, CapiInferenceOp};
 pub use mlruntime::{BuiltModel, InferScratch};
 pub use operator::{register_model, ModelJoinOp};

@@ -1,6 +1,5 @@
 //! The ModelJoin operator and the plan node it runs under, plus the
-//! columnar ↔ row-major conversions and the plan wrapper it shares with
-//! the C-API operator.
+//! columnar ↔ row-major conversions it shares with the C-API operator.
 
 use crate::build::{ModelDtype, SharedModel};
 use crate::cache::ModelCache;
@@ -238,17 +237,23 @@ pub fn register_model(
     cache
 }
 
-/// Run `model` over every row of `fact_table` as the plan
-/// `Project(Infer(Scan))`, optimized and executed by
-/// [`parallel::execute`] like any other plan. The output batches hold the
-/// `payload_cols`, then the predictions.
-pub(crate) fn execute_infer(
+/// ModelJoin over every row of `fact_table` as the plan
+/// `Project(Infer(Scan))`, optimized and executed by [`parallel::execute`]
+/// like any other plan, so the engine's `parallelism` decides the fan-out:
+/// the `payload_cols`, then the predictions of `shared` over
+/// `input_cols`, in the dtype [`ModelDtype::for_engine`] picks. SQL reaches
+/// the same plan through [`register_model`] and `PREDICT`.
+pub fn execute_model_join(
     engine: &Engine,
     fact_table: &str,
     input_cols: &[&str],
     payload_cols: &[&str],
-    model: Arc<dyn InferModel>,
+    shared: &Arc<SharedModel>,
+    // Unused (the plan's fan-out follows `EngineConfig::parallelism`); kept
+    // because benchmark/src/workloads/modeljoin_batch.rs still passes it.
+    _parallelism: usize,
 ) -> Result<Vec<Batch>> {
+    let model = ModelJoinNode::for_engine(engine.config(), Arc::clone(shared));
     let scan = LogicalPlan::scan(engine.table(fact_table)?, fact_table);
     let ordinals = |names: &[&str]| -> Result<Vec<usize>> {
         names.iter().map(|n| scan.schema().resolve(None, n)).collect()
@@ -265,24 +270,6 @@ pub(crate) fn execute_infer(
     };
     let plan = Optimizer::new(engine.config().clone()).optimize(plan);
     parallel::execute(&plan, engine.config())
-}
-
-/// ModelJoin over every row of `fact_table`: the `payload_cols`, then the
-/// predictions of `shared` over `input_cols`, in the dtype
-/// [`ModelDtype::for_engine`] picks. Runs as a plan, so the engine's
-/// `parallelism` decides the fan-out.
-pub fn execute_model_join(
-    engine: &Engine,
-    fact_table: &str,
-    input_cols: &[&str],
-    payload_cols: &[&str],
-    shared: &Arc<SharedModel>,
-    // Unused (the plan's fan-out follows `EngineConfig::parallelism`); kept
-    // because benchmark/src/workloads/modeljoin_batch.rs still passes it.
-    _parallelism: usize,
-) -> Result<Vec<Batch>> {
-    let model = ModelJoinNode::for_engine(engine.config(), Arc::clone(shared));
-    execute_infer(engine, fact_table, input_cols, payload_cols, model)
 }
 
 #[cfg(test)]

@@ -8,23 +8,13 @@ use crate::pyobject::{box_row, rows_to_ndarray, PyObject};
 use crate::wire::{end_frame, WireEvent, WireReader, WireWriter};
 use bytes::BytesMut;
 use crossbeam::channel;
-use mlruntime::Session;
+use mlruntime::{RowModel, Session};
 use std::sync::Arc;
 
-/// Client configuration.
-#[derive(Clone, Debug)]
-pub struct ClientConfig {
-    /// Rows per ODBC fetch chunk (the driver's array size).
-    pub fetch_size: usize,
-    /// Inference batch size in the client (Keras `predict` batching).
-    pub batch_size: usize,
-}
-
-impl Default for ClientConfig {
-    fn default() -> Self {
-        ClientConfig { fetch_size: 1000, batch_size: 1024 }
-    }
-}
+/// Rows per ODBC fetch chunk (the driver's array size).
+const FETCH_SIZE: usize = 1000;
+/// Inference batch size in the client (Keras `predict` batching).
+const BATCH_SIZE: usize = 1024;
 
 /// Statistics of one client-side run (for the memory experiment and tests).
 #[derive(Clone, Debug, Default)]
@@ -42,7 +32,6 @@ pub fn run_client_inference(
     server_rows: &[Vec<f64>],
     columns: usize,
     session: &Arc<Session>,
-    config: &ClientConfig,
 ) -> Result<(Vec<f32>, ClientStats), String> {
     let (tx, rx) = channel::bounded::<BytesMut>(4);
 
@@ -55,7 +44,7 @@ pub fn run_client_inference(
             for row in server_rows {
                 writer.write_row(row);
                 in_chunk += 1;
-                if in_chunk >= config.fetch_size {
+                if in_chunk >= FETCH_SIZE {
                     let chunk = writer.take_chunk();
                     sent += chunk.len();
                     if tx.send(chunk).is_err() {
@@ -95,7 +84,7 @@ pub fn run_client_inference(
         let mut predictions = Vec::with_capacity(rows * p);
         let mut start = 0usize;
         while start < rows {
-            let end = (start + config.batch_size).min(rows);
+            let end = (start + BATCH_SIZE).min(rows);
             let out = session.run(&ndarray[start * ncols..end * ncols], end - start)?;
             predictions.extend(out);
             start = end;
@@ -119,13 +108,14 @@ mod tests {
     fn client_matches_oracle() {
         let model = paper::dense_model(8, 2, 6);
         let session = Arc::new(Session::from_model("m", &model, Device::cpu()));
-        let data = rows(57, 4);
-        let config = ClientConfig { fetch_size: 10, batch_size: 16 };
-        let (preds, stats) = run_client_inference(&data, 4, &session, &config).unwrap();
-        assert_eq!(preds.len(), 57);
-        assert_eq!(stats.rows, 57);
-        assert!(stats.wire_bytes > 57 * 4 * 8, "text encoding is bigger than binary");
-        assert!(stats.boxed_bytes > 57 * 4 * 24, "boxing overhead accounted");
+        // Three fetch chunks and three inference batches, each with a tail.
+        let n = 2_100;
+        let data = rows(n, 4);
+        let (preds, stats) = run_client_inference(&data, 4, &session).unwrap();
+        assert_eq!(preds.len(), n);
+        assert_eq!(stats.rows, n);
+        assert!(stats.wire_bytes > n * 4 * 8, "text encoding is bigger than binary");
+        assert!(stats.boxed_bytes > n * 4 * 24, "boxing overhead accounted");
         for (r, row) in data.iter().enumerate() {
             let input: Vec<f32> = row.iter().map(|&v| v as f32).collect();
             let expected = model.predict_row(&input)[0];
@@ -137,8 +127,7 @@ mod tests {
     fn empty_result_set() {
         let model = paper::dense_model(4, 2, 0);
         let session = Arc::new(Session::from_model("m", &model, Device::cpu()));
-        let (preds, stats) =
-            run_client_inference(&[], 4, &session, &ClientConfig::default()).unwrap();
+        let (preds, stats) = run_client_inference(&[], 4, &session).unwrap();
         assert!(preds.is_empty());
         assert_eq!(stats.rows, 0);
     }
@@ -148,8 +137,7 @@ mod tests {
         let model = paper::lstm_model(4, 2);
         let session = Arc::new(Session::from_model("m", &model, Device::cpu()));
         let data = rows(23, 3);
-        let (preds, _) =
-            run_client_inference(&data, 3, &session, &ClientConfig::default()).unwrap();
+        let (preds, _) = run_client_inference(&data, 3, &session).unwrap();
         for (r, row) in data.iter().enumerate() {
             let input: Vec<f32> = row.iter().map(|&v| v as f32).collect();
             let expected = model.predict_row(&input)[0];

@@ -9,10 +9,12 @@
 //!   baseline "mainly suffers from the overhead of data transport over
 //!   ODBC" (Sec. 6.2.1) — exactly the costs executed here.
 //!
-//! * [`udf`] — the vectorized Python UDF variant: the UDF host lives on its
-//!   own thread (a real context switch per call, like Actian Vector's
-//!   out-of-process Python UDFs); each engine vector is serialized across
-//!   the boundary, boxed, inferred, and the predictions serialized back.
+//! * [`udf`] — the parallel, vectorized Python UDF variant: each UDF host
+//!   lives on its own thread (a real context switch per call, like Actian
+//!   Vector's out-of-process Python UDFs), and a [`UdfPool`] holds one
+//!   host per engine thread; each engine vector is serialized across the
+//!   boundary to an idle host, boxed, inferred, and the predictions
+//!   serialized back.
 //!
 //! No virtual time is charged anywhere in this crate: serialization,
 //! framing, parsing, boxing and thread handoffs all run for real.
@@ -22,5 +24,5 @@ pub mod pyobject;
 pub mod udf;
 pub mod wire;
 
-pub use client::{run_client_inference, ClientConfig};
-pub use udf::UdfHost;
+pub use client::run_client_inference;
+pub use udf::UdfPool;

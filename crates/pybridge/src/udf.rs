@@ -4,27 +4,47 @@
 //! Actian Vector's parallel and vectorized UDFs, i.e. calling the UDF once
 //! per vector instead of once per tuple").
 //!
-//! The host runs on a dedicated thread (the Python interpreter process);
+//! Each host runs on a dedicated thread (a Python interpreter process);
 //! every invocation crosses that boundary through rendezvous channels —
 //! a real context switch — and serializes its arguments and results
 //! through the [`crate::wire`] protocol, then boxes them into
-//! [`crate::pyobject`] values before inference.
+//! [`crate::pyobject`] values before inference. A [`UdfPool`] holds the
+//! hosts of one parallel UDF, so the engine's tasks invoke it at once.
 
 use crate::pyobject::{box_row, rows_to_ndarray};
 use crate::wire::{end_frame, WireEvent, WireReader, WireWriter};
 use bytes::BytesMut;
 use crossbeam::channel::{self, Sender};
-use mlruntime::Session;
-use std::sync::Arc;
+use mlruntime::{RowModel, Session};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use tensor::Device;
+
+/// Interpreter threads spawned, and those of them joined, process-wide.
+static SPAWNED: AtomicUsize = AtomicUsize::new(0);
+static JOINED: AtomicUsize = AtomicUsize::new(0);
+
+/// UDF interpreter threads this process has spawned so far.
+pub fn hosts_spawned() -> usize {
+    SPAWNED.load(Ordering::SeqCst)
+}
+
+/// UDF interpreter threads alive in this process: spawned by a
+/// [`UdfPool`] and not yet joined.
+pub fn hosts_live() -> usize {
+    // Joins first: every host joined by then was spawned before the
+    // second load.
+    let joined = JOINED.load(Ordering::SeqCst);
+    hosts_spawned() - joined
+}
 
 enum Request {
     Invoke { payload: BytesMut, reply: Sender<Result<BytesMut, String>> },
     Shutdown,
 }
 
-/// A handle to the UDF interpreter thread.
-pub struct UdfHost {
+/// A handle to one UDF interpreter thread.
+struct UdfHost {
     requests: Sender<Request>,
     worker: Option<std::thread::JoinHandle<()>>,
     input_dim: usize,
@@ -33,7 +53,7 @@ pub struct UdfHost {
 
 impl UdfHost {
     /// Spawn the interpreter and load the saved model inside it.
-    pub fn spawn(saved_model: &str, device: Device) -> Result<UdfHost, String> {
+    fn spawn(saved_model: &str, device: Device) -> Result<UdfHost, String> {
         // Loading happens in the host like the paper's UDF ("we load the
         // saved model"); validate here to report errors synchronously.
         let session = Arc::new(Session::from_saved("udf", saved_model, device)?);
@@ -51,32 +71,28 @@ impl UdfHost {
                 }
             }
         });
+        SPAWNED.fetch_add(1, Ordering::SeqCst);
         Ok(UdfHost { requests: tx, worker: Some(worker), input_dim, output_dim })
     }
 
-    pub fn input_dim(&self) -> usize {
-        self.input_dim
-    }
-
-    pub fn output_dim(&self) -> usize {
-        self.output_dim
-    }
-
-    /// Invoke the UDF for one vector of rows (row-major `f64` values).
-    /// Serializes the arguments to the wire, crosses into the interpreter
-    /// thread, and parses the returned predictions.
-    pub fn invoke(&self, rows: &[Vec<f64>]) -> Result<Vec<f64>, String> {
+    /// Invoke the UDF for one vector of `rows` row-major rows. Serializes
+    /// the arguments to the wire, crosses into the interpreter thread, and
+    /// parses the returned predictions.
+    fn invoke(&self, input: &[f32], rows: usize) -> Result<Vec<f32>, String> {
+        if input.len() != rows * self.input_dim {
+            return Err(format!(
+                "UDF input has {} values, {rows} rows of {} expected",
+                input.len(),
+                self.input_dim
+            ));
+        }
         // Engine → UDF serialization.
         let mut writer = WireWriter::new(self.input_dim);
-        for (r, row) in rows.iter().enumerate() {
-            if row.len() != self.input_dim {
-                return Err(format!(
-                    "UDF row {r} has {} values, the model takes {}",
-                    row.len(),
-                    self.input_dim
-                ));
-            }
-            writer.write_row(row);
+        let mut row = Vec::with_capacity(self.input_dim);
+        for values in input.chunks_exact(self.input_dim.max(1)) {
+            row.clear();
+            row.extend(values.iter().map(|&v| v as f64));
+            writer.write_row(&row);
         }
         let payload = writer.finish();
         let (reply_tx, reply_rx) = channel::bounded(0);
@@ -87,11 +103,11 @@ impl UdfHost {
         // UDF → engine parse.
         let mut reader = WireReader::new();
         reader.feed(&response);
-        let mut out = Vec::with_capacity(rows.len() * self.output_dim);
+        let mut out = Vec::with_capacity(rows * self.output_dim);
         while let Some(event) = reader.next_event()? {
             match event {
                 WireEvent::Header { .. } => {}
-                WireEvent::Row(values) => out.extend(values),
+                WireEvent::Row(values) => out.extend(values.iter().map(|&v| v as f32)),
                 WireEvent::End => break,
             }
         }
@@ -105,6 +121,61 @@ impl Drop for UdfHost {
         if let Some(w) = self.worker.take() {
             let _ = w.join();
         }
+        JOINED.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// The engine's parallel UDF: `hosts` interpreter threads, each loading
+/// the saved model once when the pool is spawned. A [`RowModel::run`]
+/// checks out an idle host for one invocation (one engine vector) and
+/// returns it, waiting for one when all are busy; no call spawns a host.
+/// Dropping the pool joins its hosts.
+pub struct UdfPool {
+    idle: Mutex<Vec<UdfHost>>,
+    returned: Condvar,
+    input_dim: usize,
+    output_dim: usize,
+}
+
+impl UdfPool {
+    /// Spawn `hosts` (at least one) interpreters over `saved_model`.
+    pub fn spawn(saved_model: &str, device: Device, hosts: usize) -> Result<UdfPool, String> {
+        let idle: Vec<UdfHost> = (0..hosts.max(1))
+            .map(|_| UdfHost::spawn(saved_model, device.clone()))
+            .collect::<Result<_, _>>()?;
+        let (input_dim, output_dim) = (idle[0].input_dim, idle[0].output_dim);
+        Ok(UdfPool { idle: Mutex::new(idle), returned: Condvar::new(), input_dim, output_dim })
+    }
+}
+
+impl RowModel for UdfPool {
+    fn name(&self) -> &str {
+        "udf"
+    }
+
+    fn input_dim(&self) -> usize {
+        self.input_dim
+    }
+
+    fn output_dim(&self) -> usize {
+        self.output_dim
+    }
+
+    fn run(&self, input: &[f32], rows: usize) -> Result<Vec<f32>, String> {
+        // A push or a pop leaves the idle list valid, so a lock poisoned
+        // by a panicking caller is safe to keep using.
+        let host = {
+            let idle = self.idle.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut idle = self
+                .returned
+                .wait_while(idle, |idle| idle.is_empty())
+                .unwrap_or_else(PoisonError::into_inner);
+            idle.pop().expect("waited for an idle host")
+        };
+        let result = host.invoke(input, rows);
+        self.idle.lock().unwrap_or_else(PoisonError::into_inner).push(host);
+        self.returned.notify_one();
+        result
     }
 }
 
@@ -141,53 +212,50 @@ mod tests {
     use super::*;
     use nn::paper;
 
+    fn pool(model: &nn::Model) -> UdfPool {
+        UdfPool::spawn(&nn::serial::to_string(model), Device::cpu(), 1).unwrap()
+    }
+
     #[test]
     fn udf_matches_oracle_per_vector() {
         let model = paper::dense_model(8, 2, 12);
-        let saved = nn::serial::to_string(&model);
-        let host = UdfHost::spawn(&saved, Device::cpu()).unwrap();
-        assert_eq!(host.input_dim(), 4);
-        let rows: Vec<Vec<f64>> =
-            (0..37).map(|r| (0..4).map(|c| ((r + c) as f64 * 0.29).cos()).collect()).collect();
-        let preds = host.invoke(&rows).unwrap();
+        let udf = pool(&model);
+        assert_eq!(udf.input_dim(), 4);
+        let rows: Vec<f32> = (0..37 * 4).map(|i| ((i / 4 + i % 4) as f32 * 0.29).cos()).collect();
+        let preds = udf.run(&rows, 37).unwrap();
         assert_eq!(preds.len(), 37);
-        for (r, row) in rows.iter().enumerate() {
-            let input: Vec<f32> = row.iter().map(|&v| v as f32).collect();
-            let expected = model.predict_row(&input)[0] as f64;
+        for (r, row) in rows.chunks(4).enumerate() {
+            let expected = model.predict_row(row)[0];
             assert!((preds[r] - expected).abs() < 1e-5, "row {r}");
         }
     }
 
     #[test]
     fn multiple_invocations_reuse_the_host() {
-        let model = paper::dense_model(4, 2, 2);
-        let host = UdfHost::spawn(&nn::serial::to_string(&model), Device::cpu()).unwrap();
+        let udf = pool(&paper::dense_model(4, 2, 2));
         for _ in 0..3 {
-            let out = host.invoke(&[vec![0.1, 0.2, 0.3, 0.4]]).unwrap();
-            assert_eq!(out.len(), 1);
+            assert_eq!(udf.run(&[0.1, 0.2, 0.3, 0.4], 1).unwrap().len(), 1);
         }
     }
 
     #[test]
     fn empty_vector_invocation() {
-        let model = paper::dense_model(4, 2, 2);
-        let host = UdfHost::spawn(&nn::serial::to_string(&model), Device::cpu()).unwrap();
-        assert!(host.invoke(&[]).unwrap().is_empty());
+        let udf = pool(&paper::dense_model(4, 2, 2));
+        assert!(udf.run(&[], 0).unwrap().is_empty());
     }
 
     #[test]
     fn wrong_arity_row_is_an_error_not_a_panic() {
-        let model = paper::dense_model(4, 2, 2);
-        let host = UdfHost::spawn(&nn::serial::to_string(&model), Device::cpu()).unwrap();
-        let rows = vec![vec![0.1, 0.2, 0.3, 0.4], vec![0.1, 0.2, 0.3]];
-        let err = host.invoke(&rows).unwrap_err();
-        assert!(err.contains("row 1 has 3 values, the model takes 4"), "{err}");
+        let udf = pool(&paper::dense_model(4, 2, 2));
+        let rows = [0.1, 0.2, 0.3, 0.4, 0.1, 0.2, 0.3];
+        let err = udf.run(&rows, 2).unwrap_err();
+        assert!(err.contains("7 values, 2 rows of 4 expected"), "{err}");
         // The host still serves well-formed vectors afterwards.
-        assert_eq!(host.invoke(&rows[..1]).unwrap().len(), 1);
+        assert_eq!(udf.run(&rows[..4], 1).unwrap().len(), 1);
     }
 
     #[test]
     fn bad_model_fails_at_spawn() {
-        assert!(UdfHost::spawn("garbage", Device::cpu()).is_err());
+        assert!(UdfPool::spawn("garbage", Device::cpu(), 2).is_err());
     }
 }

@@ -7,8 +7,7 @@
 
 use indb_ml::engine::{ColumnVector, Engine, EngineConfig};
 use indb_ml::model_repr::{load_into_engine, Layout};
-use indb_ml::modeljoin::build::SharedModel;
-use indb_ml::modeljoin::operator::execute_model_join;
+use indb_ml::modeljoin::register_model;
 use indb_ml::nn::{Activation, ModelBuilder};
 use indb_ml::tensor::Device;
 
@@ -46,31 +45,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         model_table.partition_count()
     );
 
-    // 5. SELECT * FROM measurements MODEL JOIN model_table — as the native
-    //    operator: parallel shared build, vectorized BLAS inference.
-    let shared = SharedModel::new(
-        model_table,
-        meta,
-        Layout::NodeId,
-        Device::cpu(),
-        engine.config().vector_size,
-        engine.config().parallelism,
-    );
-    let batches = execute_model_join(
-        &engine,
-        "measurements",
-        &["temp", "pressure"],
-        &["id"],
-        &shared,
-        engine.config().parallelism,
+    // 5. SELECT * FROM measurements MODEL JOIN model_table — the native
+    //    operator as a plan node: register the model once, then query it
+    //    like a table (parallel shared build, vectorized BLAS inference).
+    register_model(&engine, "scorer", "model_table", meta, Layout::NodeId, Device::cpu());
+    let result = engine.execute(
+        "SELECT id, prediction FROM PREDICT(scorer, measurements, temp, pressure) ORDER BY id",
     )?;
 
-    let total: usize = batches.iter().map(|b| b.num_rows()).sum();
-    println!("inferred {total} tuples; first five predictions:");
-    let first = &batches[0];
-    for r in 0..5.min(first.num_rows()) {
-        let row = first.row(r);
-        println!("  id {} -> {}", row[0], row[1]);
+    println!("inferred {} tuples; first five predictions:", result.num_rows());
+    let (ids, preds) = (result.column("id")?.as_int()?, result.column("prediction")?.as_float()?);
+    for (id, pred) in ids.iter().zip(preds).take(5) {
+        println!("  id {id} -> {pred}");
     }
     Ok(())
 }

@@ -1,10 +1,10 @@
 //! `PREDICT(model, input, args…)`: inference as a plan node. The SQL form,
-//! the `execute_model_join` wrapper and the `nn` oracle agree; a filtered
-//! `PREDICT` over a persistent table reads only the pages of the columns it
-//! uses; an empty answer keeps its types; bad calls are errors; a
-//! re-registered model is never replayed from a cached plan; and a model
-//! served by `serve::Server` is the registration `PREDICT` runs, built once
-//! for both.
+//! the `execute_model_join` wrapper, a registered C-API session and the
+//! `nn` oracle agree; a filtered `PREDICT` over a persistent table reads
+//! only the pages of the columns it uses; an empty answer keeps its types;
+//! bad calls are errors; a re-registered model is never replayed from a
+//! cached plan; and a model served by `serve::Server` is the registration
+//! `PREDICT` runs, built once for both.
 //!
 //! The buffer-pool counters are process-global: only
 //! `filtered_predict_fetches_only_its_columns_pages` reads them, and it is
@@ -12,9 +12,8 @@
 
 use indb_ml::mlruntime::Session;
 use indb_ml::model_repr::{load_into_engine, Layout, ModelMeta};
-use indb_ml::modeljoin::capi_op::execute_capi_join;
 use indb_ml::modeljoin::operator::execute_model_join;
-use indb_ml::modeljoin::{register_model, ModelDtype, SharedModel};
+use indb_ml::modeljoin::{register_model, register_runtime, ModelDtype, SharedModel};
 use indb_ml::nn::{paper, Activation, Model, ModelBuilder};
 use indb_ml::serve::{RequestHandle, Response, ServeConfig, ServeError, Server};
 use indb_ml::tensor::Device;
@@ -26,6 +25,7 @@ use vector_engine::{
 
 const INPUTS: [&str; 4] = ["c0", "c1", "c2", "c3"];
 const PREDICT: &str = "SELECT id, prediction FROM PREDICT(m, facts, c0, c1, c2, c3)";
+const CAPI: &str = "SELECT id, prediction FROM PREDICT(capi, facts, c0, c1, c2, c3)";
 
 /// Feature `k` of row `i`: varied, and the same in every engine.
 fn feature(i: i64, k: i64) -> f64 {
@@ -67,8 +67,9 @@ fn result_rows(r: QueryResult) -> Vec<(i64, u64)> {
 
 /// `PREDICT` and the `execute_model_join` wrapper run one plan: the same
 /// bits in the same row order at every partition × parallelism shape, in
-/// both dtypes, within tolerance of the `nn` oracle. The C-API wrapper runs
-/// the same plan with the runtime's session, bit-identical to fp32.
+/// both dtypes, within tolerance of the `nn` oracle. A runtime session
+/// registered for `PREDICT` runs the same plan, bit-identical to fp32, on
+/// the CPU and on the simulated GPU, whose device model times it.
 #[test]
 fn predict_matches_the_wrapper_and_the_oracle() {
     let model = paper::dense_model(16, 2, 7);
@@ -98,9 +99,20 @@ fn predict_matches_the_wrapper_and_the_oracle() {
                     assert!((f64::from_bits(bits) - want).abs() < tolerance, "{case}: id {id}");
                 }
                 if !quantized {
-                    let session = Arc::new(Session::from_model("capi", &model, Device::cpu()));
-                    let capi = execute_capi_join(&e, "facts", &INPUTS, &["id"], &session);
-                    assert_eq!(rows(&capi.unwrap()), sql, "{case}: C-API");
+                    for device in [Device::cpu(), Device::gpu()] {
+                        let session = Session::from_model("capi", &model, device.clone());
+                        register_runtime(&e, "capi", Arc::new(session));
+                        device.reset();
+                        let capi = e.execute(CAPI).unwrap();
+                        assert_eq!(
+                            result_rows(capi),
+                            sql,
+                            "{case}: C-API on {}",
+                            device.kind().label()
+                        );
+                        let modeled = device.report().device_modeled;
+                        assert_eq!(modeled.is_zero(), !device.is_gpu(), "{case}: device model");
+                    }
                 }
             }
         }

@@ -42,22 +42,21 @@ proptest! {
             }
             b.dense_biased(1, Activation::Sigmoid).build()
         };
-        // Use the experiment runner with a custom model via workload of the
-        // same shape and the same seed path: instead, build directly.
         let config = ExperimentConfig {
             engine: EngineConfig { vector_size: 16, partitions: 2, parallelism: 2, ..Default::default() },
             seed,
             ..ExperimentConfig::new(Workload::Dense { width, depth }, rows)
         };
-        let ex = Experiment::build(config).unwrap();
+        let ex = Experiment::with_model(config, model).unwrap();
         let oracle = ex.oracle_predictions().unwrap();
-        for approach in [Approach::Ml2Sql, Approach::ModelJoinCpu, Approach::TfCapiCpu] {
+        let approaches = [Approach::Ml2Sql, Approach::ModelJoinCpu, Approach::TfCapiCpu, Approach::Udf];
+        for approach in approaches {
             let preds = ex.run(approach, true).unwrap().predictions.unwrap();
+            prop_assert_eq!(preds.len(), rows);
             for ((_, p), (_, o)) in preds.iter().zip(&oracle) {
-                prop_assert!((p - o).abs() < 1e-3, "{approach}: {p} vs {o}");
+                prop_assert!((p - o).abs() < 1e-3, "{approach} ({act:?}): {p} vs {o}");
             }
         }
-        let _ = model;
     }
 
     #[test]
