@@ -49,10 +49,13 @@
 //! replayed serially over the gathered morsel results ([`replay`]).
 //!
 //! The unit of parallelism is the **morsel** — a block range within one
-//! partition, at most [`MORSEL_ROWS`] rows — submitted as Query-class
-//! tasks to the process-wide work-stealing pool in `crates/sched`. The
-//! driving thread cooperatively runs its own morsels while waiting, so
-//! queries never spawn threads, and stealing balances skewed partitions.
+//! partition, at most [`MORSEL_ROWS`] rows, read as the rows those blocks
+//! held when the morsel list was built (so rows an append adds to a
+//! morsel's last block never reach a split proven without them) —
+//! submitted as Query-class tasks to the process-wide work-stealing pool
+//! in `crates/sched`. The driving thread cooperatively runs its own
+//! morsels while waiting, so queries never spawn threads, and stealing
+//! balances skewed partitions.
 //! Results (and partial-aggregate merges) are gathered in (partition,
 //! block-range) order, so output is deterministic. The path each plan
 //! takes and the proof that admitted its split are counted in
@@ -76,8 +79,16 @@ use std::sync::Arc;
 /// vanishes, small enough that stealing can balance a skewed partition.
 const MORSEL_ROWS: usize = 65536;
 
-/// One scheduler morsel: a partition and a `[start, end)` block range in it.
-type Morsel = (usize, (usize, usize));
+/// One scheduler morsel: a partition, a `[start, end)` block range in it,
+/// and the `[start, end)` partition rows those blocks held when the list
+/// was built — the rows its scans read, and the rows a placement proof
+/// over the blocks' SMAs covers.
+#[derive(Clone, Copy)]
+struct Morsel {
+    partition: usize,
+    blocks: (usize, usize),
+    rows: (usize, usize),
+}
 
 /// A table chosen to split, with the morsel list its placement proof was
 /// made on.
@@ -98,9 +109,9 @@ impl Split {
         let results = sched::global().fork_join(
             sched::TaskClass::Query,
             self.morsels.iter().copied(),
-            |(p, range)| {
+            |m| {
                 let table = Arc::clone(&self.table);
-                task(&ExecContext::for_morsel(config.vector_size, table, p, Some(range)))
+                task(&ExecContext::for_morsel(config.vector_size, table, m.partition, Some(m.rows)))
             },
         )?;
         results.into_iter().collect()
@@ -181,21 +192,26 @@ pub fn replay(
     drain(op)
 }
 
-/// The morsel list for `table`: `(partition, [start, end) block range)`
-/// entries in (partition, range) order, covering every block exactly once.
-/// Empty partitions contribute nothing. Sized by the table's own block
-/// size, which a reopened table keeps whatever the engine config says.
+/// The morsel list for `table`, in (partition, block range) order,
+/// covering every block and every row there is now exactly once. Empty
+/// partitions contribute nothing. Sized by the table's own block size,
+/// which a reopened table keeps whatever the engine config says.
 fn build_morsels(table: &Table) -> Vec<Morsel> {
     let blocks_per_morsel = (MORSEL_ROWS / table.vector_size()).max(1);
     table.with_partitions(|parts| {
         let mut morsels = Vec::new();
-        for (p, part) in parts.iter().enumerate() {
+        for (partition, part) in parts.iter().enumerate() {
             let blocks = part.block_count();
-            let mut start = 0;
+            let (mut start, mut first_row) = (0, 0);
             while start < blocks {
                 let end = (start + blocks_per_morsel).min(blocks);
-                morsels.push((p, (start, end)));
-                start = end;
+                let end_row = first_row + (start..end).map(|b| part.block_len(b)).sum::<usize>();
+                morsels.push(Morsel {
+                    partition,
+                    blocks: (start, end),
+                    rows: (first_row, end_row),
+                });
+                (start, first_row) = (end, end_row);
             }
         }
         morsels
@@ -331,8 +347,9 @@ fn sma_disjoint(table: &Table, morsels: &[Morsel], c: usize) -> bool {
     let ranges = table.with_partitions(|parts| {
         morsels
             .iter()
-            .map(|&(p, (start, end))| {
-                let part = parts.get(p).filter(|part| end <= part.block_count())?;
+            .map(|m| {
+                let (start, end) = m.blocks;
+                let part = parts.get(m.partition).filter(|part| end <= part.block_count())?;
                 let (mut lo, mut hi) = part.sma(c, start);
                 for b in start + 1..end {
                     let (min, max) = part.sma(c, b);
@@ -631,12 +648,57 @@ mod tests {
         // 2 partitions x 2 * MORSEL_ROWS rows: two full morsels each.
         assert_eq!(split.morsels.len(), 4);
         t.with_partitions(|parts| {
-            for &(p, (start, end)) in &split.morsels {
-                let blocks = &parts[p].columns()[0][start..end];
+            for m in &split.morsels {
+                let blocks = &parts[m.partition].columns()[0][m.blocks.0..m.blocks.1];
                 assert_eq!(blocks.iter().map(|b| b.len()).sum::<usize>(), MORSEL_ROWS);
+                assert_eq!(m.rows.1 - m.rows.0, MORSEL_ROWS);
             }
         });
         assert_eq!(run(sql, &cfg, &cat).len(), rows as usize);
+    }
+
+    #[test]
+    fn a_proven_split_stays_proven_when_an_append_tops_up_a_morsel() {
+        // One short 8-row block per partition: c = 0..5 in partition 0 and
+        // c = 100..105 in partition 1. The two morsels' SMA ranges on `c`
+        // are disjoint, so `GROUP BY c` splits on `c`.
+        let cfg =
+            EngineConfig { vector_size: 8, partitions: 2, parallelism: 2, ..Default::default() };
+        let engine = crate::Engine::new(cfg.clone());
+        engine.execute("CREATE TABLE t (c INT)").unwrap();
+        for base in [0, 100] {
+            engine
+                .insert_columns("t", vec![ColumnVector::Int((base..base + 5).collect())])
+                .unwrap();
+        }
+        let t = engine.table("t").unwrap();
+        let sorted = |batches: Vec<Batch>| {
+            let mut rows: Vec<Vec<Value>> =
+                batches.iter().flat_map(|b| (0..b.num_rows()).map(|r| b.row(r))).collect();
+            rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
+            rows
+        };
+        let group = engine.plan("SELECT c, COUNT(*) AS n FROM t GROUP BY c").unwrap();
+        let scan = engine.plan("SELECT c FROM t").unwrap();
+        assert!(!t.is_unique_column(0) && split_safe(&group, &[(Arc::clone(&t), None)]).is_none());
+        let split = choose_partition_table(&group).expect("c is SMA-disjoint across the morsels");
+        let morsel_rows = |split: &Split| {
+            let rows = split.fork_join(&cfg, |ctx| build_operator(&scan, ctx).and_then(drain));
+            rows.unwrap().into_iter().map(sorted).collect::<Vec<_>>()
+        };
+        let captured = morsel_rows(&split);
+        let serial =
+            sorted(execute(&group, &EngineConfig { parallelism: 1, ..cfg.clone() }).unwrap());
+        assert_eq!(serial.len(), 10);
+
+        // The next append tops up partition 0's block with values inside
+        // partition 1's range.
+        engine.insert_columns("t", vec![ColumnVector::Int(vec![100, 101, 102])]).unwrap();
+        t.with_partitions(|parts| {
+            assert_eq!((parts[0].block_count(), parts[0].rows()), (1, 8), "topped up in place");
+        });
+        assert_eq!(morsel_rows(&split), captured, "each morsel reads the rows it was built on");
+        assert_eq!(sorted(execute_partitioned(&group, &split, &cfg).unwrap()), serial);
     }
 
     #[test]

@@ -52,25 +52,25 @@ pub struct ExecContext {
     /// between the execution threads", Sec. 4.4).
     pub scan_restrict: Option<(Arc<Table>, usize)>,
     /// When set alongside `scan_restrict`, the restricted scan reads only
-    /// this `[start, end)` block range — one morsel of the unified
+    /// this `[start, end)` row range — one morsel of the unified
     /// scheduler, so a skewed partition splits across stealable tasks.
-    pub scan_blocks: Option<(usize, usize)>,
+    pub scan_rows: Option<(usize, usize)>,
 }
 
 impl ExecContext {
     pub fn new(vector_size: usize) -> ExecContext {
-        ExecContext { vector_size, scan_restrict: None, scan_blocks: None }
+        ExecContext { vector_size, scan_restrict: None, scan_rows: None }
     }
 
-    /// Context for one scheduler morsel: a block range within one
-    /// partition of the driving table.
+    /// Context for one scheduler morsel: a row range within one partition
+    /// of the driving table.
     pub fn for_morsel(
         vector_size: usize,
         table: Arc<Table>,
         partition: usize,
-        blocks: Option<(usize, usize)>,
+        rows: Option<(usize, usize)>,
     ) -> ExecContext {
-        ExecContext { vector_size, scan_restrict: Some((table, partition)), scan_blocks: blocks }
+        ExecContext { vector_size, scan_restrict: Some((table, partition)), scan_rows: rows }
     }
 }
 
@@ -201,18 +201,18 @@ fn build_operator_inner(plan: &LogicalPlan, ctx: &ExecContext) -> Result<Box<dyn
 }
 
 /// A scan of `columns` of `table`, restricted to the context's partition
-/// and block range when `table` is the one the parallel driver splits.
+/// and row range when `table` is the one the parallel driver splits.
 fn scan_exec(
     table: &Arc<Table>,
     pruning: &[PrunePredicate],
     columns: Vec<usize>,
     ctx: &ExecContext,
 ) -> Box<dyn Operator> {
-    let (partition, blocks) = match &ctx.scan_restrict {
-        Some((t, p)) if Arc::ptr_eq(t, table) => (Some(*p), ctx.scan_blocks),
+    let (partition, rows) = match &ctx.scan_restrict {
+        Some((t, p)) if Arc::ptr_eq(t, table) => (Some(*p), ctx.scan_rows),
         _ => (None, None),
     };
-    Box::new(ScanExec::with_blocks(Arc::clone(table), columns, pruning.to_vec(), partition, blocks))
+    Box::new(ScanExec::with_rows(Arc::clone(table), columns, pruning.to_vec(), partition, rows))
 }
 
 /// Wrap pre-computed batches as an operator (used by the parallel driver to

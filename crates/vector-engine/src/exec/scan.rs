@@ -24,18 +24,20 @@ pub struct ScanExec {
     pruning: Vec<PrunePredicate>,
     /// Restrict to one partition (parallel workers) or scan all.
     partition: Option<usize>,
-    /// Restrict to a `[start, end)` block range within each scanned
+    /// Restrict to a `[start, end)` row range within each scanned
     /// partition — the sub-partition morsel unit the unified scheduler
     /// steals, so one skewed partition can be balanced across workers.
-    blocks: Option<(usize, usize)>,
-    /// Per-partition block counts captured at construction: the scan's
-    /// snapshot. Blocks are immutable and append-only, so bounding the
-    /// cursor by these counts pins a consistent prefix of the table —
-    /// concurrent appends (and their WAL/page traffic in persistent
-    /// mode) are invisible to an in-flight scan.
+    rows: Option<(usize, usize)>,
+    /// Per-partition row counts captured at construction: the scan's
+    /// snapshot. Appends only add rows past these counts — rows topping
+    /// up a short last block, then new blocks — so a scan that reads no
+    /// row past them sees a consistent prefix of the table; concurrent
+    /// appends (and their WAL/page traffic in persistent mode) are
+    /// invisible to it.
     snapshot: Vec<usize>,
-    /// (partition, block) cursor.
-    cursor: (usize, usize),
+    /// The partition to read next and, once the scan has found its start
+    /// row there, the next block and the partition row it starts at.
+    cursor: (usize, Option<(usize, usize)>),
     /// Statistics: blocks skipped by SMA pruning.
     pub blocks_pruned: usize,
     /// Statistics: blocks actually read.
@@ -50,30 +52,28 @@ impl ScanExec {
         partition: Option<usize>,
     ) -> ScanExec {
         let columns = (0..table.schema().len()).collect();
-        ScanExec::with_blocks(table, columns, pruning, partition, None)
+        ScanExec::with_rows(table, columns, pruning, partition, None)
     }
 
     /// A scan of the given `columns` (table ordinals, in output order),
-    /// optionally restricted to a block range — morsel execution splits
-    /// one partition across several tasks this way.
-    pub fn with_blocks(
+    /// optionally restricted to a row range — morsel execution splits one
+    /// partition across several tasks this way.
+    pub fn with_rows(
         table: Arc<Table>,
         columns: Vec<usize>,
         pruning: Vec<PrunePredicate>,
         partition: Option<usize>,
-        blocks: Option<(usize, usize)>,
+        rows: Option<(usize, usize)>,
     ) -> ScanExec {
-        let start_p = partition.unwrap_or(0);
-        let start_b = blocks.map_or(0, |(s, _)| s);
         let snapshot = table.snapshot();
         ScanExec {
             table,
             columns,
             pruning,
             partition,
-            blocks,
+            rows,
             snapshot,
-            cursor: (start_p, start_b),
+            cursor: (partition.unwrap_or(0), None),
             blocks_pruned: 0,
             blocks_read: 0,
         }
@@ -99,7 +99,7 @@ impl ScanExec {
 impl Operator for ScanExec {
     fn next(&mut self) -> Result<Option<Batch>> {
         loop {
-            let (p, b) = self.cursor;
+            let (p, at) = self.cursor;
             let end_partition = match self.partition {
                 Some(part) => part + 1,
                 None => self.table.partition_count(),
@@ -107,39 +107,49 @@ impl Operator for ScanExec {
             if p >= end_partition {
                 return Ok(None);
             }
+            // Bound by the construction-time snapshot: rows appended since
+            // then, in new blocks or in a block this scan reads, stay
+            // invisible to it.
+            let (lo, hi) = self.rows.unwrap_or((0, usize::MAX));
+            let hi = hi.min(self.snapshot.get(p).copied().unwrap_or(0));
             enum Step {
                 EndOfPartition,
-                Pruned,
-                Read(Result<Batch>),
+                Pruned((usize, usize)),
+                Read(Result<Batch>, (usize, usize)),
             }
             let step = self.table.with_partitions(|parts| {
                 let part = &parts[p];
-                // Bound by the construction-time snapshot: blocks
-                // appended since then stay invisible to this scan.
-                let snap = self.snapshot.get(p).copied().unwrap_or(0);
-                let end_block = self.blocks.map_or(snap, |(_, e)| e.min(snap));
-                if b >= end_block {
+                let (b, first) = at.unwrap_or_else(|| part.block_at(lo));
+                if lo >= hi || first >= hi || b >= part.block_count() {
                     return Step::EndOfPartition;
                 }
+                let len = part.block_len(b);
+                let next = (b + 1, first + len);
                 for pred in &self.pruning {
                     let (min, max) = part.sma(pred.column, b);
                     if !self.block_survives(min, max, pred) {
-                        return Step::Pruned;
+                        return Step::Pruned(next);
                     }
                 }
-                Step::Read(part.block_batch(b, &self.columns, self.table.storage_env()))
+                let batch = part.block_batch(b, &self.columns, self.table.storage_env());
+                // Only a range start inside the block, or the snapshot
+                // ending in it, reads part of a block.
+                let (from, to) = (lo.saturating_sub(first), (hi - first).min(len));
+                let batch =
+                    batch.map(|batch| if to - from == len { batch } else { batch.slice(from, to) });
+                Step::Read(batch, next)
             });
             match step {
                 Step::EndOfPartition => {
-                    self.cursor = (p + 1, self.blocks.map_or(0, |(s, _)| s));
+                    self.cursor = (p + 1, None);
                 }
-                Step::Pruned => {
+                Step::Pruned(next) => {
                     self.blocks_pruned += 1;
-                    self.cursor = (p, b + 1);
+                    self.cursor = (p, Some(next));
                 }
-                Step::Read(batch) => {
+                Step::Read(batch, next) => {
                     self.blocks_read += 1;
-                    self.cursor = (p, b + 1);
+                    self.cursor = (p, Some(next));
                     return Ok(Some(batch?));
                 }
             }
@@ -190,21 +200,22 @@ mod tests {
     fn block_range_scan_splits_a_partition_into_morsels() {
         let t = table();
         // Appends round-robin whole blocks: partition 0 holds blocks
-        // [0..4) and [8..12), partition 1 holds [4..8) and [12..16).
-        let m0 = drain(Box::new(ScanExec::with_blocks(
+        // [0..4) and [8..12), partition 1 holds [4..8) and [12..16). A
+        // morsel is a row range of whole blocks.
+        let m0 = drain(Box::new(ScanExec::with_rows(
             Arc::clone(&t),
             vec![0],
             vec![],
             Some(0),
-            Some((0, 1)),
+            Some((0, 4)),
         )))
         .unwrap();
-        let m1 = drain(Box::new(ScanExec::with_blocks(
+        let m1 = drain(Box::new(ScanExec::with_rows(
             Arc::clone(&t),
             vec![0],
             vec![],
             Some(0),
-            Some((1, 2)),
+            Some((4, 8)),
         )))
         .unwrap();
         let rows = |bs: &[Batch]| -> Vec<i64> {
@@ -212,10 +223,9 @@ mod tests {
         };
         assert_eq!(rows(&m0), vec![0, 1, 2, 3]);
         assert_eq!(rows(&m1), vec![8, 9, 10, 11]);
-        // An end past the real block count clamps instead of panicking.
-        let tail =
-            drain(Box::new(ScanExec::with_blocks(t, vec![0], vec![], Some(1), Some((1, 99)))))
-                .unwrap();
+        // An end past the real row count clamps instead of panicking.
+        let tail = drain(Box::new(ScanExec::with_rows(t, vec![0], vec![], Some(1), Some((4, 99)))))
+            .unwrap();
         assert_eq!(rows(&tail), vec![12, 13, 14, 15]);
     }
 
@@ -269,7 +279,7 @@ mod tests {
         ])
         .unwrap();
         let pred = PrunePredicate { column: 0, op: BinaryOp::GtEq, value: Value::Int(12) };
-        let mut scan = ScanExec::with_blocks(t, vec![2, 1], vec![pred], None, None);
+        let mut scan = ScanExec::with_rows(t, vec![2, 1], vec![pred], None, None);
         let batches = {
             let mut out = Vec::new();
             while let Some(b) = scan.next().unwrap() {

@@ -28,16 +28,21 @@
 //! committed statement prefix.
 //!
 //! **Checkpoint.** Holds the environment-wide DML lock exclusively
-//! (appends and DDL hold it shared), flushes every dirty pool frame,
-//! writes `directory.bin` atomically (temp file + fsync + rename), then
-//! truncates the WAL. LSNs keep counting across resets so a crash
+//! (appends and DDL hold it shared), pages out every short last block
+//! (they live in memory between checkpoints), flushes every dirty pool
+//! frame, writes `directory.bin` atomically (temp file + fsync + rename),
+//! then truncates the WAL. LSNs keep counting across resets so a crash
 //! between the directory rename and the WAL reset replays nothing twice.
 //!
 //! **Space reclamation.** Page allocation prefers a persisted free list:
 //! `DROP TABLE` returns a table's pages to it (deferred to `COMMIT`
 //! inside a transaction so `ROLLBACK` can reinstall the table), and
 //! every open recomputes it as "allocated minus live" after replay, which
-//! also reclaims orphans left by crash-torn appends. `VACUUM` rebuilds
+//! also reclaims orphans left by crash-torn appends. The pages of a paged
+//! short block an append has topped up are *superseded*, not free: the
+//! on-disk directory still names them and replay decodes them to top the
+//! block up again, so they join the free list of the next checkpoint's
+//! directory, written atomically with it. `VACUUM` rebuilds
 //! the data file: live chunks are copied into a fresh generation file
 //! (`data.idb` is generation 0, `data.idb.<n>` after n vacuums) under a
 //! full quiesce, the buffer pool is swapped onto it, and the old file is
@@ -60,7 +65,7 @@ use crate::catalog::Catalog;
 use crate::column::ColumnVector;
 use crate::config::EngineConfig;
 use crate::error::{EngineError, Result};
-use crate::storage::{BlockMeta, ColumnDef, PartitionMeta, Schema, Table};
+use crate::storage::{BlockMeta, ColumnDef, PartitionMeta, PartitionState, Schema, Table};
 use crate::types::{DataType, Value};
 use parking_lot::{Mutex, RwLock};
 use std::path::{Path, PathBuf};
@@ -169,9 +174,9 @@ pub(crate) enum UndoRecord {
     /// table's page footprint at drop time — freed at COMMIT, discarded
     /// (the table lives on) at ROLLBACK.
     Drop { table: Arc<Table>, pages: Vec<u64> },
-    /// Undo an append: truncate each partition back to its pre-append
-    /// (block count, row count) and restore the round-robin cursor.
-    Append { name: String, parts: Vec<(usize, usize)>, next_partition: usize },
+    /// Undo an append: put each partition back as the append found it
+    /// and restore the round-robin cursor.
+    Append { name: String, parts: Vec<PartitionState>, next_partition: usize },
     /// Undo a unique-column declaration.
     Unique { name: String, column: String },
 }
@@ -224,6 +229,11 @@ pub struct StorageEnv {
     /// replay, and memory/disk cost is bounded by fragmentation rather
     /// than freed-page count.
     free: Mutex<Vec<(u64, u64)>>,
+    /// Pages of paged short blocks that appends have topped up since the
+    /// last checkpoint. The on-disk directory names them and replay reads
+    /// them, so they stay allocated until the next checkpoint writes a
+    /// directory that frees them.
+    superseded: Mutex<Vec<u64>>,
     /// Data-file generation: 0 until the first vacuum, +1 per vacuum.
     generation: AtomicU64,
     /// Records with `lsn <= checkpoint_lsn` are reflected in the
@@ -292,6 +302,21 @@ impl StorageEnv {
         let after = run_total(&free);
         obs::metrics::STORAGE_PAGES_FREED.add(after - before);
         obs::metrics::STORAGE_FREE_PAGES.set(after as i64);
+    }
+
+    /// Hold the pages of topped-up paged blocks until the next checkpoint
+    /// frees them.
+    pub(crate) fn supersede(&self, pages: Vec<u64>) {
+        self.superseded.lock().extend(pages);
+    }
+
+    /// Take pages back off the superseded list: a rollback restored the
+    /// blocks they hold.
+    pub(crate) fn unsupersede(&self, pages: impl IntoIterator<Item = u64>) {
+        let pages: Vec<u64> = pages.into_iter().collect();
+        if !pages.is_empty() {
+            self.superseded.lock().retain(|p| !pages.contains(p));
+        }
     }
 
     /// Replace the free list wholesale (the open-time orphan GC, which
@@ -382,6 +407,24 @@ impl StorageEnv {
         })
     }
 
+    /// Run `f` over a chunk's bytes. A one-page chunk is read in place
+    /// from the pinned page; a longer one is concatenated by
+    /// [`StorageEnv::read_chunk`].
+    pub(crate) fn with_chunk<R>(
+        &self,
+        chunk: &PagedChunk,
+        f: impl FnOnce(&[u8]) -> Result<R>,
+    ) -> Result<R> {
+        if chunk.pages != 1 {
+            return f(&self.read_chunk(chunk)?);
+        }
+        let page = self.pool.fetch(chunk.first_page)?;
+        if page.payload().len() != chunk.bytes as usize {
+            return Err(chunk_size_error(chunk, page.payload().len()));
+        }
+        f(page.payload())
+    }
+
     /// Read a chunk back through the pool (at most one page pinned at a
     /// time, so scans run in bounded pool memory).
     pub(crate) fn read_chunk(&self, chunk: &PagedChunk) -> Result<Vec<u8>> {
@@ -391,15 +434,17 @@ impl StorageEnv {
             bytes.extend_from_slice(page.payload());
         }
         if bytes.len() != chunk.bytes as usize {
-            return Err(EngineError::Io(format!(
-                "chunk at page {} expected {} bytes, pages held {}",
-                chunk.first_page,
-                chunk.bytes,
-                bytes.len()
-            )));
+            return Err(chunk_size_error(chunk, bytes.len()));
         }
         Ok(bytes)
     }
+}
+
+fn chunk_size_error(chunk: &PagedChunk, held: usize) -> EngineError {
+    EngineError::Io(format!(
+        "chunk at page {} expected {} bytes, pages held {held}",
+        chunk.first_page, chunk.bytes
+    ))
 }
 
 // ---------------------------------------------------------------------
@@ -430,7 +475,7 @@ impl<'a> Reader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
+        if n > self.buf.len() - self.pos {
             return Err(EngineError::Io(format!(
                 "corrupt record: wanted {n} bytes at offset {}, have {}",
                 self.pos,
@@ -440,6 +485,13 @@ impl<'a> Reader<'a> {
         let out = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(out)
+    }
+
+    /// `count` little-endian 8-byte values, bounds-checked once for all
+    /// of them.
+    fn fixed8<T>(&mut self, count: usize, from: impl Fn([u8; 8]) -> T) -> Result<Vec<T>> {
+        let bytes = self.take(count.saturating_mul(8))?;
+        Ok(bytes.chunks_exact(8).map(|w| from(w.try_into().expect("an 8-byte chunk"))).collect())
     }
 
     fn u8(&mut self) -> Result<u8> {
@@ -552,20 +604,8 @@ pub(crate) fn decode_column(r: &mut Reader) -> Result<ColumnVector> {
     let dtype = tag_dtype(r.u8()?)?;
     let len = r.u32()? as usize;
     Ok(match dtype {
-        DataType::Int => {
-            let mut v = Vec::with_capacity(r.capacity(len, 8));
-            for _ in 0..len {
-                v.push(r.i64()?);
-            }
-            ColumnVector::Int(v)
-        }
-        DataType::Float => {
-            let mut v = Vec::with_capacity(r.capacity(len, 8));
-            for _ in 0..len {
-                v.push(r.f64()?);
-            }
-            ColumnVector::Float(v)
-        }
+        DataType::Int => ColumnVector::Int(r.fixed8(len, i64::from_le_bytes)?),
+        DataType::Float => ColumnVector::Float(r.fixed8(len, f64::from_le_bytes)?),
         DataType::Bool => {
             let mut v = Vec::with_capacity(r.capacity(len, 1));
             for _ in 0..len {
@@ -703,7 +743,10 @@ fn encode_directory(catalog: &Catalog, env: &StorageEnv, checkpoint_lsn: u64) ->
     out.extend_from_slice(&checkpoint_lsn.to_le_bytes());
     out.extend_from_slice(&env.generation.load(Ordering::Acquire).to_le_bytes());
     {
-        let free = env.free.lock();
+        // This directory no longer names the superseded pages: they are
+        // free from the moment it is the durable one.
+        let superseded = runs_from_pages(env.superseded.lock().clone());
+        let free = union_runs(&env.free.lock(), &superseded);
         out.extend_from_slice(&(free.len() as u32).to_le_bytes());
         for &(start, len) in free.iter() {
             out.extend_from_slice(&start.to_le_bytes());
@@ -865,6 +908,7 @@ pub(crate) fn open_catalog(root: &Path, config: &EngineConfig) -> Result<Arc<Cat
         wal,
         next_page: AtomicU64::new(next_page),
         free: Mutex::new(free),
+        superseded: Mutex::new(Vec::new()),
         generation: AtomicU64::new(generation),
         checkpoint_lsn: AtomicU64::new(checkpoint_lsn),
         replaying: AtomicBool::new(true),
@@ -903,8 +947,9 @@ pub(crate) fn open_catalog(root: &Path, config: &EngineConfig) -> Result<Arc<Cat
     // not O(next_page), even when a huge DROP freed most of the file.
     // This reclaims pages of tables dropped before reclamation existed
     // and of appends torn by a crash, and subsumes the checkpointed
-    // list.
-    let mut live: Vec<u64> = Vec::new();
+    // list. Pages replay superseded count as live: the directory on disk
+    // still names them.
+    let mut live: Vec<u64> = env.superseded.lock().clone();
     for name in catalog.table_names() {
         live.extend(catalog.table(&name)?.all_pages());
     }
@@ -988,8 +1033,9 @@ fn write_directory(catalog: &Catalog, env: &StorageEnv, checkpoint_lsn: u64) -> 
     Ok(())
 }
 
-/// Checkpoint the catalog: flush dirty pages, atomically replace the
-/// directory, truncate the WAL. No-op for in-memory catalogs. Errors
+/// Checkpoint the catalog: page out short last blocks, flush dirty
+/// pages, atomically replace the directory (whose free list takes the
+/// superseded pages), truncate the WAL. No-op for in-memory catalogs. Errors
 /// while a transaction is open — a checkpoint would make uncommitted
 /// statements durable and discard the WAL prefix `ROLLBACK` truncates.
 pub(crate) fn checkpoint(catalog: &Catalog) -> Result<()> {
@@ -1004,12 +1050,25 @@ pub(crate) fn checkpoint(catalog: &Catalog) -> Result<()> {
             "cannot checkpoint while a transaction is open; COMMIT or ROLLBACK first".into(),
         ));
     }
+    // Tails are paged before the superseded pages are freed, so no tail
+    // lands on a page the current directory still names.
+    page_out_tails(catalog)?;
     let checkpoint_lsn = env.wal.next_lsn().saturating_sub(1);
     env.pool.flush_all()?;
     write_directory(catalog, env, checkpoint_lsn)?;
+    env.free_pages(std::mem::take(&mut *env.superseded.lock()));
     env.checkpoint_lsn.store(checkpoint_lsn, Ordering::Release);
     env.wal.reset()?;
     obs::metrics::STORAGE_CHECKPOINTS.add(1);
+    Ok(())
+}
+
+/// Page out every table's short last blocks (checkpoint and vacuum, under
+/// the exclusive DML lock).
+fn page_out_tails(catalog: &Catalog) -> Result<()> {
+    for name in catalog.table_names() {
+        catalog.table(&name)?.page_out_tails()?;
+    }
     Ok(())
 }
 
@@ -1034,6 +1093,7 @@ pub(crate) fn vacuum(catalog: &Catalog) -> Result<()> {
             "cannot VACUUM while a transaction is open; COMMIT or ROLLBACK first".into(),
         ));
     }
+    page_out_tails(catalog)?;
     let names = catalog.table_names();
     let tables: std::result::Result<Vec<Arc<Table>>, _> =
         names.iter().map(|n| catalog.table(n)).collect();
@@ -1090,6 +1150,7 @@ pub(crate) fn vacuum(catalog: &Catalog) -> Result<()> {
     env.pool.swap_file(&new_path)?;
     env.next_page.store(next_page, Ordering::Release);
     env.free.lock().clear();
+    env.superseded.lock().clear();
     obs::metrics::STORAGE_FREE_PAGES.set(0);
     env.generation.store(generation, Ordering::Release);
     drop(guards);

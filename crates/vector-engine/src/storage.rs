@@ -1,11 +1,18 @@
 //! Columnar block storage with small materialized aggregates.
 //!
 //! Each table is split into [`EngineConfig::partitions`] horizontal
-//! partitions; each partition stores every column as a sequence of blocks of
-//! at most `vector_size` values. Every block carries min/max small
-//! materialized aggregates (SMAs, a.k.a. MinMax indexes / zone maps —
-//! paper Sec. 4.4 and [Moerkotte, VLDB'98]) that scans use to skip whole
-//! blocks under range predicates.
+//! partitions; each partition stores every column as a sequence of blocks,
+//! every one but the last holding exactly `vector_size` values: an append
+//! tops up its partition's short last block before it starts a new one.
+//! Every block carries min/max small materialized aggregates (SMAs, a.k.a.
+//! MinMax indexes / zone maps — paper Sec. 4.4 and [Moerkotte, VLDB'98])
+//! that scans use to skip whole blocks under range predicates.
+//!
+//! In a persistent table every full block is paged; a short last block
+//! lives in memory (the WAL record of each append makes its rows durable)
+//! until a checkpoint pages it out. Scans pin rows, not blocks: a snapshot
+//! is each partition's row count, so rows an append adds to a block a scan
+//! will read stay invisible to it.
 
 use crate::column::{Batch, ColumnVector};
 use crate::config::EngineConfig;
@@ -159,9 +166,9 @@ impl Block {
                 let env = env.ok_or_else(|| {
                     EngineError::Io("paged block read without a storage environment".into())
                 })?;
-                let bytes = env.read_chunk(chunk)?;
-                let mut r = persist::Reader::new(&bytes);
-                let col = persist::decode_column(&mut r)?;
+                let col = env.with_chunk(chunk, |bytes| {
+                    persist::decode_column(&mut persist::Reader::new(bytes))
+                })?;
                 if col.len() != chunk.rows as usize {
                     return Err(EngineError::Io(format!(
                         "chunk at page {} decoded {} rows, directory says {}",
@@ -173,6 +180,60 @@ impl Block {
                 Ok(Arc::new(col))
             }
         }
+    }
+
+    /// The block with its values in memory — what [`Block::new`] makes of
+    /// its rows. A paged block is read and decoded (a constant one needs
+    /// only its SMA); any other is a clone.
+    fn resident(&self, env: &StorageEnv) -> Result<Block> {
+        let data = match &self.data {
+            BlockData::Paged(chunk) if self.min.total_cmp(&self.max) == Ordering::Equal => {
+                BlockData::Const(chunk.rows as usize)
+            }
+            BlockData::Paged(_) => BlockData::Mem(self.load(Some(env))?),
+            data => data.clone(),
+        };
+        Ok(Block { data, min: self.min.clone(), max: self.max.clone() })
+    }
+
+    /// Append `piece` to a memory-resident block — an append topping up
+    /// its partition's short last block (a paged one is made
+    /// [`Block::resident`] first, so this reads nothing). The result is
+    /// what [`Block::new`] makes of the concatenated values (same SMA,
+    /// same `Const`/`Mem` choice), but only `piece` is scanned for its
+    /// SMA. The vector is copied only while something else shares it: a
+    /// scan's batch, the undo log, or the table when the persistent path
+    /// extends a staged copy.
+    fn extend(&mut self, piece: &ColumnVector) {
+        let (lo, hi) = minmax(piece);
+        let min = if lo.total_cmp(&self.min) == Ordering::Less { lo } else { self.min.clone() };
+        let max = if hi.total_cmp(&self.max) == Ordering::Greater { hi } else { self.max.clone() };
+        let constant = min.total_cmp(&max) == Ordering::Equal;
+        match &mut self.data {
+            // A `Mem` block holds two distinct values, so it stays `Mem`.
+            BlockData::Mem(v) => Arc::make_mut(v).append(piece),
+            BlockData::Const(rows) if constant => *rows += piece.len(),
+            BlockData::Const(rows) => {
+                let mut values = ColumnVector::repeat(&self.min, *rows);
+                values.append(piece);
+                self.data = BlockData::Mem(Arc::new(values));
+            }
+            BlockData::Paged(_) => unreachable!("a paged block is made resident before a top-up"),
+        }
+        (self.min, self.max) = (min, max);
+    }
+
+    /// Write a memory-resident block to the data file and point the block
+    /// at its chunk; a paged block is left as it is.
+    fn page_out(&mut self, env: &StorageEnv) -> Result<()> {
+        if matches!(self.data, BlockData::Paged(_)) {
+            return Ok(());
+        }
+        let values = self.load(None)?;
+        let mut bytes = Vec::new();
+        persist::encode_column(&mut bytes, &values);
+        self.data = BlockData::Paged(env.write_chunk(&bytes, values.len())?);
+        Ok(())
     }
 
     pub fn min(&self) -> &Value {
@@ -214,14 +275,40 @@ impl Block {
         }
     }
 
+    /// The page ids of the block's chunk, if paged.
+    fn pages(&self) -> impl Iterator<Item = u64> {
+        self.paged_chunk()
+            .into_iter()
+            .flat_map(|chunk| chunk.first_page..chunk.first_page + chunk.pages as u64)
+    }
+
     /// Point the block at a relocated chunk (vacuum pass 2).
     pub(crate) fn set_paged_chunk(&mut self, chunk: PagedChunk) {
         self.data = BlockData::Paged(chunk);
     }
 }
 
-/// One horizontal partition: per column, the list of blocks. Row `i` of the
-/// partition spans block `i / vector_size` across all columns.
+/// One piece of an append: rows `rows` of the input go to `partition`,
+/// topping up its short last block (`top_up`) or starting a new block.
+struct Piece {
+    partition: usize,
+    rows: std::ops::Range<usize>,
+    top_up: bool,
+}
+
+/// A partition as an append found it, which is what rolling the append
+/// back restores: its row and block counts and, when the append tops up
+/// its short last block, that block of every column as it was. A rollback
+/// therefore never reads the data file.
+pub(crate) struct PartitionState {
+    rows: usize,
+    blocks: usize,
+    tail: Vec<Block>,
+}
+
+/// One horizontal partition: per column, the list of blocks. Every block
+/// but the last holds `vector_size` rows, so row `i` of the partition lies
+/// in block `i / vector_size` across all columns.
 #[derive(Debug, Default)]
 pub struct Partition {
     /// `columns[c]` holds the blocks of column `c`.
@@ -240,6 +327,31 @@ impl Partition {
 
     pub fn block_count(&self) -> usize {
         self.columns.first().map_or(0, Vec::len)
+    }
+
+    /// Rows in block `b`.
+    pub(crate) fn block_len(&self, b: usize) -> usize {
+        self.columns.first().map_or(0, |blocks| blocks[b].len())
+    }
+
+    /// The block holding row `row` and the partition row it starts at;
+    /// `(block_count(), rows())` when `row` is past the end. Walks block
+    /// lengths rather than dividing by `vector_size`, so a table whose
+    /// file predates full blocks (short blocks mid-partition) reads right.
+    pub(crate) fn block_at(&self, row: usize) -> (usize, usize) {
+        let mut first = 0;
+        for (b, block) in self.columns.first().into_iter().flatten().enumerate() {
+            if row < first + block.len() {
+                return (b, first);
+            }
+            first += block.len();
+        }
+        (self.block_count(), first)
+    }
+
+    /// Rows in the last block; 0 when the partition is empty.
+    fn tail_len(&self) -> usize {
+        self.columns.first().and_then(|blocks| blocks.last()).map_or(0, Block::len)
     }
 
     /// The `b`-th block of the given columns (table ordinals, in output
@@ -262,12 +374,15 @@ impl Partition {
         (&blk.min, &blk.max)
     }
 
-    /// Publish one already-paged chunk: one block per column, `rows` new
-    /// rows.
-    fn append_paged_chunk(&mut self, blocks: Vec<Block>, rows: usize) {
+    /// Publish one staged piece: one block per column, holding `rows` new
+    /// rows, replacing the last block when the piece topped it up.
+    fn publish(&mut self, blocks: Vec<Block>, top_up: bool, rows: usize) {
         debug_assert_eq!(blocks.len(), self.columns.len());
         for (col, block) in self.columns.iter_mut().zip(blocks) {
-            col.push(block);
+            match col.last_mut() {
+                Some(tail) if top_up => *tail = block,
+                _ => col.push(block),
+            }
         }
         self.rows += rows;
     }
@@ -298,19 +413,37 @@ impl Partition {
         &mut self.columns
     }
 
-    /// Drop every block past `keep` in each column, resetting the row
-    /// count to `rows` — rollback's per-partition truncation. Returns the
-    /// page ids of the removed paged chunks.
-    fn truncate_blocks(&mut self, keep: usize, rows: usize) -> Vec<u64> {
+    /// This partition as an append finds it; `top_up` says whether the
+    /// append tops up the short last block.
+    fn state(&self, top_up: bool) -> PartitionState {
+        let tail = match top_up {
+            true => self.columns.iter().filter_map(|blocks| blocks.last()).cloned().collect(),
+            false => Vec::new(),
+        };
+        PartitionState { rows: self.rows, blocks: self.block_count(), tail }
+    }
+
+    /// Put the partition back as `state` found it — rollback's
+    /// per-partition step: the blocks past its block count go, and a
+    /// topped-up last block is replaced by its old version. Returns the
+    /// page ids of the paged chunks dropped: the rolled-back statements
+    /// wrote every one of them, so no directory names them.
+    fn restore(&mut self, state: &PartitionState) -> Vec<u64> {
         let mut freed = Vec::new();
+        let mut tail = state.tail.iter();
         for blocks in &mut self.columns {
-            while blocks.len() > keep {
-                if let Some(chunk) = blocks.pop().and_then(|b| b.paged_chunk()) {
-                    freed.extend(chunk.first_page..chunk.first_page + chunk.pages as u64);
+            for block in blocks.drain(state.blocks.min(blocks.len())..) {
+                freed.extend(block.pages());
+            }
+            if let (Some(old), Some(last)) = (tail.next(), blocks.last_mut()) {
+                // The same chunk when the append failed before it published.
+                if last.paged_chunk() != old.paged_chunk() {
+                    freed.extend(last.pages());
                 }
+                *last = old.clone();
             }
         }
-        self.rows = rows;
+        self.rows = state.rows;
         freed
     }
 }
@@ -433,14 +566,15 @@ impl Table {
         self.env.as_deref()
     }
 
-    /// Rows per block (the last block of an append may hold fewer).
+    /// Rows per block: every block of a partition but its last holds
+    /// exactly this many.
     pub fn vector_size(&self) -> usize {
         self.vector_size
     }
 
     /// Checkpoint description: round-robin cursor, unique columns, and
     /// every partition's paged block layout. Errors if any block is
-    /// memory-resident (never the case for a persistent table).
+    /// memory-resident ([`Table::page_out_tails`] runs first).
     pub(crate) fn checkpoint_meta(&self) -> Result<(u64, Vec<usize>, Vec<PartitionMeta>)> {
         let parts = self.partitions.read();
         let metas: Result<Vec<PartitionMeta>> = parts.iter().map(Partition::meta).collect();
@@ -451,12 +585,29 @@ impl Table {
         ))
     }
 
-    /// Per-partition block counts right now — the snapshot a scan pins
-    /// at construction. Blocks are immutable and only ever appended, so
-    /// bounding a scan by these counts yields a consistent
-    /// prefix-of-the-table view without blocking writers.
+    /// Per-partition row counts right now — the snapshot a scan pins at
+    /// construction. An append only adds rows past these counts (topping
+    /// up a short last block, then new blocks), so bounding a scan by them
+    /// yields a consistent prefix-of-the-table view without blocking
+    /// writers.
     pub fn snapshot(&self) -> Vec<usize> {
-        self.partitions.read().iter().map(Partition::block_count).collect()
+        self.partitions.read().iter().map(Partition::rows).collect()
+    }
+
+    /// Page out every memory-resident block — only short last blocks are
+    /// — so the directory a checkpoint or `VACUUM` writes names paged
+    /// blocks only. Callers hold the exclusive DML lock. No-op in memory.
+    pub(crate) fn page_out_tails(&self) -> Result<()> {
+        let Some(env) = self.storage_env() else {
+            return Ok(());
+        };
+        let mut parts = self.partitions.write();
+        for blocks in parts.iter_mut().flat_map(|part| part.columns.iter_mut()) {
+            for block in blocks {
+                block.page_out(env)?;
+            }
+        }
+        Ok(())
     }
 
     /// Monotonic data version: 0 at creation, +1 per non-empty append.
@@ -533,13 +684,16 @@ impl Table {
         self.partitions.read().iter().map(Partition::rows).sum()
     }
 
-    /// Bulk-append columnar data. Rows are cut into chunks of the table's
-    /// block size and dealt round-robin over the partitions, which keeps
-    /// them balanced. Placement ignores values: a partition gets every
-    /// `partition_count()`-th chunk, so even sequential ids interleave
-    /// across partitions once a partition holds two chunks. Only a
-    /// declared-unique column, or SMA ranges that happen to be disjoint,
-    /// lets the partition-parallel driver treat a column as a key.
+    /// Bulk-append columnar data. Rows are cut into pieces and dealt
+    /// round-robin over the partitions, which keeps them balanced: a
+    /// partition's piece first tops up its short last block, and is a
+    /// whole block (`vector_size` rows) when there is none, so a load into
+    /// empty partitions cuts whole blocks. Placement ignores values: a
+    /// partition gets every `partition_count()`-th piece, so even
+    /// sequential ids interleave across partitions once a partition holds
+    /// two pieces. Only a declared-unique column, or SMA ranges that happen
+    /// to be disjoint, lets the partition-parallel driver treat a column as
+    /// a key.
     pub fn append(&self, columns: Vec<ColumnVector>) -> Result<()> {
         let rows = self.check_columns(&columns)?;
         if rows == 0 {
@@ -585,41 +739,65 @@ impl Table {
         Ok(rows)
     }
 
-    /// Pre-append undo record: per-partition (block count, rows) plus
+    /// Pre-append undo record: every partition's [`PartitionState`] plus
     /// the round-robin cursor, captured before any block of this append
     /// publishes.
-    fn append_undo(&self, parts: &[Partition]) -> UndoRecord {
+    fn append_undo(&self, parts: &[Partition], pieces: &[Piece], cursor: usize) -> UndoRecord {
+        let topped = |p: usize| pieces.iter().any(|piece| piece.partition == p && piece.top_up);
         UndoRecord::Append {
             name: self.name.clone(),
-            parts: parts.iter().map(|p| (p.block_count(), p.rows())).collect(),
-            next_partition: self.next_partition.load(AtomicOrdering::Acquire),
+            parts: parts.iter().enumerate().map(|(p, part)| part.state(topped(p))).collect(),
+            next_partition: cursor,
         }
     }
 
-    /// The in-memory append path. Chunk `k` goes to partition
-    /// `(next_partition + k) % partition_count()`, as the persistent path
-    /// deals them. The input is consumed column by column, each chunk
-    /// copied once into its block and the column freed before the next,
-    /// so the append holds at most one input column beside the table.
+    /// Cut `rows` new rows into pieces and deal them round-robin from
+    /// `cursor`: piece `k` goes to partition `(cursor + k) %
+    /// partition_count()` and holds the room left in that partition's
+    /// last block, or `vector_size` rows when it is full or missing, so
+    /// only a partition's first piece can top up. Both append paths deal
+    /// this way, so WAL replay from a checkpoint re-derives every row's
+    /// place. Returns the pieces and the cursor after them.
+    fn deal(&self, parts: &[Partition], cursor: usize, rows: usize) -> (Vec<Piece>, usize) {
+        let mut tails: Vec<usize> = parts.iter().map(Partition::tail_len).collect();
+        let mut pieces = Vec::new();
+        let mut start = 0;
+        while start < rows {
+            let p = cursor.wrapping_add(pieces.len()) % parts.len();
+            let top_up = tails[p] > 0 && tails[p] < self.vector_size;
+            let room = if top_up { self.vector_size - tails[p] } else { self.vector_size };
+            let end = (start + room).min(rows);
+            tails[p] = if top_up { tails[p] + end - start } else { end - start };
+            pieces.push(Piece { partition: p, rows: start..end, top_up });
+            start = end;
+        }
+        let next = cursor.wrapping_add(pieces.len());
+        (pieces, next)
+    }
+
+    /// The in-memory append path. The input is consumed column by column,
+    /// each piece copied once into its block and the column freed before
+    /// the next, so the append holds at most one input column beside the
+    /// table. A topped-up block grows in place unless a scan shares it.
     fn append_mem(&self, columns: Vec<ColumnVector>, rows: usize) -> Result<()> {
         let mut parts = self.partitions.write();
-        let undo = self.append_undo(&parts);
-        self.txn.record(|| undo);
-        let pcount = parts.len();
-        let chunks = rows.div_ceil(self.vector_size);
-        let first = self.next_partition.fetch_add(chunks, AtomicOrdering::Relaxed);
-        let chunk_range = |k: usize| (k * self.vector_size, ((k + 1) * self.vector_size).min(rows));
+        let cursor = self.next_partition.load(AtomicOrdering::Acquire);
+        let (pieces, next) = self.deal(&parts, cursor, rows);
+        self.txn.record(|| self.append_undo(&parts, &pieces, cursor));
         for (c, column) in columns.into_iter().enumerate() {
-            for k in 0..chunks {
-                let (start, end) = chunk_range(k);
-                let p = first.wrapping_add(k) % pcount;
-                parts[p].columns[c].push(Block::new(column.slice(start, end)));
+            for piece in &pieces {
+                let data = column.slice(piece.rows.start, piece.rows.end);
+                let blocks = &mut parts[piece.partition].columns[c];
+                match blocks.last_mut() {
+                    Some(tail) if piece.top_up => tail.extend(&data),
+                    _ => blocks.push(Block::new(data)),
+                }
             }
         }
-        for k in 0..chunks {
-            let (start, end) = chunk_range(k);
-            parts[first.wrapping_add(k) % pcount].rows += end - start;
+        for piece in &pieces {
+            parts[piece.partition].rows += piece.rows.len();
         }
+        self.next_partition.store(next, AtomicOrdering::Release);
         // Version bumps happen while the partition write lock is still
         // held, so a reader that observes the old version has not yet seen
         // any of the new blocks either.
@@ -629,13 +807,23 @@ impl Table {
         Ok(())
     }
 
-    /// WAL-then-page append: log the statement as a committed record
-    /// group (durability point), serialize each chunk's columns into
-    /// pages through the buffer pool, then publish the blocks under a
-    /// short partition write lock. Readers never wait on the fsync. The
-    /// per-table append lock keeps WAL order identical to round-robin
-    /// cursor order, so redo replay lands every chunk on the same
-    /// partition it was on before the crash.
+    /// WAL-then-page append: read every short last block the append tops
+    /// up, log the statement as a committed record group (durability
+    /// point), stage each piece's blocks — paging out every block the
+    /// piece fills, keeping a short one in memory — then publish them and
+    /// the new cursor under a short partition write lock. Readers never
+    /// wait on the fsync or the page writes. The per-table append lock
+    /// keeps WAL order identical to round-robin cursor order, so redo
+    /// replay lands every piece where it was before the crash; with the
+    /// DML lock held shared it also keeps the last blocks still from the
+    /// reads to publish.
+    ///
+    /// Topping up a paged short last block (a checkpoint paged it)
+    /// decodes it into memory before the statement is logged, so a bad
+    /// page fails the append before it is durable. Its pages are not freed
+    /// here: the on-disk directory names them and replay decodes them
+    /// again, so they wait for the checkpoint whose directory stops naming
+    /// them.
     fn append_persistent(
         &self,
         env: &Arc<StorageEnv>,
@@ -644,10 +832,30 @@ impl Table {
     ) -> Result<()> {
         let _dml = env.dml_lock.read();
         let _order = self.append_lock.lock();
+        // The append lock keeps the cursor, the last blocks and the undo
+        // pre-state exact from here to the publish.
+        let cursor = self.next_partition.load(AtomicOrdering::Acquire);
+        let mut superseded = Vec::new();
+        let (pieces, next, tails, undo) = {
+            let parts = self.partitions.read();
+            let (pieces, next) = self.deal(&parts, cursor, rows);
+            // Per piece, the last block of every column it tops up, in
+            // memory (none for a piece that starts new blocks).
+            let mut tails = Vec::with_capacity(pieces.len());
+            for piece in &pieces {
+                let mut tail = Vec::new();
+                if piece.top_up {
+                    for block in parts[piece.partition].columns.iter().filter_map(|b| b.last()) {
+                        superseded.extend(block.pages());
+                        tail.push(block.resident(env)?);
+                    }
+                }
+                tails.push(tail);
+            }
+            let undo = self.append_undo(&parts, &pieces, cursor);
+            (pieces, next, tails, undo)
+        };
         if !env.is_replaying() {
-            // The undo pre-state is captured before any chunk is written
-            // or published; the append lock keeps it exact.
-            let undo = self.append_undo(&self.partitions.read());
             env.log_statement(
                 &self.txn,
                 persist::REC_APPEND,
@@ -655,28 +863,32 @@ impl Table {
                 || undo,
             )?;
         }
-        let pcount = self.partitions.read().len();
-        let mut pending: Vec<(usize, Vec<Block>, usize)> = Vec::new();
-        let mut start = 0;
-        while start < rows {
-            let end = (start + self.vector_size).min(rows);
-            let p = self.next_partition.fetch_add(1, AtomicOrdering::Relaxed) % pcount;
+        let mut staged = Vec::with_capacity(pieces.len());
+        for (piece, tail) in pieces.iter().zip(tails) {
+            let mut tail = tail.into_iter();
             let mut blocks = Vec::with_capacity(columns.len());
             for col in columns {
-                let chunk_data = col.slice(start, end);
-                let (min, max) = minmax(&chunk_data);
-                let mut bytes = Vec::new();
-                persist::encode_column(&mut bytes, &chunk_data);
-                let chunk = env.write_chunk(&bytes, end - start)?;
-                blocks.push(Block::paged(chunk, min, max));
+                let data = col.slice(piece.rows.start, piece.rows.end);
+                let mut block = match tail.next() {
+                    Some(mut block) => {
+                        block.extend(&data);
+                        block
+                    }
+                    None => Block::new(data),
+                };
+                if block.len() == self.vector_size {
+                    block.page_out(env)?;
+                }
+                blocks.push(block);
             }
-            pending.push((p, blocks, end - start));
-            start = end;
+            staged.push(blocks);
         }
         let mut parts = self.partitions.write();
-        for (p, blocks, chunk_rows) in pending {
-            parts[p].append_paged_chunk(blocks, chunk_rows);
+        for (piece, blocks) in pieces.iter().zip(staged) {
+            parts[piece.partition].publish(blocks, piece.top_up, piece.rows.len());
         }
+        self.next_partition.store(next, AtomicOrdering::Release);
+        env.supersede(superseded);
         self.data_version.fetch_add(1, AtomicOrdering::Release);
         self.catalog_epoch.fetch_add(1, AtomicOrdering::Release);
         obs::metrics::EXEC_CATALOG_EPOCH_BUMPS.add(1);
@@ -719,32 +931,28 @@ impl Table {
     /// DROP TABLE returns to the free list).
     pub(crate) fn all_pages(&self) -> Vec<u64> {
         let parts = self.partitions.read();
-        let mut pages = Vec::new();
-        for part in parts.iter() {
-            for blocks in part.columns() {
-                for block in blocks {
-                    if let Some(chunk) = block.paged_chunk() {
-                        pages.extend(chunk.first_page..chunk.first_page + chunk.pages as u64);
-                    }
-                }
-            }
-        }
-        pages
+        parts.iter().flat_map(|part| part.columns.iter().flatten().flat_map(Block::pages)).collect()
     }
 
-    /// Roll an append back: truncate each partition to its pre-append
-    /// (block count, rows) and restore the round-robin cursor. Returns
-    /// the freed page ids. Versions bump (they are monotonic watermarks,
-    /// never restored) so caches built on the rolled-back data die.
+    /// Roll an append back: restore each partition's pre-append state
+    /// (its old short last block, if the append topped one up) and the
+    /// round-robin cursor, reading nothing. Returns the freed page ids. A
+    /// restored paged block's pages leave the superseded list, since the
+    /// table names them again. Versions bump (they are monotonic
+    /// watermarks, never restored) so caches built on the rolled-back data
+    /// die.
     pub(crate) fn truncate_to_prestate(
         &self,
-        prestate: &[(usize, usize)],
+        prestate: &[PartitionState],
         next_partition: usize,
     ) -> Vec<u64> {
         let mut parts = self.partitions.write();
         let mut freed = Vec::new();
-        for (part, &(keep, rows)) in parts.iter_mut().zip(prestate) {
-            freed.extend(part.truncate_blocks(keep, rows));
+        for (part, state) in parts.iter_mut().zip(prestate) {
+            freed.extend(part.restore(state));
+        }
+        if let Some(env) = self.storage_env() {
+            env.unsupersede(prestate.iter().flat_map(|s| s.tail.iter().flat_map(Block::pages)));
         }
         self.next_partition.store(next_partition, AtomicOrdering::Release);
         self.data_version.fetch_add(1, AtomicOrdering::Release);

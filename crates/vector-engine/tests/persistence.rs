@@ -206,6 +206,39 @@ fn corrupt_page_fails_only_the_queries_that_read_it() {
 }
 
 #[test]
+fn a_bad_tail_page_fails_the_insert_before_it_is_logged() {
+    // One partition, so the insert tops up the short tail the checkpoint
+    // paged, which means reading it back first.
+    let dir = tmp_dir("bad-tail");
+    let cfg = EngineConfig { partitions: 1, ..persistent_config(&dir) };
+    {
+        let e = Engine::open(cfg.clone()).unwrap();
+        e.execute("CREATE TABLE f (id INT, c0 FLOAT, c3 FLOAT)").unwrap();
+        let c0 = ColumnVector::Float(vec![0.0, 1.0, 2.0, 3.0]);
+        let c3 = ColumnVector::Float(vec![3000.0, 3001.0, 3002.0, 3003.0]);
+        e.insert_columns("f", vec![ColumnVector::Int((0..4).collect()), c0, c3]).unwrap();
+        e.checkpoint().unwrap();
+    }
+    // Flip one byte of the value 3000.0, inside the page of c3's tail.
+    let path = std::path::Path::new(&dir).join("data.idb");
+    let mut data = std::fs::read(&path).unwrap();
+    let at = data.windows(8).position(|w| w == 3000.0f64.to_le_bytes()).expect("a c3 page");
+    data[at] ^= 0x01;
+    std::fs::write(&path, &data).unwrap();
+
+    let e = Engine::open(cfg.clone()).unwrap();
+    let r = e.execute("INSERT INTO f VALUES (4, 4.0, 3004.0)");
+    assert!(matches!(r, Err(EngineError::Io(ref m)) if m.contains("checksum")), "{r:?}");
+    let intact = vec![vec![Value::Int(4), Value::Float(6.0)]];
+    assert_eq!(e.execute("SELECT COUNT(*), SUM(c0) FROM f").unwrap().rows(), intact);
+    drop(e);
+    // The failed insert never reached the WAL, so replay has nothing to
+    // top up: the database opens, and the intact columns still read.
+    let e = Engine::open(cfg).expect("reopen after a failed insert");
+    assert_eq!(e.execute("SELECT COUNT(*), SUM(c0) FROM f").unwrap().rows(), intact);
+}
+
+#[test]
 fn hand_edited_directory_chunk_is_an_error_not_an_abort() {
     let dir = tmp_dir("edited-dir");
     {

@@ -62,7 +62,9 @@ fn narrowed_scans_fetch_only_their_columns_pages() {
     }
     // Every chunk (64 values of one column) fits one page, so a query
     // reading n columns of every block fetches n pages per block.
-    let blocks = paged.table("facts").unwrap().snapshot().iter().sum::<usize>() as u64;
+    let snapshot = paged.table("facts").unwrap().snapshot();
+    let blocks =
+        snapshot.iter().map(|rows| rows.div_ceil(VECTOR_SIZE as usize)).sum::<usize>() as u64;
     assert_eq!(blocks, (ROWS / VECTOR_SIZE) as u64);
 
     // Rows 330..=515 lie in blocks 5..=8; SMA pruning skips the rest.
