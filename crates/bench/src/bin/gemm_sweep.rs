@@ -1,7 +1,7 @@
 //! GEMM kernel-layer sweep: the seed scalar `sgemm` against the blocked,
-//! packed, register-tiled kernel of PR 2 — in isolation and end-to-end
-//! through the dense ModelJoin operator — plus the int8 quantized kernel
-//! (PR 7) against the fp32 blocked kernel on the same shapes.
+//! packed, register-tiled kernel — in isolation and end-to-end through
+//! the dense ModelJoin operator — plus the int8 quantized kernel against
+//! the fp32 blocked kernel on the same shapes.
 //!
 //! ```text
 //! cargo run --release -p bench --bin gemm_sweep [--quick]
@@ -10,7 +10,8 @@
 //! For each width `w` in {32, 128, 512} the multiply is the dense-layer
 //! shape the operator issues (`vectorsize x w  *  w x w`), plus the
 //! acceptance shape `1024 x 512 * 512 x 512`; each is timed for the
-//! unblocked seed kernel, the blocked kernel at 1 and 2 kernel threads,
+//! unblocked seed kernel, the blocked kernel as a built model runs it
+//! (weights packed once, `PackedMatrix::gemm`) split 1 and 2 ways,
 //! and the int8 path (`qgemm_dense`: per-call activation quantization +
 //! integer GEMM + fused dequant epilogue, weights pre-quantized as in
 //! serving) at the same thread counts. The int8 cells also record the
@@ -23,9 +24,9 @@
 
 use indbml_core::{Approach, Experiment, ExperimentConfig, Workload};
 use std::time::Instant;
-use tensor::blas::{sgemm, sgemm_unblocked, Transpose};
+use tensor::blas::{sgemm_unblocked, Transpose};
 use tensor::quant::qgemm_error_bound;
-use tensor::{qgemm_dense, Activation, Matrix, QuantScratch, QuantizedWeights};
+use tensor::{Activation, Init, Matrix, PackedMatrix, QuantScratch, QuantizedWeights};
 use vector_engine::EngineConfig;
 
 /// One timed GEMM configuration.
@@ -81,12 +82,13 @@ fn bench_gemm(m: usize, k: usize, n: usize, reps: usize) -> GemmRow {
     let unblocked_s = time_median(reps, || {
         sgemm_unblocked(Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut c)
     });
-    tensor::set_kernel_threads(1);
-    let blocked_1t_s =
-        time_median(reps, || sgemm(Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut c));
-    tensor::set_kernel_threads(2);
-    let blocked_2t_s =
-        time_median(reps, || sgemm(Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut c));
+    // The 2-way split needs a second pool worker besides this thread.
+    sched::configure_workers(1);
+    let packed = PackedMatrix::pack(&b);
+    let mut blocked = |threads| {
+        time_median(reps, || packed.gemm(&a, Init::Zero, Activation::Linear, &mut c, threads))
+    };
+    let (blocked_1t_s, blocked_2t_s) = (blocked(1), blocked(2));
 
     // Int8 path, timed the way serving runs it: weights quantized once
     // up front, activations quantized per call, dequant fused into the
@@ -94,15 +96,12 @@ fn bench_gemm(m: usize, k: usize, n: usize, reps: usize) -> GemmRow {
     let wq = QuantizedWeights::quantize(&b);
     let mut c_i8 = Matrix::zeros(m, n);
     let mut scratch = QuantScratch::default();
-    tensor::set_kernel_threads(1);
-    let i8_1t_s = time_median(reps, || {
-        qgemm_dense(&a, &wq, None, Activation::Linear, false, &mut c_i8, &mut scratch)
-    });
-    tensor::set_kernel_threads(2);
-    let i8_2t_s = time_median(reps, || {
-        qgemm_dense(&a, &wq, None, Activation::Linear, false, &mut c_i8, &mut scratch)
-    });
-    tensor::set_kernel_threads(1);
+    let mut i8 = |threads| {
+        time_median(reps, || {
+            wq.gemm(&a, Init::Zero, Activation::Linear, &mut c_i8, &mut scratch, threads)
+        })
+    };
+    let (i8_1t_s, i8_2t_s) = (i8(1), i8(2));
     let i8_max_abs_err = c_i8.max_abs_diff(&c);
     let i8_err_bound = qgemm_error_bound(k, 0.5, 0.5);
     GemmRow {

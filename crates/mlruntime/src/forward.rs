@@ -1,83 +1,92 @@
-//! The one batched forward pass (paper Sec. 5.4): a model built into dense
-//! weight matrices, and one layer loop over a whole `rows x input_dim`
-//! batch. ModelJoin builds it from a model table, [`crate::Session`] from
-//! a model file; both run it here, in fp32 or, after
-//! [`BuiltModel::quantize`], int8.
+//! The one batched forward pass (paper Sec. 5.4): a model built into a
+//! kernel plan per GEMM, and one layer loop over a whole
+//! `rows x input_dim` batch. ModelJoin builds it from a model table,
+//! [`crate::Session`] from a model file; both run it here, in fp32 or,
+//! after [`BuiltModel::quantize`], int8.
+//!
+//! The plan is fixed when the model is built, never per batch: each fp32
+//! weight matrix is packed once into the micro-kernel's panel layout, the
+//! bias stays a `units` vector that the GEMM's first K slice adds, the
+//! activation runs in its last slice's write-back, and the split width is
+//! decided per layer from the build's parallelism. Every batch, from one
+//! row to the vector size, runs the same kernel, so a row's output is a
+//! function of the model and the row alone.
 
 use nn::Layer;
 use std::borrow::Cow;
-use tensor::blas::Transpose;
-use tensor::{qgemm_dense, Activation, Device, Matrix, QuantScratch, QuantizedWeights};
+use tensor::{
+    split_width, Activation, Device, Init, Matrix, PackedMatrix, QuantScratch, QuantizedWeights,
+};
 
-/// The weights of one GEMM of a built layer and the bias it adds (empty
-/// for the LSTM recurrent matrices, which add none).
+/// The weights of one GEMM of a built layer, in the kernel's layout.
 #[derive(Clone)]
 pub enum Weights {
-    /// `input_dim x units` row-major. (The paper stores the weight
-    /// matrices "already in a transposed way" so cuBLAS's column-major
-    /// `sgemm` computes `A^T x^T`; a row-major `input x units` buffer is
+    /// `input_dim x units`, packed once into B panels (the row-major
+    /// matrix is not kept). (The paper stores the weight matrices
+    /// "already in a transposed way" so cuBLAS's column-major `sgemm`
+    /// computes `A^T x^T`; a row-major `input x units` buffer is
     /// byte-identical to that transposed column-major matrix, so the
-    /// layout on disk matches.) The bias is replicated to
-    /// `vectorsize x units` (Sec. 5.4).
-    F32 { w: Matrix, bias_matrix: Matrix },
-    /// Weights quantized per output channel. The bias stays fp32 as a
-    /// plain per-unit vector: the fused dequantization epilogue adds the
-    /// scalar directly, so no replicated matrix is needed.
-    I8 { w: QuantizedWeights, bias: Vec<f32> },
+    /// layout on disk matches.)
+    F32(PackedMatrix),
+    /// Weights quantized per output channel.
+    I8(QuantizedWeights),
 }
 
-impl Weights {
+/// One GEMM of a built layer and its kernel plan, fixed at build time.
+#[derive(Clone)]
+pub struct GemmPlan {
+    pub weights: Weights,
+    /// One value per unit, added by the GEMM's epilogue; empty for the
+    /// LSTM recurrent matrices, which add none. (Sec. 5.4 replicates it to
+    /// a `vectorsize x units` matrix copied into `C`; the epilogue adds
+    /// the same value to the same accumulator, bit for bit.)
+    pub bias: Vec<f32>,
+    /// How many ways the GEMM of a full vector splits on the scheduler
+    /// pool (1 for layers too small to gain from a fork/join).
+    pub threads: usize,
+}
+
+impl GemmPlan {
     fn units(&self) -> usize {
-        match self {
-            Weights::F32 { w, .. } => w.cols(),
-            Weights::I8 { w, .. } => w.cols(),
+        match &self.weights {
+            Weights::F32(w) => w.cols(),
+            Weights::I8(w) => w.cols(),
         }
     }
 
-    fn quantize(&self) -> Weights {
-        match self {
-            Weights::F32 { w, bias_matrix } => Weights::I8 {
-                w: QuantizedWeights::quantize(w),
-                // Row 0 of the replicated bias matrix is the bias itself.
-                bias: bias_matrix.row(0).to_vec(),
-            },
-            Weights::I8 { .. } => self.clone(),
-        }
+    fn quantize(&self) -> GemmPlan {
+        let weights = match &self.weights {
+            Weights::F32(w) => Weights::I8(QuantizedWeights::quantize(&w.to_matrix())),
+            Weights::I8(_) => self.weights.clone(),
+        };
+        GemmPlan { weights, bias: self.bias.clone(), threads: self.threads }
     }
-}
 
-/// `out = act(x·W + b)`, into an `out` already shaped `x.rows() x units`.
-fn affine(
-    x: &Matrix,
-    weights: &Weights,
-    act: Activation,
-    device: &Device,
-    q: &mut QuantScratch,
-    out: &mut Matrix,
-) {
-    match weights {
-        Weights::F32 { w, bias_matrix } => {
-            // C pre-loaded with the replicated bias rows, beta = 1: the
-            // bias addition comes for free with the sgemm (Sec. 5.4).
-            device.copy(&bias_matrix.as_slice()[..out.len()], out.as_mut_slice());
-            device.gemm(Transpose::No, Transpose::No, 1.0, x, w, 1.0, out);
-            device.activation(act, out.as_mut_slice());
+    /// `out = act(x·W + b)` (`init` = [`Init::Bias`], or [`Init::Zero`]
+    /// without a bias) or `out += x·W` ([`Init::Accumulate`]), into an
+    /// `out` already shaped `x.rows() x units`, charged to `device` as the
+    /// paper's kernels.
+    fn run(
+        &self,
+        x: &Matrix,
+        accumulate: bool,
+        act: Activation,
+        device: &Device,
+        q: &mut QuantScratch,
+        out: &mut Matrix,
+    ) {
+        let init = match (accumulate, self.bias.is_empty()) {
+            (true, _) => Init::Accumulate,
+            (false, true) => Init::Zero,
+            (false, false) => Init::Bias(&self.bias),
+        };
+        let (shape, bias) = ((x.rows(), x.cols(), self.units()), matches!(init, Init::Bias(_)));
+        match &self.weights {
+            Weights::F32(w) => {
+                device.dense(shape, bias, act, || w.gemm(x, init, act, out, self.threads))
+            }
+            Weights::I8(w) => w.gemm(x, init, act, out, q, self.threads),
         }
-        Weights::I8 { w, bias } => qgemm_dense(x, w, Some(bias), act, false, out, q),
-    }
-}
-
-/// `out += h·U` (the LSTM recurrent term).
-fn accumulate(
-    h: &Matrix,
-    weights: &Weights,
-    device: &Device,
-    q: &mut QuantScratch,
-    out: &mut Matrix,
-) {
-    match weights {
-        Weights::F32 { w, .. } => device.gemm(Transpose::No, Transpose::No, 1.0, h, w, 1.0, out),
-        Weights::I8 { w, .. } => qgemm_dense(h, w, None, Activation::Linear, true, out, q),
     }
 }
 
@@ -85,7 +94,7 @@ fn accumulate(
 #[allow(clippy::large_enum_variant)] // models hold few layers; boxing buys nothing
 pub enum BuiltLayer {
     Dense {
-        weights: Weights,
+        gemm: GemmPlan,
         activation: Activation,
     },
     Lstm {
@@ -93,13 +102,13 @@ pub enum BuiltLayer {
         timesteps: usize,
         units: usize,
         /// Gate order i, f, c, o; each with its gate bias.
-        kernel: [Weights; 4],
-        recurrent: [Weights; 4],
+        kernel: [GemmPlan; 4],
+        recurrent: [GemmPlan; 4],
     },
 }
 
 /// A built model — fp32, or int8 after [`BuiltModel::quantize`]. Both run
-/// through the same layer loop; only the GEMM calls differ.
+/// through the same layer loop; only the GEMM kernels differ.
 pub struct BuiltModel {
     pub layers: Vec<BuiltLayer>,
     pub input_dim: usize,
@@ -139,43 +148,46 @@ struct LstmScratch {
 }
 
 impl BuiltModel {
-    /// Assemble the fp32 model from its layers' weights and biases: every
-    /// bias is replicated to `vector_size x units` (Sec. 5.4), and the
-    /// whole model — weights plus replicated biases — is charged to
-    /// `device` as one bulk upload (Sec. 5.2: "move the model to GPU
-    /// memory once building is finished").
+    /// Assemble the fp32 model from its layers' weights and biases, fixing
+    /// each GEMM's kernel plan: weights packed once, the bias kept as a
+    /// vector for the epilogue, and a split width of up to `threads` for
+    /// the layers whose `vector_size`-row GEMM is large enough to gain
+    /// from it. The device is charged one bulk upload of the model as the
+    /// paper holds it (Sec. 5.2: "move the model to GPU memory once
+    /// building is finished") — weights plus every bias replicated to
+    /// `vector_size x units` (Sec. 5.4) — though the host keeps no
+    /// replicated copy.
     pub fn from_layers(
         input_dim: usize,
         layers: Vec<Layer>,
         device: &Device,
         vector_size: usize,
+        threads: usize,
     ) -> BuiltModel {
         let output_dim = layers.last().map_or(input_dim, Layer::output_dim);
         let mut bytes = 0;
-        let mut weights = |w: Matrix, bias: Option<Vec<f32>>| {
-            let bias_matrix = match bias {
-                Some(b) => Matrix::from_fn(vector_size, w.cols(), |_, c| b[c]),
-                None => Matrix::default(),
-            };
-            bytes += w.byte_len() + bias_matrix.byte_len();
-            Weights::F32 { w, bias_matrix }
+        let mut plan = |w: Matrix, bias: Vec<f32>| {
+            let (k, n) = (w.rows(), w.cols());
+            bytes += 4 * (k * n + bias.len() * vector_size);
+            let threads = split_width(threads, vector_size, k, n);
+            GemmPlan { weights: Weights::F32(PackedMatrix::pack(&w)), bias, threads }
         };
         let layers = layers
             .into_iter()
             .map(|layer| match layer {
-                Layer::Dense(d) => BuiltLayer::Dense {
-                    weights: weights(d.weights, Some(d.bias)),
-                    activation: d.activation,
-                },
+                Layer::Dense(d) => {
+                    BuiltLayer::Dense { gemm: plan(d.weights, d.bias), activation: d.activation }
+                }
                 Layer::Lstm(l) => {
                     let units = l.units();
                     let mut bias = l.bias.into_iter();
+                    let kernel = l.kernel.map(|k| plan(k, bias.next().expect("one bias per gate")));
                     BuiltLayer::Lstm {
                         features: l.input_features,
                         timesteps: l.timesteps,
                         units,
-                        kernel: l.kernel.map(|k| weights(k, bias.next())),
-                        recurrent: l.recurrent.map(|u| weights(u, None)),
+                        kernel,
+                        recurrent: l.recurrent.map(|u| plan(u, Vec::new())),
                     }
                 }
             })
@@ -185,8 +197,14 @@ impl BuiltModel {
     }
 
     /// [`BuiltModel::from_layers`] over a model object's layers.
-    pub fn from_model(model: &nn::Model, device: &Device, vector_size: usize) -> BuiltModel {
-        BuiltModel::from_layers(model.input_dim(), model.layers().to_vec(), device, vector_size)
+    pub fn from_model(
+        model: &nn::Model,
+        device: &Device,
+        vector_size: usize,
+        threads: usize,
+    ) -> BuiltModel {
+        let layers = model.layers().to_vec();
+        BuiltModel::from_layers(model.input_dim(), layers, device, vector_size, threads)
     }
 
     /// The int8 variant of this model: every GEMM operand quantized per
@@ -197,16 +215,16 @@ impl BuiltModel {
             .layers
             .iter()
             .map(|layer| match layer {
-                BuiltLayer::Dense { weights, activation } => {
-                    BuiltLayer::Dense { weights: weights.quantize(), activation: *activation }
+                BuiltLayer::Dense { gemm, activation } => {
+                    BuiltLayer::Dense { gemm: gemm.quantize(), activation: *activation }
                 }
                 BuiltLayer::Lstm { features, timesteps, units, kernel, recurrent } => {
                     BuiltLayer::Lstm {
                         features: *features,
                         timesteps: *timesteps,
                         units: *units,
-                        kernel: kernel.each_ref().map(Weights::quantize),
-                        recurrent: recurrent.each_ref().map(Weights::quantize),
+                        kernel: kernel.each_ref().map(GemmPlan::quantize),
+                        recurrent: recurrent.each_ref().map(GemmPlan::quantize),
                     }
                 }
             })
@@ -229,8 +247,8 @@ impl BuiltModel {
 
     /// Inference over any number of `input` rows, row-major `rows x
     /// output_dim`: one [`BuiltModel::infer_into`] pass (borrowing from
-    /// `scratch`) when they fit the vector size the biases were replicated
-    /// to, else one pass per vector-size slice, the outputs concatenated.
+    /// `scratch`) when they fit the vector size the model was built for,
+    /// else one pass per vector-size slice, the outputs concatenated.
     pub fn infer_rows<'s>(
         &self,
         input: &Matrix,
@@ -274,9 +292,10 @@ impl BuiltModel {
         for layer in &self.layers {
             let cur: &Matrix = if first { input } else { &*ping };
             match layer {
-                BuiltLayer::Dense { weights, activation } => {
-                    pong.resize_zeroed(rows, weights.units());
-                    affine(cur, weights, *activation, device, q, pong);
+                BuiltLayer::Dense { gemm, activation } => {
+                    // The GEMM writes every element: no zeroing.
+                    pong.reshape(rows, gemm.units());
+                    gemm.run(cur, false, *activation, device, q, pong);
                 }
                 BuiltLayer::Lstm { features, timesteps, units, kernel, recurrent } => {
                     lstm_forward_into(
@@ -312,8 +331,8 @@ fn lstm_forward_into(
     features: usize,
     timesteps: usize,
     units: usize,
-    kernel: &[Weights; 4],
-    recurrent: &[Weights; 4],
+    kernel: &[GemmPlan; 4],
+    recurrent: &[GemmPlan; 4],
     device: &Device,
     q: &mut QuantScratch,
     scratch: &mut LstmScratch,
@@ -338,9 +357,9 @@ fn lstm_forward_into(
             x_t.row_mut(r).copy_from_slice(&input.row(r)[t * features..(t + 1) * features]);
         }
         for (g, zg) in z.iter_mut().enumerate() {
-            affine(x_t, &kernel[g], Activation::Linear, device, q, zg);
+            kernel[g].run(x_t, false, Activation::Linear, device, q, zg);
             if t > 0 {
-                accumulate(h, &recurrent[g], device, q, zg);
+                recurrent[g].run(h, true, Activation::Linear, device, q, zg);
             }
         }
         device.activation(Activation::Sigmoid, z[0].as_mut_slice());
@@ -372,7 +391,7 @@ mod tests {
     }
 
     fn assert_matches_oracle(model: &nn::Model, rows: usize, device: Device) {
-        let built = BuiltModel::from_model(model, &device, VECTOR_SIZE);
+        let built = BuiltModel::from_model(model, &device, VECTOR_SIZE, 1);
         let x = inputs(rows, model.input_dim());
         let out = built.infer(&x, &device);
         let expected = model.predict(&x);
@@ -407,7 +426,7 @@ mod tests {
     fn gpu_build_charges_weight_and_replicated_bias_upload() {
         let device = Device::gpu();
         let model = paper::dense_model(32, 2, 0);
-        let _built = BuiltModel::from_model(&model, &device, VECTOR_SIZE);
+        let _built = BuiltModel::from_model(&model, &device, VECTOR_SIZE, 1);
         // Weight bytes + replicated bias bytes.
         let weights = (4 * 32 + 32 * 32 + 32) * 4;
         let biases = (32 + 32 + 1) * VECTOR_SIZE * 4;
@@ -418,7 +437,7 @@ mod tests {
     fn infer_charges_input_and_output_transfers() {
         let device = Device::gpu();
         let model = paper::dense_model(8, 2, 0);
-        let built = BuiltModel::from_model(&model, &device, VECTOR_SIZE);
+        let built = BuiltModel::from_model(&model, &device, VECTOR_SIZE, 1);
         device.reset();
         let x = inputs(10, 4);
         let out = built.infer(&x, &device);
@@ -432,7 +451,7 @@ mod tests {
     #[should_panic(expected = "input width mismatch")]
     fn wrong_input_width_panics() {
         let model = paper::dense_model(8, 2, 0);
-        let built = BuiltModel::from_model(&model, &Device::cpu(), VECTOR_SIZE);
+        let built = BuiltModel::from_model(&model, &Device::cpu(), VECTOR_SIZE, 1);
         built.infer(&Matrix::zeros(3, 7), &Device::cpu());
     }
 }

@@ -5,9 +5,10 @@
 //! *The runtime runs models, ModelJoin builds them from a table, and the
 //! C-API builds them from a model file.*
 //!
-//! * [`forward`] — [`BuiltModel`]: dense weight matrices (fp32 with the
-//!   bias replicated to `vectorsize x units`, or int8) and one layer loop
-//!   over a `rows x input_dim` batch on a [`tensor::Device`] (CPU or
+//! * [`forward`] — [`BuiltModel`]: a kernel plan per GEMM fixed at build
+//!   time (fp32 weights packed once with the bias and activation fused
+//!   into the GEMM, or int8) and one layer loop over a `rows x input_dim`
+//!   batch on a [`tensor::Device`] (CPU or
 //!   simulated GPU), with a reusable [`InferScratch`] arena;
 //! * [`session::Session`] — a model file built into a [`BuiltModel`] at
 //!   the paper's vector size of 1,024 rows (load → run → drop), and

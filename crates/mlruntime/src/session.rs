@@ -17,9 +17,11 @@ pub struct Session {
 }
 
 impl Session {
-    /// Load a model object.
+    /// Load a model object. A session's GEMMs run on the calling thread:
+    /// the engine's partition fan-out (or the UDF's pool of hosts) is
+    /// what runs sessions in parallel.
     pub fn from_model(name: &str, model: &Model, device: Device) -> Session {
-        let model = BuiltModel::from_model(model, &device, VECTOR_SIZE);
+        let model = BuiltModel::from_model(model, &device, VECTOR_SIZE, 1);
         Session { model, device, name: name.to_string() }
     }
 

@@ -213,18 +213,17 @@ fn fill_from_batch(batch: &Batch, router: &Router, slabs: &SlabPtrs) -> Result<(
 }
 
 /// Run the parallel build phase: allocate shared storage single-threaded,
-/// fill it from the model-table partitions in parallel, then assemble the
-/// fp32 [`BuiltModel`] (bias replication + one-shot GPU upload).
+/// fill it from the model-table partitions in parallel (on the scheduler
+/// pool), then assemble the fp32 [`BuiltModel`]: its kernel plan, whose
+/// large GEMMs split up to `threads` ways (the engine's parallelism), and
+/// the one-shot GPU upload.
 pub fn build_parallel(
     table: &Table,
     meta: &ModelMeta,
     layout: Layout,
     device: &Device,
     vector_size: usize,
-    // Unused (the fill runs on the scheduler pool); kept for
-    // benchmark/src/workloads/serve_point.rs until the next `benchmark`
-    // PR drops the argument.
-    _threads: usize,
+    threads: usize,
 ) -> Result<BuiltModel> {
     if table.schema().len() != layout.column_count() {
         return Err(EngineError::Catalog(format!(
@@ -262,8 +261,8 @@ pub fn build_parallel(
     }
 
     // Phase 3: the filled buffers become the layers' weights and biases,
-    // which the runtime assembles: bias replication to vectorsize x m
-    // (Sec. 5.4) and, for the GPU variant, one bulk transfer of the whole
+    // which the runtime assembles: weights packed into the kernel's panel
+    // layout and, for the GPU variant, one bulk transfer of the whole
     // model (Sec. 5.2: "always perform the parallel model build phase on
     // the host memory and move the model to GPU memory once building is
     // finished").
@@ -298,7 +297,7 @@ pub fn build_parallel(
             }
         }
     }
-    Ok(BuiltModel::from_layers(meta.input_dim, layers, device, vector_size))
+    Ok(BuiltModel::from_layers(meta.input_dim, layers, device, vector_size, threads))
 }
 
 /// The int8 variant of a built fp32 model, counted under
@@ -321,6 +320,8 @@ pub struct SharedModel {
     layout: Layout,
     device: Device,
     vector_size: usize,
+    /// The split width of the built model's large GEMMs.
+    threads: usize,
     /// Where a registered model's handle looks the model up; `None` builds.
     cache: Option<Arc<ModelCache>>,
     /// The model per dtype, indexed by `ModelDtype as usize`: fp32 from
@@ -335,13 +336,10 @@ impl SharedModel {
         layout: Layout,
         device: Device,
         vector_size: usize,
-        // Unused (the build runs on the scheduler pool); kept for
-        // benchmark/src/workloads/modeljoin_batch.rs until the next
-        // `benchmark` PR drops the argument.
-        _build_threads: usize,
+        threads: usize,
     ) -> Arc<SharedModel> {
         let (meta, cache, models) = (Arc::new(meta), None, Default::default());
-        Arc::new(SharedModel { table, meta, layout, device, vector_size, cache, models })
+        Arc::new(SharedModel { table, meta, layout, device, vector_size, threads, cache, models })
     }
 
     /// A handle that takes its model from `cache` instead of building it,
@@ -353,9 +351,10 @@ impl SharedModel {
         layout: Layout,
         device: Device,
         vector_size: usize,
+        threads: usize,
     ) -> Arc<SharedModel> {
         let (cache, models) = (Some(cache), Default::default());
-        Arc::new(SharedModel { table, meta, layout, device, vector_size, cache, models })
+        Arc::new(SharedModel { table, meta, layout, device, vector_size, threads, cache, models })
     }
 
     pub fn meta(&self) -> &ModelMeta {
@@ -377,13 +376,14 @@ impl SharedModel {
     /// cached handle asks its cache instead, which does the same.
     pub fn get_as(&self, dtype: ModelDtype) -> Result<Arc<BuiltModel>> {
         let (table, meta, layout, device) = (&self.table, &self.meta, self.layout, &self.device);
+        let (vector_size, threads) = (self.vector_size, self.threads);
         self.models[dtype as usize]
             .get_or_init(|| match (&self.cache, dtype) {
                 (Some(cache), _) => {
-                    cache.get_or_build(table, meta, layout, device, self.vector_size, dtype)
+                    cache.get_or_build(table, meta, layout, device, vector_size, threads, dtype)
                 }
                 (None, ModelDtype::F32) => {
-                    build_parallel(table, meta, layout, device, self.vector_size, 0).map(Arc::new)
+                    build_parallel(table, meta, layout, device, vector_size, threads).map(Arc::new)
                 }
                 (None, ModelDtype::I8) => self.get().map(|built| Arc::new(quantize(&built))),
             })
@@ -394,7 +394,7 @@ impl SharedModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlruntime::forward::{BuiltLayer, Weights};
+    use mlruntime::forward::{BuiltLayer, GemmPlan, Weights};
     use mlruntime::InferScratch;
     use model_repr::load_into_engine;
     use nn::paper;
@@ -444,7 +444,7 @@ mod tests {
             let x =
                 Matrix::from_fn(16, model.input_dim(), |r, c| ((r * 3 + c) as f32 * 0.41).sin());
             let direct_gpu = Device::gpu();
-            let direct = BuiltModel::from_model(&model, &direct_gpu, 16);
+            let direct = BuiltModel::from_model(&model, &direct_gpu, 16, 1);
             for layout in [Layout::NodeId, Layout::LayerNode] {
                 let engine = Engine::new(EngineConfig {
                     vector_size: 8,
@@ -504,7 +504,11 @@ mod tests {
         let x = Matrix::from_fn(13, model.input_dim(), |r, c| ((r * 5 + c) as f32 * 0.29).cos());
         let mut expected = x.clone();
         for layer in &quantized.layers {
-            let BuiltLayer::Dense { weights: Weights::I8 { w, bias }, activation } = layer else {
+            let BuiltLayer::Dense {
+                gemm: GemmPlan { weights: Weights::I8(w), bias, .. },
+                activation,
+            } = layer
+            else {
                 panic!("a quantized Dense model holds int8 Dense layers only")
             };
             let mut out = Matrix::zeros(expected.rows(), w.cols());
@@ -539,6 +543,50 @@ mod tests {
         let biases = (8 + 8 + 1) * vector_size * 4;
         assert_eq!(report.h2d_bytes as usize, weights + biases);
         let _ = built;
+    }
+
+    /// The simulated GPU times the paper's kernels (Sec. 5.4) while the
+    /// host runs the fused one: one build plus one inference charge the
+    /// model upload with every bias replicated to the vector size, the
+    /// input upload, per dense layer the bias copy, the GEMM and a
+    /// non-linear activation pass, and the output download — each charge
+    /// by the device model's formula, to the nanosecond.
+    #[test]
+    fn gpu_report_of_build_plus_infer_follows_the_paper_kernels() {
+        use tensor::{Activation, GpuModel};
+        let (vector_size, rows) = (16, 10);
+        let model = paper::dense_model(8, 2, 3);
+        let engine = Engine::new(EngineConfig::test_small());
+        let (table, meta) = load_into_engine(&engine, "m", &model, Layout::NodeId).unwrap();
+        let gpu = Device::gpu();
+        let built = build_parallel(&table, &meta, Layout::NodeId, &gpu, vector_size, 2).unwrap();
+        built.infer(&Matrix::from_fn(rows, 4, |r, c| (r + c) as f32 * 0.1), &gpu);
+
+        let g = GpuModel::a100();
+        let ns = |seconds: f64| (seconds * 1e9) as u64;
+        let transfer = |bytes: usize| ns(g.transfer_latency + bytes as f64 / g.pcie_bandwidth);
+        let elementwise = |bytes| ns(g.kernel_launch + bytes as f64 / g.elementwise_bandwidth);
+        let gemm = |k, n| ns(g.kernel_launch + (2 * rows * k * n) as f64 / g.gemm_throughput);
+        // (inputs, units, activation) per dense layer.
+        let layers =
+            [(4, 8, Activation::Relu), (8, 8, Activation::Relu), (8, 1, Activation::Sigmoid)];
+        let upload: usize = layers.iter().map(|&(k, n, _)| 4 * (k * n + vector_size * n)).sum();
+        let (input, output) = (4 * rows * 4, 4 * rows);
+        let mut modeled = transfer(upload) + transfer(input) + transfer(output);
+        let mut launches = 0;
+        for (k, n, act) in layers {
+            modeled += elementwise(8 * rows * n) + gemm(k, n);
+            launches += 2;
+            if act != Activation::Linear {
+                modeled += elementwise(8 * rows * n);
+                launches += 1;
+            }
+        }
+        let r = gpu.report();
+        assert_eq!(r.h2d_bytes as usize, upload + input);
+        assert_eq!(r.d2h_bytes as usize, output);
+        assert_eq!(r.kernel_launches, launches);
+        assert_eq!(r.device_modeled.as_nanos(), modeled as u128);
     }
 
     #[test]

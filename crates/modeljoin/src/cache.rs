@@ -87,6 +87,7 @@ impl ModelCache {
     /// for an entry still being built — by this thread or by another that
     /// may in turn be waiting on this one — waiting could deadlock, so the
     /// batch builds a private copy instead.
+    #[allow(clippy::too_many_arguments)] // build_parallel's inputs, plus the dtype
     pub fn get_or_build(
         &self,
         table: &Arc<Table>,
@@ -94,6 +95,7 @@ impl ModelCache {
         layout: Layout,
         device: &Device,
         vector_size: usize,
+        threads: usize,
         dtype: ModelDtype,
     ) -> Result<Arc<BuiltModel>> {
         let key = (table.name().to_string(), dtype);
@@ -138,10 +140,18 @@ impl ModelCache {
             .get_or_init(|| match dtype {
                 ModelDtype::F32 => {
                     let _building = Building(BUILDING.replace(true));
-                    build_parallel(table, meta, layout, device, vector_size, 0).map(Arc::new)
+                    build_parallel(table, meta, layout, device, vector_size, threads).map(Arc::new)
                 }
                 ModelDtype::I8 => self
-                    .get_or_build(table, meta, layout, device, vector_size, ModelDtype::F32)
+                    .get_or_build(
+                        table,
+                        meta,
+                        layout,
+                        device,
+                        vector_size,
+                        threads,
+                        ModelDtype::F32,
+                    )
                     .map(|fp32| Arc::new(quantize(&fp32))),
             })
             .clone();
@@ -196,8 +206,10 @@ mod tests {
     fn unchanged_table_builds_exactly_once() {
         let (_engine, table, meta) = engine_with_model();
         let cache = ModelCache::new();
-        let a = cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, F32).unwrap();
-        let b = cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, F32).unwrap();
+        let a =
+            cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, 1, F32).unwrap();
+        let b =
+            cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, 1, F32).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "second lookup must reuse the Arc");
         assert_eq!((cache.stats(F32), cache.len()), ((1, 1), 1), "one build, one hit");
     }
@@ -206,14 +218,16 @@ mod tests {
     fn dml_to_model_table_invalidates() {
         let (_engine, table, meta) = engine_with_model();
         let cache = ModelCache::new();
-        let a = cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, F32).unwrap();
+        let a =
+            cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, 1, F32).unwrap();
         // Append a row that routes nowhere harmful (an input-distribution
         // edge): the version bump alone must force a rebuild.
         let zeros = vec![ColumnVector::Float(vec![0.0]); table.schema().len() - 2];
         let mut cols = vec![ColumnVector::Int(vec![0]), ColumnVector::Int(vec![0])];
         cols.extend(zeros);
         table.append(cols).unwrap();
-        let b = cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, F32).unwrap();
+        let b =
+            cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, 1, F32).unwrap();
         assert!(!Arc::ptr_eq(&a, &b), "stale model must be rebuilt after DML");
         assert_eq!(cache.stats(F32).1, 2);
     }
@@ -224,13 +238,15 @@ mod tests {
     fn recreated_table_of_equal_version_rebuilds() {
         let (engine, table, meta) = engine_with_model();
         let cache = ModelCache::new();
-        let a = cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, F32).unwrap();
+        let a =
+            cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, 1, F32).unwrap();
         engine.execute("DROP TABLE m").unwrap();
         let other = paper::dense_model(4, 2, 12);
         let (table2, meta2) = load_into_engine(&engine, "m", &other, Layout::NodeId).unwrap();
         assert_eq!(table2.version(), table.version(), "versions alone cannot tell them apart");
-        let b =
-            cache.get_or_build(&table2, &meta2, Layout::NodeId, &Device::cpu(), 16, F32).unwrap();
+        let b = cache
+            .get_or_build(&table2, &meta2, Layout::NodeId, &Device::cpu(), 16, 1, F32)
+            .unwrap();
         assert!(!Arc::ptr_eq(&a, &b), "the re-created table must be rebuilt");
         assert_eq!(cache.stats(F32), (0, 2));
     }
@@ -243,7 +259,7 @@ mod tests {
         let (_engine, table, meta) = engine_with_model();
         let cache = ModelCache::new();
         let lookup = |dtype| {
-            cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, dtype).unwrap()
+            cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, 1, dtype).unwrap()
         };
         let built = lookup(F32);
         let q1 = lookup(ModelDtype::I8);
@@ -275,7 +291,7 @@ mod tests {
                     s.spawn(|| {
                         barrier.wait();
                         let cpu = Device::cpu();
-                        cache.get_or_build(&table, &meta, Layout::NodeId, &cpu, 16, F32).unwrap()
+                        cache.get_or_build(&table, &meta, Layout::NodeId, &cpu, 16, 1, F32).unwrap()
                     })
                 })
                 .collect();
@@ -307,7 +323,7 @@ mod tests {
             let (cache, done) = (Arc::clone(&cache), done.clone());
             sched::global().spawn(sched::TaskClass::Serve, move || {
                 let cpu = Device::cpu();
-                let built = cache.get_or_build(&table, &meta, Layout::NodeId, &cpu, 16, F32);
+                let built = cache.get_or_build(&table, &meta, Layout::NodeId, &cpu, 16, 1, F32);
                 done.send(built.is_ok()).unwrap();
             });
         }

@@ -25,11 +25,11 @@
 //!   partitioned model table is consumed and all execution threads fill a
 //!   *shared* set of weight and bias buffers without synchronization
 //!   (partitions are disjoint, so writes never collide), followed by a
-//!   single barrier. The runtime then assembles the model from them:
-//!   bias vectors are replicated to `vectorsize x m` matrices so bias
-//!   addition becomes one large pre-copied `C` in the `sgemm` call
-//!   (Sec. 5.4), and on the GPU variant the finished model is moved to
-//!   device memory in one transfer.
+//!   single barrier. The runtime then assembles the model from them into
+//!   its kernel plan: weights packed once, each bias a vector the GEMM's
+//!   epilogue adds (where Sec. 5.4 pre-copies a replicated bias matrix
+//!   into `C`, with the same bits), and on the GPU variant the finished
+//!   model is moved to device memory in one transfer.
 //!
 //! * **Inference phase** (Sec. 5.3/5.4, [`operator`]): every `next()` pulls
 //!   one vector of input columns, packs them into a `vectorsize x n` input

@@ -148,17 +148,11 @@ pub(crate) fn output_batch(batch: Batch, result: &[f32], outputs: usize) -> Batc
 struct ModelJoinNode {
     shared: Arc<SharedModel>,
     dtype: ModelDtype,
-    /// The engine's pool size, the kernel split width every operator sets.
-    kernel_threads: usize,
 }
 
 impl ModelJoinNode {
     fn for_engine(config: &EngineConfig, shared: Arc<SharedModel>) -> Arc<dyn InferModel> {
-        Arc::new(ModelJoinNode {
-            dtype: ModelDtype::for_engine(config, shared.device()),
-            kernel_threads: config.effective_worker_threads(),
-            shared,
-        })
+        Arc::new(ModelJoinNode { dtype: ModelDtype::for_engine(config, shared.device()), shared })
     }
 }
 
@@ -176,9 +170,6 @@ impl InferModel for ModelJoinNode {
     }
 
     fn operator(&self, input: Box<dyn Operator>, args: &[usize]) -> Box<dyn Operator> {
-        // Large per-batch multiplies may fan out over the same pool as the
-        // plan's tasks.
-        tensor::parallel::set_kernel_threads(self.kernel_threads);
         Box::new(ModelJoinOp::new(input, Arc::clone(&self.shared), args.to_vec(), self.dtype))
     }
 
@@ -230,6 +221,7 @@ pub fn register_model(
             layout,
             device.clone(),
             config.vector_size,
+            config.parallelism,
         );
         Ok(ModelJoinNode::for_engine(&config, shared))
     };

@@ -3,12 +3,13 @@
 //!
 //! The oracle is a direct [`build_parallel`] + single-row
 //! [`BuiltModel::infer`] per request. Per-row GEMM arithmetic is
-//! independent of the number of rows in the batch (the i-k-j kernel
-//! accumulates over `k` in the same order for every row), so the coalesced
-//! server batch must reproduce the oracle's f32 bits exactly — for the
-//! dense MLP and for the sequential LSTM, and for served batches longer
-//! than the vector size the model is built for, which run in vector-size
-//! slices.
+//! independent of the number of rows in the batch (the model's kernel
+//! plan runs one GEMM path for every batch size, accumulating over `k` in
+//! the same order for every row), so the coalesced server batch must
+//! reproduce the oracle's f32 bits exactly — for the dense MLP and for
+//! the sequential LSTM, at width 8 and at width 64 with batches of 16
+//! rows and more, and for served batches longer than the vector size the
+//! model is built for, which run in vector-size slices.
 
 use model_repr::{load_into_engine, Layout};
 use modeljoin::build_parallel;
@@ -20,8 +21,23 @@ use vector_engine::{Engine, EngineConfig};
 
 #[test]
 fn served_predictions_are_bit_identical_to_unbatched_inference() {
-    let stats = serve_against_the_oracle(16, 16);
+    let stats = serve_against_the_oracle(16, 16, 8, 40);
     assert_eq!(stats.batched_rows, 40);
+}
+
+/// Width 64, where a coalesced batch's GEMMs run several column panels
+/// and a batch of 16 rows or more fills whole row tiles: still bit for bit
+/// the single-row answer. Rounds repeat until the mean batch holds at
+/// least 16 rows (so at least one batch did).
+#[test]
+fn wide_served_batches_of_16_rows_and_more_are_bit_identical() {
+    for _ in 0..50 {
+        let stats = serve_against_the_oracle(64, 64, 64, 96);
+        if stats.batched_rows >= 16 * stats.batches {
+            return;
+        }
+    }
+    panic!("no round coalesced batches of 16 rows on average in 50 rounds");
 }
 
 /// The registration builds at the engine's vector size (4 here), so a
@@ -30,7 +46,7 @@ fn served_predictions_are_bit_identical_to_unbatched_inference() {
 #[test]
 fn served_batches_longer_than_the_vector_size_are_bit_identical() {
     for _ in 0..50 {
-        let stats = serve_against_the_oracle(4, 16);
+        let stats = serve_against_the_oracle(4, 16, 8, 40);
         if stats.batched_rows > 4 * stats.batches {
             return;
         }
@@ -38,11 +54,16 @@ fn served_batches_longer_than_the_vector_size_are_bit_identical() {
     panic!("no served batch outgrew the vector size in 50 rounds");
 }
 
-/// Serve ~40 interleaved dense and LSTM requests on an engine of
-/// `vector_size` with batches of up to `max_batch_rows`, assert every
-/// answer bit-identical to the single-row oracle, and return the server's
-/// counters.
-fn serve_against_the_oracle(vector_size: usize, max_batch_rows: usize) -> ServeStats {
+/// Serve `requests` interleaved dense and LSTM requests (both models
+/// `width` units wide) on an engine of `vector_size` with batches of up to
+/// `max_batch_rows`, assert every answer bit-identical to the single-row
+/// oracle, and return the server's counters.
+fn serve_against_the_oracle(
+    vector_size: usize,
+    max_batch_rows: usize,
+    width: usize,
+    requests: usize,
+) -> ServeStats {
     let engine = Arc::new(Engine::new(EngineConfig {
         vector_size,
         partitions: 2,
@@ -50,11 +71,8 @@ fn serve_against_the_oracle(vector_size: usize, max_batch_rows: usize) -> ServeS
         ..Default::default()
     }));
 
-    // Small models on purpose: both the coalesced batches and the
-    // single-row oracle stay below the blocked-GEMM dispatch threshold,
-    // exercising the same kernel (see tensor::blas dispatch rules).
-    let dense = paper::dense_model(8, 3, 42);
-    let lstm = paper::lstm_model(6, 43);
+    let dense = paper::dense_model(width, 3, 42);
+    let lstm = paper::lstm_model(width, 43);
     let (dense_table, dense_meta) =
         load_into_engine(&engine, "dense_model", &dense, Layout::NodeId).unwrap();
     let (lstm_table, lstm_meta) =
@@ -93,9 +111,9 @@ fn serve_against_the_oracle(vector_size: usize, max_batch_rows: usize) -> ServeS
         device.clone(),
     );
 
-    // ~40 requests, interleaving the two models with varied inputs so the
-    // batcher coalesces different subsets per flush.
-    let requests: Vec<(&str, Vec<f32>)> = (0..40)
+    // Interleave the two models with varied inputs so the batcher
+    // coalesces different subsets per flush.
+    let requests: Vec<(&str, Vec<f32>)> = (0..requests)
         .map(|i| {
             let x = i as f32;
             if i % 2 == 0 {

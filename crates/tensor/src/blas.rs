@@ -1,30 +1,29 @@
 //! The subset of BLAS the paper's ModelJoin operator needs (Listing 5).
 //!
 //! `sgemm` follows the BLAS convention `C := alpha * op(A) * op(B) +
-//! beta * C`, which is what lets the operator fold the bias addition into
-//! the multiplication by pre-copying the replicated bias matrix into `C`
-//! (paper Sec. 5.4).
+//! beta * C`, which is what lets the paper's operator fold the bias
+//! addition into the multiplication by pre-copying the replicated bias
+//! matrix into `C` (Sec. 5.4). A built model does the same without the
+//! matrix: [`crate::PackedMatrix::gemm`] adds a bias vector in the
+//! kernel's epilogue, with the same bits.
 //!
-//! Since PR 2 the multiply is a real kernel layer rather than a scalar
-//! triple loop. Dispatch, by problem size:
+//! The multiply is the cache-blocked kernel of the `packed` module, the
+//! same driver a built model's [`crate::PackedMatrix`] runs, for every
+//! shape: `sgemm` packs `op(B)` into this thread's scratch per call
+//! (absorbing the transpose there, as [`crate::pack`] absorbs A's), then
+//! accumulates `alpha * op(A) · op(B)` onto `beta * C`. Large multiplies
+//! split their M blocks across the shared scheduler pool
+//! ([`crate::parallel`]), up to its size.
 //!
-//! * degenerate / tiny shapes → [`sgemm_unblocked`], the seed kernels
-//!   (loop-ordered scalar code; lowest constant overhead);
-//! * everything else → a cache-blocked path: `KC`-deep slices of the K
-//!   dimension are repacked by [`crate::pack`] into contiguous zero-padded
-//!   micro-panels and multiplied by the register-tiled
-//!   [`crate::microkernel`]. All four transpose combinations are absorbed
-//!   at packing time and share this single multiplication path;
-//! * large multiplies additionally split their M-block grid across the
-//!   shared scheduler pool ([`crate::parallel`]) when the kernel thread
-//!   budget ([`crate::set_kernel_threads`]) is above 1.
-//!
-//! [`sgemm_reference`] is the deliberately naive oracle that the
-//! equivalence tests and the `gemm_sweep` benchmark compare against.
+//! [`sgemm_unblocked`] keeps the seed kernels (loop-ordered scalar code)
+//! as the baseline the `gemm_sweep` benchmark measures the blocked kernel
+//! against, and [`sgemm_reference`] is the deliberately naive oracle that
+//! the equivalence tests compare against.
 
+use crate::activation::Activation;
 use crate::matrix::Matrix;
-use crate::microkernel::microkernel;
-use crate::pack::{pack_a, pack_b, packed_a_len, packed_b_len, MatView, KC, MC, MR, NC, NR};
+use crate::pack::{pack_b_all, packed_b_all_len, MatView};
+use crate::packed::{gemm_panels, Init};
 use crate::parallel;
 use std::cell::RefCell;
 
@@ -44,22 +43,10 @@ impl Transpose {
     }
 }
 
-/// Below this FLOP count the packed path's copy overhead outweighs its
-/// locality gains and the seed kernels win.
-const BLOCKED_MIN_FLOPS: u64 = 1 << 17;
-
-/// Minimum FLOP count before a multiply is split across the worker pool;
-/// below this the fork/join latency dominates.
-const PARALLEL_MIN_FLOPS: u64 = 1 << 23;
-
 thread_local! {
-    /// Per-thread A-block packing buffer. Reused across every sgemm call on
-    /// this thread (operator threads and pool workers alike), so
-    /// steady-state inference does no allocation in the kernel layer.
-    static A_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread B-panel packing buffer. Separate from [`A_SCRATCH`]
-    /// because the calling thread holds the B borrow across the M-block
-    /// loop while also packing A blocks.
+    /// Per-thread buffer for the B operand `sgemm` packs per call. The
+    /// calling thread holds it across the M-block fan-out; workers only
+    /// read it.
     static B_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -91,12 +78,21 @@ pub fn sgemm(
     obs::metrics::TENSOR_GEMM_CALLS.add(1);
     obs::metrics::TENSOR_GEMM_FLOPS.add(flops);
     let _span = obs::span(&obs::metrics::TENSOR_GEMM_US);
-    if m == 1 || n == 1 || flops < BLOCKED_MIN_FLOPS {
-        sgemm_unblocked_inner(trans_a, trans_b, alpha, a, b, c, m, n, k);
-        return;
-    }
-    let threads = if flops >= PARALLEL_MIN_FLOPS { parallel::kernel_threads() } else { 1 };
-    sgemm_blocked(trans_a, trans_b, alpha, a, b, c, m, n, k, threads);
+    let threads = parallel::split_width(parallel::pool_threads(), m, k, n);
+    let va = MatView::new(a, trans_a);
+    B_SCRATCH.with(|scratch| {
+        let mut bbuf = scratch.borrow_mut();
+        let blen = packed_b_all_len(k, n);
+        if bbuf.len() < blen {
+            bbuf.resize(blen, 0.0);
+        }
+        {
+            let _pack = obs::span(&obs::metrics::TENSOR_PACK_US);
+            pack_b_all(&MatView::new(b, trans_b), k, n, &mut bbuf);
+        }
+        let c = c.as_mut_slice();
+        gemm_panels(&va, m, k, n, &bbuf, alpha, Init::Accumulate, Activation::Linear, c, threads);
+    });
 }
 
 /// `C *= beta` with the two BLAS special cases.
@@ -114,9 +110,9 @@ fn scale(beta: f32, c: &mut [f32]) {
 }
 
 /// The seed `sgemm` kernels: one loop ordering per transpose combination,
-/// no packing, no tiling. Still the best choice for tiny shapes, and the
-/// "old" baseline the `gemm_sweep` benchmark measures the blocked kernel
-/// against.
+/// no packing, no tiling — the "old" baseline the `gemm_sweep` benchmark
+/// measures the blocked kernel against. Not used by inference: its
+/// per-row arithmetic differs from the blocked kernel's.
 pub fn sgemm_unblocked(
     trans_a: Transpose,
     trans_b: Transpose,
@@ -135,21 +131,6 @@ pub fn sgemm_unblocked(
     if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
         return;
     }
-    sgemm_unblocked_inner(trans_a, trans_b, alpha, a, b, c, m, n, k);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn sgemm_unblocked_inner(
-    trans_a: Transpose,
-    trans_b: Transpose,
-    alpha: f32,
-    a: &Matrix,
-    b: &Matrix,
-    c: &mut Matrix,
-    m: usize,
-    n: usize,
-    k: usize,
-) {
     match (trans_a, trans_b) {
         // A row-major (inputs), B row-major (pre-transposed weights).
         // i-k-j loop order keeps B and C accesses sequential.
@@ -158,10 +139,8 @@ fn sgemm_unblocked_inner(
                 let a_row = a.row(i);
                 let c_row = c.row_mut(i);
                 for (kk, &aik) in a_row.iter().enumerate() {
+                    // No skip for s == 0: 0 × inf and 0 × NaN are NaN.
                     let s = alpha * aik;
-                    if s == 0.0 {
-                        continue;
-                    }
                     let b_row = b.row(kk);
                     for (cv, &bv) in c_row.iter_mut().zip(b_row) {
                         *cv += s * bv;
@@ -189,9 +168,6 @@ fn sgemm_unblocked_inner(
                 let b_row = b.row(kk);
                 for (i, &ai) in a_row.iter().enumerate().take(m) {
                     let s = alpha * ai;
-                    if s == 0.0 {
-                        continue;
-                    }
                     let c_row = c.row_mut(i);
                     for (cv, &bv) in c_row.iter_mut().zip(b_row) {
                         *cv += s * bv;
@@ -250,140 +226,6 @@ pub fn sgemm_reference(
     }
 }
 
-/// Raw C pointer that may cross the pool boundary. Tasks write disjoint
-/// row ranges of C (see `sgemm_blocked`), so sharing it is sound.
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f32);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-
-/// The cache-blocked, optionally multi-threaded path. Loop structure is
-/// the classic three-level blocking (GotoBLAS/BLIS):
-///
-/// ```text
-/// for jc in 0..n step NC        // B panel: fits shared cache
-///   for pc in 0..k step KC      // K slice: pack B once, reuse per M block
-///     pack B[pc.., jc..]        // shared, packed on the calling thread
-///     for ic in 0..m step MC    // A block: fits private cache  ← parallel
-///       pack A[ic.., pc..]      // per-thread scratch
-///       for jr, ir micro-tiles: microkernel (MR x NR)
-/// ```
-///
-/// Threads split the `ic` loop, so each task owns disjoint row ranges of C
-/// and no synchronization beyond the per-slice join is needed.
-#[allow(clippy::too_many_arguments)]
-fn sgemm_blocked(
-    trans_a: Transpose,
-    trans_b: Transpose,
-    alpha: f32,
-    a: &Matrix,
-    b: &Matrix,
-    c: &mut Matrix,
-    m: usize,
-    n: usize,
-    k: usize,
-    threads: usize,
-) {
-    let va = MatView::new(a, trans_a);
-    let vb = MatView::new(b, trans_b);
-    let ldc = c.cols();
-    let cptr = SendPtr(c.as_mut_slice().as_mut_ptr());
-
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            // Pack the shared B panel once per K slice on this thread,
-            // into its scratch; workers only read it.
-            B_SCRATCH.with(|scratch| {
-                let mut bbuf = scratch.borrow_mut();
-                let bbuf = &mut *bbuf;
-                let blen = packed_b_len(kc, nc);
-                if bbuf.len() < blen {
-                    bbuf.resize(blen, 0.0);
-                }
-                {
-                    let _pack = obs::span(&obs::metrics::TENSOR_PACK_US);
-                    pack_b(&vb, pc, kc, jc, nc, bbuf);
-                }
-                let bbuf: &[f32] = bbuf;
-
-                let m_blocks = m.div_ceil(MC);
-                let workers = threads.clamp(1, m_blocks);
-                if workers == 1 {
-                    m_block_range(&va, bbuf, cptr, ldc, alpha, m, pc, kc, jc, nc, 0, 1);
-                } else {
-                    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..workers)
-                        .map(|w| {
-                            Box::new(move || {
-                                m_block_range(
-                                    &va, bbuf, cptr, ldc, alpha, m, pc, kc, jc, nc, w, workers,
-                                );
-                            }) as Box<dyn FnOnce() + Send + '_>
-                        })
-                        .collect();
-                    parallel::run_scoped(tasks);
-                }
-            });
-        }
-    }
-}
-
-/// Process M blocks `start, start + stride, ...` of one packed K slice:
-/// pack each A block into this thread's scratch and run the micro-kernel
-/// grid against the shared B panel.
-#[allow(clippy::too_many_arguments)]
-fn m_block_range(
-    va: &MatView<'_>,
-    bbuf: &[f32],
-    cptr: SendPtr,
-    ldc: usize,
-    alpha: f32,
-    m: usize,
-    pc: usize,
-    kc: usize,
-    jc: usize,
-    nc: usize,
-    start: usize,
-    stride: usize,
-) {
-    A_SCRATCH.with(|scratch| {
-        let mut abuf = scratch.borrow_mut();
-        let abuf = &mut *abuf;
-        let alen = packed_a_len(MC, kc);
-        if abuf.len() < alen {
-            abuf.resize(alen, 0.0);
-        }
-        let m_blocks = m.div_ceil(MC);
-        let mut block = start;
-        while block < m_blocks {
-            let ic = block * MC;
-            let mc = MC.min(m - ic);
-            {
-                let _pack = obs::span(&obs::metrics::TENSOR_PACK_US);
-                pack_a(va, ic, mc, pc, kc, abuf);
-            }
-            for q in 0..nc.div_ceil(NR) {
-                let nr_eff = NR.min(nc - q * NR);
-                let bp = &bbuf[q * kc * NR..(q + 1) * kc * NR];
-                for p in 0..mc.div_ceil(MR) {
-                    let mr_eff = MR.min(mc - p * MR);
-                    let ap = &abuf[p * kc * MR..(p + 1) * kc * MR];
-                    // SAFETY: the tile at rows ic+p*MR.., cols jc+q*NR..
-                    // lies inside C (mr_eff/nr_eff clamp to the matrix
-                    // edge) and this task is the only writer of rows
-                    // [ic, ic+mc) — tasks partition the M blocks.
-                    unsafe {
-                        let ctile = cptr.0.add((ic + p * MR) * ldc + jc + q * NR);
-                        microkernel(kc, alpha, ap, bp, ctile, ldc, mr_eff, nr_eff);
-                    }
-                }
-            }
-            block += stride;
-        }
-    });
-}
-
 /// Matrix-vector multiply: `y := alpha * op(A) * x + beta * y`.
 pub fn sgemv(trans: Transpose, alpha: f32, a: &Matrix, x: &[f32], beta: f32, y: &mut [f32]) {
     let (m, n) = trans.dims(a);
@@ -404,9 +246,6 @@ pub fn sgemv(trans: Transpose, alpha: f32, a: &Matrix, x: &[f32], beta: f32, y: 
         Transpose::Yes => {
             for (kk, &xv) in x.iter().enumerate() {
                 let s = alpha * xv;
-                if s == 0.0 {
-                    continue;
-                }
                 let row = a.row(kk);
                 for (yv, &av) in y.iter_mut().zip(row) {
                     *yv += s * av;
@@ -457,6 +296,7 @@ pub fn gemm_flops(m: usize, k: usize, n: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pack::KC;
 
     fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
         let mut c = Matrix::zeros(a.rows(), b.cols());
@@ -540,8 +380,8 @@ mod tests {
 
     #[test]
     fn blocked_path_matches_reference_above_threshold() {
-        // 128 x 96 x 112 is comfortably above BLOCKED_MIN_FLOPS and not a
-        // multiple of any tile size in any dimension.
+        // 128 x 96 x 112 is not a multiple of any tile size in any
+        // dimension.
         let a = sample(128, 96, 0.4);
         let b = sample(96, 112, 0.8);
         let mut c = sample(128, 112, 0.1);
@@ -568,15 +408,17 @@ mod tests {
     fn threaded_gemm_matches_single_threaded() {
         let a = sample(512, 256, 0.3);
         let b = sample(256, 192, 0.5);
+        let packed = crate::PackedMatrix::pack(&b);
         let mut c1 = Matrix::zeros(512, 192);
-        let mut c2 = Matrix::zeros(512, 192);
-        crate::parallel::set_kernel_threads(1);
-        sgemm(Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut c1);
-        crate::parallel::set_kernel_threads(4);
-        sgemm(Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut c2);
-        crate::parallel::set_kernel_threads(1);
-        // Identical arithmetic per tile → bit-identical results.
-        assert_eq!(c1, c2);
+        let mut c4 = Matrix::zeros(512, 192);
+        packed.gemm(&a, Init::Zero, Activation::Linear, &mut c1, 1);
+        packed.gemm(&a, Init::Zero, Activation::Linear, &mut c4, 4);
+        // Identical arithmetic per tile → bit-identical results, and the
+        // generic entry (at the pool's width) runs the same arithmetic.
+        assert_eq!(c1, c4);
+        let mut c = Matrix::zeros(512, 192);
+        sgemm(Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut c);
+        assert_eq!(c, c1);
     }
 
     #[test]

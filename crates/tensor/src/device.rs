@@ -17,8 +17,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::activation::Activation;
-use crate::blas::{self, Transpose};
-use crate::matrix::Matrix;
+use crate::blas;
 
 /// Which physical (or simulated) device a [`Device`] represents.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -208,25 +207,35 @@ impl Device {
         }
     }
 
-    /// Device matrix multiply (see [`blas::sgemm`] for semantics).
-    #[allow(clippy::too_many_arguments)] // mirrors the BLAS sgemm signature
-    pub fn gemm(
+    /// Run `kernel`, the host's fused dense layer over an `m x k · k x n`
+    /// product (bias and activation in the GEMM's epilogue, see
+    /// [`crate::PackedMatrix::gemm`]), and charge the kernels the paper's
+    /// operator launches for it (Sec. 5.4): the copy of the replicated
+    /// bias matrix into `C` when `bias` is set, the `sgemm`, and the
+    /// activation kernel unless it is linear. The modeled device so times
+    /// the paper's kernels, whatever the host fuses.
+    pub fn dense<R>(
         &self,
-        trans_a: Transpose,
-        trans_b: Transpose,
-        alpha: f32,
-        a: &Matrix,
-        b: &Matrix,
-        beta: f32,
-        c: &mut Matrix,
-    ) {
-        let (m, k) = match trans_a {
-            Transpose::No => (a.rows(), a.cols()),
-            Transpose::Yes => (a.cols(), a.rows()),
-        };
-        let n = c.cols();
-        let cost = self.model.gemm_time(blas::gemm_flops(m, k, n));
-        self.run_kernel(cost, || blas::sgemm(trans_a, trans_b, alpha, a, b, beta, c));
+        (m, k, n): (usize, usize, usize),
+        bias: bool,
+        activation: Activation,
+        kernel: impl FnOnce() -> R,
+    ) -> R {
+        let start = Instant::now();
+        let out = kernel();
+        let wall = start.elapsed().as_nanos() as u64;
+        self.counters.wall_ns.fetch_add(wall, Ordering::Relaxed);
+        if self.is_gpu() {
+            let elementwise = self.model.elementwise_time(8 * m * n);
+            let copy = bias.then_some(elementwise);
+            let act = (activation != Activation::Linear).then_some(elementwise);
+            let gemm = Some(self.model.gemm_time(blas::gemm_flops(m, k, n)));
+            for seconds in [copy, gemm, act].into_iter().flatten() {
+                self.charge_modeled(seconds);
+                self.counters.kernel_launches.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        out
     }
 
     /// Device element-wise multiply.
@@ -239,12 +248,6 @@ impl Device {
     pub fn vs_add(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
         let cost = self.model.elementwise_time(12 * out.len());
         self.run_kernel(cost, || blas::vs_add(a, b, out));
-    }
-
-    /// Device buffer copy.
-    pub fn copy(&self, src: &[f32], dst: &mut [f32]) {
-        let cost = self.model.elementwise_time(8 * src.len());
-        self.run_kernel(cost, || blas::scopy(src, dst));
     }
 
     /// Device activation kernel (the "handcrafted CUDA kernels" of Sec. 5.4).
@@ -266,6 +269,16 @@ impl std::fmt::Debug for Device {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blas::{sgemm, Transpose};
+    use crate::matrix::Matrix;
+
+    /// `c = a · b` as one dense kernel on `dev`.
+    fn gemm(dev: &Device, a: &Matrix, b: &Matrix, c: &mut Matrix) {
+        let shape = (a.rows(), a.cols(), b.cols());
+        dev.dense(shape, false, Activation::Linear, || {
+            sgemm(Transpose::No, Transpose::No, 1.0, a, b, 0.0, c)
+        });
+    }
 
     #[test]
     fn cpu_adjust_is_identity_and_charges_nothing() {
@@ -273,7 +286,7 @@ mod tests {
         let a = Matrix::from_fn(4, 4, |r, c| (r + c) as f32);
         let b = a.clone();
         let mut c = Matrix::zeros(4, 4);
-        dev.gemm(Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut c);
+        gemm(&dev, &a, &b, &mut c);
         dev.transfer_h2d(1 << 20);
         let r = dev.report();
         assert_eq!(r.device_modeled, Duration::ZERO);
@@ -290,8 +303,8 @@ mod tests {
         let b = Matrix::from_fn(6, 5, |r, c| ((r * 5 + c) as f32 * 0.2).cos());
         let mut c1 = Matrix::zeros(8, 5);
         let mut c2 = Matrix::zeros(8, 5);
-        cpu.gemm(Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut c1);
-        gpu.gemm(Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut c2);
+        gemm(&cpu, &a, &b, &mut c1);
+        gemm(&gpu, &a, &b, &mut c2);
         assert_eq!(c1, c2);
     }
 
@@ -302,7 +315,7 @@ mod tests {
         let a = Matrix::zeros(16, 16);
         let b = Matrix::zeros(16, 16);
         let mut c = Matrix::zeros(16, 16);
-        gpu.gemm(Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut c);
+        gemm(&gpu, &a, &b, &mut c);
         let r = gpu.report();
         assert_eq!(r.h2d_bytes, 12_000_000);
         assert_eq!(r.kernel_launches, 1);
@@ -317,13 +330,32 @@ mod tests {
         let a = Matrix::from_fn(64, 64, |r, c| (r * 64 + c) as f32 * 1e-4);
         let b = a.clone();
         let mut c = Matrix::zeros(64, 64);
-        gpu.gemm(Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut c);
+        gemm(&gpu, &a, &b, &mut c);
         let r = gpu.report();
         let total = r.device_wall + Duration::from_millis(3);
         let adjusted = gpu.adjust(total);
         let expected = Duration::from_millis(3) + r.device_modeled;
         let diff = adjusted.abs_diff(expected);
         assert!(diff < Duration::from_micros(10));
+    }
+
+    /// A dense layer charges the paper's kernels: the bias copy and the
+    /// activation as element-wise passes over `C`, plus the GEMM.
+    #[test]
+    fn dense_charges_bias_copy_gemm_and_activation() {
+        let gpu = Device::gpu();
+        gpu.dense((64, 32, 16), true, Activation::Relu, || ());
+        let model = GpuModel::a100();
+        let ns = |s: f64| (s * 1e9) as u64;
+        let elementwise = ns(model.elementwise_time(8 * 64 * 16));
+        let gemm = ns(model.gemm_time(blas::gemm_flops(64, 32, 16)));
+        let r = gpu.report();
+        assert_eq!(r.kernel_launches, 3);
+        assert_eq!(r.device_modeled.as_nanos() as u64, 2 * elementwise + gemm);
+        gpu.reset();
+        gpu.dense((64, 32, 16), false, Activation::Linear, || ());
+        assert_eq!(gpu.report().kernel_launches, 1);
+        assert_eq!(gpu.report().device_modeled.as_nanos() as u64, gemm);
     }
 
     #[test]
@@ -341,12 +373,12 @@ mod tests {
         let gpu = Device::gpu();
         let small = Matrix::zeros(32, 32);
         let mut c_small = Matrix::zeros(32, 32);
-        gpu.gemm(Transpose::No, Transpose::No, 1.0, &small, &small, 0.0, &mut c_small);
+        gemm(&gpu, &small, &small, &mut c_small);
         let t_small = gpu.report().device_modeled;
         gpu.reset();
         let big = Matrix::zeros(512, 512);
         let mut c_big = Matrix::zeros(512, 512);
-        gpu.gemm(Transpose::No, Transpose::No, 1.0, &big, &big, 0.0, &mut c_big);
+        gemm(&gpu, &big, &big, &mut c_big);
         let t_big = gpu.report().device_modeled;
         assert!(t_big > t_small);
     }

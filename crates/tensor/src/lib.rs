@@ -4,7 +4,9 @@
 //! inference through the BLAS interface (Intel MKL on the CPU, cuBLAS on the
 //! GPU). This crate is the stand-in for both: it provides the handful of
 //! kernels Listing 5 of the paper needs (`sgemm`, `sgemv`, element-wise
-//! multiply/add, activations) over row-major `f32` matrices, plus a
+//! multiply/add, activations) over row-major `f32` matrices, weight
+//! matrices packed once for a fused bias-and-activation GEMM
+//! ([`PackedMatrix`]), plus a
 //! [`device::Device`] abstraction with a real CPU backend and a *simulated*
 //! GPU backend.
 //!
@@ -20,6 +22,7 @@ pub mod device;
 pub mod matrix;
 mod microkernel;
 mod pack;
+mod packed;
 pub mod parallel;
 pub mod quant;
 mod simd;
@@ -27,6 +30,7 @@ mod simd;
 pub use activation::Activation;
 pub use device::{Device, DeviceKind, DeviceReport, GpuModel};
 pub use matrix::Matrix;
-pub use parallel::{kernel_threads, set_kernel_threads, set_unified_scheduler};
+pub use packed::{Init, PackedMatrix};
+pub use parallel::{set_kernel_threads, set_unified_scheduler, split_width};
 pub use quant::{qgemm_dense, QuantScratch, QuantizedWeights};
 pub use simd::{f32_kernel_name, i8_kernel_name};

@@ -148,6 +148,16 @@ impl Matrix {
         self.cols = cols;
     }
 
+    /// Reshape in place to `rows x cols`, reusing the backing allocation
+    /// like [`Matrix::resize_zeroed`] but without zero-filling: the values
+    /// are whatever the buffer held (zeros where it grew). For outputs a
+    /// kernel overwrites entirely.
+    pub fn reshape(&mut self, rows: usize, cols: usize) {
+        self.data.resize(rows * cols, 0.0);
+        self.rows = rows;
+        self.cols = cols;
+    }
+
     /// Maximum absolute element-wise difference to `other`.
     /// Panics on shape mismatch. Useful in tests comparing approaches.
     pub fn max_abs_diff(&self, other: &Matrix) -> f32 {

@@ -9,12 +9,17 @@
 //!
 //! Kernel selection is *runtime* dispatch, cached in [`crate::simd`] —
 //! not `cfg(target_feature)`, which silently degraded builds compiled
-//! without `-C target-cpu=native` to the scalar path. Full tiles pick the
-//! widest kernel the host supports; edge tiles always fall through to the
-//! scalar kernels so the hot paths carry no masking logic.
+//! without `-C target-cpu=native` to the scalar path.
 //!
-//! fp32: AVX-512 8×32 FMA kernel or a portable scalar kernel whose
-//! fixed-size `MR x NR` accumulator autovectorizes.
+//! fp32: one AVX-512 8×32 FMA kernel for **every** tile, full or edge:
+//! an edge tile (`mr_eff < MR` or `nr_eff < NR`) runs the same FMAs in the
+//! same k-order and only masks its loads and stores, so an output
+//! element's bits do not depend on where its row or column falls in the
+//! tile grid — the batch size never changes a row's result. A one-row
+//! GEMM runs [`microkernel_row`] over the row in place, with the same FMA
+//! chains. Hosts without AVX-512 run a portable scalar kernel (whose
+//! fixed-size `MR x NR` accumulator autovectorizes) for every tile
+//! instead.
 //!
 //! int8 (u8 activations × i8 weights → i32): three kernels that are
 //! **bit-identical** by construction — activations are quantized to 7 bits
@@ -25,23 +30,33 @@
 //! * AVX-512 VNNI: `vpdpbusd`, 4 u8·i8 MACs per i32 lane per instruction;
 //! * AVX-512 BW widening: `vpmaddubsw` + `vpmaddwd` + `vpaddd`, exact
 //!   `vpdpbusd` emulation for hosts without VNNI;
-//! * portable scalar fallback.
+//! * portable scalar fallback (also the int8 edge tiles).
 
 use crate::pack::{KG, MR, NR};
 use crate::simd;
 
-/// `C[0..mr_eff, 0..nr_eff] += alpha * Ap · Bp` (fp32).
+/// `C[0..mr_eff, 0..nr_eff] = S + alpha * Ap · Bp` (fp32), where `S` is
+/// the `mr_eff x nr_eff` tile at `src` with leading dimension `lds`, and
+/// with `relu` every stored element `max(x, 0)` (as `f32::max`: a NaN
+/// stores 0).
+///
+/// `src` is what this K slice adds its product to: `c` itself (an
+/// accumulating slice), a bias row read by every tile row (`lds = 0`), or
+/// zeros. Each element is `fma(alpha, acc, s)` where `acc` sums the `kc`
+/// products in k-order from zero.
 ///
 /// `ap` is one packed A micro-panel (`kc * MR` values), `bp` one packed B
 /// micro-panel (`kc * NR` values); both are zero-padded so the accumulation
 /// loop itself is always the full `MR x NR` shape. `c` points at the first
 /// element of the target tile inside a row-major C with leading dimension
-/// `ldc`; only the `mr_eff x nr_eff` valid region is written back.
+/// `ldc`; only the `mr_eff x nr_eff` valid region is read from `src` and
+/// written to `c`.
 ///
 /// # Safety
-/// `c` must be valid for reads and writes of rows `0..mr_eff` with columns
-/// `0..nr_eff` at leading dimension `ldc`, and no other thread may access
-/// that region concurrently.
+/// `src` must be valid for reads of rows `0..mr_eff` (at stride `lds`)
+/// with columns `0..nr_eff`; `c` must be valid for writes of rows
+/// `0..mr_eff` with columns `0..nr_eff` at leading dimension `ldc`, and no
+/// other thread may access that region of `c` concurrently.
 #[inline]
 #[allow(clippy::too_many_arguments)] // mirrors the BLIS micro-kernel ABI
 pub(crate) unsafe fn microkernel(
@@ -49,69 +64,219 @@ pub(crate) unsafe fn microkernel(
     alpha: f32,
     ap: &[f32],
     bp: &[f32],
+    src: *const f32,
+    lds: usize,
     c: *mut f32,
     ldc: usize,
     mr_eff: usize,
     nr_eff: usize,
+    relu: bool,
 ) {
     debug_assert!(ap.len() >= kc * MR);
     debug_assert!(bp.len() >= kc * NR);
     debug_assert!(mr_eff <= MR && nr_eff <= NR);
 
     #[cfg(target_arch = "x86_64")]
-    if mr_eff == MR && nr_eff == NR && simd::avx512f() {
-        unsafe { microkernel_avx512(kc, alpha, ap, bp, c, ldc) };
+    if simd::avx512f() {
+        let (src, c) = ((src, lds), (c, ldc));
+        let args = (kc, alpha, ap, bp, src, c, mr_eff, nr_eff, relu);
+        // SAFETY: the caller's contract, forwarded; AVX-512F is present.
+        unsafe {
+            if nr_eff > NR / 2 {
+                microkernel_avx512::<true>(args);
+            } else {
+                microkernel_avx512::<false>(args);
+            }
+        }
         return;
     }
 
-    unsafe { microkernel_scalar(kc, alpha, ap, bp, c, ldc, mr_eff, nr_eff) };
+    // SAFETY: the caller's contract, forwarded.
+    unsafe { microkernel_scalar(kc, alpha, ap, bp, src, lds, c, ldc, mr_eff, nr_eff, relu) };
 }
 
-/// Full-tile AVX-512 kernel: MR = 8 rows × NR = 32 columns, two zmm
+/// The AVX-512 kernel: MR = 8 rows × NR = 32 columns, two zmm
 /// accumulators per row. Per `k` step: two B loads, then per row one
 /// broadcast of the A element feeding two FMAs — 16 FMAs against 10 loads,
-/// so the loop is FMA-throughput-bound, not load-bound.
+/// so the loop is FMA-throughput-bound, not load-bound. `WIDE = false`
+/// (a tile of at most 16 valid columns, such as a one-unit output layer)
+/// skips the upper half: the lower 16 lanes run exactly the same FMAs
+/// either way, so the choice never changes a bit. The ReLU is
+/// `vmaxps(x, 0)`, which returns its second operand for a NaN, as
+/// `f32::max(x, 0.0)` does; the two differ only on `-0.0`, which a
+/// write-back never produces (an FMA chain from `+0.0` sums to `-0.0`
+/// only from `-0.0` addends).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn microkernel_avx512(
-    kc: usize,
-    alpha: f32,
-    ap: &[f32],
-    bp: &[f32],
-    c: *mut f32,
-    ldc: usize,
+#[allow(clippy::type_complexity)] // the micro-kernel ABI as one tuple
+unsafe fn microkernel_avx512<const WIDE: bool>(
+    (kc, alpha, ap, bp, (src, lds), (c, ldc), mr_eff, nr_eff, relu): (
+        usize,
+        f32,
+        &[f32],
+        &[f32],
+        (*const f32, usize),
+        (*mut f32, usize),
+        usize,
+        usize,
+        bool,
+    ),
 ) {
     use std::arch::x86_64::*;
     const _: () = assert!(MR == 8 && NR == 32, "kernel is tiled for 8 x 32");
 
+    // Lane masks of the valid columns in each 16-lane half.
+    let mask = |lanes: usize| -> __mmask16 { ((1u32 << lanes.min(16)) - 1) as __mmask16 };
+    let (m_lo, m_hi) = (mask(nr_eff), mask(nr_eff.saturating_sub(16)));
+    // SAFETY: the panels hold `kc * MR` and `kc * NR` values (asserted by
+    // the dispatcher), which bounds every A broadcast and B load; `src`
+    // and `c` accesses are masked to the caller's valid region.
     unsafe {
         let mut acc_lo = [_mm512_setzero_ps(); MR];
         let mut acc_hi = [_mm512_setzero_ps(); MR];
         let mut a = ap.as_ptr();
         let mut b = bp.as_ptr();
-        for _ in 0..kc {
+        for k in 0..kc {
+            // A k step of the B panel is two cache lines, and the panel
+            // (KC x NR floats) outgrows L1: fetch 8 steps ahead, staying
+            // inside the panel (the last steps re-touch their own line).
+            let ahead = if k + 8 < kc { b.add(8 * NR) } else { b }.cast::<i8>();
+            _mm_prefetch::<_MM_HINT_T0>(ahead);
+            _mm_prefetch::<_MM_HINT_T0>(ahead.add(64));
             let b_lo = _mm512_loadu_ps(b);
-            let b_hi = _mm512_loadu_ps(b.add(16));
+            let b_hi = if WIDE { _mm512_loadu_ps(b.add(16)) } else { _mm512_setzero_ps() };
             for i in 0..MR {
                 let ai = _mm512_set1_ps(*a.add(i));
                 acc_lo[i] = _mm512_fmadd_ps(ai, b_lo, acc_lo[i]);
-                acc_hi[i] = _mm512_fmadd_ps(ai, b_hi, acc_hi[i]);
+                if WIDE {
+                    acc_hi[i] = _mm512_fmadd_ps(ai, b_hi, acc_hi[i]);
+                }
             }
             a = a.add(MR);
             b = b.add(NR);
         }
         let va = _mm512_set1_ps(alpha);
+        let zero = _mm512_setzero_ps();
+        let act = |v| if relu { _mm512_max_ps(v, zero) } else { v };
+        // A constant trip count with a guard keeps the accumulators in
+        // registers (a variable bound would index them through memory).
         for i in 0..MR {
-            let crow = c.add(i * ldc);
-            let lo = _mm512_fmadd_ps(va, acc_lo[i], _mm512_loadu_ps(crow));
-            let hi = _mm512_fmadd_ps(va, acc_hi[i], _mm512_loadu_ps(crow.add(16)));
-            _mm512_storeu_ps(crow, lo);
-            _mm512_storeu_ps(crow.add(16), hi);
+            if i < mr_eff {
+                let (s, crow) = (src.add(i * lds), c.add(i * ldc));
+                let lo = _mm512_fmadd_ps(va, acc_lo[i], _mm512_maskz_loadu_ps(m_lo, s));
+                _mm512_mask_storeu_ps(crow, m_lo, act(lo));
+                if WIDE {
+                    let s_hi = _mm512_maskz_loadu_ps(m_hi, s.add(16));
+                    let hi = _mm512_fmadd_ps(va, acc_hi[i], s_hi);
+                    _mm512_mask_storeu_ps(crow.add(16), m_hi, act(hi));
+                }
+            }
         }
     }
 }
 
-/// Portable scalar fp32 kernel; also handles edge tiles for the SIMD path.
+/// Most B micro-panels [`microkernel_row`] spans per call.
+pub(crate) const ROW_TILES: usize = 4;
+
+/// One row of output across `tiles` (1..=[`ROW_TILES`]) consecutive B
+/// micro-panels,
+/// for a one-row GEMM: `C[0, 0..] = S + alpha * a · Bp` with `a` the
+/// row's `kc` values read in place (no packed A panel) and tile `t` of B
+/// at `bp + t * kc * NR`. Each element runs exactly the FMA chain of
+/// [`microkernel`] (same k-order, `fma(alpha, acc, s)` write-back, same
+/// ReLU), so it has the bits the row would get inside any batch; the
+/// tiles' chains interleave, so a one-row layer is not latency-bound on
+/// one tile at a time. Only the first `nr_last` columns of the last tile
+/// are read from `src` and written; `src` advances `src_step` per tile
+/// (`NR`, or 0 for a zero row).
+///
+/// # Safety
+/// The host must have AVX-512F (`simd::avx512f()`; elsewhere callers take
+/// the packed path). `a` must hold `kc` values and `bp`
+/// `tiles * kc * NR`; `src` and `c` must be valid for the row's
+/// `(tiles - 1) * NR + nr_last` columns (at `src_step` per tile for
+/// `src`), and no other thread may access that region of `c`
+/// concurrently.
+#[allow(clippy::too_many_arguments)] // the micro-kernel ABI, one row wide
+pub(crate) unsafe fn microkernel_row(
+    kc: usize,
+    alpha: f32,
+    a: &[f32],
+    bp: &[f32],
+    tiles: usize,
+    (src, src_step): (*const f32, usize),
+    c: *mut f32,
+    nr_last: usize,
+    relu: bool,
+) {
+    debug_assert!(simd::avx512f());
+    debug_assert!(a.len() >= kc && bp.len() >= tiles * kc * NR);
+    debug_assert!((1..=ROW_TILES).contains(&tiles) && (1..=NR).contains(&nr_last));
+    #[cfg(target_arch = "x86_64")]
+    {
+        let args = (kc, alpha, a, bp, (src, src_step), c, nr_last, relu);
+        // SAFETY: the caller's contract, forwarded (AVX-512F included).
+        unsafe {
+            match tiles {
+                1 => microkernel_row_avx512::<1>(args),
+                2 => microkernel_row_avx512::<2>(args),
+                3 => microkernel_row_avx512::<3>(args),
+                _ => microkernel_row_avx512::<4>(args),
+            }
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    unreachable!("the one-row kernel runs only on AVX-512 hosts");
+}
+
+/// [`microkernel_row`] on AVX-512, `TILES` panels at a time.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::type_complexity)] // the micro-kernel ABI as one tuple
+unsafe fn microkernel_row_avx512<const TILES: usize>(
+    (kc, alpha, a, bp, (src, src_step), c, nr_last, relu): (
+        usize,
+        f32,
+        &[f32],
+        &[f32],
+        (*const f32, usize),
+        *mut f32,
+        usize,
+        bool,
+    ),
+) {
+    use std::arch::x86_64::*;
+    let mask = |lanes: usize| -> __mmask16 { ((1u32 << lanes.min(16)) - 1) as __mmask16 };
+    // SAFETY: `a` holds `kc` values and `bp` `TILES * kc * NR` (the
+    // caller's contract), which bounds every load; `src` and `c` accesses
+    // are masked to the valid columns.
+    unsafe {
+        let mut acc_lo = [_mm512_setzero_ps(); TILES];
+        let mut acc_hi = [_mm512_setzero_ps(); TILES];
+        let (a, b) = (a.as_ptr(), bp.as_ptr());
+        for k in 0..kc {
+            let ak = _mm512_set1_ps(*a.add(k));
+            for t in 0..TILES {
+                let bk = b.add((t * kc + k) * NR);
+                acc_lo[t] = _mm512_fmadd_ps(ak, _mm512_loadu_ps(bk), acc_lo[t]);
+                acc_hi[t] = _mm512_fmadd_ps(ak, _mm512_loadu_ps(bk.add(16)), acc_hi[t]);
+            }
+        }
+        let (va, zero) = (_mm512_set1_ps(alpha), _mm512_setzero_ps());
+        let act = |v| if relu { _mm512_max_ps(v, zero) } else { v };
+        for t in 0..TILES {
+            let cols = if t + 1 == TILES { nr_last } else { NR };
+            let (m_lo, m_hi) = (mask(cols), mask(cols.saturating_sub(16)));
+            let (s, crow) = (src.add(t * src_step), c.add(t * NR));
+            let lo = _mm512_fmadd_ps(va, acc_lo[t], _mm512_maskz_loadu_ps(m_lo, s));
+            _mm512_mask_storeu_ps(crow, m_lo, act(lo));
+            let hi = _mm512_fmadd_ps(va, acc_hi[t], _mm512_maskz_loadu_ps(m_hi, s.add(16)));
+            _mm512_mask_storeu_ps(crow.add(16), m_hi, act(hi));
+        }
+    }
+}
+
+/// Portable scalar fp32 kernel, for every tile on hosts without AVX-512.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 unsafe fn microkernel_scalar(
@@ -119,10 +284,13 @@ unsafe fn microkernel_scalar(
     alpha: f32,
     ap: &[f32],
     bp: &[f32],
+    src: *const f32,
+    lds: usize,
     c: *mut f32,
     ldc: usize,
     mr_eff: usize,
     nr_eff: usize,
+    relu: bool,
 ) {
     let mut acc = [[0.0f32; NR]; MR];
     // chunks_exact gives the optimizer bound-check-free, fixed-size slices;
@@ -135,20 +303,13 @@ unsafe fn microkernel_scalar(
             }
         }
     }
-    if mr_eff == MR && nr_eff == NR {
-        // Full tile: unrolled writeback with no per-element bounds logic.
-        for (i, row) in acc.iter().enumerate() {
-            let crow = unsafe { c.add(i * ldc) };
-            for (j, &v) in row.iter().enumerate() {
-                unsafe { *crow.add(j) += alpha * v };
-            }
-        }
-    } else {
-        for (i, row) in acc.iter().enumerate().take(mr_eff) {
-            let crow = unsafe { c.add(i * ldc) };
-            for (j, &v) in row.iter().enumerate().take(nr_eff) {
-                unsafe { *crow.add(j) += alpha * v };
-            }
+    for (i, row) in acc.iter().enumerate().take(mr_eff) {
+        // SAFETY: row `i < mr_eff` and columns `j < nr_eff` lie inside the
+        // caller's `src` and `c` regions.
+        let (s, crow) = unsafe { (src.add(i * lds), c.add(i * ldc)) };
+        for (j, &v) in row.iter().enumerate().take(nr_eff) {
+            let x = unsafe { *s.add(j) } + alpha * v;
+            unsafe { *crow.add(j) = if relu { x.max(0.0) } else { x } };
         }
     }
 }
@@ -327,7 +488,8 @@ mod tests {
         }
         let ldc = NR;
         let mut c = vec![1.0f32; MR * NR];
-        unsafe { microkernel(kc, 2.0, &ap, &bp, c.as_mut_ptr(), ldc, MR, NR) };
+        let cp = c.as_mut_ptr();
+        unsafe { microkernel(kc, 2.0, &ap, &bp, cp, ldc, cp, ldc, MR, NR, false) };
         for i in 0..MR {
             for j in 0..NR {
                 let mut expect = 0.0f32;
@@ -347,7 +509,8 @@ mod tests {
         let bp = vec![1.0f32; kc * NR];
         let ldc = NR + 2; // C wider than the tile
         let mut c = vec![0.0f32; MR * ldc];
-        unsafe { microkernel(kc, 1.0, &ap, &bp, c.as_mut_ptr(), ldc, 2, 3) };
+        let cp = c.as_mut_ptr();
+        unsafe { microkernel(kc, 1.0, &ap, &bp, cp, ldc, cp, ldc, 2, 3, false) };
         for i in 0..MR {
             for j in 0..ldc {
                 let expected = if i < 2 && j < 3 { kc as f32 } else { 0.0 };
@@ -366,12 +529,52 @@ mod tests {
         let ldc = NR;
         let mut c_dispatch = vec![0.5f32; MR * NR];
         let mut c_scalar = vec![0.5f32; MR * NR];
+        let (cd, cs) = (c_dispatch.as_mut_ptr(), c_scalar.as_mut_ptr());
         unsafe {
-            microkernel(kc, 1.25, &ap, &bp, c_dispatch.as_mut_ptr(), ldc, MR, NR);
-            microkernel_scalar(kc, 1.25, &ap, &bp, c_scalar.as_mut_ptr(), ldc, MR, NR);
+            microkernel(kc, 1.25, &ap, &bp, cd, ldc, cd, ldc, MR, NR, false);
+            microkernel_scalar(kc, 1.25, &ap, &bp, cs, ldc, cs, ldc, MR, NR, false);
         }
         for (i, (s, r)) in c_dispatch.iter().zip(&c_scalar).enumerate() {
             assert!((s - r).abs() < 1e-3, "lane {i}: {s} vs {r} (via {})", simd::f32_kernel_name());
+        }
+    }
+
+    /// An edge tile runs the full tile's arithmetic and only masks its
+    /// loads and stores: each valid element is bit-identical to the same
+    /// element of the full tile, for every edge shape, in both the wide
+    /// and the narrow (≤ 16 columns) kernel, and nothing outside the edge
+    /// region is written.
+    #[test]
+    fn edge_tiles_are_bit_identical_to_the_full_tile() {
+        let kc = 29;
+        let ap: Vec<f32> = (0..kc * MR).map(|v| ((v * 13 % 97) as f32) * 0.031 - 1.5).collect();
+        let bp: Vec<f32> = (0..kc * NR).map(|v| ((v * 7 % 89) as f32) * 0.047 - 2.0).collect();
+        let bias: Vec<f32> = (0..NR).map(|j| j as f32 * 0.013 - 0.2).collect();
+        let mut full = vec![0.0f32; MR * NR];
+        let fp = full.as_mut_ptr();
+        unsafe { microkernel(kc, 1.0, &ap, &bp, bias.as_ptr(), 0, fp, NR, MR, NR, false) };
+        for mr_eff in [1, 3, MR] {
+            for nr_eff in [1, 5, 16, 17, 31, NR] {
+                let mut edge = vec![f32::NAN; MR * NR];
+                let ep = edge.as_mut_ptr();
+                unsafe {
+                    microkernel(kc, 1.0, &ap, &bp, bias.as_ptr(), 0, ep, NR, mr_eff, nr_eff, false)
+                };
+                for i in 0..MR {
+                    for j in 0..NR {
+                        let (got, want) = (edge[i * NR + j], full[i * NR + j]);
+                        if i < mr_eff && j < nr_eff {
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "{mr_eff}x{nr_eff} ({i},{j})"
+                            );
+                        } else {
+                            assert!(got.is_nan(), "{mr_eff}x{nr_eff} wrote outside at ({i},{j})");
+                        }
+                    }
+                }
+            }
         }
     }
 

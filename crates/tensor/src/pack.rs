@@ -1,7 +1,7 @@
 //! Panel packing for the blocked GEMM (the "copy kernels" of an MKL-class
 //! BLAS, paper Sec. 5.4).
 //!
-//! The blocked [`crate::blas::sgemm`] never walks the operand matrices
+//! The blocked GEMM ([`crate::packed`]) never walks the operand matrices
 //! directly. Each `KC`-deep slice of the K dimension is first repacked into
 //! contiguous tile buffers — A into `MR`-row micro-panels, B into `NR`-column
 //! micro-panels, both `k`-major and zero-padded to full tiles — so the
@@ -9,6 +9,8 @@
 //! original layout or transpose. This is what lets all four transpose
 //! combinations share one multiplication path: the transpose is absorbed
 //! here, at packing time, where the access pattern is chosen per case.
+//! A built model's weights are packed once, all slices at a time
+//! ([`pack_b_all`]); the activations, per slice, per call.
 //!
 //! Packed layouts (`kc` = depth of the current K slice):
 //!
@@ -107,12 +109,30 @@ pub(crate) fn pack_a(
                 dst[..rows].copy_from_slice(src);
                 dst[rows..].fill(0.0);
             }
-        } else {
-            // Row-major A: read each source row sequentially; the writes
-            // stride by MR (one cache line per step at MR = 8).
-            if rows < MR {
-                panel.fill(0.0);
+        } else if rows == MR {
+            // Row-major A, full panel: walk the MR source rows in lockstep
+            // so the panel is written sequentially, one k step (MR
+            // values) at a time, while each row is still read in order.
+            let src: [&[f32]; MR] = std::array::from_fn(|i| {
+                let base = (row0 + i) * view.ld + pc;
+                &view.data[base..base + kc]
+            });
+            let mut k0 = 0;
+            #[cfg(target_arch = "x86_64")]
+            if crate::simd::avx512f() {
+                k0 = kc / MR * MR;
+                // SAFETY: AVX is present (AVX-512F implies it); every row
+                // holds `kc >= k0` values and the panel `kc * MR`.
+                unsafe { transpose_8x8_blocks(&src, k0, panel) };
             }
+            for (k, dst) in panel.chunks_exact_mut(MR).enumerate().skip(k0) {
+                for (d, row) in dst.iter_mut().zip(&src) {
+                    *d = row[k];
+                }
+            }
+        } else {
+            // The ragged last panel: zero-pad, then scatter the rows.
+            panel.fill(0.0);
             for i in 0..rows {
                 let src_base = (row0 + i) * view.ld + pc;
                 let src = &view.data[src_base..src_base + kc];
@@ -120,6 +140,76 @@ pub(crate) fn pack_a(
                     panel[k * MR + i] = v;
                 }
             }
+        }
+    }
+}
+
+/// Number of floats [`pack_b_all`] needs for a whole `k x n` operand.
+pub(crate) fn packed_b_all_len(k: usize, n: usize) -> usize {
+    n.div_ceil(NR) * NR * k
+}
+
+/// Offset, inside a [`pack_b_all`] buffer of a `k`-deep operand, of the
+/// panel packed for K slice `pc` of the `nc`-wide column block `jc`. Every
+/// block before `jc` is `NC` wide and every slice before `pc` is `KC`
+/// deep, so the blocks before take `jc * k` floats and the slices before
+/// take `pc` rows of the block's padded width.
+pub(crate) fn packed_b_offset(k: usize, jc: usize, nc: usize, pc: usize) -> usize {
+    jc * k + pc * nc.div_ceil(NR) * NR
+}
+
+/// Pack all of `op(B)` (`k x n`): every `(jc, pc)` panel [`pack_b`]
+/// produces, column block by column block and K slice by K slice, at
+/// [`packed_b_offset`].
+pub(crate) fn pack_b_all(view: &MatView<'_>, k: usize, n: usize, out: &mut [f32]) {
+    debug_assert!(out.len() >= packed_b_all_len(k, n));
+    for jc in (0..n).step_by(NC) {
+        let nc = NC.min(n - jc);
+        for pc in (0..k).step_by(KC) {
+            let kc = KC.min(k - pc);
+            let at = packed_b_offset(k, jc, nc, pc);
+            pack_b(view, pc, kc, jc, nc, &mut out[at..at + packed_b_len(kc, nc)]);
+        }
+    }
+}
+
+/// The first `k_end` (a multiple of 8) k steps of a full row-major A
+/// panel: each 8 x 8 block of the 8 source rows is transposed in
+/// registers and stored as 8 consecutive k steps of the panel.
+///
+/// # Safety
+/// The host must support AVX; every `src` row must hold at least `k_end`
+/// values and `panel` at least `k_end * MR`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn transpose_8x8_blocks(src: &[&[f32]; MR], k_end: usize, panel: &mut [f32]) {
+    use std::arch::x86_64::*;
+    const _: () = assert!(MR == 8, "an 8-row panel transposes as 8 x 8 blocks");
+    debug_assert!(k_end.is_multiple_of(8) && panel.len() >= k_end * MR);
+    debug_assert!(src.iter().all(|row| row.len() >= k_end));
+    for k0 in (0..k_end).step_by(8) {
+        // SAFETY: the caller guarantees rows of `k_end` values and a panel
+        // of `k_end * MR`, so every 8-wide load and store is in bounds.
+        unsafe {
+            let r: [__m256; MR] = std::array::from_fn(|i| _mm256_loadu_ps(src[i].as_ptr().add(k0)));
+            let (t0, t1) = (_mm256_unpacklo_ps(r[0], r[1]), _mm256_unpackhi_ps(r[0], r[1]));
+            let (t2, t3) = (_mm256_unpacklo_ps(r[2], r[3]), _mm256_unpackhi_ps(r[2], r[3]));
+            let (t4, t5) = (_mm256_unpacklo_ps(r[4], r[5]), _mm256_unpackhi_ps(r[4], r[5]));
+            let (t6, t7) = (_mm256_unpacklo_ps(r[6], r[7]), _mm256_unpackhi_ps(r[6], r[7]));
+            let (s0, s1) = (_mm256_shuffle_ps::<0x44>(t0, t2), _mm256_shuffle_ps::<0xEE>(t0, t2));
+            let (s2, s3) = (_mm256_shuffle_ps::<0x44>(t1, t3), _mm256_shuffle_ps::<0xEE>(t1, t3));
+            let (s4, s5) = (_mm256_shuffle_ps::<0x44>(t4, t6), _mm256_shuffle_ps::<0xEE>(t4, t6));
+            let (s6, s7) = (_mm256_shuffle_ps::<0x44>(t5, t7), _mm256_shuffle_ps::<0xEE>(t5, t7));
+            // Column j of the block (k step k0 + j) is lane j of every row.
+            let d = panel.as_mut_ptr().add(k0 * MR);
+            _mm256_storeu_ps(d, _mm256_permute2f128_ps::<0x20>(s0, s4));
+            _mm256_storeu_ps(d.add(8), _mm256_permute2f128_ps::<0x20>(s1, s5));
+            _mm256_storeu_ps(d.add(16), _mm256_permute2f128_ps::<0x20>(s2, s6));
+            _mm256_storeu_ps(d.add(24), _mm256_permute2f128_ps::<0x20>(s3, s7));
+            _mm256_storeu_ps(d.add(32), _mm256_permute2f128_ps::<0x31>(s0, s4));
+            _mm256_storeu_ps(d.add(40), _mm256_permute2f128_ps::<0x31>(s1, s5));
+            _mm256_storeu_ps(d.add(48), _mm256_permute2f128_ps::<0x31>(s2, s6));
+            _mm256_storeu_ps(d.add(56), _mm256_permute2f128_ps::<0x31>(s3, s7));
         }
     }
 }
@@ -278,6 +368,26 @@ mod tests {
                     let row = p * MR + i;
                     let expected = if row < mc { a.get(row, 1 + k) } else { 0.0 };
                     assert_eq!(got, expected, "panel {p} k {k} i {i}");
+                }
+            }
+        }
+    }
+
+    /// Full 8-row panels take the register transpose for whole 8-step
+    /// blocks of k and the scalar loop for the rest.
+    #[test]
+    fn pack_a_full_panels_with_a_ragged_k_tail() {
+        let a = sample(19, 30);
+        let view = MatView::new(&a, Transpose::No);
+        let (ic, mc, pc, kc) = (1, 17, 3, 27);
+        let mut out = vec![-1.0; packed_a_len(mc, kc)];
+        pack_a(&view, ic, mc, pc, kc, &mut out);
+        for p in 0..mc.div_ceil(MR) {
+            for k in 0..kc {
+                for i in 0..MR {
+                    let r = p * MR + i;
+                    let expected = if r < mc { a.get(ic + r, pc + k) } else { 0.0 };
+                    assert_eq!(out[p * kc * MR + k * MR + i], expected, "panel {p} k {k} i {i}");
                 }
             }
         }

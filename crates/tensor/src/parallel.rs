@@ -5,36 +5,46 @@
 //! hands its M-block ranges to [`run_scoped`], which forwards them to the
 //! process-wide work-stealing pool in `crates/sched` as
 //! `TaskClass::Kernel` tasks, so GEMM tiles share workers with operator
-//! morsels and serve batches. This module owns no threads; it holds only
-//! the [`set_kernel_threads`] budget — how many ways one large kernel may
-//! split. The default of 1 keeps kernels single-threaded for standalone
-//! callers; every ModelJoin operator construction raises it to the
-//! engine's pool size.
+//! morsels and serve batches. This module owns no threads and no state:
+//! how many ways a GEMM splits is an argument — fixed per layer when a
+//! model is built ([`split_width`] over the build's parallelism), or the
+//! pool's size for the generic `sgemm` entry. The split never changes a
+//! bit of the result: every tile runs the same arithmetic whichever
+//! thread runs it.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Requested intra-kernel thread count (including the calling thread).
-static KERNEL_THREADS: AtomicUsize = AtomicUsize::new(1);
+/// Minimum FLOP count before a multiply is split across the worker pool;
+/// below this the fork/join latency dominates.
+const PARALLEL_MIN_FLOPS: u64 = 1 << 23;
 
 /// No-op: kernel fan-outs always run on the `sched` pool. Kept only
 /// because `benchmark/src/probes.rs` (frozen outside `benchmark` PRs)
 /// calls it; the next `benchmark` PR drops the call and this function.
 pub fn set_unified_scheduler(_on: bool) {}
 
-/// Set how many threads a single large kernel may use (clamped to ≥ 1).
-/// Cheap to call per query. Also grows the shared scheduler (grow-only)
-/// so standalone kernel callers (benches, tests) get the parallelism they
-/// asked for — `n` includes the calling thread, hence `n - 1` pool
-/// workers.
-pub fn set_kernel_threads(n: usize) {
-    let n = n.max(1);
-    KERNEL_THREADS.store(n, Ordering::Relaxed);
-    sched::configure_workers(n - 1);
+/// No-op: a built model's GEMMs split as its kernel plan fixed at build
+/// time, and the generic `sgemm` up to the scheduler pool's size. Kept
+/// only because `benchmark/src/probes.rs` (frozen outside `benchmark`
+/// PRs) calls it; the next `benchmark` PR drops the call and this
+/// function.
+pub fn set_kernel_threads(_n: usize) {}
+
+/// How many ways an `m x k · k x n` multiply splits given up to `threads`:
+/// 1 below `PARALLEL_MIN_FLOPS` (2^23), where fork/join latency outweighs the
+/// work, else `threads` capped at the scheduler pool's thread count (a
+/// wider split only queues more tasks), and always at least 1.
+pub fn split_width(threads: usize, m: usize, k: usize, n: usize) -> usize {
+    if crate::blas::gemm_flops(m, k, n) >= PARALLEL_MIN_FLOPS {
+        threads.clamp(1, pool_threads())
+    } else {
+        1
+    }
 }
 
-/// Current intra-kernel thread budget.
-pub fn kernel_threads() -> usize {
-    KERNEL_THREADS.load(Ordering::Relaxed)
+/// The scheduler pool's worker count, at least 1: the widest useful
+/// split, and the split budget of the generic `sgemm` and `qgemm_dense`
+/// entries.
+pub(crate) fn pool_threads() -> usize {
+    sched::global().workers().max(1)
 }
 
 /// Run `tasks` to completion as Kernel-class work on the shared pool: the
@@ -51,6 +61,7 @@ pub(crate) fn run_scoped(tasks: Vec<Box<dyn FnOnce() + Send + '_>>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn run_scoped_executes_every_task_with_borrows() {
@@ -74,11 +85,10 @@ mod tests {
     }
 
     #[test]
-    fn knob_clamps_to_one() {
-        let before = kernel_threads();
-        set_kernel_threads(0);
-        assert_eq!(kernel_threads(), 1);
-        set_kernel_threads(before.max(1));
+    fn small_multiplies_do_not_split() {
+        assert_eq!(split_width(4, 32, 64, 64), 1);
+        assert_eq!(split_width(4, 1024, 512, 512), 4.min(pool_threads()));
+        assert_eq!(split_width(0, 1024, 512, 512), 1);
     }
 
     #[test]

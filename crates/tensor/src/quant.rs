@@ -51,6 +51,7 @@ use crate::blas::gemm_flops;
 use crate::matrix::Matrix;
 use crate::microkernel::microkernel_i8;
 use crate::pack::{pack_a_q, pack_b_q, packed_a_q_len, packed_b_q_len, KC, KG, MC, MR, NC, NR};
+use crate::packed::Init;
 use crate::parallel;
 use std::cell::RefCell;
 
@@ -64,11 +65,9 @@ pub const ACT_ZERO_POINT: i32 = 64;
 /// Largest inner dimension before the i32 accumulator could overflow.
 const MAX_QUANT_K: usize = (i32::MAX / (127 * 127)) as usize;
 
-/// Below this FLOP count the pack/dequant overhead outweighs blocking;
-/// mirrors `BLOCKED_MIN_FLOPS` in `blas.rs`.
+/// Below this FLOP count the pack overhead outweighs blocking. Integer
+/// sums are exact, so this choice never changes a bit.
 const BLOCKED_MIN_FLOPS_I8: u64 = 1 << 17;
-/// Minimum FLOP count before the integer GEMM is split across the pool.
-const PARALLEL_MIN_FLOPS_I8: u64 = 1 << 23;
 
 thread_local! {
     /// Per-thread packed A (quantized activations) scratch.
@@ -155,7 +154,9 @@ pub struct QuantScratch {
 
 /// Quantized dense layer forward:
 /// `out = activation(dequant(quant(a) · w) + bias)`, or with
-/// `accumulate`, `out += dequant(quant(a) · w)`.
+/// `accumulate`, `out += dequant(quant(a) · w)`; the large multiplies
+/// split up to the scheduler pool's size. [`QuantizedWeights::gemm`] is
+/// the same with the [`Init`] and split width spelled out.
 ///
 /// `a` is the fp32 activation matrix (`m x k`), quantized row-wise per
 /// call; `w` the pre-quantized weights (`k x n`); `out` must already be
@@ -165,7 +166,6 @@ pub struct QuantScratch {
 ///
 /// Dequantization, zero-point correction, bias and activation are fused
 /// into a single epilogue pass — the integer accumulator is walked once.
-#[allow(clippy::too_many_arguments)]
 pub fn qgemm_dense(
     a: &Matrix,
     w: &QuantizedWeights,
@@ -175,79 +175,109 @@ pub fn qgemm_dense(
     out: &mut Matrix,
     scratch: &mut QuantScratch,
 ) {
-    let (m, k) = (a.rows(), a.cols());
-    let n = w.n;
-    assert_eq!(k, w.k, "qgemm: inner dimensions differ ({k} vs {})", w.k);
-    assert_eq!(out.rows(), m, "qgemm: out row count mismatch");
-    assert_eq!(out.cols(), n, "qgemm: out column count mismatch");
-    if let Some(b) = bias {
-        assert_eq!(b.len(), n, "qgemm: bias length mismatch");
-    }
-    if accumulate {
-        assert!(
-            activation == Activation::Linear && bias.is_none(),
-            "qgemm accumulate mode composes before bias/activation"
-        );
-    }
-    if m == 0 || n == 0 {
-        return;
-    }
+    assert!(!(accumulate && bias.is_some()), "qgemm accumulate mode takes no bias");
+    let init = match (bias, accumulate) {
+        (Some(b), _) => Init::Bias(b),
+        (None, true) => Init::Accumulate,
+        (None, false) => Init::Zero,
+    };
+    let threads = parallel::split_width(parallel::pool_threads(), a.rows(), a.cols(), w.n);
+    w.gemm(a, init, activation, out, scratch, threads);
+}
 
-    let flops = gemm_flops(m, k, n);
-    obs::metrics::TENSOR_GEMM_I8_CALLS.add(1);
-    obs::metrics::TENSOR_GEMM_I8_FLOPS.add(flops);
-    let _span = obs::span(&obs::metrics::TENSOR_GEMM_I8_US);
-
-    // 1. Row-wise 7-bit activation quantization.
-    scratch.aq.resize(m * k, 0);
-    scratch.row_scales.resize(m, 0.0);
-    quantize_activations(a, &mut scratch.aq, &mut scratch.row_scales);
-
-    // 2. Integer GEMM into the i32 accumulator.
-    scratch.acc.clear();
-    scratch.acc.resize(m * n, 0);
-    if k > 0 {
-        if flops < BLOCKED_MIN_FLOPS_I8 {
-            qgemm_i32_unblocked(&scratch.aq, m, k, w, &mut scratch.acc);
-        } else {
-            let threads =
-                if flops >= PARALLEL_MIN_FLOPS_I8 { parallel::kernel_threads() } else { 1 };
-            qgemm_i32_blocked(&scratch.aq, m, k, w, &mut scratch.acc, threads);
+impl QuantizedWeights {
+    /// `out = activation(init + dequant(quant(a) · self))`, the int8
+    /// sibling of [`crate::PackedMatrix::gemm`], splitting up to `threads`
+    /// ways (exact integer sums: the split never changes a bit).
+    /// [`Init::Accumulate`] composes before the caller's activation and
+    /// so requires `Activation::Linear`.
+    pub fn gemm(
+        &self,
+        a: &Matrix,
+        init: Init<'_>,
+        activation: Activation,
+        out: &mut Matrix,
+        scratch: &mut QuantScratch,
+        threads: usize,
+    ) {
+        let w = self;
+        let (m, k) = (a.rows(), a.cols());
+        let n = w.n;
+        assert_eq!(k, w.k, "qgemm: inner dimensions differ ({k} vs {})", w.k);
+        assert_eq!(out.rows(), m, "qgemm: out row count mismatch");
+        assert_eq!(out.cols(), n, "qgemm: out column count mismatch");
+        let (bias, accumulate) = match init {
+            Init::Zero => (None, false),
+            Init::Bias(b) => (Some(b), false),
+            Init::Accumulate => (None, true),
+        };
+        if let Some(b) = bias {
+            assert_eq!(b.len(), n, "qgemm: bias length mismatch");
         }
-    }
-
-    // 3. Fused dequantize + zero-point correction + bias + activation.
-    // The dequant+bias loops are branch-free so they autovectorize; the
-    // non-linear activation then runs over the same L1-resident row — the
-    // accumulator and output matrices are each walked exactly once.
-    let (ws, cs) = (&w.scales[..n], &w.col_sums[..n]);
-    for i in 0..m {
-        let sa = scratch.row_scales[i];
-        let acc_row = &scratch.acc[i * n..(i + 1) * n];
-        let out_row = out.row_mut(i);
         if accumulate {
-            for j in 0..n {
-                let v = (acc_row[j] - ACT_ZERO_POINT * cs[j]) as f32;
-                out_row[j] += sa * ws[j] * v;
-            }
-            continue;
+            assert!(
+                activation == Activation::Linear,
+                "qgemm accumulate mode composes before bias/activation"
+            );
         }
-        match bias {
-            Some(b) => {
+        if m == 0 || n == 0 {
+            return;
+        }
+
+        let flops = gemm_flops(m, k, n);
+        obs::metrics::TENSOR_GEMM_I8_CALLS.add(1);
+        obs::metrics::TENSOR_GEMM_I8_FLOPS.add(flops);
+        let _span = obs::span(&obs::metrics::TENSOR_GEMM_I8_US);
+
+        // 1. Row-wise 7-bit activation quantization.
+        scratch.aq.resize(m * k, 0);
+        scratch.row_scales.resize(m, 0.0);
+        quantize_activations(a, &mut scratch.aq, &mut scratch.row_scales);
+
+        // 2. Integer GEMM into the i32 accumulator.
+        scratch.acc.clear();
+        scratch.acc.resize(m * n, 0);
+        if k > 0 {
+            if flops < BLOCKED_MIN_FLOPS_I8 {
+                qgemm_i32_unblocked(&scratch.aq, m, k, w, &mut scratch.acc);
+            } else {
+                qgemm_i32_blocked(&scratch.aq, m, k, w, &mut scratch.acc, threads);
+            }
+        }
+
+        // 3. Fused dequantize + zero-point correction + bias + activation.
+        // The dequant+bias loops are branch-free so they autovectorize; the
+        // non-linear activation then runs over the same L1-resident row — the
+        // accumulator and output matrices are each walked exactly once.
+        let (ws, cs) = (&w.scales[..n], &w.col_sums[..n]);
+        for i in 0..m {
+            let sa = scratch.row_scales[i];
+            let acc_row = &scratch.acc[i * n..(i + 1) * n];
+            let out_row = out.row_mut(i);
+            if accumulate {
                 for j in 0..n {
                     let v = (acc_row[j] - ACT_ZERO_POINT * cs[j]) as f32;
-                    out_row[j] = sa * ws[j] * v + b[j];
+                    out_row[j] += sa * ws[j] * v;
+                }
+                continue;
+            }
+            match bias {
+                Some(b) => {
+                    for j in 0..n {
+                        let v = (acc_row[j] - ACT_ZERO_POINT * cs[j]) as f32;
+                        out_row[j] = sa * ws[j] * v + b[j];
+                    }
+                }
+                None => {
+                    for j in 0..n {
+                        let v = (acc_row[j] - ACT_ZERO_POINT * cs[j]) as f32;
+                        out_row[j] = sa * ws[j] * v;
+                    }
                 }
             }
-            None => {
-                for j in 0..n {
-                    let v = (acc_row[j] - ACT_ZERO_POINT * cs[j]) as f32;
-                    out_row[j] = sa * ws[j] * v;
-                }
+            if activation != Activation::Linear {
+                activation.apply(out_row);
             }
-        }
-        if activation != Activation::Linear {
-            activation.apply(out_row);
         }
     }
 }

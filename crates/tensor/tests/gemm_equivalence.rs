@@ -1,12 +1,14 @@
 //! Property tests pinning the blocked (and threaded) `sgemm` to the naive
 //! reference oracle across the whole parameter space: all four transpose
 //! combinations, arbitrary `alpha`/`beta` (including the 0 and 1 special
-//! cases), and shapes that straddle every dispatch and tiling boundary —
-//! 1×1, primes, tall-skinny, and non-tile-multiple sizes.
+//! cases), and shapes that straddle every tiling boundary — 1×1, primes,
+//! tall-skinny, and non-tile-multiple sizes. Also: the packed-weight GEMM
+//! with its fused bias epilogue keeps the bits of the bias-copy + `sgemm`
+//! formulation, and no path drops the NaN of `0 × inf`.
 
 use proptest::prelude::*;
-use tensor::blas::{sgemm, sgemm_reference, Transpose};
-use tensor::Matrix;
+use tensor::blas::{sgemm, sgemm_reference, sgemm_unblocked, sgemv, Transpose};
+use tensor::{Activation, Init, Matrix, PackedMatrix};
 
 fn arb_transpose() -> impl Strategy<Value = Transpose> {
     prop_oneof![Just(Transpose::No), Just(Transpose::Yes)]
@@ -131,41 +133,136 @@ proptest! {
         n in prop_oneof![Just(64usize), Just(200usize)],
         seed in 0u64..1_000_000,
     ) {
+        // `sgemm` splits up to the pool's size; the packed GEMM over the
+        // materialized operands runs the same tiles on one thread.
+        sched::configure_workers(3);
         let (ar, ac) = storage_dims(ta, m, k);
         let (br, bc) = storage_dims(tb, k, n);
         let a = fill(ar, ac, seed);
         let b = fill(br, bc, seed ^ 0xa076_1d64_78bd_642f);
-        let mut c1 = Matrix::zeros(m, n);
-        let mut c2 = Matrix::zeros(m, n);
-        tensor::set_kernel_threads(1);
-        sgemm(ta, tb, 1.0, &a, &b, 0.0, &mut c1);
-        tensor::set_kernel_threads(4);
-        sgemm(ta, tb, 1.0, &a, &b, 0.0, &mut c2);
-        tensor::set_kernel_threads(1);
+        let op = |t: Transpose, x: Matrix| if t == Transpose::Yes { x.transposed() } else { x };
+        let mut threaded = Matrix::zeros(m, n);
+        sgemm(ta, tb, 1.0, &a, &b, 0.0, &mut threaded);
+        let mut serial = Matrix::zeros(m, n);
+        PackedMatrix::pack(&op(tb, b)).gemm(&op(ta, a), Init::Zero, Activation::Linear, &mut serial, 1);
         // The thread split never changes any tile's arithmetic, so the
         // results must be bit-identical, not merely close.
-        prop_assert_eq!(c1, c2);
+        prop_assert_eq!(serial, threaded);
     }
 }
 
-/// The tile decomposition does not depend on the thread budget — only
+/// The tile decomposition does not depend on the split width — only
 /// which scheduler thread runs each tile changes — so a 4-way threaded
 /// GEMM must be bit-identical to a single-threaded run, also on shapes
 /// whose edges are not tile multiples.
 #[test]
 fn scheduler_threaded_gemm_bit_identical_to_serial() {
+    sched::configure_workers(3);
     for (m, k, n, seed) in [(512, 256, 64, 1u64), (777, 300, 200, 2), (1024, 511, 129, 3)] {
         let a = fill(m, k, seed);
-        let b = fill(k, n, seed ^ 0xa076_1d64_78bd_642f);
+        let packed = PackedMatrix::pack(&fill(k, n, seed ^ 0xa076_1d64_78bd_642f));
         let mut serial = Matrix::zeros(m, n);
         let mut threaded = Matrix::zeros(m, n);
-
-        tensor::set_kernel_threads(1);
-        sgemm(Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut serial);
-        tensor::set_kernel_threads(4);
-        sgemm(Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut threaded);
-        tensor::set_kernel_threads(1);
-
+        packed.gemm(&a, Init::Zero, Activation::Relu, &mut serial, 1);
+        packed.gemm(&a, Init::Zero, Activation::Relu, &mut threaded, 4);
         assert_eq!(serial, threaded, "threaded GEMM diverged from serial ({m}x{k}x{n})");
+    }
+}
+
+/// The blocked kernel's arithmetic, element by element, as the BLAS
+/// formulation of a dense layer runs it: `C` pre-loaded with the bias,
+/// then per `KC`-deep K slice `C = C + (Σ a·b over the slice, from 0)`,
+/// then the activation. On AVX-512 hosts each product-sum and each slice
+/// write-back is one fused multiply-add; the portable kernel multiplies
+/// and adds separately.
+fn bias_copy_then_sgemm(x: &Matrix, w: &Matrix, bias: &[f32], act: Activation) -> Matrix {
+    const KC: usize = 512;
+    let fma = tensor::f32_kernel_name() == "avx512";
+    Matrix::from_fn(x.rows(), w.cols(), |i, j| {
+        let mut c = bias[j];
+        for pc in (0..x.cols()).step_by(KC) {
+            let mut acc = 0.0f32;
+            for kk in pc..x.cols().min(pc + KC) {
+                let (a, b) = (x.get(i, kk), w.get(kk, j));
+                acc = if fma { a.mul_add(b, acc) } else { acc + a * b };
+            }
+            c = if fma { 1.0f32.mul_add(acc, c) } else { c + 1.0 * acc };
+        }
+        act.apply_scalar(c)
+    })
+}
+
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// The fused epilogue keeps the bits: on full tiles (shapes multiples of
+/// 8 x 32), one K slice (k <= 512) or two (k > 512), the packed GEMM with
+/// its bias vector equals `sgemm` with `beta = 1` over a pre-copied bias
+/// matrix followed by the activation pass, and the element-wise model of
+/// that formulation's arithmetic.
+#[test]
+fn packed_gemm_keeps_the_bits_of_bias_copy_then_sgemm() {
+    for (m, k, n) in [(64, 96, 64), (128, 512, 96), (32, 600, 64), (16, 1100, 32)] {
+        let x = fill(m, k, 11);
+        let w = fill(k, n, 12);
+        let bias: Vec<f32> = (0..n).map(|j| (j as f32 * 0.37).sin()).collect();
+        for act in Activation::all() {
+            let mut got = Matrix::from_fn(m, n, |_, _| f32::NAN);
+            PackedMatrix::pack(&w).gemm(&x, Init::Bias(&bias), act, &mut got, 1);
+            let mut blas = Matrix::from_fn(m, n, |_, c| bias[c]);
+            sgemm(Transpose::No, Transpose::No, 1.0, &x, &w, 1.0, &mut blas);
+            act.apply(blas.as_mut_slice());
+            let case = format!("{m}x{k}x{n} {act}");
+            assert_eq!(bits(&got), bits(&blas), "{case}: against sgemm");
+            assert_eq!(bits(&got), bits(&bias_copy_then_sgemm(&x, &w, &bias, act)), "{case}");
+        }
+    }
+}
+
+/// A zero activation against an infinite or NaN weight contributes NaN
+/// (`0 × inf = NaN`): no path may skip it. Every GEMM path and `sgemv`
+/// agree with the reference on which outputs are NaN and on the finite
+/// values, for the row alone and inside a 64-row batch.
+#[test]
+fn zero_activation_against_inf_or_nan_weight_is_nan_on_every_path() {
+    let same =
+        |got: f32, want: f32| got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan());
+    for bad in [f32::INFINITY, f32::NAN] {
+        // Column 0 meets the bad weight with a zero activation; column 1
+        // stays finite.
+        let w = Matrix::from_vec(2, 2, vec![bad, 2.0, 2.0, 3.0]);
+        for rows in [1, 64] {
+            let x = Matrix::from_fn(rows, 2, |r, c| if c == 0 { 0.0 } else { 1.0 + r as f32 });
+            let mut want = Matrix::zeros(rows, 2);
+            sgemm_reference(Transpose::No, Transpose::No, 1.0, &x, &w, 0.0, &mut want);
+            assert!(want.get(0, 0).is_nan(), "the reference itself must see 0 × {bad}");
+            let xt = x.transposed();
+            let mut paths: Vec<(&str, Matrix)> = Vec::new();
+            for (name, ta, a) in [("N", Transpose::No, &x), ("T", Transpose::Yes, &xt)] {
+                let mut c = Matrix::zeros(rows, 2);
+                sgemm(ta, Transpose::No, 1.0, a, &w, 0.0, &mut c);
+                paths.push((if name == "N" { "sgemm N" } else { "sgemm T" }, c));
+                let mut c = Matrix::zeros(rows, 2);
+                sgemm_unblocked(ta, Transpose::No, 1.0, a, &w, 0.0, &mut c);
+                paths.push((if name == "N" { "unblocked N" } else { "unblocked T" }, c));
+            }
+            let mut packed = Matrix::zeros(rows, 2);
+            PackedMatrix::pack(&w).gemm(&x, Init::Zero, Activation::Linear, &mut packed, 1);
+            paths.push(("packed", packed));
+            let mut gemv = Matrix::zeros(rows, 2);
+            for r in 0..rows {
+                sgemv(Transpose::Yes, 1.0, &w, x.row(r), 0.0, gemv.row_mut(r));
+            }
+            paths.push(("sgemv T", gemv));
+            for (name, got) in &paths {
+                for (i, (&g, &e)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                    assert!(
+                        same(g, e),
+                        "{name}, {bad} weight, {rows} rows, element {i}: {g} vs {e}"
+                    );
+                }
+            }
+        }
     }
 }

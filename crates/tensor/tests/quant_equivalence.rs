@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 use tensor::blas::{sgemm_reference, Transpose};
 use tensor::quant::{qgemm_dense_reference, qgemm_error_bound};
-use tensor::{qgemm_dense, Activation, Matrix, QuantScratch, QuantizedWeights};
+use tensor::{qgemm_dense, Activation, Init, Matrix, QuantScratch, QuantizedWeights};
 
 /// Shapes that exercise the unblocked/blocked boundary and the tile edges:
 /// tiny, prime, around one register tile (MR=8, NR=32), and irregular.
@@ -93,9 +93,8 @@ fn check_bit_identical(
     let mut got = Matrix::zeros(m, n);
     let mut expected = Matrix::zeros(m, n);
     let mut scratch = QuantScratch::default();
-    tensor::set_kernel_threads(threads);
-    qgemm_dense(&a, &wq, bias.as_deref(), activation, false, &mut got, &mut scratch);
-    tensor::set_kernel_threads(1);
+    let init = bias.as_deref().map_or(Init::Zero, Init::Bias);
+    wq.gemm(&a, init, activation, &mut got, &mut scratch, threads);
     qgemm_dense_reference(&a, &wq, bias.as_deref(), activation, false, &mut expected);
     if got != expected {
         return Err(format!(

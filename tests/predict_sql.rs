@@ -1,6 +1,7 @@
 //! `PREDICT(model, input, args…)`: inference as a plan node. The SQL form,
 //! the `execute_model_join` wrapper, a registered C-API session and the
-//! `nn` oracle agree; a filtered `PREDICT` over a persistent table reads
+//! `nn` oracle agree; a filter never changes a row's prediction; a
+//! filtered `PREDICT` over a persistent table reads
 //! only the pages of the columns it uses; an empty answer keeps its types;
 //! bad calls are errors; a re-registered model is never replayed from a
 //! cached plan; and a model served by `serve::Server` is the registration
@@ -114,6 +115,33 @@ fn predict_matches_the_wrapper_and_the_oracle() {
                         assert_eq!(modeled.is_zero(), !device.is_gpu(), "{case}: device model");
                     }
                 }
+            }
+        }
+    }
+}
+
+/// A filter changes the batches under the model, never a row's answer:
+/// `WHERE id < k` over `PREDICT` returns, per id, the bits of the
+/// unfiltered statement, at 1 and 4 partitions.
+#[test]
+fn a_filter_never_changes_a_rows_prediction() {
+    let model = paper::dense_model(64, 3, 9);
+    for partitions in [1, 4] {
+        let config = EngineConfig {
+            vector_size: 64,
+            partitions,
+            parallelism: partitions,
+            ..Default::default()
+        };
+        let (e, _) = engine(config, 700, &model);
+        let all: std::collections::HashMap<i64, u64> =
+            result_rows(e.execute(PREDICT).unwrap()).into_iter().collect();
+        assert_eq!(all.len(), 700);
+        for k in [1, 17, 64, 300, 699] {
+            let filtered = result_rows(e.execute(&format!("{PREDICT} WHERE id < {k}")).unwrap());
+            assert_eq!(filtered.len(), k as usize, "{partitions} partitions, id < {k}");
+            for (id, bits) in filtered {
+                assert_eq!(bits, all[&id], "{partitions} partitions, id < {k}: id {id}");
             }
         }
     }
