@@ -7,9 +7,10 @@
 //! plan runs one GEMM path for every batch size, accumulating over `k` in
 //! the same order for every row), so the coalesced server batch must
 //! reproduce the oracle's f32 bits exactly — for the dense MLP and for
-//! the sequential LSTM, at width 8 and at width 64 with batches of 16
-//! rows and more, and for served batches longer than the vector size the
-//! model is built for, which run in vector-size slices.
+//! the sequential LSTM, at widths 8 (dense) and 6 (LSTM), at width 64
+//! with batches of 16 rows and more, and for served batches longer than
+//! the vector size the model is built for, which run in vector-size
+//! slices.
 
 use model_repr::{load_into_engine, Layout};
 use modeljoin::build_parallel;
@@ -21,7 +22,7 @@ use vector_engine::{Engine, EngineConfig};
 
 #[test]
 fn served_predictions_are_bit_identical_to_unbatched_inference() {
-    let stats = serve_against_the_oracle(16, 16, 8, 40);
+    let stats = serve_against_the_oracle(16, 16, (8, 6), 40);
     assert_eq!(stats.batched_rows, 40);
 }
 
@@ -32,7 +33,7 @@ fn served_predictions_are_bit_identical_to_unbatched_inference() {
 #[test]
 fn wide_served_batches_of_16_rows_and_more_are_bit_identical() {
     for _ in 0..50 {
-        let stats = serve_against_the_oracle(64, 64, 64, 96);
+        let stats = serve_against_the_oracle(64, 64, (64, 64), 96);
         if stats.batched_rows >= 16 * stats.batches {
             return;
         }
@@ -46,7 +47,7 @@ fn wide_served_batches_of_16_rows_and_more_are_bit_identical() {
 #[test]
 fn served_batches_longer_than_the_vector_size_are_bit_identical() {
     for _ in 0..50 {
-        let stats = serve_against_the_oracle(4, 16, 8, 40);
+        let stats = serve_against_the_oracle(4, 16, (8, 6), 40);
         if stats.batched_rows > 4 * stats.batches {
             return;
         }
@@ -54,14 +55,14 @@ fn served_batches_longer_than_the_vector_size_are_bit_identical() {
     panic!("no served batch outgrew the vector size in 50 rounds");
 }
 
-/// Serve `requests` interleaved dense and LSTM requests (both models
-/// `width` units wide) on an engine of `vector_size` with batches of up to
+/// Serve `requests` interleaved dense and LSTM requests (the dense model
+/// `widths.0` units wide, the LSTM `widths.1`) on an engine of `vector_size` with batches of up to
 /// `max_batch_rows`, assert every answer bit-identical to the single-row
 /// oracle, and return the server's counters.
 fn serve_against_the_oracle(
     vector_size: usize,
     max_batch_rows: usize,
-    width: usize,
+    widths: (usize, usize),
     requests: usize,
 ) -> ServeStats {
     let engine = Arc::new(Engine::new(EngineConfig {
@@ -71,8 +72,8 @@ fn serve_against_the_oracle(
         ..Default::default()
     }));
 
-    let dense = paper::dense_model(width, 3, 42);
-    let lstm = paper::lstm_model(width, 43);
+    let dense = paper::dense_model(widths.0, 3, 42);
+    let lstm = paper::lstm_model(widths.1, 43);
     let (dense_table, dense_meta) =
         load_into_engine(&engine, "dense_model", &dense, Layout::NodeId).unwrap();
     let (lstm_table, lstm_meta) =

@@ -178,15 +178,20 @@ impl Device {
         self.counters.modeled_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
+    /// Charge one GPU kernel launch of `modeled_seconds` (nothing on a CPU).
+    fn launch(&self, modeled_seconds: f64) {
+        if self.is_gpu() {
+            self.charge_modeled(modeled_seconds);
+            self.counters.kernel_launches.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     fn run_kernel<R>(&self, modeled_seconds: f64, f: impl FnOnce() -> R) -> R {
         let start = Instant::now();
         let out = f();
         let wall = start.elapsed().as_nanos() as u64;
         self.counters.wall_ns.fetch_add(wall, Ordering::Relaxed);
-        if self.is_gpu() {
-            self.charge_modeled(modeled_seconds);
-            self.counters.kernel_launches.fetch_add(1, Ordering::Relaxed);
-        }
+        self.launch(modeled_seconds);
         out
     }
 
@@ -221,19 +226,13 @@ impl Device {
         activation: Activation,
         kernel: impl FnOnce() -> R,
     ) -> R {
-        let start = Instant::now();
-        let out = kernel();
-        let wall = start.elapsed().as_nanos() as u64;
-        self.counters.wall_ns.fetch_add(wall, Ordering::Relaxed);
-        if self.is_gpu() {
-            let elementwise = self.model.elementwise_time(8 * m * n);
-            let copy = bias.then_some(elementwise);
-            let act = (activation != Activation::Linear).then_some(elementwise);
-            let gemm = Some(self.model.gemm_time(blas::gemm_flops(m, k, n)));
-            for seconds in [copy, gemm, act].into_iter().flatten() {
-                self.charge_modeled(seconds);
-                self.counters.kernel_launches.fetch_add(1, Ordering::Relaxed);
-            }
+        let out = self.run_kernel(self.model.gemm_time(blas::gemm_flops(m, k, n)), kernel);
+        let elementwise = self.model.elementwise_time(8 * m * n);
+        if bias {
+            self.launch(elementwise);
+        }
+        if activation != Activation::Linear {
+            self.launch(elementwise);
         }
         out
     }

@@ -15,11 +15,9 @@
 //! an edge tile (`mr_eff < MR` or `nr_eff < NR`) runs the same FMAs in the
 //! same k-order and only masks its loads and stores, so an output
 //! element's bits do not depend on where its row or column falls in the
-//! tile grid — the batch size never changes a row's result. A one-row
-//! GEMM runs [`microkernel_row`] over the row in place, with the same FMA
-//! chains. Hosts without AVX-512 run a portable scalar kernel (whose
-//! fixed-size `MR x NR` accumulator autovectorizes) for every tile
-//! instead.
+//! tile grid — the batch size never changes a row's result. Hosts without
+//! AVX-512 run a portable scalar kernel (whose fixed-size `MR x NR`
+//! accumulator autovectorizes) for every tile instead.
 //!
 //! int8 (u8 activations × i8 weights → i32): three kernels that are
 //! **bit-identical** by construction — activations are quantized to 7 bits
@@ -171,107 +169,6 @@ unsafe fn microkernel_avx512<const WIDE: bool>(
                     _mm512_mask_storeu_ps(crow.add(16), m_hi, act(hi));
                 }
             }
-        }
-    }
-}
-
-/// Most B micro-panels [`microkernel_row`] spans per call.
-pub(crate) const ROW_TILES: usize = 4;
-
-/// One row of output across `tiles` (1..=[`ROW_TILES`]) consecutive B
-/// micro-panels,
-/// for a one-row GEMM: `C[0, 0..] = S + alpha * a · Bp` with `a` the
-/// row's `kc` values read in place (no packed A panel) and tile `t` of B
-/// at `bp + t * kc * NR`. Each element runs exactly the FMA chain of
-/// [`microkernel`] (same k-order, `fma(alpha, acc, s)` write-back, same
-/// ReLU), so it has the bits the row would get inside any batch; the
-/// tiles' chains interleave, so a one-row layer is not latency-bound on
-/// one tile at a time. Only the first `nr_last` columns of the last tile
-/// are read from `src` and written; `src` advances `src_step` per tile
-/// (`NR`, or 0 for a zero row).
-///
-/// # Safety
-/// The host must have AVX-512F (`simd::avx512f()`; elsewhere callers take
-/// the packed path). `a` must hold `kc` values and `bp`
-/// `tiles * kc * NR`; `src` and `c` must be valid for the row's
-/// `(tiles - 1) * NR + nr_last` columns (at `src_step` per tile for
-/// `src`), and no other thread may access that region of `c`
-/// concurrently.
-#[allow(clippy::too_many_arguments)] // the micro-kernel ABI, one row wide
-pub(crate) unsafe fn microkernel_row(
-    kc: usize,
-    alpha: f32,
-    a: &[f32],
-    bp: &[f32],
-    tiles: usize,
-    (src, src_step): (*const f32, usize),
-    c: *mut f32,
-    nr_last: usize,
-    relu: bool,
-) {
-    debug_assert!(simd::avx512f());
-    debug_assert!(a.len() >= kc && bp.len() >= tiles * kc * NR);
-    debug_assert!((1..=ROW_TILES).contains(&tiles) && (1..=NR).contains(&nr_last));
-    #[cfg(target_arch = "x86_64")]
-    {
-        let args = (kc, alpha, a, bp, (src, src_step), c, nr_last, relu);
-        // SAFETY: the caller's contract, forwarded (AVX-512F included).
-        unsafe {
-            match tiles {
-                1 => microkernel_row_avx512::<1>(args),
-                2 => microkernel_row_avx512::<2>(args),
-                3 => microkernel_row_avx512::<3>(args),
-                _ => microkernel_row_avx512::<4>(args),
-            }
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    unreachable!("the one-row kernel runs only on AVX-512 hosts");
-}
-
-/// [`microkernel_row`] on AVX-512, `TILES` panels at a time.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[allow(clippy::type_complexity)] // the micro-kernel ABI as one tuple
-unsafe fn microkernel_row_avx512<const TILES: usize>(
-    (kc, alpha, a, bp, (src, src_step), c, nr_last, relu): (
-        usize,
-        f32,
-        &[f32],
-        &[f32],
-        (*const f32, usize),
-        *mut f32,
-        usize,
-        bool,
-    ),
-) {
-    use std::arch::x86_64::*;
-    let mask = |lanes: usize| -> __mmask16 { ((1u32 << lanes.min(16)) - 1) as __mmask16 };
-    // SAFETY: `a` holds `kc` values and `bp` `TILES * kc * NR` (the
-    // caller's contract), which bounds every load; `src` and `c` accesses
-    // are masked to the valid columns.
-    unsafe {
-        let mut acc_lo = [_mm512_setzero_ps(); TILES];
-        let mut acc_hi = [_mm512_setzero_ps(); TILES];
-        let (a, b) = (a.as_ptr(), bp.as_ptr());
-        for k in 0..kc {
-            let ak = _mm512_set1_ps(*a.add(k));
-            for t in 0..TILES {
-                let bk = b.add((t * kc + k) * NR);
-                acc_lo[t] = _mm512_fmadd_ps(ak, _mm512_loadu_ps(bk), acc_lo[t]);
-                acc_hi[t] = _mm512_fmadd_ps(ak, _mm512_loadu_ps(bk.add(16)), acc_hi[t]);
-            }
-        }
-        let (va, zero) = (_mm512_set1_ps(alpha), _mm512_setzero_ps());
-        let act = |v| if relu { _mm512_max_ps(v, zero) } else { v };
-        for t in 0..TILES {
-            let cols = if t + 1 == TILES { nr_last } else { NR };
-            let (m_lo, m_hi) = (mask(cols), mask(cols.saturating_sub(16)));
-            let (s, crow) = (src.add(t * src_step), c.add(t * NR));
-            let lo = _mm512_fmadd_ps(va, acc_lo[t], _mm512_maskz_loadu_ps(m_lo, s));
-            _mm512_mask_storeu_ps(crow, m_lo, act(lo));
-            let hi = _mm512_fmadd_ps(va, acc_hi[t], _mm512_maskz_loadu_ps(m_hi, s.add(16)));
-            _mm512_mask_storeu_ps(crow.add(16), m_hi, act(hi));
         }
     }
 }

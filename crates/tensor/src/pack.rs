@@ -117,15 +117,7 @@ pub(crate) fn pack_a(
                 let base = (row0 + i) * view.ld + pc;
                 &view.data[base..base + kc]
             });
-            let mut k0 = 0;
-            #[cfg(target_arch = "x86_64")]
-            if crate::simd::avx512f() {
-                k0 = kc / MR * MR;
-                // SAFETY: AVX is present (AVX-512F implies it); every row
-                // holds `kc >= k0` values and the panel `kc * MR`.
-                unsafe { transpose_8x8_blocks(&src, k0, panel) };
-            }
-            for (k, dst) in panel.chunks_exact_mut(MR).enumerate().skip(k0) {
+            for (k, dst) in panel.chunks_exact_mut(MR).enumerate() {
                 for (d, row) in dst.iter_mut().zip(&src) {
                     *d = row[k];
                 }
@@ -169,47 +161,6 @@ pub(crate) fn pack_b_all(view: &MatView<'_>, k: usize, n: usize, out: &mut [f32]
             let kc = KC.min(k - pc);
             let at = packed_b_offset(k, jc, nc, pc);
             pack_b(view, pc, kc, jc, nc, &mut out[at..at + packed_b_len(kc, nc)]);
-        }
-    }
-}
-
-/// The first `k_end` (a multiple of 8) k steps of a full row-major A
-/// panel: each 8 x 8 block of the 8 source rows is transposed in
-/// registers and stored as 8 consecutive k steps of the panel.
-///
-/// # Safety
-/// The host must support AVX; every `src` row must hold at least `k_end`
-/// values and `panel` at least `k_end * MR`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn transpose_8x8_blocks(src: &[&[f32]; MR], k_end: usize, panel: &mut [f32]) {
-    use std::arch::x86_64::*;
-    const _: () = assert!(MR == 8, "an 8-row panel transposes as 8 x 8 blocks");
-    debug_assert!(k_end.is_multiple_of(8) && panel.len() >= k_end * MR);
-    debug_assert!(src.iter().all(|row| row.len() >= k_end));
-    for k0 in (0..k_end).step_by(8) {
-        // SAFETY: the caller guarantees rows of `k_end` values and a panel
-        // of `k_end * MR`, so every 8-wide load and store is in bounds.
-        unsafe {
-            let r: [__m256; MR] = std::array::from_fn(|i| _mm256_loadu_ps(src[i].as_ptr().add(k0)));
-            let (t0, t1) = (_mm256_unpacklo_ps(r[0], r[1]), _mm256_unpackhi_ps(r[0], r[1]));
-            let (t2, t3) = (_mm256_unpacklo_ps(r[2], r[3]), _mm256_unpackhi_ps(r[2], r[3]));
-            let (t4, t5) = (_mm256_unpacklo_ps(r[4], r[5]), _mm256_unpackhi_ps(r[4], r[5]));
-            let (t6, t7) = (_mm256_unpacklo_ps(r[6], r[7]), _mm256_unpackhi_ps(r[6], r[7]));
-            let (s0, s1) = (_mm256_shuffle_ps::<0x44>(t0, t2), _mm256_shuffle_ps::<0xEE>(t0, t2));
-            let (s2, s3) = (_mm256_shuffle_ps::<0x44>(t1, t3), _mm256_shuffle_ps::<0xEE>(t1, t3));
-            let (s4, s5) = (_mm256_shuffle_ps::<0x44>(t4, t6), _mm256_shuffle_ps::<0xEE>(t4, t6));
-            let (s6, s7) = (_mm256_shuffle_ps::<0x44>(t5, t7), _mm256_shuffle_ps::<0xEE>(t5, t7));
-            // Column j of the block (k step k0 + j) is lane j of every row.
-            let d = panel.as_mut_ptr().add(k0 * MR);
-            _mm256_storeu_ps(d, _mm256_permute2f128_ps::<0x20>(s0, s4));
-            _mm256_storeu_ps(d.add(8), _mm256_permute2f128_ps::<0x20>(s1, s5));
-            _mm256_storeu_ps(d.add(16), _mm256_permute2f128_ps::<0x20>(s2, s6));
-            _mm256_storeu_ps(d.add(24), _mm256_permute2f128_ps::<0x20>(s3, s7));
-            _mm256_storeu_ps(d.add(32), _mm256_permute2f128_ps::<0x31>(s0, s4));
-            _mm256_storeu_ps(d.add(40), _mm256_permute2f128_ps::<0x31>(s1, s5));
-            _mm256_storeu_ps(d.add(48), _mm256_permute2f128_ps::<0x31>(s2, s6));
-            _mm256_storeu_ps(d.add(56), _mm256_permute2f128_ps::<0x31>(s3, s7));
         }
     }
 }
@@ -373,8 +324,8 @@ mod tests {
         }
     }
 
-    /// Full 8-row panels take the register transpose for whole 8-step
-    /// blocks of k and the scalar loop for the rest.
+    /// Full 8-row panels take the lockstep loop, the ragged last panel
+    /// the zero-padded scatter; a `kc` that is no multiple of 8 included.
     #[test]
     fn pack_a_full_panels_with_a_ragged_k_tail() {
         let a = sample(19, 30);

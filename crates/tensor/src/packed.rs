@@ -26,7 +26,7 @@
 use crate::activation::Activation;
 use crate::blas::{gemm_flops, Transpose};
 use crate::matrix::Matrix;
-use crate::microkernel::{microkernel, microkernel_row, ROW_TILES};
+use crate::microkernel::microkernel;
 use crate::pack::{
     pack_a, pack_b_all, packed_a_len, packed_b_all_len, packed_b_offset, MatView, KC, MC, MR, NC,
     NR,
@@ -104,62 +104,8 @@ impl PackedMatrix {
         obs::metrics::TENSOR_GEMM_CALLS.add(1);
         obs::metrics::TENSOR_GEMM_FLOPS.add(gemm_flops(m, k, n));
         let _span = obs::span(&obs::metrics::TENSOR_GEMM_US);
-        if m == 1 && k > 0 && n > 0 && crate::simd::avx512f() {
-            gemm_row(x.as_slice(), k, n, &self.panels, init, activation, out.as_mut_slice());
-            return;
-        }
         let va = MatView::new(x, Transpose::No);
         gemm_panels(&va, m, k, n, &self.panels, 1.0, init, activation, out.as_mut_slice(), threads);
-    }
-}
-
-/// A one-row `C = activation(init + a · B)` on an AVX-512 host: the row
-/// is read in place instead of packed, and [`microkernel_row`] runs up to
-/// [`ROW_TILES`] B panels at once. Every element gets the FMA chain
-/// [`gemm_panels`] would give it, so a row alone has the bits it has in
-/// any batch.
-#[allow(clippy::too_many_arguments)]
-fn gemm_row(
-    a: &[f32],
-    k: usize,
-    n: usize,
-    bp: &[f32],
-    init: Init<'_>,
-    activation: Activation,
-    c: &mut [f32],
-) {
-    debug_assert!(a.len() == k && c.len() == n);
-    let cp = c.as_mut_ptr();
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            let panels = &bp[packed_b_offset(k, jc, nc, pc)..];
-            let relu = pc + kc == k && activation == Activation::Relu;
-            let nq = nc.div_ceil(NR);
-            for q0 in (0..nq).step_by(ROW_TILES) {
-                let tiles = ROW_TILES.min(nq - q0);
-                let col = jc + q0 * NR;
-                let nr_last = NR.min(nc - (q0 + tiles - 1) * NR);
-                let bpanels = &panels[q0 * kc * NR..(q0 + tiles) * kc * NR];
-                // SAFETY: AVX-512F is present (checked by the caller); the
-                // tiles cover columns col..col + (tiles - 1) * NR +
-                // nr_last <= n of the one row of C, and of the bias (which
-                // holds `n` values, asserted by the caller).
-                unsafe {
-                    let src = match (pc, init) {
-                        (0, Init::Zero) => (ZEROS.as_ptr(), 0),
-                        (0, Init::Bias(bias)) => (bias.as_ptr().add(col), NR),
-                        _ => (cp.add(col).cast_const(), NR),
-                    };
-                    let a = &a[pc..pc + kc];
-                    microkernel_row(kc, 1.0, a, bpanels, tiles, src, cp.add(col), nr_last, relu);
-                }
-            }
-        }
-    }
-    if !matches!(activation, Activation::Linear | Activation::Relu) {
-        activation.apply(c);
     }
 }
 
@@ -385,33 +331,6 @@ mod tests {
         packed.gemm(&Matrix::zeros(3, 0), Init::Bias(&[0.5, -0.5]), Activation::Relu, &mut out, 1);
         for i in 0..3 {
             assert_eq!(out.row(i), &[0.5, 0.0]);
-        }
-    }
-
-    /// The one-row path (row read in place, several panels per call)
-    /// gives each row the bits the packed path gives it inside a batch:
-    /// every init, every activation, one and two K slices, a partial
-    /// last tile and a width that is not a multiple of the panel group.
-    #[test]
-    fn one_row_path_matches_the_batch_path() {
-        for (k, n) in [(5, 3), (64, 64), (KC + 9, 7 * NR + 5)] {
-            let (x, w) = (sample(9, k, 0.3), sample(k, n, 0.8));
-            let packed = PackedMatrix::pack(&w);
-            let bias: Vec<f32> = (0..n).map(|j| (j as f32 * 0.3).cos()).collect();
-            let start = sample(9, n, 0.5);
-            for act in Activation::all() {
-                for init in [Init::Zero, Init::Bias(&bias), Init::Accumulate] {
-                    let mut batch = start.clone();
-                    packed.gemm(&x, init, act, &mut batch, 1);
-                    for r in [0, 4, 8] {
-                        let row = Matrix::from_vec(1, k, x.row(r).to_vec());
-                        let mut alone = Matrix::from_vec(1, n, start.row(r).to_vec());
-                        packed.gemm(&row, init, act, &mut alone, 1);
-                        let want: Vec<u32> = batch.row(r).iter().map(|v| v.to_bits()).collect();
-                        assert_eq!(bits(&alone), want, "{k}x{n} {act} {init:?} row {r}");
-                    }
-                }
-            }
         }
     }
 
