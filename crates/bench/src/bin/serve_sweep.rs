@@ -25,12 +25,8 @@
 //! Results go to stdout and `BENCH_serve.json`; `--quick` runs one tiny
 //! cell per mode as a smoke test and leaves the JSON untouched.
 
-use std::sync::Arc;
-use std::time::Instant;
-
 use indbml_core::{drive_closed_loop, Experiment, ExperimentConfig, ServeLoadConfig, Workload};
-use serve::{ServeConfig, ServeError};
-use shard::{ShardedEngine, ShardedServer};
+use serve::ServeConfig;
 use tensor::Device;
 use vector_engine::EngineConfig;
 
@@ -104,111 +100,6 @@ fn run_cell(
         batches: sstats.batches,
         batched_rows: sstats.batched_rows,
     }
-}
-
-/// A predict cell against a [`ShardedServer`]: the model table is
-/// replicated onto every shard and requests round-robin across the
-/// per-shard servers, so each shard runs its own registration, batcher,
-/// and admission queue. (On a single-core host the shards time-slice one
-/// CPU — these cells measure the facade's overhead and fairness, not
-/// parallel speedup.)
-struct ShardCell {
-    mode: &'static str,
-    clients: usize,
-    shards: usize,
-    completed: usize,
-    retries: usize,
-    throughput_rps: f64,
-    p50_us: u64,
-    p99_us: u64,
-    batches: u64,
-    batched_rows: u64,
-}
-
-fn run_sharded_cell(
-    ex: &Experiment,
-    mode: Mode,
-    clients: usize,
-    shards: usize,
-    flush_us: u64,
-    requests_per_client: usize,
-) -> ShardCell {
-    let layout = ex.config().opt.layout();
-    let (model_cols, meta) = model_repr::export_columns(&ex.model, layout);
-    let mut ecfg = ex.config().engine.clone();
-    ecfg.shards = shards;
-    let engine = Arc::new(ShardedEngine::new(ecfg));
-    for s in engine.shards() {
-        let t = s
-            .create_table("model_table", model_repr::model_table_schema(layout))
-            .expect("model ddl");
-        t.append(model_cols.clone()).expect("model load");
-    }
-    let mut cfg = ServeConfig::from_engine(&ex.config().engine);
-    cfg.batch_flush_us = flush_us;
-    cfg.max_batch_rows = cfg.max_batch_rows.min(64);
-    mode.apply(&mut cfg);
-    let server = ShardedServer::start(Arc::clone(&engine), cfg);
-    server.register_model("model", "model_table", meta, layout, &Device::cpu());
-
-    let dim = ex.meta.input_dim;
-    let inputs: Vec<Vec<f32>> = (0..256)
-        .map(|i| (0..dim).map(|c| ((i * 31 + c * 7) % 100) as f32 / 100.0).collect())
-        .collect();
-
-    let start = Instant::now();
-    let per_client: Vec<(Vec<u64>, usize)> = std::thread::scope(|scope| {
-        let joins: Vec<_> = (0..clients)
-            .map(|c| {
-                let server = &server;
-                let inputs = &inputs;
-                scope.spawn(move || {
-                    let mut lats = Vec::with_capacity(requests_per_client);
-                    let mut retries = 0usize;
-                    for r in 0..requests_per_client {
-                        let input = &inputs[(c * 37 + r) % inputs.len()];
-                        let t0 = Instant::now();
-                        loop {
-                            match server.submit_predict("model", input.clone()) {
-                                Ok(h) => {
-                                    h.wait().expect("predict failed");
-                                    break;
-                                }
-                                Err(ServeError::Overloaded { .. }) => {
-                                    retries += 1;
-                                    std::thread::yield_now();
-                                }
-                                Err(e) => panic!("submit_predict failed: {e:?}"),
-                            }
-                        }
-                        lats.push(t0.elapsed().as_micros() as u64);
-                    }
-                    (lats, retries)
-                })
-            })
-            .collect();
-        joins.into_iter().map(|j| j.join().expect("client panicked")).collect()
-    });
-    let wall = start.elapsed().as_secs_f64();
-    let mut lats: Vec<u64> = per_client.iter().flat_map(|(l, _)| l.iter().copied()).collect();
-    let retries = per_client.iter().map(|(_, r)| r).sum();
-    lats.sort_unstable();
-    let pct = |p: f64| lats[((lats.len() - 1) as f64 * p) as usize];
-    let sstats = server.stats();
-    let cell = ShardCell {
-        mode: mode.name(),
-        clients,
-        shards,
-        completed: lats.len(),
-        retries,
-        throughput_rps: lats.len() as f64 / wall,
-        p50_us: pct(0.5),
-        p99_us: pct(0.99),
-        batches: sstats.batches,
-        batched_rows: sstats.batched_rows,
-    };
-    server.shutdown();
-    cell
 }
 
 /// Max-abs prediction delta between fp32 and int8 serving over a fixed
@@ -319,37 +210,6 @@ fn main() {
         flush_cells.push(cell);
     }
 
-    // Sharded point-serve cells: cached and batched modes at the highest
-    // client count across {1, 4, 8} shards (one tiny cell in quick mode).
-    let shard_counts: &[usize] = if quick { &[2] } else { &[1, 4, 8] };
-    let mut sharded_cells: Vec<ShardCell> = Vec::new();
-    println!("\nmode,clients,shards,completed,retries,throughput_rps,p50_us,p99_us,batches");
-    for mode in [Mode::Cached, Mode::Batched] {
-        for &shards in shard_counts {
-            let cell = run_sharded_cell(
-                &ex,
-                mode,
-                max_clients,
-                shards,
-                headline_flush,
-                requests_per_client,
-            );
-            println!(
-                "{},{},{},{},{},{:.1},{},{},{}",
-                cell.mode,
-                cell.clients,
-                cell.shards,
-                cell.completed,
-                cell.retries,
-                cell.throughput_rps,
-                cell.p50_us,
-                cell.p99_us,
-                cell.batches
-            );
-            sharded_cells.push(cell);
-        }
-    }
-
     let tput = |mode: &str, clients: usize| {
         cells
             .iter()
@@ -410,26 +270,6 @@ fn main() {
     json.push_str("  \"flush_sweep\": [\n");
     for (i, c) in flush_cells.iter().enumerate() {
         json.push_str(&fmt_cell(c, if i + 1 < flush_cells.len() { "," } else { "" }));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"sharded_cells\": [\n");
-    for (i, c) in sharded_cells.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"clients\": {}, \"shards\": {}, \"completed\": {}, \
-             \"retries\": {}, \"throughput_rps\": {:.1}, \"p50_us\": {}, \"p99_us\": {}, \
-             \"batches\": {}, \"batched_rows\": {}}}{}\n",
-            c.mode,
-            c.clients,
-            c.shards,
-            c.completed,
-            c.retries,
-            c.throughput_rps,
-            c.p50_us,
-            c.p99_us,
-            c.batches,
-            c.batched_rows,
-            if i + 1 < sharded_cells.len() { "," } else { "" }
-        ));
     }
     json.push_str("  ],\n");
     // Serving-layer observability snapshot of the whole sweep: batch-size

@@ -84,6 +84,12 @@ pub static EXEC_SPLIT_KEY_UNIQUE: Counter = Counter::new();
 /// Partition splits admitted on a key column whose morsel SMA ranges are
 /// pairwise disjoint.
 pub static EXEC_SPLIT_KEY_SMA: Counter = Counter::new();
+/// Partition splits admitted on the table's hash placement key, one
+/// morsel per partition.
+pub static EXEC_SPLIT_KEY_HASH: Counter = Counter::new();
+/// Partitions a scan or a morsel list skipped because a `key = literal`
+/// pin on a hash-placed table names another partition.
+pub static EXEC_SCAN_PARTITIONS_PRUNED: Counter = Counter::new();
 
 pub static EXEC_SCAN: StageMetrics = StageMetrics::new();
 pub static EXEC_FILTER: StageMetrics = StageMetrics::new();
@@ -114,32 +120,6 @@ pub static MODELJOIN_BUILD_US: Histogram = Histogram::new();
 /// the forward pass's µs. The C-API, UDF and client series are not
 /// counted.
 pub static MODELJOIN_PROBE: StageMetrics = StageMetrics::new();
-
-// --- shard: sharded scatter-gather facade ---------------------------------
-
-/// Queries routed to exactly one shard (replicated-only plans and
-/// shard-key point lookups).
-pub static SHARD_QUERIES_SINGLE: Counter = Counter::new();
-/// Queries scattered to every shard and gathered without a merge step.
-pub static SHARD_QUERIES_SCATTER: Counter = Counter::new();
-/// Queries that ran the cross-shard partial-aggregate merge.
-pub static SHARD_QUERIES_PARTIAL_AGG: Counter = Counter::new();
-/// Queries that ran a hash-partitioned shuffle exchange before joining.
-pub static SHARD_QUERIES_SHUFFLE: Counter = Counter::new();
-/// Rows repartitioned through the shuffle exchange.
-pub static SHARD_SHUFFLE_ROWS: Counter = Counter::new();
-/// Batches produced by the shuffle exchange (post-split, non-empty).
-pub static SHARD_SHUFFLE_BATCHES: Counter = Counter::new();
-/// Estimated bytes moved through the shuffle exchange.
-pub static SHARD_SHUFFLE_BYTES: Counter = Counter::new();
-/// Shards owned by the most recently constructed `ShardedEngine`.
-pub static SHARD_COUNT: Gauge = Gauge::new();
-/// Rows contributed by one shard to one gather (or routed to one shard by
-/// one bulk load) — the skew signal of the hash partitioning.
-pub static SHARD_ROWS_PER_SHARD: Histogram = Histogram::new();
-/// Wall time from scatter submission until every shard's result is
-/// gathered, µs (span-gated).
-pub static SHARD_GATHER_WAIT_US: Histogram = Histogram::new();
 
 // --- storage: buffer pool + WAL + recovery --------------------------------
 
@@ -242,19 +222,14 @@ pub static COUNTERS: &[(&str, &Counter)] = &[
     ("exec.split_key.none", &EXEC_SPLIT_KEY_NONE),
     ("exec.split_key.unique", &EXEC_SPLIT_KEY_UNIQUE),
     ("exec.split_key.sma", &EXEC_SPLIT_KEY_SMA),
+    ("exec.split_key.hash", &EXEC_SPLIT_KEY_HASH),
+    ("exec.scan.partitions_pruned", &EXEC_SCAN_PARTITIONS_PRUNED),
     ("modeljoin.build.count", &MODELJOIN_BUILD_COUNT),
     ("modeljoin.quant.builds", &MODELJOIN_QUANT_BUILDS),
     ("modeljoin.cache.hits", &MODELJOIN_CACHE_HITS),
     ("modeljoin.cache.misses", &MODELJOIN_CACHE_MISSES),
     ("modeljoin.cache.hits_i8", &MODELJOIN_CACHE_HITS_I8),
     ("modeljoin.cache.misses_i8", &MODELJOIN_CACHE_MISSES_I8),
-    ("shard.queries.single", &SHARD_QUERIES_SINGLE),
-    ("shard.queries.scatter", &SHARD_QUERIES_SCATTER),
-    ("shard.queries.partial_agg", &SHARD_QUERIES_PARTIAL_AGG),
-    ("shard.queries.shuffle", &SHARD_QUERIES_SHUFFLE),
-    ("shard.shuffle.rows", &SHARD_SHUFFLE_ROWS),
-    ("shard.shuffle.batches", &SHARD_SHUFFLE_BATCHES),
-    ("shard.shuffle.bytes", &SHARD_SHUFFLE_BYTES),
     ("storage.pool.hits", &STORAGE_POOL_HITS),
     ("storage.pool.misses", &STORAGE_POOL_MISSES),
     ("storage.pool.evictions", &STORAGE_POOL_EVICTIONS),
@@ -287,7 +262,6 @@ pub static GAUGES: &[(&str, &Gauge)] = &[
     ("sched.workers", &SCHED_WORKERS),
     ("sched.queue.depth", &SCHED_QUEUE_DEPTH),
     ("serve.queue.depth", &SERVE_QUEUE_DEPTH),
-    ("shard.count", &SHARD_COUNT),
     ("storage.pool.occupancy", &STORAGE_POOL_OCCUPANCY),
     ("storage.pool.occupancy_peak", &STORAGE_POOL_OCCUPANCY_PEAK),
     ("storage.free_pages", &STORAGE_FREE_PAGES),
@@ -304,8 +278,6 @@ pub static HISTOGRAMS: &[(&str, &Histogram)] = &[
     ("modeljoin.build.us", &MODELJOIN_BUILD_US),
     ("serve.batch.rows", &SERVE_BATCH_ROWS),
     ("serve.request.e2e_us", &SERVE_E2E_US),
-    ("shard.rows.per_shard", &SHARD_ROWS_PER_SHARD),
-    ("shard.gather.wait_us", &SHARD_GATHER_WAIT_US),
 ];
 
 /// Stage entries are named by their `.rows` counter; snapshots derive the

@@ -43,7 +43,7 @@ use modeljoin::ModelCache;
 use obs::metrics as om;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -231,6 +231,10 @@ struct Shared {
     /// waits for this to reach zero after the coordinator exits.
     inflight: Mutex<usize>,
     inflight_cv: Condvar,
+    /// Set by the coordinator, before its idle check, while it holds
+    /// pending batches: only then does the pool going idle need to wake
+    /// it ([`release_inflight`]).
+    holding: AtomicBool,
 }
 
 /// The serving front end. See the module docs for the architecture.
@@ -251,6 +255,7 @@ impl Server {
             counters: Counters::default(),
             inflight: Mutex::new(0),
             inflight_cv: Condvar::new(),
+            holding: AtomicBool::new(false),
         });
         // Zero workers stays inert (admission-control tests rely on
         // nothing consuming the queue until shutdown).
@@ -540,10 +545,31 @@ fn run_batch(shared: &Arc<Shared>, model: Option<String>, batch: Vec<Queued>) {
             slot.complete(Err(ServeError::Internal("serving task panicked".into())));
         }
     }
-    let mut inflight = lock_recover(&shared.inflight);
-    *inflight -= 1;
-    if *inflight == 0 {
+    release_inflight(shared);
+}
+
+/// Give back one in-flight slot. The last one wakes shutdown's drain wait
+/// and, when it holds pending batches, the coordinator: a partial batch
+/// held while the pool was busy flushes now (work-conserving) instead of
+/// at its deadline. The state lock is taken for that notify — after
+/// `inflight` is released, the coordinator's order being state then
+/// inflight — so the wake-up cannot fall between the coordinator's idle
+/// check and its wait. `holding` is stored before that check and read
+/// after the decrement, both `SeqCst`, with the `inflight` mutex ordering
+/// the two: a decrement the check missed sees the flag. Skipping the lock
+/// otherwise keeps it off the path of every batch of a busy server.
+fn release_inflight(shared: &Shared) {
+    let idle = {
+        let mut inflight = lock_recover(&shared.inflight);
+        *inflight -= 1;
+        *inflight == 0
+    };
+    if idle {
         shared.inflight_cv.notify_all();
+        if shared.holding.load(Ordering::SeqCst) {
+            let _state = lock_recover(&shared.state);
+            shared.work_cv.notify_all();
+        }
     }
 }
 
@@ -593,6 +619,7 @@ fn coordinator_loop(shared: &Arc<Shared>) {
         // load this self-clocks into pipelined batches (arrivals during
         // execution form the next batch), while the deadline still bounds
         // worst-case batching delay when the pool is busy.
+        shared.holding.store(!pending.is_empty(), Ordering::SeqCst);
         let idle = *lock_recover(&shared.inflight) == 0;
         let mut i = 0;
         let mut flushed = 0usize;
@@ -897,6 +924,24 @@ mod tests {
             assert_eq!(q.row(0)[0], Value::Int(2));
         }
         assert!(e.plan_cache_stats().hits >= 2, "repeat SQL must hit the plan cache");
+    }
+
+    #[test]
+    fn a_predict_queued_behind_in_flight_work_flushes_when_the_pool_goes_idle() {
+        let e = engine();
+        // A deadline far beyond the test: only the idle pool may flush.
+        let server = Server::start(
+            Arc::clone(&e),
+            ServeConfig { batch_flush_us: 10_000_000, max_batch_rows: 64, ..config() },
+        );
+        register_dense(&server, &e, "m");
+        // Stand in for a SQL unit running on the pool.
+        *lock_recover(&server.shared.inflight) += 1;
+        let h = server.submit_predict("m", vec![0.5; 4]).unwrap();
+        assert!(h.wait_timeout(Duration::from_millis(50)).is_none(), "held behind the unit");
+        release_inflight(&server.shared);
+        let response = h.wait_timeout(Duration::from_secs(5)).expect("flushed once idle");
+        assert!(matches!(response, Ok(Response::Prediction(_))), "{response:?}");
     }
 
     #[test]

@@ -1,10 +1,12 @@
-//! Sharded crash recovery: every shard's WAL is torn independently at an
-//! arbitrary offset inside the in-flight statement, and the recovered
-//! facade must be bit-identical, shard by shard, to an in-memory oracle
-//! that ran exactly the committed statement prefix.
+//! Crash recovery of a hash-placed table. The engine's one WAL is torn at
+//! an arbitrary offset inside the statement after a commit point — an
+//! autocommit append, or anywhere in a `BEGIN` … `COMMIT` group — and the
+//! recovered engine must be bit-identical, partition by partition, to an
+//! in-memory oracle that ran exactly the committed prefix. A shard is a
+//! partition of the hash placement: "one shard" runs one partition, "four
+//! shards" four.
 
 use proptest::prelude::*;
-use shard::{Route, ShardedEngine};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use vector_engine::{ColumnVector, Engine, EngineConfig, Value};
 
@@ -18,12 +20,11 @@ fn fresh_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-fn config(dir: Option<&std::path::Path>, shards: usize) -> EngineConfig {
+fn config(dir: Option<&std::path::Path>, partitions: usize) -> EngineConfig {
     EngineConfig {
         vector_size: 4,
-        partitions: 2,
+        partitions,
         parallelism: 1,
-        shards,
         data_dir: dir.map(|d| d.to_str().unwrap().to_string()),
         buffer_pool_pages: 8,
         wal_fsync: false,
@@ -31,164 +32,95 @@ fn config(dir: Option<&std::path::Path>, shards: usize) -> EngineConfig {
     }
 }
 
-/// Rows of `t` on one shard in physical (partition, block) order — the
-/// bit-identity basis.
-fn shard_rows(e: &Engine) -> Vec<Vec<Value>> {
+/// Rows of `t`, per partition in physical (block) order — the bit-identity
+/// basis.
+fn partition_rows(e: &Engine) -> Vec<Vec<Vec<Value>>> {
     let t = e.table("t").unwrap();
-    let mut rows = Vec::new();
-    for batch in t.all_batches().unwrap() {
-        for r in 0..batch.num_rows() {
-            rows.push((0..batch.num_columns()).map(|c| batch.column(c).value(r)).collect());
-        }
-    }
-    rows
+    (0..t.partition_count())
+        .map(|p| {
+            let mut rows = Vec::new();
+            t.for_each_block(p, &[0, 1], |b| {
+                rows.extend((0..b.num_rows()).map(|r| b.row(r)));
+                Ok(())
+            })
+            .unwrap();
+            rows
+        })
+        .collect()
 }
 
-/// Statement 0 is CREATE (+ declare_sharded); statement `i >= 1` appends
-/// `sizes[i-1]` rows. Applies the first `committed` statements.
-fn apply(e: &ShardedEngine, sizes: &[usize], committed: usize) {
+/// Append `n` rows numbered from `*next`: skewed keys (`row % 11`) and a
+/// dyadic payload that tells the rows apart.
+fn append(e: &Engine, next: &mut i64, n: usize) {
+    let rows: Vec<i64> = (*next..*next + n as i64).collect();
+    *next += n as i64;
+    let ids = rows.iter().map(|r| r % 11).collect();
+    let vs = rows.iter().map(|&r| r as f64 * 0.25).collect();
+    e.insert_columns("t", vec![ColumnVector::Int(ids), ColumnVector::Float(vs)]).unwrap();
+}
+
+/// Statement 0 creates `t` hash-placed on `id`; group `i >= 1` appends
+/// `groups[i-1]`, as one `BEGIN` … `COMMIT` transaction when `txn`.
+/// Applies the first `committed` groups and returns the WAL size after
+/// each (`None` in memory).
+fn apply(e: &Engine, groups: &[Vec<usize>], txn: bool, committed: usize) -> Vec<Option<u64>> {
+    let mut after = Vec::new();
     if committed == 0 {
-        return;
+        return after;
     }
     e.execute("CREATE TABLE t (id INT, v FLOAT)").unwrap();
-    e.declare_sharded("t", "id").unwrap();
-    let mut next_id = 0i64;
-    for &n in sizes.iter().take(committed - 1) {
-        let ids: Vec<i64> = (next_id..next_id + n as i64).collect();
-        let vs: Vec<f64> = ids.iter().map(|&x| x as f64 * 0.25).collect();
-        next_id += n as i64;
-        e.insert_columns("t", vec![ColumnVector::Int(ids), ColumnVector::Float(vs)]).unwrap();
-    }
-}
-
-/// Per-shard WAL sizes right now.
-fn wal_sizes(e: &ShardedEngine) -> Vec<u64> {
-    e.shards().iter().map(|s| s.wal_size().unwrap()).collect()
-}
-
-fn run_case(shards: usize, sizes: &[usize], boundary: usize, tears: &[u64]) {
-    let dir = fresh_dir(&format!("n{shards}"));
-    let cfg = config(Some(&dir), shards);
-    // Run the full workload, recording per-shard WAL sizes after every
-    // statement (statement 0 = CREATE, then one append per entry).
-    let mut after: Vec<Vec<u64>> = Vec::new();
-    {
-        let e = ShardedEngine::open(cfg.clone()).unwrap();
-        apply(&e, sizes, 1);
-        after.push(wal_sizes(&e));
-        let mut next_id: i64 = 0;
-        for &n in sizes {
-            let ids: Vec<i64> = (next_id..next_id + n as i64).collect();
-            let vs: Vec<f64> = ids.iter().map(|&x| x as f64 * 0.25).collect();
-            next_id += n as i64;
-            e.insert_columns("t", vec![ColumnVector::Int(ids), ColumnVector::Float(vs)]).unwrap();
-            after.push(wal_sizes(&e));
-        }
-    }
-    // Crash at statement boundary `b`, torn partway into the next
-    // statement: every shard's WAL keeps its first `after[b]` bytes plus
-    // an arbitrary slice of the in-flight statement's bytes — never that
-    // statement's trailing commit marker, so it must not survive anywhere.
-    let b = boundary % after.len();
-    for (i, &keep) in after[b].iter().enumerate() {
-        let cut = match after.get(b + 1) {
-            Some(next) if next[i] > keep => keep + tears[i % tears.len()] % (next[i] - keep),
-            _ => keep,
-        };
-        let wal = dir.join(format!("shard-{i}")).join("wal.log");
-        let bytes = std::fs::read(&wal).unwrap();
-        std::fs::write(&wal, &bytes[..cut as usize]).unwrap();
-    }
-
-    let recovered = ShardedEngine::open(cfg).unwrap();
-    let oracle = ShardedEngine::open(config(None, shards)).unwrap();
-    apply(&oracle, sizes, b + 1);
-    for i in 0..shards {
-        assert_eq!(
-            shard_rows(recovered.shard(i)),
-            shard_rows(oracle.shard(i)),
-            "shard {i} of {shards} diverged after crash at boundary {b}"
-        );
-    }
-    // The sharding map came back from sharding.kv: point queries still
-    // route to a single owning shard.
-    assert_eq!(recovered.shard_key("t").as_deref(), Some("id"));
-    if shards > 1 {
-        let route = recovered.route("SELECT v FROM t WHERE id = 0").unwrap();
-        assert!(matches!(route, Route::Single(_)), "expected routed point query, got {route:?}");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Like [`apply`], but statement group `i >= 1` is a whole
-/// `BEGIN` .. `COMMIT` transaction of `groups[i-1]` appends.
-fn apply_txn(e: &ShardedEngine, groups: &[Vec<usize>], committed: usize) {
-    if committed == 0 {
-        return;
-    }
-    e.execute("CREATE TABLE t (id INT, v FLOAT)").unwrap();
-    e.declare_sharded("t", "id").unwrap();
-    let mut next_id = 0i64;
-    for g in groups.iter().take(committed - 1) {
-        for &n in g {
-            let ids: Vec<i64> = (next_id..next_id + n as i64).collect();
-            let vs: Vec<f64> = ids.iter().map(|&x| x as f64 * 0.25).collect();
-            next_id += n as i64;
-            e.insert_columns("t", vec![ColumnVector::Int(ids), ColumnVector::Float(vs)]).unwrap();
-        }
-    }
-}
-
-/// Crash with every shard's WAL torn inside transaction group `b`'s
-/// bytes (never keeping its COMMIT marker): recovery must land on the
-/// state as of group `b - 1`'s COMMIT on every shard — transactions are
-/// all-or-nothing per shard, even when the torn group routed rows to
-/// only some of them.
-fn run_txn_case(shards: usize, groups: &[Vec<usize>], boundary: usize, tears: &[u64]) {
-    let dir = fresh_dir(&format!("txn-n{shards}"));
-    let cfg = config(Some(&dir), shards);
-    let mut after: Vec<Vec<u64>> = Vec::new();
-    {
-        let e = ShardedEngine::open(cfg.clone()).unwrap();
-        apply_txn(&e, groups, 1);
-        after.push(wal_sizes(&e));
-        let mut next_id: i64 = 0;
-        for g in groups {
+    e.table("t").unwrap().declare_placement_key("id").unwrap();
+    after.push(e.wal_size());
+    let mut next = 0;
+    for group in groups.iter().take(committed - 1) {
+        if txn {
             e.execute("BEGIN").unwrap();
-            for &n in g {
-                let ids: Vec<i64> = (next_id..next_id + n as i64).collect();
-                let vs: Vec<f64> = ids.iter().map(|&x| x as f64 * 0.25).collect();
-                next_id += n as i64;
-                e.insert_columns("t", vec![ColumnVector::Int(ids), ColumnVector::Float(vs)])
-                    .unwrap();
-            }
-            e.execute("COMMIT").unwrap();
-            after.push(wal_sizes(&e));
         }
+        for &n in group {
+            append(e, &mut next, n);
+        }
+        if txn {
+            e.execute("COMMIT").unwrap();
+        }
+        after.push(e.wal_size());
     }
-    let b = boundary % after.len();
-    for (i, &keep) in after[b].iter().enumerate() {
-        let cut = match after.get(b + 1) {
-            Some(next) if next[i] > keep => keep + tears[i % tears.len()] % (next[i] - keep),
-            _ => keep,
-        };
-        let wal = dir.join(format!("shard-{i}")).join("wal.log");
-        let bytes = std::fs::read(&wal).unwrap();
-        std::fs::write(&wal, &bytes[..cut as usize]).unwrap();
-    }
+    after
+}
 
-    let recovered = ShardedEngine::open(cfg).unwrap();
-    let oracle = ShardedEngine::open(config(None, shards)).unwrap();
-    apply_txn(&oracle, groups, b + 1);
-    for i in 0..shards {
-        assert_eq!(
-            shard_rows(recovered.shard(i)),
-            shard_rows(oracle.shard(i)),
-            "shard {i} of {shards} diverged after crash inside txn group {b}"
-        );
-    }
-    assert_eq!(recovered.shard_key("t").as_deref(), Some("id"));
+/// Run every group, crash at commit point `boundary` with the WAL torn
+/// `tear` bytes (mod the group's size) into the next group — never keeping
+/// its commit marker — and compare the recovered engine with the oracle.
+fn run_case(partitions: usize, groups: &[Vec<usize>], txn: bool, boundary: usize, tear: u64) {
+    let dir = fresh_dir(&format!("p{partitions}-txn{txn}"));
+    let cfg = config(Some(&dir), partitions);
+    let after: Vec<u64> = {
+        let e = Engine::open(cfg.clone()).unwrap();
+        apply(&e, groups, txn, groups.len() + 1).into_iter().map(Option::unwrap).collect()
+    };
+    let b = boundary % after.len();
+    let keep = after[b];
+    let cut = match after.get(b + 1) {
+        Some(&next) if next > keep => keep + tear % (next - keep),
+        _ => keep,
+    };
+    let wal = dir.join("wal.log");
+    let bytes = std::fs::read(&wal).unwrap();
+    std::fs::write(&wal, &bytes[..cut as usize]).unwrap();
+
+    let recovered = Engine::open(cfg).unwrap();
+    let oracle = Engine::new(config(None, partitions));
+    apply(&oracle, groups, txn, b + 1);
+    assert_eq!(
+        partition_rows(&recovered),
+        partition_rows(&oracle),
+        "{partitions} partitions diverged after a crash at commit point {b} (txn {txn})"
+    );
+    assert_eq!(recovered.table("t").unwrap().placement_key(), Some(0), "the key is replayed");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn singletons(sizes: &[usize]) -> Vec<Vec<usize>> {
+    sizes.iter().map(|&n| vec![n]).collect()
 }
 
 proptest! {
@@ -198,18 +130,18 @@ proptest! {
     fn torn_wals_recover_the_committed_prefix_on_one_shard(
         sizes in proptest::collection::vec(1usize..10, 1..6),
         boundary in 0usize..7,
-        tears in proptest::collection::vec(0u64..1_000_000, 1),
+        tear in 0u64..1_000_000,
     ) {
-        run_case(1, &sizes, boundary, &tears);
+        run_case(1, &singletons(&sizes), false, boundary, tear);
     }
 
     #[test]
     fn torn_wals_recover_the_committed_prefix_on_four_shards(
         sizes in proptest::collection::vec(1usize..10, 1..6),
         boundary in 0usize..7,
-        tears in proptest::collection::vec(0u64..1_000_000, 4),
+        tear in 0u64..1_000_000,
     ) {
-        run_case(4, &sizes, boundary, &tears);
+        run_case(4, &singletons(&sizes), false, boundary, tear);
     }
 
     #[test]
@@ -217,9 +149,9 @@ proptest! {
         groups in proptest::collection::vec(
             proptest::collection::vec(1usize..8, 1..4), 1..4),
         boundary in 0usize..6,
-        tears in proptest::collection::vec(0u64..1_000_000, 1),
+        tear in 0u64..1_000_000,
     ) {
-        run_txn_case(1, &groups, boundary, &tears);
+        run_case(1, &groups, true, boundary, tear);
     }
 
     #[test]
@@ -227,8 +159,8 @@ proptest! {
         groups in proptest::collection::vec(
             proptest::collection::vec(1usize..8, 1..4), 1..4),
         boundary in 0usize..6,
-        tears in proptest::collection::vec(0u64..1_000_000, 4),
+        tear in 0u64..1_000_000,
     ) {
-        run_txn_case(4, &groups, boundary, &tears);
+        run_case(4, &groups, true, boundary, tear);
     }
 }

@@ -1,20 +1,24 @@
-//! Property tests pinning sharded execution to the single-engine oracle:
-//! for every shard count in {1, 2, 3, 8} and skewed key distributions,
-//! scatter/partial-aggregate/shuffle queries and ModelJoin inference must
-//! return exactly the oracle's rows (compared sorted — the gather order
-//! across shards is not the single engine's scan order).
+//! The placement oracle. A table hash-placed on a key — what declaring it
+//! "sharded" does — and its round-robin twin must return the same result
+//! bits at partitions {1, 4, 12} × parallelism {1, 2}: point lookups,
+//! GROUP BY the key and off it, key-aligned and misaligned joins, global
+//! aggregates, ORDER BY / LIMIT, a cross join of two hash-placed tables,
+//! and `PREDICT`, over skewed keys. Rows are compared sorted unless the
+//! statement fixes their order.
 //!
-//! Float payloads are dyadic (k/64, exact in binary), so partial sums are
-//! exact in f64 no matter how the merge groups them — merge-order changes
-//! cannot wobble low bits, and the comparison is *bitwise*, not approximate.
+//! Float payloads are dyadic (k/64, exact in binary), so sums are exact in
+//! f64 whatever order partitions and morsels fold them in, and the
+//! comparison is *bitwise*, not approximate.
 
-use shard::{Route, ShardedEngine};
-use vector_engine::{Batch, ColumnVector, Engine, EngineConfig, QueryResult, Value};
+use vector_engine::exec::hash::hash_value;
+use vector_engine::exec::parallel::common_pin;
+use vector_engine::{ColumnVector, Engine, EngineConfig, QueryResult, Value};
 
-const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 8];
+/// (partitions, parallelism) cells.
+const LAYOUTS: [(usize, usize); 6] = [(1, 1), (1, 2), (4, 1), (4, 2), (12, 1), (12, 2)];
 
-fn config() -> EngineConfig {
-    EngineConfig { vector_size: 64, partitions: 2, parallelism: 2, ..Default::default() }
+fn config(partitions: usize, parallelism: usize) -> EngineConfig {
+    EngineConfig { vector_size: 16, partitions, parallelism, ..Default::default() }
 }
 
 /// Split-mix style generator so all columns derive from one seed.
@@ -24,9 +28,9 @@ fn lcg(seed: u64, i: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Group keys where a `skew`-percent slice of rows collapses onto one hot
-/// key (the skewed-distribution half of the satellite).
-fn group_keys(n: usize, domain: u64, skew: u32, seed: u64) -> Vec<i64> {
+/// Keys in `0..domain` where a `skew`-percent slice of rows collapses onto
+/// the hot key 7.
+fn skewed_keys(n: usize, domain: u64, skew: u32, seed: u64) -> Vec<i64> {
     (0..n)
         .map(|i| {
             let r = lcg(seed, i);
@@ -44,40 +48,26 @@ fn dyadic(n: usize, seed: u64) -> Vec<f64> {
     (0..n).map(|i| (lcg(seed, i) % 1024) as f64 / 64.0 - 8.0).collect()
 }
 
-fn facts_columns(n: usize, skew: u32, seed: u64) -> Vec<ColumnVector> {
-    vec![
-        ColumnVector::Int((0..n as i64).collect()),
-        ColumnVector::Int(group_keys(n, 10, skew, seed)),
+/// `facts (id, grp, v)`, with skewed ids, and `dims (id, w)` of 5 rows,
+/// both hash-placed on `id` when `placed`, round-robin otherwise.
+fn engine(layout: (usize, usize), placed: bool, n: usize, skew: u32, seed: u64) -> Engine {
+    let e = Engine::new(config(layout.0, layout.1));
+    e.execute("CREATE TABLE facts (id INT, grp INT, v FLOAT)").unwrap();
+    e.execute("CREATE TABLE dims (id INT, w FLOAT)").unwrap();
+    if placed {
+        for table in ["facts", "dims"] {
+            e.table(table).unwrap().declare_placement_key("id").unwrap();
+        }
+    }
+    let facts = vec![
+        ColumnVector::Int(skewed_keys(n, 2 * n as u64 + 1, skew, seed)),
+        ColumnVector::Int(skewed_keys(n, 10, 0, seed ^ 0xbeef)),
         ColumnVector::Float(dyadic(n, seed ^ 0xdead)),
-    ]
-}
-
-const FACTS_DDL: &str = "CREATE TABLE facts (id INT, grp INT, v FLOAT)";
-
-fn oracle(n: usize, skew: u32, seed: u64) -> Engine {
-    let e = Engine::new(config());
-    e.execute(FACTS_DDL).unwrap();
-    e.table("facts").unwrap().declare_unique("id").unwrap();
-    e.insert_columns("facts", facts_columns(n, skew, seed)).unwrap();
+    ];
+    e.insert_columns("facts", facts).unwrap();
+    let dims = vec![ColumnVector::Int(vec![7, 0, 1, 2, 3]), ColumnVector::Float(dyadic(5, seed))];
+    e.insert_columns("dims", dims).unwrap();
     e
-}
-
-fn sharded(shards: usize, n: usize, skew: u32, seed: u64) -> ShardedEngine {
-    let e = ShardedEngine::with_shards(config(), shards);
-    e.execute(FACTS_DDL).unwrap();
-    e.declare_sharded("facts", "id").unwrap();
-    e.declare_unique("facts", "id").unwrap();
-    e.insert_columns("facts", facts_columns(n, skew, seed)).unwrap();
-    e
-}
-
-/// Sorted rows with floats encoded by bit pattern — equality means
-/// bit-identical values, row for row.
-fn sorted_rows(r: &QueryResult) -> Vec<Vec<String>> {
-    let mut rows: Vec<Vec<String>> =
-        (0..r.num_rows()).map(|i| r.row(i).iter().map(encode).collect()).collect();
-    rows.sort();
-    rows
 }
 
 fn encode(v: &Value) -> String {
@@ -87,216 +77,186 @@ fn encode(v: &Value) -> String {
     }
 }
 
-fn sorted_batch_rows(batches: &[Batch]) -> Vec<Vec<String>> {
-    let mut rows = Vec::new();
-    for b in batches {
-        for i in 0..b.num_rows() {
-            rows.push(
-                b.columns()
-                    .iter()
-                    .map(|c| match c {
-                        ColumnVector::Int(v) => format!("{:?}", v[i]),
-                        ColumnVector::Float(v) => format!("f{:016x}", v[i].to_bits()),
-                        ColumnVector::Bool(v) => format!("{:?}", v[i]),
-                        ColumnVector::Str(v) => v[i].clone(),
-                    })
-                    .collect::<Vec<String>>(),
-            );
-        }
-    }
+/// Rows with floats by their bits, in result order.
+fn rows(r: &QueryResult) -> Vec<Vec<String>> {
+    r.rows().iter().map(|row| row.iter().map(encode).collect()).collect()
+}
+
+fn sorted(mut rows: Vec<Vec<String>>) -> Vec<Vec<String>> {
     rows.sort();
     rows
 }
 
+/// Run every statement on the hash-placed engine and its round-robin twin
+/// in every layout; `ordered` statements fix their row order.
+fn check(statements: &[(&str, bool)], n: usize, skew: u32, seed: u64) -> Result<(), String> {
+    for layout in LAYOUTS {
+        let placed = engine(layout, true, n, skew, seed);
+        let twin = engine(layout, false, n, skew, seed);
+        for &(sql, ordered) in statements {
+            let (got, want) =
+                (rows(&placed.execute(sql).unwrap()), rows(&twin.execute(sql).unwrap()));
+            let (got, want) = if ordered { (got, want) } else { (sorted(got), sorted(want)) };
+            if got != want {
+                return Err(format!(
+                    "layout {layout:?}: {sql}\n  placed {got:?}\n  round-robin {want:?}"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest::proptest! {
-    /// Aggregations: misaligned GROUP BY (partial-aggregate merge), GROUP
-    /// BY the shard key (scatter), and the global aggregate.
+    /// GROUP BY the placement key (split one morsel per partition), off
+    /// it, and the global aggregate.
     #[test]
     fn sharded_aggregates_match_oracle_bitwise(
         n in 1usize..150,
         skew in 0u32..100,
         seed in 0u64..1_000_000,
     ) {
-        let oracle = oracle(n, skew, seed);
-        for &shards in &SHARD_COUNTS {
-            let e = sharded(shards, n, skew, seed);
-            for sql in [
-                "SELECT grp, SUM(v) AS s, COUNT(*) AS c, AVG(v) AS m FROM facts GROUP BY grp",
-                "SELECT id, SUM(v) AS s FROM facts GROUP BY id",
-                "SELECT SUM(v) AS s, MIN(v) AS lo, MAX(v) AS hi, COUNT(*) AS c FROM facts",
-            ] {
-                proptest::prop_assert_eq!(
-                    sorted_rows(&e.execute(sql).unwrap()),
-                    sorted_rows(&oracle.execute(sql).unwrap()),
-                    "shards={} sql={}", shards, sql
-                );
-            }
-        }
+        let statements = [
+            ("SELECT id, SUM(v) AS s, COUNT(*) AS c FROM facts GROUP BY id", false),
+            ("SELECT grp, SUM(v) AS s, COUNT(*) AS c, AVG(v) AS m FROM facts GROUP BY grp", false),
+            ("SELECT SUM(v) AS s, MIN(v) AS lo, MAX(v) AS hi, COUNT(*) AS c FROM facts", false),
+            ("SELECT COUNT(*) AS c, SUM(v) AS s FROM facts WHERE id = 7", false),
+        ];
+        proptest::prop_assert_eq!(check(&statements, n, skew, seed), Ok(()));
     }
 
-    /// Joins: misaligned key (hash-partitioned shuffle exchange) and the
-    /// co-partitioned self-join on the shard key (scatter).
+    /// Key-aligned joins (a self-join, and two tables placed on the join
+    /// key) and a misaligned one.
     #[test]
     fn sharded_joins_match_oracle_bitwise(
         n in 1usize..120,
         skew in 0u32..100,
         seed in 0u64..1_000_000,
     ) {
-        let oracle = oracle(n, skew, seed);
-        for &shards in &SHARD_COUNTS {
-            let e = sharded(shards, n, skew, seed);
-            for sql in [
-                // grp is not the shard key: this forces the exchange.
+        let statements = [
+            ("SELECT a.id, a.v, b.grp FROM facts AS a, facts AS b WHERE a.id = b.id", false),
+            ("SELECT f.id, f.v, d.w FROM facts AS f, dims AS d WHERE f.id = d.id", false),
+            (
                 "SELECT a.id, b.id, a.v FROM facts AS a, facts AS b \
-                 WHERE a.grp = b.grp AND a.id < b.id",
-                // id = id is co-partitioned: shard-local join.
-                "SELECT a.id, a.v, b.grp FROM facts AS a, facts AS b WHERE a.id = b.id",
-            ] {
-                proptest::prop_assert_eq!(
-                    sorted_rows(&e.execute(sql).unwrap()),
-                    sorted_rows(&oracle.execute(sql).unwrap()),
-                    "shards={} sql={}", shards, sql
-                );
-            }
-        }
+                 WHERE a.grp = b.grp AND a.v < b.v",
+                false,
+            ),
+            (
+                "SELECT a.grp, SUM(b.v) AS s FROM facts AS a, facts AS b \
+                 WHERE a.id = b.id GROUP BY a.grp",
+                false,
+            ),
+        ];
+        proptest::prop_assert_eq!(check(&statements, n, skew, seed), Ok(()));
     }
 
-    /// Point queries pin to one shard and return the oracle's rows, for
-    /// present and absent keys alike.
+    /// Point queries, present and absent keys alike, pin one partition and
+    /// return the round-robin twin's rows.
     #[test]
     fn routed_point_queries_match_oracle(
         n in 1usize..150,
         skew in 0u32..100,
         seed in 0u64..1_000_000,
-        probe in 0usize..300,
+        probe in 0i64..300,
     ) {
-        let oracle = oracle(n, skew, seed);
         let sql = format!("SELECT id, grp, v FROM facts WHERE id = {probe}");
-        for &shards in &SHARD_COUNTS {
-            let e = sharded(shards, n, skew, seed);
-            let route = e.route(&sql).unwrap();
-            proptest::prop_assert!(
-                matches!(route, Route::Single(_)),
-                "point query not routed at {} shards: {:?}", shards, route
-            );
-            proptest::prop_assert_eq!(
-                sorted_rows(&e.execute(&sql).unwrap()),
-                sorted_rows(&oracle.execute(&sql).unwrap()),
-                "shards={}", shards
-            );
+        for (partitions, parallelism) in LAYOUTS {
+            let placed = engine((partitions, parallelism), true, n, skew, seed);
+            let owner = (hash_value(&Value::Int(probe)) % partitions as u64) as usize;
+            proptest::prop_assert_eq!(common_pin(&placed.plan(&sql).unwrap(), None), Some(owner));
         }
+        proptest::prop_assert_eq!(check(&[(&sql, false)], n, skew, seed), Ok(()));
+    }
+
+    /// ORDER BY / LIMIT over every output column (ties are equal rows), and
+    /// a cross join of the two hash-placed tables.
+    #[test]
+    fn ordered_limits_and_cross_joins_match_oracle(
+        n in 1usize..100,
+        skew in 0u32..100,
+        seed in 0u64..1_000_000,
+    ) {
+        let statements = [
+            ("SELECT id, grp, v FROM facts ORDER BY v DESC, id, grp LIMIT 10", true),
+            ("SELECT grp, COUNT(*) AS c FROM facts GROUP BY grp ORDER BY grp", true),
+            ("SELECT f.id, f.v, d.id, d.w FROM facts AS f, dims AS d", false),
+        ];
+        proptest::prop_assert_eq!(check(&statements, n, skew, seed), Ok(()));
     }
 }
 
 mod model_join {
     use super::*;
-    use model_repr::{export_columns, load_into_engine, Layout, ModelMeta};
-    use modeljoin::operator::execute_model_join;
-    use modeljoin::SharedModel;
+    use model_repr::{load_into_engine, Layout};
+    use modeljoin::register_model;
     use obs::metrics as om;
     use tensor::Device;
 
-    fn fact_columns(n: usize, input_dim: usize, seed: u64) -> Vec<ColumnVector> {
-        let mut cols = vec![ColumnVector::Int((0..n as i64).collect())];
-        for c in 0..input_dim {
-            cols.push(ColumnVector::Float(dyadic(n, seed ^ (c as u64 + 1))));
-        }
-        cols
-    }
-
-    fn facts_ddl(input_dim: usize) -> String {
-        let mut ddl = String::from("CREATE TABLE facts (id INT");
-        for c in 0..input_dim {
-            ddl.push_str(&format!(", c{c} FLOAT"));
-        }
-        ddl.push(')');
-        ddl
-    }
-
-    /// Replicate the model table onto every shard (the broadcast side).
-    fn load_model_sharded(e: &ShardedEngine, model: &nn::Model, layout: Layout) -> ModelMeta {
-        let (cols, meta) = export_columns(model, layout);
-        for s in e.shards() {
-            let t = s.create_table("m", model_repr::model_table_schema(layout)).unwrap();
-            t.append(cols.clone()).unwrap();
-        }
-        meta
-    }
-
-    /// Model-cache hits of either dtype so far.
-    fn cache_hits() -> u64 {
-        om::MODELJOIN_CACHE_HITS.get() + om::MODELJOIN_CACHE_HITS_I8.get()
-    }
-
     const PREDICT: &str = "SELECT id, prediction FROM PREDICT(m, facts, c0, c1, c2, c3)";
 
+    /// `facts (id, c0..c3)` with skewed ids, hash-placed on `id` when
+    /// `placed`, and the model loaded as `m` and registered as `m`.
+    fn engine(
+        config: EngineConfig,
+        placed: bool,
+        n: usize,
+        seed: u64,
+        model: &nn::Model,
+    ) -> Engine {
+        let e = Engine::new(config);
+        e.execute("CREATE TABLE facts (id INT, c0 FLOAT, c1 FLOAT, c2 FLOAT, c3 FLOAT)").unwrap();
+        if placed {
+            e.table("facts").unwrap().declare_placement_key("id").unwrap();
+        }
+        let mut cols = vec![ColumnVector::Int(skewed_keys(n, n as u64, 30, seed))];
+        cols.extend((0..4).map(|c| ColumnVector::Float(dyadic(n, seed ^ (c + 1)))));
+        e.insert_columns("facts", cols).unwrap();
+        let (_, meta) = load_into_engine(&e, "m", model, Layout::NodeId).unwrap();
+        register_model(&e, "m", "m", meta, Layout::NodeId, Device::cpu());
+        e
+    }
+
     proptest::proptest! {
-        /// ModelJoin scatters with its probe side: `PREDICT` through the
-        /// facade runs the inference node per shard over each shard's fact
-        /// slice, bit-identical to the single-engine operator (same model,
-        /// same rows, same kernels), in fp32 and int8. A `WHERE id = k`
-        /// statement routes to one shard. A repeated statement builds
-        /// nothing: each shard holding rows hits its registration's cache
-        /// once. The build and cache counters are process-global; no other
-        /// test in this binary builds a model.
+        /// `PREDICT` over the hash-placed table — whole, and pinned to one
+        /// partition by `WHERE id = k` — gives the round-robin twin's bits,
+        /// in fp32 and int8. A repeated statement builds nothing. The build
+        /// counter is process-global; no other test in this binary builds
+        /// a model.
         #[test]
         fn sharded_model_join_matches_oracle_bitwise(
             n in 1usize..80,
             seed in 0u64..1_000_000,
             model_seed in 1u64..500,
         ) {
-            let layout = Layout::NodeId;
             let model = nn::paper::dense_model(4, 2, model_seed);
-            let input_dim = model.input_dim();
-            let input_cols: Vec<String> = (0..input_dim).map(|c| format!("c{c}")).collect();
-            let input_refs: Vec<&str> = input_cols.iter().map(String::as_str).collect();
-            let key = (n / 2).to_string();
+            let key = (n / 2) as i64;
             let point = format!("{PREDICT} WHERE id = {key}");
-
             for quantized in [false, true] {
-                let config = EngineConfig { quantized_inference: quantized, ..config() };
-                let oracle = Engine::new(config.clone());
-                oracle.execute(&facts_ddl(input_dim)).unwrap();
-                oracle.table("facts").unwrap().declare_unique("id").unwrap();
-                oracle.insert_columns("facts", fact_columns(n, input_dim, seed)).unwrap();
-                let (table, meta) = load_into_engine(&oracle, "m", &model, layout).unwrap();
-                let shared = SharedModel::new(
-                    table, meta.clone(), layout, Device::cpu(),
-                    oracle.config().vector_size, oracle.config().parallelism,
-                );
-                let expect = execute_model_join(
-                    &oracle, "facts", &input_refs, &["id"], &shared, oracle.config().parallelism,
-                ).unwrap();
-                let expect_rows = sorted_batch_rows(&expect);
-                let expect_point: Vec<Vec<String>> =
-                    expect_rows.iter().filter(|r| r[0] == key).cloned().collect();
-
-                for &shards in &SHARD_COUNTS {
-                    let case = format!("shards={shards} int8={quantized}");
-                    let e = ShardedEngine::with_shards(config.clone(), shards);
-                    e.execute(&facts_ddl(input_dim)).unwrap();
-                    e.declare_sharded("facts", "id").unwrap();
-                    e.declare_unique("facts", "id").unwrap();
-                    e.insert_columns("facts", fact_columns(n, input_dim, seed)).unwrap();
-                    let meta = load_model_sharded(&e, &model, layout);
-                    e.register_model("m", "m", meta, layout, &Device::cpu());
-                    let predict =
-                        |sql: &str| sorted_batch_rows(&[Batch::new(e.execute(sql).unwrap().columns)]);
-                    proptest::prop_assert_eq!(predict(PREDICT), expect_rows.clone(), "{}", case);
-
-                    let (builds, hits) = (om::MODELJOIN_BUILD_COUNT.get(), cache_hits());
-                    proptest::prop_assert_eq!(predict(PREDICT), expect_rows.clone(), "{}", case);
-                    let holding =
-                        e.shards().iter().filter(|s| s.table("facts").unwrap().row_count() > 0);
+                for (partitions, parallelism) in LAYOUTS {
+                    let config = EngineConfig {
+                        quantized_inference: quantized,
+                        ..super::config(partitions, parallelism)
+                    };
+                    let case = format!("partitions={partitions} parallelism={parallelism} \
+                                        int8={quantized}");
+                    let placed = engine(config.clone(), true, n, seed, &model);
+                    let twin = engine(config, false, n, seed, &model);
+                    for sql in [PREDICT, point.as_str()] {
+                        proptest::prop_assert_eq!(
+                            sorted(rows(&placed.execute(sql).unwrap())),
+                            sorted(rows(&twin.execute(sql).unwrap())),
+                            "{}: {}", case, sql
+                        );
+                    }
+                    let owner = (hash_value(&Value::Int(key)) % partitions as u64) as usize;
                     proptest::prop_assert_eq!(
-                        (om::MODELJOIN_BUILD_COUNT.get() - builds, cache_hits() - hits),
-                        (0, holding.count() as u64),
-                        "{}: a repeat builds nothing and hits each shard's cache once", case
+                        common_pin(&placed.plan(&point).unwrap(), None), Some(owner), "{}", case
                     );
-
-                    let route = e.route(&point).unwrap();
-                    proptest::prop_assert!(matches!(route, Route::Single(_)), "{}: {:?}", case, route);
-                    proptest::prop_assert_eq!(predict(&point), expect_point.clone(), "{}", case);
+                    let builds = om::MODELJOIN_BUILD_COUNT.get();
+                    placed.execute(PREDICT).unwrap();
+                    proptest::prop_assert_eq!(
+                        om::MODELJOIN_BUILD_COUNT.get(), builds, "{}: a repeat builds nothing", case
+                    );
                 }
             }
         }

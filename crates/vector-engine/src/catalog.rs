@@ -340,6 +340,11 @@ impl Catalog {
                         table.undeclare_unique(&column);
                     }
                 }
+                UndoRecord::Placement { name, key } => {
+                    if let Some(table) = self.tables.read().get(&name).cloned() {
+                        table.restore_placement_key(key);
+                    }
+                }
             }
         }
         obs::metrics::STORAGE_TXN_ROLLBACKS.add(1);

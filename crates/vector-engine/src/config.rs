@@ -40,13 +40,6 @@ pub struct EngineConfig {
     /// default — results then match fp32 bit for bit. CPU-only; a
     /// GPU-resident model keeps the fp32 route regardless of this flag.
     pub quantized_inference: bool,
-    /// Number of in-process engine shards the sharded facade
-    /// (`crates/shard`) stands up: tables declared sharded are
-    /// hash-partitioned across this many independent `Engine` instances,
-    /// each a stand-in for one node of a distributed deployment. 1 (the
-    /// default) means unsharded single-engine execution; the knob is
-    /// ignored by a plain `Engine` and consumed only by `ShardedEngine`.
-    pub shards: usize,
     /// Root directory of the persistent storage layer. `None` (the
     /// default) keeps the engine purely in-memory with bit-identical
     /// pre-persistence behavior. When set, tables live in a paged
@@ -57,8 +50,7 @@ pub struct EngineConfig {
     /// list and are re-used by later appends; `VACUUM` rebuilds the data
     /// file to return the space to the filesystem. `BEGIN` / `COMMIT` /
     /// `ROLLBACK` group statements into one atomically-recovered WAL
-    /// record group. A sharded facade derives per-shard subdirectories
-    /// (`shard-0`, `shard-1`, …) under this root.
+    /// record group.
     pub data_dir: Option<String>,
     /// Buffer-pool capacity in pages (16 KiB each): the bound on
     /// resident page frames, so scans over tables larger than the pool
@@ -83,7 +75,6 @@ impl Default for EngineConfig {
             worker_threads: 0,
             plan_cache_entries: 128,
             quantized_inference: false,
-            shards: 1,
             data_dir: None,
             buffer_pool_pages: 4096,
             wal_fsync: true,
@@ -133,7 +124,6 @@ mod tests {
         assert!(c.effective_worker_threads() >= 1);
         assert_eq!(c.plan_cache_entries, 128);
         assert!(!c.quantized_inference, "inference defaults to exact fp32");
-        assert_eq!(c.shards, 1, "single-engine execution is the default");
         assert_eq!(c.data_dir, None, "in-memory storage is the default");
         assert_eq!(c.buffer_pool_pages, 4096, "64 MiB pool at 16 KiB pages");
         assert!(c.wal_fsync, "durability on by default");

@@ -19,6 +19,7 @@
 //!   collisions before touching the key columns.
 
 use crate::column::ColumnVector;
+use crate::types::Value;
 use std::borrow::Borrow;
 
 /// splitmix64 finalizer: full-avalanche mix of one 64-bit code.
@@ -99,6 +100,18 @@ pub fn hash_key_columns<C: Borrow<ColumnVector>>(cols: &[C], rows: usize, hashes
             }
         }
     }
+}
+
+/// The hash [`hash_key_columns`] gives a one-column key holding `v`: a
+/// hash-placed table's rows and a `key = literal` pin agree on the
+/// partition, `INT 3` and `FLOAT 3.0` included.
+pub fn hash_value(v: &Value) -> u64 {
+    mix(match v {
+        Value::Int(i) => *i as u64,
+        Value::Float(f) => float_code(*f),
+        Value::Bool(b) => *b as u64,
+        Value::Str(s) => str_code(s),
+    })
 }
 
 /// SQL equality of one key column pair at `(ai, bi)` — typed, in place, no
@@ -238,6 +251,20 @@ mod tests {
         let mut h = Vec::new();
         hash_key_columns(cols, 1, &mut h);
         h[0]
+    }
+
+    #[test]
+    fn a_value_hashes_like_its_one_column_key() {
+        for (v, col) in [
+            (Value::Int(-3), ColumnVector::Int(vec![-3])),
+            (Value::Float(3.0), ColumnVector::Int(vec![3])),
+            (Value::Float(-0.0), ColumnVector::Float(vec![0.0])),
+            (Value::Float(2.5), ColumnVector::Float(vec![2.5])),
+            (Value::Bool(true), ColumnVector::Bool(vec![true])),
+            (Value::Str("k".into()), ColumnVector::Str(vec!["k".into()])),
+        ] {
+            assert_eq!(hash_value(&v), hash_one(&[col]), "{v:?}");
+        }
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Partition-parallel plan execution, and the split planner it shares with
-//! the sharded facade (`crates/shard`).
+//! Partition-parallel plan execution and its split planner.
 //!
 //! Mirrors the paper's x100 parallelism model (Sec. 4.4 / 5.2): the largest
 //! scanned table is the partitioned one; each task runs a private copy of
@@ -23,15 +22,19 @@
 //!   statement scans the fact table twice (input function and late
 //!   projection) and joins the two on the id. Each attempt passes one
 //!   column: two different key columns do not put matching rows in one
-//!   morsel.
+//!   morsel;
+//! * **the table's hash placement key** — rows were placed by
+//!   `hash(key) % partitions` ([`Table::declare_placement_key`]), so with
+//!   one morsel per partition all rows holding one key value share a
+//!   morsel: a `GROUP BY` on the key and a self-join on it split with no
+//!   repartitioning.
 //!
 //! The plan check runs first and the proof only for a column it accepts,
 //! so a statement that cannot split never reads an SMA. A proof holds for
 //! the morsel list it was made on, so execution runs exactly that list.
-//!
-//! [`split_safe`] is the one split rule of the workspace. The shard planner
-//! calls it one level up, with every sharded table and its shard key as
-//! the placement key.
+//! When every scan of the split table is pinned by `key = literal` to one
+//! partition of a hash-placed table ([`common_pin`]), the list holds that
+//! partition's morsels only.
 //!
 //! When the top-level node is an aggregation whose *group key does not*
 //! satisfy the rule but whose input is otherwise partition-safe, the
@@ -39,8 +42,7 @@
 //! execution: each morsel folds into a typed [`GroupedAggState`]
 //! ([`absorb`]) and the partials are merged in morsel order
 //! ([`merge_partials`]) — the classic local/global aggregation split,
-//! enabled by the vectorized accumulators. The shard level's partial
-//! aggregate uses the same two helpers. Group order stays deterministic
+//! enabled by the vectorized accumulators. Group order stays deterministic
 //! (first seen in morsel order); floating-point sums may differ from
 //! serial execution in the last bits because partials reassociate the
 //! additions.
@@ -66,9 +68,10 @@ use crate::config::EngineConfig;
 use crate::error::{EngineError, Result};
 use crate::exec::agg::{GroupedAggState, HashAggExec};
 use crate::exec::physical::{batches_operator, build_operator, drain, ExecContext, Operator};
+use crate::exec::scan::pinned_partition;
 use crate::exec::simple::{FilterExec, LimitExec, ProjectExec, SortExec};
 use crate::expr::Expr;
-use crate::plan::logical::{AggSpec, LogicalPlan};
+use crate::plan::logical::{AggSpec, LogicalPlan, PrunePredicate};
 use crate::storage::Table;
 use crate::types::{DataType, Value};
 use obs::metrics as om;
@@ -149,7 +152,7 @@ pub fn execute(plan: &LogicalPlan, config: &EngineConfig) -> Result<Vec<Batch>> 
 /// below it, and the peeled nodes outermost first. A split task's `LIMIT`
 /// could truncate the global answer and its `ORDER BY` does not survive
 /// the gather, so both run once, over the gathered batches ([`replay`]).
-pub fn peel_tail(plan: &LogicalPlan) -> (&LogicalPlan, Vec<&LogicalPlan>) {
+fn peel_tail(plan: &LogicalPlan) -> (&LogicalPlan, Vec<&LogicalPlan>) {
     let mut tail = Vec::new();
     let mut core = plan;
     while let LogicalPlan::Sort { input, .. } | LogicalPlan::Limit { input, .. } = core {
@@ -160,12 +163,8 @@ pub fn peel_tail(plan: &LogicalPlan) -> (&LogicalPlan, Vec<&LogicalPlan>) {
 }
 
 /// Run a chain of unary plan nodes (outermost first) serially over
-/// gathered batches: a peeled tail, or the shard planner's upper chain.
-pub fn replay(
-    chain: &[&LogicalPlan],
-    batches: Vec<Batch>,
-    vector_size: usize,
-) -> Result<Vec<Batch>> {
+/// gathered batches: a peeled tail.
+fn replay(chain: &[&LogicalPlan], batches: Vec<Batch>, vector_size: usize) -> Result<Vec<Batch>> {
     let mut op: Box<dyn Operator> = batches_operator(batches);
     for node in chain.iter().rev() {
         op = match node {
@@ -193,18 +192,25 @@ pub fn replay(
 }
 
 /// The morsel list for `table`, in (partition, block range) order,
-/// covering every block and every row there is now exactly once. Empty
-/// partitions contribute nothing. Sized by the table's own block size,
-/// which a reopened table keeps whatever the engine config says.
-fn build_morsels(table: &Table) -> Vec<Morsel> {
-    let blocks_per_morsel = (MORSEL_ROWS / table.vector_size()).max(1);
+/// covering every block and every row there is now exactly once — of
+/// partition `only` alone when a pin names one. Empty partitions
+/// contribute nothing. A morsel is a whole partition with
+/// `whole_partitions` (the hash-placement proof's list), and otherwise at
+/// most [`MORSEL_ROWS`] rows, sized by the table's own block size, which
+/// a reopened table keeps whatever the engine config says.
+fn build_morsels(table: &Table, whole_partitions: bool, only: Option<usize>) -> Vec<Morsel> {
+    let blocks_per_morsel =
+        if whole_partitions { usize::MAX } else { (MORSEL_ROWS / table.vector_size()).max(1) };
     table.with_partitions(|parts| {
         let mut morsels = Vec::new();
         for (partition, part) in parts.iter().enumerate() {
+            if only.is_some_and(|p| p != partition) {
+                continue;
+            }
             let blocks = part.block_count();
             let (mut start, mut first_row) = (0, 0);
             while start < blocks {
-                let end = (start + blocks_per_morsel).min(blocks);
+                let end = start.saturating_add(blocks_per_morsel).min(blocks);
                 let end_row = first_row + (start..end).map(|b| part.block_len(b)).sum::<usize>();
                 morsels.push(Morsel {
                     partition,
@@ -263,8 +269,8 @@ fn execute_partial_agg(
 }
 
 /// Fold every batch `op` yields into a fresh partial aggregate state: the
-/// per-task half of a partial aggregate, over one morsel or one shard.
-pub fn absorb(
+/// per-task half of a partial aggregate, over one morsel.
+fn absorb(
     mut op: Box<dyn Operator>,
     group: &[Expr],
     aggs: &[AggSpec],
@@ -284,7 +290,7 @@ pub fn absorb(
 /// Merge partial states in index order and finalize them into one batch
 /// of `ngroup` group columns then the aggregates. The fixed order keeps
 /// group order and float sums identical from run to run.
-pub fn merge_partials(
+fn merge_partials(
     states: Vec<GroupedAggState>,
     ngroup: usize,
     aggs: &[AggSpec],
@@ -311,30 +317,53 @@ fn execute_partitioned(
 
 /// Pick the table to split: the largest multi-partition scanned table that
 /// [`split_safe`] accepts with no placement key, or with one column that is
-/// a key of the table's morsel list — declared unique, or with pairwise
+/// a key of the table's morsel list — declared unique, the table's hash
+/// placement key (with one morsel per partition), or with pairwise
 /// disjoint morsel SMA ranges ([`sma_disjoint`]). A column is proved only
 /// after the plan check accepts it, so a plan that cannot split never reads
-/// an SMA.
+/// an SMA. A pin on the table ([`common_pin`]) keeps one partition's
+/// morsels.
 fn choose_partition_table(plan: &LogicalPlan) -> Option<Split> {
     let mut tables = scanned_tables(plan);
     tables.sort_by_key(|t| std::cmp::Reverse(t.row_count()));
     tables.into_iter().filter(|t| t.partition_count() > 1).find_map(|table| {
-        let accepts = |key| split_safe(plan, &[(Arc::clone(&table), key)]).is_some();
-        let morsels = build_morsels(&table);
-        let proof = if accepts(None) {
-            &om::EXEC_SPLIT_KEY_NONE
+        let accepts = |key| split_safe(plan, &table, key).is_some();
+        let pin = common_pin(plan, Some(&table));
+        let morsels = build_morsels(&table, false, pin);
+        let (proof, whole_partitions) = if accepts(None) {
+            (&om::EXEC_SPLIT_KEY_NONE, false)
         } else {
             (0..table.schema().len()).filter(|&c| accepts(Some(c))).find_map(|c| {
                 if table.is_unique_column(c) {
-                    Some(&om::EXEC_SPLIT_KEY_UNIQUE)
+                    Some((&om::EXEC_SPLIT_KEY_UNIQUE, false))
+                } else if table.placement_key() == Some(c) {
+                    Some((&om::EXEC_SPLIT_KEY_HASH, true))
                 } else {
-                    sma_disjoint(&table, &morsels, c).then_some(&om::EXEC_SPLIT_KEY_SMA)
+                    sma_disjoint(&table, &morsels, c).then_some((&om::EXEC_SPLIT_KEY_SMA, false))
                 }
             })?
         };
         proof.add(1);
+        if pin.is_some() {
+            om::EXEC_SCAN_PARTITIONS_PRUNED.add(table.partition_count() as u64 - 1);
+        }
+        let morsels = if whole_partitions { build_morsels(&table, true, pin) } else { morsels };
         Some(Split { table, morsels })
     })
+}
+
+/// The partition every scan of a hash-placed table in `plan` — of `only`,
+/// when given — is pinned to by `key = literal` ([`pinned_partition`]):
+/// `None` unless there is such a scan and all name one partition.
+pub fn common_pin(plan: &LogicalPlan, only: Option<&Arc<Table>>) -> Option<usize> {
+    let mut all = Vec::new();
+    collect_scans(plan, &mut all);
+    let mut pins = all
+        .into_iter()
+        .filter(|(t, _)| t.placement_key().is_some() && only.is_none_or(|o| Arc::ptr_eq(o, t)))
+        .map(|(t, pruning)| pinned_partition(t, pruning));
+    let first = pins.next()??;
+    pins.all(|p| p == Some(first)).then_some(first)
 }
 
 /// Are the morsels' SMA `[min, max]` ranges for column `c` pairwise
@@ -373,88 +402,86 @@ fn sma_disjoint(table: &Table, morsels: &[Morsel], c: usize) -> bool {
 }
 
 /// The distinct tables `plan` scans (by identity), in first-scan order.
-pub fn scanned_tables(plan: &LogicalPlan) -> Vec<Arc<Table>> {
+fn scanned_tables(plan: &LogicalPlan) -> Vec<Arc<Table>> {
     let mut scans = Vec::new();
-    collect_scan_tables(plan, &mut scans);
+    collect_scans(plan, &mut scans);
     let mut tables: Vec<Arc<Table>> = Vec::new();
-    for t in scans {
-        if !tables.iter().any(|u| Arc::ptr_eq(u, &t)) {
-            tables.push(t);
+    for (t, _) in scans {
+        if !tables.iter().any(|u| Arc::ptr_eq(u, t)) {
+            tables.push(Arc::clone(t));
         }
     }
     tables
 }
 
-/// Append every base table scanned by `plan` to `out` (one entry per scan,
-/// so a table referenced twice appears twice), in left-to-right order —
-/// the order that numbers the scan instances of [`column_source`].
-pub fn collect_scan_tables(plan: &LogicalPlan, out: &mut Vec<Arc<Table>>) {
+/// Append every scan of `plan` to `out` with its pruning predicates (one
+/// entry per scan, so a table referenced twice appears twice), in
+/// left-to-right order — the order that numbers the scan instances of
+/// [`column_source`].
+fn collect_scans<'p>(plan: &'p LogicalPlan, out: &mut Vec<(&'p Arc<Table>, &'p [PrunePredicate])>) {
     match plan {
-        LogicalPlan::Scan { table, .. } => out.push(Arc::clone(table)),
+        LogicalPlan::Scan { table, pruning, .. } => out.push((table, pruning)),
         LogicalPlan::Filter { input, .. }
         | LogicalPlan::Project { input, .. }
         | LogicalPlan::Infer { input, .. }
         | LogicalPlan::Aggregate { input, .. }
         | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Limit { input, .. } => collect_scan_tables(input, out),
+        | LogicalPlan::Limit { input, .. } => collect_scans(input, out),
         LogicalPlan::CrossJoin { left, right, .. } | LogicalPlan::HashJoin { left, right, .. } => {
-            collect_scan_tables(left, out);
-            collect_scan_tables(right, out);
+            collect_scans(left, out);
+            collect_scans(right, out);
         }
         LogicalPlan::Values { .. } => {}
     }
 }
 
-/// Does running `plan` once per slice of the split tables — every other
-/// table read whole by every task — and concatenating the outputs give
-/// the rows of one run over all the data? `split` lists each split table
-/// (by identity) with its placement key, a column whose equal values
-/// always share a slice: the shard key, whose hash picks a row's shard, or
-/// a key of the partition level's morsel list (see the module doc). `None`
-/// says placement is arbitrary.
+/// Does running `plan` once per slice of `table` — every other table
+/// read whole by every task — and concatenating the outputs give the rows
+/// of one run over all the data? `key` is the split's placement key, a
+/// column whose equal values always share a slice: a key of the morsel
+/// list (see the module doc). `None` says placement is arbitrary.
 ///
 /// `Some(reads_split)` when safe — `reads_split` says whether `plan` scans
-/// a split table at all — and `None` when not:
+/// `table` at all — and `None` when not:
 /// * a `LIMIT` would apply once per slice;
-/// * an aggregation over split rows must group on a placement key or a
-///   declared-unique column of a split table, so no group spans slices;
-///   one over a subtree that scans no split table is computed whole by
-///   every task;
+/// * an aggregation over split rows must group on the placement key or a
+///   declared-unique column of `table`, so no group spans slices; one over
+///   a subtree that does not scan `table` is computed whole by every task;
 /// * a join of two split subtrees must carry an equi-key pair that traces
-///   to placement keys on both sides, so matching rows share a slice —
-///   without keys no join qualifies, and a cross join never does. With
-///   one split table and one key, both sides trace to the same column.
-pub fn split_safe(plan: &LogicalPlan, split: &[(Arc<Table>, Option<usize>)]) -> Option<bool> {
-    // Does `expr` over `side` pass through a split table's placement key
-    // (or, with `unique`, a declared-unique column of a split table)?
+///   to the placement key on both sides, so matching rows share a slice —
+///   without keys no join qualifies, and a cross join never does.
+fn split_safe(plan: &LogicalPlan, table: &Arc<Table>, key: Option<usize>) -> Option<bool> {
+    // Does `expr` over `side` pass through the placement key (or, with
+    // `unique`, a declared-unique column) of `table`?
     let traces = |side: &LogicalPlan, expr: &Expr, unique: bool| match expr {
         Expr::Column(i) => matches!(
             column_source(side, *i),
-            Some((_, t, c)) if split.iter().any(|(s, key)| Arc::ptr_eq(s, &t)
-                && (*key == Some(c) || unique && t.is_unique_column(c)))
+            Some((_, t, c)) if Arc::ptr_eq(table, &t)
+                && (key == Some(c) || unique && t.is_unique_column(c))
         ),
         _ => false,
     };
+    let safe = |input: &LogicalPlan| split_safe(input, table, key);
     match plan {
-        LogicalPlan::Scan { table, .. } => Some(split.iter().any(|(s, _)| Arc::ptr_eq(s, table))),
+        LogicalPlan::Scan { table: t, .. } => Some(Arc::ptr_eq(t, table)),
         LogicalPlan::Values { .. } => Some(false),
         LogicalPlan::Filter { input, .. }
         | LogicalPlan::Project { input, .. }
         | LogicalPlan::Infer { input, .. }
-        | LogicalPlan::Sort { input, .. } => split_safe(input, split),
+        | LogicalPlan::Sort { input, .. } => safe(input),
         LogicalPlan::Limit { .. } => None,
         LogicalPlan::Aggregate { input, group, .. } => {
-            if !split_safe(input, split)? {
+            if !safe(input)? {
                 return Some(false);
             }
             group.iter().any(|g| traces(input, g, true)).then_some(true)
         }
         LogicalPlan::CrossJoin { left, right, .. } => {
-            let (l, r) = (split_safe(left, split)?, split_safe(right, split)?);
+            let (l, r) = (safe(left)?, safe(right)?);
             (!(l && r)).then_some(l || r)
         }
         LogicalPlan::HashJoin { left, right, left_keys, right_keys, .. } => {
-            let (l, r) = (split_safe(left, split)?, split_safe(right, split)?);
+            let (l, r) = (safe(left)?, safe(right)?);
             let aligned = || {
                 left_keys
                     .iter()
@@ -470,7 +497,7 @@ pub fn split_safe(plan: &LogicalPlan, split: &[(Arc<Table>, Option<usize>)]) -> 
 /// lineage is a pure passthrough: `(scan, table, column)`, where `scan`
 /// numbers the scan instance within `plan` in [`collect_scan_tables`]
 /// order, so the two sides of a self-join stay apart.
-pub fn column_source(plan: &LogicalPlan, idx: usize) -> Option<(usize, Arc<Table>, usize)> {
+fn column_source(plan: &LogicalPlan, idx: usize) -> Option<(usize, Arc<Table>, usize)> {
     match plan {
         LogicalPlan::Scan { table, .. } => Some((0, Arc::clone(table), idx)),
         LogicalPlan::Filter { input, .. }
@@ -489,7 +516,7 @@ pub fn column_source(plan: &LogicalPlan, idx: usize) -> Option<(usize, Arc<Table
             } else {
                 let (s, t, c) = column_source(right, idx - nleft)?;
                 let mut left_scans = Vec::new();
-                collect_scan_tables(left, &mut left_scans);
+                collect_scans(left, &mut left_scans);
                 Some((s + left_scans.len(), t, c))
             }
         }
@@ -680,7 +707,7 @@ mod tests {
         };
         let group = engine.plan("SELECT c, COUNT(*) AS n FROM t GROUP BY c").unwrap();
         let scan = engine.plan("SELECT c FROM t").unwrap();
-        assert!(!t.is_unique_column(0) && split_safe(&group, &[(Arc::clone(&t), None)]).is_none());
+        assert!(!t.is_unique_column(0) && split_safe(&group, &t, None).is_none());
         let split = choose_partition_table(&group).expect("c is SMA-disjoint across the morsels");
         let morsel_rows = |split: &Split| {
             let rows = split.fork_join(&cfg, |ctx| build_operator(&scan, ctx).and_then(drain));
@@ -774,11 +801,52 @@ mod tests {
         }
     }
 
+    #[test]
+    fn hash_placement_splits_on_its_key_one_morsel_per_partition() {
+        // `k` is neither unique nor SMA-disjoint (keys interleave in every
+        // block), so only the placement proof admits these splits. Each
+        // partition holds more than MORSEL_ROWS rows, so a split on the key
+        // with the usual morsels would cut a key's rows apart. A pin keeps
+        // its partition's morsel.
+        let cfg = EngineConfig { partitions: 2, parallelism: 2, ..Default::default() };
+        let engine = crate::Engine::new(cfg.clone());
+        engine.execute("CREATE TABLE t (k INT, v FLOAT)").unwrap();
+        let t = engine.table("t").unwrap();
+        t.declare_placement_key("k").unwrap();
+        let n = 2 * MORSEL_ROWS as i64 + 8_000;
+        let ks: Vec<i64> = (0..n).map(|i| i % 50_000).collect();
+        let vs: Vec<f64> = (0..n).map(|i| i as f64 * 0.25).collect();
+        engine.insert_columns("t", vec![ColumnVector::Int(ks), ColumnVector::Float(vs)]).unwrap();
+        assert!(t.snapshot().iter().all(|&rows| rows > MORSEL_ROWS));
+        let sorted = |batches: Vec<Batch>| {
+            let mut rows: Vec<String> = batches
+                .iter()
+                .flat_map(|b| (0..b.num_rows()).map(move |r| format!("{:?}", b.row(r))))
+                .collect();
+            rows.sort();
+            rows
+        };
+        let serial = EngineConfig { parallelism: 1, ..cfg.clone() };
+        let owner = (crate::exec::hash::hash_value(&Value::Int(5)) % 2) as usize;
+        for (sql, parts) in [
+            ("SELECT k, SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY k", vec![0, 1]),
+            ("SELECT a.k, a.v, b.v FROM t a, t b WHERE a.k = b.k AND a.k < 500", vec![0, 1]),
+            ("SELECT k, SUM(v) AS s FROM t WHERE k = 5 GROUP BY k", vec![owner]),
+        ] {
+            let plan = engine.plan(sql).unwrap();
+            let split = choose_partition_table(&plan).expect("the placement key admits a split");
+            let ran: Vec<usize> = split.morsels.iter().map(|m| m.partition).collect();
+            assert_eq!(ran, parts, "{sql}: one whole-partition morsel each");
+            let want = sorted(execute(&plan, &serial).unwrap());
+            assert!(!want.is_empty(), "{sql}");
+            assert_eq!(sorted(execute(&plan, &cfg).unwrap()), want, "{sql}");
+        }
+    }
+
     // Regression test for merge-order determinism: partial aggregates over
     // non-dyadic floats (0.1 steps do not sum associatively in binary) must
     // fold in partition/morsel index order, so repeated runs of the same
-    // query produce bit-identical floats. The sharded facade (crates/shard)
-    // extends the same guarantee to shard index order.
+    // query produce bit-identical floats.
     #[test]
     fn repeated_partial_aggregate_runs_are_bit_identical() {
         let cfg =
@@ -870,64 +938,62 @@ mod tests {
     #[test]
     fn split_safety_rules() {
         let engine = two_tables(EngineConfig::default(), [0, 0]);
-        let (facts, dims) = (engine.table("facts").unwrap(), engine.table("dims").unwrap());
+        let facts = engine.table("facts").unwrap();
         let cat = engine.catalog();
         let plan = |sql: &str| {
             let Statement::Select(s) = parse_statement(sql).unwrap() else { panic!("{sql}") };
             Optimizer::new(EngineConfig::default())
                 .optimize(Binder::new(cat).bind_select(&s).unwrap())
         };
-        // Partitions split facts with no placement key; shards split both
-        // tables on `id`.
-        let partitions = [(Arc::clone(&facts), None)];
-        let shards = [(Arc::clone(&facts), Some(0)), (Arc::clone(&dims), Some(0))];
+        // facts split with no placement key, or placed by `grp` (column 1).
         let cases = [
             (
-                "partition split, grouped on a unique column",
-                &partitions[..],
+                "grouped on a unique column",
+                None,
                 "SELECT id, SUM(x) AS s FROM facts GROUP BY id",
                 true,
             ),
             (
-                "partition split, grouped on a non-unique column",
-                &partitions[..],
+                "grouped on a non-unique column",
+                None,
                 "SELECT grp, SUM(x) AS s FROM facts GROUP BY grp",
                 false,
             ),
             (
-                "shard join on the key",
-                &shards[..],
-                "SELECT f.x, d.x FROM facts AS f, dims AS d WHERE f.id = d.id",
+                "grouped on the placement key",
+                Some(1),
+                "SELECT grp, SUM(x) AS s FROM facts GROUP BY grp",
                 true,
             ),
             (
-                "shard join off the key",
-                &shards[..],
-                "SELECT f.x, d.x FROM facts AS f, dims AS d WHERE f.grp = d.grp",
-                false,
+                "self-join on the placement key",
+                Some(1),
+                "SELECT a.x, b.x FROM facts AS a, facts AS b WHERE a.grp = b.grp",
+                true,
             ),
             (
-                "cross join of two sharded tables",
-                &shards[..],
-                "SELECT f.x, d.x FROM facts AS f, dims AS d",
+                "self-join on a unique column that is not the placement key",
+                Some(1),
+                "SELECT a.x, b.x FROM facts AS a, facts AS b WHERE a.id = b.id",
                 false,
             ),
+            ("cross self-join", Some(1), "SELECT a.x, b.x FROM facts AS a, facts AS b", false),
             (
                 "interior LIMIT",
-                &partitions[..],
+                None,
                 "SELECT q.id FROM (SELECT id FROM facts LIMIT 3) AS q WHERE q.id > 0",
                 false,
             ),
             (
                 "aggregate over a subtree that scans no split table",
-                &partitions[..],
+                None,
                 "SELECT f.id, g.n FROM facts AS f, \
                  (SELECT grp, COUNT(*) AS n FROM dims GROUP BY grp) AS g WHERE f.grp = g.grp",
                 true,
             ),
         ];
-        for (case, split, sql, safe) in cases {
-            assert_eq!(split_safe(&plan(sql), split).is_some(), safe, "{case}: {sql}");
+        for (case, key, sql, safe) in cases {
+            assert_eq!(split_safe(&plan(sql), &facts, key).is_some(), safe, "{case}: {sql}");
         }
     }
 

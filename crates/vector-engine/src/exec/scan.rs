@@ -1,14 +1,36 @@
-//! Table scan with column selection and SMA block pruning.
+//! Table scan with column selection, partition pruning on hash-placed
+//! tables, and SMA block pruning.
 
 use crate::column::Batch;
 use crate::error::Result;
+use crate::exec::hash::hash_value;
 use crate::exec::physical::Operator;
 use crate::expr::BinaryOp;
 use crate::plan::logical::PrunePredicate;
 use crate::storage::Table;
-use crate::types::Value;
+use crate::types::{DataType, Value};
+use obs::metrics as om;
 use std::cmp::Ordering;
 use std::sync::Arc;
+
+/// The one partition of `table` that can hold rows matching `pruning`:
+/// on a hash-placed table ([`Table::declare_placement_key`]) a `key =
+/// literal` predicate names partition `hash(literal) % partition_count()`,
+/// hashed as the rows were, so `INT 3` and `FLOAT 3.0` agree. `None` when
+/// any partition may match: a round-robin table, or no equality on the
+/// key. An `OR` of equalities or a range pins nothing, and neither does a
+/// literal the key column can never equal.
+pub fn pinned_partition(table: &Table, pruning: &[PrunePredicate]) -> Option<usize> {
+    let key = table.placement_key()?;
+    let numeric = |t: DataType| matches!(t, DataType::Int | DataType::Float);
+    let key_type = table.schema().column(key).dtype;
+    pruning.iter().find_map(|p| {
+        let v = &p.value;
+        let comparable = v.data_type() == key_type || numeric(v.data_type()) && numeric(key_type);
+        (p.column == key && p.op == BinaryOp::Eq && comparable)
+            .then(|| (hash_value(v) % table.partition_count() as u64) as usize)
+    })
+}
 
 /// Scans a table block by block, loading only its listed columns. Blocks
 /// whose min/max SMA proves the pruning predicates can never match are
@@ -22,8 +44,10 @@ pub struct ScanExec {
     /// Checked against each block's SMA; `PrunePredicate::column` is a
     /// table ordinal, whether or not that column is in `columns`.
     pruning: Vec<PrunePredicate>,
-    /// Restrict to one partition (parallel workers) or scan all.
-    partition: Option<usize>,
+    /// The partitions to read, `[first, end)`: one (a parallel worker's,
+    /// or the one a pin names), all, or none (a worker's partition that
+    /// the pin rules out).
+    partitions: (usize, usize),
     /// Restrict to a `[start, end)` row range within each scanned
     /// partition — the sub-partition morsel unit the unified scheduler
     /// steals, so one skewed partition can be balanced across workers.
@@ -57,7 +81,8 @@ impl ScanExec {
 
     /// A scan of the given `columns` (table ordinals, in output order),
     /// optionally restricted to a row range — morsel execution splits one
-    /// partition across several tasks this way.
+    /// partition across several tasks this way. A pin
+    /// ([`pinned_partition`]) narrows the scan to its partition.
     pub fn with_rows(
         table: Arc<Table>,
         columns: Vec<usize>,
@@ -66,14 +91,22 @@ impl ScanExec {
         rows: Option<(usize, usize)>,
     ) -> ScanExec {
         let snapshot = table.snapshot();
+        let asked = partition.map_or((0, snapshot.len()), |p| (p, p + 1));
+        let partitions = match pinned_partition(&table, &pruning) {
+            Some(pin) if (asked.0..asked.1).contains(&pin) => (pin, pin + 1),
+            Some(_) => (asked.0, asked.0),
+            None => asked,
+        };
+        om::EXEC_SCAN_PARTITIONS_PRUNED
+            .add((asked.1 - asked.0 - (partitions.1 - partitions.0)) as u64);
         ScanExec {
             table,
             columns,
             pruning,
-            partition,
+            partitions,
             rows,
             snapshot,
-            cursor: (partition.unwrap_or(0), None),
+            cursor: (partitions.0, None),
             blocks_pruned: 0,
             blocks_read: 0,
         }
@@ -100,11 +133,7 @@ impl Operator for ScanExec {
     fn next(&mut self) -> Result<Option<Batch>> {
         loop {
             let (p, at) = self.cursor;
-            let end_partition = match self.partition {
-                Some(part) => part + 1,
-                None => self.table.partition_count(),
-            };
-            if p >= end_partition {
+            if p >= self.partitions.1 {
                 return Ok(None);
             }
             // Bound by the construction-time snapshot: rows appended since
@@ -293,6 +322,57 @@ mod tests {
         assert_eq!(b.num_columns(), 2, "only the listed columns are loaded");
         assert_eq!(b.column(0).as_int().unwrap(), &[-12, -13, -14, -15]);
         assert_eq!(b.column(1).as_float().unwrap(), &[6.0, 6.5, 7.0, 7.5]);
+    }
+
+    /// Pruning predicates of the first scan in `plan`.
+    fn scan_pruning(plan: &crate::plan::logical::LogicalPlan) -> Vec<PrunePredicate> {
+        use crate::plan::logical::LogicalPlan;
+        match plan {
+            LogicalPlan::Scan { pruning, .. } => pruning.clone(),
+            LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => {
+                scan_pruning(input)
+            }
+            other => panic!("unexpected plan node {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_key_pin_on_a_hash_placed_table_reads_one_partition() {
+        let cfg =
+            EngineConfig { vector_size: 4, partitions: 4, parallelism: 1, ..Default::default() };
+        let engine = crate::Engine::new(cfg);
+        engine.execute("CREATE TABLE t (id INT, v INT)").unwrap();
+        let t = engine.table("t").unwrap();
+        t.declare_placement_key("id").unwrap();
+        let ids: Vec<i64> = (0..200).collect();
+        let vs: Vec<i64> = ids.iter().map(|i| i % 7).collect();
+        engine.insert_columns("t", vec![ColumnVector::Int(ids), ColumnVector::Int(vs)]).unwrap();
+        let blocks: Vec<usize> =
+            t.with_partitions(|parts| parts.iter().map(|p| p.block_count()).collect());
+        let owner = (hash_value(&Value::Int(77)) % 4) as usize;
+        // (statement, the partition it is pinned to, rows it returns)
+        for (sql, pin, rows) in [
+            ("SELECT v FROM t WHERE id = 77", Some(owner), 1),
+            ("SELECT v FROM t WHERE 77.0 = id", Some(owner), 1),
+            ("SELECT v FROM t WHERE id = 77 OR id = 78", None, 2),
+            ("SELECT v FROM t WHERE id > 190", None, 9),
+            ("SELECT id FROM t WHERE v = 0", None, 29),
+        ] {
+            let pruning = scan_pruning(&engine.plan(sql).unwrap());
+            assert_eq!(pinned_partition(&t, &pruning), pin, "{sql}");
+            let mut scan = ScanExec::new(Arc::clone(&t), pruning, None);
+            while scan.next().unwrap().is_some() {}
+            let visited = scan.blocks_read + scan.blocks_pruned;
+            let expect = pin.map_or(blocks.iter().sum(), |p| blocks[p]);
+            assert_eq!(visited, expect, "{sql}: blocks of the partitions it reads");
+            assert_eq!(engine.execute(sql).unwrap().num_rows(), rows, "{sql}");
+        }
+        // A worker scanning another partition reads nothing at all.
+        let pruning = scan_pruning(&engine.plan("SELECT v FROM t WHERE id = 77").unwrap());
+        let other = (owner + 1) % 4;
+        let mut scan = ScanExec::new(Arc::clone(&t), pruning, Some(other));
+        assert!(scan.next().unwrap().is_none());
+        assert_eq!(scan.blocks_read + scan.blocks_pruned, 0);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! ```
 //!
 //! **Logging and recovery model.** Tables are append-only (plus CREATE /
-//! DROP / unique-column declarations), so the WAL is *logical redo
+//! DROP / unique-column and placement-key declarations), so the WAL is *logical redo
 //! only*: each committed statement is one record group, and recovery
 //! rebuilds the checkpointed directory and then re-applies every
 //! committed record with `lsn > checkpoint_lsn` through the normal
@@ -81,13 +81,18 @@ pub const REC_CREATE: u8 = 1;
 pub const REC_DROP: u8 = 2;
 pub const REC_APPEND: u8 = 3;
 pub const REC_UNIQUE: u8 = 4;
+pub const REC_PLACEMENT: u8 = 5;
 
 const DIRECTORY_MAGIC: &[u8; 4] = b"IDBD";
 /// The one format [`decode_directory`] accepts: data-file generation plus
 /// the free list run-length encoded as `(start, len)` pairs, so directory
-/// size is bounded by fragmentation, not freed-page count. Any other
-/// version is rejected by name.
-const DIRECTORY_VERSION: u8 = 3;
+/// size is bounded by fragmentation, not freed-page count, and each
+/// table's placement key (version 4). Any other version is rejected by
+/// name.
+const DIRECTORY_VERSION: u8 = 4;
+
+/// A table entry's placement-key field when rows are dealt round-robin.
+const NO_PLACEMENT: u32 = u32::MAX;
 
 /// File name of data generation `gen`: generation 0 keeps the original
 /// `data.idb` name, later generations (one per completed vacuum) get a
@@ -179,6 +184,8 @@ pub(crate) enum UndoRecord {
     Append { name: String, parts: Vec<PartitionState>, next_partition: usize },
     /// Undo a unique-column declaration.
     Unique { name: String, column: String },
+    /// Undo a placement-key declaration: put back the key it replaced.
+    Placement { name: String, key: Option<usize> },
 }
 
 /// An open transaction: where the WAL stood at `BEGIN` (the rollback
@@ -707,7 +714,8 @@ pub(crate) fn encode_append(name: &str, columns: &[ColumnVector]) -> Vec<u8> {
     out
 }
 
-pub(crate) fn encode_unique(name: &str, column: &str) -> Vec<u8> {
+/// The payload of a unique-column or placement-key declaration.
+pub(crate) fn encode_table_column(name: &str, column: &str) -> Vec<u8> {
     let mut out = Vec::new();
     put_str(&mut out, name);
     put_str(&mut out, column);
@@ -731,6 +739,7 @@ struct TableEntry {
     schema: Schema,
     vector_size: usize,
     next_partition: u64,
+    placement_key: Option<usize>,
     unique_columns: Vec<usize>,
     partitions: Vec<PartitionMeta>,
 }
@@ -760,8 +769,10 @@ fn encode_directory(catalog: &Catalog, env: &StorageEnv, checkpoint_lsn: u64) ->
         put_str(&mut out, &name);
         encode_schema(&mut out, table.schema());
         out.extend_from_slice(&(table.vector_size() as u32).to_le_bytes());
-        let (next_partition, uniques, parts) = table.checkpoint_meta()?;
+        let (next_partition, placement, uniques, parts) = table.checkpoint_meta()?;
         out.extend_from_slice(&next_partition.to_le_bytes());
+        let placement = placement.map_or(NO_PLACEMENT, |c| c as u32);
+        out.extend_from_slice(&placement.to_le_bytes());
         out.extend_from_slice(&(uniques.len() as u32).to_le_bytes());
         for u in &uniques {
             out.extend_from_slice(&(*u as u32).to_le_bytes());
@@ -813,6 +824,16 @@ fn decode_directory(bytes: &[u8]) -> Result<DirectoryFile> {
         let schema = decode_schema(&mut r)?;
         let vector_size = r.u32()? as usize;
         let next_partition = r.u64()?;
+        let placement_key = match r.u32()? {
+            NO_PLACEMENT => None,
+            c if (c as usize) < schema.len() => Some(c as usize),
+            c => {
+                return Err(EngineError::Io(format!(
+                    "directory.bin: table {name:?} is placed by column {c} of {}",
+                    schema.len()
+                )))
+            }
+        };
         let nunique = r.u32()? as usize;
         let mut unique_columns = Vec::with_capacity(r.capacity(nunique, 4));
         for _ in 0..nunique {
@@ -852,6 +873,7 @@ fn decode_directory(bytes: &[u8]) -> Result<DirectoryFile> {
             schema,
             vector_size,
             next_partition,
+            placement_key,
             unique_columns,
             partitions,
         });
@@ -924,6 +946,7 @@ pub(crate) fn open_catalog(root: &Path, config: &EngineConfig) -> Result<Arc<Cat
                 entry.vector_size,
                 entry.partitions,
                 entry.next_partition,
+                entry.placement_key,
                 entry.unique_columns,
                 catalog.epoch_handle(),
                 Arc::clone(&env),
@@ -1006,6 +1029,11 @@ fn apply_record(catalog: &Catalog, config: &EngineConfig, record: &WalRecord) ->
             let name = r.str()?;
             let column = r.str()?;
             catalog.table(&name)?.declare_unique(&column)?;
+        }
+        REC_PLACEMENT => {
+            let name = r.str()?;
+            let column = r.str()?;
+            catalog.table(&name)?.declare_placement_key(&column)?;
         }
         other => return Err(EngineError::Io(format!("wal: unknown record kind {other}"))),
     }
@@ -1225,7 +1253,8 @@ mod tests {
     #[test]
     fn directory_versions_other_than_current_are_rejected() {
         // Hand-built headers: v1 (no generation, no free list), v2 (raw
-        // page-id free list) and a future v4, each with zero tables.
+        // page-id free list), v3 (no placement keys) and a future v5, each
+        // with zero tables.
         let header = |version: u8, body: &[u64], counts: &[u32]| {
             let mut bytes = Vec::new();
             bytes.extend_from_slice(DIRECTORY_MAGIC);
@@ -1240,25 +1269,26 @@ mod tests {
         };
         let v1 = header(1, &[99, 7], &[0]);
         let v2 = header(2, &[99, 7, 1], &[0, 0]);
-        let v4 = header(4, &[99, 7, 1], &[0, 0]);
-        for (version, bytes) in [(1, v1), (2, v2), (4, v4)] {
+        let v3 = header(3, &[99, 7, 1], &[0, 0]);
+        let v5 = header(5, &[99, 7, 1], &[0, 0]);
+        for (version, bytes) in [(1, v1), (2, v2), (3, v3), (5, v5)] {
             let Err(EngineError::Io(msg)) = decode_directory(&bytes).map(|_| ()) else {
                 panic!("directory version {version} must be rejected");
             };
             assert_eq!(
                 msg,
-                format!("directory.bin: version {version} found, only version 3 is supported")
+                format!("directory.bin: version {version} found, only version 4 is supported")
             );
         }
         // The same shape at the current version decodes.
-        let v3 = header(DIRECTORY_VERSION, &[99, 7, 1], &[0, 0]);
-        let dir = decode_directory(&v3).unwrap();
+        let v4 = header(DIRECTORY_VERSION, &[99, 7, 1], &[0, 0]);
+        let dir = decode_directory(&v4).unwrap();
         assert_eq!((dir.next_page, dir.checkpoint_lsn, dir.generation), (99, 7, 1));
     }
 
     #[test]
     fn corrupt_directory_counts_and_chunks_are_errors() {
-        // A version-3 header: next_page 4, checkpoint LSN 0, generation 0.
+        // A current header: next_page 4, checkpoint LSN 0, generation 0.
         let mut head = DIRECTORY_MAGIC.to_vec();
         head.push(DIRECTORY_VERSION);
         for v in [4u64, 0, 0] {
@@ -1273,8 +1303,9 @@ mod tests {
             }
             assert!(matches!(decode_directory(&bytes), Err(EngineError::Io(_))), "{counts:?}");
         }
-        // One table `t (id INT)` with one block, whose chunk varies.
-        let one_block = |chunk: PagedChunk| {
+        // One table `t (id INT)` with one block, whose chunk and placement
+        // key vary.
+        let table = |chunk: PagedChunk, placement: u32| {
             let mut bytes = head.clone();
             for count in [0u32, 1] {
                 bytes.extend(count.to_le_bytes()); // free runs, tables
@@ -1284,6 +1315,7 @@ mod tests {
             encode_schema(&mut bytes, &schema);
             bytes.extend(8u32.to_le_bytes()); // vector size
             bytes.extend(0u64.to_le_bytes()); // round-robin cursor
+            bytes.extend(placement.to_le_bytes()); // placement key
             bytes.extend(0u32.to_le_bytes()); // unique columns
             bytes.extend(1u32.to_le_bytes()); // partitions
             bytes.extend(1u64.to_le_bytes()); // rows
@@ -1294,8 +1326,11 @@ mod tests {
             encode_value(&mut bytes, &Value::Int(7));
             decode_directory(&bytes).map(|_| ())
         };
+        let one_block = |chunk| table(chunk, NO_PLACEMENT);
         let good = PagedChunk { first_page: 3, pages: 1, bytes: 13, rows: 1 };
         assert_eq!(one_block(good), Ok(()));
+        assert_eq!(table(good, 0), Ok(()), "placed by its one column");
+        assert!(matches!(table(good, 1), Err(EngineError::Io(_))), "no column 1 to place by");
         for bad in [
             PagedChunk { pages: 0, ..good },
             PagedChunk { pages: 1 << 31 | 1, ..good },

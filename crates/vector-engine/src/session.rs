@@ -359,9 +359,8 @@ impl Engine {
     }
 
     /// Evaluate the `VALUES` rows of `INSERT INTO table [(columns)]` into
-    /// typed columns in the table's schema order. The one INSERT
-    /// evaluation: the sharded facade routes these columns to its shards.
-    pub fn insert_values(
+    /// typed columns in the table's schema order.
+    fn insert_values(
         &self,
         table: &str,
         columns: Option<&[String]>,

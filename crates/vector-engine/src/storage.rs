@@ -1,7 +1,9 @@
 //! Columnar block storage with small materialized aggregates.
 //!
 //! Each table is split into [`EngineConfig::partitions`] horizontal
-//! partitions; each partition stores every column as a sequence of blocks,
+//! partitions — rows dealt round-robin, or by the hash of a declared
+//! placement key ([`Table::declare_placement_key`]); each partition stores
+//! every column as a sequence of blocks,
 //! every one but the last holding exactly `vector_size` values: an append
 //! tops up its partition's short last block before it starts a new one.
 //! Every block carries min/max small materialized aggregates (SMAs, a.k.a.
@@ -17,6 +19,7 @@
 use crate::column::{Batch, ColumnVector};
 use crate::config::EngineConfig;
 use crate::error::{EngineError, Result};
+use crate::exec::hash::hash_key_columns;
 use crate::persist::{self, PagedChunk, StorageEnv, TxnState, UndoRecord};
 use crate::types::{DataType, Value};
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
@@ -296,6 +299,18 @@ struct Piece {
     top_up: bool,
 }
 
+impl Piece {
+    /// The piece's values of one input column: its rows, or, when a hash
+    /// placement regrouped the input ([`Table::placement`]), the input rows
+    /// `order` lists there.
+    fn of(&self, column: &ColumnVector, order: Option<&[usize]>) -> ColumnVector {
+        match order {
+            Some(order) => column.take(&order[self.rows.clone()]),
+            None => column.slice(self.rows.start, self.rows.end),
+        }
+    }
+}
+
 /// A partition as an append found it, which is what rolling the append
 /// back restores: its row and block counts and, when the append tops up
 /// its short last block, that block of every column as it was. A rollback
@@ -458,6 +473,9 @@ pub struct Table {
     vector_size: usize,
     /// Round-robin cursor so successive bulk loads stay balanced.
     next_partition: AtomicUsize,
+    /// The column whose hash places each row
+    /// ([`Table::declare_placement_key`]); `None` deals rows round-robin.
+    placement_key: RwLock<Option<usize>>,
     /// Ordinals of columns declared unique by the loader. The
     /// partition-parallel driver relies on this to prove that a GROUP BY
     /// containing such a column, or a self-join on one, never spans
@@ -522,6 +540,7 @@ impl Table {
             ),
             vector_size: config.vector_size.max(1),
             next_partition: AtomicUsize::new(0),
+            placement_key: RwLock::new(None),
             unique_columns: RwLock::new(Vec::new()),
             data_version: AtomicU64::new(0),
             catalog_epoch,
@@ -532,8 +551,9 @@ impl Table {
     }
 
     /// Rebuild a table from its checkpointed directory entry. The stored
-    /// layout (partition count, vector size, round-robin cursor) wins
-    /// over the current config so the rebuilt table is bit-identical.
+    /// layout (partition count, vector size, round-robin cursor, placement
+    /// key) wins over the current config so the rebuilt table is
+    /// bit-identical.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn restore(
         name: &str,
@@ -541,6 +561,7 @@ impl Table {
         vector_size: usize,
         partitions: Vec<PartitionMeta>,
         next_partition: u64,
+        placement_key: Option<usize>,
         unique_columns: Vec<usize>,
         catalog_epoch: Arc<AtomicU64>,
         env: Arc<StorageEnv>,
@@ -552,6 +573,7 @@ impl Table {
             partitions: RwLock::new(partitions.into_iter().map(Partition::from_meta).collect()),
             vector_size: vector_size.max(1),
             next_partition: AtomicUsize::new(next_partition as usize),
+            placement_key: RwLock::new(placement_key),
             unique_columns: RwLock::new(unique_columns),
             data_version: AtomicU64::new(0),
             catalog_epoch,
@@ -572,14 +594,18 @@ impl Table {
         self.vector_size
     }
 
-    /// Checkpoint description: round-robin cursor, unique columns, and
-    /// every partition's paged block layout. Errors if any block is
-    /// memory-resident ([`Table::page_out_tails`] runs first).
-    pub(crate) fn checkpoint_meta(&self) -> Result<(u64, Vec<usize>, Vec<PartitionMeta>)> {
+    /// Checkpoint description: round-robin cursor, placement key, unique
+    /// columns, and every partition's paged block layout. Errors if any
+    /// block is memory-resident ([`Table::page_out_tails`] runs first).
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn checkpoint_meta(
+        &self,
+    ) -> Result<(u64, Option<usize>, Vec<usize>, Vec<PartitionMeta>)> {
         let parts = self.partitions.read();
         let metas: Result<Vec<PartitionMeta>> = parts.iter().map(Partition::meta).collect();
         Ok((
             self.next_partition.load(AtomicOrdering::Acquire) as u64,
+            self.placement_key(),
             self.unique_columns.read().clone(),
             metas?,
         ))
@@ -642,7 +668,7 @@ impl Table {
                     env.log_statement(
                         &self.txn,
                         persist::REC_UNIQUE,
-                        &persist::encode_unique(&self.name, column),
+                        &persist::encode_table_column(&self.name, column),
                         undo,
                     )?;
                 }
@@ -668,6 +694,66 @@ impl Table {
         self.unique_columns.read().contains(&idx)
     }
 
+    /// Place rows by `hash(column) % partition_count()` instead of
+    /// round-robin, so every row holding one key value lands in one
+    /// partition: a scan pinned by `key = literal` reads that partition
+    /// alone ([`crate::exec::scan::pinned_partition`]), and the
+    /// partition-parallel driver may split on the key with one morsel per
+    /// partition. Rows are placed as they are appended, so only an empty
+    /// table takes a (new) key. Logged and rolled back like
+    /// [`Table::declare_unique`], and kept in the directory, so replay and
+    /// reopen re-derive every row's place.
+    pub fn declare_placement_key(&self, column: &str) -> Result<()> {
+        let idx = self.schema.index_of(column).ok_or_else(|| {
+            EngineError::Catalog(format!(
+                "table {}: no column {column:?} to place rows by",
+                self.name
+            ))
+        })?;
+        // The locks an append holds while it deals, so none deals between
+        // the emptiness check and the new key.
+        let _dml = self.env.as_ref().map(|env| env.dml_lock.read());
+        let _order = self.append_lock.lock();
+        let parts = self.partitions.read();
+        if parts.iter().any(|p| p.rows > 0) {
+            return Err(EngineError::Catalog(format!(
+                "table {}: a placement key must be declared before rows are loaded",
+                self.name
+            )));
+        }
+        let previous = self.placement_key();
+        if previous == Some(idx) {
+            return Ok(());
+        }
+        let undo = || UndoRecord::Placement { name: self.name.clone(), key: previous };
+        match &self.env {
+            Some(env) if !env.is_replaying() => {
+                env.log_statement(
+                    &self.txn,
+                    persist::REC_PLACEMENT,
+                    &persist::encode_table_column(&self.name, column),
+                    undo,
+                )?;
+            }
+            Some(_) => {}
+            None => {
+                self.txn.record(undo);
+            }
+        }
+        *self.placement_key.write() = Some(idx);
+        Ok(())
+    }
+
+    /// The column rows are hash-placed by, if one was declared.
+    pub fn placement_key(&self) -> Option<usize> {
+        *self.placement_key.read()
+    }
+
+    /// Put back the placement key an undone declaration replaced.
+    pub(crate) fn restore_placement_key(&self, key: Option<usize>) {
+        *self.placement_key.write() = key;
+    }
+
     pub fn name(&self) -> &str {
         &self.name
     }
@@ -685,15 +771,16 @@ impl Table {
     }
 
     /// Bulk-append columnar data. Rows are cut into pieces and dealt
-    /// round-robin over the partitions, which keeps them balanced: a
+    /// round-robin over the partitions, which keeps them balanced, or, on a
+    /// hash-placed table, each to the partition its key hashes to: a
     /// partition's piece first tops up its short last block, and is a
     /// whole block (`vector_size` rows) when there is none, so a load into
-    /// empty partitions cuts whole blocks. Placement ignores values: a
-    /// partition gets every `partition_count()`-th piece, so even
+    /// empty partitions cuts whole blocks. Round-robin placement ignores
+    /// values: a partition gets every `partition_count()`-th piece, so even
     /// sequential ids interleave across partitions once a partition holds
-    /// two pieces. Only a declared-unique column, or SMA ranges that happen
-    /// to be disjoint, lets the partition-parallel driver treat a column as
-    /// a key.
+    /// two pieces. Only a placement key, a declared-unique column, or SMA
+    /// ranges that happen to be disjoint lets the partition-parallel driver
+    /// treat a column as a key.
     pub fn append(&self, columns: Vec<ColumnVector>) -> Result<()> {
         let rows = self.check_columns(&columns)?;
         if rows == 0 {
@@ -706,10 +793,8 @@ impl Table {
     }
 
     /// Check columnar input against the schema — column count, equal
-    /// lengths, column types — and return its row count. [`Table::append`]
-    /// runs this first; a caller that splits the columns before appending
-    /// runs it before the split.
-    pub fn check_columns(&self, columns: &[ColumnVector]) -> Result<usize> {
+    /// lengths, column types — and return its row count.
+    fn check_columns(&self, columns: &[ColumnVector]) -> Result<usize> {
         if columns.len() != self.schema.len() {
             return Err(EngineError::Catalog(format!(
                 "table {}: expected {} columns, got {}",
@@ -751,28 +836,89 @@ impl Table {
         }
     }
 
-    /// Cut `rows` new rows into pieces and deal them round-robin from
-    /// `cursor`: piece `k` goes to partition `(cursor + k) %
-    /// partition_count()` and holds the room left in that partition's
-    /// last block, or `vector_size` rows when it is full or missing, so
-    /// only a partition's first piece can top up. Both append paths deal
-    /// this way, so WAL replay from a checkpoint re-derives every row's
-    /// place. Returns the pieces and the cursor after them.
-    fn deal(&self, parts: &[Partition], cursor: usize, rows: usize) -> (Vec<Piece>, usize) {
+    /// Cut `rows` new rows into pieces and deal them over the partitions.
+    /// Round-robin (`sizes` is `None`): piece `k` goes to partition
+    /// `(cursor + k) % partition_count()`. Hash placement: the rows come
+    /// grouped by partition ([`Table::placement`]), `sizes[p]` of them for
+    /// partition `p`, and each group is cut in turn; the cursor stays. A
+    /// piece holds the room left in its partition's last block, or
+    /// `vector_size` rows when it is full or missing, so only a
+    /// partition's first piece can top up. Both append paths deal this
+    /// way, so WAL replay from a checkpoint re-derives every row's place.
+    /// Returns the pieces and the cursor after them.
+    fn deal(
+        &self,
+        parts: &[Partition],
+        cursor: usize,
+        sizes: Option<&[usize]>,
+        rows: usize,
+    ) -> (Vec<Piece>, usize) {
         let mut tails: Vec<usize> = parts.iter().map(Partition::tail_len).collect();
         let mut pieces = Vec::new();
-        let mut start = 0;
-        while start < rows {
-            let p = cursor.wrapping_add(pieces.len()) % parts.len();
+        // Cut the next piece of partition `p` off `start..end`; its end.
+        let mut cut = |p: usize, start: usize, end: usize| {
             let top_up = tails[p] > 0 && tails[p] < self.vector_size;
             let room = if top_up { self.vector_size - tails[p] } else { self.vector_size };
-            let end = (start + room).min(rows);
-            tails[p] = if top_up { tails[p] + end - start } else { end - start };
-            pieces.push(Piece { partition: p, rows: start..end, top_up });
-            start = end;
-        }
-        let next = cursor.wrapping_add(pieces.len());
+            let stop = (start + room).min(end);
+            tails[p] = if top_up { tails[p] + stop - start } else { stop - start };
+            pieces.push(Piece { partition: p, rows: start..stop, top_up });
+            stop
+        };
+        let mut start = 0;
+        let next = match sizes {
+            None => {
+                let mut k = 0;
+                while start < rows {
+                    start = cut(cursor.wrapping_add(k) % parts.len(), start, rows);
+                    k += 1;
+                }
+                cursor.wrapping_add(k)
+            }
+            Some(sizes) => {
+                for (p, &size) in sizes.iter().enumerate() {
+                    let end = start + size;
+                    while start < end {
+                        start = cut(p, start, end);
+                    }
+                }
+                cursor
+            }
+        };
         (pieces, next)
+    }
+
+    /// A hash-placed table's input rows, grouped by the partition
+    /// `hash(key) % partitions` sends them to: the row order listing
+    /// partition 0's rows first (input order kept within a partition),
+    /// and each partition's row count. `None` for a round-robin table.
+    /// Read under the locks an append deals under, so it sees the key a
+    /// concurrent [`Table::declare_placement_key`] leaves.
+    fn placement(
+        &self,
+        columns: &[ColumnVector],
+        partitions: usize,
+    ) -> Option<(Vec<usize>, Vec<usize>)> {
+        let key = &columns[self.placement_key()?];
+        let mut targets = Vec::new();
+        hash_key_columns(std::slice::from_ref(key), key.len(), &mut targets);
+        let mut sizes = vec![0; partitions];
+        for t in &mut targets {
+            *t %= partitions as u64;
+            sizes[*t as usize] += 1;
+        }
+        let mut next: Vec<usize> = sizes
+            .iter()
+            .scan(0, |at, &n| {
+                *at += n;
+                Some(*at - n)
+            })
+            .collect();
+        let mut order = vec![0; targets.len()];
+        for (row, &t) in targets.iter().enumerate() {
+            order[next[t as usize]] = row;
+            next[t as usize] += 1;
+        }
+        Some((order, sizes))
     }
 
     /// The in-memory append path. The input is consumed column by column,
@@ -782,11 +928,13 @@ impl Table {
     fn append_mem(&self, columns: Vec<ColumnVector>, rows: usize) -> Result<()> {
         let mut parts = self.partitions.write();
         let cursor = self.next_partition.load(AtomicOrdering::Acquire);
-        let (pieces, next) = self.deal(&parts, cursor, rows);
+        let placed = self.placement(&columns, parts.len());
+        let (order, sizes) = placed.as_ref().map(|(o, s)| (o.as_slice(), s.as_slice())).unzip();
+        let (pieces, next) = self.deal(&parts, cursor, sizes, rows);
         self.txn.record(|| self.append_undo(&parts, &pieces, cursor));
         for (c, column) in columns.into_iter().enumerate() {
             for piece in &pieces {
-                let data = column.slice(piece.rows.start, piece.rows.end);
+                let data = piece.of(&column, order);
                 let blocks = &mut parts[piece.partition].columns[c];
                 match blocks.last_mut() {
                     Some(tail) if piece.top_up => tail.extend(&data),
@@ -836,9 +984,11 @@ impl Table {
         // pre-state exact from here to the publish.
         let cursor = self.next_partition.load(AtomicOrdering::Acquire);
         let mut superseded = Vec::new();
+        let placed = self.placement(columns, self.partition_count());
+        let (order, sizes) = placed.as_ref().map(|(o, s)| (o.as_slice(), s.as_slice())).unzip();
         let (pieces, next, tails, undo) = {
             let parts = self.partitions.read();
-            let (pieces, next) = self.deal(&parts, cursor, rows);
+            let (pieces, next) = self.deal(&parts, cursor, sizes, rows);
             // Per piece, the last block of every column it tops up, in
             // memory (none for a piece that starts new blocks).
             let mut tails = Vec::with_capacity(pieces.len());
@@ -868,7 +1018,7 @@ impl Table {
             let mut tail = tail.into_iter();
             let mut blocks = Vec::with_capacity(columns.len());
             for col in columns {
-                let data = col.slice(piece.rows.start, piece.rows.end);
+                let data = piece.of(col, order);
                 let mut block = match tail.next() {
                     Some(mut block) => {
                         block.extend(&data);
@@ -1052,6 +1202,64 @@ mod tests {
         // A second load continues the round-robin at partition 0.
         t.append(vec![ColumnVector::Int(vec![100]), ColumnVector::Float(vec![1.0])]).unwrap();
         t.with_partitions(|parts| assert_eq!(parts[0].rows(), 5));
+    }
+
+    #[test]
+    fn hash_placement_puts_each_key_in_its_partition_and_keeps_blocks_full() {
+        use crate::exec::hash::hash_value;
+        let t = Table::new("t", int_schema(), &config());
+        assert!(t.declare_placement_key("nope").is_err(), "unknown column");
+        t.declare_placement_key("id").unwrap();
+        // Skewed keys: most rows share id 7. Loads of several sizes top up
+        // short last blocks.
+        for (start, n) in [(0i64, 1usize), (1, 10), (11, 3), (14, 40)] {
+            let ids: Vec<i64> =
+                (start..start + n as i64).map(|i| if i % 3 == 0 { i } else { 7 }).collect();
+            let vs: Vec<f64> = (start..start + n as i64).map(|i| i as f64).collect();
+            t.append(vec![ColumnVector::Int(ids), ColumnVector::Float(vs)]).unwrap();
+        }
+        assert_eq!(t.row_count(), 54);
+        t.with_partitions(|parts| {
+            for (p, part) in parts.iter().enumerate() {
+                for b in 0..part.block_count() {
+                    let batch = part.block_batch(b, &[0, 1], None).unwrap();
+                    for &id in batch.column(0).as_int().unwrap() {
+                        assert_eq!((hash_value(&Value::Int(id)) % 3) as usize, p, "id {id}");
+                    }
+                    if b + 1 < part.block_count() {
+                        assert_eq!(batch.num_rows(), 4, "partition {p} block {b} is full");
+                    }
+                }
+            }
+        });
+        // Rows of one key keep their input order (v ascends).
+        let sevens: Vec<f64> = t
+            .all_batches()
+            .unwrap()
+            .iter()
+            .flat_map(|b| {
+                let (ids, vs) = (b.column(0).as_int().unwrap(), b.column(1).as_float().unwrap());
+                ids.iter().zip(vs).filter(|(&i, _)| i == 7).map(|(_, &v)| v).collect::<Vec<_>>()
+            })
+            .collect();
+        assert!(sevens.windows(2).all(|w| w[0] < w[1]), "{sevens:?}");
+        assert!(t.declare_placement_key("v").is_err(), "a loaded table keeps its placement");
+    }
+
+    #[test]
+    fn a_rolled_back_placement_key_is_forgotten() {
+        let engine = crate::session::Engine::new(config());
+        engine.execute("CREATE TABLE t (id INT, v FLOAT)").unwrap();
+        let t = engine.table("t").unwrap();
+        t.declare_placement_key("v").unwrap();
+        engine.execute("BEGIN").unwrap();
+        t.declare_placement_key("id").unwrap();
+        engine
+            .insert_columns("t", vec![ColumnVector::Int(vec![1]), ColumnVector::Float(vec![0.5])])
+            .unwrap();
+        assert_eq!(t.placement_key(), Some(0));
+        engine.execute("ROLLBACK").unwrap();
+        assert_eq!((t.placement_key(), t.row_count()), (Some(1), 0));
     }
 
     #[test]

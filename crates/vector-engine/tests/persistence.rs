@@ -54,6 +54,40 @@ fn ddl_dml_survive_reopen_via_wal_replay() {
 }
 
 #[test]
+fn a_placement_key_survives_replay_and_checkpoint() {
+    let dir = tmp_dir("placement");
+    let load = |e: &Engine, from: i64| {
+        let ids: Vec<i64> = (from..from + 20).collect();
+        let vs = ids.iter().map(|&i| i as f64 * 0.5).collect();
+        e.insert_columns("t", vec![ColumnVector::Int(ids), ColumnVector::Float(vs)]).unwrap();
+    };
+    let oracle = Engine::new(EngineConfig { data_dir: None, ..persistent_config(&dir) });
+    oracle.execute("CREATE TABLE t (id INT, v FLOAT)").unwrap();
+    oracle.table("t").unwrap().declare_placement_key("id").unwrap();
+    load(&oracle, 0);
+    load(&oracle, 20);
+    {
+        let e = Engine::open(persistent_config(&dir)).unwrap();
+        e.execute("CREATE TABLE t (id INT, v FLOAT)").unwrap();
+        e.table("t").unwrap().declare_placement_key("id").unwrap();
+        load(&e, 0);
+    }
+    // Replayed from the WAL, then from the directory a checkpoint wrote:
+    // the key and every row's partition come back.
+    for checkpoint in [false, true] {
+        let e = Engine::open(persistent_config(&dir)).unwrap();
+        let t = e.table("t").unwrap();
+        assert_eq!(t.placement_key(), Some(0), "checkpointed: {checkpoint}");
+        if !checkpoint {
+            load(&e, 20);
+            e.checkpoint().unwrap();
+        }
+        assert_eq!(t.snapshot(), oracle.table("t").unwrap().snapshot());
+        assert_eq!(table_rows(&e, "t"), table_rows(&oracle, "t"), "checkpointed: {checkpoint}");
+    }
+}
+
+#[test]
 fn checkpoint_truncates_wal_and_reopen_reads_directory() {
     let dir = tmp_dir("checkpoint");
     {

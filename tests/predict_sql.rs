@@ -328,30 +328,22 @@ fn served_predicts_and_predict_share_one_build() {
     }
 }
 
-/// Sharded, the same holds per shard: `ShardedServer::register_model`
-/// registers on every shard, and a scattered `PREDICT` plus round-robin
-/// served predicts build once on each.
+/// Through the shard adaptors the same holds: one engine, one registration
+/// (`ShardedServer::register_model`), so `PREDICT` over a hash-placed table
+/// and served predicts build the model once.
 #[test]
-fn sharded_served_predicts_and_predict_build_once_per_shard() {
+fn sharded_served_predicts_and_predict_build_the_model_once() {
     let model = paper::dense_model(4, 2, 7);
     let engine = Arc::new(ShardedEngine::with_shards(small_config(), 2));
     engine.execute("CREATE TABLE facts (id INT, c0 FLOAT, c1 FLOAT, c2 FLOAT, c3 FLOAT)").unwrap();
     engine.declare_sharded("facts", "id").unwrap();
     engine.insert_columns("facts", columns(40, 4)).unwrap();
-    let mut meta = None;
-    for shard in engine.shards() {
-        meta = Some(load_into_engine(shard, "m", &model, Layout::NodeId).unwrap().1);
-    }
+    let (_, meta) = load_into_engine(engine.shard(0), "m", &model, Layout::NodeId).unwrap();
     let config = ServeConfig::from_engine(engine.config());
     let server = ShardedServer::start(Arc::clone(&engine), config);
-    let meta = meta.expect("two shards");
-    let caches = server.register_model("m", "m", meta, Layout::NodeId, &Device::cpu());
+    let cache = server.register_model("m", "m", meta, Layout::NodeId, &Device::cpu());
     let sql = result_rows(engine.execute(&format!("{PREDICT} ORDER BY id")).unwrap());
     assert_eq!(sql.len(), 40);
     assert_eq!(served(&sql, |x| server.submit_predict("m", x)), sql);
-    assert_eq!(caches.len(), 2);
-    for (shard, cache) in caches.iter().enumerate() {
-        let lookups = (server.servers()[shard].stats().batches, 1);
-        assert_eq!(cache.stats(ModelDtype::F32), lookups, "shard {shard}: one build");
-    }
+    assert_eq!(cache.stats(ModelDtype::F32), (server.stats().batches, 1), "one build");
 }
