@@ -10,7 +10,7 @@ use tensor::{Device, Matrix};
 use vector_engine::exec::parallel;
 use vector_engine::exec::physical::Operator;
 use vector_engine::expr::Expr;
-use vector_engine::plan::{InferModel, LogicalPlan, Optimizer, PlanSchema};
+use vector_engine::plan::{optimize, InferModel, LogicalPlan, PlanSchema};
 use vector_engine::{Batch, Catalog, ColumnVector, Engine, EngineConfig, EngineError, Result};
 
 /// The native ModelJoin operator (paper Sec. 5). One instance runs per
@@ -260,7 +260,7 @@ pub fn execute_model_join(
         exprs: outputs.into_iter().map(Expr::Column).collect(),
         schema: PlanSchema::new(fields),
     };
-    let plan = Optimizer::new(engine.config().clone()).optimize(plan);
+    let plan = optimize(plan);
     parallel::execute(&plan, engine.config())
 }
 

@@ -75,8 +75,6 @@ pub static EXEC_CATALOG_EPOCH_BUMPS: Counter = Counter::new();
 pub static EXEC_PLANS_SERIAL: Counter = Counter::new();
 /// Plans it ran once per morsel of a split table, gathering the outputs.
 pub static EXEC_PLANS_PARTITIONED: Counter = Counter::new();
-/// Plans it ran as per-morsel partial aggregates merged in morsel order.
-pub static EXEC_PLANS_PARTIAL_AGG: Counter = Counter::new();
 /// Partition splits admitted with no placement key.
 pub static EXEC_SPLIT_KEY_NONE: Counter = Counter::new();
 /// Partition splits admitted on a declared-unique key column.
@@ -218,7 +216,6 @@ pub static COUNTERS: &[(&str, &Counter)] = &[
     ("exec.catalog.epoch_bumps", &EXEC_CATALOG_EPOCH_BUMPS),
     ("exec.plans.serial", &EXEC_PLANS_SERIAL),
     ("exec.plans.partitioned", &EXEC_PLANS_PARTITIONED),
-    ("exec.plans.partial_agg", &EXEC_PLANS_PARTIAL_AGG),
     ("exec.split_key.none", &EXEC_SPLIT_KEY_NONE),
     ("exec.split_key.unique", &EXEC_SPLIT_KEY_UNIQUE),
     ("exec.split_key.sma", &EXEC_SPLIT_KEY_SMA),

@@ -68,11 +68,6 @@ impl Catalog {
         &self.txn
     }
 
-    /// Whether a multi-statement transaction is currently open.
-    pub fn transaction_open(&self) -> bool {
-        self.txn.is_open()
-    }
-
     /// The shared epoch counter (recovery threads it into rebuilt
     /// tables).
     pub(crate) fn epoch_handle(&self) -> Arc<AtomicU64> {

@@ -17,13 +17,6 @@ pub struct EngineConfig {
     /// size is [`EngineConfig::worker_threads`]), 1 runs every plan
     /// serially on the calling thread.
     pub parallelism: usize,
-    /// Enable min/max (SMA) block pruning in scans — the optimization
-    /// ML-To-SQL's layer filters rely on (paper Sec. 4.4).
-    pub sma_pruning: bool,
-    /// Enable extraction of hash joins from cross join + equality filters.
-    pub hash_join: bool,
-    /// Enable predicate pushdown through projections and joins.
-    pub predicate_pushdown: bool,
     /// Worker threads owned by the process-wide unified scheduler — the
     /// single pool that runs operator morsels, GEMM tile tasks, and serve
     /// batches. 0 (the default) sizes the pool to the machine
@@ -69,9 +62,6 @@ impl Default for EngineConfig {
             vector_size: 1024,
             partitions: 12,
             parallelism: 12,
-            sma_pruning: true,
-            hash_join: true,
-            predicate_pushdown: true,
             worker_threads: 0,
             plan_cache_entries: 128,
             quantized_inference: false,
@@ -119,7 +109,6 @@ mod tests {
         assert_eq!(c.vector_size, 1024);
         assert_eq!(c.partitions, 12);
         assert_eq!(c.parallelism, 12);
-        assert!(c.sma_pruning && c.hash_join && c.predicate_pushdown);
         assert_eq!(c.worker_threads, 0, "scheduler pool auto-sizes to the machine");
         assert!(c.effective_worker_threads() >= 1);
         assert_eq!(c.plan_cache_entries, 128);

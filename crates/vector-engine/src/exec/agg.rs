@@ -7,10 +7,9 @@
 //! indexed by group id, updated by batch kernels over the typed column
 //! slices — no per-row `Value` materialization, no composite keys.
 //!
-//! [`GroupedAggState`] is the reusable core: [`HashAggExec`] drives it
-//! serially, and the partition-parallel driver (`exec/parallel.rs`) builds
-//! one state per partition and merges the typed partial aggregates in
-//! partition order.
+//! [`HashAggExec`] runs every aggregation; a plan whose group key
+//! spans morsels runs it serially over every partition (see
+//! `exec/parallel.rs`).
 
 use crate::column::{Batch, ColumnVector};
 use crate::error::{EngineError, Result};
@@ -244,39 +243,6 @@ impl Accumulator {
         }
     }
 
-    /// Merge slot `src` of a partial aggregate into slot `dst` of `self`.
-    fn merge_slot(&mut self, dst: usize, other: &Accumulator, src: usize) -> Result<()> {
-        match (self, other) {
-            (Accumulator::SumInt(a), Accumulator::SumInt(b)) => checked_sum(&mut a[dst], b[src])?,
-            (Accumulator::SumFloat(a), Accumulator::SumFloat(b)) => a[dst] += b[src],
-            (Accumulator::Count(a), Accumulator::Count(b)) => a[dst] += b[src],
-            (Accumulator::Avg { sum: s, count: c }, Accumulator::Avg { sum: os, count: oc }) => {
-                s[dst] += os[src];
-                c[dst] += oc[src];
-            }
-            (Accumulator::MinInt(a), Accumulator::MinInt(b)) => a[dst] = a[dst].min(b[src]),
-            (Accumulator::MaxInt(a), Accumulator::MaxInt(b)) => a[dst] = a[dst].max(b[src]),
-            (Accumulator::MinFloat(a), Accumulator::MinFloat(b)) => min_float(&mut a[dst], b[src])?,
-            (Accumulator::MaxFloat(a), Accumulator::MaxFloat(b)) => max_float(&mut a[dst], b[src])?,
-            (Accumulator::MinVal(a), Accumulator::MinVal(b)) => {
-                if let Some(v) = &b[src] {
-                    if a[dst].as_ref().is_none_or(|c| v.total_cmp(c) == Ordering::Less) {
-                        a[dst] = Some(v.clone());
-                    }
-                }
-            }
-            (Accumulator::MaxVal(a), Accumulator::MaxVal(b)) => {
-                if let Some(v) = &b[src] {
-                    if a[dst].as_ref().is_none_or(|c| v.total_cmp(c) == Ordering::Greater) {
-                        a[dst] = Some(v.clone());
-                    }
-                }
-            }
-            _ => unreachable!("partial aggregates built from one plan share variants"),
-        }
-        Ok(())
-    }
-
     /// Turn the slot arrays into the output column. `empty_global` marks the
     /// one synthesized group of a global aggregate over empty input, where
     /// MIN/MAX have no value to produce.
@@ -356,14 +322,13 @@ fn new_group(accs: &mut [Accumulator], groups: &mut usize) -> usize {
 /// The vectorized grouping core: retained typed group-key columns, a
 /// [`KeyTable`] mapping key hashes to dense group ids, and one
 /// [`Accumulator`] per aggregate. Groups are numbered in first-seen order,
-/// which keeps results deterministic and lets partial aggregates merge in
-/// partition order.
+/// which keeps results deterministic.
 ///
 /// A global aggregate (no group keys) has at most one group and uses none
 /// of the grouping machinery: no hash vector, no table probe, no group-id
 /// vector. `COUNT` adds each batch's row count and the other aggregates
 /// fold the argument column into slot 0 in row order.
-pub struct GroupedAggState {
+struct GroupedAggState {
     /// Evaluated group-key columns of every distinct group, in first-seen
     /// order. `None` until the first batch fixes the key column types.
     group_cols: Option<Vec<ColumnVector>>,
@@ -377,7 +342,7 @@ pub struct GroupedAggState {
 }
 
 impl GroupedAggState {
-    pub fn new(aggs: &[AggSpec], agg_types: &[DataType]) -> GroupedAggState {
+    fn new(aggs: &[AggSpec], agg_types: &[DataType]) -> GroupedAggState {
         GroupedAggState {
             group_cols: None,
             table: KeyTable::with_capacity(0),
@@ -388,44 +353,31 @@ impl GroupedAggState {
         }
     }
 
-    pub fn num_groups(&self) -> usize {
-        self.groups
-    }
-
     /// Evaluate the group and aggregate expressions over `batch` and fold
-    /// the rows in.
-    pub fn absorb_batch(&mut self, batch: &Batch, group: &[Expr], aggs: &[AggSpec]) -> Result<()> {
-        let key_cols: Result<Vec<Arc<ColumnVector>>> =
-            group.iter().map(|e| e.eval(batch)).collect();
-        let arg_cols: Result<Vec<Option<Arc<ColumnVector>>>> =
-            aggs.iter().map(|s| s.arg.as_ref().map(|a| a.eval(batch)).transpose()).collect();
-        self.absorb(&key_cols?, &arg_cols?, batch.num_rows())
-    }
-
-    /// Fold `rows` rows of evaluated key and argument columns in: assign a
-    /// dense group id per row (creating groups on first sight), then run
-    /// each accumulator's batch kernel. With no key columns every row
-    /// belongs to the one global group.
-    pub fn absorb(
-        &mut self,
-        key_cols: &[Arc<ColumnVector>],
-        arg_cols: &[Option<Arc<ColumnVector>>],
-        rows: usize,
-    ) -> Result<()> {
+    /// its rows in: assign a dense group id per row (creating groups on
+    /// first sight), then run each accumulator's batch kernel. With no
+    /// group keys every row belongs to the one global group.
+    fn absorb_batch(&mut self, batch: &Batch, group: &[Expr], aggs: &[AggSpec]) -> Result<()> {
+        let rows = batch.num_rows();
         if rows == 0 {
             return Ok(());
         }
+        let key_cols = group.iter().map(|e| e.eval(batch)).collect::<Result<Vec<_>>>()?;
+        let arg_cols: Vec<Option<Arc<ColumnVector>>> = aggs
+            .iter()
+            .map(|s| s.arg.as_ref().map(|a| a.eval(batch)).transpose())
+            .collect::<Result<_>>()?;
         if key_cols.is_empty() {
             if self.groups == 0 {
                 self.group_cols = Some(Vec::new());
                 new_group(&mut self.accs, &mut self.groups);
             }
-            for (acc, arg) in self.accs.iter_mut().zip(arg_cols) {
+            for (acc, arg) in self.accs.iter_mut().zip(&arg_cols) {
                 acc.update_batch(Slots::Global(rows), arg.as_deref())?;
             }
             return Ok(());
         }
-        hash_key_columns(key_cols, rows, &mut self.hashes);
+        hash_key_columns(&key_cols, rows, &mut self.hashes);
         let group_cols = self.group_cols.get_or_insert_with(|| {
             key_cols.iter().map(|c| ColumnVector::empty(c.data_type())).collect()
         });
@@ -433,12 +385,12 @@ impl GroupedAggState {
         self.gids.reserve(rows);
         for (row, &h) in self.hashes.iter().enumerate() {
             let found =
-                self.table.candidates(h).find(|&cand| keys_equal(group_cols, cand, key_cols, row));
+                self.table.candidates(h).find(|&cand| keys_equal(group_cols, cand, &key_cols, row));
             let gid = match found {
                 Some(g) => g,
                 None => {
                     self.table.insert(h);
-                    for (gc, kc) in group_cols.iter_mut().zip(key_cols) {
+                    for (gc, kc) in group_cols.iter_mut().zip(&key_cols) {
                         gc.push_from(kc, row);
                     }
                     new_group(&mut self.accs, &mut self.groups)
@@ -446,54 +398,8 @@ impl GroupedAggState {
             };
             self.gids.push(gid as u32);
         }
-        for (acc, arg) in self.accs.iter_mut().zip(arg_cols) {
+        for (acc, arg) in self.accs.iter_mut().zip(&arg_cols) {
             acc.update_batch(Slots::Grouped(&self.gids), arg.as_deref())?;
-        }
-        Ok(())
-    }
-
-    /// Merge a partial aggregate (same plan, disjoint input rows) into
-    /// `self`. Unknown groups are appended in `other`'s first-seen order, so
-    /// merging partials in partition order reproduces the serial group
-    /// order of a partition-ordered scan.
-    pub fn merge(&mut self, other: GroupedAggState) -> Result<()> {
-        let Some(other_cols) = &other.group_cols else {
-            return Ok(());
-        };
-        if other_cols.is_empty() {
-            // Global: one slot on each side.
-            if self.groups == 0 {
-                self.group_cols = Some(Vec::new());
-                new_group(&mut self.accs, &mut self.groups);
-            }
-            for (acc, oacc) in self.accs.iter_mut().zip(&other.accs) {
-                acc.merge_slot(0, oacc, 0)?;
-            }
-            return Ok(());
-        }
-        let mut hashes = Vec::new();
-        hash_key_columns(other_cols, other.num_groups(), &mut hashes);
-        let group_cols = self.group_cols.get_or_insert_with(|| {
-            other_cols.iter().map(|c| ColumnVector::empty(c.data_type())).collect()
-        });
-        for (src, &h) in hashes.iter().enumerate() {
-            let found = self
-                .table
-                .candidates(h)
-                .find(|&cand| keys_equal(group_cols, cand, other_cols, src));
-            let dst = match found {
-                Some(g) => g,
-                None => {
-                    self.table.insert(h);
-                    for (gc, oc) in group_cols.iter_mut().zip(other_cols) {
-                        gc.push_from(oc, src);
-                    }
-                    new_group(&mut self.accs, &mut self.groups)
-                }
-            };
-            for (acc, oacc) in self.accs.iter_mut().zip(&other.accs) {
-                acc.merge_slot(dst, oacc, src)?;
-            }
         }
         Ok(())
     }
@@ -502,8 +408,8 @@ impl GroupedAggState {
     /// to the declared output types. `ngroup` is the number of group
     /// columns; a global aggregate (`ngroup == 0`) emits exactly one row
     /// even for empty input.
-    pub fn finalize(mut self, ngroup: usize, output_types: &[DataType]) -> Result<Batch> {
-        let empty_global = ngroup == 0 && self.num_groups() == 0;
+    fn finalize(mut self, ngroup: usize, output_types: &[DataType]) -> Result<Batch> {
+        let empty_global = ngroup == 0 && self.groups == 0;
         if empty_global {
             new_group(&mut self.accs, &mut self.groups);
         }
@@ -565,9 +471,6 @@ impl HashAggExec {
         let agg_types = &self.output_types[ngroup..];
         let mut state = GroupedAggState::new(&self.aggs, agg_types);
         while let Some(batch) = self.input.next()? {
-            if batch.num_rows() == 0 {
-                continue;
-            }
             state.absorb_batch(&batch, &self.group, &self.aggs)?;
         }
         self.result = Some(state.finalize(ngroup, &self.output_types)?);
@@ -751,43 +654,5 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0], vec![Value::Str("b".into()), Value::Str("b".into()), Value::Int(2)]);
         assert_eq!(rows[1], vec![Value::Str("a".into()), Value::Str("a".into()), Value::Int(9)]);
-    }
-
-    #[test]
-    fn partial_aggregates_merge_in_partition_order() {
-        let specs = vec![
-            AggSpec { func: AggFunc::Sum, arg: Some(Expr::col(1)) },
-            AggSpec { func: AggFunc::Count, arg: None },
-            AggSpec { func: AggFunc::Min, arg: Some(Expr::col(1)) },
-        ];
-        let types = [DataType::Float, DataType::Int, DataType::Float];
-        let group = vec![Expr::col(0)];
-        let batch = |rows: Vec<(i64, f64)>| {
-            Batch::new(vec![
-                ColumnVector::Int(rows.iter().map(|r| r.0).collect()),
-                ColumnVector::Float(rows.iter().map(|r| r.1).collect()),
-            ])
-        };
-        let mut a = GroupedAggState::new(&specs, &types);
-        a.absorb_batch(&batch(vec![(1, 1.0), (2, 2.0)]), &group, &specs).unwrap();
-        let mut b = GroupedAggState::new(&specs, &types);
-        b.absorb_batch(&batch(vec![(3, 3.0), (1, 4.0)]), &group, &specs).unwrap();
-        a.merge(b).unwrap();
-        let out = a
-            .finalize(1, &[DataType::Int, DataType::Float, DataType::Int, DataType::Float])
-            .unwrap();
-        // Partition-order merge: groups 1, 2 from the first partial, then 3.
-        assert_eq!(
-            out.row(0),
-            vec![Value::Int(1), Value::Float(5.0), Value::Int(2), Value::Float(1.0)]
-        );
-        assert_eq!(
-            out.row(1),
-            vec![Value::Int(2), Value::Float(2.0), Value::Int(1), Value::Float(2.0)]
-        );
-        assert_eq!(
-            out.row(2),
-            vec![Value::Int(3), Value::Float(3.0), Value::Int(1), Value::Float(3.0)]
-        );
     }
 }

@@ -36,16 +36,9 @@
 //! partition of a hash-placed table ([`common_pin`]), the list holds that
 //! partition's morsels only.
 //!
-//! When the top-level node is an aggregation whose *group key does not*
-//! satisfy the rule but whose input is otherwise partition-safe, the
-//! driver falls back to a **partial-aggregate** plan instead of serial
-//! execution: each morsel folds into a typed [`GroupedAggState`]
-//! ([`absorb`]) and the partials are merged in morsel order
-//! ([`merge_partials`]) — the classic local/global aggregation split,
-//! enabled by the vectorized accumulators. Group order stays deterministic
-//! (first seen in morsel order); floating-point sums may differ from
-//! serial execution in the last bits because partials reassociate the
-//! additions.
+//! A plan no split admits runs serially on the calling thread. That
+//! includes an aggregation whose group key spans morsels: its one hash
+//! aggregate then reads every partition.
 //!
 //! Top-level `ORDER BY` / `LIMIT` are peeled off ([`peel_tail`]) and
 //! replayed serially over the gathered morsel results ([`replay`]).
@@ -58,22 +51,21 @@
 //! in `crates/sched`. The driving thread cooperatively runs its own
 //! morsels while waiting, so queries never spawn threads, and stealing
 //! balances skewed partitions.
-//! Results (and partial-aggregate merges) are gathered in (partition,
-//! block-range) order, so output is deterministic. The path each plan
-//! takes and the proof that admitted its split are counted in
-//! `exec.plans.*` and `exec.split_key.*`.
+//! Results are gathered in (partition, block-range) order, so output is
+//! deterministic. The path each plan takes (`serial` or `partitioned`)
+//! and the proof that admitted its split are counted in `exec.plans.*`
+//! and `exec.split_key.*`.
 
 use crate::column::Batch;
 use crate::config::EngineConfig;
 use crate::error::{EngineError, Result};
-use crate::exec::agg::{GroupedAggState, HashAggExec};
 use crate::exec::physical::{batches_operator, build_operator, drain, ExecContext, Operator};
 use crate::exec::scan::pinned_partition;
-use crate::exec::simple::{FilterExec, LimitExec, ProjectExec, SortExec};
+use crate::exec::simple::{LimitExec, SortExec};
 use crate::expr::Expr;
-use crate::plan::logical::{AggSpec, LogicalPlan, PrunePredicate};
+use crate::plan::logical::{LogicalPlan, PrunePredicate};
 use crate::storage::Table;
-use crate::types::{DataType, Value};
+use crate::types::Value;
 use obs::metrics as om;
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -134,16 +126,10 @@ pub fn execute(plan: &LogicalPlan, config: &EngineConfig) -> Result<Vec<Batch>> 
             om::EXEC_PLANS_PARTITIONED.add(1);
             execute_partitioned(core, &split, config)?
         }
-        None => match partial_agg_target(core, config) {
-            Some((split, input, group, aggs, types)) => {
-                om::EXEC_PLANS_PARTIAL_AGG.add(1);
-                execute_partial_agg(input, group, aggs, &types, &split, config)?
-            }
-            None => {
-                om::EXEC_PLANS_SERIAL.add(1);
-                drain(build_operator(core, &ExecContext::new(config.vector_size))?)?
-            }
-        },
+        None => {
+            om::EXEC_PLANS_SERIAL.add(1);
+            drain(build_operator(core, &ExecContext::new(config.vector_size))?)?
+        }
     };
     replay(&tail, batches, config.vector_size)
 }
@@ -162,30 +148,16 @@ fn peel_tail(plan: &LogicalPlan) -> (&LogicalPlan, Vec<&LogicalPlan>) {
     (core, tail)
 }
 
-/// Run a chain of unary plan nodes (outermost first) serially over
-/// gathered batches: a peeled tail.
-fn replay(chain: &[&LogicalPlan], batches: Vec<Batch>, vector_size: usize) -> Result<Vec<Batch>> {
+/// Run a peeled tail (outermost first) serially over gathered batches.
+fn replay(tail: &[&LogicalPlan], batches: Vec<Batch>, vector_size: usize) -> Result<Vec<Batch>> {
     let mut op: Box<dyn Operator> = batches_operator(batches);
-    for node in chain.iter().rev() {
+    for node in tail.iter().rev() {
         op = match node {
-            LogicalPlan::Filter { predicate, .. } => {
-                Box::new(FilterExec::new(op, predicate.clone()))
-            }
-            LogicalPlan::Project { exprs, .. } => Box::new(ProjectExec::new(op, exprs.clone())),
             LogicalPlan::Sort { keys, .. } => {
                 Box::new(SortExec::new(op, keys.clone(), vector_size))
             }
             LogicalPlan::Limit { n, .. } => Box::new(LimitExec::new(op, *n)),
-            LogicalPlan::Aggregate { group, aggs, schema, .. } => Box::new(HashAggExec::new(
-                op,
-                group.clone(),
-                aggs.clone(),
-                schema.types(),
-                vector_size,
-            )),
-            _ => {
-                return Err(EngineError::Execution("replayed chain holds a non-unary node".into()))
-            }
+            _ => return Err(EngineError::Execution("replayed tail holds a non-tail node".into())),
         };
     }
     drain(op)
@@ -222,85 +194,6 @@ fn build_morsels(table: &Table, whole_partitions: bool, only: Option<usize>) -> 
         }
         morsels
     })
-}
-
-/// If `core` is an aggregation that the split rule rejects but whose input
-/// alone can split, pick the partial-aggregate plan: the split plus the
-/// aggregation pieces.
-#[allow(clippy::type_complexity)]
-fn partial_agg_target<'p>(
-    core: &'p LogicalPlan,
-    config: &EngineConfig,
-) -> Option<(Split, &'p LogicalPlan, &'p [Expr], &'p [AggSpec], Vec<DataType>)> {
-    if config.parallelism <= 1 {
-        return None;
-    }
-    let LogicalPlan::Aggregate { input, group, aggs, schema } = core else {
-        return None;
-    };
-    let split = choose_partition_table(input)?;
-    Some((split, input, group, aggs, schema.types()))
-}
-
-/// Run `input` once per morsel, folding each morsel into a typed
-/// [`GroupedAggState`]; merge the partials in morsel order and finalize.
-fn execute_partial_agg(
-    input: &LogicalPlan,
-    group: &[Expr],
-    aggs: &[AggSpec],
-    output_types: &[DataType],
-    split: &Split,
-    config: &EngineConfig,
-) -> Result<Vec<Batch>> {
-    let agg_types = &output_types[group.len()..];
-    let states = split
-        .fork_join(config, |ctx| absorb(build_operator(input, ctx)?, group, aggs, agg_types))?;
-    let result = merge_partials(states, group.len(), aggs, output_types)?;
-
-    let mut out = Vec::new();
-    let (rows, step) = (result.num_rows(), config.vector_size.max(1));
-    let mut off = 0;
-    while off < rows {
-        let end = (off + step).min(rows);
-        out.push(result.slice(off, end));
-        off = end;
-    }
-    Ok(out)
-}
-
-/// Fold every batch `op` yields into a fresh partial aggregate state: the
-/// per-task half of a partial aggregate, over one morsel.
-fn absorb(
-    mut op: Box<dyn Operator>,
-    group: &[Expr],
-    aggs: &[AggSpec],
-    agg_types: &[DataType],
-) -> Result<GroupedAggState> {
-    op.open()?;
-    let mut state = GroupedAggState::new(aggs, agg_types);
-    while let Some(batch) = op.next()? {
-        if batch.num_rows() > 0 {
-            state.absorb_batch(&batch, group, aggs)?;
-        }
-    }
-    op.close();
-    Ok(state)
-}
-
-/// Merge partial states in index order and finalize them into one batch
-/// of `ngroup` group columns then the aggregates. The fixed order keeps
-/// group order and float sums identical from run to run.
-fn merge_partials(
-    states: Vec<GroupedAggState>,
-    ngroup: usize,
-    aggs: &[AggSpec],
-    output_types: &[DataType],
-) -> Result<Batch> {
-    let mut merged = GroupedAggState::new(aggs, &output_types[ngroup..]);
-    for state in states {
-        merged.merge(state)?;
-    }
-    merged.finalize(ngroup, output_types)
 }
 
 /// Partitioned execution: each morsel drains a private plan copy
@@ -534,7 +427,7 @@ mod tests {
     use crate::catalog::Catalog;
     use crate::column::ColumnVector;
     use crate::plan::binder::Binder;
-    use crate::plan::optimizer::Optimizer;
+    use crate::plan::optimizer::optimize;
     use crate::sql::{parse_statement, Statement};
     use crate::storage::{ColumnDef, Schema};
     use crate::types::{DataType, Value};
@@ -563,13 +456,18 @@ mod tests {
         cat
     }
 
-    fn plan(sql: &str, config: &EngineConfig, cat: &Catalog) -> LogicalPlan {
+    fn plan(sql: &str, cat: &Catalog) -> LogicalPlan {
         let Statement::Select(s) = parse_statement(sql).unwrap() else { panic!("{sql}") };
-        Optimizer::new(config.clone()).optimize(Binder::new(cat).bind_select(&s).unwrap())
+        optimize(Binder::new(cat).bind_select(&s).unwrap())
+    }
+
+    /// Whether no split admits `sql`'s plan, so it runs serially.
+    fn runs_serially(sql: &str, cat: &Catalog) -> bool {
+        choose_partition_table(peel_tail(&plan(sql, cat)).0).is_none()
     }
 
     fn run(sql: &str, config: &EngineConfig, cat: &Catalog) -> Vec<Vec<Value>> {
-        let batches = execute(&plan(sql, config, cat), config).unwrap();
+        let batches = execute(&plan(sql, cat), config).unwrap();
         let mut rows = Vec::new();
         for b in batches {
             for r in 0..b.num_rows() {
@@ -601,23 +499,21 @@ mod tests {
     }
 
     #[test]
-    fn non_unique_group_key_takes_partial_aggregate_path_and_stays_correct() {
+    fn a_group_key_spanning_morsels_runs_serially_and_stays_correct() {
         let cfg =
             EngineConfig { vector_size: 8, partitions: 4, parallelism: 4, ..Default::default() };
         let cat = setup(&cfg);
-        // Group key id % 5 spans partitions: the gather path is unsafe, so
-        // this runs through merged partial aggregates.
-        let rows = run(
-            "SELECT id % 5 AS g, COUNT(*) AS n FROM facts GROUP BY id % 5 ORDER BY 1",
-            &cfg,
-            &cat,
-        );
+        // Group key id % 5 spans partitions: no split is safe, so the one
+        // hash aggregate runs over every partition on the calling thread.
+        let sql = "SELECT id % 5 AS g, COUNT(*) AS n FROM facts GROUP BY id % 5 ORDER BY 1";
+        assert!(runs_serially(sql, &cat));
+        let rows = run(sql, &cfg, &cat);
         assert_eq!(rows.len(), 5);
         assert!(rows.iter().all(|r| r[1] == Value::Int(10)));
     }
 
     #[test]
-    fn partial_aggregates_match_serial_across_agg_functions() {
+    fn a_group_key_spanning_morsels_matches_serial_across_agg_functions() {
         let par =
             EngineConfig { vector_size: 8, partitions: 4, parallelism: 4, ..Default::default() };
         let ser =
@@ -625,20 +521,24 @@ mod tests {
         // v = 0.5 * id is exact in binary, so even SUM/AVG agree bitwise.
         let sql = "SELECT id % 3 AS g, COUNT(*) AS n, SUM(v) AS s, MIN(v) AS lo, \
                    MAX(v) AS hi, AVG(v) AS m FROM facts GROUP BY id % 3 ORDER BY 1";
-        let a = run(sql, &par, &setup(&par));
+        let cat = setup(&par);
+        assert!(runs_serially(sql, &cat));
+        let a = run(sql, &par, &cat);
         let b = run(sql, &ser, &setup(&ser));
         assert_eq!(a, b);
         assert_eq!(a.len(), 3);
     }
 
     #[test]
-    fn global_aggregate_takes_partial_path() {
+    fn global_aggregate_runs_serially_and_matches_one_partition() {
         let par =
             EngineConfig { vector_size: 8, partitions: 4, parallelism: 4, ..Default::default() };
         let ser =
             EngineConfig { vector_size: 8, partitions: 1, parallelism: 1, ..Default::default() };
         let sql = "SELECT COUNT(*) AS n, SUM(v) AS s FROM facts";
-        let a = run(sql, &par, &setup(&par));
+        let cat = setup(&par);
+        assert!(runs_serially(sql, &cat));
+        let a = run(sql, &par, &cat);
         let b = run(sql, &ser, &setup(&ser));
         assert_eq!(a, b);
         assert_eq!(a[0][0], Value::Int(50));
@@ -653,7 +553,7 @@ mod tests {
         // row with a given declared-unique id lies in exactly one morsel.
         let sql =
             "SELECT a.id, b.v FROM facts a, facts b WHERE a.id = b.id AND a.id < 5 ORDER BY 1";
-        assert!(choose_partition_table(peel_tail(&plan(sql, &cfg, &cat)).0).is_some());
+        assert!(!runs_serially(sql, &cat));
         let rows = run(sql, &cfg, &cat);
         assert_eq!(rows.len(), 5);
         assert_eq!(rows, run(sql, &EngineConfig { parallelism: 1, ..cfg }, &cat));
@@ -671,7 +571,7 @@ mod tests {
         t.append(vec![ColumnVector::Int((0..rows).collect())]).unwrap();
         let cfg = EngineConfig { vector_size: 1024, partitions: 2, ..Default::default() };
         let sql = "SELECT id FROM t";
-        let split = choose_partition_table(&plan(sql, &cfg, &cat)).expect("a plain scan splits");
+        let split = choose_partition_table(&plan(sql, &cat)).expect("a plain scan splits");
         // 2 partitions x 2 * MORSEL_ROWS rows: two full morsels each.
         assert_eq!(split.morsels.len(), 4);
         t.with_partitions(|parts| {
@@ -843,12 +743,12 @@ mod tests {
         }
     }
 
-    // Regression test for merge-order determinism: partial aggregates over
-    // non-dyadic floats (0.1 steps do not sum associatively in binary) must
-    // fold in partition/morsel index order, so repeated runs of the same
+    // Sums of non-dyadic floats (0.1 steps do not sum associatively in
+    // binary) grouped on a key that spans morsels: the serial hash
+    // aggregate folds in partition order, so repeated runs of the same
     // query produce bit-identical floats.
     #[test]
-    fn repeated_partial_aggregate_runs_are_bit_identical() {
+    fn repeated_runs_of_an_aggregate_spanning_morsels_are_bit_identical() {
         let cfg =
             EngineConfig { vector_size: 8, partitions: 4, parallelism: 4, ..Default::default() };
         let cat = Catalog::new();
@@ -888,10 +788,11 @@ mod tests {
                 })
                 .collect()
         };
+        assert!(runs_serially(sql, &cat));
         let first = bits(&run(sql, &cfg, &cat));
         for _ in 0..11 {
             let again = bits(&run(sql, &cfg, &cat));
-            assert_eq!(first, again, "partial-aggregate merge must be index-ordered");
+            assert_eq!(first, again, "the aggregate must fold in partition order");
         }
     }
 
@@ -942,8 +843,7 @@ mod tests {
         let cat = engine.catalog();
         let plan = |sql: &str| {
             let Statement::Select(s) = parse_statement(sql).unwrap() else { panic!("{sql}") };
-            Optimizer::new(EngineConfig::default())
-                .optimize(Binder::new(cat).bind_select(&s).unwrap())
+            optimize(Binder::new(cat).bind_select(&s).unwrap())
         };
         // facts split with no placement key, or placed by `grp` (column 1).
         let cases = [

@@ -6,4 +6,4 @@ pub mod optimizer;
 
 pub use binder::Binder;
 pub use logical::{AggFunc, AggSpec, InferModel, LogicalPlan, PlanField, PlanSchema};
-pub use optimizer::Optimizer;
+pub use optimizer::optimize;

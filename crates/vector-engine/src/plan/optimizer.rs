@@ -5,194 +5,166 @@
 //! extraction of hash equi-joins from cross join + equality conjuncts
 //! (including computed keys like `node = model.node - offset`), SMA
 //! block-pruning predicates on scans, column pruning down to the scans
-//! (through filters and joins), and constant folding.
+//! (through filters and joins), and constant folding. Every rewrite always
+//! runs: without them a network run as nested SQL is a plain cross join.
+//! The bound plan the [`crate::plan::Binder`] hands in is the unoptimized
+//! form, and the tests run it as the oracle for these rewrites.
 
 use crate::column::Batch;
-use crate::config::EngineConfig;
 use crate::expr::{BinaryOp, Expr};
 use crate::plan::logical::{LogicalPlan, PlanSchema, PrunePredicate};
 use crate::types::Value;
 use std::collections::BTreeSet;
 
-/// The optimizer. Predicate pushdown, hash-join extraction and SMA pruning
-/// each follow their [`EngineConfig`] flag; column pruning and constant
-/// folding always run.
-pub struct Optimizer {
-    config: EngineConfig,
+/// Optimize a bound plan.
+pub fn optimize(plan: LogicalPlan) -> LogicalPlan {
+    fold_plan_constants(rewrite(plan))
 }
 
-impl Optimizer {
-    pub fn new(config: EngineConfig) -> Optimizer {
-        Optimizer { config }
-    }
-
-    /// Optimize a bound plan.
-    pub fn optimize(&self, plan: LogicalPlan) -> LogicalPlan {
-        let plan = self.rewrite(plan);
-        fold_plan_constants(plan)
-    }
-
-    fn rewrite(&self, plan: LogicalPlan) -> LogicalPlan {
-        match plan {
-            LogicalPlan::Filter { input, predicate } => {
-                let input = self.rewrite(*input);
-                if self.config.predicate_pushdown {
-                    self.push_filter(input, predicate.split_conjuncts())
-                } else {
-                    LogicalPlan::Filter { input: Box::new(input), predicate }
-                }
+fn rewrite(plan: LogicalPlan) -> LogicalPlan {
+    match plan {
+        LogicalPlan::Filter { input, predicate } => {
+            push_filter(rewrite(*input), predicate.split_conjuncts())
+        }
+        LogicalPlan::Project { input, mut exprs, schema } => {
+            let (input, map) = prune_input(rewrite(*input), cols_of(&exprs));
+            if let Some(map) = map {
+                exprs = exprs.into_iter().map(|e| e.map_columns(&|i| map[i])).collect();
             }
-            LogicalPlan::Project { input, mut exprs, schema } => {
-                let (input, map) = prune_input(self.rewrite(*input), cols_of(&exprs));
-                if let Some(map) = map {
-                    exprs = exprs.into_iter().map(|e| e.map_columns(&|i| map[i])).collect();
-                }
-                LogicalPlan::Project { input: Box::new(input), exprs, schema }
-            }
-            LogicalPlan::CrossJoin { left, right, schema } => LogicalPlan::CrossJoin {
-                left: Box::new(self.rewrite(*left)),
-                right: Box::new(self.rewrite(*right)),
+            LogicalPlan::Project { input: Box::new(input), exprs, schema }
+        }
+        LogicalPlan::CrossJoin { left, right, schema } => LogicalPlan::CrossJoin {
+            left: Box::new(rewrite(*left)),
+            right: Box::new(rewrite(*right)),
+            schema,
+        },
+        LogicalPlan::HashJoin { left, right, left_keys, right_keys, schema } => {
+            LogicalPlan::HashJoin {
+                left: Box::new(rewrite(*left)),
+                right: Box::new(rewrite(*right)),
+                left_keys,
+                right_keys,
                 schema,
-            },
-            LogicalPlan::HashJoin { left, right, left_keys, right_keys, schema } => {
-                LogicalPlan::HashJoin {
-                    left: Box::new(self.rewrite(*left)),
-                    right: Box::new(self.rewrite(*right)),
-                    left_keys,
-                    right_keys,
-                    schema,
-                }
             }
-            LogicalPlan::Aggregate { input, mut group, mut aggs, schema } => {
-                let args = aggs.iter().filter_map(|a| a.arg.as_ref());
-                let used = group.iter().chain(args).flat_map(|e| e.columns()).collect();
-                let (input, map) = prune_input(self.rewrite(*input), used);
-                if let Some(map) = map {
-                    let remap = |e: Expr| e.map_columns(&|i| map[i]);
-                    group = group.into_iter().map(remap).collect();
-                    for a in &mut aggs {
-                        a.arg = a.arg.take().map(remap);
-                    }
-                }
-                LogicalPlan::Aggregate { input: Box::new(input), group, aggs, schema }
-            }
-            LogicalPlan::Sort { input, keys } => {
-                LogicalPlan::Sort { input: Box::new(self.rewrite(*input)), keys }
-            }
-            LogicalPlan::Limit { input, n } => {
-                LogicalPlan::Limit { input: Box::new(self.rewrite(*input)), n }
-            }
-            LogicalPlan::Infer { input, args, model, schema } => {
-                LogicalPlan::Infer { input: Box::new(self.rewrite(*input)), args, model, schema }
-            }
-            leaf @ (LogicalPlan::Scan { .. } | LogicalPlan::Values { .. }) => leaf,
         }
+        LogicalPlan::Aggregate { input, mut group, mut aggs, schema } => {
+            let args = aggs.iter().filter_map(|a| a.arg.as_ref());
+            let used = group.iter().chain(args).flat_map(|e| e.columns()).collect();
+            let (input, map) = prune_input(rewrite(*input), used);
+            if let Some(map) = map {
+                let remap = |e: Expr| e.map_columns(&|i| map[i]);
+                group = group.into_iter().map(remap).collect();
+                for a in &mut aggs {
+                    a.arg = a.arg.take().map(remap);
+                }
+            }
+            LogicalPlan::Aggregate { input: Box::new(input), group, aggs, schema }
+        }
+        LogicalPlan::Sort { input, keys } => {
+            LogicalPlan::Sort { input: Box::new(rewrite(*input)), keys }
+        }
+        LogicalPlan::Limit { input, n } => {
+            LogicalPlan::Limit { input: Box::new(rewrite(*input)), n }
+        }
+        LogicalPlan::Infer { input, args, model, schema } => {
+            LogicalPlan::Infer { input: Box::new(rewrite(*input)), args, model, schema }
+        }
+        leaf @ (LogicalPlan::Scan { .. } | LogicalPlan::Values { .. }) => leaf,
     }
+}
 
-    /// Push `conjuncts` as deep as possible into `input` (which is already
-    /// rewritten).
-    fn push_filter(&self, input: LogicalPlan, mut conjuncts: Vec<Expr>) -> LogicalPlan {
-        conjuncts.retain(|c| *c != Expr::Literal(Value::Bool(true)));
-        if conjuncts.is_empty() {
-            return input;
+/// Push `conjuncts` as deep as possible into `input` (which is already
+/// rewritten).
+fn push_filter(input: LogicalPlan, mut conjuncts: Vec<Expr>) -> LogicalPlan {
+    conjuncts.retain(|c| *c != Expr::Literal(Value::Bool(true)));
+    if conjuncts.is_empty() {
+        return input;
+    }
+    match input {
+        LogicalPlan::Filter { input: inner, predicate } => {
+            let mut all = predicate.split_conjuncts();
+            all.extend(conjuncts);
+            push_filter(*inner, all)
         }
-        match input {
-            LogicalPlan::Filter { input: inner, predicate } => {
-                let mut all = predicate.split_conjuncts();
-                all.extend(conjuncts);
-                self.push_filter(*inner, all)
+        LogicalPlan::Project { input: inner, exprs, schema } => {
+            // Inline the projection expressions into the predicate and
+            // push below the projection.
+            let substituted: Vec<Expr> = conjuncts.iter().map(|c| c.substitute(&exprs)).collect();
+            LogicalPlan::Project {
+                input: Box::new(push_filter(*inner, substituted)),
+                exprs,
+                schema,
             }
-            LogicalPlan::Project { input: inner, exprs, schema } => {
-                // Inline the projection expressions into the predicate and
-                // push below the projection.
-                let substituted: Vec<Expr> =
-                    conjuncts.iter().map(|c| c.substitute(&exprs)).collect();
-                LogicalPlan::Project {
-                    input: Box::new(self.push_filter(*inner, substituted)),
-                    exprs,
-                    schema,
-                }
-            }
-            LogicalPlan::CrossJoin { left, right, schema } => {
-                let nleft = left.schema().len();
-                let mut left_only = Vec::new();
-                let mut right_only = Vec::new();
-                let mut equi: Vec<(Expr, Expr)> = Vec::new();
-                let mut residual = Vec::new();
-                for c in conjuncts {
-                    let cols = c.columns();
-                    let all_left = cols.iter().all(|&i| i < nleft);
-                    let all_right = cols.iter().all(|&i| i >= nleft);
-                    if all_left && !cols.is_empty() {
-                        left_only.push(c);
-                    } else if all_right && !cols.is_empty() {
-                        right_only.push(c.map_columns(&|i| i - nleft));
-                    } else if let Some((l, r)) = split_equi(&c, nleft) {
-                        if self.config.hash_join {
-                            equi.push((l, r.map_columns(&|i| i - nleft)));
-                        } else {
-                            residual.push(c);
-                        }
-                    } else {
-                        residual.push(c);
-                    }
-                }
-                let left = Box::new(self.push_filter(*left, left_only));
-                let right = Box::new(self.push_filter(*right, right_only));
-                let joined = if equi.is_empty() {
-                    LogicalPlan::CrossJoin { left, right, schema }
+        }
+        LogicalPlan::CrossJoin { left, right, schema } => {
+            let nleft = left.schema().len();
+            let mut left_only = Vec::new();
+            let mut right_only = Vec::new();
+            let mut equi: Vec<(Expr, Expr)> = Vec::new();
+            let mut residual = Vec::new();
+            for c in conjuncts {
+                let cols = c.columns();
+                let all_left = cols.iter().all(|&i| i < nleft);
+                let all_right = cols.iter().all(|&i| i >= nleft);
+                if all_left && !cols.is_empty() {
+                    left_only.push(c);
+                } else if all_right && !cols.is_empty() {
+                    right_only.push(c.map_columns(&|i| i - nleft));
+                } else if let Some((l, r)) = split_equi(&c, nleft) {
+                    equi.push((l, r.map_columns(&|i| i - nleft)));
                 } else {
-                    let (left_keys, right_keys) = equi.into_iter().unzip();
-                    LogicalPlan::HashJoin { left, right, left_keys, right_keys, schema }
-                };
-                wrap_filter(joined, residual)
-            }
-            LogicalPlan::HashJoin { left, right, left_keys, right_keys, schema } => {
-                let nleft = left.schema().len();
-                let mut left_only = Vec::new();
-                let mut right_only = Vec::new();
-                let mut residual = Vec::new();
-                for c in conjuncts {
-                    let cols = c.columns();
-                    if !cols.is_empty() && cols.iter().all(|&i| i < nleft) {
-                        left_only.push(c);
-                    } else if !cols.is_empty() && cols.iter().all(|&i| i >= nleft) {
-                        right_only.push(c.map_columns(&|i| i - nleft));
-                    } else {
-                        residual.push(c);
-                    }
+                    residual.push(c);
                 }
-                let join = LogicalPlan::HashJoin {
-                    left: Box::new(self.push_filter(*left, left_only)),
-                    right: Box::new(self.push_filter(*right, right_only)),
-                    left_keys,
-                    right_keys,
-                    schema,
-                };
-                wrap_filter(join, residual)
             }
-            LogicalPlan::Scan { table, schema, mut pruning } => {
-                if self.config.sma_pruning {
-                    for c in &conjuncts {
-                        if let Some(p) = extract_prune_predicate(c) {
-                            pruning.push(p);
-                        }
-                    }
-                }
-                // SMA pruning is block-granular: the filter must still run.
-                wrap_filter(LogicalPlan::Scan { table, schema, pruning }, conjuncts)
-            }
-            LogicalPlan::Infer { input, args, model, schema } => {
-                // Input columns pass through at their ordinals, so a
-                // conjunct over them alone goes below the inference.
-                let n = input.schema().len();
-                let (below, above): (Vec<Expr>, Vec<Expr>) =
-                    conjuncts.into_iter().partition(|c| c.columns().iter().all(|&i| i < n));
-                let input = Box::new(self.push_filter(*input, below));
-                wrap_filter(LogicalPlan::Infer { input, args, model, schema }, above)
-            }
-            other => wrap_filter(other, conjuncts),
+            let left = Box::new(push_filter(*left, left_only));
+            let right = Box::new(push_filter(*right, right_only));
+            let joined = if equi.is_empty() {
+                LogicalPlan::CrossJoin { left, right, schema }
+            } else {
+                let (left_keys, right_keys) = equi.into_iter().unzip();
+                LogicalPlan::HashJoin { left, right, left_keys, right_keys, schema }
+            };
+            wrap_filter(joined, residual)
         }
+        LogicalPlan::HashJoin { left, right, left_keys, right_keys, schema } => {
+            let nleft = left.schema().len();
+            let mut left_only = Vec::new();
+            let mut right_only = Vec::new();
+            let mut residual = Vec::new();
+            for c in conjuncts {
+                let cols = c.columns();
+                if !cols.is_empty() && cols.iter().all(|&i| i < nleft) {
+                    left_only.push(c);
+                } else if !cols.is_empty() && cols.iter().all(|&i| i >= nleft) {
+                    right_only.push(c.map_columns(&|i| i - nleft));
+                } else {
+                    residual.push(c);
+                }
+            }
+            let join = LogicalPlan::HashJoin {
+                left: Box::new(push_filter(*left, left_only)),
+                right: Box::new(push_filter(*right, right_only)),
+                left_keys,
+                right_keys,
+                schema,
+            };
+            wrap_filter(join, residual)
+        }
+        LogicalPlan::Scan { table, schema, mut pruning } => {
+            pruning.extend(conjuncts.iter().filter_map(extract_prune_predicate));
+            // SMA pruning is block-granular: the filter must still run.
+            wrap_filter(LogicalPlan::Scan { table, schema, pruning }, conjuncts)
+        }
+        LogicalPlan::Infer { input, args, model, schema } => {
+            // Input columns pass through at their ordinals, so a
+            // conjunct over them alone goes below the inference.
+            let n = input.schema().len();
+            let (below, above): (Vec<Expr>, Vec<Expr>) =
+                conjuncts.into_iter().partition(|c| c.columns().iter().all(|&i| i < n));
+            let input = Box::new(push_filter(*input, below));
+            wrap_filter(LogicalPlan::Infer { input, args, model, schema }, above)
+        }
+        other => wrap_filter(other, conjuncts),
     }
 }
 
@@ -477,13 +449,17 @@ pub fn fold_expr(expr: Expr) -> Expr {
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
+    use crate::config::EngineConfig;
     use crate::exec::physical::column_scan;
     use crate::plan::binder::Binder;
     use crate::sql::{parse_statement, Statement};
     use crate::storage::{ColumnDef, Schema};
     use crate::types::DataType;
 
-    fn optimize(sql: &str, config: EngineConfig) -> LogicalPlan {
+    /// The optimized plan of `sql` over tables `t(id, v)`, `m(node, w)`
+    /// and `wide(a, b, c)`.
+    fn plan_of(sql: &str) -> LogicalPlan {
+        let config = EngineConfig::default();
         let cat = Catalog::new();
         cat.create_table(
             "t",
@@ -518,15 +494,12 @@ mod tests {
         .unwrap();
         let binder = Binder::new(&cat);
         let Statement::Select(s) = parse_statement(sql).unwrap() else { panic!() };
-        Optimizer::new(config).optimize(binder.bind_select(&s).unwrap())
+        optimize(binder.bind_select(&s).unwrap())
     }
 
     #[test]
     fn extracts_hash_join_from_comma_join() {
-        let plan = optimize(
-            "SELECT t.id FROM t, m WHERE t.id = m.node AND t.v > 0.5",
-            EngineConfig::default(),
-        );
+        let plan = plan_of("SELECT t.id FROM t, m WHERE t.id = m.node AND t.v > 0.5");
         let s = plan.display_indent();
         assert!(s.contains("HashJoin"), "{s}");
         assert!(!s.contains("CrossJoin"), "{s}");
@@ -537,25 +510,14 @@ mod tests {
     #[test]
     fn computed_key_join_is_extracted() {
         // The node-ID-offset join of ML-To-SQL's optimized queries.
-        let plan =
-            optimize("SELECT t.id FROM t, m WHERE t.id = m.node - 3", EngineConfig::default());
+        let plan = plan_of("SELECT t.id FROM t, m WHERE t.id = m.node - 3");
         let s = plan.display_indent();
         assert!(s.contains("HashJoin [#0] = [(#0 - 3)]"), "{s}");
     }
 
     #[test]
-    fn hash_join_disabled_keeps_cross_join() {
-        let cfg = EngineConfig { hash_join: false, ..Default::default() };
-        let plan = optimize("SELECT t.id FROM t, m WHERE t.id = m.node", cfg);
-        let s = plan.display_indent();
-        assert!(s.contains("CrossJoin"), "{s}");
-        assert!(!s.contains("HashJoin"), "{s}");
-    }
-
-    #[test]
     fn pruning_predicates_reach_the_scan() {
-        let plan =
-            optimize("SELECT id FROM t WHERE id >= 10 AND id <= 20", EngineConfig::default());
+        let plan = plan_of("SELECT id FROM t WHERE id >= 10 AND id <= 20");
         let s = plan.display_indent();
         assert!(s.contains("[2 pruning predicate(s)]"), "{s}");
         // Filter is still applied above the scan.
@@ -563,18 +525,8 @@ mod tests {
     }
 
     #[test]
-    fn pruning_disabled_by_flag() {
-        let cfg = EngineConfig { sma_pruning: false, ..Default::default() };
-        let plan = optimize("SELECT id FROM t WHERE id >= 10", cfg);
-        assert!(!plan.display_indent().contains("pruning"), "{plan}");
-    }
-
-    #[test]
     fn filter_pushes_through_projection() {
-        let plan = optimize(
-            "SELECT s FROM (SELECT id, v * 2 AS s FROM t) AS q WHERE q.s > 1",
-            EngineConfig::default(),
-        );
+        let plan = plan_of("SELECT s FROM (SELECT id, v * 2 AS s FROM t) AS q WHERE q.s > 1");
         let s = plan.display_indent();
         // The filter must sit below both projections, directly over the scan,
         // with the projection expression inlined: (v*2) > 1.
@@ -587,7 +539,7 @@ mod tests {
 
     #[test]
     fn constant_folding() {
-        let plan = optimize("SELECT id + (1 + 2) FROM t", EngineConfig::default());
+        let plan = plan_of("SELECT id + (1 + 2) FROM t");
         let s = plan.display_indent();
         assert!(s.contains("(#0 + 3)"), "{s}");
     }
@@ -602,15 +554,6 @@ mod tests {
         .unwrap();
         assert_eq!(p.op, BinaryOp::Gt);
         assert_eq!(p.value, Value::Int(5));
-    }
-
-    #[test]
-    fn pushdown_disabled_keeps_filter_on_top() {
-        let cfg = EngineConfig { predicate_pushdown: false, ..Default::default() };
-        let plan = optimize("SELECT t.id FROM t, m WHERE t.id = m.node", cfg);
-        let s = plan.display_indent();
-        assert!(s.starts_with("Project"), "{s}");
-        assert!(s.contains("CrossJoin"), "{s}");
     }
 
     #[test]
@@ -698,7 +641,7 @@ mod tests {
 
     #[test]
     fn aggregate_over_scan_is_narrowed() {
-        let plan = optimize("SELECT SUM(c), MAX(c) FROM wide", EngineConfig::default());
+        let plan = plan_of("SELECT SUM(c), MAX(c) FROM wide");
         assert_eq!(loads(&plan), wide(&[2]), "{plan}");
         let LogicalPlan::Project { input, .. } = &plan else { panic!("{plan}") };
         let LogicalPlan::Aggregate { input, aggs, .. } = input.as_ref() else { panic!("{plan}") };
@@ -709,14 +652,11 @@ mod tests {
     #[test]
     fn filter_only_column_is_loaded_but_not_emitted() {
         // Under an aggregate: the scan loads b and c, the filter reads c.
-        let plan = optimize("SELECT SUM(b) FROM wide WHERE c > 0.5", EngineConfig::default());
+        let plan = plan_of("SELECT SUM(b) FROM wide WHERE c > 0.5");
         assert_eq!(loads(&plan), wide(&[1, 2]), "{plan}");
         // Under a join: c is loaded and filtered on, but the join input
         // carries only a (the key) and b.
-        let plan = optimize(
-            "SELECT x.b, m.w FROM wide x, m WHERE x.a = m.node AND x.c > 0.5",
-            EngineConfig::default(),
-        );
+        let plan = plan_of("SELECT x.b, m.w FROM wide x, m WHERE x.a = m.node AND x.c > 0.5");
         let LogicalPlan::HashJoin { left, .. } = below_unary(&plan) else { panic!("{plan}") };
         let names: Vec<&str> = left.schema().fields.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, ["a", "b"], "{plan}");
@@ -725,19 +665,16 @@ mod tests {
 
     #[test]
     fn count_star_alone_keeps_one_column() {
-        let plan = optimize("SELECT COUNT(*) FROM wide", EngineConfig::default());
+        let plan = plan_of("SELECT COUNT(*) FROM wide");
         assert_eq!(loads(&plan), wide(&[0]), "{plan}");
         // With a filter, the filter's column is the one kept.
-        let plan = optimize("SELECT COUNT(*) FROM wide WHERE c > 0.5", EngineConfig::default());
+        let plan = plan_of("SELECT COUNT(*) FROM wide WHERE c > 0.5");
         assert_eq!(loads(&plan), wide(&[2]), "{plan}");
     }
 
     #[test]
     fn self_join_reads_different_columns_on_each_side() {
-        let plan = optimize(
-            "SELECT x.b, y.c FROM wide x, wide y WHERE x.a = y.a",
-            EngineConfig::default(),
-        );
+        let plan = plan_of("SELECT x.b, y.c FROM wide x, wide y WHERE x.a = y.a");
         let mut both = wide(&[0, 1]);
         both.extend(wide(&[0, 2]));
         assert_eq!(loads(&plan), both, "{plan}");
@@ -747,10 +684,7 @@ mod tests {
     fn join_input_narrowing_sinks_below_the_filter() {
         // The right input is Filter(Scan wide): the projection goes under
         // the filter, and b — read by both — needs none above it.
-        let plan = optimize(
-            "SELECT wide.b FROM t, wide WHERE t.id = wide.a AND wide.b > 0.5",
-            EngineConfig::default(),
-        );
+        let plan = plan_of("SELECT wide.b FROM t, wide WHERE t.id = wide.a AND wide.b > 0.5");
         let LogicalPlan::HashJoin { right, .. } = below_unary(&plan) else { panic!("{plan}") };
         let LogicalPlan::Filter { input, .. } = right.as_ref() else { panic!("{plan}") };
         assert_eq!(loads(input), wide(&[0, 1]), "{plan}");

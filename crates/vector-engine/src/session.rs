@@ -10,7 +10,7 @@ use crate::exec::scan::ScanExec;
 use crate::exec::simple::concat_batches;
 use crate::plan::binder::Binder;
 use crate::plan::logical::LogicalPlan;
-use crate::plan::optimizer::Optimizer;
+use crate::plan::optimizer::optimize;
 use crate::sql::{parse_statement, AstExpr, Statement};
 use crate::storage::{ColumnDef, Schema, Table};
 use crate::types::{DataType, Value};
@@ -261,9 +261,7 @@ impl Engine {
         }
         match parse_statement(sql)? {
             Statement::Select(stmt) => {
-                let binder = Binder::new(&self.catalog);
-                let plan = binder.bind_select(&stmt)?;
-                let plan = Arc::new(Optimizer::new(self.config.clone()).optimize(plan));
+                let plan = Arc::new(optimize(Binder::new(&self.catalog).bind_select(&stmt)?));
                 self.plan_cache.lock().store(
                     self.config.plan_cache_entries,
                     sql,
@@ -298,10 +296,7 @@ impl Engine {
     fn execute_statement(&self, statement: Statement) -> Result<QueryResult> {
         match statement {
             Statement::Select(stmt) => {
-                let binder = Binder::new(&self.catalog);
-                let plan = binder.bind_select(&stmt)?;
-                let plan = Optimizer::new(self.config.clone()).optimize(plan);
-                self.execute_plan(&plan)
+                self.execute_plan(&optimize(Binder::new(&self.catalog).bind_select(&stmt)?))
             }
             Statement::CreateTable { name, columns, if_not_exists } => {
                 if if_not_exists && self.catalog.table(&name).is_ok() {
@@ -344,11 +339,7 @@ impl Engine {
     /// Plan a SELECT without executing it (inspection / tests).
     pub fn plan(&self, sql: &str) -> Result<LogicalPlan> {
         match parse_statement(sql)? {
-            Statement::Select(stmt) => {
-                let binder = Binder::new(&self.catalog);
-                let plan = binder.bind_select(&stmt)?;
-                Ok(Optimizer::new(self.config.clone()).optimize(plan))
-            }
+            Statement::Select(stmt) => Ok(optimize(Binder::new(&self.catalog).bind_select(&stmt)?)),
             other => Err(EngineError::Plan(format!("cannot plan non-SELECT statement {other:?}"))),
         }
     }

@@ -141,10 +141,6 @@ impl AstExpr {
         AstExpr::Column { qualifier: None, name: name.to_string() }
     }
 
-    pub fn qcol(qualifier: &str, name: &str) -> AstExpr {
-        AstExpr::Column { qualifier: Some(qualifier.to_string()), name: name.to_string() }
-    }
-
     pub fn binary(op: BinaryOp, left: AstExpr, right: AstExpr) -> AstExpr {
         AstExpr::Binary { op, left: Box::new(left), right: Box::new(right) }
     }

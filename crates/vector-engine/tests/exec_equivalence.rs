@@ -330,9 +330,9 @@ fn check_global_agg_bitwise(n: usize, chunk: usize, seed: u64, empty: bool) -> R
     Ok(())
 }
 
-/// `SUM` over INT overflows the same way in debug and release builds, and
-/// in the vectorized operator, its partial-aggregate merge and the oracle:
-/// an `Execution` error naming `SUM`.
+/// `SUM` over INT overflows the same way in debug and release builds, in
+/// the vectorized operator and the oracle, and through SQL at 1 and 4
+/// partitions: an `Execution` error naming `SUM`.
 #[test]
 fn int_sum_overflow_is_an_error() {
     let half = i64::MAX / 2 + 1;
@@ -365,7 +365,8 @@ fn int_sum_overflow_is_an_error() {
         let engine = Engine::new(EngineConfig { partitions, ..Default::default() });
         engine.execute("CREATE TABLE t (x INT)").unwrap();
         // Two statements: with 4 partitions the rows land in different
-        // partitions, so the overflow happens when partials merge.
+        // partitions, so the overflow happens when the aggregate folds in
+        // the second partition's row.
         engine.execute(&format!("INSERT INTO t VALUES ({half})")).unwrap();
         engine.execute(&format!("INSERT INTO t VALUES ({half})")).unwrap();
         for sql in ["SELECT SUM(x) FROM t", "SELECT x % 1, SUM(x) FROM t GROUP BY x % 1"] {

@@ -6,8 +6,8 @@
 //!   order-insensitive result (joins, counts, integer sums, grouped rows
 //!   after ORDER BY);
 //! * tables forced past `MORSEL_ROWS`, so one partition splits into
-//!   several morsels, exercise the block-range scan restriction and the
-//!   morsel-order partial-aggregation merge.
+//!   several morsels, exercise the block-range scan restriction; an
+//!   aggregate whose group key spans morsels runs serially over them all.
 
 use vector_engine::column::ColumnVector;
 use vector_engine::{Engine, EngineConfig, Value};
@@ -80,10 +80,10 @@ const QUERIES: &[&str] = &[
 ];
 
 /// A 4-partition engine agrees with the 1-partition serial oracle.
-/// Grouped-float sums may legally reassociate across partition merges, so
-/// float queries are restricted to dyadic values (exactly representable;
-/// the merge adds partial sums of whole groups in group order on both
-/// sides, which for these magnitudes is exact).
+/// An aggregate adds its rows in partition order, which differs between
+/// the two layouts, so float queries are restricted to dyadic values
+/// (exactly representable; for these magnitudes every order of addition
+/// is exact).
 #[test]
 fn multi_partition_matches_serial_oracle() {
     let parallel = Engine::new(EngineConfig {

@@ -1,6 +1,7 @@
 //! `PREDICT(model, input, args…)`: inference as a plan node. The SQL form,
 //! the `execute_model_join` wrapper, a registered C-API session and the
-//! `nn` oracle agree; a filter never changes a row's prediction; a
+//! `nn` oracle agree; a filter never changes a row's prediction, and
+//! pushed below the inference it matches the unoptimized plan; a
 //! filtered `PREDICT` over a persistent table reads
 //! only the pages of the columns it uses; an empty answer keeps its types;
 //! bad calls are errors; a re-registered model is never replayed from a
@@ -10,6 +11,8 @@
 //! The buffer-pool counters are process-global: only
 //! `filtered_predict_fetches_only_its_columns_pages` reads them, and it is
 //! the only test here with a persistent engine (it also reopens it).
+
+mod common;
 
 use indb_ml::mlruntime::Session;
 use indb_ml::model_repr::{load_into_engine, Layout, ModelMeta};
@@ -144,6 +147,30 @@ fn a_filter_never_changes_a_rows_prediction() {
                 assert_eq!(bits, all[&id], "{partitions} partitions, id < {k}: id {id}");
             }
         }
+    }
+}
+
+/// The optimizer pushes a filter on input columns below `Infer` and
+/// narrows its input: the same rows and prediction bits as the binder's
+/// unoptimized plan, which infers every row and filters above, at 1 and 4
+/// partitions.
+#[test]
+fn predict_pushdown_matches_the_unoptimized_plan() {
+    let model = paper::dense_model(16, 2, 5);
+    let sql = format!("{PREDICT} WHERE c0 > 0.25 AND c2 <= 0.5");
+    for partitions in [1, 4] {
+        let config = EngineConfig {
+            vector_size: 64,
+            partitions,
+            parallelism: partitions,
+            ..Default::default()
+        };
+        let (e, _) = engine(config, 700, &model);
+        let plan = e.plan(&sql).unwrap().display_indent();
+        let (infer, filter) = (plan.find("Infer").unwrap(), plan.find("Filter").unwrap());
+        assert!(infer < filter, "the filter sits below the inference: {plan}");
+        let got = common::assert_matches_unoptimized(&e, &sql);
+        assert!((1..700).contains(&got.num_rows()), "{partitions} partitions");
     }
 }
 

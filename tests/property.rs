@@ -6,8 +6,11 @@
 //! * the wire protocol round-trips arbitrary floats;
 //! * SQL expression evaluation agrees between vectorized and row-at-a-time
 //!   interpretation;
-//! * SMA pruning never changes query results.
+//! * the optimizer's rewrites never change query results.
 
+mod common;
+
+use common::assert_matches_unoptimized;
 use indb_ml::core::{Approach, Experiment, ExperimentConfig, Workload};
 use indb_ml::model_repr::{export_columns, import_model, Layout};
 use indb_ml::nn::{Activation, ModelBuilder};
@@ -143,30 +146,36 @@ proptest! {
     }
 
     #[test]
-    fn sma_pruning_is_invisible(
+    fn optimizer_rewrites_are_invisible(
         values in proptest::collection::vec(-50i64..50, 1..150),
         lo in -60i64..60,
         span in 0i64..40,
+        offset in -3i64..4,
     ) {
+        // Pruning and pushdown on a range; hash-join extraction on a
+        // computed key, with a filter pushed through a subquery
+        // projection; column pruning throughout.
         let hi = lo + span;
-        let run = |pruning: bool| {
-            let e = Engine::new(EngineConfig {
-                vector_size: 7,
-                partitions: 3,
-                parallelism: 2,
-                sma_pruning: pruning,
-                ..Default::default()
-            });
-            e.execute("CREATE TABLE t (v INT)").unwrap();
-            e.insert_columns("t", vec![ColumnVector::Int(values.clone())]).unwrap();
-            let q = e
-                .execute(&format!(
-                    "SELECT COUNT(*) AS n, SUM(v) AS s FROM t WHERE v >= {lo} AND v <= {hi}"
-                ))
-                .unwrap();
-            q.rows()
-        };
-        prop_assert_eq!(run(true), run(false));
+        let e = Engine::new(EngineConfig {
+            vector_size: 7,
+            partitions: 3,
+            parallelism: 2,
+            ..Default::default()
+        });
+        e.execute("CREATE TABLE t (v INT, w FLOAT)").unwrap();
+        let ws = values.iter().map(|&v| v as f64 * 0.1).collect();
+        e.insert_columns("t", vec![ColumnVector::Int(values.clone()), ColumnVector::Float(ws)])
+            .unwrap();
+        for sql in [
+            format!("SELECT COUNT(*) AS n, SUM(v) AS s, SUM(w) AS sw FROM t \
+                     WHERE v >= {lo} AND v <= {hi}"),
+            format!("SELECT q.v2, COUNT(*) AS n, SUM(b.w) AS s \
+                     FROM (SELECT v * 2 AS v2, v FROM t) AS q, t AS b \
+                     WHERE q.v = b.v + {offset} AND q.v2 >= {lo} \
+                     GROUP BY q.v2 ORDER BY q.v2"),
+        ] {
+            assert_matches_unoptimized(&e, &sql);
+        }
     }
 
     #[test]

@@ -2,15 +2,23 @@
 //! optimizer → vectorized execution, with the query shapes the ModelJoin
 //! workload leans on.
 
+mod common;
+
+use common::assert_matches_unoptimized;
 use vector_engine::{ColumnVector, Engine, EngineConfig, Value};
 
 fn engine() -> Engine {
-    let e = Engine::new(EngineConfig {
+    engine_with(EngineConfig {
         vector_size: 8,
         partitions: 3,
         parallelism: 2,
         ..Default::default()
-    });
+    })
+}
+
+/// An engine holding `facts (id, grp, v)`: 100 rows, `id` declared unique.
+fn engine_with(config: EngineConfig) -> Engine {
+    let e = Engine::new(config);
     e.execute("CREATE TABLE facts (id INT, grp INT, v FLOAT)").unwrap();
     let n = 100i64;
     e.insert_columns(
@@ -74,65 +82,97 @@ fn case_when_column_switch() {
     assert_eq!(rows[2][1].as_f64().unwrap(), 0.0); // grp 2 -> ELSE
 }
 
-#[test]
-fn sma_pruning_does_not_change_results() {
-    let pruned = Engine::new(EngineConfig {
+/// The partition × parallelism layouts the unoptimized-plan oracle runs
+/// at: one partition and three, serial and split into morsels.
+fn layouts() -> impl Iterator<Item = EngineConfig> {
+    [(1, 1), (1, 2), (3, 1), (3, 2)].into_iter().map(|(partitions, parallelism)| EngineConfig {
         vector_size: 8,
-        partitions: 3,
-        parallelism: 2,
-        sma_pruning: true,
+        partitions,
+        parallelism,
         ..Default::default()
-    });
-    let unpruned = Engine::new(EngineConfig {
-        vector_size: 8,
-        partitions: 3,
-        parallelism: 2,
-        sma_pruning: false,
-        ..Default::default()
-    });
-    for e in [&pruned, &unpruned] {
-        e.execute("CREATE TABLE t (k INT, v FLOAT)").unwrap();
+    })
+}
+
+/// `facts` as in [`engine_with`], plus `t (k, v)` of 200 rows, a
+/// model-shaped `m (node, v)` of 12 rows and `h (k, v)` placed by
+/// `hash(k)` with 20 rows per key. Floats step by 0.1, so sums depend on
+/// their order.
+fn oracle_engine(config: EngineConfig) -> Engine {
+    let e = engine_with(config);
+    for (table, key, n) in [("t", "k", 200), ("m", "node", 12), ("h", "k", 200)] {
+        e.execute(&format!("CREATE TABLE {table} ({key} INT, v FLOAT)")).unwrap();
+        if table == "h" {
+            e.table("h").unwrap().declare_placement_key("k").unwrap();
+        }
+        let keys = (0..n).map(|i| if table == "h" { i % 10 } else { i });
+        let floats = (0..n).map(|i| i as f64 * 0.1);
         e.insert_columns(
-            "t",
-            vec![
-                ColumnVector::Int((0..200).collect()),
-                ColumnVector::Float((0..200).map(|i| i as f64).collect()),
-            ],
+            table,
+            vec![ColumnVector::Int(keys.collect()), ColumnVector::Float(floats.collect())],
         )
         .unwrap();
     }
+    e
+}
+
+#[test]
+fn sma_pruning_does_not_change_results() {
     let sql = "SELECT SUM(v) AS s, COUNT(*) AS n FROM t WHERE k >= 50 AND k <= 60";
-    assert_eq!(pruned.execute(sql).unwrap().rows(), unpruned.execute(sql).unwrap().rows());
+    for config in layouts() {
+        let e = oracle_engine(config);
+        assert!(e.plan(sql).unwrap().display_indent().contains("2 pruning predicate(s)"));
+        assert_eq!(assert_matches_unoptimized(&e, sql).rows()[0][1], Value::Int(11));
+    }
 }
 
 #[test]
 fn hash_join_extraction_matches_cross_join_semantics() {
-    let with_hj = engine();
-    let no_hj = Engine::new(EngineConfig {
-        vector_size: 8,
-        partitions: 3,
-        parallelism: 2,
-        hash_join: false,
-        predicate_pushdown: false,
-        ..Default::default()
-    });
-    no_hj.execute("CREATE TABLE facts (id INT, grp INT, v FLOAT)").unwrap();
-    no_hj
-        .insert_columns(
-            "facts",
-            vec![
-                ColumnVector::Int((0..100).collect()),
-                ColumnVector::Int((0..100).map(|i| i % 10).collect()),
-                ColumnVector::Float((0..100).map(|i| i as f64 / 10.0).collect()),
-            ],
-        )
-        .unwrap();
     let sql = "SELECT a.id, b.id FROM facts a, facts b \
                WHERE a.id = b.id - 1 AND a.id < 5 ORDER BY 1";
-    let fast = with_hj.execute(sql).unwrap().rows();
-    let slow = no_hj.execute(sql).unwrap().rows();
-    assert_eq!(fast, slow);
-    assert_eq!(fast.len(), 5);
+    for config in layouts() {
+        let e = oracle_engine(config);
+        let plan = e.plan(sql).unwrap().display_indent();
+        assert!(plan.contains("HashJoin") && !plan.contains("CrossJoin"), "{plan}");
+        assert_eq!(assert_matches_unoptimized(&e, sql).num_rows(), 5);
+    }
+}
+
+/// Every rewrite against the binder's unoptimized plan, bit for bit, at
+/// every layout: (case, statement, rows in the answer).
+#[test]
+fn rewrites_match_the_unoptimized_plan() {
+    let cases = [
+        ("pruning range", "SELECT k, v FROM t WHERE k > 180 AND k <= 190 ORDER BY k", 10),
+        (
+            "key pin on a hash-placed table",
+            "SELECT k, SUM(v) AS s FROM h WHERE k = 7 GROUP BY k",
+            1,
+        ),
+        (
+            "comma equi-join",
+            "SELECT f.id, m.v FROM facts f, m WHERE f.grp = m.node ORDER BY f.id",
+            100,
+        ),
+        ("computed-key join", "SELECT t.k, m.v FROM t, m WHERE t.k = m.node - 3 ORDER BY t.k", 9),
+        (
+            "filter through a subquery projection",
+            "SELECT q.s FROM (SELECT id, v * 2 AS s FROM facts) AS q WHERE q.s > 15 ORDER BY q.s",
+            24,
+        ),
+        (
+            "non-key GROUP BY",
+            "SELECT grp, SUM(v) AS s, COUNT(*) AS n FROM facts GROUP BY grp ORDER BY grp",
+            10,
+        ),
+    ];
+    for config in layouts() {
+        let layout = format!("{} partitions x {}", config.partitions, config.parallelism);
+        let e = oracle_engine(config);
+        for (case, sql, rows) in cases {
+            let got = assert_matches_unoptimized(&e, sql);
+            assert_eq!(got.num_rows(), rows, "{case} at {layout}: {sql}");
+        }
+    }
 }
 
 #[test]
