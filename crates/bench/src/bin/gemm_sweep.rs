@@ -24,7 +24,7 @@
 
 use indbml_core::{Approach, Experiment, ExperimentConfig, Workload};
 use std::time::Instant;
-use tensor::blas::{sgemm_unblocked, Transpose};
+use tensor::blas::sgemm_unblocked;
 use tensor::quant::qgemm_error_bound;
 use tensor::{Activation, Init, Matrix, PackedMatrix, QuantScratch, QuantizedWeights};
 use vector_engine::EngineConfig;
@@ -79,9 +79,7 @@ fn bench_gemm(m: usize, k: usize, n: usize, reps: usize) -> GemmRow {
     let b = fill(k, n, 2);
     let mut c = Matrix::zeros(m, n);
 
-    let unblocked_s = time_median(reps, || {
-        sgemm_unblocked(Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut c)
-    });
+    let unblocked_s = time_median(reps, || sgemm_unblocked(1.0, &a, &b, 0.0, &mut c));
     // The 2-way split needs a second pool worker besides this thread.
     sched::configure_workers(1);
     let packed = PackedMatrix::pack(&b);

@@ -1,5 +1,6 @@
 //! Serving-layer sweep: closed-loop clients against the inference server
-//! in three modes, isolating what batching and int8 buy.
+//! in two modes, isolating what int8 buys and how the micro-batcher's
+//! flush deadline trades latency for throughput.
 //!
 //! ```text
 //! cargo run --release -p bench --bin serve_sweep [--quick]
@@ -9,8 +10,6 @@
 //! it once per model table.
 //!
 //! Modes:
-//! * `cached`  — batching off: each request runs a 1-row inference on the
-//!   submitting thread.
 //! * `batched` — dynamic micro-batching: concurrent requests coalesce into
 //!   one vectorized inference (the server-side analogue of the paper's
 //!   vector-at-a-time inference, Sec. 5.4).
@@ -30,30 +29,6 @@ use serve::ServeConfig;
 use tensor::Device;
 use vector_engine::EngineConfig;
 
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    Cached,
-    Batched,
-    Quantized,
-}
-
-impl Mode {
-    const ALL: [Mode; 3] = [Mode::Cached, Mode::Batched, Mode::Quantized];
-
-    fn name(self) -> &'static str {
-        match self {
-            Mode::Cached => "cached",
-            Mode::Batched => "batched",
-            Mode::Quantized => "quantized",
-        }
-    }
-
-    fn apply(self, cfg: &mut ServeConfig) {
-        // Quantized differs from Batched only in its engine.
-        cfg.batching = self != Mode::Cached;
-    }
-}
-
 struct Cell {
     mode: &'static str,
     clients: usize,
@@ -67,9 +42,11 @@ struct Cell {
     batched_rows: u64,
 }
 
+/// One closed-loop cell. `mode` names the experiment: the two modes
+/// differ only in their engine's `quantized_inference`.
 fn run_cell(
     ex: &Experiment,
-    mode: Mode,
+    mode: &'static str,
     clients: usize,
     flush_us: u64,
     requests_per_client: usize,
@@ -77,7 +54,6 @@ fn run_cell(
     let mut cfg = ServeConfig::from_engine(&ex.config().engine);
     cfg.batch_flush_us = flush_us;
     cfg.max_batch_rows = cfg.max_batch_rows.min(64);
-    mode.apply(&mut cfg);
     let server = ex.serve(cfg, Device::cpu());
 
     let dim = ex.meta.input_dim;
@@ -89,7 +65,7 @@ fn run_cell(
     let sstats = server.stats();
     server.shutdown();
     Cell {
-        mode: mode.name(),
+        mode,
         clients,
         flush_us,
         completed: stats.completed,
@@ -158,7 +134,6 @@ fn main() {
     let engine_i8 = EngineConfig { quantized_inference: true, ..config.engine.clone() };
     let ex_i8 = Experiment::build(ExperimentConfig { engine: engine_i8, ..config })
         .expect("int8 experiment setup");
-    let ex_for = |mode: Mode| if mode == Mode::Quantized { &ex_i8 } else { &ex };
 
     println!("# serve_sweep (cores = {cores}, requests/client = {requests_per_client})");
     println!("mode,clients,flush_us,completed,retries,throughput_rps,p50_us,p99_us,batches");
@@ -168,10 +143,10 @@ fn main() {
     // concurrent burst (the flush sweep below shows the trade-off).
     let headline_flush = 50;
     let mut cells: Vec<Cell> = Vec::new();
-    for mode in Mode::ALL {
+    for (mode, ex) in [("batched", &ex), ("quantized", &ex_i8)] {
         for &clients in client_counts {
             let flush = headline_flush;
-            let cell = run_cell(ex_for(mode), mode, clients, flush, requests_per_client);
+            let cell = run_cell(ex, mode, clients, flush, requests_per_client);
             println!(
                 "{},{},{},{},{},{:.1},{},{},{}",
                 cell.mode,
@@ -194,7 +169,7 @@ fn main() {
         if flush == headline_flush {
             continue; // already measured above
         }
-        let cell = run_cell(&ex, Mode::Batched, max_clients, flush, requests_per_client);
+        let cell = run_cell(&ex, "batched", max_clients, flush, requests_per_client);
         println!(
             "{},{},{},{},{},{:.1},{},{},{}",
             cell.mode,
@@ -217,12 +192,10 @@ fn main() {
             .map(|c| c.throughput_rps)
             .unwrap_or(0.0)
     };
-    let speedup = tput("batched", max_clients) / tput("cached", max_clients).max(1e-9);
-    println!("\nbatched vs cached at {max_clients} clients: {speedup:.1}x");
     let i8_speedup = tput("quantized", max_clients) / tput("batched", max_clients).max(1e-9);
     let i8_delta = measure_accuracy_delta(&ex, &ex_i8);
     println!(
-        "quantized vs batched at {max_clients} clients: {i8_speedup:.2}x, \
+        "\nquantized vs batched at {max_clients} clients: {i8_speedup:.2}x, \
          max|pred delta| {i8_delta:.2e}"
     );
 
@@ -255,9 +228,6 @@ fn main() {
     json.push_str(&format!("  \"cores\": {cores},\n"));
     json.push_str("  \"workload\": \"Dense(w=64,d=4), 1-row requests\",\n");
     json.push_str(&format!("  \"requests_per_client\": {requests_per_client},\n"));
-    json.push_str(&format!(
-        "  \"speedup_batched_vs_cached_at_{max_clients}_clients\": {speedup:.2},\n"
-    ));
     json.push_str(&format!(
         "  \"speedup_quantized_vs_batched_at_{max_clients}_clients\": {i8_speedup:.2},\n"
     ));

@@ -60,10 +60,11 @@ use std::time::Instant;
 /// Priority/accounting class of a scheduled task.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TaskClass {
-    /// Latency-sensitive serving work (coalesced inference batches, served
-    /// SQL). Routed through the high-priority injector.
+    /// Latency-sensitive serving work (coalesced inference batches).
+    /// Routed through the high-priority injector.
     Serve,
-    /// Relational operator morsels (partition scans, partial aggregates).
+    /// Relational operator morsels (partition scans, partial aggregates)
+    /// and served SQL statements.
     Query,
     /// Tensor kernel work (GEMM tile ranges).
     Kernel,

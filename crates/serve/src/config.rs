@@ -13,24 +13,25 @@ use vector_engine::EngineConfig;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Only zero vs non-zero matters. Non-zero starts the coordinator
-    /// thread that drains the request queue into scheduler tasks (compute
-    /// parallelism is the scheduler pool's, not this number). Zero starts
-    /// nothing (deterministic admission-control tests): requests queue
-    /// until shutdown drains them.
+    /// thread that drains the admission queue into scheduler tasks
+    /// (compute parallelism is the scheduler pool's, not this number).
+    /// Zero starts nothing (deterministic admission-control tests):
+    /// predicts queue until shutdown drains them; SQL, which never
+    /// queues, still runs.
     pub workers: usize,
-    /// Bounded queue capacity; a full queue rejects with `Overloaded`.
+    /// Admission bound. A predict is rejected with `Overloaded` when this
+    /// many predicts wait in the admission queue, a SQL statement when this
+    /// many scheduler tasks are in flight. A running coordinator drains the
+    /// whole queue into per-model pending batches on every wake-up and
+    /// dispatches full batches whatever the in-flight count, so a running
+    /// server rejects a predict only when submitters outrun one drain, and
+    /// its in-flight predict batches have no bound.
     pub queue_depth: usize,
     /// Max time the coordinator holds a partial batch before flushing it.
     pub batch_flush_us: u64,
     /// Rows per coalesced inference batch (the engine's vector size is the
     /// natural choice: one batch is one vector through the kernels).
     pub max_batch_rows: usize,
-    /// Coalesce same-model requests into one vectorized inference. Off =
-    /// one inference per request, run by the submitting thread (the
-    /// `cached` mode `serve_sweep` measures batching against).
-    pub batching: bool,
-    /// Default per-request deadline in milliseconds; 0 disables it.
-    pub default_timeout_ms: u64,
 }
 
 impl Default for ServeConfig {
@@ -50,8 +51,6 @@ impl ServeConfig {
             queue_depth: 1024,
             batch_flush_us: 200,
             max_batch_rows: cfg.vector_size,
-            batching: true,
-            default_timeout_ms: 0,
         }
     }
 }
@@ -68,7 +67,5 @@ mod tests {
             (s.workers, s.queue_depth, s.batch_flush_us, s.max_batch_rows),
             (1, 1024, 200, 256)
         );
-        assert!(s.batching);
-        assert_eq!(s.default_timeout_ms, 0);
     }
 }

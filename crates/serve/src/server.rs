@@ -19,14 +19,15 @@
 //! engine catalog's `PREDICT` registration ([`modeljoin::register_model`]),
 //! and a batch runs the model the catalog binds for its name
 //! ([`InferModel::infer_rows`]), so SQL and served predicts share one
-//! build per model table and dtype. SQL requests
-//! bypass the batcher and go through the engine's plan cache
-//! ([`Engine::execute_cached`]) as Query-class tasks.
+//! build per model table and dtype. SQL requests never enter the admission
+//! queue: each goes straight to the scheduler as a Query-class task that
+//! runs it through the engine's plan cache ([`Engine::execute_cached`]).
 //!
-//! Admission control is strict: a full queue rejects with
-//! [`ServeError::Overloaded`] at submission (never blocking the client and
-//! never dropping silently), per-request deadlines are enforced both at
-//! submission and at execution, and shutdown drains gracefully. An
+//! Admission control rejects with [`ServeError::Overloaded`] at submission
+//! (never blocking the client and never dropping silently): a predict when
+//! `queue_depth` predicts wait in the queue, a SQL statement when
+//! `queue_depth` tasks are in flight. Per-request deadlines are enforced
+//! both at submission and at execution, and shutdown drains gracefully. An
 //! in-flight count tracks submitted tasks; [`Server::shutdown`] first
 //! joins the coordinator (which flushes every pending batch) and then
 //! waits for the scheduler to finish all of them, so no batch is abandoned
@@ -96,14 +97,8 @@ pub enum Response {
     Rows(QueryResult),
 }
 
-/// The work item carried by the queue.
-enum Work {
-    Predict { model: String, input: Vec<f32> },
-    Sql(String),
-}
-
-/// One-shot completion slot shared by the queue entry and the client's
-/// [`RequestHandle`].
+/// One-shot completion slot shared by the queued predict (or the SQL
+/// task) and the client's [`RequestHandle`].
 struct Slot {
     done: Mutex<Option<Result<Response, ServeError>>>,
     cv: Condvar,
@@ -141,16 +136,6 @@ impl std::fmt::Debug for RequestHandle {
 }
 
 impl RequestHandle {
-    /// A handle that is already complete. Front ends that execute a
-    /// request on the caller thread (e.g. the sharded router running a
-    /// scatter-gather SQL statement inline) use this to present the same
-    /// handle-based API as queued requests; `wait` returns immediately.
-    pub fn ready(result: Result<Response, ServeError>) -> RequestHandle {
-        let slot = Slot::new();
-        slot.complete(result);
-        RequestHandle { slot }
-    }
-
     /// Block until the server completes the request.
     pub fn wait(self) -> Result<Response, ServeError> {
         let mut guard = lock_recover(&self.slot.done);
@@ -180,8 +165,10 @@ impl RequestHandle {
     }
 }
 
+/// A predict request waiting in the admission queue.
 struct Queued {
-    work: Work,
+    model: String,
+    input: Vec<f32>,
     slot: Arc<Slot>,
     deadline: Option<Instant>,
 }
@@ -257,12 +244,12 @@ impl Server {
             inflight_cv: Condvar::new(),
             holding: AtomicBool::new(false),
         });
-        // Zero workers stays inert (admission-control tests rely on
-        // nothing consuming the queue until shutdown).
+        // The scheduler must have at least one thread for detached serving
+        // tasks to make progress.
+        sched::configure_workers(1);
+        // Zero workers leaves the admission queue inert (admission-control
+        // tests rely on nothing consuming queued predicts until shutdown).
         let coordinator = (shared.cfg.workers > 0).then(|| {
-            // The scheduler must have at least one thread for detached
-            // Serve tasks to make progress.
-            sched::configure_workers(1);
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || coordinator_loop(&shared))
         });
@@ -286,17 +273,13 @@ impl Server {
     }
 
     /// Submit an inference request for one input row against a registered
-    /// model, with the configured default timeout.
+    /// model, with no deadline.
     pub fn submit_predict(
         &self,
         model: &str,
         input: Vec<f32>,
     ) -> Result<RequestHandle, ServeError> {
-        let timeout = match self.shared.cfg.default_timeout_ms {
-            0 => None,
-            ms => Some(Duration::from_millis(ms)),
-        };
-        self.submit_predict_with_timeout(model, input, timeout)
+        self.submit_predict_with_timeout(model, input, None)
     }
 
     /// Submit an inference request with an explicit deadline (`None` means
@@ -316,24 +299,11 @@ impl Server {
                 input.len()
             )));
         }
-        self.enqueue(Work::Predict { model: model.to_string(), input }, timeout)
-    }
-
-    /// Submit a SQL statement; executes through the engine's plan cache.
-    pub fn submit_sql(&self, sql: &str) -> Result<RequestHandle, ServeError> {
-        let timeout = match self.shared.cfg.default_timeout_ms {
-            0 => None,
-            ms => Some(Duration::from_millis(ms)),
-        };
-        self.enqueue(Work::Sql(sql.to_string()), timeout)
-    }
-
-    fn enqueue(&self, work: Work, timeout: Option<Duration>) -> Result<RequestHandle, ServeError> {
         let slot = Slot::new();
         let deadline = timeout.map(|t| Instant::now() + t);
         // A deadline already in the past completes with `Timeout` here,
-        // deterministically, instead of racing whether a worker dequeues
-        // the request before noticing the expiry.
+        // deterministically, instead of racing whether the coordinator
+        // dequeues the request before noticing the expiry.
         if let Some(d) = deadline {
             if Instant::now() >= d {
                 self.shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
@@ -345,71 +315,64 @@ impl Server {
                 return Ok(RequestHandle { slot });
             }
         }
-        let queued = Queued { work, slot: Arc::clone(&slot), deadline };
-        // Work that never coalesces (SQL always; predicts when batching is
-        // off) skips the coordinator and goes straight to the scheduler —
-        // the submit → coordinator → worker double handoff would otherwise
-        // dominate small-request latency. Admission is then
-        // measured on the in-flight task count, the scheduler-side analogue
-        // of queue depth. Dispatch happens under the state lock so a
-        // concurrent shutdown either sees `accepting == false` here or
-        // observes the incremented in-flight count in its drain wait.
-        let direct = self.shared.cfg.workers > 0
-            && (matches!(queued.work, Work::Sql(_)) || !self.shared.cfg.batching);
-        // With batching off the server is in synchronous point-serving
-        // mode: nothing ever coalesces, so the cheapest correct execution
-        // is caller-runs — the submitting thread executes the request
-        // itself after admission, paying zero cross-thread handoffs. With
-        // batching on, direct work still goes through the scheduler so
-        // Serve/Query class priorities apply.
-        let inline = direct && !self.shared.cfg.batching;
-        let mut caller_runs: Option<(Option<String>, Queued)> = None;
         {
             let mut state = lock_recover(&self.shared.state);
             if !state.accepting {
                 return Err(ServeError::ShuttingDown);
             }
-            if direct {
-                if *lock_recover(&self.shared.inflight) >= self.shared.cfg.queue_depth {
-                    self.shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                    om::SERVE_REJECTED.add(1);
-                    return Err(ServeError::Overloaded { depth: self.shared.cfg.queue_depth });
-                }
-                let model = match &queued.work {
-                    Work::Sql(_) => None,
-                    Work::Predict { model, .. } => Some(model.clone()),
-                };
-                if inline {
-                    // Claim the in-flight slot under the state lock (so a
-                    // concurrent shutdown waits for us), execute after
-                    // releasing it.
-                    *lock_recover(&self.shared.inflight) += 1;
-                    caller_runs = Some((model, queued));
-                } else {
-                    dispatch(&self.shared, model, vec![queued]);
-                }
-            } else {
-                if state.queue.len() >= self.shared.cfg.queue_depth {
-                    self.shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                    om::SERVE_REJECTED.add(1);
-                    return Err(ServeError::Overloaded { depth: self.shared.cfg.queue_depth });
-                }
-                state.queue.push_back(queued);
-                om::SERVE_QUEUE_DEPTH.set(state.queue.len() as i64);
+            if state.queue.len() >= self.shared.cfg.queue_depth {
+                return Err(self.overloaded());
             }
+            let model = model.to_string();
+            state.queue.push_back(Queued { model, input, slot: Arc::clone(&slot), deadline });
+            om::SERVE_QUEUE_DEPTH.set(state.queue.len() as i64);
         }
         self.shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        if let Some((model, q)) = caller_runs {
-            run_batch(&self.shared, model, vec![q]);
-        } else if !direct {
-            // Wakes the coordinator, idle or in a flush-deadline wait.
-            self.shared.work_cv.notify_all();
-        }
+        // Wakes the coordinator, idle or in a flush-deadline wait.
+        self.shared.work_cv.notify_all();
         Ok(RequestHandle { slot })
     }
 
+    /// Submit a SQL statement. It never coalesces, so it skips the
+    /// admission queue and the coordinator — the submit → coordinator →
+    /// worker double handoff would otherwise dominate small-request
+    /// latency — and goes straight to the scheduler as a Query-class task
+    /// that runs it through the engine's plan cache. Admission is measured
+    /// on the in-flight task count, the scheduler-side analogue of queue
+    /// depth. The task is spawned under the state lock, so a concurrent
+    /// shutdown either sees `accepting == false` here or observes the
+    /// incremented in-flight count in its drain wait.
+    pub fn submit_sql(&self, sql: &str) -> Result<RequestHandle, ServeError> {
+        let slot = Slot::new();
+        {
+            let state = lock_recover(&self.shared.state);
+            if !state.accepting {
+                return Err(ServeError::ShuttingDown);
+            }
+            if *lock_recover(&self.shared.inflight) >= self.shared.cfg.queue_depth {
+                return Err(self.overloaded());
+            }
+            let (sql, task_slot) = (sql.to_string(), Arc::clone(&slot));
+            spawn_task(&self.shared, sched::TaskClass::Query, vec![Arc::clone(&slot)], move |s| {
+                s.counters.completed.fetch_add(1, Ordering::Relaxed);
+                let result = s.engine.execute_cached(&sql).map(Response::Rows).map_err(Into::into);
+                task_slot.complete(result);
+            });
+        }
+        self.shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        Ok(RequestHandle { slot })
+    }
+
+    /// Count an admission rejection and name it.
+    fn overloaded(&self) -> ServeError {
+        self.shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
+        om::SERVE_REJECTED.add(1);
+        ServeError::Overloaded { depth: self.shared.cfg.queue_depth }
+    }
+
     /// Stop admitting work, let the coordinator flush the queue, join it,
-    /// and wait for the flushed batches. Requests still queued afterwards
+    /// and wait for every task in flight (flushed batches and SQL
+    /// statements). Predicts still queued afterwards
     /// (possible only with zero workers) complete with
     /// [`ServeError::ShuttingDown`] — nothing is ever silently dropped.
     /// Idempotent.
@@ -490,62 +453,50 @@ struct PendingBatch {
     flush_at: Instant,
 }
 
-/// Hand one unit of serving work to the scheduler. `model` is `Some` for
-/// a coalesced predict batch, `None` for SQL. Predict batches go out as
-/// Serve-class tasks — the high-priority class that jumps morsel backlogs
-/// and gets picked up at morsel boundaries by threads running scans — while
-/// SQL requests are Query-class like any other analytical work, so a burst
-/// of served SQL cannot starve inference latency. The in-flight count
-/// covers submit → task end; a panic anywhere in the task (beyond the
-/// per-batch inference `catch_unwind` inside [`execute_predict_batch`]) is
-/// caught here so the batch's slots still complete and shutdown's
-/// in-flight wait still terminates.
-fn dispatch(shared: &Arc<Shared>, model: Option<String>, batch: Vec<Queued>) {
-    dispatch_inner(shared, model, batch, false);
-}
-
-/// Like [`dispatch`], but skips the worker wakeup: only for the
-/// coordinator's flush-then-help loop, which runs [`sched::Scheduler::help_one`]
-/// once per quiet dispatch right after flushing — waking a worker too
-/// would just lose the claim race and burn a futile park/unpark cycle.
-fn dispatch_quiet(shared: &Arc<Shared>, model: Option<String>, batch: Vec<Queued>) {
-    dispatch_inner(shared, model, batch, true);
-}
-
-fn dispatch_inner(shared: &Arc<Shared>, model: Option<String>, batch: Vec<Queued>, quiet: bool) {
+/// Hand one unit of serving work to the scheduler as a task of `class`.
+/// Coalesced predict batches go out as Serve-class tasks — the
+/// high-priority class that jumps morsel backlogs and gets picked up at
+/// morsel boundaries by threads running scans — while SQL requests are
+/// Query-class like any other analytical work, so a burst of served SQL
+/// cannot starve inference latency. The in-flight count covers submit →
+/// task end; a panic anywhere in `work` (beyond the per-batch inference
+/// `catch_unwind` inside [`execute_predict_batch`]) is caught here, so
+/// `slots` still complete and shutdown's in-flight wait still terminates.
+///
+/// Serve tasks are spawned without a worker wakeup: only the coordinator's
+/// flush-then-help loop spawns them, and it runs
+/// [`sched::Scheduler::help_one`] once per flushed batch right afterwards —
+/// waking a worker too would just lose the claim race and burn a futile
+/// park/unpark cycle.
+fn spawn_task(
+    shared: &Arc<Shared>,
+    class: sched::TaskClass,
+    slots: Vec<Arc<Slot>>,
+    work: impl FnOnce(&Shared) + Send + 'static,
+) {
     *lock_recover(&shared.inflight) += 1;
-    let class = if model.is_some() { sched::TaskClass::Serve } else { sched::TaskClass::Query };
     let shared = Arc::clone(shared);
-    let job = move || run_batch(&shared, model, batch);
-    if quiet {
-        sched::global().spawn_quiet(class, job);
-    } else {
-        sched::global().spawn(class, job);
-    }
-}
-
-/// Execute one dispatched unit of serving work (a coalesced predict batch
-/// or a single SQL request), completing every slot even on panic, and
-/// release its in-flight slot. Runs on a scheduler worker for spawned
-/// tasks, on the coordinator via [`sched::Scheduler::help_one`], or on the
-/// submitter itself for caller-run unbatched requests.
-fn run_batch(shared: &Arc<Shared>, model: Option<String>, batch: Vec<Queued>) {
-    let slots: Vec<Arc<Slot>> = batch.iter().map(|q| Arc::clone(&q.slot)).collect();
-    let run = catch_unwind(AssertUnwindSafe(|| match &model {
-        Some(m) => execute_predict_batch(shared, m, batch),
-        None => {
-            for q in batch {
-                execute_sql(shared, q);
+    let job = move || {
+        if catch_unwind(AssertUnwindSafe(|| work(&shared))).is_err() {
+            om::SERVE_PANICS_CAUGHT.add(1);
+            for slot in &slots {
+                slot.complete(Err(ServeError::Internal("serving task panicked".into())));
             }
         }
-    }));
-    if run.is_err() {
-        om::SERVE_PANICS_CAUGHT.add(1);
-        for slot in &slots {
-            slot.complete(Err(ServeError::Internal("serving task panicked".into())));
-        }
+        release_inflight(&shared);
+    };
+    match class {
+        sched::TaskClass::Serve => sched::global().spawn_quiet(class, job),
+        _ => sched::global().spawn(class, job),
     }
-    release_inflight(shared);
+}
+
+/// Flush one coalesced predict batch to the scheduler.
+fn dispatch_batch(shared: &Arc<Shared>, model: String, batch: Vec<Queued>) {
+    let slots = batch.iter().map(|q| Arc::clone(&q.slot)).collect();
+    spawn_task(shared, sched::TaskClass::Serve, slots, move |s| {
+        execute_predict_batch(s, &model, batch)
+    });
 }
 
 /// Give back one in-flight slot. The last one wakes shutdown's drain wait
@@ -581,29 +532,16 @@ fn coordinator_loop(shared: &Arc<Shared>) {
     let mut pending: Vec<PendingBatch> = Vec::new();
     let mut state = lock_recover(&shared.state);
     loop {
-        // Route everything queued: SQL straight to the scheduler, predict
-        // requests into their model's pending batch.
+        // Drain the whole queue into the models' pending batches.
         while let Some(q) = state.queue.pop_front() {
             om::SERVE_QUEUE_DEPTH.set(state.queue.len() as i64);
-            match &q.work {
-                Work::Sql(_) => dispatch(shared, None, vec![q]),
-                Work::Predict { model, .. } => {
-                    if !shared.cfg.batching {
-                        let model = model.clone();
-                        dispatch(shared, Some(model), vec![q]);
-                        continue;
-                    }
-                    let model = model.clone();
-                    match pending.iter_mut().find(|b| b.model == model) {
-                        Some(b) => b.items.push(q),
-                        None => pending.push(PendingBatch {
-                            model,
-                            items: vec![q],
-                            flush_at: Instant::now()
-                                + Duration::from_micros(shared.cfg.batch_flush_us),
-                        }),
-                    }
-                }
+            match pending.iter_mut().find(|b| b.model == q.model) {
+                Some(b) => b.items.push(q),
+                None => pending.push(PendingBatch {
+                    model: q.model.clone(),
+                    items: vec![q],
+                    flush_at: Instant::now() + Duration::from_micros(shared.cfg.batch_flush_us),
+                }),
             }
         }
         // Flush what is ready: full batches (oversized ones split at
@@ -628,7 +566,7 @@ fn coordinator_loop(shared: &Arc<Shared>) {
                 let batch = &mut pending[i];
                 let rest = batch.items.split_off(shared.cfg.max_batch_rows);
                 let full = std::mem::replace(&mut batch.items, rest);
-                dispatch_quiet(shared, Some(batch.model.clone()), full);
+                dispatch_batch(shared, batch.model.clone(), full);
                 flushed += 1;
                 if pending[i].items.is_empty() {
                     pending.remove(i);
@@ -639,7 +577,7 @@ fn coordinator_loop(shared: &Arc<Shared>) {
                     om::SERVE_FLUSH_DEADLINE_FIRES.add(1);
                 }
                 let batch = pending.remove(i);
-                dispatch_quiet(shared, Some(batch.model), batch.items);
+                dispatch_batch(shared, batch.model, batch.items);
                 flushed += 1;
             } else {
                 i += 1;
@@ -681,16 +619,6 @@ fn coordinator_loop(shared: &Arc<Shared>) {
             None => state = wait_recover(&shared.work_cv, state),
         }
     }
-}
-
-fn execute_sql(shared: &Shared, q: Queued) {
-    shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-    if expired(shared, &q) {
-        return;
-    }
-    let Work::Sql(sql) = &q.work else { unreachable!("routed as SQL") };
-    let result = shared.engine.execute_cached(sql).map(Response::Rows).map_err(Into::into);
-    q.slot.complete(result);
 }
 
 /// Deadline check at dequeue: completes the slot with `Timeout` and
@@ -751,10 +679,7 @@ fn execute_predict_batch(shared: &Shared, model_name: &str, batch: Vec<Queued>) 
     let rows = live.len();
     let mut packed = Vec::with_capacity(rows * model.input_dim());
     for q in &live {
-        let Work::Predict { input, .. } = &q.work else {
-            unreachable!("predict batches hold only predict work")
-        };
-        packed.extend_from_slice(input);
+        packed.extend_from_slice(&q.input);
     }
     // Catch inference panics per batch: the affected requests complete
     // with `Internal` and the worker (plus every lock it may hold above
@@ -794,14 +719,7 @@ mod tests {
     }
 
     fn config() -> ServeConfig {
-        ServeConfig {
-            workers: 1,
-            queue_depth: 64,
-            batch_flush_us: 200,
-            max_batch_rows: 16,
-            batching: true,
-            default_timeout_ms: 0,
-        }
+        ServeConfig { workers: 1, queue_depth: 64, batch_flush_us: 200, max_batch_rows: 16 }
     }
 
     fn register_dense(server: &Server, e: &Engine, name: &str) -> Arc<ModelCache> {
@@ -980,11 +898,12 @@ mod tests {
     /// Quantized serving (an engine with `quantized_inference`) tracks the
     /// fp32 oracle within the int8 error budget and populates the I8 side
     /// of the dual-dtype cache: one quantization pass (riding one fp32
-    /// build), then i8 hits.
+    /// build), then i8 hits. The client waits for each answer, so every
+    /// request is its own batch and its own cache lookup.
     #[test]
     fn quantized_serving_tracks_oracle_and_caches_per_dtype() {
         let e = Arc::new(Engine::new(EngineConfig { quantized_inference: true, ..e_config() }));
-        let server = Server::start(Arc::clone(&e), ServeConfig { batching: false, ..config() });
+        let server = Server::start(Arc::clone(&e), config());
         let model = paper::dense_model(4, 2, 7);
         let (_, meta) = load_into_engine(&e, "mq_table", &model, Layout::NodeId).unwrap();
         let cache = server.register_model("mq", "mq_table", meta, Layout::NodeId, Device::cpu());
@@ -1002,6 +921,7 @@ mod tests {
                 row[0]
             );
         }
+        assert_eq!(server.stats().batches, 3, "one batch per awaited request");
         assert_eq!(cache.stats(ModelDtype::I8), (2, 1), "one quantization, then hits");
         assert_eq!(cache.stats(ModelDtype::F32), (0, 1), "fp32 fed the quantizer");
     }
@@ -1009,13 +929,14 @@ mod tests {
     #[test]
     fn model_cache_survives_requests_but_not_dml() {
         let e = engine();
-        // Batching off: every request is its own batch, so cache hits are
-        // observable per request.
-        let server = Server::start(Arc::clone(&e), ServeConfig { batching: false, ..config() });
+        // The client waits for each answer: every request is its own
+        // batch, so cache hits are observable per request.
+        let server = Server::start(Arc::clone(&e), config());
         let cache = register_dense(&server, &e, "m");
         for _ in 0..3 {
             server.submit_predict("m", vec![0.1; 4]).unwrap().wait().unwrap();
         }
+        assert_eq!(server.stats().batches, 3, "one batch per awaited request");
         let (hits, misses) = cache.stats(ModelDtype::F32);
         assert_eq!((hits, misses), (2, 1), "one build, then cache hits");
 
@@ -1034,7 +955,7 @@ mod tests {
     #[test]
     fn replaced_model_table_serves_the_new_model() {
         let e = engine();
-        let server = Server::start(Arc::clone(&e), ServeConfig { batching: false, ..config() });
+        let server = Server::start(Arc::clone(&e), config());
         let input = vec![0.3, -0.2, 0.5, 0.1];
         let predict = || {
             let Response::Prediction(row) =
@@ -1060,6 +981,7 @@ mod tests {
             );
         }
         let cache = cache.expect("registered in the first round");
+        assert_eq!(server.stats().batches, 2, "one batch per awaited request");
         assert_eq!(cache.stats(ModelDtype::F32), (0, 2), "the reload rebuilt");
     }
 }

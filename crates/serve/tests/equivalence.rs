@@ -88,14 +88,7 @@ fn serve_against_the_oracle(
 
     let server = Server::start(
         Arc::clone(&engine),
-        ServeConfig {
-            workers: 2,
-            queue_depth: 128,
-            batch_flush_us: 1_000,
-            max_batch_rows,
-            batching: true,
-            default_timeout_ms: 0,
-        },
+        ServeConfig { workers: 2, queue_depth: 128, batch_flush_us: 1_000, max_batch_rows },
     );
     server.register_model(
         "dense",

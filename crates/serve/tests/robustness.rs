@@ -26,14 +26,7 @@ fn engine() -> Arc<Engine> {
 }
 
 fn config() -> ServeConfig {
-    ServeConfig {
-        workers: 1,
-        queue_depth: 64,
-        batch_flush_us: 200,
-        max_batch_rows: 16,
-        batching: true,
-        default_timeout_ms: 0,
-    }
+    ServeConfig { workers: 1, queue_depth: 64, batch_flush_us: 200, max_batch_rows: 16 }
 }
 
 fn register_dense(server: &Server, e: &Engine, name: &str) {
@@ -116,9 +109,9 @@ fn plan_and_model_cache_hits_are_counted() {
     let e = engine();
     e.execute("CREATE TABLE t (id INT)").unwrap();
     e.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
-    // Batching off: every predict is its own batch, so model-cache hits
-    // are observable per request.
-    let server = Server::start(Arc::clone(&e), ServeConfig { batching: false, ..config() });
+    // The client waits for each answer: every predict is its own batch,
+    // so model-cache hits are observable per request.
+    let server = Server::start(Arc::clone(&e), config());
     register_dense(&server, &e, "m");
 
     let before = obs::snapshot();
@@ -132,6 +125,7 @@ fn plan_and_model_cache_hits_are_counted() {
         server.submit_predict("m", vec![0.1; 4]).unwrap().wait().unwrap();
     }
     let after = obs::snapshot();
+    assert_eq!(server.stats().batches, 3, "one batch per awaited predict");
 
     // Delta assertions (>=): the obs counters are process-global and other
     // tests in this binary run concurrently.

@@ -1,46 +1,38 @@
 //! The subset of BLAS the paper's ModelJoin operator needs (Listing 5).
 //!
-//! `sgemm` follows the BLAS convention `C := alpha * op(A) * op(B) +
-//! beta * C`, which is what lets the paper's operator fold the bias
-//! addition into the multiplication by pre-copying the replicated bias
-//! matrix into `C` (Sec. 5.4). A built model does the same without the
-//! matrix: [`crate::PackedMatrix::gemm`] adds a bias vector in the
-//! kernel's epilogue, with the same bits.
+//! `sgemm` follows the BLAS convention `C := alpha * A * B + beta * C`,
+//! which is what lets the paper's operator fold the bias addition into the
+//! multiplication by pre-copying the replicated bias matrix into `C`
+//! (Sec. 5.4). A built model does the same without the matrix:
+//! [`crate::PackedMatrix::gemm`] adds a bias vector in the kernel's
+//! epilogue, with the same bits. Both operands are row-major as stored:
+//! the operator keeps its weights "already in a transposed way" (Sec. 5.4),
+//! so no GEMM transposes an operand at run time.
 //!
 //! The multiply is the cache-blocked kernel of the `packed` module, the
 //! same driver a built model's [`crate::PackedMatrix`] runs, for every
-//! shape: `sgemm` packs `op(B)` into this thread's scratch per call
-//! (absorbing the transpose there, as [`crate::pack`] absorbs A's), then
-//! accumulates `alpha * op(A) · op(B)` onto `beta * C`. Large multiplies
-//! split their M blocks across the shared scheduler pool
-//! ([`crate::parallel`]), up to its size.
+//! shape: `sgemm` packs B into this thread's scratch per call, then
+//! accumulates `alpha * A · B` onto `beta * C`. Large multiplies split
+//! their M blocks across the shared scheduler pool ([`crate::parallel`]),
+//! up to its size.
 //!
-//! [`sgemm_unblocked`] keeps the seed kernels (loop-ordered scalar code)
+//! [`sgemm_unblocked`] keeps the seed kernel (loop-ordered scalar code)
 //! as the baseline the `gemm_sweep` benchmark measures the blocked kernel
 //! against, and [`sgemm_reference`] is the deliberately naive oracle that
 //! the equivalence tests compare against.
 
 use crate::activation::Activation;
 use crate::matrix::Matrix;
-use crate::pack::{pack_b_all, packed_b_all_len, MatView};
+use crate::pack::{pack_b_all, packed_b_all_len};
 use crate::packed::{gemm_panels, Init};
 use crate::parallel;
 use std::cell::RefCell;
 
-/// Whether an operand participates transposed in [`sgemm`].
+/// How an operand takes part in [`sgemm`]: as stored. The one variant
+/// keeps the BLAS-shaped signature of its callers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Transpose {
     No,
-    Yes,
-}
-
-impl Transpose {
-    fn dims(self, m: &Matrix) -> (usize, usize) {
-        match self {
-            Transpose::No => (m.rows(), m.cols()),
-            Transpose::Yes => (m.cols(), m.rows()),
-        }
-    }
 }
 
 thread_local! {
@@ -50,25 +42,29 @@ thread_local! {
     static B_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// General matrix multiply: `C := alpha * op(A) * op(B) + beta * C`.
+/// Panic unless `a: m x k`, `b: k x n` and `c: m x n`; returns `(m, k, n)`.
+fn gemm_dims(a: &Matrix, b: &Matrix, c: &Matrix) -> (usize, usize, usize) {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    assert_eq!(k, b.rows(), "sgemm: inner dimensions differ ({k} vs {})", b.rows());
+    assert_eq!(c.rows(), m, "sgemm: C row count mismatch");
+    assert_eq!(c.cols(), n, "sgemm: C column count mismatch");
+    (m, k, n)
+}
+
+/// General matrix multiply: `C := alpha * A * B + beta * C`.
 ///
-/// Shapes after applying the transposes must satisfy
-/// `op(A): m x k`, `op(B): k x n`, `C: m x n`; panics otherwise.
+/// Shapes must satisfy `A: m x k`, `B: k x n`, `C: m x n`; panics
+/// otherwise.
 pub fn sgemm(
-    trans_a: Transpose,
-    trans_b: Transpose,
+    _trans_a: Transpose,
+    _trans_b: Transpose,
     alpha: f32,
     a: &Matrix,
     b: &Matrix,
     beta: f32,
     c: &mut Matrix,
 ) {
-    let (m, k) = trans_a.dims(a);
-    let (k2, n) = trans_b.dims(b);
-    assert_eq!(k, k2, "sgemm: inner dimensions differ ({k} vs {k2})");
-    assert_eq!(c.rows(), m, "sgemm: C row count mismatch");
-    assert_eq!(c.cols(), n, "sgemm: C column count mismatch");
-
+    let (m, k, n) = gemm_dims(a, b, c);
     scale(beta, c.as_mut_slice());
     if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
         return;
@@ -79,7 +75,6 @@ pub fn sgemm(
     obs::metrics::TENSOR_GEMM_FLOPS.add(flops);
     let _span = obs::span(&obs::metrics::TENSOR_GEMM_US);
     let threads = parallel::split_width(parallel::pool_threads(), m, k, n);
-    let va = MatView::new(a, trans_a);
     B_SCRATCH.with(|scratch| {
         let mut bbuf = scratch.borrow_mut();
         let blen = packed_b_all_len(k, n);
@@ -88,10 +83,10 @@ pub fn sgemm(
         }
         {
             let _pack = obs::span(&obs::metrics::TENSOR_PACK_US);
-            pack_b_all(&MatView::new(b, trans_b), k, n, &mut bbuf);
+            pack_b_all(b, k, n, &mut bbuf);
         }
         let c = c.as_mut_slice();
-        gemm_panels(&va, m, k, n, &bbuf, alpha, Init::Accumulate, Activation::Linear, c, threads);
+        gemm_panels(a, m, k, n, &bbuf, alpha, Init::Accumulate, Activation::Linear, c, threads);
     });
 }
 
@@ -109,157 +104,44 @@ fn scale(beta: f32, c: &mut [f32]) {
     }
 }
 
-/// The seed `sgemm` kernels: one loop ordering per transpose combination,
-/// no packing, no tiling — the "old" baseline the `gemm_sweep` benchmark
-/// measures the blocked kernel against. Not used by inference: its
-/// per-row arithmetic differs from the blocked kernel's.
-pub fn sgemm_unblocked(
-    trans_a: Transpose,
-    trans_b: Transpose,
-    alpha: f32,
-    a: &Matrix,
-    b: &Matrix,
-    beta: f32,
-    c: &mut Matrix,
-) {
-    let (m, k) = trans_a.dims(a);
-    let (k2, n) = trans_b.dims(b);
-    assert_eq!(k, k2, "sgemm: inner dimensions differ ({k} vs {k2})");
-    assert_eq!(c.rows(), m, "sgemm: C row count mismatch");
-    assert_eq!(c.cols(), n, "sgemm: C column count mismatch");
+/// The seed `sgemm` kernel, `C := alpha * A * B + beta * C`: i-k-j loop
+/// order (B and C accesses sequential), no packing, no tiling — the "old"
+/// baseline the `gemm_sweep` benchmark measures the blocked kernel
+/// against. Not used by inference: its per-row arithmetic differs from
+/// the blocked kernel's.
+pub fn sgemm_unblocked(alpha: f32, a: &Matrix, b: &Matrix, beta: f32, c: &mut Matrix) {
+    let (m, k, n) = gemm_dims(a, b, c);
     scale(beta, c.as_mut_slice());
     if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
         return;
     }
-    match (trans_a, trans_b) {
-        // A row-major (inputs), B row-major (pre-transposed weights).
-        // i-k-j loop order keeps B and C accesses sequential.
-        (Transpose::No, Transpose::No) => {
-            for i in 0..m {
-                let a_row = a.row(i);
-                let c_row = c.row_mut(i);
-                for (kk, &aik) in a_row.iter().enumerate() {
-                    // No skip for s == 0: 0 × inf and 0 × NaN are NaN.
-                    let s = alpha * aik;
-                    let b_row = b.row(kk);
-                    for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                        *cv += s * bv;
-                    }
-                }
-            }
-        }
-        (Transpose::No, Transpose::Yes) => {
-            for i in 0..m {
-                let a_row = a.row(i);
-                for j in 0..n {
-                    let b_row = b.row(j);
-                    let mut acc = 0.0;
-                    for (&av, &bv) in a_row.iter().zip(b_row) {
-                        acc += av * bv;
-                    }
-                    let cv = c.row_mut(i);
-                    cv[j] += alpha * acc;
-                }
-            }
-        }
-        (Transpose::Yes, Transpose::No) => {
-            for kk in 0..a.rows() {
-                let a_row = a.row(kk);
-                let b_row = b.row(kk);
-                for (i, &ai) in a_row.iter().enumerate().take(m) {
-                    let s = alpha * ai;
-                    let c_row = c.row_mut(i);
-                    for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                        *cv += s * bv;
-                    }
-                }
-            }
-        }
-        (Transpose::Yes, Transpose::Yes) => {
-            for i in 0..m {
-                for j in 0..n {
-                    let mut acc = 0.0;
-                    for kk in 0..k {
-                        acc += a.get(kk, i) * b.get(j, kk);
-                    }
-                    let cv = c.row_mut(i);
-                    cv[j] += alpha * acc;
-                }
+    for i in 0..m {
+        let a_row = a.row(i);
+        let c_row = c.row_mut(i);
+        for (kk, &aik) in a_row.iter().enumerate() {
+            // No skip for s == 0: 0 × inf and 0 × NaN are NaN.
+            let s = alpha * aik;
+            let b_row = b.row(kk);
+            for (cv, &bv) in c_row.iter_mut().zip(b_row) {
+                *cv += s * bv;
             }
         }
     }
 }
 
-/// Deliberately naive j-i-k triple loop through transpose-aware element
-/// access. The test oracle: slow, but obviously correct.
-pub fn sgemm_reference(
-    trans_a: Transpose,
-    trans_b: Transpose,
-    alpha: f32,
-    a: &Matrix,
-    b: &Matrix,
-    beta: f32,
-    c: &mut Matrix,
-) {
-    let (m, k) = trans_a.dims(a);
-    let (k2, n) = trans_b.dims(b);
-    assert_eq!(k, k2, "sgemm: inner dimensions differ ({k} vs {k2})");
-    assert_eq!(c.rows(), m, "sgemm: C row count mismatch");
-    assert_eq!(c.cols(), n, "sgemm: C column count mismatch");
-    let at = |r: usize, q: usize| match trans_a {
-        Transpose::No => a.get(r, q),
-        Transpose::Yes => a.get(q, r),
-    };
-    let bt = |q: usize, s: usize| match trans_b {
-        Transpose::No => b.get(q, s),
-        Transpose::Yes => b.get(s, q),
-    };
+/// Deliberately naive j-i-k triple loop of `C := alpha * A * B + beta * C`
+/// through element access. The test oracle: slow, but obviously correct.
+pub fn sgemm_reference(alpha: f32, a: &Matrix, b: &Matrix, beta: f32, c: &mut Matrix) {
+    let (m, k, n) = gemm_dims(a, b, c);
     for i in 0..m {
         for j in 0..n {
             let mut acc = 0.0f32;
             for kk in 0..k {
-                acc += at(i, kk) * bt(kk, j);
+                acc += a.get(i, kk) * b.get(kk, j);
             }
             let v = beta * c.get(i, j) + alpha * acc;
             c.set(i, j, v);
         }
-    }
-}
-
-/// Matrix-vector multiply: `y := alpha * op(A) * x + beta * y`.
-pub fn sgemv(trans: Transpose, alpha: f32, a: &Matrix, x: &[f32], beta: f32, y: &mut [f32]) {
-    let (m, n) = trans.dims(a);
-    assert_eq!(x.len(), n, "sgemv: x length mismatch");
-    assert_eq!(y.len(), m, "sgemv: y length mismatch");
-    scale(beta, y);
-    match trans {
-        Transpose::No => {
-            for (i, yv) in y.iter_mut().enumerate() {
-                let row = a.row(i);
-                let mut acc = 0.0;
-                for (&av, &xv) in row.iter().zip(x) {
-                    acc += av * xv;
-                }
-                *yv += alpha * acc;
-            }
-        }
-        Transpose::Yes => {
-            for (kk, &xv) in x.iter().enumerate() {
-                let s = alpha * xv;
-                let row = a.row(kk);
-                for (yv, &av) in y.iter_mut().zip(row) {
-                    *yv += s * av;
-                }
-            }
-        }
-    }
-}
-
-/// `y := alpha * x + y` over equal-length slices.
-pub fn saxpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-    assert_eq!(x.len(), y.len(), "saxpy: length mismatch");
-    for (yv, &xv) in y.iter_mut().zip(x) {
-        *yv += alpha * xv;
     }
 }
 
@@ -281,12 +163,6 @@ pub fn vs_add(a: &[f32], b: &[f32], out: &mut [f32]) {
     }
 }
 
-/// `dst := src` (BLAS `scopy`).
-pub fn scopy(src: &[f32], dst: &mut [f32]) {
-    assert_eq!(src.len(), dst.len(), "scopy: length mismatch");
-    dst.copy_from_slice(src);
-}
-
 /// FLOP count of an `m x k * k x n` multiply, used by the GPU cost model
 /// and the kernel dispatch thresholds.
 pub fn gemm_flops(m: usize, k: usize, n: usize) -> u64 {
@@ -300,7 +176,7 @@ mod tests {
 
     fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
         let mut c = Matrix::zeros(a.rows(), b.cols());
-        sgemm_reference(Transpose::No, Transpose::No, 1.0, a, b, 0.0, &mut c);
+        sgemm_reference(1.0, a, b, 0.0, &mut c);
         c
     }
 
@@ -315,28 +191,6 @@ mod tests {
         let mut c = Matrix::zeros(4, 5);
         sgemm(Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut c);
         assert!(c.max_abs_diff(&naive_matmul(&a, &b)) < 1e-5);
-    }
-
-    #[test]
-    fn sgemm_all_transpose_combinations_agree() {
-        let a = sample(4, 3, 0.2);
-        let b = sample(3, 5, 0.9);
-        let expected = naive_matmul(&a, &b);
-
-        let at = a.transposed();
-        let bt = b.transposed();
-
-        let mut c = Matrix::zeros(4, 5);
-        sgemm(Transpose::Yes, Transpose::No, 1.0, &at, &b, 0.0, &mut c);
-        assert!(c.max_abs_diff(&expected) < 1e-5, "T,N failed");
-
-        let mut c = Matrix::zeros(4, 5);
-        sgemm(Transpose::No, Transpose::Yes, 1.0, &a, &bt, 0.0, &mut c);
-        assert!(c.max_abs_diff(&expected) < 1e-5, "N,T failed");
-
-        let mut c = Matrix::zeros(4, 5);
-        sgemm(Transpose::Yes, Transpose::Yes, 1.0, &at, &bt, 0.0, &mut c);
-        assert!(c.max_abs_diff(&expected) < 1e-5, "T,T failed");
     }
 
     #[test]
@@ -387,7 +241,7 @@ mod tests {
         let mut c = sample(128, 112, 0.1);
         let mut expected = c.clone();
         sgemm(Transpose::No, Transpose::No, 1.5, &a, &b, 0.5, &mut c);
-        sgemm_reference(Transpose::No, Transpose::No, 1.5, &a, &b, 0.5, &mut expected);
+        sgemm_reference(1.5, &a, &b, 0.5, &mut expected);
         assert!(c.max_abs_diff(&expected) < 1e-3);
     }
 
@@ -400,7 +254,7 @@ mod tests {
         let mut c = sample(64, 40, 0.9);
         let mut expected = c.clone();
         sgemm(Transpose::No, Transpose::No, 1.0, &a, &b, 2.0, &mut c);
-        sgemm_reference(Transpose::No, Transpose::No, 1.0, &a, &b, 2.0, &mut expected);
+        sgemm_reference(1.0, &a, &b, 2.0, &mut expected);
         assert!(c.max_abs_diff(&expected) < 1e-2);
     }
 
@@ -427,35 +281,9 @@ mod tests {
         let b = sample(8, 8, 0.2);
         let mut c1 = Matrix::zeros(8, 8);
         let mut c2 = Matrix::zeros(8, 8);
-        sgemm_unblocked(Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut c1);
+        sgemm_unblocked(1.0, &a, &b, 0.0, &mut c1);
         sgemm(Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut c2);
         assert!(c1.max_abs_diff(&c2) < 1e-5);
-    }
-
-    #[test]
-    fn sgemv_matches_gemm_on_single_column() {
-        let a = sample(4, 3, 0.5);
-        let x = vec![0.2, -1.0, 0.7];
-        let mut y = vec![0.0; 4];
-        sgemv(Transpose::No, 1.0, &a, &x, 0.0, &mut y);
-        let xm = Matrix::from_vec(3, 1, x.clone());
-        let mut c = Matrix::zeros(4, 1);
-        sgemm(Transpose::No, Transpose::No, 1.0, &a, &xm, 0.0, &mut c);
-        for (i, &v) in y.iter().enumerate() {
-            assert!((v - c.get(i, 0)).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn sgemv_transposed() {
-        let a = sample(3, 4, 0.8);
-        let x = vec![1.0, 2.0, 3.0];
-        let mut y = vec![0.0; 4];
-        sgemv(Transpose::Yes, 1.0, &a, &x, 0.0, &mut y);
-        for (j, &yj) in y.iter().enumerate() {
-            let expected: f32 = (0..3).map(|i| a.get(i, j) * x[i]).sum();
-            assert!((yj - expected).abs() < 1e-5);
-        }
     }
 
     #[test]
@@ -467,12 +295,6 @@ mod tests {
         assert_eq!(out, [4.0, 10.0, 18.0]);
         vs_add(&a, &b, &mut out);
         assert_eq!(out, [5.0, 7.0, 9.0]);
-        let mut y = b;
-        saxpy(2.0, &a, &mut y);
-        assert_eq!(y, [6.0, 9.0, 12.0]);
-        let mut d = [0.0; 3];
-        scopy(&a, &mut d);
-        assert_eq!(d, a);
     }
 
     #[test]

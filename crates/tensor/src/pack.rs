@@ -5,10 +5,9 @@
 //! directly. Each `KC`-deep slice of the K dimension is first repacked into
 //! contiguous tile buffers — A into `MR`-row micro-panels, B into `NR`-column
 //! micro-panels, both `k`-major and zero-padded to full tiles — so the
-//! micro-kernel streams purely sequential, aligned memory regardless of the
-//! original layout or transpose. This is what lets all four transpose
-//! combinations share one multiplication path: the transpose is absorbed
-//! here, at packing time, where the access pattern is chosen per case.
+//! micro-kernel streams purely sequential, aligned memory. Both operands
+//! are row-major as stored: a model keeps its weights "already in a
+//! transposed way" (paper Sec. 5.4), so no GEMM transposes an operand.
 //! A built model's weights are packed once, all slices at a time
 //! ([`pack_b_all`]); the activations, per slice, per call.
 //!
@@ -21,7 +20,6 @@
 //!                     element (k, j) of the panel at  q*kc*NR + k*NR + j
 //! ```
 
-use crate::blas::Transpose;
 use crate::matrix::Matrix;
 
 /// Rows per A micro-panel (register tile height).
@@ -46,34 +44,6 @@ pub(crate) const KC: usize = 512;
 /// Columns of B packed per panel (bounds the shared B buffer at ~8 MiB).
 pub(crate) const NC: usize = 4096;
 
-/// A transpose-aware read view of one GEMM operand: `at(r, c)` addresses
-/// `op(M)[r, c]` over the underlying row-major buffer.
-#[derive(Clone, Copy)]
-pub(crate) struct MatView<'a> {
-    data: &'a [f32],
-    /// Leading dimension of the *stored* matrix (its column count).
-    ld: usize,
-    trans: bool,
-}
-
-impl<'a> MatView<'a> {
-    pub(crate) fn new(m: &'a Matrix, trans: Transpose) -> MatView<'a> {
-        MatView { data: m.as_slice(), ld: m.cols(), trans: trans == Transpose::Yes }
-    }
-
-    /// Element access; only the packing loops' tests address elements one
-    /// at a time, the packing loops themselves are specialized per layout.
-    #[cfg_attr(not(test), allow(dead_code))]
-    #[inline]
-    pub(crate) fn at(&self, r: usize, c: usize) -> f32 {
-        if self.trans {
-            self.data[c * self.ld + r]
-        } else {
-            self.data[r * self.ld + c]
-        }
-    }
-}
-
 /// Number of floats `pack_a` needs for an `mc x kc` block.
 pub(crate) fn packed_a_len(mc: usize, kc: usize) -> usize {
     mc.div_ceil(MR) * MR * kc
@@ -84,38 +54,22 @@ pub(crate) fn packed_b_len(kc: usize, nc: usize) -> usize {
     nc.div_ceil(NR) * NR * kc
 }
 
-/// Pack the `mc x kc` block of `op(A)` starting at `(ic, pc)` into `out`.
-pub(crate) fn pack_a(
-    view: &MatView<'_>,
-    ic: usize,
-    mc: usize,
-    pc: usize,
-    kc: usize,
-    out: &mut [f32],
-) {
+/// Pack the `mc x kc` block of `a` starting at `(ic, pc)` into `out`.
+pub(crate) fn pack_a(a: &Matrix, ic: usize, mc: usize, pc: usize, kc: usize, out: &mut [f32]) {
     debug_assert!(out.len() >= packed_a_len(mc, kc));
+    let (data, ld) = (a.as_slice(), a.cols());
     let panels = mc.div_ceil(MR);
     for p in 0..panels {
         let row0 = ic + p * MR;
         let rows = MR.min(ic + mc - row0);
         let panel = &mut out[p * kc * MR..(p + 1) * kc * MR];
-        if view.trans {
-            // op(A)(i, k) = data[k * ld + i]: walking k outer keeps the
-            // source reads and the panel writes both sequential.
-            for k in 0..kc {
-                let src_base = (pc + k) * view.ld + row0;
-                let dst = &mut panel[k * MR..k * MR + MR];
-                let src = &view.data[src_base..src_base + rows];
-                dst[..rows].copy_from_slice(src);
-                dst[rows..].fill(0.0);
-            }
-        } else if rows == MR {
-            // Row-major A, full panel: walk the MR source rows in lockstep
-            // so the panel is written sequentially, one k step (MR
-            // values) at a time, while each row is still read in order.
+        if rows == MR {
+            // A full panel: walk the MR source rows in lockstep so the
+            // panel is written sequentially, one k step (MR values) at a
+            // time, while each row is still read in order.
             let src: [&[f32]; MR] = std::array::from_fn(|i| {
-                let base = (row0 + i) * view.ld + pc;
-                &view.data[base..base + kc]
+                let base = (row0 + i) * ld + pc;
+                &data[base..base + kc]
             });
             for (k, dst) in panel.chunks_exact_mut(MR).enumerate() {
                 for (d, row) in dst.iter_mut().zip(&src) {
@@ -126,8 +80,8 @@ pub(crate) fn pack_a(
             // The ragged last panel: zero-pad, then scatter the rows.
             panel.fill(0.0);
             for i in 0..rows {
-                let src_base = (row0 + i) * view.ld + pc;
-                let src = &view.data[src_base..src_base + kc];
+                let src_base = (row0 + i) * ld + pc;
+                let src = &data[src_base..src_base + kc];
                 for (k, &v) in src.iter().enumerate() {
                     panel[k * MR + i] = v;
                 }
@@ -150,58 +104,36 @@ pub(crate) fn packed_b_offset(k: usize, jc: usize, nc: usize, pc: usize) -> usiz
     jc * k + pc * nc.div_ceil(NR) * NR
 }
 
-/// Pack all of `op(B)` (`k x n`): every `(jc, pc)` panel [`pack_b`]
+/// Pack all of `b` (`k x n`): every `(jc, pc)` panel [`pack_b`]
 /// produces, column block by column block and K slice by K slice, at
 /// [`packed_b_offset`].
-pub(crate) fn pack_b_all(view: &MatView<'_>, k: usize, n: usize, out: &mut [f32]) {
+pub(crate) fn pack_b_all(b: &Matrix, k: usize, n: usize, out: &mut [f32]) {
     debug_assert!(out.len() >= packed_b_all_len(k, n));
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
             let at = packed_b_offset(k, jc, nc, pc);
-            pack_b(view, pc, kc, jc, nc, &mut out[at..at + packed_b_len(kc, nc)]);
+            pack_b(b, pc, kc, jc, nc, &mut out[at..at + packed_b_len(kc, nc)]);
         }
     }
 }
 
-/// Pack the `kc x nc` panel of `op(B)` starting at `(pc, jc)` into `out`.
-pub(crate) fn pack_b(
-    view: &MatView<'_>,
-    pc: usize,
-    kc: usize,
-    jc: usize,
-    nc: usize,
-    out: &mut [f32],
-) {
+/// Pack the `kc x nc` panel of `b` starting at `(pc, jc)` into `out`.
+/// Source reads and panel writes are both sequential.
+pub(crate) fn pack_b(b: &Matrix, pc: usize, kc: usize, jc: usize, nc: usize, out: &mut [f32]) {
     debug_assert!(out.len() >= packed_b_len(kc, nc));
+    let (data, ld) = (b.as_slice(), b.cols());
     let panels = nc.div_ceil(NR);
     for q in 0..panels {
         let col0 = jc + q * NR;
         let cols = NR.min(jc + nc - col0);
         let panel = &mut out[q * kc * NR..(q + 1) * kc * NR];
-        if view.trans {
-            // op(B)(k, j) = data[j * ld + k]: read each stored row (one j)
-            // sequentially in k; writes stride by NR.
-            if cols < NR {
-                panel.fill(0.0);
-            }
-            for j in 0..cols {
-                let src_base = (col0 + j) * view.ld + pc;
-                let src = &view.data[src_base..src_base + kc];
-                for (k, &v) in src.iter().enumerate() {
-                    panel[k * NR + j] = v;
-                }
-            }
-        } else {
-            // Row-major B: both source reads and panel writes sequential.
-            for k in 0..kc {
-                let src_base = (pc + k) * view.ld + col0;
-                let dst = &mut panel[k * NR..k * NR + NR];
-                let src = &view.data[src_base..src_base + cols];
-                dst[..cols].copy_from_slice(src);
-                dst[cols..].fill(0.0);
-            }
+        for k in 0..kc {
+            let src_base = (pc + k) * ld + col0;
+            let dst = &mut panel[k * NR..k * NR + NR];
+            dst[..cols].copy_from_slice(&data[src_base..src_base + cols]);
+            dst[cols..].fill(0.0);
         }
     }
 }
@@ -308,10 +240,9 @@ mod tests {
     #[test]
     fn pack_a_layout_no_transpose() {
         let a = sample(10, 6);
-        let view = MatView::new(&a, Transpose::No);
         let (mc, kc) = (10, 4);
         let mut out = vec![-1.0; packed_a_len(mc, kc)];
-        pack_a(&view, 0, mc, 1, kc, &mut out);
+        pack_a(&a, 0, mc, 1, kc, &mut out);
         for p in 0..mc.div_ceil(MR) {
             for k in 0..kc {
                 for i in 0..MR {
@@ -329,10 +260,9 @@ mod tests {
     #[test]
     fn pack_a_full_panels_with_a_ragged_k_tail() {
         let a = sample(19, 30);
-        let view = MatView::new(&a, Transpose::No);
         let (ic, mc, pc, kc) = (1, 17, 3, 27);
         let mut out = vec![-1.0; packed_a_len(mc, kc)];
-        pack_a(&view, ic, mc, pc, kc, &mut out);
+        pack_a(&a, ic, mc, pc, kc, &mut out);
         for p in 0..mc.div_ceil(MR) {
             for k in 0..kc {
                 for i in 0..MR {
@@ -344,36 +274,22 @@ mod tests {
         }
     }
 
+    /// One full micro-panel and a ragged one, zero-padded to `NR`.
     #[test]
-    fn pack_a_transposed_matches_view() {
-        let a = sample(6, 10); // op(A) is 10 x 6
-        let view = MatView::new(&a, Transpose::Yes);
-        let (ic, mc, pc, kc) = (3, 7, 2, 4);
-        let mut out = vec![-1.0; packed_a_len(mc, kc)];
-        pack_a(&view, ic, mc, pc, kc, &mut out);
-        for p in 0..mc.div_ceil(MR) {
+    fn pack_b_layout_zero_pads_ragged_panels() {
+        let b = sample(5, NR + 12);
+        let (pc, kc, jc, nc) = (1, 3, 2, NR + 7);
+        let mut out = vec![-1.0; packed_b_len(kc, nc)];
+        pack_b(&b, pc, kc, jc, nc, &mut out);
+        for q in 0..nc.div_ceil(NR) {
             for k in 0..kc {
-                for i in 0..MR {
-                    let got = out[p * kc * MR + k * MR + i];
-                    let r = p * MR + i;
-                    let expected = if r < mc { view.at(ic + r, pc + k) } else { 0.0 };
-                    assert_eq!(got, expected);
+                for j in 0..NR {
+                    let col = q * NR + j;
+                    let expected = if col < nc { b.get(pc + k, jc + col) } else { 0.0 };
+                    assert_eq!(out[q * kc * NR + k * NR + j], expected, "panel {q} k {k} j {j}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn pack_b_layouts_agree_between_transposes() {
-        // B and Bᵀ viewed appropriately must pack identically.
-        let b = sample(5, 9);
-        let bt = b.transposed();
-        let (pc, kc, jc, nc) = (1, 3, 2, 7);
-        let mut out_n = vec![-1.0; packed_b_len(kc, nc)];
-        let mut out_t = vec![-2.0; packed_b_len(kc, nc)];
-        pack_b(&MatView::new(&b, Transpose::No), pc, kc, jc, nc, &mut out_n);
-        pack_b(&MatView::new(&bt, Transpose::Yes), pc, kc, jc, nc, &mut out_t);
-        assert_eq!(out_n, out_t);
     }
 
     #[test]

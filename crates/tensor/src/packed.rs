@@ -24,12 +24,11 @@
 //! B operand it packs per call.
 
 use crate::activation::Activation;
-use crate::blas::{gemm_flops, Transpose};
+use crate::blas::gemm_flops;
 use crate::matrix::Matrix;
 use crate::microkernel::microkernel;
 use crate::pack::{
-    pack_a, pack_b_all, packed_a_len, packed_b_all_len, packed_b_offset, MatView, KC, MC, MR, NC,
-    NR,
+    pack_a, pack_b_all, packed_a_len, packed_b_all_len, packed_b_offset, KC, MC, MR, NC, NR,
 };
 use crate::parallel;
 use std::cell::RefCell;
@@ -61,7 +60,7 @@ impl PackedMatrix {
     pub fn pack(w: &Matrix) -> PackedMatrix {
         let (k, n) = (w.rows(), w.cols());
         let mut panels = vec![0.0; packed_b_all_len(k, n)];
-        pack_b_all(&MatView::new(w, Transpose::No), k, n, &mut panels);
+        pack_b_all(w, k, n, &mut panels);
         PackedMatrix { k, n, panels }
     }
 
@@ -104,8 +103,7 @@ impl PackedMatrix {
         obs::metrics::TENSOR_GEMM_CALLS.add(1);
         obs::metrics::TENSOR_GEMM_FLOPS.add(gemm_flops(m, k, n));
         let _span = obs::span(&obs::metrics::TENSOR_GEMM_US);
-        let va = MatView::new(x, Transpose::No);
-        gemm_panels(&va, m, k, n, &self.panels, 1.0, init, activation, out.as_mut_slice(), threads);
+        gemm_panels(x, m, k, n, &self.panels, 1.0, init, activation, out.as_mut_slice(), threads);
     }
 }
 
@@ -128,7 +126,7 @@ struct SendPtr(*mut f32);
 unsafe impl Send for SendPtr {}
 unsafe impl Sync for SendPtr {}
 
-/// `C = activation(init + alpha * op(A) · B)` over a B packed by
+/// `C = activation(init + alpha * A · B)` over a B packed by
 /// [`pack_b_all`] (`bp`), C row-major `m x n`. The classic three-level
 /// blocking (GotoBLAS/BLIS), with the M blocks outermost so that tasks own
 /// disjoint rows of C and need no synchronization but the final join:
@@ -142,7 +140,7 @@ unsafe impl Sync for SendPtr {}
 /// ```
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_panels(
-    va: &MatView<'_>,
+    a: &Matrix,
     m: usize,
     k: usize,
     n: usize,
@@ -171,8 +169,7 @@ pub(crate) fn gemm_panels(
     }
     let cptr = SendPtr(c.as_mut_ptr());
     let workers = threads.clamp(1, m.div_ceil(MC));
-    let range =
-        |w: usize| m_block_range(va, m, k, n, bp, alpha, init, activation, cptr, w, workers);
+    let range = |w: usize| m_block_range(a, m, k, n, bp, alpha, init, activation, cptr, w, workers);
     if workers == 1 {
         range(0);
     } else {
@@ -189,7 +186,7 @@ pub(crate) fn gemm_panels(
 /// the packed B panels, the epilogue fused into the first and last slice.
 #[allow(clippy::too_many_arguments)]
 fn m_block_range(
-    va: &MatView<'_>,
+    a: &Matrix,
     m: usize,
     k: usize,
     n: usize,
@@ -218,7 +215,7 @@ fn m_block_range(
                     let kc = KC.min(k - pc);
                     {
                         let _pack = obs::span(&obs::metrics::TENSOR_PACK_US);
-                        pack_a(va, ic, mc, pc, kc, abuf);
+                        pack_a(a, ic, mc, pc, kc, abuf);
                     }
                     let panels = &bp[packed_b_offset(k, jc, nc, pc)..];
                     let last = pc + kc == k;
@@ -272,7 +269,7 @@ fn m_block_range(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blas::{sgemm, sgemm_reference};
+    use crate::blas::{sgemm, sgemm_reference, Transpose};
 
     fn sample(rows: usize, cols: usize, seed: f32) -> Matrix {
         Matrix::from_fn(rows, cols, |r, c| ((r * cols + c) as f32 * 0.37 + seed).sin())
@@ -315,7 +312,7 @@ mod tests {
         let mut zero = Matrix::from_fn(m, n, |_, _| f32::NAN);
         packed.gemm(&x, Init::Zero, Activation::Linear, &mut zero, 1);
         let mut want = Matrix::zeros(m, n);
-        sgemm_reference(Transpose::No, Transpose::No, 1.0, &x, &w, 0.0, &mut want);
+        sgemm_reference(1.0, &x, &w, 0.0, &mut want);
         assert!(zero.max_abs_diff(&want) < 1e-4);
         let mut acc = zero.clone();
         packed.gemm(&x, Init::Accumulate, Activation::Linear, &mut acc, 1);

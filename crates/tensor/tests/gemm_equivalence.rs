@@ -1,18 +1,14 @@
 //! Property tests pinning the blocked (and threaded) `sgemm` to the naive
-//! reference oracle across the whole parameter space: all four transpose
-//! combinations, arbitrary `alpha`/`beta` (including the 0 and 1 special
-//! cases), and shapes that straddle every tiling boundary — 1×1, primes,
-//! tall-skinny, and non-tile-multiple sizes. Also: the packed-weight GEMM
-//! with its fused bias epilogue keeps the bits of the bias-copy + `sgemm`
-//! formulation, and no path drops the NaN of `0 × inf`.
+//! reference oracle across the whole parameter space: arbitrary
+//! `alpha`/`beta` (including the 0 and 1 special cases), and shapes that
+//! straddle every tiling boundary — 1×1, primes, tall-skinny, and
+//! non-tile-multiple sizes. Also: the packed-weight GEMM with its fused
+//! bias epilogue keeps the bits of the bias-copy + `sgemm` formulation,
+//! and no path drops the NaN of `0 × inf`.
 
 use proptest::prelude::*;
-use tensor::blas::{sgemm, sgemm_reference, sgemm_unblocked, sgemv, Transpose};
+use tensor::blas::{sgemm, sgemm_reference, sgemm_unblocked, Transpose};
 use tensor::{Activation, Init, Matrix, PackedMatrix};
-
-fn arb_transpose() -> impl Strategy<Value = Transpose> {
-    prop_oneof![Just(Transpose::No), Just(Transpose::Yes)]
-}
 
 /// Alpha/beta values biased toward the special-cased constants.
 fn arb_scalar() -> impl Strategy<Value = f32> {
@@ -46,17 +42,7 @@ fn fill(rows: usize, cols: usize, seed: u64) -> Matrix {
     })
 }
 
-fn storage_dims(t: Transpose, rows: usize, cols: usize) -> (usize, usize) {
-    match t {
-        Transpose::No => (rows, cols),
-        Transpose::Yes => (cols, rows),
-    }
-}
-
-#[allow(clippy::too_many_arguments)] // the full sgemm parameter space, spelled out
 fn check_against_reference(
-    ta: Transpose,
-    tb: Transpose,
     alpha: f32,
     beta: f32,
     m: usize,
@@ -64,21 +50,19 @@ fn check_against_reference(
     n: usize,
     seed: u64,
 ) -> Result<(), String> {
-    let (ar, ac) = storage_dims(ta, m, k);
-    let (br, bc) = storage_dims(tb, k, n);
-    let a = fill(ar, ac, seed);
-    let b = fill(br, bc, seed ^ 0x9e3779b97f4a7c15);
+    let a = fill(m, k, seed);
+    let b = fill(k, n, seed ^ 0x9e3779b97f4a7c15);
     let mut c = fill(m, n, seed ^ 0xd1b54a32d192ed03);
     let mut expected = c.clone();
-    sgemm(ta, tb, alpha, &a, &b, beta, &mut c);
-    sgemm_reference(ta, tb, alpha, &a, &b, beta, &mut expected);
+    sgemm(Transpose::No, Transpose::No, alpha, &a, &b, beta, &mut c);
+    sgemm_reference(alpha, &a, &b, beta, &mut expected);
     // Values are in [-0.5, 0.5]; dot products of length k have magnitude
     // O(sqrt(k)/2), so a k-scaled absolute tolerance is stable.
     let tol = 1e-4 * (k as f32 + 1.0);
     let diff = c.max_abs_diff(&expected);
     if diff > tol {
         return Err(format!(
-            "sgemm({ta:?},{tb:?}) alpha={alpha} beta={beta} m={m} k={k} n={n}: \
+            "sgemm alpha={alpha} beta={beta} m={m} k={k} n={n}: \
              max diff {diff} > {tol}"
         ));
     }
@@ -89,9 +73,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 64 })]
 
     #[test]
-    fn sgemm_matches_reference_all_transposes(
-        ta in arb_transpose(),
-        tb in arb_transpose(),
+    fn sgemm_matches_reference(
         alpha in arb_scalar(),
         beta in arb_scalar(),
         m in arb_dim(),
@@ -99,19 +81,16 @@ proptest! {
         n in arb_dim(),
         seed in 0u64..1_000_000,
     ) {
-        check_against_reference(ta, tb, alpha, beta, m, k, n, seed)?;
+        check_against_reference(alpha, beta, m, k, n, seed)?;
     }
 }
 
 proptest! {
-    // Large shapes are expensive; fewer cases still cover every transpose
-    // combination several times.
+    // Large shapes are expensive; fewer cases.
     #![proptest_config(ProptestConfig { cases: 8 })]
 
     #[test]
     fn blocked_path_matches_reference_on_large_shapes(
-        ta in arb_transpose(),
-        tb in arb_transpose(),
         alpha in arb_scalar(),
         beta in arb_scalar(),
         // Tall-skinny through 1024-row: crosses MC, KC, and NC boundaries
@@ -121,30 +100,25 @@ proptest! {
         n in prop_oneof![Just(1usize), Just(129usize), Just(300usize)],
         seed in 0u64..1_000_000,
     ) {
-        check_against_reference(ta, tb, alpha, beta, m, k, n, seed)?;
+        check_against_reference(alpha, beta, m, k, n, seed)?;
     }
 
     #[test]
     fn threaded_sgemm_is_bit_identical_to_single_threaded(
-        ta in arb_transpose(),
-        tb in arb_transpose(),
         m in prop_oneof![Just(512usize), Just(777usize), Just(1024usize)],
         k in prop_oneof![Just(256usize), Just(300usize)],
         n in prop_oneof![Just(64usize), Just(200usize)],
         seed in 0u64..1_000_000,
     ) {
         // `sgemm` splits up to the pool's size; the packed GEMM over the
-        // materialized operands runs the same tiles on one thread.
+        // same operands runs the same tiles on one thread.
         sched::configure_workers(3);
-        let (ar, ac) = storage_dims(ta, m, k);
-        let (br, bc) = storage_dims(tb, k, n);
-        let a = fill(ar, ac, seed);
-        let b = fill(br, bc, seed ^ 0xa076_1d64_78bd_642f);
-        let op = |t: Transpose, x: Matrix| if t == Transpose::Yes { x.transposed() } else { x };
+        let a = fill(m, k, seed);
+        let b = fill(k, n, seed ^ 0xa076_1d64_78bd_642f);
         let mut threaded = Matrix::zeros(m, n);
-        sgemm(ta, tb, 1.0, &a, &b, 0.0, &mut threaded);
+        sgemm(Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut threaded);
         let mut serial = Matrix::zeros(m, n);
-        PackedMatrix::pack(&op(tb, b)).gemm(&op(ta, a), Init::Zero, Activation::Linear, &mut serial, 1);
+        PackedMatrix::pack(&b).gemm(&a, Init::Zero, Activation::Linear, &mut serial, 1);
         // The thread split never changes any tile's arithmetic, so the
         // results must be bit-identical, not merely close.
         prop_assert_eq!(serial, threaded);
@@ -221,8 +195,8 @@ fn packed_gemm_keeps_the_bits_of_bias_copy_then_sgemm() {
 }
 
 /// A zero activation against an infinite or NaN weight contributes NaN
-/// (`0 × inf = NaN`): no path may skip it. Every GEMM path and `sgemv`
-/// agree with the reference on which outputs are NaN and on the finite
+/// (`0 × inf = NaN`): no path may skip it. Every GEMM path agrees with
+/// the reference on which outputs are NaN and on the finite
 /// values, for the row alone and inside a 64-row batch.
 #[test]
 fn zero_activation_against_inf_or_nan_weight_is_nan_on_every_path() {
@@ -235,26 +209,15 @@ fn zero_activation_against_inf_or_nan_weight_is_nan_on_every_path() {
         for rows in [1, 64] {
             let x = Matrix::from_fn(rows, 2, |r, c| if c == 0 { 0.0 } else { 1.0 + r as f32 });
             let mut want = Matrix::zeros(rows, 2);
-            sgemm_reference(Transpose::No, Transpose::No, 1.0, &x, &w, 0.0, &mut want);
+            sgemm_reference(1.0, &x, &w, 0.0, &mut want);
             assert!(want.get(0, 0).is_nan(), "the reference itself must see 0 × {bad}");
-            let xt = x.transposed();
-            let mut paths: Vec<(&str, Matrix)> = Vec::new();
-            for (name, ta, a) in [("N", Transpose::No, &x), ("T", Transpose::Yes, &xt)] {
-                let mut c = Matrix::zeros(rows, 2);
-                sgemm(ta, Transpose::No, 1.0, a, &w, 0.0, &mut c);
-                paths.push((if name == "N" { "sgemm N" } else { "sgemm T" }, c));
-                let mut c = Matrix::zeros(rows, 2);
-                sgemm_unblocked(ta, Transpose::No, 1.0, a, &w, 0.0, &mut c);
-                paths.push((if name == "N" { "unblocked N" } else { "unblocked T" }, c));
-            }
+            let mut sgemm_c = Matrix::zeros(rows, 2);
+            sgemm(Transpose::No, Transpose::No, 1.0, &x, &w, 0.0, &mut sgemm_c);
+            let mut unblocked = Matrix::zeros(rows, 2);
+            sgemm_unblocked(1.0, &x, &w, 0.0, &mut unblocked);
             let mut packed = Matrix::zeros(rows, 2);
             PackedMatrix::pack(&w).gemm(&x, Init::Zero, Activation::Linear, &mut packed, 1);
-            paths.push(("packed", packed));
-            let mut gemv = Matrix::zeros(rows, 2);
-            for r in 0..rows {
-                sgemv(Transpose::Yes, 1.0, &w, x.row(r), 0.0, gemv.row_mut(r));
-            }
-            paths.push(("sgemv T", gemv));
+            let paths = [("sgemm", sgemm_c), ("unblocked", unblocked), ("packed", packed)];
             for (name, got) in &paths {
                 for (i, (&g, &e)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
                     assert!(

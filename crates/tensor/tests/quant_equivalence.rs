@@ -14,7 +14,7 @@
 //! the ±amax corners.
 
 use proptest::prelude::*;
-use tensor::blas::{sgemm_reference, Transpose};
+use tensor::blas::sgemm_reference;
 use tensor::quant::{qgemm_dense_reference, qgemm_error_bound};
 use tensor::{qgemm_dense, Activation, Init, Matrix, QuantScratch, QuantizedWeights};
 
@@ -64,7 +64,7 @@ fn check_error_bound(m: usize, k: usize, n: usize, seed: u64) -> Result<(), Stri
     let mut scratch = QuantScratch::default();
     qgemm_dense(&a, &wq, None, Activation::Linear, false, &mut got, &mut scratch);
     let mut exact = Matrix::zeros(m, n);
-    sgemm_reference(Transpose::No, Transpose::No, 1.0, &a, &w, 0.0, &mut exact);
+    sgemm_reference(1.0, &a, &w, 0.0, &mut exact);
     let bound = qgemm_error_bound(k, 0.5, 0.5);
     let diff = got.max_abs_diff(&exact);
     if diff > bound {
@@ -201,7 +201,7 @@ fn saturating_weights_hold_both_contracts() {
     let mut scratch = QuantScratch::default();
     qgemm_dense(&a, &wq, None, Activation::Linear, false, &mut got, &mut scratch);
     let mut exact = Matrix::zeros(m, n);
-    sgemm_reference(Transpose::No, Transpose::No, 1.0, &a, &w, 0.0, &mut exact);
+    sgemm_reference(1.0, &a, &w, 0.0, &mut exact);
     assert!(got.max_abs_diff(&exact) <= qgemm_error_bound(k, 0.5, 0.5));
 
     let mut expected = Matrix::zeros(m, n);

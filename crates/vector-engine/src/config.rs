@@ -12,21 +12,22 @@ pub struct EngineConfig {
     pub vector_size: usize,
     /// Number of table partitions.
     pub partitions: usize,
-    /// Whether queries fan out over table partitions: values above 1
-    /// enable partition-parallel execution on the scheduler pool (whose
-    /// size is [`EngineConfig::worker_threads`]), 1 runs every plan
-    /// serially on the calling thread.
+    /// The engine's parallelism level, read in three places:
+    /// - whether queries fan out over table partitions: values above 1
+    ///   enable partition-parallel execution on the scheduler pool (whose
+    ///   size is [`EngineConfig::worker_threads`]), 1 runs every plan
+    ///   serially on the calling thread;
+    /// - the GEMM split width of every model a `PREDICT` registration
+    ///   builds: a full vector's GEMM splits up to this many ways (fixed
+    ///   at build time, capped by the shape and the pool's size);
+    /// - whether a UDF approach gets one host per scheduler thread (above
+    ///   1) or a single host.
     pub parallelism: usize,
     /// Worker threads owned by the process-wide unified scheduler — the
     /// single pool that runs operator morsels, GEMM tile tasks, and serve
     /// batches. 0 (the default) sizes the pool to the machine
     /// (`std::thread::available_parallelism`).
     pub worker_threads: usize,
-    /// Capacity of the per-engine prepared-plan cache used by
-    /// [`crate::Engine::execute_cached`]: SELECT statements are parsed,
-    /// bound and optimized once and replayed until the catalog epoch moves.
-    /// 0 disables caching entirely (every call re-plans).
-    pub plan_cache_entries: usize,
     /// Run ModelJoin and serve inference through the int8 quantized path:
     /// weights quantized per output channel to i8, activations per row to
     /// 7-bit, integer GEMM with a fused dequantize epilogue. Off by
@@ -63,7 +64,6 @@ impl Default for EngineConfig {
             partitions: 12,
             parallelism: 12,
             worker_threads: 0,
-            plan_cache_entries: 128,
             quantized_inference: false,
             data_dir: None,
             buffer_pool_pages: 4096,
@@ -111,7 +111,6 @@ mod tests {
         assert_eq!(c.parallelism, 12);
         assert_eq!(c.worker_threads, 0, "scheduler pool auto-sizes to the machine");
         assert!(c.effective_worker_threads() >= 1);
-        assert_eq!(c.plan_cache_entries, 128);
         assert!(!c.quantized_inference, "inference defaults to exact fp32");
         assert_eq!(c.data_dir, None, "in-memory storage is the default");
         assert_eq!(c.buffer_pool_pages, 4096, "64 MiB pool at 16 KiB pages");

@@ -5,7 +5,7 @@ use crate::column::{Batch, ColumnVector};
 use crate::config::EngineConfig;
 use crate::error::{EngineError, Result};
 use crate::exec::parallel;
-use crate::exec::physical::{build_operator, ExecContext, Operator};
+use crate::exec::physical::Operator;
 use crate::exec::scan::ScanExec;
 use crate::exec::simple::concat_batches;
 use crate::plan::binder::Binder;
@@ -89,6 +89,9 @@ struct PlanEntry {
     last_used: u64,
 }
 
+/// Plans the cache behind [`Engine::execute_cached`] holds.
+const PLAN_CACHE_ENTRIES: usize = 128;
+
 /// The prepared-statement / plan cache behind [`Engine::execute_cached`]:
 /// SQL text → optimized [`LogicalPlan`], invalidated by catalog epoch.
 #[derive(Default)]
@@ -142,13 +145,10 @@ impl PlanCache {
     }
 
     /// Insert a freshly planned entry, evicting the least-recently-used one
-    /// when at capacity. Capacity is small (an `EngineConfig` knob), so the
-    /// O(n) eviction scan is noise next to planning cost.
-    fn store(&mut self, capacity: usize, sql: &str, version: u64, plan: Arc<LogicalPlan>) {
-        if capacity == 0 {
-            return;
-        }
-        if self.entries.len() >= capacity && !self.entries.contains_key(sql) {
+    /// when at capacity. Capacity is small, so the O(n) eviction scan is
+    /// noise next to planning cost.
+    fn store(&mut self, sql: &str, version: u64, plan: Arc<LogicalPlan>) {
+        if self.entries.len() >= PLAN_CACHE_ENTRIES && !self.entries.contains_key(sql) {
             if let Some(oldest) =
                 self.entries.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k.clone())
             {
@@ -245,12 +245,9 @@ impl Engine {
     /// every later call with the same SQL text, until any catalog change
     /// (CREATE / DROP / INSERT) moves the epoch and invalidates the entry.
     /// Non-SELECT statements are never cached and behave exactly like
-    /// [`Engine::execute`]. With `plan_cache_entries == 0` this *is*
-    /// `execute`.
+    /// [`Engine::execute`]. The cache holds [`PLAN_CACHE_ENTRIES`] plans
+    /// and evicts the least recently used one.
     pub fn execute_cached(&self, sql: &str) -> Result<QueryResult> {
-        if self.config.plan_cache_entries == 0 {
-            return self.execute(sql);
-        }
         // The epoch is read before planning: if the catalog moves while we
         // plan, the entry is stamped with the older epoch and can never be
         // returned by a later lookup (epochs are monotonic) — a wasted
@@ -262,12 +259,7 @@ impl Engine {
         match parse_statement(sql)? {
             Statement::Select(stmt) => {
                 let plan = Arc::new(optimize(Binder::new(&self.catalog).bind_select(&stmt)?));
-                self.plan_cache.lock().store(
-                    self.config.plan_cache_entries,
-                    sql,
-                    version,
-                    Arc::clone(&plan),
-                );
+                self.plan_cache.lock().store(sql, version, Arc::clone(&plan));
                 self.execute_plan(&plan)
             }
             other => self.execute_statement(other),
@@ -403,13 +395,6 @@ impl Engine {
     pub fn scan_table(&self, table: &str) -> Result<Box<dyn Operator>> {
         let t = self.catalog.table(table)?;
         Ok(Box::new(ScanExec::new(t, Vec::new(), None)))
-    }
-
-    /// Build a physical operator tree for a SELECT, leaving the driver to
-    /// the caller (used by approaches that embed the engine).
-    pub fn compile(&self, sql: &str) -> Result<Box<dyn Operator>> {
-        let plan = self.plan(sql)?;
-        build_operator(&plan, &ExecContext::new(self.config.vector_size))
     }
 }
 
@@ -605,26 +590,26 @@ mod tests {
         assert_eq!(q.num_rows(), 2);
     }
 
+    /// One plan past capacity evicts the least recently used plan: the
+    /// first one, re-used after all the others were stored, survives, and
+    /// the second one goes.
     #[test]
-    fn plan_cache_lru_eviction_and_disable() {
-        let e = Engine::new(EngineConfig {
-            vector_size: 4,
-            partitions: 2,
-            parallelism: 1,
-            plan_cache_entries: 2,
-            ..Default::default()
-        });
+    fn plan_cache_evicts_the_least_recently_used_plan() {
+        let e = engine();
         e.execute("CREATE TABLE t (id INT)").unwrap();
         e.execute("INSERT INTO t VALUES (1)").unwrap();
-        for sql in ["SELECT id FROM t", "SELECT id + 1 AS a FROM t", "SELECT id + 2 AS b FROM t"] {
-            e.execute_cached(sql).unwrap();
+        let sql = |i: usize| format!("SELECT id + {i} AS a FROM t");
+        for i in 0..PLAN_CACHE_ENTRIES {
+            e.execute_cached(&sql(i)).unwrap();
         }
-        assert_eq!(e.plan_cache_stats().entries, 2, "capacity bound holds");
-
-        let off = Engine::new(EngineConfig { plan_cache_entries: 0, ..EngineConfig::test_small() });
-        off.execute("CREATE TABLE t (id INT)").unwrap();
-        off.execute_cached("SELECT id FROM t").unwrap();
-        off.execute_cached("SELECT id FROM t").unwrap();
-        assert_eq!(off.plan_cache_stats(), PlanCacheStats::default(), "0 disables the cache");
+        e.execute_cached(&sql(0)).unwrap();
+        e.execute_cached(&sql(PLAN_CACHE_ENTRIES)).unwrap();
+        let stats = e.plan_cache_stats();
+        assert_eq!(stats.entries, PLAN_CACHE_ENTRIES, "capacity bound holds");
+        assert_eq!((stats.hits, stats.misses), (1, PLAN_CACHE_ENTRIES as u64 + 1));
+        e.execute_cached(&sql(0)).unwrap();
+        assert_eq!(e.plan_cache_stats().hits, 2, "the re-used plan survived");
+        e.execute_cached(&sql(1)).unwrap();
+        assert_eq!(e.plan_cache_stats().misses, PLAN_CACHE_ENTRIES as u64 + 2, "the LRU plan went");
     }
 }

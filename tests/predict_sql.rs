@@ -324,35 +324,30 @@ fn served(
     handles.into_iter().map(|(id, h)| (id, bits(h))).collect()
 }
 
-/// One config for the shared-build tests: a model this small keeps both
-/// paths below the blocked-GEMM threshold, so their bits can be compared.
+/// One config for the shared-build tests: 16-row vectors over two
+/// partitions, so `PREDICT` runs several batches while served predicts
+/// coalesce into others; a row's fp32 output is the same in any batch, so
+/// their bits can be compared.
 fn small_config() -> EngineConfig {
     EngineConfig { vector_size: 16, partitions: 2, parallelism: 2, ..Default::default() }
 }
 
 /// A model registered once with `Server::register_model` is the one
-/// `PREDICT` runs: with batching on and off, SQL and served predicts build
-/// it once (one cache miss; every served batch is a hit on the same cache)
-/// and agree bit for bit.
+/// `PREDICT` runs: SQL and served predicts build it once (one cache miss;
+/// every served batch is a hit on the same cache) and agree bit for bit.
 #[test]
 fn served_predicts_and_predict_share_one_build() {
     let model = paper::dense_model(4, 2, 7);
-    for batching in [true, false] {
-        let engine = Arc::new(Engine::new(small_config()));
-        engine
-            .execute("CREATE TABLE facts (id INT, c0 FLOAT, c1 FLOAT, c2 FLOAT, c3 FLOAT)")
-            .unwrap();
-        engine.insert_columns("facts", columns(40, 4)).unwrap();
-        let (_, meta) = load_into_engine(&engine, "m", &model, Layout::NodeId).unwrap();
-        let config = ServeConfig { batching, ..ServeConfig::from_engine(engine.config()) };
-        let server = Server::start(Arc::clone(&engine), config);
-        let cache = server.register_model("m", "m", meta, Layout::NodeId, Device::cpu());
-        let sql = result_rows(engine.execute(&format!("{PREDICT} ORDER BY id")).unwrap());
-        assert_eq!(sql.len(), 40);
-        assert_eq!(served(&sql, |x| server.submit_predict("m", x)), sql, "batching {batching}");
-        let lookups = (server.stats().batches, 1);
-        assert_eq!(cache.stats(ModelDtype::F32), lookups, "batching {batching}: one build");
-    }
+    let engine = Arc::new(Engine::new(small_config()));
+    engine.execute("CREATE TABLE facts (id INT, c0 FLOAT, c1 FLOAT, c2 FLOAT, c3 FLOAT)").unwrap();
+    engine.insert_columns("facts", columns(40, 4)).unwrap();
+    let (_, meta) = load_into_engine(&engine, "m", &model, Layout::NodeId).unwrap();
+    let server = Server::start(Arc::clone(&engine), ServeConfig::from_engine(engine.config()));
+    let cache = server.register_model("m", "m", meta, Layout::NodeId, Device::cpu());
+    let sql = result_rows(engine.execute(&format!("{PREDICT} ORDER BY id")).unwrap());
+    assert_eq!(sql.len(), 40);
+    assert_eq!(served(&sql, |x| server.submit_predict("m", x)), sql);
+    assert_eq!(cache.stats(ModelDtype::F32), (server.stats().batches, 1), "one build");
 }
 
 /// Through the shard adaptors the same holds: one engine, one registration
