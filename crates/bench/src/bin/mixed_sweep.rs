@@ -6,10 +6,10 @@
 //! ```
 //!
 //! Half the clients hammer an aggregation scan over the fact table, half
-//! submit single-row predictions, all closed-loop. The scheduler's job is
-//! to let Serve-class batches jump the morsel backlog, so the headline
-//! numbers are total throughput and predict p99 at the highest client
-//! count. Results go to stdout and `BENCH_mixed.json`; `--quick` runs one
+//! submit single-row predictions, all closed-loop. Scans run on the
+//! scheduler pool and each predict batch on the client thread that leads
+//! it, so the headline numbers are total throughput and predict p99 at the
+//! highest client count. Results go to stdout and `BENCH_mixed.json`; `--quick` runs one
 //! tiny cell per mode as a smoke test and leaves the JSON untouched.
 
 use indbml_core::{drive_mixed_loop, Experiment, ExperimentConfig, MixedLoadConfig, Workload};
@@ -50,7 +50,6 @@ fn build_experiment(fact_rows: usize, quantized: bool) -> Experiment {
 fn run_cell(ex: &Experiment, mode: &'static str, clients: usize, window: Duration) -> Cell {
     // The production serving configuration: batching + model cache on.
     let mut cfg = ServeConfig::from_engine(&ex.config().engine);
-    cfg.batch_flush_us = 50;
     cfg.max_batch_rows = cfg.max_batch_rows.min(64);
     let server = ex.serve(cfg, Device::cpu());
 

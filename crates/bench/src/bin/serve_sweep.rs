@@ -1,6 +1,5 @@
 //! Serving-layer sweep: closed-loop clients against the inference server
-//! in two modes, isolating what int8 buys and how the micro-batcher's
-//! flush deadline trades latency for throughput.
+//! in two modes, isolating what int8 buys.
 //!
 //! ```text
 //! cargo run --release -p bench --bin serve_sweep [--quick]
@@ -19,9 +18,7 @@
 //!   accuracy delta this trades for throughput, recorded next to the
 //!   throughput numbers.
 //!
-//! Client counts {1, 2, 4, 8}; at 8 clients a flush-deadline sweep
-//! {50, 200, 1000}us shows the latency/throughput trade of the batcher.
-//! Results go to stdout and `BENCH_serve.json`; `--quick` runs one tiny
+//! Client counts {1, 2, 4, 8}. Results go to stdout and `BENCH_serve.json`; `--quick` runs one tiny
 //! cell per mode as a smoke test and leaves the JSON untouched.
 
 use indbml_core::{drive_closed_loop, Experiment, ExperimentConfig, ServeLoadConfig, Workload};
@@ -32,7 +29,6 @@ use vector_engine::EngineConfig;
 struct Cell {
     mode: &'static str,
     clients: usize,
-    flush_us: u64,
     completed: usize,
     retries: usize,
     throughput_rps: f64,
@@ -48,11 +44,9 @@ fn run_cell(
     ex: &Experiment,
     mode: &'static str,
     clients: usize,
-    flush_us: u64,
     requests_per_client: usize,
 ) -> Cell {
     let mut cfg = ServeConfig::from_engine(&ex.config().engine);
-    cfg.batch_flush_us = flush_us;
     cfg.max_batch_rows = cfg.max_batch_rows.min(64);
     let server = ex.serve(cfg, Device::cpu());
 
@@ -67,7 +61,6 @@ fn run_cell(
     Cell {
         mode,
         clients,
-        flush_us,
         completed: stats.completed,
         retries: stats.overload_retries,
         throughput_rps: stats.throughput_rps,
@@ -114,8 +107,8 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
 
-    let (requests_per_client, client_counts, flushes): (usize, &[usize], &[u64]) =
-        if quick { (10, &[2], &[200]) } else { (150, &[1, 2, 4, 8], &[50, 200, 1000]) };
+    let (requests_per_client, client_counts): (usize, &[usize]) =
+        if quick { (10, &[2]) } else { (150, &[1, 2, 4, 8]) };
 
     // A mid-size dense model (~13k edges through the build phase), small
     // enough that a full sweep runs in minutes on the shared host.
@@ -136,22 +129,16 @@ fn main() {
         .expect("int8 experiment setup");
 
     println!("# serve_sweep (cores = {cores}, requests/client = {requests_per_client})");
-    println!("mode,clients,flush_us,completed,retries,throughput_rps,p50_us,p99_us,batches");
+    println!("mode,clients,completed,retries,throughput_rps,p50_us,p99_us,batches");
 
-    // Headline flush deadline: short enough that the closed-loop clients'
-    // arrival gaps don't dominate latency, long enough to coalesce a
-    // concurrent burst (the flush sweep below shows the trade-off).
-    let headline_flush = 50;
     let mut cells: Vec<Cell> = Vec::new();
     for (mode, ex) in [("batched", &ex), ("quantized", &ex_i8)] {
         for &clients in client_counts {
-            let flush = headline_flush;
-            let cell = run_cell(ex, mode, clients, flush, requests_per_client);
+            let cell = run_cell(ex, mode, clients, requests_per_client);
             println!(
-                "{},{},{},{},{},{:.1},{},{},{}",
+                "{},{},{},{},{:.1},{},{},{}",
                 cell.mode,
                 cell.clients,
-                cell.flush_us,
                 cell.completed,
                 cell.retries,
                 cell.throughput_rps,
@@ -162,29 +149,7 @@ fn main() {
             cells.push(cell);
         }
     }
-    // Flush-deadline sweep at the highest client count, batched mode.
     let max_clients = *client_counts.last().expect("non-empty");
-    let mut flush_cells: Vec<Cell> = Vec::new();
-    for &flush in flushes {
-        if flush == headline_flush {
-            continue; // already measured above
-        }
-        let cell = run_cell(&ex, "batched", max_clients, flush, requests_per_client);
-        println!(
-            "{},{},{},{},{},{:.1},{},{},{}",
-            cell.mode,
-            cell.clients,
-            cell.flush_us,
-            cell.completed,
-            cell.retries,
-            cell.throughput_rps,
-            cell.p50_us,
-            cell.p99_us,
-            cell.batches
-        );
-        flush_cells.push(cell);
-    }
-
     let tput = |mode: &str, clients: usize| {
         cells
             .iter()
@@ -206,12 +171,11 @@ fn main() {
 
     let fmt_cell = |c: &Cell, sep: &str| {
         format!(
-            "    {{\"mode\": \"{}\", \"clients\": {}, \"flush_us\": {}, \"completed\": {}, \
-             \"retries\": {}, \"throughput_rps\": {:.1}, \"p50_us\": {}, \"p99_us\": {}, \
-             \"batches\": {}, \"batched_rows\": {}}}{sep}\n",
+            "    {{\"mode\": \"{}\", \"clients\": {}, \"completed\": {}, \"retries\": {}, \
+             \"throughput_rps\": {:.1}, \"p50_us\": {}, \"p99_us\": {}, \"batches\": {}, \
+             \"batched_rows\": {}}}{sep}\n",
             c.mode,
             c.clients,
-            c.flush_us,
             c.completed,
             c.retries,
             c.throughput_rps,
@@ -237,13 +201,8 @@ fn main() {
         json.push_str(&fmt_cell(c, if i + 1 < cells.len() { "," } else { "" }));
     }
     json.push_str("  ],\n");
-    json.push_str("  \"flush_sweep\": [\n");
-    for (i, c) in flush_cells.iter().enumerate() {
-        json.push_str(&fmt_cell(c, if i + 1 < flush_cells.len() { "," } else { "" }));
-    }
-    json.push_str("  ],\n");
     // Serving-layer observability snapshot of the whole sweep: batch-size
-    // histogram, queue depth, flush-deadline fires, end-to-end latency.
+    // histogram, queue depth, failures by reason, end-to-end latency.
     json.push_str(&format!("  \"metrics\": {}\n", obs::snapshot().render_json("  ")));
     json.push_str("}\n");
 

@@ -288,15 +288,7 @@ mod tests {
             ..ExperimentConfig::new(Workload::Dense { width: 4, depth: 2 }, 8)
         };
         let ex = Experiment::build(config).unwrap();
-        let server = ex.serve(
-            ServeConfig {
-                queue_depth: 8,
-                batch_flush_us: 100,
-                max_batch_rows: 8,
-                ..ServeConfig::from_engine(&ex.config().engine)
-            },
-            Device::cpu(),
-        );
+        let server = ex.serve(ServeConfig { queue_depth: 8, max_batch_rows: 8 }, Device::cpu());
         let inputs: Vec<Vec<f32>> =
             (0..16).map(|i| vec![0.1 * i as f32; ex.meta.input_dim]).collect();
         let load = ServeLoadConfig { clients: 4, requests_per_client: 25, timeout: None };
@@ -323,10 +315,7 @@ mod tests {
             ..ExperimentConfig::new(Workload::Dense { width: 4, depth: 2 }, 64)
         };
         let ex = Experiment::build(config).unwrap();
-        let server = ex.serve(
-            ServeConfig { batch_flush_us: 100, ..ServeConfig::from_engine(&ex.config().engine) },
-            Device::cpu(),
-        );
+        let server = ex.serve(ServeConfig::from_engine(&ex.config().engine), Device::cpu());
         let inputs: Vec<Vec<f32>> =
             (0..8).map(|i| vec![0.1 * i as f32; ex.meta.input_dim]).collect();
         let load = MixedLoadConfig {

@@ -176,16 +176,22 @@ pub static STORAGE_FREE_PAGES: Gauge = Gauge::new();
 
 // --- serve: concurrent inference server ----------------------------------
 
-/// Requests rejected at admission (queue full).
+/// Requests rejected at admission (`ServeError::Overloaded`).
 pub static SERVE_REJECTED: Counter = Counter::new();
 /// Requests completed with `ServeError::Timeout`.
 pub static SERVE_TIMEOUTS: Counter = Counter::new();
 /// Requests whose deadline had already passed at submit.
 pub static SERVE_DEADLINE_MISSED_AT_SUBMIT: Counter = Counter::new();
-/// Batches flushed because the flush deadline fired (vs. filling up).
-pub static SERVE_FLUSH_DEADLINE_FIRES: Counter = Counter::new();
-/// Inference panics caught and converted to `ServeError::Internal`.
+/// Requests completed with `ServeError::Internal`: a caught panic.
 pub static SERVE_PANICS_CAUGHT: Counter = Counter::new();
+/// Submits refused with `ServeError::UnknownModel`.
+pub static SERVE_FAILED_UNKNOWN_MODEL: Counter = Counter::new();
+/// Submits refused with `ServeError::BadRequest`.
+pub static SERVE_FAILED_BAD_REQUEST: Counter = Counter::new();
+/// Submits refused, or requests completed, with `ServeError::Engine`.
+pub static SERVE_FAILED_ENGINE: Counter = Counter::new();
+/// Submits refused with `ServeError::ShuttingDown`.
+pub static SERVE_FAILED_SHUTTING_DOWN: Counter = Counter::new();
 /// Poisoned locks recovered via `into_inner` after a caught panic.
 pub static SERVE_LOCKS_RECOVERED: Counter = Counter::new();
 /// Current depth of the admission queue.
@@ -250,8 +256,11 @@ pub static COUNTERS: &[(&str, &Counter)] = &[
     ("serve.rejected", &SERVE_REJECTED),
     ("serve.timeouts", &SERVE_TIMEOUTS),
     ("serve.deadline.missed_at_submit", &SERVE_DEADLINE_MISSED_AT_SUBMIT),
-    ("serve.flush.deadline_fires", &SERVE_FLUSH_DEADLINE_FIRES),
     ("serve.panics_caught", &SERVE_PANICS_CAUGHT),
+    ("serve.failed.unknown_model", &SERVE_FAILED_UNKNOWN_MODEL),
+    ("serve.failed.bad_request", &SERVE_FAILED_BAD_REQUEST),
+    ("serve.failed.engine", &SERVE_FAILED_ENGINE),
+    ("serve.failed.shutting_down", &SERVE_FAILED_SHUTTING_DOWN),
     ("serve.locks_recovered", &SERVE_LOCKS_RECOVERED),
 ];
 

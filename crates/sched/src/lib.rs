@@ -1,11 +1,11 @@
 //! The morsel-driven work-stealing scheduler: the **one process-wide
 //! pool** that owns every compute thread of the stack and schedules every
 //! unit of work — a GEMM tile range (`tensor`), an operator morsel
-//! (`vector-engine`, `modeljoin`, `shard`), a coalesced inference batch
+//! (`vector-engine`, `modeljoin`, `shard`), a served SQL statement
 //! (`serve`) — from the same queues. No other crate spawns compute
 //! threads, so mixed SQL + inference traffic cannot oversubscribe the
-//! machine (a 12-way partition fan-out inside each of 12 serve batches is
-//! 144 queued tasks, not 144 runnable threads).
+//! machine (a 12-way partition fan-out inside each of 12 served
+//! statements is 144 queued tasks, not 144 runnable threads).
 //!
 //! # Architecture
 //!
@@ -16,8 +16,8 @@
 //!   first, then their own deque, then the normal injector, then steal
 //!   FIFO from a sibling's deque (counted under `sched.steals`).
 //! * **Task classes.** [`TaskClass::Serve`] routes through the
-//!   high-priority injector so latency-sensitive serve batches run before
-//!   queued scan morsels; [`TaskClass::Query`] and [`TaskClass::Kernel`]
+//!   high-priority injector so latency-sensitive tasks run before queued
+//!   scan morsels; [`TaskClass::Query`] and [`TaskClass::Kernel`]
 //!   share the normal injector. There is no preemption — priority acts at
 //!   task boundaries, which is why callers submit *morsels* (bounded work
 //!   units), not whole queries.
@@ -60,8 +60,7 @@ use std::time::Instant;
 /// Priority/accounting class of a scheduled task.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TaskClass {
-    /// Latency-sensitive serving work (coalesced inference batches).
-    /// Routed through the high-priority injector.
+    /// Latency-sensitive work, routed through the high-priority injector.
     Serve,
     /// Relational operator morsels (partition scans, partial aggregates)
     /// and served SQL statements.
@@ -165,7 +164,7 @@ impl Inner {
         }
     }
 
-    fn push(&self, entry: TaskEntry, notify: bool) {
+    fn push(&self, entry: TaskEntry) {
         entry.class.submitted_counter().add(1);
         // Count the task *before* it becomes claimable: `claimed()` runs
         // right after a dequeue, so enqueue-then-increment would let a
@@ -182,7 +181,7 @@ impl Inner {
                 }
             },
         }
-        if notify && self.parked.load(Ordering::SeqCst) > 0 {
+        if self.parked.load(Ordering::SeqCst) > 0 {
             let _guard = self.park.lock().unwrap();
             self.unpark.notify_one();
         }
@@ -222,7 +221,7 @@ impl Inner {
 
     /// Claim the next high-priority (Serve-class) task, any scope. Used by
     /// non-Kernel helping loops for morsel-boundary preemption: a thread
-    /// grinding through scan morsels runs pending serve batches between
+    /// grinding through scan morsels runs pending Serve tasks between
     /// them instead of letting them wait out the whole scan.
     fn claim_high(&self) -> Option<TaskEntry> {
         let e = self.high.lock().unwrap().pop_front()?;
@@ -399,29 +398,13 @@ impl Scheduler {
     /// progress before shutdown; after [`Scheduler::shutdown`] the task
     /// runs inline on the submitting thread (nothing is ever lost).
     pub fn spawn(&self, class: TaskClass, job: impl FnOnce() + Send + 'static) {
-        self.spawn_entry(class, Box::new(job), true);
-    }
-
-    /// Submit a detached task without waking a parked worker — for the
-    /// flush-then-help pattern, where the producer immediately tries to
-    /// run the task itself via [`Scheduler::help_one`] and a woken worker
-    /// would only lose the claim race and re-park. Safe against stranding:
-    /// a worker about to park re-reads the pending-task count under the
-    /// park lock and stays awake, so a quiet task can only sit while every
-    /// worker is already parked — and then the caller's own `help_one`
-    /// (or any later notifying submission) claims it.
-    pub fn spawn_quiet(&self, class: TaskClass, job: impl FnOnce() + Send + 'static) {
-        self.spawn_entry(class, Box::new(job), false);
-    }
-
-    fn spawn_entry(&self, class: TaskClass, job: Box<dyn FnOnce() + Send + 'static>, notify: bool) {
-        let entry =
-            TaskEntry { job, class, scope: 0, queued: obs::spans_enabled().then(Instant::now) };
+        let queued = obs::spans_enabled().then(Instant::now);
+        let entry = TaskEntry { job: Box::new(job), class, scope: 0, queued };
         if self.inner.shutdown.load(Ordering::Acquire) {
             self.inner.run_entry(entry);
             return;
         }
-        self.inner.push(entry, notify);
+        self.inner.push(entry);
         // A submission can race shutdown: the flag may have been set after
         // the check above, with the drain already past our entry. Draining
         // here (claim-based, so exactly-once) closes that window.
@@ -470,21 +453,18 @@ impl Scheduler {
                 }
                 latch.count_down();
             });
-            self.inner.push(
-                TaskEntry {
-                    job: wrapped,
-                    class,
-                    scope,
-                    queued: obs::spans_enabled().then(Instant::now),
-                },
-                true,
-            );
+            self.inner.push(TaskEntry {
+                job: wrapped,
+                class,
+                scope,
+                queued: obs::spans_enabled().then(Instant::now),
+            });
         }
         let own_result = catch_unwind(AssertUnwindSafe(own));
         latch.count_down();
         // Help: run own-scope tasks no peer has claimed, preempting at
         // task boundaries for pending Serve-class work (morsel-boundary
-        // preemption — a serve batch never waits out a whole scan). Kernel
+        // preemption — a Serve task never waits out a whole scan). Kernel
         // scopes are excluded: sgemm holds its packing scratch RefCell
         // across this loop, and a preempting task could re-enter it. The
         // HIGH_HELP flag keeps a preempting task's own scopes from
@@ -548,21 +528,6 @@ impl Scheduler {
         catch_unwind(AssertUnwindSafe(|| self.run_scoped(class, jobs)))
             .map_err(|_| TaskPanicked)?;
         Ok(slots.into_iter().map(|s| s.expect("run_scoped returned, so every task ran")).collect())
-    }
-
-    /// Claim and run one queued high-priority (Serve-class) task inline on
-    /// the calling thread; returns whether anything ran. Lets a producer
-    /// that just spawned a Serve task (the batch coordinator) execute it
-    /// immediately instead of paying a park/unpark handoff when every pool
-    /// worker is busy or still waking up.
-    pub fn help_one(&self) -> bool {
-        match self.inner.claim_high() {
-            Some(entry) => {
-                self.inner.run_entry(entry);
-                true
-            }
-            None => false,
-        }
     }
 
     /// Run every queued task on this thread until the queues are empty.

@@ -1,8 +1,11 @@
 //! Serving-layer errors. Every failure mode is explicit: an overloaded
 //! server rejects at submission, a timed-out request completes with
 //! [`ServeError::Timeout`], a draining server refuses new work — requests
-//! are never silently dropped.
+//! are never silently dropped. Every error a submit returns or a request
+//! completes with is counted under its variant's `obs` counter
+//! ([`ServeError::count`]).
 
+use obs::metrics as om;
 use std::fmt;
 use vector_engine::EngineError;
 
@@ -12,10 +15,10 @@ pub enum ServeError {
     /// holds `depth` requests. The caller decides whether to retry,
     /// back off, or shed the request.
     Overloaded { depth: usize },
-    /// The server is draining; no new work is admitted, and requests still
-    /// queued when the drain finishes complete with this error.
+    /// The server is shutting down and admits no new work. Only a submit
+    /// returns it: shutdown answers every request admitted before it.
     ShuttingDown,
-    /// The request's deadline passed before a worker could execute it.
+    /// The request's deadline passed before its batch ran.
     Timeout,
     /// No model registered under that name.
     UnknownModel(String),
@@ -24,11 +27,28 @@ pub enum ServeError {
     BadRequest(String),
     /// The underlying engine failed while executing the request.
     Engine(String),
-    /// Inference panicked inside a worker. The panic is caught per
-    /// request (the batch it rode in completes with this error) and the
-    /// server keeps serving — one poisoned model never takes down the
-    /// queue. Counted under `serve.panics_caught`.
+    /// Inference panicked. The panic is caught per batch (every request
+    /// of the batch completes with this error) and the server keeps
+    /// serving — one poisoned model never takes down the queue.
     Internal(String),
+}
+
+impl ServeError {
+    /// Count one failure under its variant's counter: `serve.rejected`,
+    /// `serve.timeouts`, `serve.panics_caught` (`Internal`) or
+    /// `serve.failed.{unknown_model,bad_request,engine,shutting_down}`.
+    pub(crate) fn count(&self) {
+        let counter = match self {
+            ServeError::Overloaded { .. } => &om::SERVE_REJECTED,
+            ServeError::ShuttingDown => &om::SERVE_FAILED_SHUTTING_DOWN,
+            ServeError::Timeout => &om::SERVE_TIMEOUTS,
+            ServeError::UnknownModel(_) => &om::SERVE_FAILED_UNKNOWN_MODEL,
+            ServeError::BadRequest(_) => &om::SERVE_FAILED_BAD_REQUEST,
+            ServeError::Engine(_) => &om::SERVE_FAILED_ENGINE,
+            ServeError::Internal(_) => &om::SERVE_PANICS_CAUGHT,
+        };
+        counter.add(1);
+    }
 }
 
 impl fmt::Display for ServeError {

@@ -10,8 +10,10 @@
 //!
 //! * **batches dynamically** — concurrent single-row requests against the
 //!   same model coalesce into one `rows x n` matrix (up to
-//!   `max_batch_rows`, waiting at most `batch_flush_us`), amortizing one
-//!   build + one BLAS dispatch over the whole batch;
+//!   `max_batch_rows`), amortizing one build + one BLAS dispatch over the
+//!   whole batch. A waiting client leads its model's batch on its own
+//!   thread, and requests that arrive meanwhile form the next one, so the
+//!   server owns no thread and no batch waits on a timer;
 //! * **serves the catalog's models** — a served model is the engine's
 //!   `PREDICT` registration, so SQL and served predicts share one build
 //!   per model table and dtype, valid for that table at its data version
@@ -21,7 +23,8 @@
 //!   catalog-epoch-stamped plan cache
 //!   ([`Engine::execute_cached`](vector_engine::Engine::execute_cached));
 //! * **controls admission** — a bounded queue rejects overload explicitly,
-//!   per-request deadlines are enforced, and shutdown drains gracefully.
+//!   per-request deadlines are enforced, shutdown answers every admitted
+//!   request, and every failure is counted by its reason.
 
 pub mod config;
 pub mod error;

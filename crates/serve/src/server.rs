@@ -1,41 +1,38 @@
 //! The inference server.
 //!
-//! A [`Server`] owns an `Arc<Engine>`, one bounded request queue and **one
-//! coordinator thread**; all compute runs on the process-wide pool in
-//! `crates/sched`. Callers submit work with [`Server::submit_predict`] /
-//! [`Server::submit_sql`] and get back a [`RequestHandle`] — a future-like
-//! completion slot they can block on.
+//! A [`Server`] owns an `Arc<Engine>` and one bounded queue of predicts,
+//! and no thread. Callers submit work with [`Server::submit_predict`] /
+//! [`Server::submit_sql`] and get back a [`RequestHandle`], a completion
+//! slot they block on with [`RequestHandle::wait`].
 //!
-//! The coordinator runs the dynamic micro-batcher: it drains the admission
-//! queue and coalesces predict requests **per model** (every model
-//! accumulates its own batch at once) until a batch reaches
-//! `max_batch_rows` or its flush deadline (`batch_flush_us`) passes, then
-//! submits it as a high-priority Serve-class task — so inference shares
-//! workers with, and preempts, queued scan morsels. The task runs one
-//! vectorized inference over the coalesced `rows x input_dim` matrix and
-//! distributes the output rows back to the per-request slots.
+//! Predicts batch leader/follower. A client blocked in `wait` whose model
+//! has no batch running becomes that model's leader: it takes the model's
+//! waiting requests from the front of the queue, up to `max_batch_rows`,
+//! runs one vectorized inference over the coalesced `rows x input_dim`
+//! matrix on its own thread, completes every slot and wakes the waiters,
+//! so one of them leads the model's next batch. Requests that arrive while
+//! a batch runs form the next one; that is the whole batching policy, with
+//! no flush timer. A model runs one batch at a time, and different models
+//! lead in parallel. A predict nobody waits on stays queued until a later
+//! leader of its model, or shutdown, takes it.
 //!
 //! The server holds no models of its own. [`Server::register_model`] is the
 //! engine catalog's `PREDICT` registration ([`modeljoin::register_model`]),
 //! and a batch runs the model the catalog binds for its name
 //! ([`InferModel::infer_rows`]), so SQL and served predicts share one
-//! build per model table and dtype. SQL requests never enter the admission
-//! queue: each goes straight to the scheduler as a Query-class task that
-//! runs it through the engine's plan cache ([`Engine::execute_cached`]).
+//! build per model table and dtype. SQL requests never enter the queue:
+//! each goes straight to the scheduler as a Query-class task that runs it
+//! through the engine's plan cache ([`Engine::execute_cached`]).
 //!
 //! Admission control rejects with [`ServeError::Overloaded`] at submission
 //! (never blocking the client and never dropping silently): a predict when
-//! `queue_depth` predicts wait in the queue, a SQL statement when
-//! `queue_depth` tasks are in flight. Per-request deadlines are enforced
-//! both at submission and at execution, and shutdown drains gracefully. An
-//! in-flight count tracks submitted tasks; [`Server::shutdown`] first
-//! joins the coordinator (which flushes every pending batch) and then
-//! waits for the scheduler to finish all of them, so no batch is abandoned
-//! mid-pool; anything still queued afterwards (possible only with zero
-//! workers) completes with [`ServeError::ShuttingDown`]. Inference panics
-//! are caught per batch (`serve.panics_caught`), and a scheduler-side
-//! backstop completes a batch's slots with [`ServeError::Internal`] if
-//! anything else in the task unwinds.
+//! `queue_depth` predicts wait for a leader, a SQL statement when
+//! `queue_depth` statements are in flight. Deadlines are checked at
+//! submission and when a leader takes the batch. [`Server::shutdown`]
+//! stops admitting and answers everything admitted. Inference panics are
+//! caught per batch and answered with [`ServeError::Internal`]; a leader
+//! that unwinds anyway still answers its batch and hands its model on.
+//! Every failure is counted under its reason ([`ServeError`]).
 
 use crate::config::ServeConfig;
 use crate::error::ServeError;
@@ -44,9 +41,8 @@ use modeljoin::ModelCache;
 use obs::metrics as om;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tensor::Device;
 use vector_engine::plan::InferModel;
@@ -54,7 +50,7 @@ use vector_engine::{Engine, QueryResult};
 
 /// Lock a mutex, recovering from poisoning instead of cascading the
 /// failure. Every mutex in this module protects state that is valid at
-/// each point a panic can unwind through it (queue, in-flight count,
+/// each point a panic can unwind through it (queue, running models,
 /// completion slots — all updated atomically under the guard), so after a
 /// caught inference panic the data is safe to keep using. Each recovery is
 /// counted under `serve.locks_recovered`.
@@ -73,21 +69,6 @@ fn wait_recover<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a,
     })
 }
 
-/// `Condvar::wait_timeout` with the same poison recovery.
-fn wait_timeout_recover<'a, T>(
-    cv: &Condvar,
-    guard: MutexGuard<'a, T>,
-    dur: Duration,
-) -> MutexGuard<'a, T> {
-    match cv.wait_timeout(guard, dur) {
-        Ok((g, _)) => g,
-        Err(e) => {
-            om::SERVE_LOCKS_RECOVERED.add(1);
-            e.into_inner().0
-        }
-    }
-}
-
 /// A completed request's payload.
 #[derive(Clone, Debug)]
 pub enum Response {
@@ -101,7 +82,6 @@ pub enum Response {
 /// task) and the client's [`RequestHandle`].
 struct Slot {
     done: Mutex<Option<Result<Response, ServeError>>>,
-    cv: Condvar,
     /// When the request entered the server; completion records the
     /// submit-to-completion latency under `serve.request.e2e_us`.
     submitted: Instant,
@@ -109,16 +89,18 @@ struct Slot {
 
 impl Slot {
     fn new() -> Arc<Slot> {
-        Arc::new(Slot { done: Mutex::new(None), cv: Condvar::new(), submitted: Instant::now() })
+        Arc::new(Slot { done: Mutex::new(None), submitted: Instant::now() })
     }
 
+    /// Store the request's outcome, counting a failure under its reason.
+    /// Every slot is completed exactly once. Waking the client is the
+    /// caller's part: it notifies [`Shared::done`] under the state lock.
     fn complete(&self, result: Result<Response, ServeError>) {
-        let mut guard = lock_recover(&self.done);
-        if guard.is_none() {
-            *guard = Some(result);
-            om::SERVE_E2E_US.record_duration(self.submitted.elapsed());
+        if let Err(e) = &result {
+            e.count();
         }
-        self.cv.notify_all();
+        *lock_recover(&self.done) = Some(result);
+        om::SERVE_E2E_US.record_duration(self.submitted.elapsed());
     }
 }
 
@@ -126,6 +108,10 @@ impl Slot {
 /// to retrieve the response (or the explicit serving error).
 pub struct RequestHandle {
     slot: Arc<Slot>,
+    shared: Arc<Shared>,
+    /// The model of a predict, whose batch the waiter may lead; `None`
+    /// for SQL.
+    model: Option<Arc<str>>,
 }
 
 impl std::fmt::Debug for RequestHandle {
@@ -136,46 +122,73 @@ impl std::fmt::Debug for RequestHandle {
 }
 
 impl RequestHandle {
-    /// Block until the server completes the request.
+    /// Block until the server completes the request. A predict whose
+    /// model has no batch running makes the caller that model's leader:
+    /// it runs the model's next batch on this thread — and, when its own
+    /// request was behind a full batch, the one after — before it returns.
     pub fn wait(self) -> Result<Response, ServeError> {
-        let mut guard = lock_recover(&self.slot.done);
+        let shared = &*self.shared;
+        let mut state = lock_recover(&shared.state);
         loop {
-            if let Some(result) = guard.take() {
+            if let Some(result) = lock_recover(&self.slot.done).take() {
                 return result;
             }
-            guard = wait_recover(&self.slot.cv, guard);
-        }
-    }
-
-    /// Block for at most `timeout`; `None` means the request is still in
-    /// flight and the handle remains usable.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<Response, ServeError>> {
-        let deadline = Instant::now() + timeout;
-        let mut guard = lock_recover(&self.slot.done);
-        loop {
-            if let Some(result) = guard.take() {
-                return Some(result);
+            if let Some(model) = &self.model {
+                if let Some(items) = state.take_batch(model, shared.cfg.max_batch_rows) {
+                    drop(state);
+                    lead(shared, model, items);
+                    state = lock_recover(&shared.state);
+                    continue;
+                }
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            guard = wait_timeout_recover(&self.slot.cv, guard, deadline - now);
+            state = wait_recover(&shared.done, state);
         }
     }
 }
 
-/// A predict request waiting in the admission queue.
+/// A predict request waiting for a leader.
 struct Queued {
-    model: String,
+    model: Arc<str>,
     input: Vec<f32>,
     slot: Arc<Slot>,
     deadline: Option<Instant>,
 }
 
-struct QueueState {
+struct State {
+    /// Predicts waiting for a leader, oldest first.
     queue: VecDeque<Queued>,
+    /// Models with a batch running; a model runs one batch at a time.
+    running: Vec<Arc<str>>,
+    /// Served SQL statements submitted and not yet finished.
+    sql_in_flight: usize,
     accepting: bool,
+}
+
+impl State {
+    /// Make the caller `model`'s leader: mark the model running and take
+    /// its waiting requests from the front of the queue, up to `max`,
+    /// keeping the others in order. `None` while a batch of the model runs
+    /// or none of its requests waits.
+    fn take_batch(&mut self, model: &Arc<str>, max: usize) -> Option<Vec<Queued>> {
+        if self.running.contains(model) {
+            return None;
+        }
+        let mut items = Vec::with_capacity(self.queue.len().min(max));
+        for _ in 0..self.queue.len() {
+            let q = self.queue.pop_front().expect("one pop per queued request");
+            if items.len() < max && q.model == *model {
+                items.push(q);
+            } else {
+                self.queue.push_back(q);
+            }
+        }
+        if items.is_empty() {
+            return None;
+        }
+        om::SERVE_QUEUE_DEPTH.set(self.queue.len() as i64);
+        self.running.push(Arc::clone(model));
+        Some(items)
+    }
 }
 
 /// Monotonic serving counters (all relaxed; read via [`Server::stats`]).
@@ -192,7 +205,7 @@ struct Counters {
 /// Snapshot of the serving counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServeStats {
-    /// Requests admitted to the queue.
+    /// Requests admitted.
     pub submitted: u64,
     /// Requests completed (any outcome other than admission rejection).
     pub completed: u64,
@@ -210,50 +223,36 @@ pub struct ServeStats {
 struct Shared {
     engine: Arc<Engine>,
     cfg: ServeConfig,
-    state: Mutex<QueueState>,
-    /// The coordinator waits here for work; submitters notify.
-    work_cv: Condvar,
+    state: Mutex<State>,
+    /// Every waiter sleeps here. Notified under the state lock whenever a
+    /// batch ends or a SQL statement finishes, after their slots complete.
+    done: Condvar,
     counters: Counters,
-    /// Batches handed to the scheduler and not yet finished. Shutdown
-    /// waits for this to reach zero after the coordinator exits.
-    inflight: Mutex<usize>,
-    inflight_cv: Condvar,
-    /// Set by the coordinator, before its idle check, while it holds
-    /// pending batches: only then does the pool going idle need to wake
-    /// it ([`release_inflight`]).
-    holding: AtomicBool,
 }
 
 /// The serving front end. See the module docs for the architecture.
 pub struct Server {
     shared: Arc<Shared>,
-    coordinator: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Server {
-    /// Start a server over `engine`. Non-zero `cfg.workers` starts the
-    /// coordinator; compute happens on the scheduler pool.
+    /// Start a server over `engine`. It starts no thread: predicts run on
+    /// the threads that wait for them, SQL on the scheduler pool.
     pub fn start(engine: Arc<Engine>, cfg: ServeConfig) -> Server {
-        let shared = Arc::new(Shared {
+        let state = State {
+            queue: VecDeque::new(),
+            running: Vec::new(),
+            sql_in_flight: 0,
+            accepting: true,
+        };
+        let shared = Shared {
             engine,
             cfg,
-            state: Mutex::new(QueueState { queue: VecDeque::new(), accepting: true }),
-            work_cv: Condvar::new(),
+            state: Mutex::new(state),
+            done: Condvar::new(),
             counters: Counters::default(),
-            inflight: Mutex::new(0),
-            inflight_cv: Condvar::new(),
-            holding: AtomicBool::new(false),
-        });
-        // The scheduler must have at least one thread for detached serving
-        // tasks to make progress.
-        sched::configure_workers(1);
-        // Zero workers leaves the admission queue inert (admission-control
-        // tests rely on nothing consuming queued predicts until shutdown).
-        let coordinator = (shared.cfg.workers > 0).then(|| {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || coordinator_loop(&shared))
-        });
-        Server { shared, coordinator: Mutex::new(coordinator) }
+        };
+        Server { shared: Arc::new(shared) }
     }
 
     /// Make `name` servable, and callable as `PREDICT(name, …)`: registers
@@ -290,9 +289,19 @@ impl Server {
         input: Vec<f32>,
         timeout: Option<Duration>,
     ) -> Result<RequestHandle, ServeError> {
+        self.admit_predict(model, input, timeout).inspect_err(ServeError::count)
+    }
+
+    fn admit_predict(
+        &self,
+        model: &str,
+        input: Vec<f32>,
+        timeout: Option<Duration>,
+    ) -> Result<RequestHandle, ServeError> {
+        let shared = &self.shared;
         // Validate at submission so malformed requests fail fast instead
         // of poisoning a coalesced batch.
-        let input_dim = bind(&self.shared.engine, model)?.input_dim();
+        let input_dim = bind(&shared.engine, model)?.input_dim();
         if input.len() != input_dim {
             return Err(ServeError::BadRequest(format!(
                 "model {model:?} takes {input_dim} inputs, got {}",
@@ -300,116 +309,105 @@ impl Server {
             )));
         }
         let slot = Slot::new();
-        let deadline = timeout.map(|t| Instant::now() + t);
+        // The catalog's spelling of the name, so one model is one lane.
+        let model: Arc<str> = model.to_ascii_lowercase().into();
+        let handle = RequestHandle {
+            slot: Arc::clone(&slot),
+            shared: Arc::clone(shared),
+            model: Some(Arc::clone(&model)),
+        };
+        let deadline = timeout.map(|t| slot.submitted + t);
         // A deadline already in the past completes with `Timeout` here,
-        // deterministically, instead of racing whether the coordinator
-        // dequeues the request before noticing the expiry.
-        if let Some(d) = deadline {
-            if Instant::now() >= d {
-                self.shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
-                self.shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-                self.shared.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-                om::SERVE_TIMEOUTS.add(1);
-                om::SERVE_DEADLINE_MISSED_AT_SUBMIT.add(1);
-                slot.complete(Err(ServeError::Timeout));
-                return Ok(RequestHandle { slot });
-            }
+        // deterministically, instead of when a leader takes the request.
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
+            shared.counters.completed.fetch_add(1, Ordering::Relaxed);
+            om::SERVE_DEADLINE_MISSED_AT_SUBMIT.add(1);
+            time_out(shared, &slot);
+            return Ok(handle);
         }
+        let mut state = lock_recover(&shared.state);
+        if !state.accepting {
+            return Err(ServeError::ShuttingDown);
+        }
+        if state.queue.len() >= shared.cfg.queue_depth {
+            return Err(self.overloaded());
+        }
+        state.queue.push_back(Queued { model, input, slot, deadline });
+        om::SERVE_QUEUE_DEPTH.set(state.queue.len() as i64);
+        shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        Ok(handle)
+    }
+
+    /// Submit a SQL statement. It never coalesces, so it skips the queue
+    /// and goes straight to the scheduler as a Query-class task that runs
+    /// it through the engine's plan cache. Admission is measured on the
+    /// statements in flight, counted under the state lock, so a concurrent
+    /// shutdown either refuses the statement or waits for it.
+    pub fn submit_sql(&self, sql: &str) -> Result<RequestHandle, ServeError> {
+        self.admit_sql(sql).inspect_err(ServeError::count)
+    }
+
+    fn admit_sql(&self, sql: &str) -> Result<RequestHandle, ServeError> {
         {
             let mut state = lock_recover(&self.shared.state);
             if !state.accepting {
                 return Err(ServeError::ShuttingDown);
             }
-            if state.queue.len() >= self.shared.cfg.queue_depth {
+            if state.sql_in_flight >= self.shared.cfg.queue_depth {
                 return Err(self.overloaded());
             }
-            let model = model.to_string();
-            state.queue.push_back(Queued { model, input, slot: Arc::clone(&slot), deadline });
-            om::SERVE_QUEUE_DEPTH.set(state.queue.len() as i64);
+            state.sql_in_flight += 1;
+            self.shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
         }
-        self.shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        // Wakes the coordinator, idle or in a flush-deadline wait.
-        self.shared.work_cv.notify_all();
-        Ok(RequestHandle { slot })
-    }
-
-    /// Submit a SQL statement. It never coalesces, so it skips the
-    /// admission queue and the coordinator — the submit → coordinator →
-    /// worker double handoff would otherwise dominate small-request
-    /// latency — and goes straight to the scheduler as a Query-class task
-    /// that runs it through the engine's plan cache. Admission is measured
-    /// on the in-flight task count, the scheduler-side analogue of queue
-    /// depth. The task is spawned under the state lock, so a concurrent
-    /// shutdown either sees `accepting == false` here or observes the
-    /// incremented in-flight count in its drain wait.
-    pub fn submit_sql(&self, sql: &str) -> Result<RequestHandle, ServeError> {
         let slot = Slot::new();
-        {
-            let state = lock_recover(&self.shared.state);
-            if !state.accepting {
-                return Err(ServeError::ShuttingDown);
-            }
-            if *lock_recover(&self.shared.inflight) >= self.shared.cfg.queue_depth {
-                return Err(self.overloaded());
-            }
-            let (sql, task_slot) = (sql.to_string(), Arc::clone(&slot));
-            spawn_task(&self.shared, sched::TaskClass::Query, vec![Arc::clone(&slot)], move |s| {
-                s.counters.completed.fetch_add(1, Ordering::Relaxed);
-                let result = s.engine.execute_cached(&sql).map(Response::Rows).map_err(Into::into);
-                task_slot.complete(result);
+        let (shared, task_slot, sql) =
+            (Arc::clone(&self.shared), Arc::clone(&slot), sql.to_string());
+        sched::global().spawn(sched::TaskClass::Query, move || {
+            // Caught so that the slot completes and shutdown's wait for
+            // statements in flight ends whatever the statement does.
+            let run = catch_unwind(AssertUnwindSafe(|| shared.engine.execute_cached(&sql)));
+            shared.counters.completed.fetch_add(1, Ordering::Relaxed);
+            task_slot.complete(match run {
+                Ok(result) => result.map(Response::Rows).map_err(Into::into),
+                Err(payload) => Err(ServeError::Internal(panic_message(payload.as_ref()))),
             });
-        }
-        self.shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        Ok(RequestHandle { slot })
+            let mut state = lock_recover(&shared.state);
+            state.sql_in_flight -= 1;
+            shared.done.notify_all();
+        });
+        Ok(RequestHandle { slot, shared: Arc::clone(&self.shared), model: None })
     }
 
     /// Count an admission rejection and name it.
     fn overloaded(&self) -> ServeError {
         self.shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
-        om::SERVE_REJECTED.add(1);
         ServeError::Overloaded { depth: self.shared.cfg.queue_depth }
     }
 
-    /// Stop admitting work, let the coordinator flush the queue, join it,
-    /// and wait for every task in flight (flushed batches and SQL
-    /// statements). Predicts still queued afterwards
-    /// (possible only with zero workers) complete with
-    /// [`ServeError::ShuttingDown`] — nothing is ever silently dropped.
+    /// Stop admitting work, then answer everything admitted: lead every
+    /// model's remaining predicts on this thread, and wait for the batches
+    /// other leaders run and for served SQL in flight. Every request
+    /// admitted before the call is complete when it returns, so
+    /// [`ServeError::ShuttingDown`] only ever comes from a submit.
     /// Idempotent.
     pub fn shutdown(&self) {
-        {
-            let mut state = lock_recover(&self.shared.state);
-            state.accepting = false;
-        }
-        self.shared.work_cv.notify_all();
-        let coordinator = lock_recover(&self.coordinator).take();
-        if let Some(c) = coordinator {
-            let _ = c.join();
-        }
-        // The coordinator has flushed every pending batch to the
-        // scheduler; wait for those tasks to finish so no request is
-        // abandoned mid-pool.
-        {
-            let mut inflight = lock_recover(&self.shared.inflight);
-            while *inflight > 0 {
-                inflight = wait_recover(&self.shared.inflight_cv, inflight);
-            }
-        }
-        let leftovers: Vec<Queued> = {
-            let mut state = lock_recover(&self.shared.state);
-            om::SERVE_QUEUE_DEPTH.set(0);
-            state.queue.drain(..).collect()
-        };
-        let now = Instant::now();
-        for q in leftovers {
-            self.shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-            match q.deadline {
-                Some(d) if now >= d => {
-                    self.shared.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-                    om::SERVE_TIMEOUTS.add(1);
-                    q.slot.complete(Err(ServeError::Timeout));
-                }
-                _ => q.slot.complete(Err(ServeError::ShuttingDown)),
+        let shared = &*self.shared;
+        let max = shared.cfg.max_batch_rows;
+        let mut state = lock_recover(&shared.state);
+        state.accepting = false;
+        loop {
+            let idle = state.queue.iter().map(|q| &q.model).find(|m| !state.running.contains(m));
+            if let Some(model) = idle.cloned() {
+                let batch = state.take_batch(&model, max).expect("an idle model with requests");
+                drop(state);
+                lead(shared, &model, batch);
+                state = lock_recover(&shared.state);
+            } else if state.queue.is_empty() && state.running.is_empty() && state.sql_in_flight == 0
+            {
+                return;
+            } else {
+                state = wait_recover(&shared.done, state);
             }
         }
     }
@@ -446,193 +444,39 @@ impl Drop for Server {
     }
 }
 
-/// A per-model batch the coordinator is still filling.
-struct PendingBatch {
-    model: String,
+/// The batch a thread leads for `model`, which [`State::take_batch`]
+/// marked running. Dropping it hands the model on, on every exit path,
+/// unwinding included: requests still unanswered complete with
+/// [`ServeError::Internal`], the model leaves `running`, and the waiters
+/// wake, so one of them leads the model's next batch.
+struct Lead<'a> {
+    shared: &'a Shared,
+    model: Arc<str>,
     items: Vec<Queued>,
-    flush_at: Instant,
 }
 
-/// Hand one unit of serving work to the scheduler as a task of `class`.
-/// Coalesced predict batches go out as Serve-class tasks — the
-/// high-priority class that jumps morsel backlogs and gets picked up at
-/// morsel boundaries by threads running scans — while SQL requests are
-/// Query-class like any other analytical work, so a burst of served SQL
-/// cannot starve inference latency. The in-flight count covers submit →
-/// task end; a panic anywhere in `work` (beyond the per-batch inference
-/// `catch_unwind` inside [`execute_predict_batch`]) is caught here, so
-/// `slots` still complete and shutdown's in-flight wait still terminates.
-///
-/// Serve tasks are spawned without a worker wakeup: only the coordinator's
-/// flush-then-help loop spawns them, and it runs
-/// [`sched::Scheduler::help_one`] once per flushed batch right afterwards —
-/// waking a worker too would just lose the claim race and burn a futile
-/// park/unpark cycle.
-fn spawn_task(
-    shared: &Arc<Shared>,
-    class: sched::TaskClass,
-    slots: Vec<Arc<Slot>>,
-    work: impl FnOnce(&Shared) + Send + 'static,
-) {
-    *lock_recover(&shared.inflight) += 1;
-    let shared = Arc::clone(shared);
-    let job = move || {
-        if catch_unwind(AssertUnwindSafe(|| work(&shared))).is_err() {
-            om::SERVE_PANICS_CAUGHT.add(1);
-            for slot in &slots {
-                slot.complete(Err(ServeError::Internal("serving task panicked".into())));
-            }
+impl Drop for Lead<'_> {
+    fn drop(&mut self) {
+        for q in self.items.drain(..) {
+            q.slot.complete(Err(ServeError::Internal("serving batch panicked".into())));
         }
-        release_inflight(&shared);
-    };
-    match class {
-        sched::TaskClass::Serve => sched::global().spawn_quiet(class, job),
-        _ => sched::global().spawn(class, job),
+        let mut state = lock_recover(&self.shared.state);
+        state.running.retain(|m| *m != self.model);
+        self.shared.done.notify_all();
     }
 }
 
-/// Flush one coalesced predict batch to the scheduler.
-fn dispatch_batch(shared: &Arc<Shared>, model: String, batch: Vec<Queued>) {
-    let slots = batch.iter().map(|q| Arc::clone(&q.slot)).collect();
-    spawn_task(shared, sched::TaskClass::Serve, slots, move |s| {
-        execute_predict_batch(s, &model, batch)
-    });
+/// Run `model`'s batch `items` on the calling thread, then hand the model
+/// on.
+fn lead(shared: &Shared, model: &Arc<str>, items: Vec<Queued>) {
+    let mut lead = Lead { shared, model: Arc::clone(model), items };
+    run_batch(shared, &lead.model, &mut lead.items);
 }
 
-/// Give back one in-flight slot. The last one wakes shutdown's drain wait
-/// and, when it holds pending batches, the coordinator: a partial batch
-/// held while the pool was busy flushes now (work-conserving) instead of
-/// at its deadline. The state lock is taken for that notify — after
-/// `inflight` is released, the coordinator's order being state then
-/// inflight — so the wake-up cannot fall between the coordinator's idle
-/// check and its wait. `holding` is stored before that check and read
-/// after the decrement, both `SeqCst`, with the `inflight` mutex ordering
-/// the two: a decrement the check missed sees the flag. Skipping the lock
-/// otherwise keeps it off the path of every batch of a busy server.
-fn release_inflight(shared: &Shared) {
-    let idle = {
-        let mut inflight = lock_recover(&shared.inflight);
-        *inflight -= 1;
-        *inflight == 0
-    };
-    if idle {
-        shared.inflight_cv.notify_all();
-        if shared.holding.load(Ordering::SeqCst) {
-            let _state = lock_recover(&shared.state);
-            shared.work_cv.notify_all();
-        }
-    }
-}
-
-/// The coordinator: drains the admission queue, coalesces
-/// per-model batches concurrently, and flushes each one to the scheduler
-/// when it fills, when its flush deadline passes, or at shutdown. Exits
-/// once the server stops accepting and everything pending is flushed.
-fn coordinator_loop(shared: &Arc<Shared>) {
-    let mut pending: Vec<PendingBatch> = Vec::new();
-    let mut state = lock_recover(&shared.state);
-    loop {
-        // Drain the whole queue into the models' pending batches.
-        while let Some(q) = state.queue.pop_front() {
-            om::SERVE_QUEUE_DEPTH.set(state.queue.len() as i64);
-            match pending.iter_mut().find(|b| b.model == q.model) {
-                Some(b) => b.items.push(q),
-                None => pending.push(PendingBatch {
-                    model: q.model.clone(),
-                    items: vec![q],
-                    flush_at: Instant::now() + Duration::from_micros(shared.cfg.batch_flush_us),
-                }),
-            }
-        }
-        // Flush what is ready: full batches (oversized ones split at
-        // `max_batch_rows`), batches whose deadline fired, and — once the
-        // server stops accepting — everything, so shutdown never strands
-        // a partial batch.
-        let accepting = state.accepting;
-        let now = Instant::now();
-        // Work-conserving flush: when nothing is in flight, holding a
-        // partial batch for the rest of its window buys no overlap — the
-        // executor would sit idle exactly that long. Flush it now and let
-        // the next batch coalesce while this one runs; under sustained
-        // load this self-clocks into pipelined batches (arrivals during
-        // execution form the next batch), while the deadline still bounds
-        // worst-case batching delay when the pool is busy.
-        shared.holding.store(!pending.is_empty(), Ordering::SeqCst);
-        let idle = *lock_recover(&shared.inflight) == 0;
-        let mut i = 0;
-        let mut flushed = 0usize;
-        while i < pending.len() {
-            if pending[i].items.len() >= shared.cfg.max_batch_rows {
-                let batch = &mut pending[i];
-                let rest = batch.items.split_off(shared.cfg.max_batch_rows);
-                let full = std::mem::replace(&mut batch.items, rest);
-                dispatch_batch(shared, batch.model.clone(), full);
-                flushed += 1;
-                if pending[i].items.is_empty() {
-                    pending.remove(i);
-                }
-                // Re-examine index i: the remainder may itself be ready.
-            } else if idle || now >= pending[i].flush_at || !accepting {
-                if now >= pending[i].flush_at {
-                    om::SERVE_FLUSH_DEADLINE_FIRES.add(1);
-                }
-                let batch = pending.remove(i);
-                dispatch_batch(shared, batch.model, batch.items);
-                flushed += 1;
-            } else {
-                i += 1;
-            }
-        }
-        // Help run what was just flushed instead of sleeping while a pool
-        // worker wakes up: the coordinator is already on-CPU, and
-        // `help_one` claims Serve-class tasks only, so at worst it runs a
-        // sibling batch some other producer flushed. Bounded by the flush
-        // count so a deep high-priority backlog cannot capture the
-        // coordinator indefinitely. The state lock is released first —
-        // submitters keep queueing while the batch executes.
-        if flushed > 0 {
-            drop(state);
-            for _ in 0..flushed {
-                if !sched::global().help_one() {
-                    break;
-                }
-            }
-            state = lock_recover(&shared.state);
-            continue;
-        }
-        if !state.queue.is_empty() {
-            continue;
-        }
-        if !accepting {
-            debug_assert!(pending.is_empty(), "everything flushes once accepting drops");
-            return;
-        }
-        // Sleep until new work arrives or the earliest pending deadline.
-        match pending.iter().map(|b| b.flush_at).min() {
-            Some(at) => {
-                let now = Instant::now();
-                if now >= at {
-                    continue;
-                }
-                state = wait_timeout_recover(&shared.work_cv, state, at - now);
-            }
-            None => state = wait_recover(&shared.work_cv, state),
-        }
-    }
-}
-
-/// Deadline check at dequeue: completes the slot with `Timeout` and
-/// returns true if the request's deadline already passed.
-fn expired(shared: &Shared, q: &Queued) -> bool {
-    match q.deadline {
-        Some(d) if Instant::now() >= d => {
-            shared.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-            om::SERVE_TIMEOUTS.add(1);
-            q.slot.complete(Err(ServeError::Timeout));
-            true
-        }
-        _ => false,
-    }
+/// Complete `slot` with `Timeout`: its deadline passed before it ran.
+fn time_out(shared: &Shared, slot: &Slot) {
+    shared.counters.timeouts.fetch_add(1, Ordering::Relaxed);
+    slot.complete(Err(ServeError::Timeout));
 }
 
 /// The catalog's handle of the model registered as `name`. A name nobody
@@ -656,48 +500,59 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
-        "inference panicked".to_string()
+        "serving request panicked".to_string()
     }
 }
 
-fn execute_predict_batch(shared: &Shared, model_name: &str, batch: Vec<Queued>) {
+/// Answer every request of `batch`, draining it: those whose deadline
+/// passed with `Timeout`, the rest from one inference over their rows.
+fn run_batch(shared: &Shared, model_name: &str, batch: &mut Vec<Queued>) {
     shared.counters.completed.fetch_add(batch.len() as u64, Ordering::Relaxed);
-    let live: Vec<Queued> = batch.into_iter().filter(|q| !expired(shared, q)).collect();
-    if live.is_empty() {
+    let now = Instant::now();
+    batch.retain(|q| {
+        let expired = q.deadline.is_some_and(|d| now >= d);
+        if expired {
+            time_out(shared, &q.slot);
+        }
+        !expired
+    });
+    if batch.is_empty() {
         return;
     }
-    let fail = |err: ServeError| {
-        for q in &live {
-            q.slot.complete(Err(err.clone()));
+    let rows = batch.len();
+    let inferred = bind(&shared.engine, model_name).and_then(|model| {
+        let mut packed = Vec::with_capacity(rows * model.input_dim());
+        for q in batch.iter() {
+            packed.extend_from_slice(&q.input);
         }
-    };
-
-    let model = match bind(&shared.engine, model_name) {
-        Ok(m) => m,
-        Err(e) => return fail(e),
-    };
-    let rows = live.len();
-    let mut packed = Vec::with_capacity(rows * model.input_dim());
-    for q in &live {
-        packed.extend_from_slice(&q.input);
-    }
-    // Catch inference panics per batch: the affected requests complete
-    // with `Internal` and the worker (plus every lock it may hold above
-    // this frame) survives to serve the next request.
-    let output = match catch_unwind(AssertUnwindSafe(|| model.infer_rows(&packed, rows))) {
-        Ok(Ok(output)) => output,
-        Ok(Err(e)) => return fail(e.into()),
-        Err(payload) => {
-            om::SERVE_PANICS_CAUGHT.add(1);
-            let msg = panic_message(payload.as_ref());
-            return fail(ServeError::Internal(msg));
+        // Catch inference panics per batch: the affected requests complete
+        // with `Internal` and the leader (plus every lock it may hold above
+        // this frame) survives to serve its own client.
+        let output = match catch_unwind(AssertUnwindSafe(|| model.infer_rows(&packed, rows))) {
+            Ok(output) => output?,
+            Err(payload) => return Err(ServeError::Internal(panic_message(payload.as_ref()))),
+        };
+        let width = model.output_dim();
+        if output.len() != rows * width {
+            let got = output.len();
+            return Err(ServeError::Internal(format!("{rows} rows of {width} inferred as {got}")));
         }
-    };
-    shared.counters.batches.fetch_add(1, Ordering::Relaxed);
-    shared.counters.batched_rows.fetch_add(rows as u64, Ordering::Relaxed);
-    om::SERVE_BATCH_ROWS.record(rows as u64);
-    for (q, row) in live.iter().zip(output.chunks_exact(model.output_dim())) {
-        q.slot.complete(Ok(Response::Prediction(row.to_vec())));
+        Ok((output, width))
+    });
+    match inferred {
+        Ok((output, width)) => {
+            shared.counters.batches.fetch_add(1, Ordering::Relaxed);
+            shared.counters.batched_rows.fetch_add(rows as u64, Ordering::Relaxed);
+            om::SERVE_BATCH_ROWS.record(rows as u64);
+            for (q, row) in batch.drain(..).zip(output.chunks_exact(width)) {
+                q.slot.complete(Ok(Response::Prediction(row.to_vec())));
+            }
+        }
+        Err(e) => {
+            for q in batch.drain(..) {
+                q.slot.complete(Err(e.clone()));
+            }
+        }
     }
 }
 
@@ -706,8 +561,12 @@ mod tests {
     use super::*;
     use crate::config::ServeConfig;
     use model_repr::load_into_engine;
-    use modeljoin::ModelDtype;
+    use modeljoin::{build_parallel, BuiltModel, ModelDtype};
     use nn::paper;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
+    use tensor::Matrix;
+    use vector_engine::exec::physical::Operator;
     use vector_engine::{EngineConfig, Value};
 
     fn e_config() -> EngineConfig {
@@ -719,35 +578,101 @@ mod tests {
     }
 
     fn config() -> ServeConfig {
-        ServeConfig { workers: 1, queue_depth: 64, batch_flush_us: 200, max_batch_rows: 16 }
+        ServeConfig { queue_depth: 64, max_batch_rows: 16 }
     }
 
-    fn register_dense(server: &Server, e: &Engine, name: &str) -> Arc<ModelCache> {
+    /// A dense model of 4 inputs served as `name`: its registration's
+    /// cache, and its one-row oracle, the model built straight from its
+    /// table.
+    struct Dense {
+        cache: Arc<ModelCache>,
+        oracle: BuiltModel,
+    }
+
+    impl Dense {
+        fn predict(&self, x: &[f32]) -> Vec<f32> {
+            let one = Matrix::from_vec(1, x.len(), x.to_vec());
+            self.oracle.infer(&one, &Device::cpu()).row(0).to_vec()
+        }
+    }
+
+    fn register_dense(server: &Server, e: &Engine, name: &str) -> Dense {
         let model = paper::dense_model(4, 2, 7);
-        let (_, meta) =
-            load_into_engine(e, &format!("{name}_table"), &model, Layout::NodeId).unwrap();
-        server.register_model(name, &format!("{name}_table"), meta, Layout::NodeId, Device::cpu())
+        let table_name = format!("{name}_table");
+        let (table, meta) = load_into_engine(e, &table_name, &model, Layout::NodeId).unwrap();
+        let cache =
+            server.register_model(name, &table_name, meta.clone(), Layout::NodeId, Device::cpu());
+        let vector = e.config().vector_size;
+        let oracle =
+            build_parallel(&table, &meta, Layout::NodeId, &Device::cpu(), vector, 2).unwrap();
+        Dense { cache, oracle }
+    }
+
+    /// `handle.wait()` on a thread of its own: a test fails instead of
+    /// hanging when no answer comes.
+    fn wait_within(handle: RequestHandle) -> Result<Response, ServeError> {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || tx.send(handle.wait()));
+        rx.recv_timeout(Duration::from_secs(30)).expect("no answer within 30 s")
+    }
+
+    fn prediction(response: Result<Response, ServeError>) -> Vec<f32> {
+        match response {
+            Ok(Response::Prediction(row)) => row,
+            other => panic!("expected a prediction, got {other:?}"),
+        }
+    }
+
+    /// A served-only test model of one input and one output, `y = x`,
+    /// whose inference first runs `hook`.
+    struct Scripted {
+        hook: Box<dyn Fn() + Send + Sync>,
+        output_dim: fn() -> usize,
+    }
+
+    impl InferModel for Scripted {
+        fn name(&self) -> &str {
+            "scripted"
+        }
+        fn input_dim(&self) -> usize {
+            1
+        }
+        fn output_dim(&self) -> usize {
+            (self.output_dim)()
+        }
+        fn operator(&self, _: Box<dyn Operator>, _: &[usize]) -> Box<dyn Operator> {
+            unimplemented!("served only")
+        }
+        fn infer_rows(&self, input: &[f32], _: usize) -> vector_engine::Result<Vec<f32>> {
+            (self.hook)();
+            Ok(input.to_vec())
+        }
+    }
+
+    fn register_scripted(e: &Engine, name: &str, model: Scripted) {
+        let model: Arc<dyn InferModel> = Arc::new(model);
+        e.catalog().register_model(name, Arc::new(move |_| Ok(Arc::clone(&model))));
     }
 
     #[test]
     fn overload_is_rejected_never_dropped() {
-        // Zero workers: the queue can only fill, so admission control is
-        // exercised deterministically.
+        // Nobody waits, so nobody leads: the queue can only fill, and
+        // admission control is exercised deterministically.
         let e = engine();
-        let server =
-            Server::start(Arc::clone(&e), ServeConfig { workers: 0, queue_depth: 2, ..config() });
-        register_dense(&server, &e, "m");
+        let server = Server::start(Arc::clone(&e), ServeConfig { queue_depth: 2, ..config() });
+        let dense = register_dense(&server, &e, "m");
 
-        let h1 = server.submit_predict("m", vec![0.0; 4]).unwrap();
-        let h2 = server.submit_predict("m", vec![0.0; 4]).unwrap();
+        let (x1, x2) = (vec![0.1, 0.2, 0.3, 0.4], vec![-0.5, 0.0, 0.5, 1.0]);
+        let h1 = server.submit_predict("m", x1.clone()).unwrap();
+        let h2 = server.submit_predict("m", x2.clone()).unwrap();
         let err = server.submit_predict("m", vec![0.0; 4]).unwrap_err();
         assert_eq!(err, ServeError::Overloaded { depth: 2 });
         assert_eq!(server.stats().rejected, 1);
 
-        // Graceful drain: the queued requests complete explicitly.
+        // Shutdown answers both queued requests.
         server.shutdown();
-        assert_eq!(h1.wait().unwrap_err(), ServeError::ShuttingDown);
-        assert_eq!(h2.wait().unwrap_err(), ServeError::ShuttingDown);
+        assert_eq!(prediction(h1.wait()), dense.predict(&x1));
+        assert_eq!(prediction(h2.wait()), dense.predict(&x2));
         assert_eq!(server.submit_sql("SELECT 1 AS x").unwrap_err(), ServeError::ShuttingDown);
         let stats = server.stats();
         assert_eq!((stats.submitted, stats.completed), (2, 2));
@@ -755,31 +680,39 @@ mod tests {
 
     #[test]
     fn expired_deadlines_time_out_explicitly() {
-        // Zero workers: if submit-time expiry did not complete the slot,
-        // the expired request would sit queued indefinitely, completing
-        // only at shutdown (the old racy behavior — with workers, whether
-        // it timed out depended on who dequeued first). The deadline
-        // check at submit makes the Timeout deterministic and immediate.
+        // A deadline already past at submit completes the request there:
+        // had it been queued instead, this wait would lead it and come
+        // back with a prediction.
         let e = engine();
-        let server = Server::start(Arc::clone(&e), ServeConfig { workers: 0, ..config() });
+        let server = Server::start(Arc::clone(&e), config());
         register_dense(&server, &e, "m");
         let timed =
             server.submit_predict_with_timeout("m", vec![0.0; 4], Some(Duration::ZERO)).unwrap();
-        match timed.wait_timeout(Duration::ZERO) {
-            Some(Err(ServeError::Timeout)) => {} // complete at submit, no waiting
-            other => panic!("expected immediate Timeout, got {other:?}"),
-        }
+        assert_eq!(timed.wait().unwrap_err(), ServeError::Timeout);
         let untimed = server.submit_predict("m", vec![0.0; 4]).unwrap();
         server.shutdown();
-        assert_eq!(untimed.wait().unwrap_err(), ServeError::ShuttingDown);
+        prediction(untimed.wait());
         let stats = server.stats();
-        assert_eq!(stats.timeouts, 1);
+        assert_eq!((stats.timeouts, stats.batches), (1, 1));
         assert_eq!((stats.submitted, stats.completed), (2, 2));
     }
 
-    /// A serial engine (`parallelism: 0`) still gets a running coordinator
-    /// from `from_engine`: without one, every SQL and batched predict
-    /// would queue until shutdown.
+    #[test]
+    fn a_deadline_that_passes_in_the_queue_times_out_when_the_leader_takes_it() {
+        let e = engine();
+        let server = Server::start(Arc::clone(&e), config());
+        register_dense(&server, &e, "m");
+        let h = server
+            .submit_predict_with_timeout("m", vec![0.0; 4], Some(Duration::from_millis(20)))
+            .unwrap();
+        std::thread::sleep(Duration::from_millis(40));
+        assert_eq!(h.wait().unwrap_err(), ServeError::Timeout);
+        let stats = server.stats();
+        assert_eq!((stats.timeouts, stats.batches, stats.completed), (1, 0, 1));
+    }
+
+    /// A serial engine (`parallelism: 0`) serves SQL on the pool and
+    /// predicts on the waiting thread like any other.
     #[test]
     fn from_engine_serves_a_zero_parallelism_engine() {
         let e = Arc::new(Engine::new(EngineConfig {
@@ -792,17 +725,11 @@ mod tests {
         e.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
         let server = Server::start(Arc::clone(&e), ServeConfig::from_engine(e.config()));
         register_dense(&server, &e, "m");
-        let patience = Duration::from_secs(30);
         let sql = server.submit_sql("SELECT COUNT(*) AS n FROM t").unwrap();
-        let Some(Ok(Response::Rows(q))) = sql.wait_timeout(patience) else {
-            panic!("SQL on a parallelism-0 engine never completed")
-        };
+        let Ok(Response::Rows(q)) = wait_within(sql) else { panic!("SQL must return rows") };
         assert_eq!(q.row(0)[0], Value::Int(3));
         let predict = server.submit_predict("m", vec![0.1; 4]).unwrap();
-        let Some(Ok(Response::Prediction(row))) = predict.wait_timeout(patience) else {
-            panic!("batched predict on a parallelism-0 engine never completed")
-        };
-        assert!(row[0].is_finite());
+        assert!(prediction(wait_within(predict))[0].is_finite());
     }
 
     #[test]
@@ -845,54 +772,153 @@ mod tests {
     }
 
     #[test]
-    fn a_predict_queued_behind_in_flight_work_flushes_when_the_pool_goes_idle() {
-        let e = engine();
-        // A deadline far beyond the test: only the idle pool may flush.
-        let server = Server::start(
-            Arc::clone(&e),
-            ServeConfig { batch_flush_us: 10_000_000, max_batch_rows: 64, ..config() },
-        );
-        register_dense(&server, &e, "m");
-        // Stand in for a SQL unit running on the pool.
-        *lock_recover(&server.shared.inflight) += 1;
-        let h = server.submit_predict("m", vec![0.5; 4]).unwrap();
-        assert!(h.wait_timeout(Duration::from_millis(50)).is_none(), "held behind the unit");
-        release_inflight(&server.shared);
-        let response = h.wait_timeout(Duration::from_secs(5)).expect("flushed once idle");
-        assert!(matches!(response, Ok(Response::Prediction(_))), "{response:?}");
-    }
-
-    #[test]
     fn same_model_requests_coalesce_into_one_batch() {
         const REQUESTS: usize = 8;
         let e = engine();
-        // A generous flush window: all 8 requests are submitted within it,
-        // so the coordinator must coalesce them into one full batch.
-        let server = Server::start(
-            Arc::clone(&e),
-            ServeConfig { batch_flush_us: 200_000, max_batch_rows: REQUESTS, ..config() },
-        );
-        let cache = register_dense(&server, &e, "m");
-        // Stand in for a busy pool: with nothing in flight the coordinator
-        // flushes partial batches at once (work-conserving), so whether the
-        // first request leaves alone would depend on thread timing.
-        *lock_recover(&server.shared.inflight) += 1;
-        let handles: Vec<RequestHandle> = (0..REQUESTS)
-            .map(|i| server.submit_predict("m", vec![i as f32 * 0.1; 4]).unwrap())
-            .collect();
-        let responses: Vec<_> = handles.into_iter().map(RequestHandle::wait).collect();
-        // Released before anything can panic: shutdown waits for zero.
-        *lock_recover(&server.shared.inflight) -= 1;
-        for response in responses {
-            let Response::Prediction(row) = response.unwrap() else { panic!("prediction") };
-            assert_eq!(row.len(), 1);
-            assert!(row[0].is_finite());
+        let server =
+            Server::start(Arc::clone(&e), ServeConfig { max_batch_rows: REQUESTS, ..config() });
+        let dense = register_dense(&server, &e, "m");
+        // Submitted before anyone waits: the first waiter leads all 8.
+        let inputs: Vec<Vec<f32>> = (0..REQUESTS).map(|i| vec![i as f32 * 0.1; 4]).collect();
+        let handles: Vec<RequestHandle> =
+            inputs.iter().map(|x| server.submit_predict("m", x.clone()).unwrap()).collect();
+        for (x, h) in inputs.iter().zip(handles) {
+            assert_eq!(prediction(h.wait()), dense.predict(x));
         }
         let stats = server.stats();
         assert_eq!(stats.batches, 1, "requests must coalesce: {stats:?}");
         assert_eq!(stats.batched_rows, REQUESTS as u64);
         // One batch, one (cached) model build.
-        assert_eq!(cache.stats(ModelDtype::F32).1, 1);
+        assert_eq!(dense.cache.stats(ModelDtype::F32).1, 1);
+    }
+
+    #[test]
+    fn a_dropped_handle_does_not_strand_a_later_request() {
+        let e = engine();
+        let server = Server::start(Arc::clone(&e), config());
+        let dense = register_dense(&server, &e, "m");
+        drop(server.submit_predict("m", vec![0.3; 4]).unwrap());
+        let x = vec![0.1, 0.2, 0.3, 0.4];
+        let h = server.submit_predict("m", x.clone()).unwrap();
+        assert_eq!(prediction(wait_within(h)), dense.predict(&x));
+        // The leader took the dropped request from the front of the queue.
+        let stats = server.stats();
+        assert_eq!((stats.batches, stats.batched_rows), (1, 2));
+        assert_eq!((stats.submitted, stats.completed), (2, 2));
+    }
+
+    #[test]
+    fn a_waiter_behind_full_batches_leads_until_its_request_is_answered() {
+        let e = engine();
+        let server = Server::start(Arc::clone(&e), ServeConfig { max_batch_rows: 2, ..config() });
+        let dense = register_dense(&server, &e, "m");
+        let inputs: Vec<Vec<f32>> = (0..5).map(|i| vec![0.2 * i as f32; 4]).collect();
+        let mut handles: Vec<RequestHandle> =
+            inputs.iter().map(|x| server.submit_predict("m", x.clone()).unwrap()).collect();
+        let last = handles.pop().unwrap();
+        assert_eq!(prediction(wait_within(last)), dense.predict(&inputs[4]));
+        let stats = server.stats();
+        assert_eq!((stats.batches, stats.batched_rows), (3, 5), "oldest first, two at a time");
+        // The earlier requests rode those batches: answered, nothing left to lead.
+        for (x, h) in inputs.iter().zip(handles) {
+            assert_eq!(prediction(h.wait()), dense.predict(x));
+        }
+        assert_eq!(server.stats().batches, 3);
+    }
+
+    /// A batch of model `c` blocks inside inference. Models `a` and `b`
+    /// are served meanwhile, and a second request of `c` waits for the
+    /// first batch instead of running a second one beside it.
+    #[test]
+    fn one_model_runs_one_batch_at_a_time_while_others_lead_in_parallel() {
+        let e = engine();
+        let server = Server::start(Arc::clone(&e), config());
+        let (a, b) = (register_dense(&server, &e, "a"), register_dense(&server, &e, "b"));
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel::<()>();
+        let (entered_tx, release_rx) = (Mutex::new(entered_tx), Mutex::new(release_rx));
+        let (active, most) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let (act, mst) = (Arc::clone(&active), Arc::clone(&most));
+        let hook = move || {
+            mst.fetch_max(act.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+            entered_tx.lock().unwrap().send(()).unwrap();
+            release_rx.lock().unwrap().recv_timeout(Duration::from_secs(30)).unwrap();
+            act.fetch_sub(1, Ordering::SeqCst);
+        };
+        register_scripted(&e, "c", Scripted { hook: Box::new(hook), output_dim: || 1 });
+
+        let c1 = server.submit_predict("c", vec![1.0]).unwrap();
+        let (c1_tx, c1_done) = mpsc::channel();
+        std::thread::spawn(move || c1_tx.send(c1.wait()));
+        entered.recv_timeout(Duration::from_secs(30)).expect("c's first batch started");
+        let c2 = server.submit_predict("c", vec![2.0]).unwrap();
+        let (c2_tx, c2_done) = mpsc::channel();
+        std::thread::spawn(move || c2_tx.send(c2.wait()));
+
+        let x = vec![0.5, -0.5, 0.25, 1.0];
+        let ha = server.submit_predict("a", x.clone()).unwrap();
+        assert_eq!(prediction(wait_within(ha)), a.predict(&x));
+        let hb = server.submit_predict("b", x.clone()).unwrap();
+        assert_eq!(prediction(wait_within(hb)), b.predict(&x));
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(entered.try_recv().is_err(), "c2 led a second batch of c beside the first");
+
+        release.send(()).unwrap();
+        let patience = Duration::from_secs(30);
+        assert_eq!(prediction(c1_done.recv_timeout(patience).unwrap()), vec![1.0]);
+        entered.recv_timeout(patience).expect("c2 leads once c1's batch ended");
+        release.send(()).unwrap();
+        assert_eq!(prediction(c2_done.recv_timeout(patience).unwrap()), vec![2.0]);
+        assert_eq!(most.load(Ordering::SeqCst), 1, "two batches of c ran at once");
+    }
+
+    /// A leader that unwinds outside the caught inference (here the
+    /// model's `output_dim` panics) answers its batch with `Internal` and
+    /// hands the model on: the model's next request gets a leader.
+    #[test]
+    fn a_leader_that_unwinds_answers_its_batch_and_hands_the_model_on() {
+        let e = engine();
+        let server = Server::start(Arc::clone(&e), config());
+        let output_dim = || -> usize { panic!("output_dim boom") };
+        register_scripted(&e, "boom", Scripted { hook: Box::new(|| {}), output_dim });
+        let h1 = server.submit_predict("boom", vec![1.0]).unwrap();
+        let h2 = server.submit_predict("boom", vec![2.0]).unwrap();
+        assert!(std::thread::spawn(move || h1.wait()).join().is_err(), "the leader unwinds");
+        assert!(matches!(wait_within(h2), Err(ServeError::Internal(_))));
+
+        let h3 = server.submit_predict("boom", vec![3.0]).unwrap();
+        let (tx, led) = mpsc::channel();
+        std::thread::spawn(move || {
+            let unwound = catch_unwind(AssertUnwindSafe(|| h3.wait())).is_err();
+            tx.send(unwound).unwrap();
+        });
+        assert!(led.recv_timeout(Duration::from_secs(30)).expect("h3 got a leader"));
+        server.shutdown();
+        let stats = server.stats();
+        assert_eq!((stats.submitted, stats.completed), (3, 3));
+    }
+
+    #[test]
+    fn shutdown_answers_unwaited_predicts_bit_identically_to_the_oracle() {
+        let e = engine();
+        let server = Server::start(Arc::clone(&e), ServeConfig { max_batch_rows: 4, ..config() });
+        let models = [register_dense(&server, &e, "a"), register_dense(&server, &e, "b")];
+        let inputs: Vec<Vec<f32>> = (0..10)
+            .map(|i| (0..4).map(|c| ((i * 7 + c * 3) % 11) as f32 * 0.1).collect())
+            .collect();
+        let handles: Vec<RequestHandle> = inputs
+            .iter()
+            .enumerate()
+            .map(|(i, x)| server.submit_predict(["a", "b"][i % 2], x.clone()).unwrap())
+            .collect();
+        server.shutdown();
+        assert_eq!(server.stats().completed, 10, "answered before shutdown returned");
+        for (i, (x, h)) in inputs.iter().zip(handles).enumerate() {
+            let served = prediction(h.wait());
+            let oracle = models[i % 2].predict(x);
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&served), bits(&oracle), "request {i}");
+        }
     }
 
     /// Quantized serving (an engine with `quantized_inference`) tracks the
@@ -909,11 +935,7 @@ mod tests {
         let cache = server.register_model("mq", "mq_table", meta, Layout::NodeId, Device::cpu());
         for i in 0..3 {
             let input = vec![0.1 * (i + 1) as f32; 4];
-            let Response::Prediction(row) =
-                server.submit_predict("mq", input.clone()).unwrap().wait().unwrap()
-            else {
-                panic!("prediction")
-            };
+            let row = prediction(server.submit_predict("mq", input.clone()).unwrap().wait());
             let expected = model.predict_row(&input)[0];
             assert!(
                 (row[0] - expected).abs() < 5e-2,
@@ -932,7 +954,7 @@ mod tests {
         // The client waits for each answer: every request is its own
         // batch, so cache hits are observable per request.
         let server = Server::start(Arc::clone(&e), config());
-        let cache = register_dense(&server, &e, "m");
+        let cache = register_dense(&server, &e, "m").cache;
         for _ in 0..3 {
             server.submit_predict("m", vec![0.1; 4]).unwrap().wait().unwrap();
         }

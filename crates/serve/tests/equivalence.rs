@@ -86,10 +86,8 @@ fn serve_against_the_oracle(
         build_parallel(&lstm_table, &lstm_meta, Layout::LayerNode, &device, vector_size, 2)
             .unwrap();
 
-    let server = Server::start(
-        Arc::clone(&engine),
-        ServeConfig { workers: 2, queue_depth: 128, batch_flush_us: 1_000, max_batch_rows },
-    );
+    let server =
+        Server::start(Arc::clone(&engine), ServeConfig { queue_depth: 128, max_batch_rows });
     server.register_model(
         "dense",
         "dense_model",
@@ -105,8 +103,8 @@ fn serve_against_the_oracle(
         device.clone(),
     );
 
-    // Interleave the two models with varied inputs so the batcher
-    // coalesces different subsets per flush.
+    // Interleave the two models with varied inputs: each leader takes its
+    // own model's requests out of the mixed queue.
     let requests: Vec<(&str, Vec<f32>)> = (0..requests)
         .map(|i| {
             let x = i as f32;

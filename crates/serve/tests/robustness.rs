@@ -26,7 +26,7 @@ fn engine() -> Arc<Engine> {
 }
 
 fn config() -> ServeConfig {
-    ServeConfig { workers: 1, queue_depth: 64, batch_flush_us: 200, max_batch_rows: 16 }
+    ServeConfig { queue_depth: 64, max_batch_rows: 16 }
 }
 
 fn register_dense(server: &Server, e: &Engine, name: &str) {
@@ -151,19 +151,18 @@ fn plan_and_model_cache_hits_are_counted() {
 
 #[test]
 fn expired_deadline_at_submit_completes_with_timeout() {
-    // Zero workers: nothing ever dequeues, so only the submit-time check
-    // can complete the request. Before the fix the handle hung until
-    // shutdown and the outcome with workers was racy.
+    // Only the submit-time check can time this request out: had it been
+    // queued, the wait below would lead it and return a prediction.
     let e = engine();
-    let server = Server::start(Arc::clone(&e), ServeConfig { workers: 0, ..config() });
+    let server = Server::start(Arc::clone(&e), config());
     register_dense(&server, &e, "m");
 
     let before = obs::snapshot().counter("serve.deadline.missed_at_submit");
     let h = server
         .submit_predict_with_timeout("m", vec![0.0; 4], Some(std::time::Duration::ZERO))
         .unwrap();
-    match h.wait_timeout(std::time::Duration::ZERO) {
-        Some(Err(ServeError::Timeout)) => {}
+    match h.wait() {
+        Err(ServeError::Timeout) => {}
         other => panic!("expected immediate deterministic Timeout, got {other:?}"),
     }
     assert!(
@@ -171,4 +170,49 @@ fn expired_deadline_at_submit_completes_with_timeout() {
         "missed-at-submit deadline must be counted"
     );
     server.shutdown();
+}
+
+/// Every `ServeError` a submit returns or a request completes with is
+/// counted under its variant's counter. Deltas are checked with `>=`: the
+/// counters are process-global and other tests of this binary run
+/// concurrently.
+#[test]
+fn every_failure_is_counted_by_its_reason() {
+    let e = engine();
+    let server = Server::start(Arc::clone(&e), ServeConfig { queue_depth: 1, ..config() });
+    register_dense(&server, &e, "m");
+    let bad_dim = register_panicking_lstm(&server, &e, "bad");
+    let before = obs::snapshot();
+
+    let queued = server.submit_predict("m", vec![0.0; 4]).unwrap();
+    let overloaded = server.submit_predict("m", vec![0.0; 4]).unwrap_err();
+    assert_eq!(overloaded, ServeError::Overloaded { depth: 1 });
+    queued.wait().unwrap();
+    let zero = Some(std::time::Duration::ZERO);
+    let timed = server.submit_predict_with_timeout("m", vec![0.0; 4], zero).unwrap();
+    assert_eq!(timed.wait().unwrap_err(), ServeError::Timeout);
+    let unknown = server.submit_predict("nope", vec![0.0; 4]).unwrap_err();
+    assert!(matches!(unknown, ServeError::UnknownModel(_)), "{unknown:?}");
+    let arity = server.submit_predict("m", vec![0.0; 3]).unwrap_err();
+    assert!(matches!(arity, ServeError::BadRequest(_)), "{arity:?}");
+    let engine = server.submit_sql("SELECT x FROM no_such_table").unwrap().wait().unwrap_err();
+    assert!(matches!(engine, ServeError::Engine(_)), "{engine:?}");
+    let internal = server.submit_predict("bad", vec![0.1; bad_dim]).unwrap().wait().unwrap_err();
+    assert!(matches!(internal, ServeError::Internal(_)), "{internal:?}");
+    server.shutdown();
+    let shutting = server.submit_predict("m", vec![0.0; 4]).unwrap_err();
+    assert_eq!(shutting, ServeError::ShuttingDown);
+
+    let after = obs::snapshot();
+    for name in [
+        "serve.rejected",
+        "serve.timeouts",
+        "serve.failed.unknown_model",
+        "serve.failed.bad_request",
+        "serve.failed.engine",
+        "serve.panics_caught",
+        "serve.failed.shutting_down",
+    ] {
+        assert!(after.counter(name) > before.counter(name), "{name} did not count its failure");
+    }
 }

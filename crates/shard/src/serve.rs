@@ -1,6 +1,7 @@
 //! [`ShardedServer`]: one [`Server`] over the [`ShardedEngine`]'s engine.
 //! Predicts from every client share its batcher and its one model
-//! registration; SQL queues like any other request.
+//! registration; SQL skips the predict queue and runs on the scheduler
+//! pool, as on any [`Server`].
 
 use std::sync::Arc;
 
