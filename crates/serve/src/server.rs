@@ -24,14 +24,20 @@
 //! each goes straight to the scheduler as a Query-class task that runs it
 //! through the engine's plan cache ([`Engine::execute_cached`]).
 //!
+//! A submit checks a predict's arity against its model's lane, one per
+//! name in any case, which holds the input width bound at a catalog epoch
+//! ([`Catalog::version`](vector_engine::Catalog::version)): it binds the
+//! model again, outside the state lock, only once the epoch has moved.
+//!
 //! Admission control rejects with [`ServeError::Overloaded`] at submission
 //! (never blocking the client and never dropping silently): a predict when
 //! `queue_depth` predicts wait for a leader, a SQL statement when
 //! `queue_depth` statements are in flight. Deadlines are checked at
 //! submission and when a leader takes the batch. [`Server::shutdown`]
-//! stops admitting and answers everything admitted. Inference panics are
-//! caught per batch and answered with [`ServeError::Internal`]; a leader
-//! that unwinds anyway still answers its batch and hands its model on.
+//! stops admitting, a predict whose deadline has passed included, and
+//! answers everything admitted. Inference panics are caught per batch and
+//! answered with [`ServeError::Internal`]; a leader that unwinds anyway
+//! still answers its batch and hands its model on.
 //! Every failure is counted under its reason ([`ServeError`]).
 
 use crate::config::ServeConfig;
@@ -109,9 +115,9 @@ impl Slot {
 pub struct RequestHandle {
     slot: Arc<Slot>,
     shared: Arc<Shared>,
-    /// The model of a predict, whose batch the waiter may lead; `None`
-    /// for SQL.
-    model: Option<Arc<str>>,
+    /// The lane of a predict, whose batch the waiter may lead; `None` for
+    /// SQL.
+    lane: Option<usize>,
 }
 
 impl std::fmt::Debug for RequestHandle {
@@ -133,10 +139,10 @@ impl RequestHandle {
             if let Some(result) = lock_recover(&self.slot.done).take() {
                 return result;
             }
-            if let Some(model) = &self.model {
-                if let Some(items) = state.take_batch(model, shared.cfg.max_batch_rows) {
+            if let Some(lane) = self.lane {
+                if let Some((model, items)) = state.take_batch(lane, shared.cfg.max_batch_rows) {
                     drop(state);
-                    lead(shared, model, items);
+                    lead(shared, lane, &model, items);
                     state = lock_recover(&shared.state);
                     continue;
                 }
@@ -148,35 +154,61 @@ impl RequestHandle {
 
 /// A predict request waiting for a leader.
 struct Queued {
-    model: Arc<str>,
+    lane: usize,
     input: Vec<f32>,
     slot: Arc<Slot>,
     deadline: Option<Instant>,
 }
 
+/// The requests of one model name; its index in [`State::lanes`] is its id.
+struct Lane {
+    /// The catalog's spelling; the model's input width as bound at `epoch`.
+    name: Arc<str>,
+    input_dim: usize,
+    epoch: u64,
+}
+
 struct State {
     /// Predicts waiting for a leader, oldest first.
     queue: VecDeque<Queued>,
-    /// Models with a batch running; a model runs one batch at a time.
-    running: Vec<Arc<str>>,
+    /// One lane per model name a submit has bound; never removed.
+    lanes: Vec<Lane>,
+    /// Lanes with a batch running; a model runs one batch at a time.
+    running: Vec<usize>,
     /// Served SQL statements submitted and not yet finished.
     sql_in_flight: usize,
     accepting: bool,
 }
 
 impl State {
-    /// Make the caller `model`'s leader: mark the model running and take
-    /// its waiting requests from the front of the queue, up to `max`,
-    /// keeping the others in order. `None` while a batch of the model runs
-    /// or none of its requests waits.
-    fn take_batch(&mut self, model: &Arc<str>, max: usize) -> Option<Vec<Queued>> {
-        if self.running.contains(model) {
+    /// The id of `name`'s lane, matched in any case.
+    fn lane(&self, name: &str) -> Option<usize> {
+        self.lanes.iter().position(|l| l.name.eq_ignore_ascii_case(name))
+    }
+
+    /// Stamp `name`'s lane, opened if need be, with `input_dim` as bound
+    /// at `epoch`, and return its id.
+    fn stamp(&mut self, name: &str, input_dim: usize, epoch: u64) -> usize {
+        let id = self.lane(name).unwrap_or_else(|| {
+            self.lanes.push(Lane { name: name.to_ascii_lowercase().into(), input_dim, epoch });
+            self.lanes.len() - 1
+        });
+        (self.lanes[id].input_dim, self.lanes[id].epoch) = (input_dim, epoch);
+        id
+    }
+
+    /// Make the caller `lane`'s leader: mark the lane running and take its
+    /// waiting requests from the front of the queue, up to `max`, keeping
+    /// the others in order; with them, the model name to bind. `None`
+    /// while a batch of the lane runs or none of its requests waits.
+    fn take_batch(&mut self, lane: usize, max: usize) -> Option<(Arc<str>, Vec<Queued>)> {
+        if self.running.contains(&lane) {
             return None;
         }
         let mut items = Vec::with_capacity(self.queue.len().min(max));
         for _ in 0..self.queue.len() {
             let q = self.queue.pop_front().expect("one pop per queued request");
-            if items.len() < max && q.model == *model {
+            if items.len() < max && q.lane == lane {
                 items.push(q);
             } else {
                 self.queue.push_back(q);
@@ -186,8 +218,8 @@ impl State {
             return None;
         }
         om::SERVE_QUEUE_DEPTH.set(self.queue.len() as i64);
-        self.running.push(Arc::clone(model));
-        Some(items)
+        self.running.push(lane);
+        Some((Arc::clone(&self.lanes[lane].name), items))
     }
 }
 
@@ -241,6 +273,7 @@ impl Server {
     pub fn start(engine: Arc<Engine>, cfg: ServeConfig) -> Server {
         let state = State {
             queue: VecDeque::new(),
+            lanes: Vec::new(),
             running: Vec::new(),
             sql_in_flight: 0,
             accepting: true,
@@ -299,44 +332,50 @@ impl Server {
         timeout: Option<Duration>,
     ) -> Result<RequestHandle, ServeError> {
         let shared = &self.shared;
+        let slot = Slot::new();
+        let deadline = timeout.map(|t| slot.submitted + t);
         // Validate at submission so malformed requests fail fast instead
-        // of poisoning a coalesced batch.
-        let input_dim = bind(&shared.engine, model)?.input_dim();
+        // of poisoning a coalesced batch. The epoch is read before a bind,
+        // so a DDL racing the bind leaves the lane stale, never fresh.
+        let epoch = shared.engine.catalog().version();
+        let mut state = lock_recover(&shared.state);
+        let lane = match state.lane(model) {
+            Some(lane) if state.lanes[lane].epoch == epoch => lane,
+            _ => {
+                drop(state);
+                let input_dim = bind(&shared.engine, model)?.input_dim();
+                state = lock_recover(&shared.state);
+                state.stamp(model, input_dim, epoch)
+            }
+        };
+        let input_dim = state.lanes[lane].input_dim;
         if input.len() != input_dim {
             return Err(ServeError::BadRequest(format!(
                 "model {model:?} takes {input_dim} inputs, got {}",
                 input.len()
             )));
         }
-        let slot = Slot::new();
-        // The catalog's spelling of the name, so one model is one lane.
-        let model: Arc<str> = model.to_ascii_lowercase().into();
-        let handle = RequestHandle {
-            slot: Arc::clone(&slot),
-            shared: Arc::clone(shared),
-            model: Some(Arc::clone(&model)),
-        };
-        let deadline = timeout.map(|t| slot.submitted + t);
-        // A deadline already in the past completes with `Timeout` here,
-        // deterministically, instead of when a leader takes the request.
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
-            shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-            om::SERVE_DEADLINE_MISSED_AT_SUBMIT.add(1);
-            time_out(shared, &slot);
-            return Ok(handle);
-        }
-        let mut state = lock_recover(&shared.state);
         if !state.accepting {
             return Err(ServeError::ShuttingDown);
         }
-        if state.queue.len() >= shared.cfg.queue_depth {
-            return Err(self.overloaded());
+        // A deadline already in the past completes with `Timeout` here,
+        // deterministically, instead of when a leader takes the request.
+        let expired = deadline.is_some_and(|d| Instant::now() >= d);
+        if !expired {
+            if state.queue.len() >= shared.cfg.queue_depth {
+                return Err(self.overloaded());
+            }
+            state.queue.push_back(Queued { lane, input, slot: Arc::clone(&slot), deadline });
+            om::SERVE_QUEUE_DEPTH.set(state.queue.len() as i64);
         }
-        state.queue.push_back(Queued { model, input, slot, deadline });
-        om::SERVE_QUEUE_DEPTH.set(state.queue.len() as i64);
         shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        Ok(handle)
+        drop(state);
+        if expired {
+            shared.counters.completed.fetch_add(1, Ordering::Relaxed);
+            om::SERVE_DEADLINE_MISSED_AT_SUBMIT.add(1);
+            time_out(shared, &slot);
+        }
+        Ok(RequestHandle { slot, shared: Arc::clone(shared), lane: Some(lane) })
     }
 
     /// Submit a SQL statement. It never coalesces, so it skips the queue
@@ -376,7 +415,7 @@ impl Server {
             state.sql_in_flight -= 1;
             shared.done.notify_all();
         });
-        Ok(RequestHandle { slot, shared: Arc::clone(&self.shared), model: None })
+        Ok(RequestHandle { slot, shared: Arc::clone(&self.shared), lane: None })
     }
 
     /// Count an admission rejection and name it.
@@ -397,11 +436,11 @@ impl Server {
         let mut state = lock_recover(&shared.state);
         state.accepting = false;
         loop {
-            let idle = state.queue.iter().map(|q| &q.model).find(|m| !state.running.contains(m));
-            if let Some(model) = idle.cloned() {
-                let batch = state.take_batch(&model, max).expect("an idle model with requests");
+            let idle = state.queue.iter().map(|q| q.lane).find(|l| !state.running.contains(l));
+            if let Some(lane) = idle {
+                let (model, batch) = state.take_batch(lane, max).expect("an idle lane");
                 drop(state);
-                lead(shared, &model, batch);
+                lead(shared, lane, &model, batch);
                 state = lock_recover(&shared.state);
             } else if state.queue.is_empty() && state.running.is_empty() && state.sql_in_flight == 0
             {
@@ -444,14 +483,14 @@ impl Drop for Server {
     }
 }
 
-/// The batch a thread leads for `model`, which [`State::take_batch`]
-/// marked running. Dropping it hands the model on, on every exit path,
+/// The batch a thread leads for `lane`, which [`State::take_batch`]
+/// marked running. Dropping it hands the lane on, on every exit path,
 /// unwinding included: requests still unanswered complete with
-/// [`ServeError::Internal`], the model leaves `running`, and the waiters
+/// [`ServeError::Internal`], the lane leaves `running`, and the waiters
 /// wake, so one of them leads the model's next batch.
 struct Lead<'a> {
     shared: &'a Shared,
-    model: Arc<str>,
+    lane: usize,
     items: Vec<Queued>,
 }
 
@@ -461,16 +500,16 @@ impl Drop for Lead<'_> {
             q.slot.complete(Err(ServeError::Internal("serving batch panicked".into())));
         }
         let mut state = lock_recover(&self.shared.state);
-        state.running.retain(|m| *m != self.model);
+        state.running.retain(|&l| l != self.lane);
         self.shared.done.notify_all();
     }
 }
 
-/// Run `model`'s batch `items` on the calling thread, then hand the model
-/// on.
-fn lead(shared: &Shared, model: &Arc<str>, items: Vec<Queued>) {
-    let mut lead = Lead { shared, model: Arc::clone(model), items };
-    run_batch(shared, &lead.model, &mut lead.items);
+/// Run `lane`'s batch `items` through the model the catalog binds for
+/// `model` on the calling thread, then hand the lane on.
+fn lead(shared: &Shared, lane: usize, model: &str, items: Vec<Queued>) {
+    let mut lead = Lead { shared, lane, items };
+    run_batch(shared, model, &mut lead.items);
 }
 
 /// Complete `slot` with `Timeout`: its deadline passed before it ran.
@@ -479,9 +518,10 @@ fn time_out(shared: &Shared, slot: &Slot) {
     slot.complete(Err(ServeError::Timeout));
 }
 
-/// The catalog's handle of the model registered as `name`. A name nobody
-/// registered is [`ServeError::UnknownModel`]; a registered model whose
-/// bind fails (its table was dropped) is the engine's error.
+/// The catalog's handle of the model registered as `name`, bound once per
+/// batch and by a submit whose lane is stale. A name nobody registered is
+/// [`ServeError::UnknownModel`]; a registered model whose bind fails (its
+/// table was dropped) is the engine's error.
 fn bind(engine: &Engine, name: &str) -> Result<Arc<dyn InferModel>, ServeError> {
     let catalog = engine.catalog();
     catalog.model(name).map_err(|e| {
@@ -649,6 +689,31 @@ mod tests {
         }
     }
 
+    /// A served-only test model of `.0` inputs and outputs, `y = x`.
+    struct Identity(usize);
+
+    impl InferModel for Identity {
+        fn name(&self) -> &str {
+            "identity"
+        }
+        fn input_dim(&self) -> usize {
+            self.0
+        }
+        fn output_dim(&self) -> usize {
+            self.0
+        }
+        fn operator(&self, _: Box<dyn Operator>, _: &[usize]) -> Box<dyn Operator> {
+            unimplemented!("served only")
+        }
+        fn infer_rows(&self, input: &[f32], _: usize) -> vector_engine::Result<Vec<f32>> {
+            Ok(input.to_vec())
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
     fn register_scripted(e: &Engine, name: &str, model: Scripted) {
         let model: Arc<dyn InferModel> = Arc::new(model);
         e.catalog().register_model(name, Arc::new(move |_| Ok(Arc::clone(&model))));
@@ -695,6 +760,18 @@ mod tests {
         let stats = server.stats();
         assert_eq!((stats.timeouts, stats.batches), (1, 1));
         assert_eq!((stats.submitted, stats.completed), (2, 2));
+    }
+
+    #[test]
+    fn a_submit_after_shutdown_is_refused_even_past_its_deadline() {
+        let e = engine();
+        let server = Server::start(Arc::clone(&e), config());
+        register_dense(&server, &e, "m");
+        server.shutdown();
+        let submitted = server.stats().submitted;
+        let expired = server.submit_predict_with_timeout("m", vec![0.0; 4], Some(Duration::ZERO));
+        assert_eq!(expired.unwrap_err(), ServeError::ShuttingDown);
+        assert_eq!(server.stats().submitted, submitted, "shutdown admits nothing");
     }
 
     #[test]
@@ -752,6 +829,73 @@ mod tests {
             ServeError::Engine(msg) => assert!(msg.contains("m_table"), "{msg}"),
             other => panic!("expected the engine's error, got {other:?}"),
         }
+    }
+
+    /// A counting factory registered as `m`: 200 submits over an
+    /// unchanged catalog bind once at submit, plus once per batch; a moved
+    /// epoch binds again, once; a re-registered model is validated and
+    /// served as the new one.
+    #[test]
+    fn the_lane_follows_the_catalog() {
+        let e = engine();
+        let server = Server::start(Arc::clone(&e), config());
+        let binds = Arc::new(AtomicUsize::new(0));
+        let register = |dim: usize| {
+            let (binds, model) = (Arc::clone(&binds), Arc::new(Identity(dim)));
+            e.catalog().register_model(
+                "m",
+                Arc::new(move |_| {
+                    binds.fetch_add(1, Ordering::SeqCst);
+                    Ok(Arc::clone(&model) as Arc<dyn InferModel>)
+                }),
+            );
+        };
+        let binds_so_far = || binds.load(Ordering::SeqCst) as u64;
+        register(4);
+        for _ in 0..20 {
+            let handles: Vec<RequestHandle> =
+                (0..10).map(|i| server.submit_predict("m", vec![i as f32; 4]).unwrap()).collect();
+            for (i, h) in handles.into_iter().enumerate() {
+                assert_eq!(prediction(h.wait()), vec![i as f32; 4]);
+            }
+        }
+        let batches = server.stats().batches;
+        assert_eq!(batches, 20, "the first waiter of each ten leads them all");
+        assert_eq!(binds_so_far(), 1 + batches, "one bind at submit, one per batch");
+
+        e.execute("CREATE TABLE unrelated (id INT)").unwrap();
+        let h1 = server.submit_predict("m", vec![1.0; 4]).unwrap();
+        assert_eq!(binds_so_far(), 2 + batches, "a moved epoch binds again");
+        let h2 = server.submit_predict("m", vec![2.0; 4]).unwrap();
+        assert_eq!(binds_so_far(), 2 + batches, "once");
+        assert_eq!(prediction(h1.wait()), vec![1.0; 4]);
+        assert_eq!(prediction(h2.wait()), vec![2.0; 4]);
+
+        register(3);
+        assert!(matches!(
+            server.submit_predict("m", vec![0.0; 4]).unwrap_err(),
+            ServeError::BadRequest(_)
+        ));
+        let x = vec![0.5, -0.5, 0.25];
+        assert_eq!(prediction(wait_within(server.submit_predict("m", x.clone()).unwrap())), x);
+    }
+
+    #[test]
+    fn spellings_of_one_model_share_one_lane() {
+        let e = engine();
+        let server = Server::start(Arc::clone(&e), config());
+        let dense = register_dense(&server, &e, "m");
+        let inputs: Vec<Vec<f32>> =
+            (0..8).map(|i| (0..4).map(|c| (i * 4 + c) as f32 * 0.05 - 0.7).collect()).collect();
+        let handles: Vec<RequestHandle> = inputs
+            .iter()
+            .enumerate()
+            .map(|(i, x)| server.submit_predict(["M", "m"][i / 4], x.clone()).unwrap())
+            .collect();
+        for (x, h) in inputs.iter().zip(handles) {
+            assert_eq!(bits(&prediction(h.wait())), bits(&dense.predict(x)));
+        }
+        assert_eq!(server.stats().batches, 1, "\"M\" and \"m\" are one lane");
     }
 
     #[test]
@@ -916,7 +1060,6 @@ mod tests {
         for (i, (x, h)) in inputs.iter().zip(handles).enumerate() {
             let served = prediction(h.wait());
             let oracle = models[i % 2].predict(x);
-            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&served), bits(&oracle), "request {i}");
         }
     }

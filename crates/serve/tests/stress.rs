@@ -1,18 +1,19 @@
 //! Stress for leader/follower batching: four clients of two models submit
 //! bursts, drop a share of their handles unwaited, and a shutdown races
-//! the tail of their submissions. Every waited answer must be
-//! bit-identical to one-row inference, every admitted request answered
-//! (`submitted == completed`), and nothing may hang (a watchdog fails the
-//! round instead).
+//! the tail of their submissions, while a churn thread creates and drops
+//! an unrelated table so the catalog epoch moves under the submits' lanes.
+//! Every waited answer must be bit-identical to one-row inference, every
+//! admitted request answered (`submitted == completed`), and nothing may
+//! hang (a watchdog fails the round instead).
 //!
 //! The races only bite with real timings, so CI runs this in the release
-//! build too: `cargo test --release -p serve --test stress`.
+//! build too: `cargo test --release -p serve`.
 
 use model_repr::{load_into_engine, Layout};
 use modeljoin::{build_parallel, BuiltModel};
 use nn::paper;
 use serve::{Response, ServeConfig, ServeError, Server};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 use tensor::{Device, Matrix};
@@ -59,8 +60,15 @@ fn round(seed: u64) -> usize {
     let server =
         Server::start(Arc::clone(&engine), ServeConfig { queue_depth: 4096, max_batch_rows: 8 });
     let oracles = [register(&server, &engine, "a", 42), register(&server, &engine, "b", 43)];
-    let submitted = AtomicUsize::new(0);
+    let (submitted, churning) = (AtomicUsize::new(0), AtomicBool::new(true));
     let waited = std::thread::scope(|scope| {
+        let churn = scope.spawn(|| loop {
+            engine.execute("CREATE TABLE churn (id INT)").unwrap();
+            engine.execute("DROP TABLE churn").unwrap();
+            if !churning.load(Ordering::Relaxed) {
+                break;
+            }
+        });
         let clients: Vec<_> = (0..CLIENTS)
             .map(|c| {
                 let (server, oracles, submitted) = (&server, &oracles, &submitted);
@@ -106,7 +114,10 @@ fn round(seed: u64) -> usize {
             std::thread::sleep(Duration::from_micros(200));
         }
         server.shutdown();
-        clients.into_iter().map(|c| c.join().expect("client panicked")).sum()
+        let waited = clients.into_iter().map(|c| c.join().expect("client panicked")).sum();
+        churning.store(false, Ordering::Relaxed);
+        churn.join().expect("churn panicked");
+        waited
     });
     let stats = server.stats();
     assert_eq!(stats.submitted, stats.completed, "an admitted request went unanswered: {stats:?}");
