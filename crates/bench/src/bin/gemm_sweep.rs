@@ -80,8 +80,6 @@ fn bench_gemm(m: usize, k: usize, n: usize, reps: usize) -> GemmRow {
     let mut c = Matrix::zeros(m, n);
 
     let unblocked_s = time_median(reps, || sgemm_unblocked(1.0, &a, &b, 0.0, &mut c));
-    // The 2-way split needs a second pool worker besides this thread.
-    sched::configure_workers(1);
     let packed = PackedMatrix::pack(&b);
     let mut blocked = |threads| {
         time_median(reps, || packed.gemm(&a, Init::Zero, Activation::Linear, &mut c, threads))
@@ -116,14 +114,9 @@ fn bench_gemm(m: usize, k: usize, n: usize, reps: usize) -> GemmRow {
     }
 }
 
-fn bench_join(width: usize, rows: usize, worker_threads: usize) -> Option<JoinRow> {
-    let engine = EngineConfig {
-        vector_size: 1024,
-        partitions: 4,
-        parallelism: 1,
-        worker_threads,
-        ..Default::default()
-    };
+fn bench_join(width: usize, rows: usize) -> Option<JoinRow> {
+    let engine =
+        EngineConfig { vector_size: 1024, partitions: 4, parallelism: 1, ..Default::default() };
     let workload = Workload::Dense { width, depth: 3 };
     let config = ExperimentConfig { engine, ..ExperimentConfig::new(workload, rows) };
     let experiment = match Experiment::build(config) {
@@ -193,7 +186,7 @@ fn main() {
     let join_rows_count = if quick { 4_000 } else { 16_000 };
     let mut join_rows = Vec::new();
     for &w in &[32usize, 128, 512] {
-        if let Some(row) = bench_join(w, join_rows_count, 1) {
+        if let Some(row) = bench_join(w, join_rows_count) {
             println!("{},{},{:.4}", row.width, row.rows, row.seconds);
             join_rows.push(row);
         }

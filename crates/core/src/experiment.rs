@@ -86,11 +86,9 @@ pub struct RunOutcome {
     pub predictions: Option<Vec<(i64, f64)>>,
 }
 
-/// A stood-up experiment: engine with loaded fact and model tables. The
-/// engine is `Arc`'d so a serving front end ([`Experiment::serve`]) can
-/// co-own it with the experiment.
+/// A stood-up experiment: engine with loaded fact and model tables.
 pub struct Experiment {
-    pub engine: Arc<Engine>,
+    pub engine: Engine,
     pub model: Model,
     pub meta: ModelMeta,
     config: ExperimentConfig,
@@ -109,7 +107,7 @@ impl Experiment {
     /// network. The workload still picks the fact data, so `model` takes
     /// its inputs: the four Iris features for `Dense`.
     pub fn with_model(config: ExperimentConfig, model: Model) -> Result<Experiment> {
-        let engine = Arc::new(Engine::new(config.engine.clone()));
+        let engine = Engine::new(config.engine.clone());
         let dim = model.input_dim();
         let rows: Vec<Vec<f32>> = match config.workload {
             Workload::Dense { .. } => data::replicated_iris(config.fact_rows),
@@ -135,22 +133,6 @@ impl Experiment {
 
     pub fn config(&self) -> &ExperimentConfig {
         &self.config
-    }
-
-    /// Stand up a serving front end over this experiment's engine, with
-    /// `"model"` registered in the engine's catalog against the loaded
-    /// model table (so `PREDICT(model, …)` shares its build, and DML to
-    /// `model_table` invalidates it).
-    pub fn serve(&self, cfg: serve::ServeConfig, device: Device) -> serve::Server {
-        let server = serve::Server::start(Arc::clone(&self.engine), cfg);
-        server.register_model(
-            "model",
-            "model_table",
-            self.meta.clone(),
-            self.config.opt.layout(),
-            device,
-        );
-        server
     }
 
     /// Run one approach. `collect` gathers the per-tuple predictions for
@@ -200,9 +182,8 @@ impl Experiment {
     /// plans in parallel (Vector runs one UDF instance per thread), else
     /// one.
     fn udf_hosts(&self) -> usize {
-        let engine = &self.config.engine;
-        if engine.parallelism > 1 {
-            engine.effective_worker_threads()
+        if self.config.engine.parallelism > 1 {
+            tensor::parallel::pool_threads()
         } else {
             1
         }

@@ -13,11 +13,6 @@ pub mod data;
 pub mod experiment;
 pub mod memtrack;
 pub mod qualitative;
-pub mod served;
 
 pub use approach::Approach;
 pub use experiment::{Experiment, ExperimentConfig, RunOutcome, Workload};
-pub use served::{
-    drive_closed_loop, drive_mixed_loop, ClassStats, MixedLoadConfig, MixedLoadStats,
-    ServeLoadConfig, ServeLoadStats,
-};

@@ -15,14 +15,12 @@
 //!
 //! A cold entry is built once: the first lookup builds it, and lookups
 //! arriving meanwhile wait for that build instead of starting their own.
-//! A failed build is not cached. A thread that is itself inside a build
-//! never waits (see [`ModelCache::get_or_build`]).
+//! A failed build is not cached.
 
 use crate::build::{build_parallel, quantize, ModelDtype};
 use mlruntime::BuiltModel;
 use model_repr::{Layout, ModelMeta};
 use parking_lot::Mutex;
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
@@ -31,21 +29,6 @@ use vector_engine::{Result, Table};
 
 /// One build's outcome, filled in by the thread that runs the build.
 type Slot = Arc<OnceLock<Result<Arc<BuiltModel>>>>;
-
-thread_local! {
-    /// Whether this thread is inside a build phase.
-    static BUILDING: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Marks the current thread as building while it lives; holds the mark it
-/// found, restored on drop (a build can nest inside another's help loop).
-struct Building(bool);
-
-impl Drop for Building {
-    fn drop(&mut self) {
-        BUILDING.set(self.0);
-    }
-}
 
 struct CacheEntry {
     /// The model table the entry was built from. Holding the `Weak` keeps
@@ -82,11 +65,9 @@ impl ModelCache {
     ///
     /// The build runs outside the map lock: a long build must not block
     /// hits on other models. Lookups racing a cold entry wait for its one
-    /// build and count as hits. While it waits for the build's own tasks,
-    /// a building thread may run a pending serve batch; if that batch asks
-    /// for an entry still being built — by this thread or by another that
-    /// may in turn be waiting on this one — waiting could deadlock, so the
-    /// batch builds a private copy instead.
+    /// build and count as hits. Waiting cannot deadlock: while a build
+    /// waits for its own fan-out, the scheduler's helping loop runs only
+    /// that fan-out's tasks, so no lookup re-enters from inside a build.
     #[allow(clippy::too_many_arguments)] // build_parallel's inputs, plus the dtype
     pub fn get_or_build(
         &self,
@@ -115,11 +96,7 @@ impl ModelCache {
                     if e.version == version
                         && std::ptr::eq(e.table.as_ptr(), Arc::as_ptr(table)) =>
                 {
-                    if e.model.get().is_none() && BUILDING.get() {
-                        (Slot::default(), true)
-                    } else {
-                        (Arc::clone(&e.model), false)
-                    }
+                    (Arc::clone(&e.model), false)
                 }
                 _ => {
                     let slot = Slot::default();
@@ -139,7 +116,6 @@ impl ModelCache {
         let model = slot
             .get_or_init(|| match dtype {
                 ModelDtype::F32 => {
-                    let _building = Building(BUILDING.replace(true));
                     build_parallel(table, meta, layout, device, vector_size, threads).map(Arc::new)
                 }
                 ModelDtype::I8 => self
@@ -301,14 +277,14 @@ mod tests {
         assert_eq!(cache.stats(F32), (7, 1), "one miss, seven hits");
     }
 
-    /// Two cold models served at once, each build fanned out over four
-    /// model-table partitions. While a worker waits for its build's tasks it
-    /// runs queued serve batches, among them batches for the model the other
-    /// worker is building; neither may wait on the other.
+    /// Concurrent cold builds started from pool tasks finish: sixteen
+    /// tasks look up two cold models at once, each build fanned out over
+    /// four model-table partitions. A worker inside a build helps only its
+    /// own fan-out, so no lookup re-enters the cache from inside a build
+    /// and every task either builds or waits for the one build.
     #[test]
-    fn cold_builds_under_serve_traffic_finish() {
-        let engine =
-            Engine::new(EngineConfig { partitions: 4, worker_threads: 2, ..Default::default() });
+    fn concurrent_cold_builds_from_pool_tasks_finish() {
+        let engine = Engine::new(EngineConfig { partitions: 4, ..Default::default() });
         let models: Vec<(Arc<Table>, ModelMeta)> = (0..2)
             .map(|i| {
                 let model = paper::dense_model(512, 4, i);
@@ -329,7 +305,7 @@ mod tests {
         }
         for _ in 0..batches {
             let built = finished.recv_timeout(std::time::Duration::from_secs(60));
-            assert_eq!(built, Ok(true), "serve batches deadlocked on each other's builds");
+            assert_eq!(built, Ok(true), "pool tasks deadlocked on each other's builds");
         }
     }
 

@@ -34,7 +34,7 @@ pub static TENSOR_GEMM_I8_US: Histogram = Histogram::new();
 
 // --- sched: unified work-stealing scheduler -------------------------------
 
-/// Serve-class tasks submitted (latency-sensitive, high-priority injector).
+/// Serve-class tasks submitted (an accounting label, scheduled like Query).
 pub static SCHED_TASKS_SERVE: Counter = Counter::new();
 /// Query-class tasks submitted (partition/operator morsels).
 pub static SCHED_TASKS_QUERY: Counter = Counter::new();
@@ -50,7 +50,7 @@ pub static SCHED_UNPARKS: Counter = Counter::new();
 pub static SCHED_PANICS_CAUGHT: Counter = Counter::new();
 /// Worker threads owned by the process-wide scheduler.
 pub static SCHED_WORKERS: Gauge = Gauge::new();
-/// Tasks currently queued (all deques + both injectors).
+/// Tasks currently queued (all deques + the injector).
 pub static SCHED_QUEUE_DEPTH: Gauge = Gauge::new();
 /// Submit-to-claim queue wait per task, µs (span-gated).
 pub static SCHED_QUEUE_WAIT_US: Histogram = Histogram::new();

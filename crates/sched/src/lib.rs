@@ -9,18 +9,15 @@
 //!
 //! # Architecture
 //!
-//! * **Per-worker deques + global injectors.** Work submitted from a
+//! * **Per-worker deques + a global injector.** Work submitted from a
 //!   worker thread goes to that worker's own deque (popped LIFO for
-//!   locality); work submitted from outside goes to one of two global
-//!   injector queues. Idle workers claim from the high-priority injector
-//!   first, then their own deque, then the normal injector, then steal
-//!   FIFO from a sibling's deque (counted under `sched.steals`).
-//! * **Task classes.** [`TaskClass::Serve`] routes through the
-//!   high-priority injector so latency-sensitive tasks run before queued
-//!   scan morsels; [`TaskClass::Query`] and [`TaskClass::Kernel`]
-//!   share the normal injector. There is no preemption — priority acts at
-//!   task boundaries, which is why callers submit *morsels* (bounded work
-//!   units), not whole queries.
+//!   locality); work submitted from outside goes to the global injector
+//!   queue. Idle workers claim from their own deque first, then the
+//!   injector, then steal FIFO from a sibling's deque (counted under
+//!   `sched.steals`).
+//! * **Task classes are accounting labels.** [`TaskClass`] picks the
+//!   counter and run-time histogram a task is recorded under; every class
+//!   is queued and claimed alike. There is no priority and no preemption.
 //! * **Condvar parking.** Workers that find nothing runnable park on a
 //!   condvar (`sched.parks`/`sched.unparks`); submission wakes one. The
 //!   queued-task count is re-checked under the park lock, so a submission
@@ -32,18 +29,19 @@
 //!   never blocks while its own sub-tasks sit queued (a partition task
 //!   whose GEMM fans out runs the tiles itself if no one else does).
 //!   [`Scheduler::fork_join`] is the ordered, value-returning form every
-//!   operator fan-out uses. Helping is deliberately
-//!   scope-restricted: running *unrelated* tasks on the waiting stack
-//!   could re-enter thread-local kernel scratch state mid-borrow and adds
-//!   unbounded latency to the blocked scope.
+//!   operator fan-out uses. Helping is scope-restricted for every class:
+//!   running *unrelated* tasks on the waiting stack could re-enter
+//!   thread-local kernel scratch state mid-borrow, could re-enter a model
+//!   build the waiting task is itself part of, and adds unbounded latency
+//!   to the blocked scope.
 //! * **Panic isolation.** Every task runs under `catch_unwind`
 //!   (`sched.panics_caught`); a panicking task marks its scope so
 //!   `run_scoped` re-raises at the call site, and a panicking detached
 //!   task never takes a worker down.
 //!
-//! The process-wide instance lives behind [`global`]; the engine sizes it
-//! via [`configure_workers`] from `EngineConfig::worker_threads`
-//! (grow-only). Independent instances
+//! The process-wide instance lives behind [`global`], sized to the
+//! machine's available parallelism on first use; [`configure_workers`]
+//! can only grow it. Independent instances
 //! ([`Scheduler::new`]) exist for tests, which also exercise
 //! [`Scheduler::shutdown`] — drain semantics guarantee no submitted task
 //! is ever lost, even racing shutdown.
@@ -57,10 +55,13 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Priority/accounting class of a scheduled task.
+/// Accounting class of a scheduled task: which counter and run-time
+/// histogram it is recorded under. Every class is scheduled alike.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TaskClass {
-    /// Latency-sensitive work, routed through the high-priority injector.
+    /// Latency-sensitive work. No shipped path spawns it any more (served
+    /// predicts run on the waiting client's thread); it keeps its own
+    /// counter and histogram for callers that still label work with it.
     Serve,
     /// Relational operator morsels (partition scans, partial aggregates)
     /// and served SQL statements.
@@ -104,10 +105,8 @@ struct TaskEntry {
 const MAX_WORKERS: usize = 64;
 
 struct Inner {
-    /// High-priority injector (`TaskClass::Serve`).
-    high: Mutex<VecDeque<TaskEntry>>,
-    /// Normal injector (`Query` / `Kernel` submitted off-pool).
-    normal: Mutex<VecDeque<TaskEntry>>,
+    /// The injector: tasks submitted off-pool.
+    injector: Mutex<VecDeque<TaskEntry>>,
     /// Per-worker deques; only `spawned` of them have an owner.
     deques: Vec<Mutex<VecDeque<TaskEntry>>>,
     /// Workers spawned so far (grow-only).
@@ -131,17 +130,12 @@ struct Inner {
 thread_local! {
     /// (Inner address, worker index) when this thread is a pool worker.
     static WORKER: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
-    /// Set while a helping loop runs a claimed high-priority task, so that
-    /// task's own nested scopes do not recurse into further high-helping
-    /// (bounds stack depth to one preemption level per thread).
-    static HIGH_HELP: Cell<bool> = const { Cell::new(false) };
 }
 
 impl Inner {
     fn new() -> Inner {
         Inner {
-            high: Mutex::new(VecDeque::new()),
-            normal: Mutex::new(VecDeque::new()),
+            injector: Mutex::new(VecDeque::new()),
             deques: (0..MAX_WORKERS).map(|_| Mutex::new(VecDeque::new())).collect(),
             spawned: AtomicUsize::new(0),
             pending: AtomicUsize::new(0),
@@ -174,12 +168,7 @@ impl Inner {
         match self.own_index() {
             // Nested submission from a worker: its own deque, LIFO end.
             Some(idx) => self.deques[idx].lock().unwrap().push_back(entry),
-            None => match entry.class {
-                TaskClass::Serve => self.high.lock().unwrap().push_back(entry),
-                TaskClass::Query | TaskClass::Kernel => {
-                    self.normal.lock().unwrap().push_back(entry)
-                }
-            },
+            None => self.injector.lock().unwrap().push_back(entry),
         }
         if self.parked.load(Ordering::SeqCst) > 0 {
             let _guard = self.park.lock().unwrap();
@@ -192,18 +181,14 @@ impl Inner {
         om::SCHED_QUEUE_DEPTH.set(depth as i64);
     }
 
-    /// Claim the next task for worker `idx`: high injector → own deque
-    /// (LIFO) → normal injector → steal FIFO from a sibling.
+    /// Claim the next task for worker `idx`: own deque (LIFO) → injector
+    /// → steal FIFO from a sibling.
     fn claim(&self, idx: usize) -> Option<TaskEntry> {
-        if let Some(e) = self.high.lock().unwrap().pop_front() {
-            self.claimed();
-            return Some(e);
-        }
         if let Some(e) = self.deques[idx].lock().unwrap().pop_back() {
             self.claimed();
             return Some(e);
         }
-        if let Some(e) = self.normal.lock().unwrap().pop_front() {
+        if let Some(e) = self.injector.lock().unwrap().pop_front() {
             self.claimed();
             return Some(e);
         }
@@ -219,27 +204,14 @@ impl Inner {
         None
     }
 
-    /// Claim the next high-priority (Serve-class) task, any scope. Used by
-    /// non-Kernel helping loops for morsel-boundary preemption: a thread
-    /// grinding through scan morsels runs pending Serve tasks between
-    /// them instead of letting them wait out the whole scan.
-    fn claim_high(&self) -> Option<TaskEntry> {
-        let e = self.high.lock().unwrap().pop_front()?;
-        self.claimed();
-        Some(e)
-    }
-
     /// Claim a task belonging to `scope`, searching every queue it can
     /// live in. Used by the helping loop of [`Scheduler::run_scoped`]:
-    /// scope tasks sit either in the submitting worker's deque or in an
+    /// scope tasks sit either in the submitting worker's deque or in the
     /// injector, and stealing removes (never relocates) entries, so a miss
     /// here means every scope task is already claimed by a peer.
     fn claim_scope(&self, scope: usize) -> Option<TaskEntry> {
-        let mut queues: Vec<&Mutex<VecDeque<TaskEntry>>> = vec![&self.high, &self.normal];
-        if let Some(idx) = self.own_index() {
-            queues.insert(0, &self.deques[idx]);
-        }
-        for queue in queues {
+        let own = self.own_index().map(|idx| &self.deques[idx]);
+        for queue in own.into_iter().chain([&self.injector]) {
             let mut q = queue.lock().unwrap();
             if let Some(pos) = q.iter().position(|e| e.scope == scope) {
                 let e = q.remove(pos).expect("position in bounds");
@@ -462,26 +434,11 @@ impl Scheduler {
         }
         let own_result = catch_unwind(AssertUnwindSafe(own));
         latch.count_down();
-        // Help: run own-scope tasks no peer has claimed, preempting at
-        // task boundaries for pending Serve-class work (morsel-boundary
-        // preemption — a Serve task never waits out a whole scan). Kernel
-        // scopes are excluded: sgemm holds its packing scratch RefCell
-        // across this loop, and a preempting task could re-enter it. The
-        // HIGH_HELP flag keeps a preempting task's own scopes from
-        // recursing into further preemption. A claim_scope miss means all
-        // scope tasks are claimed (running or done elsewhere) — tasks are
-        // never re-queued — so waiting on the latch is then the only
-        // option.
-        let help_high = class != TaskClass::Kernel && !HIGH_HELP.get();
+        // Help: run own-scope tasks no peer has claimed. A claim_scope miss
+        // means all scope tasks are claimed (running or done elsewhere) —
+        // tasks are never re-queued — so waiting on the latch is then the
+        // only option.
         while !latch.is_done() {
-            if help_high {
-                if let Some(entry) = self.inner.claim_high() {
-                    HIGH_HELP.set(true);
-                    self.inner.run_entry(entry);
-                    HIGH_HELP.set(false);
-                    continue;
-                }
-            }
             match self.inner.claim_scope(scope) {
                 Some(entry) => self.inner.run_entry(entry),
                 None => {
@@ -533,17 +490,10 @@ impl Scheduler {
     /// Run every queued task on this thread until the queues are empty.
     fn drain_inline(&self) {
         loop {
-            let entry = self
-                .inner
-                .high
-                .lock()
-                .unwrap()
-                .pop_front()
-                .or_else(|| self.inner.normal.lock().unwrap().pop_front())
-                .or_else(|| {
-                    let n = self.inner.spawned.load(Ordering::Acquire);
-                    (0..n).find_map(|i| self.inner.deques[i].lock().unwrap().pop_front())
-                });
+            let entry = self.inner.injector.lock().unwrap().pop_front().or_else(|| {
+                let n = self.inner.spawned.load(Ordering::Acquire);
+                (0..n).find_map(|i| self.inner.deques[i].lock().unwrap().pop_front())
+            });
             match entry {
                 Some(e) => {
                     self.inner.claimed();
@@ -575,15 +525,20 @@ impl Scheduler {
 
 static GLOBAL: OnceLock<Scheduler> = OnceLock::new();
 
-/// The process-wide scheduler. Starts with zero workers; size it with
-/// [`configure_workers`] (the engine does this from
-/// `EngineConfig::worker_threads`).
+/// The process-wide scheduler, started on first use with one worker per
+/// core the machine makes available (`std::thread::available_parallelism`).
 pub fn global() -> &'static Scheduler {
-    GLOBAL.get_or_init(|| Scheduler::new(0))
+    GLOBAL.get_or_init(|| {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let pool = Scheduler::new(cores);
+        om::SCHED_WORKERS.set(pool.workers() as i64);
+        pool
+    })
 }
 
 /// Grow the global pool to at least `n` workers (grow-only; the pool is
-/// process-wide state shared by every engine in the process).
+/// process-wide state shared by every engine in the process). Nothing in
+/// the stack needs it: the pool already has a worker per core.
 pub fn configure_workers(n: usize) {
     global().ensure_workers(n);
 }

@@ -5,7 +5,7 @@
 //! hands its M-block ranges to [`run_scoped`], which forwards them to the
 //! process-wide work-stealing pool in `crates/sched` as
 //! `TaskClass::Kernel` tasks, so GEMM tiles share workers with operator
-//! morsels and serve batches. This module owns no threads and no state:
+//! morsels and served SQL. This module owns no threads and no state:
 //! how many ways a GEMM splits is an argument — fixed per layer when a
 //! model is built ([`split_width`] over the build's parallelism), or the
 //! pool's size for the generic `sgemm` entry. The split never changes a
@@ -41,9 +41,9 @@ pub fn split_width(threads: usize, m: usize, k: usize, n: usize) -> usize {
 }
 
 /// The scheduler pool's worker count, at least 1: the widest useful
-/// split, and the split budget of the generic `sgemm` and `qgemm_dense`
-/// entries.
-pub(crate) fn pool_threads() -> usize {
+/// split, the split budget of the generic `sgemm` and `qgemm_dense`
+/// entries, and the UDF host count of a parallel `core::Experiment`.
+pub fn pool_threads() -> usize {
     sched::global().workers().max(1)
 }
 

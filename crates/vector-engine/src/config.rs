@@ -1,7 +1,5 @@
 //! Engine configuration.
 
-use std::sync::OnceLock;
-
 /// Engine tuning knobs. Defaults reproduce the paper's evaluation setup
 /// (Sec. 6.1): "the batch size is equal to the database engine's vector size
 /// of 1024. Tables are partitioned into 12 partitions and the engine runs
@@ -14,20 +12,15 @@ pub struct EngineConfig {
     pub partitions: usize,
     /// The engine's parallelism level, read in three places:
     /// - whether queries fan out over table partitions: values above 1
-    ///   enable partition-parallel execution on the scheduler pool (whose
-    ///   size is [`EngineConfig::worker_threads`]), 1 runs every plan
-    ///   serially on the calling thread;
+    ///   enable partition-parallel execution on the process-wide
+    ///   scheduler pool (one worker per core), 1 runs every plan serially
+    ///   on the calling thread;
     /// - the GEMM split width of every model a `PREDICT` registration
     ///   builds: a full vector's GEMM splits up to this many ways (fixed
     ///   at build time, capped by the shape and the pool's size);
     /// - whether a UDF approach gets one host per scheduler thread (above
     ///   1) or a single host.
     pub parallelism: usize,
-    /// Worker threads owned by the process-wide unified scheduler — the
-    /// single pool that runs operator morsels, GEMM tile tasks, and serve
-    /// batches. 0 (the default) sizes the pool to the machine
-    /// (`std::thread::available_parallelism`).
-    pub worker_threads: usize,
     /// Run ModelJoin and serve inference through the int8 quantized path:
     /// weights quantized per output channel to i8, activations per row to
     /// 7-bit, integer GEMM with a fused dequantize epilogue. Off by
@@ -63,7 +56,6 @@ impl Default for EngineConfig {
             vector_size: 1024,
             partitions: 12,
             parallelism: 12,
-            worker_threads: 0,
             quantized_inference: false,
             data_dir: None,
             buffer_pool_pages: 4096,
@@ -83,20 +75,6 @@ impl EngineConfig {
     pub fn serial() -> Self {
         EngineConfig { partitions: 1, parallelism: 1, ..Default::default() }
     }
-
-    /// The scheduler pool size this configuration asks for: the explicit
-    /// [`EngineConfig::worker_threads`] value, or the machine's available
-    /// parallelism when it is 0 (auto). Always ≥ 1. The machine's count is
-    /// read once per process: the query costs tens of microseconds (cgroup
-    /// files on Linux), and every statement and `PREDICT` bind asks.
-    pub fn effective_worker_threads(&self) -> usize {
-        static CORES: OnceLock<usize> = OnceLock::new();
-        if self.worker_threads == 0 {
-            *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-        } else {
-            self.worker_threads
-        }
-    }
 }
 
 #[cfg(test)]
@@ -109,8 +87,6 @@ mod tests {
         assert_eq!(c.vector_size, 1024);
         assert_eq!(c.partitions, 12);
         assert_eq!(c.parallelism, 12);
-        assert_eq!(c.worker_threads, 0, "scheduler pool auto-sizes to the machine");
-        assert!(c.effective_worker_threads() >= 1);
         assert!(!c.quantized_inference, "inference defaults to exact fp32");
         assert_eq!(c.data_dir, None, "in-memory storage is the default");
         assert_eq!(c.buffer_pool_pages, 4096, "64 MiB pool at 16 KiB pages");

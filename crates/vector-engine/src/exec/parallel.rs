@@ -115,9 +115,6 @@ impl Split {
 
 /// Execute a plan to completion, using partition parallelism when safe.
 pub fn execute(plan: &LogicalPlan, config: &EngineConfig) -> Result<Vec<Batch>> {
-    // Grow-only and cheap when already satisfied; direct callers (tests,
-    // benches) get a sized pool without an Engine.
-    sched::configure_workers(config.effective_worker_threads());
     let (core, tail) = peel_tail(plan);
     let target = if config.parallelism > 1 { choose_partition_table(core) } else { None };
 

@@ -184,9 +184,6 @@ impl Engine {
     /// is bit-identical to one that executed exactly the committed
     /// statement prefix before the crash.
     pub fn open(config: EngineConfig) -> Result<Engine> {
-        // Size the process-wide scheduler (grow-only) for this engine's
-        // workload; every compute layer shares the pool.
-        sched::configure_workers(config.effective_worker_threads());
         let catalog = match &config.data_dir {
             None => Arc::new(Catalog::new()),
             Some(dir) => crate::persist::open_catalog(std::path::Path::new(dir), &config)?,
