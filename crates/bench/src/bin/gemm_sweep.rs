@@ -11,16 +11,14 @@
 //! shape the operator issues (`vectorsize x w  *  w x w`), plus the
 //! acceptance shape `1024 x 512 * 512 x 512`; each is timed for the
 //! unblocked seed kernel, the blocked kernel as a built model runs it
-//! (weights packed once, `PackedMatrix::gemm`) split 1 and 2 ways,
-//! and the int8 path (`qgemm_dense`: per-call activation quantization +
-//! integer GEMM + fused dequant epilogue, weights pre-quantized as in
-//! serving) at the same thread counts. The int8 cells also record the
-//! measured max-abs deviation from the fp32 product alongside the
+//! (weights packed once, `PackedMatrix::gemm`), and the int8 path
+//! (`QuantizedWeights::gemm`: per-call activation quantization + integer
+//! GEMM + fused dequant epilogue, weights pre-quantized as in serving),
+//! each on one thread, as every kernel runs. The int8 cells also record
+//! the measured max-abs deviation from the fp32 product alongside the
 //! documented bound. End-to-end, a dense ModelJoin over the same widths
 //! is timed against the full operator stack. Results go to stdout and to
-//! `BENCH_gemm.json` at the repository root — including the host core
-//! count, since intra-kernel threading cannot show wall-clock wins on a
-//! single-core host.
+//! `BENCH_gemm.json` at the repository root, with the host core count.
 
 use indbml_core::{Approach, Experiment, ExperimentConfig, Workload};
 use std::time::Instant;
@@ -35,10 +33,8 @@ struct GemmRow {
     k: usize,
     n: usize,
     unblocked_s: f64,
-    blocked_1t_s: f64,
-    blocked_2t_s: f64,
-    i8_1t_s: f64,
-    i8_2t_s: f64,
+    blocked_s: f64,
+    i8_s: f64,
     /// Measured max-abs deviation of the int8 result from fp32.
     i8_max_abs_err: f32,
     /// The documented worst-case bound for this shape and input range.
@@ -62,7 +58,7 @@ fn fill(rows: usize, cols: usize, seed: u64) -> Matrix {
 
 /// Median wall time of `reps` runs of `f`.
 fn time_median(reps: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warm-up: faults in buffers, spawns pool workers
+    f(); // warm-up: faults in buffers
     let mut samples: Vec<f64> = (0..reps)
         .map(|_| {
             let t = Instant::now();
@@ -81,10 +77,7 @@ fn bench_gemm(m: usize, k: usize, n: usize, reps: usize) -> GemmRow {
 
     let unblocked_s = time_median(reps, || sgemm_unblocked(1.0, &a, &b, 0.0, &mut c));
     let packed = PackedMatrix::pack(&b);
-    let mut blocked = |threads| {
-        time_median(reps, || packed.gemm(&a, Init::Zero, Activation::Linear, &mut c, threads))
-    };
-    let (blocked_1t_s, blocked_2t_s) = (blocked(1), blocked(2));
+    let blocked_s = time_median(reps, || packed.gemm(&a, Init::Zero, Activation::Linear, &mut c));
 
     // Int8 path, timed the way serving runs it: weights quantized once
     // up front, activations quantized per call, dequant fused into the
@@ -92,26 +85,11 @@ fn bench_gemm(m: usize, k: usize, n: usize, reps: usize) -> GemmRow {
     let wq = QuantizedWeights::quantize(&b);
     let mut c_i8 = Matrix::zeros(m, n);
     let mut scratch = QuantScratch::default();
-    let mut i8 = |threads| {
-        time_median(reps, || {
-            wq.gemm(&a, Init::Zero, Activation::Linear, &mut c_i8, &mut scratch, threads)
-        })
-    };
-    let (i8_1t_s, i8_2t_s) = (i8(1), i8(2));
+    let i8_s =
+        time_median(reps, || wq.gemm(&a, Init::Zero, Activation::Linear, &mut c_i8, &mut scratch));
     let i8_max_abs_err = c_i8.max_abs_diff(&c);
     let i8_err_bound = qgemm_error_bound(k, 0.5, 0.5);
-    GemmRow {
-        m,
-        k,
-        n,
-        unblocked_s,
-        blocked_1t_s,
-        blocked_2t_s,
-        i8_1t_s,
-        i8_2t_s,
-        i8_max_abs_err,
-        i8_err_bound,
-    }
+    GemmRow { m, k, n, unblocked_s, blocked_s, i8_s, i8_max_abs_err, i8_err_bound }
 }
 
 fn bench_join(width: usize, rows: usize) -> Option<JoinRow> {
@@ -143,28 +121,27 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     println!("# GEMM kernel sweep (cores = {cores}, i8 kernel = {})", tensor::i8_kernel_name());
-    println!("m,k,n,unblocked_s,blocked_1t_s,blocked_2t_s,i8_1t_s,speedup_1t,i8_vs_f32_1t,i8_err");
+    println!("m,k,n,unblocked_s,blocked_s,i8_s,speedup,i8_vs_f32,i8_err");
 
     let reps = if quick { 3 } else { 7 };
     let mut gemm_rows = Vec::new();
     for &w in &[32usize, 128, 512] {
         gemm_rows.push(bench_gemm(1024, w, w, reps));
     }
-    // The acceptance shape: 1024 x 512 * 512 x 512, single thread.
+    // The acceptance shape: 1024 x 512 * 512 x 512.
     gemm_rows.push(bench_gemm(1024, 512, 512, reps));
 
     for r in &gemm_rows {
-        let speedup = r.unblocked_s / r.blocked_1t_s;
-        let i8_speedup = r.blocked_1t_s / r.i8_1t_s;
+        let speedup = r.unblocked_s / r.blocked_s;
+        let i8_speedup = r.blocked_s / r.i8_s;
         println!(
-            "{},{},{},{:.6},{:.6},{:.6},{:.6},{:.2},{:.2},{:.2e}",
+            "{},{},{},{:.6},{:.6},{:.6},{:.2},{:.2},{:.2e}",
             r.m,
             r.k,
             r.n,
             r.unblocked_s,
-            r.blocked_1t_s,
-            r.blocked_2t_s,
-            r.i8_1t_s,
+            r.blocked_s,
+            r.i8_s,
             speedup,
             i8_speedup,
             r.i8_max_abs_err
@@ -172,11 +149,11 @@ fn main() {
     }
     let accept = gemm_rows.last().expect("acceptance shape measured");
     println!(
-        "\nint8 vs fp32 blocked at {}x{}x{} (1t): {:.2}x, max|err| {:.2e} (bound {:.2e})",
+        "\nint8 vs fp32 blocked at {}x{}x{}: {:.2}x, max|err| {:.2e} (bound {:.2e})",
         accept.m,
         accept.k,
         accept.n,
-        accept.blocked_1t_s / accept.i8_1t_s,
+        accept.blocked_s / accept.i8_s,
         accept.i8_max_abs_err,
         accept.i8_err_bound
     );
@@ -205,30 +182,28 @@ fn main() {
     json.push_str("  \"kernel\": \"blocked sgemm (PR 2) + int8 qgemm (PR 7)\",\n");
     json.push_str(&format!("  \"i8_kernel\": \"{}\",\n", tensor::i8_kernel_name()));
     json.push_str(&format!(
-        "  \"i8_speedup_vs_f32_1t_at_{}x{}x{}\": {:.2},\n",
+        "  \"i8_speedup_vs_f32_at_{}x{}x{}\": {:.2},\n",
         accept.m,
         accept.k,
         accept.n,
-        accept.blocked_1t_s / accept.i8_1t_s
+        accept.blocked_s / accept.i8_s
     ));
     json.push_str("  \"gemm\": [\n");
     for (i, r) in gemm_rows.iter().enumerate() {
         let sep = if i + 1 < gemm_rows.len() { "," } else { "" };
         json.push_str(&format!(
             "    {{\"m\": {}, \"k\": {}, \"n\": {}, \"unblocked_s\": {:.6}, \
-             \"blocked_1t_s\": {:.6}, \"blocked_2t_s\": {:.6}, \"speedup_1t\": {:.3}, \
-             \"i8_1t_s\": {:.6}, \"i8_2t_s\": {:.6}, \"i8_speedup_vs_f32_1t\": {:.3}, \
-             \"i8_max_abs_err\": {:.3e}, \"i8_err_bound\": {:.3e}}}{sep}\n",
+             \"blocked_s\": {:.6}, \"speedup\": {:.3}, \"i8_s\": {:.6}, \
+             \"i8_speedup_vs_f32\": {:.3}, \"i8_max_abs_err\": {:.3e}, \
+             \"i8_err_bound\": {:.3e}}}{sep}\n",
             r.m,
             r.k,
             r.n,
             r.unblocked_s,
-            r.blocked_1t_s,
-            r.blocked_2t_s,
-            r.unblocked_s / r.blocked_1t_s,
-            r.i8_1t_s,
-            r.i8_2t_s,
-            r.blocked_1t_s / r.i8_1t_s,
+            r.blocked_s,
+            r.unblocked_s / r.blocked_s,
+            r.i8_s,
+            r.blocked_s / r.i8_s,
             r.i8_max_abs_err,
             r.i8_err_bound
         ));
@@ -244,7 +219,7 @@ fn main() {
     }
     json.push_str("  ],\n");
     // Per-stage observability snapshot of the whole sweep: pack vs gemm
-    // time, pool utilization, operator row counts.
+    // time, operator row counts.
     json.push_str(&format!("  \"metrics\": {}\n", obs::snapshot().render_json("  ")));
     json.push_str("}\n");
 

@@ -180,10 +180,11 @@ impl Experiment {
 
     /// UDF hosts to spawn: one per scheduler thread when the engine runs
     /// plans in parallel (Vector runs one UDF instance per thread), else
-    /// one.
+    /// one. The process-wide pool (`sched::global()`) has exactly one
+    /// worker per `available_parallelism` core.
     fn udf_hosts(&self) -> usize {
         if self.config.engine.parallelism > 1 {
-            tensor::parallel::pool_threads()
+            std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
             1
         }

@@ -67,7 +67,9 @@ fn udf_runs_at_the_engines_parallelism() {
             let case = format!("{partitions} partitions x {parallelism}");
             let engine =
                 EngineConfig { vector_size: 64, partitions, parallelism, ..Default::default() };
-            let hosts = if parallelism > 1 { tensor::parallel::pool_threads() } else { 1 };
+            // One host per pool worker: the pool has one per core.
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            let hosts = if parallelism > 1 { cores } else { 1 };
             let config = ExperimentConfig { engine, ..ExperimentConfig::new(workload, ROWS) };
             let ex = Experiment::build(config).unwrap();
             let serial = serial_udf(&ex);

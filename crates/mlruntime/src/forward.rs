@@ -6,17 +6,16 @@
 //!
 //! The plan is fixed when the model is built, never per batch: each fp32
 //! weight matrix is packed once into the micro-kernel's panel layout, the
-//! bias stays a `units` vector that the GEMM's first K slice adds, the
-//! activation runs in its last slice's write-back, and the split width is
-//! decided per layer from the build's parallelism. Every batch, from one
-//! row to the vector size, runs the same kernel, so a row's output is a
-//! function of the model and the row alone.
+//! bias stays a `units` vector that the GEMM's first K slice adds, and
+//! the activation runs in its last slice's write-back. Every batch, from
+//! one row to the vector size, runs the same kernel on the caller's
+//! thread, so a row's output is a function of the model and the row
+//! alone. Parallelism comes from the callers: each partition morsel runs
+//! its own batches.
 
 use nn::Layer;
 use std::borrow::Cow;
-use tensor::{
-    split_width, Activation, Device, Init, Matrix, PackedMatrix, QuantScratch, QuantizedWeights,
-};
+use tensor::{Activation, Device, Init, Matrix, PackedMatrix, QuantScratch, QuantizedWeights};
 
 /// The weights of one GEMM of a built layer, in the kernel's layout.
 #[derive(Clone)]
@@ -41,9 +40,6 @@ pub struct GemmPlan {
     /// a `vectorsize x units` matrix copied into `C`; the epilogue adds
     /// the same value to the same accumulator, bit for bit.)
     pub bias: Vec<f32>,
-    /// How many ways the GEMM of a full vector splits on the scheduler
-    /// pool (1 for layers too small to gain from a fork/join).
-    pub threads: usize,
 }
 
 impl GemmPlan {
@@ -59,7 +55,7 @@ impl GemmPlan {
             Weights::F32(w) => Weights::I8(QuantizedWeights::quantize(&w.to_matrix())),
             Weights::I8(_) => self.weights.clone(),
         };
-        GemmPlan { weights, bias: self.bias.clone(), threads: self.threads }
+        GemmPlan { weights, bias: self.bias.clone() }
     }
 
     /// `out = act(x·W + b)` (`init` = [`Init::Bias`], or [`Init::Zero`]
@@ -82,10 +78,8 @@ impl GemmPlan {
         };
         let (shape, bias) = ((x.rows(), x.cols(), self.units()), matches!(init, Init::Bias(_)));
         match &self.weights {
-            Weights::F32(w) => {
-                device.dense(shape, bias, act, || w.gemm(x, init, act, out, self.threads))
-            }
-            Weights::I8(w) => w.gemm(x, init, act, out, q, self.threads),
+            Weights::F32(w) => device.dense(shape, bias, act, || w.gemm(x, init, act, out)),
+            Weights::I8(w) => w.gemm(x, init, act, out, q),
         }
     }
 }
@@ -150,9 +144,7 @@ struct LstmScratch {
 impl BuiltModel {
     /// Assemble the fp32 model from its layers' weights and biases, fixing
     /// each GEMM's kernel plan: weights packed once, the bias kept as a
-    /// vector for the epilogue, and a split width of up to `threads` for
-    /// the layers whose `vector_size`-row GEMM is large enough to gain
-    /// from it. The device is charged one bulk upload of the model as the
+    /// vector for the epilogue. The device is charged one bulk upload of the model as the
     /// paper holds it (Sec. 5.2: "move the model to GPU memory once
     /// building is finished") — weights plus every bias replicated to
     /// `vector_size x units` (Sec. 5.4) — though the host keeps no
@@ -162,15 +154,12 @@ impl BuiltModel {
         layers: Vec<Layer>,
         device: &Device,
         vector_size: usize,
-        threads: usize,
     ) -> BuiltModel {
         let output_dim = layers.last().map_or(input_dim, Layer::output_dim);
         let mut bytes = 0;
         let mut plan = |w: Matrix, bias: Vec<f32>| {
-            let (k, n) = (w.rows(), w.cols());
-            bytes += 4 * (k * n + bias.len() * vector_size);
-            let threads = split_width(threads, vector_size, k, n);
-            GemmPlan { weights: Weights::F32(PackedMatrix::pack(&w)), bias, threads }
+            bytes += 4 * (w.rows() * w.cols() + bias.len() * vector_size);
+            GemmPlan { weights: Weights::F32(PackedMatrix::pack(&w)), bias }
         };
         let layers = layers
             .into_iter()
@@ -197,14 +186,9 @@ impl BuiltModel {
     }
 
     /// [`BuiltModel::from_layers`] over a model object's layers.
-    pub fn from_model(
-        model: &nn::Model,
-        device: &Device,
-        vector_size: usize,
-        threads: usize,
-    ) -> BuiltModel {
+    pub fn from_model(model: &nn::Model, device: &Device, vector_size: usize) -> BuiltModel {
         let layers = model.layers().to_vec();
-        BuiltModel::from_layers(model.input_dim(), layers, device, vector_size, threads)
+        BuiltModel::from_layers(model.input_dim(), layers, device, vector_size)
     }
 
     /// The int8 variant of this model: every GEMM operand quantized per
@@ -391,7 +375,7 @@ mod tests {
     }
 
     fn assert_matches_oracle(model: &nn::Model, rows: usize, device: Device) {
-        let built = BuiltModel::from_model(model, &device, VECTOR_SIZE, 1);
+        let built = BuiltModel::from_model(model, &device, VECTOR_SIZE);
         let x = inputs(rows, model.input_dim());
         let out = built.infer(&x, &device);
         let expected = model.predict(&x);
@@ -426,7 +410,7 @@ mod tests {
     fn gpu_build_charges_weight_and_replicated_bias_upload() {
         let device = Device::gpu();
         let model = paper::dense_model(32, 2, 0);
-        let _built = BuiltModel::from_model(&model, &device, VECTOR_SIZE, 1);
+        let _built = BuiltModel::from_model(&model, &device, VECTOR_SIZE);
         // Weight bytes + replicated bias bytes.
         let weights = (4 * 32 + 32 * 32 + 32) * 4;
         let biases = (32 + 32 + 1) * VECTOR_SIZE * 4;
@@ -437,7 +421,7 @@ mod tests {
     fn infer_charges_input_and_output_transfers() {
         let device = Device::gpu();
         let model = paper::dense_model(8, 2, 0);
-        let built = BuiltModel::from_model(&model, &device, VECTOR_SIZE, 1);
+        let built = BuiltModel::from_model(&model, &device, VECTOR_SIZE);
         device.reset();
         let x = inputs(10, 4);
         let out = built.infer(&x, &device);
@@ -451,7 +435,7 @@ mod tests {
     #[should_panic(expected = "input width mismatch")]
     fn wrong_input_width_panics() {
         let model = paper::dense_model(8, 2, 0);
-        let built = BuiltModel::from_model(&model, &Device::cpu(), VECTOR_SIZE, 1);
+        let built = BuiltModel::from_model(&model, &Device::cpu(), VECTOR_SIZE);
         built.infer(&Matrix::zeros(3, 7), &Device::cpu());
     }
 }

@@ -21,7 +21,7 @@ impl Session {
     /// the engine's partition fan-out (or the UDF's pool of hosts) is
     /// what runs sessions in parallel.
     pub fn from_model(name: &str, model: &Model, device: Device) -> Session {
-        let model = BuiltModel::from_model(model, &device, VECTOR_SIZE, 1);
+        let model = BuiltModel::from_model(model, &device, VECTOR_SIZE);
         Session { model, device, name: name.to_string() }
     }
 

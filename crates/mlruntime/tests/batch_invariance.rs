@@ -10,8 +10,8 @@
 //!
 //! The models cover both layer kinds, fp32 and int8, and a width above the
 //! kernel's `KC = 512` K slice (a hidden layer whose product spans two
-//! slices), and batches long enough to split their GEMMs into several
-//! tasks.
+//! slices), and batches long enough to span several of the kernel's row
+//! blocks.
 
 use mlruntime::BuiltModel;
 use nn::{paper, Activation, ModelBuilder};
@@ -20,7 +20,7 @@ use std::sync::OnceLock;
 use tensor::{Device, Matrix};
 
 /// Above the kernel's `MC = 256` row block, so long batches hold several
-/// M blocks, which the plan splits into tasks.
+/// M blocks.
 const VECTOR_SIZE: usize = 300;
 
 fn models() -> &'static [(&'static str, BuiltModel)] {
@@ -40,7 +40,7 @@ fn models() -> &'static [(&'static str, BuiltModel)] {
         ]
         .into_iter()
         .map(|(name, model, int8)| {
-            let built = BuiltModel::from_model(&model, &Device::cpu(), VECTOR_SIZE, 4);
+            let built = BuiltModel::from_model(&model, &Device::cpu(), VECTOR_SIZE);
             (name, if int8 { built.quantize() } else { built })
         })
         .collect()

@@ -214,16 +214,17 @@ fn fill_from_batch(batch: &Batch, router: &Router, slabs: &SlabPtrs) -> Result<(
 
 /// Run the parallel build phase: allocate shared storage single-threaded,
 /// fill it from the model-table partitions in parallel (on the scheduler
-/// pool), then assemble the fp32 [`BuiltModel`]: its kernel plan, whose
-/// large GEMMs split up to `threads` ways (the engine's parallelism), and
-/// the one-shot GPU upload.
+/// pool), then assemble the fp32 [`BuiltModel`]: its kernel plan and the
+/// one-shot GPU upload.
 pub fn build_parallel(
     table: &Table,
     meta: &ModelMeta,
     layout: Layout,
     device: &Device,
     vector_size: usize,
-    threads: usize,
+    // Unused (a built model's GEMMs run whole on the caller's thread); kept
+    // because the frozen benchmark passes it until its next change (ROADMAP 1(i)).
+    _threads: usize,
 ) -> Result<BuiltModel> {
     if table.schema().len() != layout.column_count() {
         return Err(EngineError::Catalog(format!(
@@ -297,7 +298,7 @@ pub fn build_parallel(
             }
         }
     }
-    Ok(BuiltModel::from_layers(meta.input_dim, layers, device, vector_size, threads))
+    Ok(BuiltModel::from_layers(meta.input_dim, layers, device, vector_size))
 }
 
 /// The int8 variant of a built fp32 model, counted under
@@ -320,8 +321,6 @@ pub struct SharedModel {
     layout: Layout,
     device: Device,
     vector_size: usize,
-    /// The split width of the built model's large GEMMs.
-    threads: usize,
     /// Where a registered model's handle looks the model up; `None` builds.
     cache: Option<Arc<ModelCache>>,
     /// The model per dtype, indexed by `ModelDtype as usize`: fp32 from
@@ -336,10 +335,12 @@ impl SharedModel {
         layout: Layout,
         device: Device,
         vector_size: usize,
-        threads: usize,
+        // Unused, as `build_parallel`'s; kept because the frozen benchmark
+        // passes it until its next change (ROADMAP 1(i)).
+        _threads: usize,
     ) -> Arc<SharedModel> {
         let (meta, cache, models) = (Arc::new(meta), None, Default::default());
-        Arc::new(SharedModel { table, meta, layout, device, vector_size, threads, cache, models })
+        Arc::new(SharedModel { table, meta, layout, device, vector_size, cache, models })
     }
 
     /// A handle that takes its model from `cache` instead of building it,
@@ -351,10 +352,9 @@ impl SharedModel {
         layout: Layout,
         device: Device,
         vector_size: usize,
-        threads: usize,
     ) -> Arc<SharedModel> {
         let (cache, models) = (Some(cache), Default::default());
-        Arc::new(SharedModel { table, meta, layout, device, vector_size, threads, cache, models })
+        Arc::new(SharedModel { table, meta, layout, device, vector_size, cache, models })
     }
 
     pub fn meta(&self) -> &ModelMeta {
@@ -376,14 +376,14 @@ impl SharedModel {
     /// cached handle asks its cache instead, which does the same.
     pub fn get_as(&self, dtype: ModelDtype) -> Result<Arc<BuiltModel>> {
         let (table, meta, layout, device) = (&self.table, &self.meta, self.layout, &self.device);
-        let (vector_size, threads) = (self.vector_size, self.threads);
+        let vector_size = self.vector_size;
         self.models[dtype as usize]
             .get_or_init(|| match (&self.cache, dtype) {
                 (Some(cache), _) => {
-                    cache.get_or_build(table, meta, layout, device, vector_size, threads, dtype)
+                    cache.get_or_build(table, meta, layout, device, vector_size, dtype)
                 }
                 (None, ModelDtype::F32) => {
-                    build_parallel(table, meta, layout, device, vector_size, threads).map(Arc::new)
+                    build_parallel(table, meta, layout, device, vector_size, 1).map(Arc::new)
                 }
                 (None, ModelDtype::I8) => self.get().map(|built| Arc::new(quantize(&built))),
             })
@@ -444,7 +444,7 @@ mod tests {
             let x =
                 Matrix::from_fn(16, model.input_dim(), |r, c| ((r * 3 + c) as f32 * 0.41).sin());
             let direct_gpu = Device::gpu();
-            let direct = BuiltModel::from_model(&model, &direct_gpu, 16, 1);
+            let direct = BuiltModel::from_model(&model, &direct_gpu, 16);
             for layout in [Layout::NodeId, Layout::LayerNode] {
                 let engine = Engine::new(EngineConfig {
                     vector_size: 8,

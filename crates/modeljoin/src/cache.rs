@@ -68,7 +68,6 @@ impl ModelCache {
     /// build and count as hits. Waiting cannot deadlock: while a build
     /// waits for its own fan-out, the scheduler's helping loop runs only
     /// that fan-out's tasks, so no lookup re-enters from inside a build.
-    #[allow(clippy::too_many_arguments)] // build_parallel's inputs, plus the dtype
     pub fn get_or_build(
         &self,
         table: &Arc<Table>,
@@ -76,7 +75,6 @@ impl ModelCache {
         layout: Layout,
         device: &Device,
         vector_size: usize,
-        threads: usize,
         dtype: ModelDtype,
     ) -> Result<Arc<BuiltModel>> {
         let key = (table.name().to_string(), dtype);
@@ -116,18 +114,10 @@ impl ModelCache {
         let model = slot
             .get_or_init(|| match dtype {
                 ModelDtype::F32 => {
-                    build_parallel(table, meta, layout, device, vector_size, threads).map(Arc::new)
+                    build_parallel(table, meta, layout, device, vector_size, 1).map(Arc::new)
                 }
                 ModelDtype::I8 => self
-                    .get_or_build(
-                        table,
-                        meta,
-                        layout,
-                        device,
-                        vector_size,
-                        threads,
-                        ModelDtype::F32,
-                    )
+                    .get_or_build(table, meta, layout, device, vector_size, ModelDtype::F32)
                     .map(|fp32| Arc::new(quantize(&fp32))),
             })
             .clone();
@@ -182,10 +172,8 @@ mod tests {
     fn unchanged_table_builds_exactly_once() {
         let (_engine, table, meta) = engine_with_model();
         let cache = ModelCache::new();
-        let a =
-            cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, 1, F32).unwrap();
-        let b =
-            cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, 1, F32).unwrap();
+        let a = cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, F32).unwrap();
+        let b = cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, F32).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "second lookup must reuse the Arc");
         assert_eq!((cache.stats(F32), cache.len()), ((1, 1), 1), "one build, one hit");
     }
@@ -194,16 +182,14 @@ mod tests {
     fn dml_to_model_table_invalidates() {
         let (_engine, table, meta) = engine_with_model();
         let cache = ModelCache::new();
-        let a =
-            cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, 1, F32).unwrap();
+        let a = cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, F32).unwrap();
         // Append a row that routes nowhere harmful (an input-distribution
         // edge): the version bump alone must force a rebuild.
         let zeros = vec![ColumnVector::Float(vec![0.0]); table.schema().len() - 2];
         let mut cols = vec![ColumnVector::Int(vec![0]), ColumnVector::Int(vec![0])];
         cols.extend(zeros);
         table.append(cols).unwrap();
-        let b =
-            cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, 1, F32).unwrap();
+        let b = cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, F32).unwrap();
         assert!(!Arc::ptr_eq(&a, &b), "stale model must be rebuilt after DML");
         assert_eq!(cache.stats(F32).1, 2);
     }
@@ -214,15 +200,13 @@ mod tests {
     fn recreated_table_of_equal_version_rebuilds() {
         let (engine, table, meta) = engine_with_model();
         let cache = ModelCache::new();
-        let a =
-            cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, 1, F32).unwrap();
+        let a = cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, F32).unwrap();
         engine.execute("DROP TABLE m").unwrap();
         let other = paper::dense_model(4, 2, 12);
         let (table2, meta2) = load_into_engine(&engine, "m", &other, Layout::NodeId).unwrap();
         assert_eq!(table2.version(), table.version(), "versions alone cannot tell them apart");
-        let b = cache
-            .get_or_build(&table2, &meta2, Layout::NodeId, &Device::cpu(), 16, 1, F32)
-            .unwrap();
+        let b =
+            cache.get_or_build(&table2, &meta2, Layout::NodeId, &Device::cpu(), 16, F32).unwrap();
         assert!(!Arc::ptr_eq(&a, &b), "the re-created table must be rebuilt");
         assert_eq!(cache.stats(F32), (0, 2));
     }
@@ -235,7 +219,7 @@ mod tests {
         let (_engine, table, meta) = engine_with_model();
         let cache = ModelCache::new();
         let lookup = |dtype| {
-            cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, 1, dtype).unwrap()
+            cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, dtype).unwrap()
         };
         let built = lookup(F32);
         let q1 = lookup(ModelDtype::I8);
@@ -267,7 +251,7 @@ mod tests {
                     s.spawn(|| {
                         barrier.wait();
                         let cpu = Device::cpu();
-                        cache.get_or_build(&table, &meta, Layout::NodeId, &cpu, 16, 1, F32).unwrap()
+                        cache.get_or_build(&table, &meta, Layout::NodeId, &cpu, 16, F32).unwrap()
                     })
                 })
                 .collect();
@@ -299,7 +283,7 @@ mod tests {
             let (cache, done) = (Arc::clone(&cache), done.clone());
             sched::global().spawn(sched::TaskClass::Serve, move || {
                 let cpu = Device::cpu();
-                let built = cache.get_or_build(&table, &meta, Layout::NodeId, &cpu, 16, 1, F32);
+                let built = cache.get_or_build(&table, &meta, Layout::NodeId, &cpu, 16, F32);
                 done.send(built.is_ok()).unwrap();
             });
         }

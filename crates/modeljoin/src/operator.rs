@@ -221,7 +221,6 @@ pub fn register_model(
             layout,
             device.clone(),
             config.vector_size,
-            config.parallelism,
         );
         Ok(ModelJoinNode::for_engine(&config, shared))
     };

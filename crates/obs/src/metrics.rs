@@ -16,9 +16,6 @@ use crate::{Counter, Gauge, Histogram, StageMetrics};
 pub static TENSOR_GEMM_CALLS: Counter = Counter::new();
 /// Floating-point operations issued to `sgemm` (2·m·k·n per call).
 pub static TENSOR_GEMM_FLOPS: Counter = Counter::new();
-/// GEMM tile tasks a kernel handed to the scheduler pool (the caller's
-/// own tile is not counted).
-pub static TENSOR_POOL_JOBS: Counter = Counter::new();
 /// Wall time of each `sgemm` call, µs (span-gated).
 pub static TENSOR_GEMM_US: Histogram = Histogram::new();
 /// Time spent packing A/B panels into kernel scratch, µs (span-gated).
@@ -38,8 +35,6 @@ pub static TENSOR_GEMM_I8_US: Histogram = Histogram::new();
 pub static SCHED_TASKS_SERVE: Counter = Counter::new();
 /// Query-class tasks submitted (partition/operator morsels).
 pub static SCHED_TASKS_QUERY: Counter = Counter::new();
-/// Kernel-class tasks submitted (GEMM tile ranges).
-pub static SCHED_TASKS_KERNEL: Counter = Counter::new();
 /// Tasks a worker claimed from another worker's deque.
 pub static SCHED_STEALS: Counter = Counter::new();
 /// Times a worker parked on the idle condvar.
@@ -58,8 +53,6 @@ pub static SCHED_QUEUE_WAIT_US: Histogram = Histogram::new();
 pub static SCHED_TASK_SERVE_US: Histogram = Histogram::new();
 /// Run time of query-class tasks, µs (span-gated).
 pub static SCHED_TASK_QUERY_US: Histogram = Histogram::new();
-/// Run time of kernel-class tasks, µs (span-gated).
-pub static SCHED_TASK_KERNEL_US: Histogram = Histogram::new();
 
 // --- vector-engine: executor + plan cache --------------------------------
 
@@ -206,7 +199,6 @@ pub static SERVE_E2E_US: Histogram = Histogram::new();
 pub static COUNTERS: &[(&str, &Counter)] = &[
     ("sched.tasks.serve", &SCHED_TASKS_SERVE),
     ("sched.tasks.query", &SCHED_TASKS_QUERY),
-    ("sched.tasks.kernel", &SCHED_TASKS_KERNEL),
     ("sched.steals", &SCHED_STEALS),
     ("sched.parks", &SCHED_PARKS),
     ("sched.unparks", &SCHED_UNPARKS),
@@ -215,7 +207,6 @@ pub static COUNTERS: &[(&str, &Counter)] = &[
     ("tensor.gemm.flops", &TENSOR_GEMM_FLOPS),
     ("tensor.gemm.i8.calls", &TENSOR_GEMM_I8_CALLS),
     ("tensor.gemm.i8.flops", &TENSOR_GEMM_I8_FLOPS),
-    ("tensor.pool.jobs", &TENSOR_POOL_JOBS),
     ("exec.plan_cache.hits", &EXEC_PLAN_CACHE_HITS),
     ("exec.plan_cache.misses", &EXEC_PLAN_CACHE_MISSES),
     ("exec.plan_cache.invalidations", &EXEC_PLAN_CACHE_INVALIDATIONS),
@@ -277,7 +268,6 @@ pub static HISTOGRAMS: &[(&str, &Histogram)] = &[
     ("sched.queue.wait_us", &SCHED_QUEUE_WAIT_US),
     ("sched.task.serve.us", &SCHED_TASK_SERVE_US),
     ("sched.task.query.us", &SCHED_TASK_QUERY_US),
-    ("sched.task.kernel.us", &SCHED_TASK_KERNEL_US),
     ("tensor.gemm.us", &TENSOR_GEMM_US),
     ("tensor.gemm.i8.us", &TENSOR_GEMM_I8_US),
     ("tensor.pack.us", &TENSOR_PACK_US),

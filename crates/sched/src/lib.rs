@@ -63,11 +63,9 @@ pub enum TaskClass {
     /// predicts run on the waiting client's thread); it keeps its own
     /// counter and histogram for callers that still label work with it.
     Serve,
-    /// Relational operator morsels (partition scans, partial aggregates)
-    /// and served SQL statements.
+    /// Relational operator morsels (partition scans, partial aggregates),
+    /// a model build's fill fan-out and served SQL statements.
     Query,
-    /// Tensor kernel work (GEMM tile ranges).
-    Kernel,
 }
 
 impl TaskClass {
@@ -75,7 +73,6 @@ impl TaskClass {
         match self {
             TaskClass::Serve => &om::SCHED_TASKS_SERVE,
             TaskClass::Query => &om::SCHED_TASKS_QUERY,
-            TaskClass::Kernel => &om::SCHED_TASKS_KERNEL,
         }
     }
 
@@ -83,7 +80,6 @@ impl TaskClass {
         match self {
             TaskClass::Serve => &om::SCHED_TASK_SERVE_US,
             TaskClass::Query => &om::SCHED_TASK_QUERY_US,
-            TaskClass::Kernel => &om::SCHED_TASK_KERNEL_US,
         }
     }
 }
@@ -100,17 +96,11 @@ struct TaskEntry {
     queued: Option<Instant>,
 }
 
-/// Upper bound on workers; deques are pre-allocated so growing the pool
-/// never reallocates a structure a running worker might hold a lock into.
-const MAX_WORKERS: usize = 64;
-
 struct Inner {
     /// The injector: tasks submitted off-pool.
     injector: Mutex<VecDeque<TaskEntry>>,
-    /// Per-worker deques; only `spawned` of them have an owner.
+    /// One deque per worker, fixed when the pool starts.
     deques: Vec<Mutex<VecDeque<TaskEntry>>>,
-    /// Workers spawned so far (grow-only).
-    spawned: AtomicUsize,
     /// Tasks currently queued anywhere. Incremented before the unpark
     /// notification and re-read under the park lock, closing the
     /// submit-vs-park race.
@@ -133,11 +123,10 @@ thread_local! {
 }
 
 impl Inner {
-    fn new() -> Inner {
+    fn new(workers: usize) -> Inner {
         Inner {
             injector: Mutex::new(VecDeque::new()),
-            deques: (0..MAX_WORKERS).map(|_| Mutex::new(VecDeque::new())).collect(),
-            spawned: AtomicUsize::new(0),
+            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             pending: AtomicUsize::new(0),
             parked: AtomicUsize::new(0),
             park: Mutex::new(()),
@@ -192,7 +181,7 @@ impl Inner {
             self.claimed();
             return Some(e);
         }
-        let n = self.spawned.load(Ordering::Acquire);
+        let n = self.deques.len();
         for off in 1..n {
             let victim = (idx + off) % n;
             if let Some(e) = self.deques[victim].lock().unwrap().pop_front() {
@@ -320,50 +309,27 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// A pool with `workers` threads. Zero workers is legal: detached
-    /// tasks then only run at [`Scheduler::shutdown`], but `run_scoped`
-    /// still completes (the caller runs its whole scope itself).
+    /// A pool of exactly `workers` threads, fixed for its lifetime. Zero
+    /// workers is legal: detached tasks then only run at
+    /// [`Scheduler::shutdown`], but `run_scoped` still completes (the
+    /// caller runs its whole scope itself).
     pub fn new(workers: usize) -> Scheduler {
-        let s = Scheduler { inner: Arc::new(Inner::new()), handles: Mutex::new(Vec::new()) };
-        s.ensure_workers(workers);
-        s
-    }
-
-    /// Grow the pool to at least `n` workers (never shrinks, capped at an
-    /// internal maximum). Cheap when already satisfied.
-    pub fn ensure_workers(&self, n: usize) {
-        let n = n.min(MAX_WORKERS);
-        if self.inner.spawned.load(Ordering::Acquire) >= n {
-            return;
-        }
-        let mut handles = self.handles.lock().unwrap();
-        let mut spawned = self.inner.spawned.load(Ordering::Acquire);
-        while spawned < n {
-            let inner = Arc::clone(&self.inner);
-            let idx = spawned;
-            handles.push(
+        let inner = Arc::new(Inner::new(workers));
+        let handles = (0..workers)
+            .map(|idx| {
+                let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("sched-worker-{idx}"))
                     .spawn(move || worker_loop(inner, idx))
-                    .expect("spawn sched worker"),
-            );
-            spawned += 1;
-            // Publish after the deque owner exists so stealers only scan
-            // live indices.
-            self.inner.spawned.store(spawned, Ordering::Release);
-        }
-        if self.is_global() {
-            om::SCHED_WORKERS.set(spawned as i64);
-        }
+                    .expect("spawn sched worker")
+            })
+            .collect();
+        Scheduler { inner, handles: Mutex::new(handles) }
     }
 
-    fn is_global(&self) -> bool {
-        GLOBAL.get().is_some_and(|g| std::ptr::eq(g, self))
-    }
-
-    /// Current worker-thread count.
+    /// Worker-thread count.
     pub fn workers(&self) -> usize {
-        self.inner.spawned.load(Ordering::Acquire)
+        self.inner.deques.len()
     }
 
     /// Submit a detached task. Requires at least one worker to make
@@ -490,10 +456,10 @@ impl Scheduler {
     /// Run every queued task on this thread until the queues are empty.
     fn drain_inline(&self) {
         loop {
-            let entry = self.inner.injector.lock().unwrap().pop_front().or_else(|| {
-                let n = self.inner.spawned.load(Ordering::Acquire);
-                (0..n).find_map(|i| self.inner.deques[i].lock().unwrap().pop_front())
-            });
+            let entry =
+                self.inner.injector.lock().unwrap().pop_front().or_else(|| {
+                    self.inner.deques.iter().find_map(|d| d.lock().unwrap().pop_front())
+                });
             match entry {
                 Some(e) => {
                     self.inner.claimed();
@@ -536,13 +502,6 @@ pub fn global() -> &'static Scheduler {
     })
 }
 
-/// Grow the global pool to at least `n` workers (grow-only; the pool is
-/// process-wide state shared by every engine in the process). Nothing in
-/// the stack needs it: the pool already has a worker per core.
-pub fn configure_workers(n: usize) {
-    global().ensure_workers(n);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,7 +540,7 @@ mod tests {
                 }) as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
-        s.run_scoped(TaskClass::Kernel, tasks);
+        s.run_scoped(TaskClass::Query, tasks);
         assert_eq!(counter.load(Ordering::Relaxed), 16);
     }
 
@@ -705,7 +664,7 @@ mod tests {
                             }) as Box<dyn FnOnce() + Send + '_>
                         })
                         .collect();
-                    global().run_scoped(TaskClass::Kernel, inner);
+                    global().run_scoped(TaskClass::Query, inner);
                     total.fetch_add(inner_total.load(Ordering::Relaxed), Ordering::Relaxed);
                 }) as Box<dyn FnOnce() + Send + '_>
             })
@@ -713,14 +672,5 @@ mod tests {
         s.run_scoped(TaskClass::Query, tasks);
         assert_eq!(total.load(Ordering::Relaxed), 16);
         s.shutdown();
-    }
-
-    #[test]
-    fn global_pool_grows_monotonically() {
-        let before = global().workers();
-        configure_workers(1);
-        assert!(global().workers() >= 1);
-        configure_workers(0);
-        assert!(global().workers() >= before.max(1), "never shrinks");
     }
 }

@@ -18,11 +18,7 @@ fn fuzz_10k_detached_tasks_across_pool_widths() {
         let counter = Arc::new(AtomicUsize::new(0));
         for i in 0..10_000 {
             let counter = Arc::clone(&counter);
-            let class = match i % 3 {
-                0 => TaskClass::Serve,
-                1 => TaskClass::Query,
-                _ => TaskClass::Kernel,
-            };
+            let class = if i % 3 == 0 { TaskClass::Serve } else { TaskClass::Query };
             s.spawn(class, move || {
                 counter.fetch_add(1, Ordering::Relaxed);
             });
@@ -134,7 +130,7 @@ fn concurrent_nested_scopes_complete() {
                                                 as Box<dyn FnOnce() + Send + '_>
                                         })
                                         .collect();
-                                    s.run_scoped(TaskClass::Kernel, inner);
+                                    s.run_scoped(TaskClass::Query, inner);
                                 }) as Box<dyn FnOnce() + Send + '_>
                             })
                             .collect();

@@ -12,9 +12,7 @@
 //! The multiply is the cache-blocked kernel of the `packed` module, the
 //! same driver a built model's [`crate::PackedMatrix`] runs, for every
 //! shape: `sgemm` packs B into this thread's scratch per call, then
-//! accumulates `alpha * A · B` onto `beta * C`. Large multiplies split
-//! their M blocks across the shared scheduler pool ([`crate::parallel`]),
-//! up to its size.
+//! accumulates `alpha * A · B` onto `beta * C` on the calling thread.
 //!
 //! [`sgemm_unblocked`] keeps the seed kernel (loop-ordered scalar code)
 //! as the baseline the `gemm_sweep` benchmark measures the blocked kernel
@@ -25,7 +23,6 @@ use crate::activation::Activation;
 use crate::matrix::Matrix;
 use crate::pack::{pack_b_all, packed_b_all_len};
 use crate::packed::{gemm_panels, Init};
-use crate::parallel;
 use std::cell::RefCell;
 
 /// How an operand takes part in [`sgemm`]: as stored. The one variant
@@ -36,9 +33,7 @@ pub enum Transpose {
 }
 
 thread_local! {
-    /// Per-thread buffer for the B operand `sgemm` packs per call. The
-    /// calling thread holds it across the M-block fan-out; workers only
-    /// read it.
+    /// Per-thread buffer for the B operand `sgemm` packs per call.
     static B_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -70,11 +65,9 @@ pub fn sgemm(
         return;
     }
 
-    let flops = gemm_flops(m, k, n);
     obs::metrics::TENSOR_GEMM_CALLS.add(1);
-    obs::metrics::TENSOR_GEMM_FLOPS.add(flops);
+    obs::metrics::TENSOR_GEMM_FLOPS.add(gemm_flops(m, k, n));
     let _span = obs::span(&obs::metrics::TENSOR_GEMM_US);
-    let threads = parallel::split_width(parallel::pool_threads(), m, k, n);
     B_SCRATCH.with(|scratch| {
         let mut bbuf = scratch.borrow_mut();
         let blen = packed_b_all_len(k, n);
@@ -86,7 +79,7 @@ pub fn sgemm(
             pack_b_all(b, k, n, &mut bbuf);
         }
         let c = c.as_mut_slice();
-        gemm_panels(a, m, k, n, &bbuf, alpha, Init::Accumulate, Activation::Linear, c, threads);
+        gemm_panels(a, m, k, n, &bbuf, alpha, Init::Accumulate, Activation::Linear, c);
     });
 }
 
@@ -256,23 +249,6 @@ mod tests {
         sgemm(Transpose::No, Transpose::No, 1.0, &a, &b, 2.0, &mut c);
         sgemm_reference(1.0, &a, &b, 2.0, &mut expected);
         assert!(c.max_abs_diff(&expected) < 1e-2);
-    }
-
-    #[test]
-    fn threaded_gemm_matches_single_threaded() {
-        let a = sample(512, 256, 0.3);
-        let b = sample(256, 192, 0.5);
-        let packed = crate::PackedMatrix::pack(&b);
-        let mut c1 = Matrix::zeros(512, 192);
-        let mut c4 = Matrix::zeros(512, 192);
-        packed.gemm(&a, Init::Zero, Activation::Linear, &mut c1, 1);
-        packed.gemm(&a, Init::Zero, Activation::Linear, &mut c4, 4);
-        // Identical arithmetic per tile → bit-identical results, and the
-        // generic entry (at the pool's width) runs the same arithmetic.
-        assert_eq!(c1, c4);
-        let mut c = Matrix::zeros(512, 192);
-        sgemm(Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut c);
-        assert_eq!(c, c1);
     }
 
     #[test]

@@ -16,6 +16,11 @@
 //! cost model — kernel launch latency, effective FLOP throughput, PCIe
 //! transfer time — to a virtual device clock. See [`device`] for the
 //! accounting rules and DESIGN.md §2 for the substitution rationale.
+//!
+//! Every kernel runs on its caller's thread. The engine's parallelism is
+//! its partition fan-out (the paper's "parallelism level"): each morsel
+//! runs its GEMMs whole, so this crate owns no threads and submits no
+//! work to the scheduler.
 
 pub mod activation;
 pub mod blas;
@@ -24,7 +29,6 @@ pub mod matrix;
 mod microkernel;
 mod pack;
 mod packed;
-pub mod parallel;
 pub mod quant;
 mod simd;
 
@@ -32,6 +36,15 @@ pub use activation::Activation;
 pub use device::{Device, DeviceKind, DeviceReport, GpuModel};
 pub use matrix::Matrix;
 pub use packed::{Init, PackedMatrix};
-pub use parallel::{set_kernel_threads, set_unified_scheduler, split_width};
 pub use quant::{qgemm_dense, QuantScratch, QuantizedWeights};
 pub use simd::{f32_kernel_name, i8_kernel_name};
+
+/// No-op: kernels run on their caller's thread. Kept only because
+/// `benchmark/src/probes.rs` (frozen outside `benchmark` PRs) calls it;
+/// the next `benchmark` PR drops the call and this function.
+pub fn set_unified_scheduler(_on: bool) {}
+
+/// No-op: a GEMM never splits across threads. Kept only because
+/// `benchmark/src/probes.rs` (frozen outside `benchmark` PRs) calls it;
+/// the next `benchmark` PR drops the call and this function.
+pub fn set_kernel_threads(_n: usize) {}

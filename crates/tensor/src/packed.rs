@@ -30,7 +30,6 @@ use crate::microkernel::microkernel;
 use crate::pack::{
     pack_a, pack_b_all, packed_a_len, packed_b_all_len, packed_b_offset, KC, MC, MR, NC, NR,
 };
-use crate::parallel;
 use std::cell::RefCell;
 
 /// What the first K slice of a GEMM adds its product to.
@@ -81,19 +80,10 @@ impl PackedMatrix {
         })
     }
 
-    /// `out = activation(init + x · self)`, with `init` as [`Init`] says,
-    /// splitting the rows of `x` up to `threads` ways on the scheduler
-    /// pool (the split never changes a bit). `out` must be shaped
-    /// `x.rows() x self.cols()`; with [`Init::Zero`] or [`Init::Bias`] its
-    /// prior contents are never read.
-    pub fn gemm(
-        &self,
-        x: &Matrix,
-        init: Init<'_>,
-        activation: Activation,
-        out: &mut Matrix,
-        threads: usize,
-    ) {
+    /// `out = activation(init + x · self)`, with `init` as [`Init`] says.
+    /// `out` must be shaped `x.rows() x self.cols()`; with [`Init::Zero`]
+    /// or [`Init::Bias`] its prior contents are never read.
+    pub fn gemm(&self, x: &Matrix, init: Init<'_>, activation: Activation, out: &mut Matrix) {
         let (m, k, n) = (x.rows(), self.k, self.n);
         assert_eq!(x.cols(), k, "gemm: inner dimensions differ ({} vs {k})", x.cols());
         assert_eq!((out.rows(), out.cols()), (m, n), "gemm: output shape mismatch");
@@ -103,7 +93,7 @@ impl PackedMatrix {
         obs::metrics::TENSOR_GEMM_CALLS.add(1);
         obs::metrics::TENSOR_GEMM_FLOPS.add(gemm_flops(m, k, n));
         let _span = obs::span(&obs::metrics::TENSOR_GEMM_US);
-        gemm_panels(x, m, k, n, &self.panels, 1.0, init, activation, out.as_mut_slice(), threads);
+        gemm_panels(x, m, k, n, &self.panels, 1.0, init, activation, out.as_mut_slice());
     }
 }
 
@@ -112,27 +102,18 @@ static ZEROS: [f32; NR] = [0.0; NR];
 
 thread_local! {
     /// Per-thread A-block packing buffer. Reused across every GEMM on this
-    /// thread (operator threads and pool workers alike), so steady-state
-    /// inference does no allocation in the kernel layer.
+    /// thread, so steady-state inference does no allocation in the kernel
+    /// layer.
     static A_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Raw C pointer that may cross the pool boundary. Tasks write disjoint
-/// row ranges of C (see [`gemm_panels`]), so sharing it is sound.
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f32);
-// SAFETY: the pointer is only dereferenced inside `m_block_range`, where
-// each task writes the rows of the M blocks it owns and no others.
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-
 /// `C = activation(init + alpha * A · B)` over a B packed by
-/// [`pack_b_all`] (`bp`), C row-major `m x n`. The classic three-level
-/// blocking (GotoBLAS/BLIS), with the M blocks outermost so that tasks own
-/// disjoint rows of C and need no synchronization but the final join:
+/// [`pack_b_all`] (`bp`), C row-major `m x n`, on the calling thread. The
+/// classic three-level blocking (GotoBLAS/BLIS), with the M blocks
+/// outermost:
 ///
 /// ```text
-/// for ic in 0..m step MC        // A block: fits private cache  ← parallel
+/// for ic in 0..m step MC        // A block: fits private cache
 ///   for jc in 0..n step NC      // B column block
 ///     for pc in 0..k step KC    // K slice, in order: fixes each element's k-order
 ///       pack A[ic.., pc..]      // per-thread scratch
@@ -149,7 +130,6 @@ pub(crate) fn gemm_panels(
     init: Init<'_>,
     activation: Activation,
     c: &mut [f32],
-    threads: usize,
 ) {
     debug_assert!(c.len() == m * n && bp.len() >= packed_b_all_len(k, n));
     if m == 0 || n == 0 {
@@ -167,38 +147,10 @@ pub(crate) fn gemm_panels(
         }
         return;
     }
-    let cptr = SendPtr(c.as_mut_ptr());
-    let workers = threads.clamp(1, m.div_ceil(MC));
-    let range = |w: usize| m_block_range(a, m, k, n, bp, alpha, init, activation, cptr, w, workers);
-    if workers == 1 {
-        range(0);
-    } else {
-        let range = &range;
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..workers)
-            .map(|w| Box::new(move || range(w)) as Box<dyn FnOnce() + Send + '_>)
-            .collect();
-        parallel::run_scoped(tasks);
-    }
-}
-
-/// Process M blocks `start, start + stride, ...`: per K slice, pack the A
-/// block into this thread's scratch and run the micro-kernel grid against
-/// the packed B panels, the epilogue fused into the first and last slice.
-#[allow(clippy::too_many_arguments)]
-fn m_block_range(
-    a: &Matrix,
-    m: usize,
-    k: usize,
-    n: usize,
-    bp: &[f32],
-    alpha: f32,
-    init: Init<'_>,
-    activation: Activation,
-    cptr: SendPtr,
-    start: usize,
-    stride: usize,
-) {
-    let ldc = n;
+    // Per M block and K slice: pack the A block into this thread's
+    // scratch and run the micro-kernel grid against the packed B panels,
+    // the epilogue fused into the first and last slice.
+    let (cptr, ldc) = (c.as_mut_ptr(), n);
     A_SCRATCH.with(|scratch| {
         let mut abuf = scratch.borrow_mut();
         let abuf = &mut *abuf;
@@ -206,8 +158,7 @@ fn m_block_range(
         if abuf.len() < alen {
             abuf.resize(alen, 0.0);
         }
-        for block in (start..m.div_ceil(MC)).step_by(stride) {
-            let ic = block * MC;
+        for ic in (0..m).step_by(MC) {
             let mc = MC.min(m - ic);
             for jc in (0..n).step_by(NC) {
                 let nc = NC.min(n - jc);
@@ -229,13 +180,11 @@ fn m_block_range(
                             let (row, mr_eff) = (ic + p * MR, MR.min(mc - p * MR));
                             let ap = &abuf[p * kc * MR..(p + 1) * kc * MR];
                             // SAFETY: the tile at (row, col) lies inside C
-                            // (mr_eff/nr_eff clamp to its edge) and this
-                            // task is the only one touching rows
-                            // [ic, ic + mc) — tasks partition the M blocks.
-                            // A bias source holds `n` values (asserted by
-                            // the caller), so `col + nr_eff <= n` of them.
+                            // (mr_eff/nr_eff clamp to its edge). A bias
+                            // source holds `n` values (asserted by the
+                            // caller), so `col + nr_eff <= n` of them.
                             unsafe {
-                                let ctile = cptr.0.add(row * ldc + col);
+                                let ctile = cptr.add(row * ldc + col);
                                 let (src, lds) = match (pc, init) {
                                     (0, Init::Zero) => (ZEROS.as_ptr(), 0),
                                     (0, Init::Bias(bias)) => (bias.as_ptr().add(col), 0),
@@ -252,10 +201,10 @@ fn m_block_range(
                         // One pass over the block's rows while they are
                         // still in cache (a call per tile row costs more).
                         for row in ic..ic + mc {
-                            // SAFETY: columns jc..jc+nc of a row of this
-                            // task's own M block, inside C.
+                            // SAFETY: columns jc..jc+nc of a row of C; no
+                            // other reference to C is live.
                             let out = unsafe {
-                                std::slice::from_raw_parts_mut(cptr.0.add(row * ldc + jc), nc)
+                                std::slice::from_raw_parts_mut(cptr.add(row * ldc + jc), nc)
                             };
                             activation.apply(out);
                         }
@@ -299,7 +248,7 @@ mod tests {
             sgemm(Transpose::No, Transpose::No, 1.0, &x, &w, 1.0, &mut want);
             act.apply(want.as_mut_slice());
             let mut got = Matrix::from_fn(m, n, |_, _| f32::NAN);
-            PackedMatrix::pack(&w).gemm(&x, Init::Bias(&bias), act, &mut got, 1);
+            PackedMatrix::pack(&w).gemm(&x, Init::Bias(&bias), act, &mut got);
             assert_eq!(bits(&got), bits(&want), "{act}");
         }
     }
@@ -310,12 +259,12 @@ mod tests {
         let (x, w) = (sample(m, k, 0.2), sample(k, n, 0.9));
         let packed = PackedMatrix::pack(&w);
         let mut zero = Matrix::from_fn(m, n, |_, _| f32::NAN);
-        packed.gemm(&x, Init::Zero, Activation::Linear, &mut zero, 1);
+        packed.gemm(&x, Init::Zero, Activation::Linear, &mut zero);
         let mut want = Matrix::zeros(m, n);
         sgemm_reference(1.0, &x, &w, 0.0, &mut want);
         assert!(zero.max_abs_diff(&want) < 1e-4);
         let mut acc = zero.clone();
-        packed.gemm(&x, Init::Accumulate, Activation::Linear, &mut acc, 1);
+        packed.gemm(&x, Init::Accumulate, Activation::Linear, &mut acc);
         for (a, z) in acc.as_slice().iter().zip(zero.as_slice()) {
             assert!((a - 2.0 * z).abs() < 1e-4);
         }
@@ -325,21 +274,9 @@ mod tests {
     fn empty_k_yields_the_init_through_the_activation() {
         let packed = PackedMatrix::pack(&Matrix::zeros(0, 2));
         let mut out = Matrix::zeros(3, 2);
-        packed.gemm(&Matrix::zeros(3, 0), Init::Bias(&[0.5, -0.5]), Activation::Relu, &mut out, 1);
+        packed.gemm(&Matrix::zeros(3, 0), Init::Bias(&[0.5, -0.5]), Activation::Relu, &mut out);
         for i in 0..3 {
             assert_eq!(out.row(i), &[0.5, 0.0]);
         }
-    }
-
-    #[test]
-    fn split_width_never_changes_a_bit() {
-        let (m, k, n) = (777, 300, 70);
-        let (x, w) = (sample(m, k, 0.4), sample(k, n, 0.6));
-        let packed = PackedMatrix::pack(&w);
-        let mut one = Matrix::zeros(m, n);
-        let mut four = Matrix::zeros(m, n);
-        packed.gemm(&x, Init::Zero, Activation::Tanh, &mut one, 1);
-        packed.gemm(&x, Init::Zero, Activation::Tanh, &mut four, 4);
-        assert_eq!(bits(&one), bits(&four));
     }
 }

@@ -52,7 +52,6 @@ use crate::matrix::Matrix;
 use crate::microkernel::microkernel_i8;
 use crate::pack::{pack_a_q, pack_b_q, packed_a_q_len, packed_b_q_len, KC, KG, MC, MR, NC, NR};
 use crate::packed::Init;
-use crate::parallel;
 use std::cell::RefCell;
 
 /// Weights quantize to the full signed 8-bit range.
@@ -154,9 +153,8 @@ pub struct QuantScratch {
 
 /// Quantized dense layer forward:
 /// `out = activation(dequant(quant(a) · w) + bias)`, or with
-/// `accumulate`, `out += dequant(quant(a) · w)`; the large multiplies
-/// split up to the scheduler pool's size. [`QuantizedWeights::gemm`] is
-/// the same with the [`Init`] and split width spelled out.
+/// `accumulate`, `out += dequant(quant(a) · w)`. [`QuantizedWeights::gemm`]
+/// is the same with the [`Init`] spelled out.
 ///
 /// `a` is the fp32 activation matrix (`m x k`), quantized row-wise per
 /// call; `w` the pre-quantized weights (`k x n`); `out` must already be
@@ -181,15 +179,12 @@ pub fn qgemm_dense(
         (None, true) => Init::Accumulate,
         (None, false) => Init::Zero,
     };
-    let threads = parallel::split_width(parallel::pool_threads(), a.rows(), a.cols(), w.n);
-    w.gemm(a, init, activation, out, scratch, threads);
+    w.gemm(a, init, activation, out, scratch);
 }
 
 impl QuantizedWeights {
     /// `out = activation(init + dequant(quant(a) · self))`, the int8
-    /// sibling of [`crate::PackedMatrix::gemm`], splitting up to `threads`
-    /// ways (exact integer sums: the split never changes a bit).
-    /// [`Init::Accumulate`] composes before the caller's activation and
+    /// sibling of [`crate::PackedMatrix::gemm`]. [`Init::Accumulate`] composes before the caller's activation and
     /// so requires `Activation::Linear`.
     pub fn gemm(
         &self,
@@ -198,7 +193,6 @@ impl QuantizedWeights {
         activation: Activation,
         out: &mut Matrix,
         scratch: &mut QuantScratch,
-        threads: usize,
     ) {
         let w = self;
         let (m, k) = (a.rows(), a.cols());
@@ -241,7 +235,7 @@ impl QuantizedWeights {
             if flops < BLOCKED_MIN_FLOPS_I8 {
                 qgemm_i32_unblocked(&scratch.aq, m, k, w, &mut scratch.acc);
             } else {
-                qgemm_i32_blocked(&scratch.aq, m, k, w, &mut scratch.acc, threads);
+                qgemm_i32_blocked(&scratch.aq, m, k, w, &mut scratch.acc);
             }
         }
 
@@ -325,116 +319,55 @@ fn qgemm_i32_unblocked(aq: &[u8], m: usize, k: usize, w: &QuantizedWeights, acc:
     }
 }
 
-/// Raw i32 accumulator pointer crossing the pool boundary; tasks write
-/// disjoint row ranges (the M-block split), so sharing is sound.
-#[derive(Clone, Copy)]
-struct SendPtrI32(*mut i32);
-unsafe impl Send for SendPtrI32 {}
-unsafe impl Sync for SendPtrI32 {}
-
-/// The blocked integer GEMM: same jc/pc/ic loop nest, scratch discipline
-/// and M-block parallel split as `sgemm_blocked`, over int8 panels.
-fn qgemm_i32_blocked(
-    aq: &[u8],
-    m: usize,
-    k: usize,
-    w: &QuantizedWeights,
-    acc: &mut [i32],
-    threads: usize,
-) {
-    let n = w.n;
-    let ldc = n;
-    let cptr = SendPtrI32(acc.as_mut_ptr());
-
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            B_SCRATCH_I8.with(|scratch| {
-                let mut bbuf = scratch.borrow_mut();
-                let bbuf = &mut *bbuf;
-                let blen = packed_b_q_len(kc, nc);
-                if bbuf.len() < blen {
-                    bbuf.resize(blen, 0);
-                }
-                {
-                    let _pack = obs::span(&obs::metrics::TENSOR_PACK_US);
-                    pack_b_q(&w.data, n, pc, kc, jc, nc, bbuf);
-                }
-                let bbuf: &[i8] = bbuf;
-
-                let m_blocks = m.div_ceil(MC);
-                let workers = threads.clamp(1, m_blocks);
-                if workers == 1 {
-                    m_block_range_i8(aq, k, bbuf, cptr, ldc, m, pc, kc, jc, nc, 0, 1);
-                } else {
-                    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..workers)
-                        .map(|wk| {
-                            Box::new(move || {
-                                m_block_range_i8(
-                                    aq, k, bbuf, cptr, ldc, m, pc, kc, jc, nc, wk, workers,
-                                );
-                            }) as Box<dyn FnOnce() + Send + '_>
-                        })
-                        .collect();
-                    parallel::run_scoped(tasks);
-                }
-            });
-        }
-    }
-}
-
-/// Process M blocks `start, start + stride, ...` of one packed K slice:
-/// the int8 sibling of `blas::m_block_range`.
-#[allow(clippy::too_many_arguments)]
-fn m_block_range_i8(
-    aq: &[u8],
-    lda: usize,
-    bbuf: &[i8],
-    cptr: SendPtrI32,
-    ldc: usize,
-    m: usize,
-    pc: usize,
-    kc: usize,
-    jc: usize,
-    nc: usize,
-    start: usize,
-    stride: usize,
-) {
-    A_SCRATCH_I8.with(|scratch| {
-        let mut abuf = scratch.borrow_mut();
-        let abuf = &mut *abuf;
-        let alen = packed_a_q_len(MC, kc);
-        if abuf.len() < alen {
-            abuf.resize(alen, 0);
-        }
-        let kg = kc.div_ceil(KG);
-        let m_blocks = m.div_ceil(MC);
-        let mut block = start;
-        while block < m_blocks {
-            let ic = block * MC;
-            let mc = MC.min(m - ic);
-            {
-                let _pack = obs::span(&obs::metrics::TENSOR_PACK_US);
-                pack_a_q(aq, lda, ic, mc, pc, kc, abuf);
-            }
-            for q in 0..nc.div_ceil(NR) {
-                let nr_eff = NR.min(nc - q * NR);
-                let bp = &bbuf[q * kg * NR * KG..(q + 1) * kg * NR * KG];
-                for p in 0..mc.div_ceil(MR) {
-                    let mr_eff = MR.min(mc - p * MR);
-                    let ap = &abuf[p * kg * MR * KG..(p + 1) * kg * MR * KG];
-                    // SAFETY: same disjoint-rows argument as the fp32
-                    // blocked path — tasks partition the M blocks and the
-                    // tile clamps to the accumulator edge.
-                    unsafe {
-                        let ctile = cptr.0.add((ic + p * MR) * ldc + jc + q * NR);
-                        microkernel_i8(kg, ap, bp, ctile, ldc, mr_eff, nr_eff);
+/// The blocked integer GEMM: the same jc/pc/ic loop nest and scratch
+/// discipline as the fp32 kernel (`packed::gemm_panels`), over int8
+/// panels.
+fn qgemm_i32_blocked(aq: &[u8], m: usize, k: usize, w: &QuantizedWeights, acc: &mut [i32]) {
+    let (n, ldc) = (w.n, w.n);
+    let cptr = acc.as_mut_ptr();
+    A_SCRATCH_I8.with(|abuf| {
+        B_SCRATCH_I8.with(|bbuf| {
+            let (abuf, bbuf) = (&mut *abuf.borrow_mut(), &mut *bbuf.borrow_mut());
+            for jc in (0..n).step_by(NC) {
+                let nc = NC.min(n - jc);
+                for pc in (0..k).step_by(KC) {
+                    let kc = KC.min(k - pc);
+                    let (alen, blen) = (packed_a_q_len(MC, kc), packed_b_q_len(kc, nc));
+                    if abuf.len() < alen {
+                        abuf.resize(alen, 0);
+                    }
+                    if bbuf.len() < blen {
+                        bbuf.resize(blen, 0);
+                    }
+                    {
+                        let _pack = obs::span(&obs::metrics::TENSOR_PACK_US);
+                        pack_b_q(&w.data, n, pc, kc, jc, nc, bbuf);
+                    }
+                    let kg = kc.div_ceil(KG);
+                    for ic in (0..m).step_by(MC) {
+                        let mc = MC.min(m - ic);
+                        {
+                            let _pack = obs::span(&obs::metrics::TENSOR_PACK_US);
+                            pack_a_q(aq, k, ic, mc, pc, kc, abuf);
+                        }
+                        for q in 0..nc.div_ceil(NR) {
+                            let nr_eff = NR.min(nc - q * NR);
+                            let bp = &bbuf[q * kg * NR * KG..(q + 1) * kg * NR * KG];
+                            for p in 0..mc.div_ceil(MR) {
+                                let mr_eff = MR.min(mc - p * MR);
+                                let ap = &abuf[p * kg * MR * KG..(p + 1) * kg * MR * KG];
+                                // SAFETY: the tile clamps to the accumulator's
+                                // edge.
+                                unsafe {
+                                    let ctile = cptr.add((ic + p * MR) * ldc + jc + q * NR);
+                                    microkernel_i8(kg, ap, bp, ctile, ldc, mr_eff, nr_eff);
+                                }
+                            }
+                        }
                     }
                 }
             }
-            block += stride;
-        }
+        })
     });
 }
 
@@ -537,8 +470,7 @@ mod tests {
 
     #[test]
     fn blocked_path_is_bit_identical_to_quantized_reference() {
-        // Big enough to cross both the blocked and parallel thresholds,
-        // ragged in every dimension to exercise edge tiles.
+        // Big enough to cross the blocked threshold, ragged in every dimension to exercise edge tiles.
         let (m, k, n) = (70, 130, 75);
         let a = fill(m, k, 11);
         let w = QuantizedWeights::quantize(&fill(k, n, 13));

@@ -1,4 +1,4 @@
-//! Property tests pinning the blocked (and threaded) `sgemm` to the naive
+//! Property tests pinning the blocked `sgemm` to the naive
 //! reference oracle across the whole parameter space: arbitrary
 //! `alpha`/`beta` (including the 0 and 1 special cases), and shapes that
 //! straddle every tiling boundary — 1×1, primes, tall-skinny, and
@@ -102,45 +102,6 @@ proptest! {
     ) {
         check_against_reference(alpha, beta, m, k, n, seed)?;
     }
-
-    #[test]
-    fn threaded_sgemm_is_bit_identical_to_single_threaded(
-        m in prop_oneof![Just(512usize), Just(777usize), Just(1024usize)],
-        k in prop_oneof![Just(256usize), Just(300usize)],
-        n in prop_oneof![Just(64usize), Just(200usize)],
-        seed in 0u64..1_000_000,
-    ) {
-        // `sgemm` splits up to the pool's size; the packed GEMM over the
-        // same operands runs the same tiles on one thread.
-        sched::configure_workers(3);
-        let a = fill(m, k, seed);
-        let b = fill(k, n, seed ^ 0xa076_1d64_78bd_642f);
-        let mut threaded = Matrix::zeros(m, n);
-        sgemm(Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut threaded);
-        let mut serial = Matrix::zeros(m, n);
-        PackedMatrix::pack(&b).gemm(&a, Init::Zero, Activation::Linear, &mut serial, 1);
-        // The thread split never changes any tile's arithmetic, so the
-        // results must be bit-identical, not merely close.
-        prop_assert_eq!(serial, threaded);
-    }
-}
-
-/// The tile decomposition does not depend on the split width — only
-/// which scheduler thread runs each tile changes — so a 4-way threaded
-/// GEMM must be bit-identical to a single-threaded run, also on shapes
-/// whose edges are not tile multiples.
-#[test]
-fn scheduler_threaded_gemm_bit_identical_to_serial() {
-    sched::configure_workers(3);
-    for (m, k, n, seed) in [(512, 256, 64, 1u64), (777, 300, 200, 2), (1024, 511, 129, 3)] {
-        let a = fill(m, k, seed);
-        let packed = PackedMatrix::pack(&fill(k, n, seed ^ 0xa076_1d64_78bd_642f));
-        let mut serial = Matrix::zeros(m, n);
-        let mut threaded = Matrix::zeros(m, n);
-        packed.gemm(&a, Init::Zero, Activation::Relu, &mut serial, 1);
-        packed.gemm(&a, Init::Zero, Activation::Relu, &mut threaded, 4);
-        assert_eq!(serial, threaded, "threaded GEMM diverged from serial ({m}x{k}x{n})");
-    }
 }
 
 /// The blocked kernel's arithmetic, element by element, as the BLAS
@@ -183,7 +144,7 @@ fn packed_gemm_keeps_the_bits_of_bias_copy_then_sgemm() {
         let bias: Vec<f32> = (0..n).map(|j| (j as f32 * 0.37).sin()).collect();
         for act in Activation::all() {
             let mut got = Matrix::from_fn(m, n, |_, _| f32::NAN);
-            PackedMatrix::pack(&w).gemm(&x, Init::Bias(&bias), act, &mut got, 1);
+            PackedMatrix::pack(&w).gemm(&x, Init::Bias(&bias), act, &mut got);
             let mut blas = Matrix::from_fn(m, n, |_, c| bias[c]);
             sgemm(Transpose::No, Transpose::No, 1.0, &x, &w, 1.0, &mut blas);
             act.apply(blas.as_mut_slice());
@@ -216,7 +177,7 @@ fn zero_activation_against_inf_or_nan_weight_is_nan_on_every_path() {
             let mut unblocked = Matrix::zeros(rows, 2);
             sgemm_unblocked(1.0, &x, &w, 0.0, &mut unblocked);
             let mut packed = Matrix::zeros(rows, 2);
-            PackedMatrix::pack(&w).gemm(&x, Init::Zero, Activation::Linear, &mut packed, 1);
+            PackedMatrix::pack(&w).gemm(&x, Init::Zero, Activation::Linear, &mut packed);
             let paths = [("sgemm", sgemm_c), ("unblocked", unblocked), ("packed", packed)];
             for (name, got) in &paths {
                 for (i, (&g, &e)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {

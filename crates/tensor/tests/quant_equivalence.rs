@@ -4,10 +4,10 @@
 //!    documented worst-case bound `qgemm_error_bound(k, amax, wmax)` —
 //!    half a quantization step per factor plus the cross term, summed over
 //!    the k-length dot product (see `tensor::quant`).
-//! 2. **Determinism**: the blocked, SIMD-dispatched, threaded path is
-//!    bit-identical to the naive quantized reference
-//!    (`qgemm_dense_reference`) — packing, tiling, kernel choice, and the
-//!    thread split may never change any element's arithmetic.
+//! 2. **Determinism**: the blocked, SIMD-dispatched path is bit-identical
+//!    to the naive quantized reference (`qgemm_dense_reference`) —
+//!    packing, tiling and kernel choice may never change any element's
+//!    arithmetic.
 //!
 //! Plus the adversarial corners the scheme special-cases: all-zero weight
 //! columns (scale fallback), single-row batches, and saturating weights at
@@ -74,15 +74,14 @@ fn check_error_bound(m: usize, k: usize, n: usize, seed: u64) -> Result<(), Stri
 }
 
 /// Determinism contract: the production path (packing + SIMD dispatch +
-/// blocking + fused epilogue, at any thread count) is bit-identical to the
-/// naive i64-accumulated quantized reference.
+/// blocking + fused epilogue) is bit-identical to the naive
+/// i64-accumulated quantized reference.
 fn check_bit_identical(
     m: usize,
     k: usize,
     n: usize,
     activation: Activation,
     with_bias: bool,
-    threads: usize,
     seed: u64,
 ) -> Result<(), String> {
     let a = fill(m, k, seed);
@@ -94,11 +93,11 @@ fn check_bit_identical(
     let mut expected = Matrix::zeros(m, n);
     let mut scratch = QuantScratch::default();
     let init = bias.as_deref().map_or(Init::Zero, Init::Bias);
-    wq.gemm(&a, init, activation, &mut got, &mut scratch, threads);
+    wq.gemm(&a, init, activation, &mut got, &mut scratch);
     qgemm_dense_reference(&a, &wq, bias.as_deref(), activation, false, &mut expected);
     if got != expected {
         return Err(format!(
-            "m={m} k={k} n={n} act={activation:?} bias={with_bias} threads={threads}: \
+            "m={m} k={k} n={n} act={activation:?} bias={with_bias}: \
              blocked path diverged from quantized reference (max diff {})",
             got.max_abs_diff(&expected)
         ));
@@ -126,16 +125,15 @@ proptest! {
         n in arb_dim(),
         activation in arb_activation(),
         with_bias in any::<bool>(),
-        threads in 1usize..=4,
         seed in 0u64..1_000_000,
     ) {
-        check_bit_identical(m, k, n, activation, with_bias, threads, seed)?;
+        check_bit_identical(m, k, n, activation, with_bias, seed)?;
     }
 }
 
 proptest! {
     // Large shapes are expensive; a few cases still cross the MC/KC/NC
-    // cache-block and parallel-dispatch boundaries.
+    // cache-block boundaries.
     #![proptest_config(ProptestConfig { cases: 6 })]
 
     #[test]
@@ -146,7 +144,7 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         check_error_bound(m, k, n, seed)?;
-        check_bit_identical(m, k, n, Activation::Relu, true, 4, seed)?;
+        check_bit_identical(m, k, n, Activation::Relu, true, seed)?;
     }
 }
 
@@ -181,7 +179,7 @@ fn all_zero_weight_columns_stay_exactly_zero() {
 fn single_row_batches_hold_both_contracts() {
     for k in [1usize, 8, 31, 64, 513] {
         check_error_bound(1, k, 37, k as u64).unwrap();
-        check_bit_identical(1, k, 37, Activation::Sigmoid, true, 2, k as u64).unwrap();
+        check_bit_identical(1, k, 37, Activation::Sigmoid, true, k as u64).unwrap();
     }
 }
 

@@ -10,14 +10,12 @@ pub struct EngineConfig {
     pub vector_size: usize,
     /// Number of table partitions.
     pub partitions: usize,
-    /// The engine's parallelism level, read in three places:
+    /// The engine's parallelism level, read in two places:
     /// - whether queries fan out over table partitions: values above 1
     ///   enable partition-parallel execution on the process-wide
     ///   scheduler pool (one worker per core), 1 runs every plan serially
-    ///   on the calling thread;
-    /// - the GEMM split width of every model a `PREDICT` registration
-    ///   builds: a full vector's GEMM splits up to this many ways (fixed
-    ///   at build time, capped by the shape and the pool's size);
+    ///   on the calling thread. A morsel runs its GEMMs whole, so this is
+    ///   the stack's one level of parallelism;
     /// - whether a UDF approach gets one host per scheduler thread (above
     ///   1) or a single host.
     pub parallelism: usize,

@@ -130,7 +130,7 @@ impl<'a> Binder<'a> {
                 let table = self.catalog.table(name)?;
                 Ok(LogicalPlan::scan(table, alias.as_deref().unwrap_or(name)))
             }
-            TableRef::Predict { model, input, args } => {
+            TableRef::Predict { model, input, args, alias } => {
                 let input = self.bind_table_ref(input)?;
                 let args = args
                     .iter()
@@ -141,7 +141,14 @@ impl<'a> Binder<'a> {
                         ))),
                     })
                     .collect::<Result<Vec<usize>>>()?;
-                LogicalPlan::infer(input, args, self.catalog.model(model)?)
+                let mut plan = LogicalPlan::infer(input, args, self.catalog.model(model)?)?;
+                // An alias requalifies every output column in place: an
+                // identity `Project` would sit between `Infer` and the
+                // optimizer's pushdowns.
+                if let (Some(alias), LogicalPlan::Infer { schema, .. }) = (alias, &mut plan) {
+                    *schema = schema.requalify(alias);
+                }
+                Ok(plan)
             }
             TableRef::Subquery { query, alias } => {
                 let inner = self.bind_select(query)?;

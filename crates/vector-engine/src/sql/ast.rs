@@ -74,12 +74,13 @@ pub enum TableRef {
         right: Box<TableRef>,
         on: Option<AstExpr>,
     },
-    /// `PREDICT(model, input, arg, …)`: the registered `model` applied to
-    /// every row of the `input` table factor.
+    /// `PREDICT(model, input, arg, …) [[AS] alias]`: the registered
+    /// `model` applied to every row of the `input` table factor.
     Predict {
         model: String,
         input: Box<TableRef>,
         args: Vec<AstExpr>,
+        alias: Option<String>,
     },
 }
 

@@ -317,16 +317,19 @@ impl Parser {
                 args.push(self.expr()?);
             }
             self.expect(Token::RParen)?;
-            return Ok(TableRef::Predict { model, input, args });
+            let alias = self.table_alias()?;
+            return Ok(TableRef::Predict { model, input, args, alias });
         }
-        let alias = if self.eat_kw(Keyword::As) {
-            Some(self.expect_ident("table alias")?)
-        } else if let Token::Ident(_) = self.peek() {
-            Some(self.expect_ident("table alias")?)
-        } else {
-            None
-        };
+        let alias = self.table_alias()?;
         Ok(TableRef::Table { name, alias })
+    }
+
+    /// An optional `[AS] alias` after a table or table function.
+    fn table_alias(&mut self) -> Result<Option<String>> {
+        if self.eat_kw(Keyword::As) || matches!(self.peek(), Token::Ident(_)) {
+            return self.expect_ident("table alias").map(Some);
+        }
+        Ok(None)
     }
 
     // ---- expressions (precedence climbing) ----

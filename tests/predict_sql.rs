@@ -1,7 +1,8 @@
 //! `PREDICT(model, input, args…)`: inference as a plan node. The SQL form,
 //! the `execute_model_join` wrapper, a registered C-API session and the
 //! `nn` oracle agree; a filter never changes a row's prediction, and
-//! pushed below the inference it matches the unoptimized plan; a
+//! pushed below the inference it matches the unoptimized plan; an alias
+//! renames the output without changing the plan; a
 //! filtered `PREDICT` over a persistent table reads
 //! only the pages of the columns it uses; an empty answer keeps its types;
 //! bad calls are errors; a re-registered model is never replayed from a
@@ -171,6 +172,37 @@ fn predict_pushdown_matches_the_unoptimized_plan() {
         assert!(infer < filter, "the filter sits below the inference: {plan}");
         let got = common::assert_matches_unoptimized(&e, &sql);
         assert!((1..700).contains(&got.num_rows()), "{partitions} partitions");
+    }
+}
+
+/// `PREDICT(…) [AS] p` names its output columns `p.…`. A `WHERE p.id < k`
+/// over it returns the bits of the unaliased statement, and the alias
+/// adds no plan node: both statements optimize to the same plan, the
+/// filter below the inference, at every partition × parallelism shape.
+#[test]
+fn an_aliased_predict_matches_the_unaliased_one() {
+    let model = paper::dense_model(16, 2, 3);
+    for partitions in [1, 4] {
+        for parallelism in [1, 4] {
+            let config =
+                EngineConfig { vector_size: 64, partitions, parallelism, ..Default::default() };
+            let (e, _) = engine(config, 700, &model);
+            for k in [1, 300, 700] {
+                let case = format!("{partitions} partitions x {parallelism}, id < {k}");
+                let plain = format!("{PREDICT} WHERE id < {k}");
+                let want = result_rows(e.execute(&plain).unwrap());
+                assert_eq!(want.len(), k as usize, "{case}");
+                let plan = e.plan(&plain).unwrap().display_indent();
+                for as_kw in ["", "AS "] {
+                    let aliased = format!(
+                        "SELECT p.id, p.prediction FROM PREDICT(m, facts, c0, c1, c2, c3) \
+                         {as_kw}p WHERE p.id < {k}"
+                    );
+                    assert_eq!(result_rows(e.execute(&aliased).unwrap()), want, "{case}");
+                    assert_eq!(e.plan(&aliased).unwrap().display_indent(), plan, "{case}");
+                }
+            }
+        }
     }
 }
 
