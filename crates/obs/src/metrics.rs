@@ -29,14 +29,12 @@ pub static TENSOR_GEMM_I8_FLOPS: Counter = Counter::new();
 /// dequant epilogue — µs (span-gated).
 pub static TENSOR_GEMM_I8_US: Histogram = Histogram::new();
 
-// --- sched: unified work-stealing scheduler -------------------------------
+// --- sched: the process-wide scheduler ------------------------------------
 
 /// Serve-class tasks submitted (an accounting label, scheduled like Query).
 pub static SCHED_TASKS_SERVE: Counter = Counter::new();
 /// Query-class tasks submitted (partition/operator morsels).
 pub static SCHED_TASKS_QUERY: Counter = Counter::new();
-/// Tasks a worker claimed from another worker's deque.
-pub static SCHED_STEALS: Counter = Counter::new();
 /// Times a worker parked on the idle condvar.
 pub static SCHED_PARKS: Counter = Counter::new();
 /// Times a parked worker was woken.
@@ -199,7 +197,6 @@ pub static SERVE_E2E_US: Histogram = Histogram::new();
 pub static COUNTERS: &[(&str, &Counter)] = &[
     ("sched.tasks.serve", &SCHED_TASKS_SERVE),
     ("sched.tasks.query", &SCHED_TASKS_QUERY),
-    ("sched.steals", &SCHED_STEALS),
     ("sched.parks", &SCHED_PARKS),
     ("sched.unparks", &SCHED_UNPARKS),
     ("sched.panics_caught", &SCHED_PANICS_CAUGHT),

@@ -1,20 +1,19 @@
-//! The morsel-driven work-stealing scheduler: the **one process-wide
-//! pool** that owns every compute thread of the stack and schedules every
-//! unit of work — a GEMM tile range (`tensor`), an operator morsel
-//! (`vector-engine`, `modeljoin`, `shard`), a served SQL statement
-//! (`serve`) — from the same queues. No other crate spawns compute
-//! threads, so mixed SQL + inference traffic cannot oversubscribe the
-//! machine (a 12-way partition fan-out inside each of 12 served
-//! statements is 144 queued tasks, not 144 runnable threads).
+//! The morsel-driven scheduler: the **one process-wide pool** that owns
+//! every compute thread of the stack and schedules every unit of work —
+//! an operator morsel (`vector-engine`, `modeljoin`, `shard`), a model
+//! build's fill fan-out (`modeljoin`), a served SQL statement (`serve`) —
+//! from one queue. No other crate spawns compute threads, so mixed SQL +
+//! inference traffic cannot oversubscribe the machine (a 12-way partition
+//! fan-out inside each of 12 served statements is 144 queued tasks, not
+//! 144 runnable threads).
 //!
 //! # Architecture
 //!
-//! * **Per-worker deques + a global injector.** Work submitted from a
-//!   worker thread goes to that worker's own deque (popped LIFO for
-//!   locality); work submitted from outside goes to the global injector
-//!   queue. Idle workers claim from their own deque first, then the
-//!   injector, then steal FIFO from a sibling's deque (counted under
-//!   `sched.steals`).
+//! * **One FIFO queue.** Every submission, from a worker or from outside,
+//!   goes to the back of one queue, and workers claim from its front.
+//!   The only nested submitters are a model build's fill fan-out inside
+//!   the first ModelJoin morsel and a served statement's morsels, so
+//!   per-worker deques and stealing bought nothing.
 //! * **Task classes are accounting labels.** [`TaskClass`] picks the
 //!   counter and run-time histogram a task is recorded under; every class
 //!   is queued and claimed alike. There is no priority and no preemption.
@@ -25,9 +24,9 @@
 //! * **Cooperative nested parallelism.** [`Scheduler::run_scoped`] is the
 //!   fork-join primitive: the caller keeps one task for itself, submits
 //!   the rest, and while waiting *helps* by claiming and running tasks
-//!   **of its own scope** that no peer has stolen yet. A worker therefore
-//!   never blocks while its own sub-tasks sit queued (a partition task
-//!   whose GEMM fans out runs the tiles itself if no one else does).
+//!   **of its own scope** that no peer has claimed yet. A worker therefore
+//!   never blocks while its own sub-tasks sit queued (a morsel that
+//!   builds the model fills its partitions itself if no one else does).
 //!   [`Scheduler::fork_join`] is the ordered, value-returning form every
 //!   operator fan-out uses. Helping is scope-restricted for every class:
 //!   running *unrelated* tasks on the waiting stack could re-enter
@@ -39,15 +38,13 @@
 //!   `run_scoped` re-raises at the call site, and a panicking detached
 //!   task never takes a worker down.
 //!
-//! The process-wide instance lives behind [`global`], sized to the
-//! machine's available parallelism on first use; [`configure_workers`]
-//! can only grow it. Independent instances
-//! ([`Scheduler::new`]) exist for tests, which also exercise
+//! The process-wide instance lives behind [`global`], with one worker per
+//! core the machine makes available, fixed on first use. Independent
+//! instances ([`Scheduler::new`]) exist for tests, which also exercise
 //! [`Scheduler::shutdown`] — drain semantics guarantee no submitted task
 //! is ever lost, even racing shutdown.
 
 use obs::metrics as om;
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -97,11 +94,9 @@ struct TaskEntry {
 }
 
 struct Inner {
-    /// The injector: tasks submitted off-pool.
-    injector: Mutex<VecDeque<TaskEntry>>,
-    /// One deque per worker, fixed when the pool starts.
-    deques: Vec<Mutex<VecDeque<TaskEntry>>>,
-    /// Tasks currently queued anywhere. Incremented before the unpark
+    /// The one queue every task waits in, claimed oldest first.
+    queue: Mutex<VecDeque<TaskEntry>>,
+    /// Tasks currently queued. Incremented before the unpark
     /// notification and re-read under the park lock, closing the
     /// submit-vs-park race.
     pending: AtomicUsize,
@@ -117,33 +112,15 @@ struct Inner {
     shutdown: AtomicBool,
 }
 
-thread_local! {
-    /// (Inner address, worker index) when this thread is a pool worker.
-    static WORKER: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
-}
-
 impl Inner {
-    fn new(workers: usize) -> Inner {
+    fn new() -> Inner {
         Inner {
-            injector: Mutex::new(VecDeque::new()),
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+            queue: Mutex::new(VecDeque::new()),
             pending: AtomicUsize::new(0),
             parked: AtomicUsize::new(0),
             park: Mutex::new(()),
             unpark: Condvar::new(),
             shutdown: AtomicBool::new(false),
-        }
-    }
-
-    fn addr(&self) -> usize {
-        self as *const Inner as usize
-    }
-
-    /// This thread's worker index in *this* pool, if any.
-    fn own_index(&self) -> Option<usize> {
-        match WORKER.get() {
-            Some((addr, idx)) if addr == self.addr() => Some(idx),
-            _ => None,
         }
     }
 
@@ -154,11 +131,7 @@ impl Inner {
         // spinning worker drive `pending` below zero.
         let depth = self.pending.fetch_add(1, Ordering::SeqCst) + 1;
         om::SCHED_QUEUE_DEPTH.set(depth as i64);
-        match self.own_index() {
-            // Nested submission from a worker: its own deque, LIFO end.
-            Some(idx) => self.deques[idx].lock().unwrap().push_back(entry),
-            None => self.injector.lock().unwrap().push_back(entry),
-        }
+        self.queue.lock().unwrap().push_back(entry);
         if self.parked.load(Ordering::SeqCst) > 0 {
             let _guard = self.park.lock().unwrap();
             self.unpark.notify_one();
@@ -170,46 +143,24 @@ impl Inner {
         om::SCHED_QUEUE_DEPTH.set(depth as i64);
     }
 
-    /// Claim the next task for worker `idx`: own deque (LIFO) → injector
-    /// → steal FIFO from a sibling.
-    fn claim(&self, idx: usize) -> Option<TaskEntry> {
-        if let Some(e) = self.deques[idx].lock().unwrap().pop_back() {
-            self.claimed();
-            return Some(e);
-        }
-        if let Some(e) = self.injector.lock().unwrap().pop_front() {
-            self.claimed();
-            return Some(e);
-        }
-        let n = self.deques.len();
-        for off in 1..n {
-            let victim = (idx + off) % n;
-            if let Some(e) = self.deques[victim].lock().unwrap().pop_front() {
-                om::SCHED_STEALS.add(1);
-                self.claimed();
-                return Some(e);
-            }
-        }
-        None
+    /// Claim the oldest queued task.
+    fn claim(&self) -> Option<TaskEntry> {
+        let e = self.queue.lock().unwrap().pop_front()?;
+        self.claimed();
+        Some(e)
     }
 
-    /// Claim a task belonging to `scope`, searching every queue it can
-    /// live in. Used by the helping loop of [`Scheduler::run_scoped`]:
-    /// scope tasks sit either in the submitting worker's deque or in the
-    /// injector, and stealing removes (never relocates) entries, so a miss
-    /// here means every scope task is already claimed by a peer.
+    /// Claim the oldest queued task belonging to `scope`. Used by the
+    /// helping loop of [`Scheduler::run_scoped`]: a claim removes (never
+    /// relocates) an entry, so a miss here means every scope task is
+    /// already claimed by a peer.
     fn claim_scope(&self, scope: usize) -> Option<TaskEntry> {
-        let own = self.own_index().map(|idx| &self.deques[idx]);
-        for queue in own.into_iter().chain([&self.injector]) {
-            let mut q = queue.lock().unwrap();
-            if let Some(pos) = q.iter().position(|e| e.scope == scope) {
-                let e = q.remove(pos).expect("position in bounds");
-                drop(q);
-                self.claimed();
-                return Some(e);
-            }
-        }
-        None
+        let mut q = self.queue.lock().unwrap();
+        let pos = q.iter().position(|e| e.scope == scope)?;
+        let e = q.remove(pos).expect("position in bounds");
+        drop(q);
+        self.claimed();
+        Some(e)
     }
 
     /// Run one claimed task: record queue wait and per-class run time
@@ -228,10 +179,9 @@ impl Inner {
     }
 }
 
-fn worker_loop(inner: Arc<Inner>, idx: usize) {
-    WORKER.set(Some((inner.addr(), idx)));
+fn worker_loop(inner: Arc<Inner>) {
     loop {
-        if let Some(entry) = inner.claim(idx) {
+        if let Some(entry) = inner.claim() {
             inner.run_entry(entry);
             continue;
         }
@@ -301,10 +251,11 @@ impl std::fmt::Display for TaskPanicked {
 
 impl std::error::Error for TaskPanicked {}
 
-/// A work-stealing pool. Most callers use the process-wide [`global`]
+/// A pool of worker threads over one task queue. Most callers use the process-wide [`global`]
 /// instance; owned instances exist for tests and support [`Scheduler::shutdown`].
 pub struct Scheduler {
     inner: Arc<Inner>,
+    workers: usize,
     handles: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -314,22 +265,22 @@ impl Scheduler {
     /// [`Scheduler::shutdown`], but `run_scoped` still completes (the
     /// caller runs its whole scope itself).
     pub fn new(workers: usize) -> Scheduler {
-        let inner = Arc::new(Inner::new(workers));
+        let inner = Arc::new(Inner::new());
         let handles = (0..workers)
             .map(|idx| {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("sched-worker-{idx}"))
-                    .spawn(move || worker_loop(inner, idx))
+                    .spawn(move || worker_loop(inner))
                     .expect("spawn sched worker")
             })
             .collect();
-        Scheduler { inner, handles: Mutex::new(handles) }
+        Scheduler { inner, workers, handles: Mutex::new(handles) }
     }
 
     /// Worker-thread count.
     pub fn workers(&self) -> usize {
-        self.inner.deques.len()
+        self.workers
     }
 
     /// Submit a detached task. Requires at least one worker to make
@@ -455,18 +406,8 @@ impl Scheduler {
 
     /// Run every queued task on this thread until the queues are empty.
     fn drain_inline(&self) {
-        loop {
-            let entry =
-                self.inner.injector.lock().unwrap().pop_front().or_else(|| {
-                    self.inner.deques.iter().find_map(|d| d.lock().unwrap().pop_front())
-                });
-            match entry {
-                Some(e) => {
-                    self.inner.claimed();
-                    self.inner.run_entry(e);
-                }
-                None => return,
-            }
+        while let Some(e) = self.inner.claim() {
+            self.inner.run_entry(e);
         }
     }
 
@@ -580,9 +521,9 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         let pool = Arc::clone(&s);
         s.spawn(TaskClass::Query, move || {
-            // On a pool worker the fan-out lands in that worker's own
-            // deque. It blocks in task 0 until tasks 1 and 2 also reach
-            // the barrier, which they only can on siblings that stole them.
+            // A fan-out submitted from a pool worker: it blocks in task 0
+            // until tasks 1 and 2 also reach the barrier, which they only
+            // can on the two sibling workers that claim them.
             let barrier = std::sync::Barrier::new(3);
             let out = pool.fork_join(TaskClass::Query, 0..64usize, |i| {
                 if i < 3 {

@@ -1,5 +1,5 @@
-//! Scheduler stress tests: no lost tasks under concurrent submit, steal,
-//! and shutdown; cooperative nested scopes; scope-restricted helping.
+//! Scheduler stress tests: no lost tasks under concurrent submit and
+//! shutdown; cooperative nested scopes; scope-restricted helping.
 //! These are the CI gate for the unified scheduler's liveness and
 //! exactly-once guarantees (run in release on CI — they push tens of
 //! thousands of tasks).
@@ -191,4 +191,44 @@ fn helping_loop_leaves_a_pending_serve_task_queued() {
     assert!(!served.load(Ordering::SeqCst), "a helping loop ran a task outside its scope");
     s.shutdown();
     assert!(served.load(Ordering::SeqCst), "the shutdown drain runs the queued task");
+}
+
+/// The shape a ModelJoin query runs: every morsel of a fan-out asks one
+/// `OnceLock` for the shared model, the first to get there builds it
+/// through a nested fill fan-out, and its siblings block on the lock
+/// meanwhile. Own-scope helping lets the builder run its fills itself
+/// when no worker is free, so every round completes, on one and on two
+/// workers, whether the fan-out starts off the pool (a query) or inside
+/// a pool task (a served statement).
+#[test]
+fn morsels_blocked_on_a_build_that_fans_out_complete() {
+    for workers in [1usize, 2] {
+        for from_pool in [false, true] {
+            let s = Arc::new(Scheduler::new(workers));
+            let (tx, rx) = std::sync::mpsc::channel();
+            let pool = Arc::clone(&s);
+            let rounds = move || {
+                for _ in 0..200 {
+                    let model = std::sync::OnceLock::new();
+                    let out = pool.fork_join(TaskClass::Query, 0..8usize, |_| {
+                        *model.get_or_init(|| {
+                            let fills = pool.fork_join(TaskClass::Query, 0..6usize, |p| p * 2);
+                            fills.unwrap().iter().sum::<usize>()
+                        })
+                    });
+                    assert_eq!(out, Ok(vec![30; 8]));
+                }
+                tx.send(()).unwrap();
+            };
+            if from_pool {
+                s.spawn(TaskClass::Query, rounds);
+            } else {
+                std::thread::spawn(rounds);
+            }
+            let case = format!("{workers} workers, from the pool {from_pool}");
+            rx.recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("{case}: a blocked build did not finish"));
+            s.shutdown();
+        }
+    }
 }
