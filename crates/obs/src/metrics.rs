@@ -43,7 +43,7 @@ pub static SCHED_UNPARKS: Counter = Counter::new();
 pub static SCHED_PANICS_CAUGHT: Counter = Counter::new();
 /// Worker threads owned by the process-wide scheduler.
 pub static SCHED_WORKERS: Gauge = Gauge::new();
-/// Tasks currently queued (all deques + the injector).
+/// Tasks currently queued.
 pub static SCHED_QUEUE_DEPTH: Gauge = Gauge::new();
 /// Submit-to-claim queue wait per task, µs (span-gated).
 pub static SCHED_QUEUE_WAIT_US: Histogram = Histogram::new();

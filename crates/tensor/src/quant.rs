@@ -324,6 +324,7 @@ fn qgemm_i32_unblocked(aq: &[u8], m: usize, k: usize, w: &QuantizedWeights, acc:
 /// panels.
 fn qgemm_i32_blocked(aq: &[u8], m: usize, k: usize, w: &QuantizedWeights, acc: &mut [i32]) {
     let (n, ldc) = (w.n, w.n);
+    assert_eq!(acc.len(), m * n, "qgemm: accumulator shape");
     let cptr = acc.as_mut_ptr();
     A_SCRATCH_I8.with(|abuf| {
         B_SCRATCH_I8.with(|bbuf| {
@@ -356,8 +357,10 @@ fn qgemm_i32_blocked(aq: &[u8], m: usize, k: usize, w: &QuantizedWeights, acc: &
                             for p in 0..mc.div_ceil(MR) {
                                 let mr_eff = MR.min(mc - p * MR);
                                 let ap = &abuf[p * kg * MR * KG..(p + 1) * kg * MR * KG];
-                                // SAFETY: the tile clamps to the accumulator's
-                                // edge.
+                                // SAFETY: the tile starts inside the `m x n`
+                                // accumulator (row ic + p·MR < m, column
+                                // jc + q·NR < n; `acc` holds m·n values) and
+                                // mr_eff/nr_eff clamp it to the edge.
                                 unsafe {
                                     let ctile = cptr.add((ic + p * MR) * ldc + jc + q * NR);
                                     microkernel_i8(kg, ap, bp, ctile, ldc, mr_eff, nr_eff);

@@ -47,10 +47,10 @@
 //! partition, at most [`MORSEL_ROWS`] rows, read as the rows those blocks
 //! held when the morsel list was built (so rows an append adds to a
 //! morsel's last block never reach a split proven without them) —
-//! submitted as Query-class tasks to the process-wide work-stealing pool
-//! in `crates/sched`. The driving thread cooperatively runs its own
-//! morsels while waiting, so queries never spawn threads, and stealing
-//! balances skewed partitions.
+//! submitted as Query-class tasks to the process-wide pool in
+//! `crates/sched`. The driving thread cooperatively runs its own morsels
+//! while waiting, so queries never spawn threads, and whichever worker is
+//! idle claims the next morsel, which balances skewed partitions.
 //! Results are gathered in (partition, block-range) order, so output is
 //! deterministic. The path each plan takes (`serial` or `partitioned`)
 //! and the proof that admitted its split are counted in `exec.plans.*`
@@ -71,7 +71,7 @@ use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Target rows per scheduler morsel: large enough that per-task overhead
-/// vanishes, small enough that stealing can balance a skewed partition.
+/// vanishes, small enough that idle workers can balance a skewed partition.
 const MORSEL_ROWS: usize = 65536;
 
 /// One scheduler morsel: a partition, a `[start, end)` block range in it,

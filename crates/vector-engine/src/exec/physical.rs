@@ -53,7 +53,8 @@ pub struct ExecContext {
     pub scan_restrict: Option<(Arc<Table>, usize)>,
     /// When set alongside `scan_restrict`, the restricted scan reads only
     /// this `[start, end)` row range — one morsel of the unified
-    /// scheduler, so a skewed partition splits across stealable tasks.
+    /// scheduler, so a skewed partition splits across tasks any worker
+    /// can claim.
     pub scan_rows: Option<(usize, usize)>,
 }
 

@@ -50,7 +50,7 @@ pub struct ScanExec {
     partitions: (usize, usize),
     /// Restrict to a `[start, end)` row range within each scanned
     /// partition — the sub-partition morsel unit the unified scheduler
-    /// steals, so one skewed partition can be balanced across workers.
+    /// queues, so one skewed partition can be balanced across workers.
     rows: Option<(usize, usize)>,
     /// Per-partition row counts captured at construction: the scan's
     /// snapshot. Appends only add rows past these counts — rows topping
