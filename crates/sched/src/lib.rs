@@ -11,9 +11,9 @@
 //!
 //! * **One FIFO queue.** Every submission, from a worker or from outside,
 //!   goes to the back of one queue, and workers claim from its front.
-//!   The only nested submitters are a model build's fill fan-out inside
-//!   the first ModelJoin morsel and a served statement's morsels, so
-//!   per-worker deques and stealing bought nothing.
+//!   Nested submissions are few — a model build's fill fan-out inside
+//!   the first ModelJoin morsel, a served statement's morsels — so
+//!   per-worker queues would keep no locality worth their cost.
 //! * **Task classes are accounting labels.** [`TaskClass`] picks the
 //!   counter and run-time histogram a task is recorded under; every class
 //!   is queued and claimed alike. There is no priority and no preemption.
