@@ -1,14 +1,9 @@
 //! Model → relational table export.
 
 use crate::meta::{ModelMeta, SlotKind};
-use crate::schema::{model_table_schema, Layout};
+use crate::schema::{model_table_schema, Layout, B_I, U_I, W_I};
 use nn::{Layer, Model};
 use vector_engine::{ColumnVector, Engine, Result, Table};
-
-/// Gate index aliases into the 12-element weight vector.
-const W: usize = 0; // w_i..w_o at 0..4
-const U: usize = 4; // u_i..u_o at 4..8
-const B: usize = 8; // b_i..b_o at 8..12
 
 /// Collects edges in columnar form and hands them to `out` every
 /// `handoff` edges; [`Sink::flush`] hands off the rest.
@@ -110,7 +105,7 @@ where
     let input_slot = &meta.slots[0];
     for i in 0..input_slot.dim {
         let mut w = [0.0; 12];
-        w[W] = 1.0;
+        w[W_I] = 1.0;
         sink.edge(-1, -1, input_slot.layer, i as i64, -1, input_slot.node_base + i as i64, w)?;
     }
 
@@ -126,9 +121,9 @@ where
                 for i in 0..d.input_dim() {
                     for j in 0..d.units() {
                         let mut w = [0.0; 12];
-                        w[W] = d.weights.get(i, j) as f64;
+                        w[W_I] = d.weights.get(i, j) as f64;
                         // Bias replicated to every incoming edge (Sec. 4.3).
-                        w[B] = d.bias[j] as f64;
+                        w[B_I] = d.bias[j] as f64;
                         sink.edge(
                             p.layer,
                             i as i64,
@@ -156,8 +151,8 @@ where
                     for j in 0..l.units() {
                         let mut w = [0.0; 12];
                         for g in 0..4 {
-                            w[W + g] = l.kernel[g].get(f, j) as f64;
-                            w[B + g] = l.bias[g][j] as f64;
+                            w[W_I + g] = l.kernel[g].get(f, j) as f64;
+                            w[B_I + g] = l.bias[g][j] as f64;
                         }
                         sink.edge(
                             p.layer,
@@ -175,7 +170,7 @@ where
                     for j in 0..l.units() {
                         let mut w = [0.0; 12];
                         for g in 0..4 {
-                            w[U + g] = l.recurrent[g].get(h, j) as f64;
+                            w[U_I + g] = l.recurrent[g].get(h, j) as f64;
                         }
                         sink.edge(
                             kernel_slot.layer,

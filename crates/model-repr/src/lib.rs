@@ -21,6 +21,11 @@
 //! so no extra join is needed. An LSTM layer is split into a "kernel"
 //! sublayer and a "recurrent kernel" sublayer, each stored once
 //! (Sec. 4.3.3).
+//!
+//! [`Router`] is the one reader of a model table: it checks every edge,
+//! routes it into the layers' weight and bias buffers and assembles the
+//! layers from them. [`import_model`] fills it serially and ModelJoin's
+//! build phase from all partitions at once.
 
 pub mod export;
 pub mod import;
@@ -28,6 +33,6 @@ pub mod meta;
 pub mod schema;
 
 pub use export::{export_columns, load_into_engine};
-pub use import::import_model;
+pub use import::{import_model, Router};
 pub use meta::{ModelMeta, SlotInfo, SlotKind};
 pub use schema::{model_table_schema, Layout, WEIGHT_COLUMNS};

@@ -56,15 +56,6 @@ pub struct ModelMeta {
     pub input_dim: usize,
     /// Graph slots in order (slot 0 is always [`SlotKind::Input`]).
     pub slots: Vec<SlotInfo>,
-    /// Layer structure as (kind, dims) for reconstruction.
-    pub layers: Vec<LayerMeta>,
-}
-
-/// Per-layer reconstruction info.
-#[derive(Clone, Debug, PartialEq)]
-pub enum LayerMeta {
-    Dense { input: usize, units: usize, activation: Activation },
-    Lstm { features: usize, timesteps: usize, units: usize },
 }
 
 impl ModelMeta {
@@ -84,42 +75,19 @@ impl ModelMeta {
             layer += 1;
         };
         push(&mut slots, SlotKind::Input, input_dim, 1, input_dim);
-
-        let mut layers = Vec::new();
         for l in model.layers() {
             match l {
                 Layer::Dense(d) => {
-                    push(&mut slots, SlotKind::Dense(d.activation), d.units(), 1, d.input_dim());
-                    layers.push(LayerMeta::Dense {
-                        input: d.input_dim(),
-                        units: d.units(),
-                        activation: d.activation,
-                    });
+                    push(&mut slots, SlotKind::Dense(d.activation), d.units(), 1, d.input_dim())
                 }
                 Layer::Lstm(l) => {
-                    push(
-                        &mut slots,
-                        SlotKind::LstmKernel,
-                        l.units(),
-                        l.timesteps,
-                        l.input_features,
-                    );
-                    push(
-                        &mut slots,
-                        SlotKind::LstmRecurrent,
-                        l.units(),
-                        l.timesteps,
-                        l.input_features,
-                    );
-                    layers.push(LayerMeta::Lstm {
-                        features: l.input_features,
-                        timesteps: l.timesteps,
-                        units: l.units(),
-                    });
+                    for kind in [SlotKind::LstmKernel, SlotKind::LstmRecurrent] {
+                        push(&mut slots, kind, l.units(), l.timesteps, l.input_features);
+                    }
                 }
             }
         }
-        ModelMeta { input_dim, slots, layers }
+        ModelMeta { input_dim, slots }
     }
 
     /// Total node count across all slots (= first unused node ID).

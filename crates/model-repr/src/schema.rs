@@ -8,6 +8,12 @@ use vector_engine::{ColumnDef, DataType, Schema};
 pub const WEIGHT_COLUMNS: [&str; 12] =
     ["w_i", "w_f", "w_c", "w_o", "u_i", "u_f", "u_c", "u_o", "b_i", "b_f", "b_c", "b_o"];
 
+/// Ordinals within [`WEIGHT_COLUMNS`] of gate `i`'s kernel, recurrent
+/// kernel and bias column; gate `g` of `i, f, c, o` adds `g`.
+pub const W_I: usize = 0;
+pub const U_I: usize = 4;
+pub const B_I: usize = 8;
+
 /// How edges are addressed in the model table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Layout {

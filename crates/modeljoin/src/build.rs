@@ -1,15 +1,16 @@
 //! The parallel model build phase (paper Sec. 5.2): the relational model
-//! table's edges routed into weight and bias buffers, which the runtime
-//! assembles into a [`BuiltModel`]; plus the shared per-query handle and
-//! the one dtype decision.
+//! table's edges routed by its one reader, [`model_repr::Router`], into
+//! weight and bias buffers, which the runtime assembles into a
+//! [`BuiltModel`]; plus the shared per-query handle and the one dtype
+//! decision.
 
 use crate::cache::ModelCache;
 use mlruntime::BuiltModel;
-use model_repr::{Layout, ModelMeta, SlotInfo, SlotKind};
-use nn::{DenseLayer, Layer, LstmLayer};
+use model_repr::{Layout, ModelMeta, Router};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
-use tensor::{Device, Matrix};
-use vector_engine::{Batch, EngineConfig, EngineError, Result, Table};
+use tensor::Device;
+use vector_engine::{EngineConfig, EngineError, Result, Table};
 
 /// The numeric representation a built model runs in.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -32,190 +33,11 @@ impl ModelDtype {
     }
 }
 
-/// Routing tables from the model metadata.
-struct Router {
-    meta: ModelMeta,
-    layout: Layout,
-    /// Per slot: its first buffer index.
-    slot_buffers: Vec<usize>,
-    /// `(rows, cols)` of each flat row-major weight buffer to fill.
-    buffer_shapes: Vec<(usize, usize)>,
-    /// The weight columns (ordinals within the 12) the slots read: `w_i`
-    /// and `b_i` while every slot is Dense, all 12 once one is LSTM.
-    weights: Vec<usize>,
-}
-
-/// Weight-vector column ordinals within the 12 weight columns.
-const W0: usize = 0;
-const U0: usize = 4;
-const B0: usize = 8;
-
-impl Router {
-    fn new(meta: &ModelMeta, layout: Layout) -> Router {
-        let mut buffer_shapes = Vec::new();
-        let mut slot_buffers = Vec::new();
-        let mut prev_dim = meta.input_dim;
-        for slot in &meta.slots {
-            slot_buffers.push(buffer_shapes.len());
-            match slot.kind {
-                SlotKind::Input => {}
-                SlotKind::Dense(_) => {
-                    buffer_shapes.push((prev_dim, slot.dim)); // W
-                    buffer_shapes.push((1, slot.dim)); // bias
-                    prev_dim = slot.dim;
-                }
-                SlotKind::LstmKernel => {
-                    buffer_shapes.extend([(slot.features, slot.dim); 4]); // K_g
-                    buffer_shapes.extend([(1, slot.dim); 4]); // b_g
-                }
-                SlotKind::LstmRecurrent => {
-                    buffer_shapes.extend([(slot.dim, slot.dim); 4]); // U_g
-                    prev_dim = slot.dim;
-                }
-            }
-        }
-        let lstm = meta
-            .slots
-            .iter()
-            .any(|s| matches!(s.kind, SlotKind::LstmKernel | SlotKind::LstmRecurrent));
-        let weights = if lstm { (0..12).collect() } else { vec![W0, B0] };
-        Router { meta: meta.clone(), layout, slot_buffers, buffer_shapes, weights }
-    }
-
-    /// Table ordinals of the columns the build reads: the endpoint
-    /// columns, then the routed weight columns.
-    fn read_columns(&self) -> Vec<usize> {
-        let nend = self.layout.column_count() - 12;
-        (0..nend).chain(self.weights.iter().map(|w| nend + w)).collect()
-    }
-
-    /// Resolve an edge (by its endpoint columns) and call `write` with
-    /// every (buffer index, offset, weight-column index) it fills — none
-    /// for input-distribution edges (no learnable weights).
-    fn route(&self, endpoints: &[i64], mut write: impl FnMut(usize, usize, usize)) {
-        let (slot_idx, rel_in, rel_out) = match self.layout {
-            Layout::LayerNode => {
-                let (_, node_in, layer, node) =
-                    (endpoints[0], endpoints[1], endpoints[2], endpoints[3]);
-                if layer <= 0 {
-                    return; // input distribution edges
-                }
-                (layer as usize, node_in as usize, node as usize)
-            }
-            Layout::NodeId => {
-                let (node_in, node) = (endpoints[0], endpoints[1]);
-                let slots = &self.meta.slots;
-                let holds =
-                    |s: &SlotInfo, id: i64| id >= s.node_base && id < s.node_base + s.dim as i64;
-                let Some(slot_idx) = slots.iter().position(|s| holds(s, node)) else {
-                    return;
-                };
-                if slot_idx == 0 {
-                    return;
-                }
-                let dst = &slots[slot_idx];
-                let src_base = match dst.kind {
-                    SlotKind::LstmRecurrent => slots[slot_idx - 1].node_base,
-                    // Edges into dense / kernel slots come from the slot
-                    // the source id falls into.
-                    _ => match slots.iter().find(|s| holds(s, node_in)) {
-                        Some(src) => src.node_base,
-                        None => return,
-                    },
-                };
-                (slot_idx, (node_in - src_base) as usize, (node - dst.node_base) as usize)
-            }
-        };
-        let slot = &self.meta.slots[slot_idx];
-        let base = self.slot_buffers[slot_idx];
-        let at = rel_in * slot.dim + rel_out;
-        // A bias is replicated on every incoming edge; exactly one edge
-        // (rel_in == 0) writes it so threads never race.
-        match slot.kind {
-            SlotKind::Input => {}
-            SlotKind::Dense(_) => {
-                write(base, at, W0);
-                if rel_in == 0 {
-                    write(base + 1, rel_out, B0);
-                }
-            }
-            SlotKind::LstmKernel => {
-                for g in 0..4 {
-                    write(base + g, at, W0 + g);
-                }
-                if rel_in == 0 {
-                    for g in 0..4 {
-                        write(base + 4 + g, rel_out, B0 + g);
-                    }
-                }
-            }
-            SlotKind::LstmRecurrent => {
-                for g in 0..4 {
-                    write(base + g, at, U0 + g);
-                }
-            }
-        }
-    }
-}
-
-/// A raw shared view of the slab buffers for the lock-free parallel fill.
-///
-/// SAFETY ARGUMENT (the paper's own, Sec. 5.2): "As partitioning is
-/// arbitrary but distinct, it is guaranteed that there is no concurrent
-/// access to memory during this phase, making synchronization obsolete and
-/// providing true parallelism." Each edge row maps to a unique set of
-/// element offsets (the one exception — the replicated bias — is resolved
-/// by letting only the `rel_in == 0` edge write it), and each edge row
-/// lives in exactly one partition, so two threads never write the same
-/// element.
-struct SlabPtrs {
-    ptrs: Vec<*mut f32>,
-    lens: Vec<usize>,
-}
-
-unsafe impl Send for SlabPtrs {}
-unsafe impl Sync for SlabPtrs {}
-
-impl SlabPtrs {
-    /// Write `value` at `offset` of buffer `buf`.
-    ///
-    /// # Safety
-    /// Caller must guarantee offset is in range and no concurrent write to
-    /// the same element occurs (see the struct-level safety argument).
-    unsafe fn write(&self, buf: usize, offset: usize, value: f32) {
-        debug_assert!(offset < self.lens[buf]);
-        unsafe { *self.ptrs[buf].add(offset) = value };
-    }
-}
-
-/// Fill from one block of [`Router::read_columns`].
-fn fill_from_batch(batch: &Batch, router: &Router, slabs: &SlabPtrs) -> Result<()> {
-    let nend = router.layout.column_count() - 12;
-    let mut endpoints = vec![0i64; nend];
-    // Unread weight columns stay empty: routing never names them.
-    let mut weight_cols: [&[f64]; 12] = [&[]; 12];
-    for (i, &w) in router.weights.iter().enumerate() {
-        weight_cols[w] = batch.column(nend + i).as_float()?;
-    }
-    let end_cols: Result<Vec<&[i64]>> = (0..nend).map(|i| batch.column(i).as_int()).collect();
-    let end_cols = end_cols?;
-    for row in 0..batch.num_rows() {
-        for (e, col) in endpoints.iter_mut().zip(&end_cols) {
-            *e = col[row];
-        }
-        router.route(&endpoints, |buf, offset, wcol| {
-            // SAFETY: see SlabPtrs — disjoint offsets across rows,
-            // disjoint rows across threads.
-            unsafe { slabs.write(buf, offset, weight_cols[wcol][row] as f32) };
-        });
-    }
-    Ok(())
-}
-
-/// Run the parallel build phase: allocate shared storage single-threaded,
-/// fill it from the model-table partitions in parallel (on the scheduler
-/// pool), then assemble the fp32 [`BuiltModel`]: its kernel plan and the
-/// one-shot GPU upload.
+/// Run the parallel build phase: allocate the weight and bias buffers
+/// single-threaded, fill them through the model table's one reader
+/// ([`Router`]) from all partitions in parallel (on the scheduler pool),
+/// then assemble the fp32 [`BuiltModel`]: its kernel plan and the one-shot
+/// GPU upload.
 pub fn build_parallel(
     table: &Table,
     meta: &ModelMeta,
@@ -226,78 +48,52 @@ pub fn build_parallel(
     // because the frozen benchmark passes it until its next change (ROADMAP 1(i)).
     _threads: usize,
 ) -> Result<BuiltModel> {
-    if table.schema().len() != layout.column_count() {
-        return Err(EngineError::Catalog(format!(
-            "model table has {} columns but layout {} needs {}",
-            table.schema().len(),
-            layout.name(),
-            layout.column_count()
-        )));
-    }
+    let router = Router::new(meta, layout, table.schema().len())?;
     obs::metrics::MODELJOIN_BUILD_COUNT.add(1);
     let _span = obs::span(&obs::metrics::MODELJOIN_BUILD_US);
-    let router = Router::new(meta, layout);
     // Phase 1: single-threaded allocation (paper: "memory allocation ...
     // is performed single-threaded to a shared memory location").
-    let mut bufs: Vec<Vec<f32>> =
-        router.buffer_shapes.iter().map(|&(rows, cols)| vec![0.0; rows * cols]).collect();
-    let slabs = SlabPtrs {
-        ptrs: bufs.iter_mut().map(|b| b.as_mut_ptr()).collect(),
-        lens: bufs.iter().map(Vec::len).collect(),
-    };
+    let buffers: Vec<Vec<AtomicU32>> =
+        router.buffer_lens().map(|n| (0..n).map(|_| AtomicU32::new(0)).collect()).collect();
 
     // Phase 2: parallel fill over the partitions, one Query-class task
-    // each on the shared pool (disjoint slab rows, so fills never
-    // conflict). The join is the single synchronization barrier of
-    // Sec. 5.2. A task reads its partition one block at a time, and only
-    // the columns the router reads (a Dense model: 4 of 14).
+    // each on the shared pool, with no lock: the reader bounds every
+    // write, and the stores are relaxed atomics (plain stores on x86), so
+    // even two partitions holding copies of one edge cannot corrupt
+    // memory; the write counts they return expose the copy. The join is
+    // the single synchronization barrier of Sec. 5.2: `fork_join` returns
+    // only after every task's completion is published to this thread,
+    // which orders all the relaxed stores before phase 3 reads them. A
+    // task reads its partition one block at a time, and only the columns
+    // the reader reads (a Dense model: 4 of 14).
     let columns = router.read_columns();
-    let fill = |p: usize| {
-        table.for_each_block(p, &columns, |batch| fill_from_batch(&batch, &router, &slabs))
+    let fill = |p: usize| -> Result<Vec<usize>> {
+        let mut counts = vec![0; buffers.len()];
+        table.for_each_block(p, &columns, |batch| {
+            router.fill(batch.columns(), &mut counts, |b, at, v| {
+                buffers[b][at].store(v.to_bits(), Ordering::Relaxed)
+            })
+        })?;
+        Ok(counts)
     };
+    let mut counts = vec![0; buffers.len()];
     for filled in
         sched::global().fork_join(sched::TaskClass::Query, 0..table.partition_count(), fill)?
     {
-        filled?;
+        counts.iter_mut().zip(filled?).for_each(|(total, n)| *total += n);
     }
 
-    // Phase 3: the filled buffers become the layers' weights and biases,
-    // which the runtime assembles: weights packed into the kernel's panel
-    // layout and, for the GPU variant, one bulk transfer of the whole
-    // model (Sec. 5.2: "always perform the parallel model build phase on
-    // the host memory and move the model to GPU memory once building is
-    // finished").
-    let mut mats = bufs
+    // Phase 3: the filled buffers (each allocation reused as `f32`s)
+    // become the layers' weights and biases, which the runtime assembles:
+    // weights packed into the kernel's panel layout and, for the GPU
+    // variant, one bulk transfer of the whole model (Sec. 5.2: "always
+    // perform the parallel model build phase on the host memory and move
+    // the model to GPU memory once building is finished").
+    let buffers = buffers
         .into_iter()
-        .zip(&router.buffer_shapes)
-        .map(|(buf, &(rows, cols))| Matrix::from_vec(rows, cols, buf));
-    let mut next = || mats.next().expect("one buffer per routed weight vector");
-    let mut layers = Vec::new();
-    for slot in &meta.slots {
-        match slot.kind {
-            SlotKind::Input | SlotKind::LstmRecurrent => {}
-            SlotKind::Dense(activation) => {
-                let weights = next();
-                let bias = next().into_vec();
-                layers.push(Layer::Dense(DenseLayer { weights, bias, activation }));
-            }
-            SlotKind::LstmKernel => {
-                // Buffer order: this slot's K_i..K_o and b_i..b_o, then the
-                // U_i..U_o of the recurrent slot that always follows it.
-                let kernel = std::array::from_fn(|_| next());
-                let bias = std::array::from_fn(|_| next().into_vec());
-                let recurrent = std::array::from_fn(|_| next());
-                let (input_features, timesteps) = (slot.features, slot.timesteps);
-                layers.push(Layer::Lstm(LstmLayer {
-                    input_features,
-                    timesteps,
-                    kernel,
-                    recurrent,
-                    bias,
-                }));
-            }
-        }
-    }
+        .map(|b| b.into_iter().map(|x| f32::from_bits(x.into_inner())).collect())
+        .collect();
+    let layers = router.assemble(buffers, &counts)?;
     Ok(BuiltModel::from_layers(meta.input_dim, layers, device, vector_size))
 }
 
@@ -398,6 +194,7 @@ mod tests {
     use mlruntime::InferScratch;
     use model_repr::load_into_engine;
     use nn::paper;
+    use tensor::Matrix;
     use vector_engine::{Engine, EngineConfig};
 
     /// Build from a model table of `partitions` partitions: one fill task

@@ -23,13 +23,16 @@
 //!
 //! * **Build phase** (Sec. 5.2, [`build`]): on the first `next()` call the
 //!   partitioned model table is consumed and all execution threads fill a
-//!   *shared* set of weight and bias buffers without synchronization
-//!   (partitions are disjoint, so writes never collide), followed by a
-//!   single barrier. The runtime then assembles the model from them into
-//!   its kernel plan: weights packed once, each bias a vector the GEMM's
-//!   epilogue adds (where Sec. 5.4 pre-copies a replicated bias matrix
-//!   into `C`, with the same bits), and on the GPU variant the finished
-//!   model is moved to device memory in one transfer.
+//!   *shared* set of weight and bias buffers without locks, followed by a
+//!   single barrier. They fill through the model table's one reader,
+//!   [`model_repr::Router`], which checks every edge: it bounds every write
+//!   (the stores are relaxed atomics), skips the edges that carry no weight
+//!   of the model, and fails the build unless each buffer received exactly
+//!   one write per element. The runtime then assembles the model from
+//!   them into its kernel plan: weights packed once, each bias a vector
+//!   the GEMM's epilogue adds (where Sec. 5.4 pre-copies a replicated bias
+//!   matrix into `C`, with the same bits), and on the GPU variant the
+//!   finished model is moved to device memory in one transfer.
 //!
 //! * **Inference phase** (Sec. 5.3/5.4, [`operator`]): every `next()` pulls
 //!   one vector of input columns, packs them into a `vectorsize x n` input

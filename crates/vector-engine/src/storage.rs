@@ -351,8 +351,9 @@ impl Partition {
 
     /// The block holding row `row` and the partition row it starts at;
     /// `(block_count(), rows())` when `row` is past the end. Walks block
-    /// lengths rather than dividing by `vector_size`, so a table whose
-    /// file predates full blocks (short blocks mid-partition) reads right.
+    /// lengths rather than dividing by `vector_size`: it reads whatever
+    /// lengths the blocks (or the directory they came from) describe, and
+    /// assumes no block but the last is full.
     pub(crate) fn block_at(&self, row: usize) -> (usize, usize) {
         let mut first = 0;
         for (b, block) in self.columns.first().into_iter().flatten().enumerate() {
