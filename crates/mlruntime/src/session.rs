@@ -1,4 +1,5 @@
-//! Safe session API over a built model.
+//! A loaded model, the runtime's session, and [`RowModel`], the row-major
+//! interface an engine operator runs it (or a pool of UDF hosts) through.
 
 use crate::forward::{BuiltModel, InferScratch};
 use nn::Model;

@@ -10,7 +10,7 @@ use model_repr::{Layout, ModelMeta, Router};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
 use tensor::Device;
-use vector_engine::{EngineConfig, EngineError, Result, Table};
+use vector_engine::{EngineConfig, Result, Table};
 
 /// The numeric representation a built model runs in.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -97,18 +97,11 @@ pub fn build_parallel(
     Ok(BuiltModel::from_layers(meta.input_dim, layers, device, vector_size))
 }
 
-/// The int8 variant of a built fp32 model, counted under
-/// `modeljoin.quant.builds`.
-pub(crate) fn quantize(built: &BuiltModel) -> BuiltModel {
-    obs::metrics::MODELJOIN_QUANT_BUILDS.add(1);
-    built.quantize()
-}
-
 /// The shared model handle of the parallel ModelJoin: all per-task
 /// operator instances of one query hold the same `SharedModel`; the first
-/// `next()` call performs the build (or, for a handle of a registered
-/// model, the [`ModelCache`] lookup), later callers reuse it (paper Sec.
-/// 5.2: "all threads build a shared model").
+/// operator to run a batch looks the model up in the handle's
+/// [`ModelCache`], which builds it if cold, and later callers reuse it
+/// (paper Sec. 5.2: "all threads build a shared model").
 pub struct SharedModel {
     pub(crate) table: Arc<Table>,
     /// Shared with the registration, so a handle per statement or served
@@ -117,11 +110,12 @@ pub struct SharedModel {
     layout: Layout,
     device: Device,
     vector_size: usize,
-    /// Where a registered model's handle looks the model up; `None` builds.
-    cache: Option<Arc<ModelCache>>,
-    /// The model per dtype, indexed by `ModelDtype as usize`: fp32 from
-    /// the build phase, int8 quantized from it on the first int8 query.
-    models: [OnceLock<std::result::Result<Arc<BuiltModel>, EngineError>>; 2],
+    /// Where the handle looks its model up: its registration's cache, or
+    /// a private one for a handle made by [`SharedModel::new`].
+    cache: Arc<ModelCache>,
+    /// The model per dtype, indexed by `ModelDtype as usize`: one lookup
+    /// per handle and dtype.
+    models: [OnceLock<Result<Arc<BuiltModel>>>; 2],
 }
 
 impl SharedModel {
@@ -135,12 +129,11 @@ impl SharedModel {
         // passes it until its next change (ROADMAP 1(i)).
         _threads: usize,
     ) -> Arc<SharedModel> {
-        let (meta, cache, models) = (Arc::new(meta), None, Default::default());
-        Arc::new(SharedModel { table, meta, layout, device, vector_size, cache, models })
+        SharedModel::cached(Arc::default(), table, Arc::new(meta), layout, device, vector_size)
     }
 
-    /// A handle that takes its model from `cache` instead of building it,
-    /// so a query over an unchanged model table reuses an earlier build.
+    /// A handle that looks its model up in `cache`, so a query over an
+    /// unchanged model table reuses an earlier build.
     pub(crate) fn cached(
         cache: Arc<ModelCache>,
         table: Arc<Table>,
@@ -149,7 +142,7 @@ impl SharedModel {
         device: Device,
         vector_size: usize,
     ) -> Arc<SharedModel> {
-        let (cache, models) = (Some(cache), Default::default());
+        let models = Default::default();
         Arc::new(SharedModel { table, meta, layout, device, vector_size, cache, models })
     }
 
@@ -166,22 +159,14 @@ impl SharedModel {
         self.get_as(ModelDtype::F32)
     }
 
-    /// Get (building on first use) the shared model in `dtype`. The int8
-    /// model is quantized once per handle from the fp32 model the regular
-    /// build phase produced out of the relational representation. A
-    /// cached handle asks its cache instead, which does the same.
+    /// Get (building on first use) the shared model in `dtype` from the
+    /// handle's cache: fp32 from the build phase over the relational
+    /// representation, int8 quantized from that fp32 model.
     pub fn get_as(&self, dtype: ModelDtype) -> Result<Arc<BuiltModel>> {
-        let (table, meta, layout, device) = (&self.table, &self.meta, self.layout, &self.device);
-        let vector_size = self.vector_size;
+        let (table, meta, device) = (&self.table, &self.meta, &self.device);
         self.models[dtype as usize]
-            .get_or_init(|| match (&self.cache, dtype) {
-                (Some(cache), _) => {
-                    cache.get_or_build(table, meta, layout, device, vector_size, dtype)
-                }
-                (None, ModelDtype::F32) => {
-                    build_parallel(table, meta, layout, device, vector_size, 1).map(Arc::new)
-                }
-                (None, ModelDtype::I8) => self.get().map(|built| Arc::new(quantize(&built))),
+            .get_or_init(|| {
+                self.cache.get_or_build(table, meta, self.layout, device, self.vector_size, dtype)
             })
             .clone()
     }

@@ -2,26 +2,28 @@
 //!
 //! The paper's headline finding — the ModelJoin wins because the model is
 //! built once and tuples then stream through it — only survives real
-//! traffic if the built model outlives a single query. This cache keys a
-//! model by **(model table name, dtype)** and validates each entry against
-//! the table it was built from: the same `Table` allocation at the same
-//! [`Table::version`]. Any DML to the model table bumps the version, and
-//! dropping and re-creating the table yields a new allocation, so either
-//! makes the next lookup rebuild (the stale entry is replaced in place).
-//! The fp32 and int8 variants of one model coexist under their dtype keys
-//! so mixed-precision traffic never evicts the other representation.
+//! traffic if the built model outlives a single query. A cache serves one
+//! model table, the one its registration names (or a [`SharedModel`]'s
+//! own), and holds one entry per dtype, validated against the table it was
+//! built from: the same `Table` allocation at the same [`Table::version`].
+//! Any DML to the model table bumps the version, and dropping and
+//! re-creating the table yields a new allocation, so either makes the next
+//! lookup rebuild (the stale entry is replaced in place). The fp32 and
+//! int8 variants of one model coexist in their dtype slots so
+//! mixed-precision traffic never evicts the other representation.
 //! Unrelated catalog activity does not invalidate entries, so a busy
 //! serving engine keeps its models hot.
 //!
 //! A cold entry is built once: the first lookup builds it, and lookups
 //! arriving meanwhile wait for that build instead of starting their own.
 //! A failed build is not cached.
+//!
+//! [`SharedModel`]: crate::SharedModel
 
-use crate::build::{build_parallel, quantize, ModelDtype};
+use crate::build::{build_parallel, ModelDtype};
 use mlruntime::BuiltModel;
 use model_repr::{Layout, ModelMeta};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use tensor::Device;
@@ -42,13 +44,14 @@ struct CacheEntry {
     model: Slot,
 }
 
-/// A thread-safe map from (model table name, dtype) to its built model.
-/// Model counts are small (at most two entries per registered model), so
-/// there is no eviction policy — stale entries are replaced in place.
+/// A thread-safe cache of one model table's built model, one entry per
+/// dtype. There is no eviction policy: a stale entry (or one of another
+/// table) is replaced in place.
 #[derive(Default)]
 pub struct ModelCache {
-    entries: Mutex<HashMap<(String, ModelDtype), CacheEntry>>,
-    /// Hits and misses per dtype, indexed by `ModelDtype as usize`.
+    /// The entry per dtype, indexed by `ModelDtype as usize`.
+    entries: Mutex<[Option<CacheEntry>; 2]>,
+    /// Hits and misses per dtype, indexed the same way.
     hits: [AtomicU64; 2],
     misses: [AtomicU64; 2],
 }
@@ -63,8 +66,8 @@ impl ModelCache {
     /// result: fp32 runs the parallel build phase, int8 quantizes the fp32
     /// entry (itself built through this cache if cold).
     ///
-    /// The build runs outside the map lock: a long build must not block
-    /// hits on other models. Lookups racing a cold entry wait for its one
+    /// The build runs outside the lock: a long build must not block hits
+    /// on the other dtype. Lookups racing a cold entry wait for its one
     /// build and count as hits. Waiting cannot deadlock: while a build
     /// waits for its own fan-out, the scheduler's helping loop runs only
     /// that fan-out's tasks, so no lookup re-enters from inside a build.
@@ -77,19 +80,10 @@ impl ModelCache {
         vector_size: usize,
         dtype: ModelDtype,
     ) -> Result<Arc<BuiltModel>> {
-        let key = (table.name().to_string(), dtype);
-        let version = table.version();
-        let (hits, misses) = match dtype {
-            ModelDtype::F32 => {
-                (&obs::metrics::MODELJOIN_CACHE_HITS, &obs::metrics::MODELJOIN_CACHE_MISSES)
-            }
-            ModelDtype::I8 => {
-                (&obs::metrics::MODELJOIN_CACHE_HITS_I8, &obs::metrics::MODELJOIN_CACHE_MISSES_I8)
-            }
-        };
+        let (i, version) = (dtype as usize, table.version());
         let (slot, cold) = {
             let mut entries = self.entries.lock();
-            match entries.get(&key) {
+            match &entries[i] {
                 Some(e)
                     if e.version == version
                         && std::ptr::eq(e.table.as_ptr(), Arc::as_ptr(table)) =>
@@ -103,13 +97,17 @@ impl ModelCache {
                         version,
                         model: Arc::clone(&slot),
                     };
-                    entries.insert(key.clone(), entry);
+                    entries[i] = Some(entry);
                     (slot, true)
                 }
             }
         };
-        let (mine, global) = if cold { (&self.misses, misses) } else { (&self.hits, hits) };
-        mine[dtype as usize].fetch_add(1, Ordering::Relaxed);
+        let (mine, global) = if cold {
+            (&self.misses, &obs::metrics::MODELJOIN_CACHE_MISSES)
+        } else {
+            (&self.hits, &obs::metrics::MODELJOIN_CACHE_HITS)
+        };
+        mine[i].fetch_add(1, Ordering::Relaxed);
         global.add(1);
         let model = slot
             .get_or_init(|| match dtype {
@@ -118,13 +116,16 @@ impl ModelCache {
                 }
                 ModelDtype::I8 => self
                     .get_or_build(table, meta, layout, device, vector_size, ModelDtype::F32)
-                    .map(|fp32| Arc::new(quantize(&fp32))),
+                    .map(|fp32| {
+                        obs::metrics::MODELJOIN_QUANT_BUILDS.add(1);
+                        Arc::new(fp32.quantize())
+                    }),
             })
             .clone();
         if model.is_err() {
             let mut entries = self.entries.lock();
-            if entries.get(&key).is_some_and(|e| Arc::ptr_eq(&e.model, &slot)) {
-                entries.remove(&key);
+            if entries[i].as_ref().is_some_and(|e| Arc::ptr_eq(&e.model, &slot)) {
+                entries[i] = None;
             }
         }
         model
@@ -135,15 +136,6 @@ impl ModelCache {
     pub fn stats(&self, dtype: ModelDtype) -> (u64, u64) {
         let i = dtype as usize;
         (self.hits[i].load(Ordering::Relaxed), self.misses[i].load(Ordering::Relaxed))
-    }
-
-    /// Resident entries, counting each dtype separately.
-    pub fn len(&self) -> usize {
-        self.entries.lock().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.lock().is_empty()
     }
 }
 
@@ -175,7 +167,7 @@ mod tests {
         let a = cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, F32).unwrap();
         let b = cache.get_or_build(&table, &meta, Layout::NodeId, &Device::cpu(), 16, F32).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "second lookup must reuse the Arc");
-        assert_eq!((cache.stats(F32), cache.len()), ((1, 1), 1), "one build, one hit");
+        assert_eq!(cache.stats(F32), (1, 1), "one build, one hit");
     }
 
     #[test]
@@ -211,7 +203,7 @@ mod tests {
         assert_eq!(cache.stats(F32), (0, 2));
     }
 
-    /// fp32 and int8 variants of one model coexist under their dtype keys:
+    /// fp32 and int8 variants of one model coexist in their dtype slots:
     /// the quantized lookup reuses the fp32 build (one build phase total)
     /// and repeat lookups of either dtype hit.
     #[test]
@@ -233,7 +225,7 @@ mod tests {
             "int8 quantizes the cached fp32 build: its miss re-reads the fp32 entry"
         );
         assert_eq!(cache.stats(ModelDtype::I8), (1, 1));
-        assert_eq!(cache.len(), 2, "one entry per dtype");
+        assert!(Arc::ptr_eq(&lookup(F32), &built), "int8 never evicts fp32");
     }
 
     /// Racing cold lookups build once: the first builds, the other seven
@@ -262,25 +254,27 @@ mod tests {
     }
 
     /// Concurrent cold builds started from pool tasks finish: sixteen
-    /// tasks look up two cold models at once, each build fanned out over
-    /// four model-table partitions. A worker inside a build helps only its
-    /// own fan-out, so no lookup re-enters the cache from inside a build
-    /// and every task either builds or waits for the one build.
+    /// tasks look up two cold models at once, each in its own cache (a
+    /// cache serves one model table), each build fanned out over four
+    /// model-table partitions. A worker inside a build helps only its own
+    /// fan-out, so no lookup re-enters a cache from inside a build and
+    /// every task either builds or waits for its model's one build.
     #[test]
     fn concurrent_cold_builds_from_pool_tasks_finish() {
         let engine = Engine::new(EngineConfig { partitions: 4, ..Default::default() });
-        let models: Vec<(Arc<Table>, ModelMeta)> = (0..2)
+        let models: Vec<(Arc<Table>, ModelMeta, Arc<ModelCache>)> = (0..2)
             .map(|i| {
                 let model = paper::dense_model(512, 4, i);
-                load_into_engine(&engine, &format!("m{i}"), &model, Layout::NodeId).unwrap()
+                let (table, meta) =
+                    load_into_engine(&engine, &format!("m{i}"), &model, Layout::NodeId).unwrap();
+                (table, meta, Arc::default())
             })
             .collect();
-        let cache = Arc::new(ModelCache::new());
         let (done, finished) = std::sync::mpsc::channel();
         let batches = 16;
         for b in 0..batches {
-            let (table, meta) = models[b % 2].clone();
-            let (cache, done) = (Arc::clone(&cache), done.clone());
+            let (table, meta, cache) = models[b % 2].clone();
+            let done = done.clone();
             sched::global().spawn(sched::TaskClass::Serve, move || {
                 let cpu = Device::cpu();
                 let built = cache.get_or_build(&table, &meta, Layout::NodeId, &cpu, 16, F32);
@@ -290,6 +284,9 @@ mod tests {
         for _ in 0..batches {
             let built = finished.recv_timeout(std::time::Duration::from_secs(60));
             assert_eq!(built, Ok(true), "pool tasks deadlocked on each other's builds");
+        }
+        for (_, _, cache) in &models {
+            assert_eq!(cache.stats(F32), (7, 1), "one build per model");
         }
     }
 

@@ -1,94 +1,21 @@
-//! The Raven-like operator: ML runtime integration over its C-API
+//! The Raven-like approach: ML runtime integration over its C-API
 //! (paper Sec. 6.1, "a Raven-like operator that relies on the Tensorflow
 //! C-API").
 //!
-//! Shaped like the ModelJoin, but inference is delegated to an
-//! [`mlruntime::RowModel`]: a C-API [`mlruntime::Session`], or the pool of
-//! UDF hosts the vectorized UDF runs on. The cost the paper attributes to
-//! this approach is explicit here: every vector of columnar data is
-//! converted into the runtime's **row-major** tensor layout and the
-//! predictions are converted back ("This requires moving data from a
-//! columnar format into a row-major matrix, and results back to columnar
-//! layout").
+//! A loaded [`mlruntime::RowModel`] — a C-API [`mlruntime::Session`], or
+//! the pool of UDF hosts the vectorized UDF runs on — registered for
+//! `PREDICT` runs under the same inference operator as the native
+//! ModelJoin; only the run call differs. The cost the paper attributes to
+//! this approach is explicit: every vector of columnar data is converted
+//! into the runtime's **row-major** tensor layout and the predictions are
+//! converted back ("This requires moving data from a columnar format into
+//! a row-major matrix, and results back to columnar layout").
 
-use crate::operator::{output_batch, pack_rows};
+use crate::operator::ModelNode;
 use mlruntime::RowModel;
 use std::sync::Arc;
-use tensor::Matrix;
-use vector_engine::exec::physical::Operator;
 use vector_engine::plan::InferModel;
-use vector_engine::{Batch, Catalog, Engine, EngineError, Result};
-
-/// Inference operator backed by a row-major runtime model. It emits every
-/// input column, then the predictions.
-pub struct CapiInferenceOp {
-    input: Box<dyn Operator>,
-    model: Arc<dyn RowModel>,
-    input_cols: Vec<usize>,
-    /// Reused row-major staging buffer.
-    staging: Matrix,
-}
-
-impl CapiInferenceOp {
-    pub fn new(
-        input: Box<dyn Operator>,
-        model: Arc<dyn RowModel>,
-        input_cols: Vec<usize>,
-    ) -> CapiInferenceOp {
-        CapiInferenceOp { input, model, input_cols, staging: Matrix::default() }
-    }
-}
-
-impl Operator for CapiInferenceOp {
-    fn open(&mut self) -> Result<()> {
-        self.input.open()
-    }
-
-    fn next(&mut self) -> Result<Option<Batch>> {
-        let Some(batch) = self.input.next()? else {
-            return Ok(None);
-        };
-        let (rows, outputs) = (batch.num_rows(), self.model.output_dim());
-        if rows == 0 {
-            return Ok(Some(output_batch(batch, &[], outputs)));
-        }
-        // Columnar → row-major at the C-API boundary, and back.
-        pack_rows(&batch, &self.input_cols, &mut self.staging)?;
-        let out = self.model.run(self.staging.as_slice(), rows).map_err(EngineError::Execution)?;
-        Ok(Some(output_batch(batch, &out, outputs)))
-    }
-
-    fn close(&mut self) {
-        self.input.close();
-    }
-}
-
-/// A runtime model as the model of a `LogicalPlan::Infer` node: one
-/// [`CapiInferenceOp`] per task, all sharing the model (like the real
-/// runtime's session).
-struct CapiNode(Arc<dyn RowModel>);
-
-impl InferModel for CapiNode {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-
-    fn input_dim(&self) -> usize {
-        self.0.input_dim()
-    }
-
-    fn output_dim(&self) -> usize {
-        self.0.output_dim()
-    }
-
-    fn operator(&self, input: Box<dyn Operator>, args: &[usize]) -> Box<dyn Operator> {
-        Box::new(CapiInferenceOp::new(input, Arc::clone(&self.0), args.to_vec()))
-    }
-
-    fn infer_rows(&self, input: &[f32], rows: usize) -> Result<Vec<f32>> {
-        self.0.run(input, rows).map_err(EngineError::Execution)
-    }
-}
+use vector_engine::{Catalog, Engine, Result};
 
 /// Register `model` on `engine` as `name` for `PREDICT(name, input,
 /// args…)` and for `serve::Server`'s predicts, as [`crate::register_model`]
@@ -97,7 +24,7 @@ impl InferModel for CapiNode {
 /// again drops the old model once no running statement holds it.
 pub fn register_runtime(engine: &Engine, name: &str, model: Arc<dyn RowModel>) {
     let bind = move |_: &Catalog| -> Result<Arc<dyn InferModel>> {
-        Ok(Arc::new(CapiNode(Arc::clone(&model))))
+        Ok(Arc::new(ModelNode::Runtime(Arc::clone(&model))))
     };
     engine.catalog().register_model(name, Arc::new(bind));
 }
@@ -108,7 +35,7 @@ mod tests {
     use mlruntime::Session;
     use nn::paper;
     use tensor::Device;
-    use vector_engine::{ColumnVector, EngineConfig};
+    use vector_engine::{ColumnVector, EngineConfig, EngineError};
 
     fn setup(model: &nn::Model, n: usize, partitions: usize) -> (Engine, Vec<Vec<f32>>) {
         let engine = Engine::new(EngineConfig {
@@ -207,5 +134,44 @@ mod tests {
         let err =
             engine.execute("SELECT id, prediction FROM PREDICT(capi, facts, c0)").unwrap_err();
         assert!(err.to_string().contains("expects 4 input columns, got 1"), "{err}");
+    }
+
+    /// A runtime model whose result is one value short of its rows.
+    struct OneShort;
+
+    impl RowModel for OneShort {
+        fn name(&self) -> &str {
+            "one_short"
+        }
+
+        fn input_dim(&self) -> usize {
+            4
+        }
+
+        fn output_dim(&self) -> usize {
+            1
+        }
+
+        fn run(&self, _: &[f32], rows: usize) -> std::result::Result<Vec<f32>, String> {
+            Ok(vec![0.5; rows - 1])
+        }
+    }
+
+    /// A runtime's short result fails the statement with an error naming
+    /// the model, serially and partition-parallel: it never indexes past
+    /// the result.
+    #[test]
+    fn a_short_runtime_result_is_an_error() {
+        for parallelism in [1, 4] {
+            let (engine, _) = setup(&paper::dense_model(4, 2, 1), 40, parallelism);
+            register_runtime(&engine, "short", Arc::new(OneShort));
+            let err = engine
+                .execute("SELECT id, prediction FROM PREDICT(short, facts, c0, c1, c2, c3)")
+                .unwrap_err();
+            assert!(
+                matches!(&err, EngineError::Execution(m) if m.contains("one_short")),
+                "parallelism {parallelism}: {err:?}"
+            );
+        }
     }
 }

@@ -1,10 +1,13 @@
-//! The ModelJoin operator and the plan node it runs under, plus the
-//! columnar ↔ row-major conversions it shares with the C-API operator.
+//! The one inference operator and the plan node it runs under: a model
+//! built from a model table (the native ModelJoin) or a loaded runtime
+//! model (the Raven-like C-API session, the UDF hosts), reached through the
+//! same columnar ↔ row-major conversions.
 
 use crate::build::{ModelDtype, SharedModel};
 use crate::cache::ModelCache;
-use mlruntime::{BuiltModel, InferScratch};
+use mlruntime::{InferScratch, RowModel};
 use model_repr::{Layout, ModelMeta};
+use std::borrow::Cow;
 use std::sync::Arc;
 use tensor::{Device, Matrix};
 use vector_engine::exec::parallel;
@@ -13,21 +16,120 @@ use vector_engine::expr::Expr;
 use vector_engine::plan::{optimize, InferModel, LogicalPlan, PlanSchema};
 use vector_engine::{Batch, Catalog, ColumnVector, Engine, EngineConfig, EngineError, Result};
 
-/// The native ModelJoin operator (paper Sec. 5). One instance runs per
-/// execution task over that task's share of the input flow; all
-/// instances share one [`SharedModel`] whose build phase runs on the first
-/// `next()` call.
-pub struct ModelJoinOp {
+/// The model of a `LogicalPlan::Infer` node. The approaches differ only in
+/// the run call (paper Sec. 6.1: "native ≈ C-API"); packing, unpacking and
+/// the checks around it are the same for both.
+#[derive(Clone)]
+pub(crate) enum ModelNode {
+    /// A model table's [`SharedModel`] (the native ModelJoin, Sec. 5), run
+    /// in the dtype [`ModelDtype::for_engine`] picked. Every task's
+    /// operator shares the handle and so one build.
+    Table { shared: Arc<SharedModel>, dtype: ModelDtype },
+    /// A loaded runtime model: a C-API session or a pool of UDF hosts
+    /// ([`crate::register_runtime`]), shared like the real runtime's
+    /// session.
+    Runtime(Arc<dyn RowModel>),
+}
+
+impl ModelNode {
+    fn for_engine(config: &EngineConfig, shared: Arc<SharedModel>) -> Arc<dyn InferModel> {
+        let dtype = ModelDtype::for_engine(config, shared.device());
+        Arc::new(ModelNode::Table { shared, dtype })
+    }
+
+    /// The model over the row-major `rows x input_dim` `input`: `rows x
+    /// output_dim` row-major predictions, borrowed from `scratch` where the
+    /// forward pass leaves them. A table's model is built (or looked up) on
+    /// its first run (paper Fig. 5). A result of any other length is an
+    /// error naming the model.
+    fn run<'s>(&self, input: &Matrix, scratch: &'s mut InferScratch) -> Result<Cow<'s, [f32]>> {
+        let rows = input.rows();
+        let output = match self {
+            ModelNode::Table { shared, dtype } => {
+                let built = shared.get_as(*dtype)?;
+                let probe = &obs::metrics::MODELJOIN_PROBE;
+                probe.batches.add(1);
+                probe.rows.add(rows as u64);
+                let _span = obs::span(&probe.time_us);
+                // `infer_rows`, not `infer_into`: a stored block of a
+                // reopened table may be longer than the vector size the
+                // model was built for.
+                built.infer_rows(input, shared.device(), scratch)
+            }
+            ModelNode::Runtime(model) => {
+                Cow::Owned(model.run(input.as_slice(), rows).map_err(EngineError::Execution)?)
+            }
+        };
+        let width = self.output_dim();
+        if output.len() != rows * width {
+            return Err(EngineError::Execution(format!(
+                "model {} returned {} values for {rows} rows of {width} outputs",
+                self.name(),
+                output.len()
+            )));
+        }
+        Ok(output)
+    }
+}
+
+impl InferModel for ModelNode {
+    fn name(&self) -> &str {
+        match self {
+            ModelNode::Table { shared, .. } => shared.table.name(),
+            ModelNode::Runtime(model) => model.name(),
+        }
+    }
+
+    fn input_dim(&self) -> usize {
+        match self {
+            ModelNode::Table { shared, .. } => shared.meta().input_dim,
+            ModelNode::Runtime(model) => model.input_dim(),
+        }
+    }
+
+    fn output_dim(&self) -> usize {
+        match self {
+            ModelNode::Table { shared, .. } => shared.meta().output_dim(),
+            ModelNode::Runtime(model) => model.output_dim(),
+        }
+    }
+
+    fn operator(&self, input: Box<dyn Operator>, args: &[usize]) -> Box<dyn Operator> {
+        Box::new(InferOp {
+            input,
+            model: self.clone(),
+            input_cols: args.to_vec(),
+            packed: Matrix::default(),
+            scratch: InferScratch::default(),
+        })
+    }
+
+    fn infer_rows(&self, input: &[f32], rows: usize) -> Result<Vec<f32>> {
+        let dim = self.input_dim();
+        if input.len() != rows * dim {
+            return Err(EngineError::Execution(format!(
+                "model {} takes {dim} inputs per row, got {} values for {rows} rows",
+                self.name(),
+                input.len()
+            )));
+        }
+        let input = Matrix::from_vec(rows, dim, input.to_vec());
+        Ok(self.run(&input, &mut InferScratch::default())?.into_owned())
+    }
+}
+
+/// The inference operator (paper Sec. 5.3/5.4, Fig. 7). One instance runs
+/// per execution task over that task's share of the input flow: every
+/// `next()` packs one vector of input columns into a row-major matrix,
+/// runs the model over it and appends the predictions, unpacked into
+/// column vectors, to the input columns, which pass through. Unlike
+/// ML-To-SQL it can "leave columns untouched ... introducing no overhead"
+/// (Sec. 5.3): a projection above it picks the payload.
+struct InferOp {
     input: Box<dyn Operator>,
-    shared: Arc<SharedModel>,
-    /// Ordinals of the model input columns within the input batch. Every
-    /// input column passes through: unlike ML-To-SQL, the native operator
-    /// can "leave columns untouched ... introducing no overhead" (Sec.
-    /// 5.3), and a projection above it picks the payload.
+    model: ModelNode,
+    /// Ordinals of the model input columns within the input batch.
     input_cols: Vec<usize>,
-    /// The dtype inference runs in (see [`ModelDtype::for_engine`]).
-    dtype: ModelDtype,
-    built: Option<Arc<BuiltModel>>,
     /// Reused input matrix buffer.
     packed: Matrix,
     /// Per-operator inference arena: layer outputs, LSTM gate and state
@@ -35,59 +137,24 @@ pub struct ModelJoinOp {
     scratch: InferScratch,
 }
 
-impl ModelJoinOp {
-    pub fn new(
-        input: Box<dyn Operator>,
-        shared: Arc<SharedModel>,
-        input_cols: Vec<usize>,
-        dtype: ModelDtype,
-    ) -> ModelJoinOp {
-        ModelJoinOp {
-            input,
-            shared,
-            input_cols,
-            dtype,
-            built: None,
-            packed: Matrix::default(),
-            scratch: InferScratch::default(),
-        }
-    }
-}
-
-impl Operator for ModelJoinOp {
+impl Operator for InferOp {
     fn open(&mut self) -> Result<()> {
         self.input.open()
     }
 
     fn next(&mut self) -> Result<Option<Batch>> {
-        // Build phase on the first call (Fig. 5). The int8 model is
-        // quantized from the shared fp32 build, so both dtypes share one
-        // partition-parallel weight-load pass.
-        if self.built.is_none() {
-            self.built = Some(self.shared.get_as(self.dtype)?);
-        }
         let Some(batch) = self.input.next()? else {
             return Ok(None);
         };
-        let built = Arc::clone(self.built.as_ref().expect("built above"));
         if batch.num_rows() == 0 {
-            return Ok(Some(output_batch(batch, &[], built.output_dim)));
+            return Ok(Some(output_batch(batch, &[], self.model.output_dim())));
         }
         pack_rows(&batch, &self.input_cols, &mut self.packed)?;
-        let probe = &obs::metrics::MODELJOIN_PROBE;
-        probe.batches.add(1);
-        probe.rows.add(batch.num_rows() as u64);
-        // `infer_rows`, not `infer_into`: a stored block of a reopened table
-        // may be longer than the vector size the model was built for.
-        let result = {
-            let _span = obs::span(&probe.time_us);
-            built.infer_rows(&self.packed, self.shared.device(), &mut self.scratch)
-        };
-        Ok(Some(output_batch(batch, &result, built.output_dim)))
+        let result = self.model.run(&self.packed, &mut self.scratch)?;
+        Ok(Some(output_batch(batch, &result, self.model.output_dim())))
     }
 
     fn close(&mut self) {
-        self.built = None;
         self.packed = Matrix::default();
         self.scratch = InferScratch::default();
         self.input.close();
@@ -96,11 +163,12 @@ impl Operator for ModelJoinOp {
 
 /// Pack the batch's numeric input columns into the `rows x cols.len()`
 /// row-major matrix `out` (paper Fig. 7, step 1) — the columnar →
-/// row-major conversion both inference operators pay. Each column vector
-/// is touched exactly once. The buffer is capacity-reusing: a shorter
-/// batch (the tail vector of a partition) shrinks the matrix in place
-/// instead of discarding it, so steady-state packing never allocates.
-pub(crate) fn pack_rows(batch: &Batch, cols: &[usize], out: &mut Matrix) -> Result<()> {
+/// row-major conversion every approach but ML-To-SQL pays. Each column
+/// vector is touched exactly once. The buffer is capacity-reusing: a
+/// shorter batch (the tail vector of a partition) shrinks the matrix in
+/// place instead of discarding it, so steady-state packing never
+/// allocates.
+fn pack_rows(batch: &Batch, cols: &[usize], out: &mut Matrix) -> Result<()> {
     let (rows, n) = (batch.num_rows(), cols.len());
     if out.rows() != rows || out.cols() != n {
         out.resize_zeroed(rows, n);
@@ -133,7 +201,7 @@ pub(crate) fn pack_rows(batch: &Batch, cols: &[usize], out: &mut Matrix) -> Resu
 /// `batch`, shared, then one Float column per model output, unpacked from
 /// the row-major `rows x outputs` `result`. An empty batch keeps the full
 /// width.
-pub(crate) fn output_batch(batch: Batch, result: &[f32], outputs: usize) -> Batch {
+fn output_batch(batch: Batch, result: &[f32], outputs: usize) -> Batch {
     let rows = batch.num_rows();
     let mut columns = batch.into_columns();
     columns.extend((0..outputs).map(|j| {
@@ -141,56 +209,6 @@ pub(crate) fn output_batch(batch: Batch, result: &[f32], outputs: usize) -> Batc
         Arc::new(ColumnVector::Float(col))
     }));
     Batch::new(columns)
-}
-
-/// A [`SharedModel`] as the model of a `LogicalPlan::Infer` node: one
-/// [`ModelJoinOp`] per task, all sharing the handle and so one build.
-struct ModelJoinNode {
-    shared: Arc<SharedModel>,
-    dtype: ModelDtype,
-}
-
-impl ModelJoinNode {
-    fn for_engine(config: &EngineConfig, shared: Arc<SharedModel>) -> Arc<dyn InferModel> {
-        Arc::new(ModelJoinNode { dtype: ModelDtype::for_engine(config, shared.device()), shared })
-    }
-}
-
-impl InferModel for ModelJoinNode {
-    fn name(&self) -> &str {
-        self.shared.table.name()
-    }
-
-    fn input_dim(&self) -> usize {
-        self.shared.meta().input_dim
-    }
-
-    fn output_dim(&self) -> usize {
-        self.shared.meta().output_dim()
-    }
-
-    fn operator(&self, input: Box<dyn Operator>, args: &[usize]) -> Box<dyn Operator> {
-        Box::new(ModelJoinOp::new(input, Arc::clone(&self.shared), args.to_vec(), self.dtype))
-    }
-
-    fn infer_rows(&self, input: &[f32], rows: usize) -> Result<Vec<f32>> {
-        let built = self.shared.get_as(self.dtype)?;
-        if input.len() != rows * built.input_dim {
-            return Err(EngineError::Execution(format!(
-                "model {} takes {} inputs per row, got {} values for {rows} rows",
-                self.name(),
-                built.input_dim,
-                input.len()
-            )));
-        }
-        let input = Matrix::from_vec(rows, built.input_dim, input.to_vec());
-        let probe = &obs::metrics::MODELJOIN_PROBE;
-        probe.batches.add(1);
-        probe.rows.add(rows as u64);
-        let _span = obs::span(&probe.time_us);
-        let scratch = &mut InferScratch::default();
-        Ok(built.infer_rows(&input, self.shared.device(), scratch).into_owned())
-    }
 }
 
 /// Register `name` on `engine` for `PREDICT(name, input, args…)` and for
@@ -222,7 +240,7 @@ pub fn register_model(
             device.clone(),
             config.vector_size,
         );
-        Ok(ModelJoinNode::for_engine(&config, shared))
+        Ok(ModelNode::for_engine(&config, shared))
     };
     engine.catalog().register_model(name, Arc::new(bind));
     cache
@@ -244,7 +262,7 @@ pub fn execute_model_join(
     // because benchmark/src/workloads/modeljoin_batch.rs still passes it.
     _parallelism: usize,
 ) -> Result<Vec<Batch>> {
-    let model = ModelJoinNode::for_engine(engine.config(), Arc::clone(shared));
+    let model = ModelNode::for_engine(engine.config(), Arc::clone(shared));
     let scan = LogicalPlan::scan(engine.table(fact_table)?, fact_table);
     let ordinals = |names: &[&str]| -> Result<Vec<usize>> {
         names.iter().map(|n| scan.schema().resolve(None, n)).collect()
@@ -422,7 +440,8 @@ mod tests {
         let (_, shared, _) = setup(&model, 10, Device::cpu());
         let empty = Batch::new((0..6).map(|_| ColumnVector::Float(Vec::new())).collect());
         let input = vector_engine::exec::physical::batches_operator(vec![empty]);
-        let mut op = ModelJoinOp::new(input, shared, vec![2, 3, 4, 5], ModelDtype::F32);
+        let node = ModelNode::Table { shared, dtype: ModelDtype::F32 };
+        let mut op = node.operator(input, &[2, 3, 4, 5]);
         op.open().unwrap();
         let out = op.next().unwrap().unwrap();
         assert_eq!((out.num_rows(), out.num_columns()), (0, 7));

@@ -94,20 +94,17 @@ pub static EXEC_OTHER: StageMetrics = StageMetrics::new();
 pub static MODELJOIN_BUILD_COUNT: Counter = Counter::new();
 /// Quantized models derived from built fp32 models.
 pub static MODELJOIN_QUANT_BUILDS: Counter = Counter::new();
-/// ModelCache fp32 lookups served from cache.
+/// ModelCache lookups served from cache, fp32 and int8
+/// (`ModelCache::stats` splits them per cache).
 pub static MODELJOIN_CACHE_HITS: Counter = Counter::new();
-/// ModelCache fp32 lookups that had to build.
+/// ModelCache lookups that had to build (fp32) or quantize (int8).
 pub static MODELJOIN_CACHE_MISSES: Counter = Counter::new();
-/// ModelCache int8 lookups served from cache.
-pub static MODELJOIN_CACHE_HITS_I8: Counter = Counter::new();
-/// ModelCache int8 lookups that had to quantize.
-pub static MODELJOIN_CACHE_MISSES_I8: Counter = Counter::new();
 /// Wall time of each model build, µs (span-gated).
 pub static MODELJOIN_BUILD_US: Histogram = Histogram::new();
-/// Inference over built models inside the engine: one batch per
-/// `ModelJoinOp` vector and per served predict batch, with their rows and
-/// the forward pass's µs. The C-API, UDF and client series are not
-/// counted.
+/// Inference over models built from a model table: one batch per
+/// inference-operator vector and per served predict batch, with their
+/// rows and the forward pass's µs. Runtime registrations (the C-API and
+/// UDF series) and the client series are not counted.
 pub static MODELJOIN_PROBE: StageMetrics = StageMetrics::new();
 
 // --- storage: buffer pool + WAL + recovery --------------------------------
@@ -219,8 +216,6 @@ pub static COUNTERS: &[(&str, &Counter)] = &[
     ("modeljoin.quant.builds", &MODELJOIN_QUANT_BUILDS),
     ("modeljoin.cache.hits", &MODELJOIN_CACHE_HITS),
     ("modeljoin.cache.misses", &MODELJOIN_CACHE_MISSES),
-    ("modeljoin.cache.hits_i8", &MODELJOIN_CACHE_HITS_I8),
-    ("modeljoin.cache.misses_i8", &MODELJOIN_CACHE_MISSES_I8),
     ("storage.pool.hits", &STORAGE_POOL_HITS),
     ("storage.pool.misses", &STORAGE_POOL_MISSES),
     ("storage.pool.evictions", &STORAGE_POOL_EVICTIONS),

@@ -10,8 +10,9 @@
 //! - [`nn`] — neural network models and the reference inference oracle
 //! - [`model_repr`] — the relational (edge-table) model representation
 //! - [`ml2sql`] — the ML-To-SQL query generator
-//! - [`modeljoin`] — the native ModelJoin operator (and the C-API operator)
-//! - [`mlruntime`] — the external ML runtime stand-in with a C-API interface
+//! - [`modeljoin`] — the inference operator: the native ModelJoin, and the
+//!   C-API session and UDF hosts registered into it
+//! - [`mlruntime`] — the forward pass and the external ML runtime stand-in
 //! - [`pybridge`] — the client-Python and Python-UDF baselines
 //! - [`serve`] — the concurrent inference serving layer (batching, caches,
 //!   admission control)

@@ -6,8 +6,9 @@
 //! filtered `PREDICT` over a persistent table reads
 //! only the pages of the columns it uses; an empty answer keeps its types;
 //! bad calls are errors; a re-registered model is never replayed from a
-//! cached plan; and a model served by `serve::Server` is the registration
-//! `PREDICT` runs, built once for both.
+//! cached plan; a model served by `serve::Server` is the registration
+//! `PREDICT` runs, built once for both; and a served runtime registration
+//! (a C-API session, a pool of UDF hosts) answers what its `PREDICT` does.
 //!
 //! The buffer-pool counters are process-global: only
 //! `filtered_predict_fetches_only_its_columns_pages` reads them, and it is
@@ -15,11 +16,12 @@
 
 mod common;
 
-use indb_ml::mlruntime::Session;
+use indb_ml::mlruntime::{RowModel, Session};
 use indb_ml::model_repr::{load_into_engine, Layout, ModelMeta};
 use indb_ml::modeljoin::operator::execute_model_join;
 use indb_ml::modeljoin::{register_model, register_runtime, ModelDtype, SharedModel};
-use indb_ml::nn::{paper, Activation, Model, ModelBuilder};
+use indb_ml::nn::{paper, serial, Activation, Model, ModelBuilder};
+use indb_ml::pybridge::UdfPool;
 use indb_ml::serve::{RequestHandle, Response, ServeConfig, ServeError, Server};
 use indb_ml::tensor::Device;
 use shard::{ShardedEngine, ShardedServer};
@@ -400,4 +402,29 @@ fn sharded_served_predicts_and_predict_build_the_model_once() {
     assert_eq!(sql.len(), 40);
     assert_eq!(served(&sql, |x| server.submit_predict("m", x)), sql);
     assert_eq!(cache.stats(ModelDtype::F32), (server.stats().batches, 1), "one build");
+}
+
+/// A runtime registration is served the same way: a C-API session on the
+/// CPU and a pool of two UDF hosts, each registered with
+/// `register_runtime`, answer `Server::submit_predict` with the bits their
+/// `PREDICT` returns.
+#[test]
+fn served_runtime_registrations_match_their_predict() {
+    let model = paper::dense_model(4, 2, 7);
+    let engine = Arc::new(Engine::new(small_config()));
+    engine.execute("CREATE TABLE facts (id INT, c0 FLOAT, c1 FLOAT, c2 FLOAT, c3 FLOAT)").unwrap();
+    engine.insert_columns("facts", columns(40, 4)).unwrap();
+    let server = Server::start(Arc::clone(&engine), ServeConfig::from_engine(engine.config()));
+    let udf = UdfPool::spawn(&serial::to_string(&model), Device::cpu(), 2).unwrap();
+    let runtimes: [(&str, Arc<dyn RowModel>); 2] = [
+        ("capi", Arc::new(Session::from_model("capi", &model, Device::cpu()))),
+        ("udf", Arc::new(udf)),
+    ];
+    for (name, runtime) in runtimes {
+        register_runtime(&engine, name, runtime);
+        let sql = format!("SELECT id, prediction FROM PREDICT({name}, facts, c0, c1, c2, c3)");
+        let sql = result_rows(engine.execute(&format!("{sql} ORDER BY id")).unwrap());
+        assert_eq!(sql.len(), 40, "{name}");
+        assert_eq!(served(&sql, |x| server.submit_predict(name, x)), sql, "{name}");
+    }
 }
