@@ -14,10 +14,10 @@
 //! The host counters are process-wide, so this file holds one test.
 
 use indbml_core::{Approach, Experiment, ExperimentConfig, Workload};
-use mlruntime::RowModel;
+use mlruntime::{InferScratch, RowModel};
 use pybridge::udf::{hosts_live, hosts_spawned};
 use pybridge::UdfPool;
-use tensor::Device;
+use tensor::{Device, Matrix};
 use vector_engine::EngineConfig;
 
 const ROWS: usize = 3_000;
@@ -34,7 +34,7 @@ fn serial_udf(ex: &Experiment) -> Vec<(i64, u64)> {
     let host = UdfPool::spawn(&saved, Device::cpu(), 1).unwrap();
     let mut scan = ex.engine.scan_table("facts").unwrap();
     scan.open().unwrap();
-    let mut out = Vec::new();
+    let (mut out, mut scratch) = (Vec::new(), InferScratch::default());
     while let Some(batch) = scan.next().unwrap() {
         let ids = batch.column(0).as_int().unwrap();
         let dim = batch.num_columns() - 1;
@@ -42,8 +42,9 @@ fn serial_udf(ex: &Experiment) -> Vec<(i64, u64)> {
         for r in 0..ids.len() {
             rows.extend((1..=dim).map(|c| batch.column(c).value(r).as_f64().unwrap() as f32));
         }
-        let preds = host.run(&rows, ids.len()).unwrap();
-        out.extend(ids.iter().zip(preds).map(|(&id, p)| (id, (p as f64).to_bits())));
+        let rows = Matrix::from_vec(ids.len(), dim, rows);
+        let preds = host.run(&rows, &mut scratch).unwrap();
+        out.extend(ids.iter().zip(preds.iter()).map(|(&id, &p)| (id, (p as f64).to_bits())));
     }
     scan.close();
     out.sort_unstable();

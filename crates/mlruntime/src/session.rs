@@ -3,6 +3,7 @@
 
 use crate::forward::{BuiltModel, InferScratch};
 use nn::Model;
+use std::borrow::Cow;
 use tensor::{Device, Matrix};
 
 /// Rows per forward pass: the paper's vector size. [`Session::run`] runs a
@@ -46,9 +47,16 @@ pub trait RowModel: Send + Sync {
     fn name(&self) -> &str;
     fn input_dim(&self) -> usize;
     fn output_dim(&self) -> usize;
-    /// Row-major batched inference: `input.len()` must be
-    /// `rows * input_dim`; the result has `rows * output_dim` values.
-    fn run(&self, input: &[f32], rows: usize) -> Result<Vec<f32>, String>;
+    /// Row-major batched inference over the caller's `rows x input_dim`
+    /// matrix: `rows x output_dim` row-major values, borrowed from
+    /// `scratch` when the model leaves them there. An operator passes the
+    /// same scratch for every vector, so a model that reuses it allocates
+    /// nothing per vector.
+    fn run<'s>(
+        &self,
+        input: &Matrix,
+        scratch: &'s mut InferScratch,
+    ) -> Result<Cow<'s, [f32]>, String>;
 }
 
 impl RowModel for Session {
@@ -64,20 +72,20 @@ impl RowModel for Session {
         self.model.output_dim
     }
 
-    fn run(&self, input: &[f32], rows: usize) -> Result<Vec<f32>, String> {
+    fn run<'s>(
+        &self,
+        input: &Matrix,
+        scratch: &'s mut InferScratch,
+    ) -> Result<Cow<'s, [f32]>, String> {
         let dim = self.input_dim();
-        if input.len() != rows * dim {
+        if input.cols() != dim {
             return Err(format!(
-                "session {}: expected {} values ({} rows x {} columns), got {}",
+                "session {}: expected {dim} columns, got {}",
                 self.name,
-                rows * dim,
-                rows,
-                dim,
-                input.len()
+                input.cols()
             ));
         }
-        let x = Matrix::from_vec(rows, dim, input.to_vec());
-        Ok(self.model.infer_rows(&x, &self.device, &mut InferScratch::default()).into_owned())
+        Ok(self.model.infer_rows(input, &self.device, scratch))
     }
 }
 
@@ -94,7 +102,8 @@ mod tests {
         assert_eq!(session.output_dim(), 1);
         let rows = 3;
         let input: Vec<f32> = (0..rows * 4).map(|i| (i as f32 * 0.1).cos()).collect();
-        let out = session.run(&input, rows).unwrap();
+        let x = Matrix::from_vec(rows, 4, input.clone());
+        let out = session.run(&x, &mut InferScratch::default()).unwrap().into_owned();
         assert_eq!(out.len(), rows);
         for r in 0..rows {
             let expected = model.predict_row(&input[r * 4..(r + 1) * 4])[0];
@@ -108,8 +117,9 @@ mod tests {
         let session = Session::from_model("m", &model, Device::cpu());
         let rows = 2_500; // three slices: 1024, 1024, 452
         let input: Vec<f32> = (0..rows * 4).map(|i| (i as f32 * 0.37).sin()).collect();
-        let out = session.run(&input, rows).unwrap();
-        let expected = model.predict(&Matrix::from_vec(rows, 4, input));
+        let x = Matrix::from_vec(rows, 4, input);
+        let out = session.run(&x, &mut InferScratch::default()).unwrap().into_owned();
+        let expected = model.predict(&x);
         assert!(Matrix::from_vec(rows, 1, out).max_abs_diff(&expected) < 1e-5);
     }
 
@@ -118,7 +128,8 @@ mod tests {
         let model = paper::lstm_model(4, 8);
         let text = nn::serial::to_string(&model);
         let session = Session::from_saved("saved", &text, Device::cpu()).unwrap();
-        let out = session.run(&[0.1, 0.2, 0.3], 1).unwrap();
+        let x = Matrix::from_vec(1, 3, vec![0.1, 0.2, 0.3]);
+        let out = session.run(&x, &mut InferScratch::default()).unwrap().into_owned();
         let expected = model.predict_row(&[0.1, 0.2, 0.3])[0];
         assert!((out[0] - expected).abs() < 1e-5);
     }
@@ -127,8 +138,9 @@ mod tests {
     fn bad_input_length_is_reported() {
         let model = paper::dense_model(4, 2, 0);
         let session = Session::from_model("m", &model, Device::cpu());
-        let err = session.run(&[1.0; 7], 2).unwrap_err();
-        assert!(err.contains("expected 8 values"), "{err}");
+        let x = Matrix::from_vec(2, 3, vec![1.0; 6]);
+        let err = session.run(&x, &mut InferScratch::default()).unwrap_err();
+        assert!(err.contains("expected 4 columns, got 3"), "{err}");
     }
 
     #[test]

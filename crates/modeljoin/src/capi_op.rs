@@ -32,9 +32,10 @@ pub fn register_runtime(engine: &Engine, name: &str, model: Arc<dyn RowModel>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlruntime::Session;
+    use mlruntime::{InferScratch, Session};
     use nn::paper;
-    use tensor::Device;
+    use std::borrow::Cow;
+    use tensor::{Device, Matrix};
     use vector_engine::{ColumnVector, EngineConfig, EngineError};
 
     fn setup(model: &nn::Model, n: usize, partitions: usize) -> (Engine, Vec<Vec<f32>>) {
@@ -152,8 +153,12 @@ mod tests {
             1
         }
 
-        fn run(&self, _: &[f32], rows: usize) -> std::result::Result<Vec<f32>, String> {
-            Ok(vec![0.5; rows - 1])
+        fn run<'s>(
+            &self,
+            input: &Matrix,
+            _: &'s mut InferScratch,
+        ) -> std::result::Result<Cow<'s, [f32]>, String> {
+            Ok(Cow::Owned(vec![0.5; input.rows() - 1]))
         }
     }
 

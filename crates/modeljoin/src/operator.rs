@@ -57,7 +57,7 @@ impl ModelNode {
                 built.infer_rows(input, shared.device(), scratch)
             }
             ModelNode::Runtime(model) => {
-                Cow::Owned(model.run(input.as_slice(), rows).map_err(EngineError::Execution)?)
+                model.run(input, scratch).map_err(EngineError::Execution)?
             }
         };
         let width = self.output_dim();

@@ -8,8 +8,9 @@ use crate::pyobject::{box_row, rows_to_ndarray, PyObject};
 use crate::wire::{end_frame, WireEvent, WireReader, WireWriter};
 use bytes::BytesMut;
 use crossbeam::channel;
-use mlruntime::{RowModel, Session};
+use mlruntime::{InferScratch, RowModel, Session};
 use std::sync::Arc;
+use tensor::Matrix;
 
 /// Rows per ODBC fetch chunk (the driver's array size).
 const FETCH_SIZE: usize = 1000;
@@ -82,11 +83,13 @@ pub fn run_client_inference(
         let rows = boxed_rows.len();
         let p = session.output_dim();
         let mut predictions = Vec::with_capacity(rows * p);
+        let mut scratch = InferScratch::default();
         let mut start = 0usize;
         while start < rows {
             let end = (start + BATCH_SIZE).min(rows);
-            let out = session.run(&ndarray[start * ncols..end * ncols], end - start)?;
-            predictions.extend(out);
+            let batch =
+                Matrix::from_vec(end - start, ncols, ndarray[start * ncols..end * ncols].to_vec());
+            predictions.extend_from_slice(&session.run(&batch, &mut scratch)?);
             start = end;
         }
         Ok((predictions, ClientStats { rows, wire_bytes, boxed_bytes }))

@@ -15,10 +15,11 @@ use crate::pyobject::{box_row, rows_to_ndarray};
 use crate::wire::{end_frame, WireEvent, WireReader, WireWriter};
 use bytes::BytesMut;
 use crossbeam::channel::{self, Sender};
-use mlruntime::{RowModel, Session};
+use mlruntime::{InferScratch, RowModel, Session};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use tensor::Device;
+use tensor::{Device, Matrix};
 
 /// Interpreter threads spawned, and those of them joined, process-wide.
 static SPAWNED: AtomicUsize = AtomicUsize::new(0);
@@ -61,11 +62,12 @@ impl UdfHost {
         let output_dim = session.output_dim();
         let (tx, rx) = channel::bounded::<Request>(0);
         let worker = std::thread::spawn(move || {
+            let mut scratch = InferScratch::default();
             while let Ok(req) = rx.recv() {
                 match req {
                     Request::Shutdown => break,
                     Request::Invoke { payload, reply } => {
-                        let result = serve_invoke(&session, payload);
+                        let result = serve_invoke(&session, payload, &mut scratch);
                         let _ = reply.send(result);
                     }
                 }
@@ -75,21 +77,21 @@ impl UdfHost {
         Ok(UdfHost { requests: tx, worker: Some(worker), input_dim, output_dim })
     }
 
-    /// Invoke the UDF for one vector of `rows` row-major rows. Serializes
-    /// the arguments to the wire, crosses into the interpreter thread, and
+    /// Invoke the UDF for one vector of row-major rows. Serializes the
+    /// arguments to the wire, crosses into the interpreter thread, and
     /// parses the returned predictions.
-    fn invoke(&self, input: &[f32], rows: usize) -> Result<Vec<f32>, String> {
-        if input.len() != rows * self.input_dim {
+    fn invoke(&self, input: &Matrix) -> Result<Vec<f32>, String> {
+        if input.cols() != self.input_dim {
             return Err(format!(
-                "UDF input has {} values, {rows} rows of {} expected",
-                input.len(),
+                "UDF input has {} columns, {} expected",
+                input.cols(),
                 self.input_dim
             ));
         }
         // Engine → UDF serialization.
         let mut writer = WireWriter::new(self.input_dim);
         let mut row = Vec::with_capacity(self.input_dim);
-        for values in input.chunks_exact(self.input_dim.max(1)) {
+        for values in input.as_slice().chunks_exact(self.input_dim.max(1)) {
             row.clear();
             row.extend(values.iter().map(|&v| v as f64));
             writer.write_row(&row);
@@ -103,7 +105,7 @@ impl UdfHost {
         // UDF → engine parse.
         let mut reader = WireReader::new();
         reader.feed(&response);
-        let mut out = Vec::with_capacity(rows * self.output_dim);
+        let mut out = Vec::with_capacity(input.rows() * self.output_dim);
         while let Some(event) = reader.next_event()? {
             match event {
                 WireEvent::Header { .. } => {}
@@ -161,7 +163,7 @@ impl RowModel for UdfPool {
         self.output_dim
     }
 
-    fn run(&self, input: &[f32], rows: usize) -> Result<Vec<f32>, String> {
+    fn run<'s>(&self, input: &Matrix, _: &'s mut InferScratch) -> Result<Cow<'s, [f32]>, String> {
         // A push or a pop leaves the idle list valid, so a lock poisoned
         // by a panicking caller is safe to keep using.
         let host = {
@@ -172,16 +174,21 @@ impl RowModel for UdfPool {
                 .unwrap_or_else(PoisonError::into_inner);
             idle.pop().expect("waited for an idle host")
         };
-        let result = host.invoke(input, rows);
+        let result = host.invoke(input);
         self.idle.lock().unwrap_or_else(PoisonError::into_inner).push(host);
         self.returned.notify_one();
-        result
+        result.map(Cow::Owned)
     }
 }
 
 /// The interpreter side of one invocation: parse → box → ndarray → predict
-/// → serialize.
-fn serve_invoke(session: &Session, payload: BytesMut) -> Result<BytesMut, String> {
+/// → serialize. `scratch` is the interpreter's inference arena, kept
+/// across its invocations.
+fn serve_invoke(
+    session: &Session,
+    payload: BytesMut,
+    scratch: &mut InferScratch,
+) -> Result<BytesMut, String> {
     let mut reader = WireReader::new();
     reader.feed(&payload);
     let mut boxed = Vec::new();
@@ -193,9 +200,9 @@ fn serve_invoke(session: &Session, payload: BytesMut) -> Result<BytesMut, String
             WireEvent::End => break,
         }
     }
-    let ndarray = rows_to_ndarray(&boxed, columns)?;
     let rows = boxed.len();
-    let predictions = session.run(&ndarray, rows)?;
+    let ndarray = Matrix::from_vec(rows, columns, rows_to_ndarray(&boxed, columns)?);
+    let predictions = session.run(&ndarray, scratch)?;
     let p = session.output_dim();
     let mut writer = WireWriter::new(p);
     for r in 0..rows {
@@ -222,7 +229,10 @@ mod tests {
         let udf = pool(&model);
         assert_eq!(udf.input_dim(), 4);
         let rows: Vec<f32> = (0..37 * 4).map(|i| ((i / 4 + i % 4) as f32 * 0.29).cos()).collect();
-        let preds = udf.run(&rows, 37).unwrap();
+        let preds = udf
+            .run(&Matrix::from_vec(37, 4, rows.clone()), &mut InferScratch::default())
+            .unwrap()
+            .into_owned();
         assert_eq!(preds.len(), 37);
         for (r, row) in rows.chunks(4).enumerate() {
             let expected = model.predict_row(row)[0];
@@ -234,24 +244,26 @@ mod tests {
     fn multiple_invocations_reuse_the_host() {
         let udf = pool(&paper::dense_model(4, 2, 2));
         for _ in 0..3 {
-            assert_eq!(udf.run(&[0.1, 0.2, 0.3, 0.4], 1).unwrap().len(), 1);
+            let row = Matrix::from_vec(1, 4, vec![0.1, 0.2, 0.3, 0.4]);
+            assert_eq!(udf.run(&row, &mut InferScratch::default()).unwrap().len(), 1);
         }
     }
 
     #[test]
     fn empty_vector_invocation() {
         let udf = pool(&paper::dense_model(4, 2, 2));
-        assert!(udf.run(&[], 0).unwrap().is_empty());
+        assert!(udf.run(&Matrix::zeros(0, 4), &mut InferScratch::default()).unwrap().is_empty());
     }
 
     #[test]
     fn wrong_arity_row_is_an_error_not_a_panic() {
         let udf = pool(&paper::dense_model(4, 2, 2));
-        let rows = [0.1, 0.2, 0.3, 0.4, 0.1, 0.2, 0.3];
-        let err = udf.run(&rows, 2).unwrap_err();
-        assert!(err.contains("7 values, 2 rows of 4 expected"), "{err}");
+        let rows = Matrix::from_vec(2, 3, vec![0.1, 0.2, 0.3, 0.4, 0.1, 0.2]);
+        let err = udf.run(&rows, &mut InferScratch::default()).unwrap_err();
+        assert!(err.contains("3 columns, 4 expected"), "{err}");
         // The host still serves well-formed vectors afterwards.
-        assert_eq!(udf.run(&rows[..4], 1).unwrap().len(), 1);
+        let row = Matrix::from_vec(1, 4, vec![0.1, 0.2, 0.3, 0.4]);
+        assert_eq!(udf.run(&row, &mut InferScratch::default()).unwrap().len(), 1);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! Accounting rule: for a GPU run the reported runtime is
 //! `total_wall − device_section_wall + device_section_modeled`
 //! (see [`Device::adjust`]). CPU runs are pure wall time; the adjustment is
-//! the identity.
+//! the identity, and a CPU device times nothing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -94,7 +94,8 @@ struct Counters {
 /// Aggregated device-section accounting for one measurement window.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DeviceReport {
-    /// Host wall time spent inside device kernels (the simulated execution).
+    /// Host wall time spent inside simulated GPU kernels. GPU only: a CPU
+    /// device does not time its kernels, so this stays zero.
     pub device_wall: Duration,
     /// Modeled device time (kernels + transfers) the real GPU would have
     /// spent. Zero for a CPU device.
@@ -186,7 +187,12 @@ impl Device {
         }
     }
 
+    /// Run `f` as one kernel: on the simulated GPU, time it on the host and
+    /// charge its launch; on a CPU, just run it.
     fn run_kernel<R>(&self, modeled_seconds: f64, f: impl FnOnce() -> R) -> R {
+        if !self.is_gpu() {
+            return f();
+        }
         let start = Instant::now();
         let out = f();
         let wall = start.elapsed().as_nanos() as u64;
@@ -288,6 +294,7 @@ mod tests {
         gemm(&dev, &a, &b, &mut c);
         dev.transfer_h2d(1 << 20);
         let r = dev.report();
+        assert_eq!(r.device_wall, Duration::ZERO);
         assert_eq!(r.device_modeled, Duration::ZERO);
         assert_eq!(r.h2d_bytes, 0);
         let d = Duration::from_millis(5);

@@ -77,15 +77,18 @@ impl Catalog {
     /// Insert a table rebuilt from the checkpoint directory (recovery
     /// only: no WAL record, but the epoch still moves).
     pub(crate) fn install_restored(&self, table: Arc<Table>) {
-        let mut tables = self.tables.write();
-        tables.insert(table.name().to_string(), table);
-        self.epoch.fetch_add(1, Ordering::Release);
-        obs::metrics::EXEC_CATALOG_EPOCH_BUMPS.add(1);
+        self.tables.write().insert(table.name().to_string(), table);
+        self.bump_epoch();
     }
 
     /// The catalog epoch: monotonic, bumped on CREATE / DROP / INSERT.
     pub fn version(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
+    }
+
+    fn bump_epoch(&self) {
+        self.epoch.fetch_add(1, Ordering::Release);
+        obs::metrics::EXEC_CATALOG_EPOCH_BUMPS.add(1);
     }
 
     /// Create a table; errors if the name is taken.
@@ -96,33 +99,20 @@ impl Catalog {
         config: &EngineConfig,
     ) -> Result<Arc<Table>> {
         let key = name.to_ascii_lowercase();
+        let _dml = self.txn.dml_lock.read();
         let mut tables = self.tables.write();
         if tables.contains_key(&key) {
             return Err(EngineError::Catalog(format!("table {key:?} already exists")));
         }
-        // Log before inserting (WAL order == catalog order; the tables
-        // write lock serializes DDL), and skip logging during replay.
-        let undo = || UndoRecord::Create { name: key.clone() };
-        match &self.env {
-            Some(env) if !env.is_replaying() => {
-                let _dml = env.dml_lock.read();
-                env.log_statement(
-                    &self.txn,
-                    persist::REC_CREATE,
-                    &persist::encode_create(
-                        &key,
-                        &schema,
-                        config.partitions.max(1),
-                        config.vector_size.max(1),
-                    ),
-                    undo,
-                )?;
-            }
-            Some(_) => {}
-            None => {
-                self.txn.record(undo);
-            }
-        }
+        // Log before inserting: the tables write lock serializes DDL, so
+        // WAL order is catalog order.
+        let (partitions, vector_size) = (config.partitions.max(1), config.vector_size.max(1));
+        self.txn.log(
+            self.env.as_deref(),
+            persist::REC_CREATE,
+            || persist::encode_create(&key, &schema, partitions, vector_size),
+            || UndoRecord::Create { name: key.clone() },
+        )?;
         let table = Arc::new(Table::with_storage(
             &key,
             schema,
@@ -132,8 +122,7 @@ impl Catalog {
             Arc::clone(&self.txn),
         ));
         tables.insert(key, Arc::clone(&table));
-        self.epoch.fetch_add(1, Ordering::Release);
-        obs::metrics::EXEC_CATALOG_EPOCH_BUMPS.add(1);
+        self.bump_epoch();
         Ok(table)
     }
 
@@ -148,49 +137,32 @@ impl Catalog {
     }
 
     /// Drop a table; errors if missing unless `if_exists`. Outside a
-    /// transaction the table's pages return to the free list at once;
-    /// inside one they stay reserved (the undo log retains the table for
-    /// `ROLLBACK`) and are freed at `COMMIT`.
+    /// transaction (and on replay of a committed DROP) the table's pages
+    /// return to the free list at once; inside one they stay reserved (the
+    /// undo log retains the table for `ROLLBACK`) and are freed at
+    /// `COMMIT`.
     pub fn drop_table(&self, name: &str, if_exists: bool) -> Result<()> {
         let key = name.to_ascii_lowercase();
-        let removed = {
-            let mut tables = self.tables.write();
-            if let Some(table) = tables.get(&key).cloned() {
-                let pages = table.all_pages();
-                let undo = || UndoRecord::Drop { table, pages: pages.clone() };
-                match &self.env {
-                    Some(env) if !env.is_replaying() => {
-                        let _dml = env.dml_lock.read();
-                        let in_txn = env.log_statement(
-                            &self.txn,
-                            persist::REC_DROP,
-                            &persist::encode_drop(&key),
-                            undo,
-                        )?;
-                        if !in_txn {
-                            env.free_pages(pages);
-                        }
-                    }
-                    Some(env) => {
-                        // Replay of a committed DROP frees immediately,
-                        // mirroring the original autocommit execution.
-                        env.free_pages(pages);
-                    }
-                    None => {
-                        self.txn.record(undo);
-                    }
-                }
-            }
-            let removed = tables.remove(&key).is_some();
-            if removed {
-                self.epoch.fetch_add(1, Ordering::Release);
-                obs::metrics::EXEC_CATALOG_EPOCH_BUMPS.add(1);
-            }
-            removed
+        let _dml = self.txn.dml_lock.read();
+        let mut tables = self.tables.write();
+        let Some(table) = tables.get(&key).cloned() else {
+            return match if_exists {
+                true => Ok(()),
+                false => Err(EngineError::Catalog(format!("unknown table {key:?}"))),
+            };
         };
-        if !removed && !if_exists {
-            return Err(EngineError::Catalog(format!("unknown table {key:?}")));
+        let pages = table.all_pages();
+        let in_txn = self.txn.log(
+            self.env.as_deref(),
+            persist::REC_DROP,
+            || persist::encode_drop(&key),
+            || UndoRecord::Drop { table, pages: pages.clone() },
+        )?;
+        if let (false, Some(env)) = (in_txn, &self.env) {
+            env.free_pages(pages);
         }
+        tables.remove(&key);
+        self.bump_epoch();
         Ok(())
     }
 
@@ -198,8 +170,7 @@ impl Catalog {
     /// name, and move the epoch so no cached plan keeps the old one.
     pub fn register_model(&self, name: &str, model: ModelFactory) {
         self.models.write().insert(name.to_ascii_lowercase(), model);
-        self.epoch.fetch_add(1, Ordering::Release);
-        obs::metrics::EXEC_CATALOG_EPOCH_BUMPS.add(1);
+        self.bump_epoch();
     }
 
     /// A fresh handle of the model registered as `name`, for one statement.
@@ -233,8 +204,9 @@ impl Catalog {
         // autocommit statement — whose commit marker would otherwise
         // land inside the open group (sealing its unsealed records) or
         // after the recorded WAL offset (so ROLLBACK's truncation would
-        // erase a committed record). Also excludes checkpoint/vacuum.
-        let _dml = self.env.as_ref().map(|e| e.dml_lock.write());
+        // erase a committed record) or between an append's undo record
+        // and its publish. Also excludes checkpoint/vacuum.
+        let _dml = self.txn.dml_lock.write();
         let mut guard = self.txn.inner.lock();
         if guard.is_some() {
             return Err(EngineError::Execution("a transaction is already open".into()));
@@ -250,7 +222,7 @@ impl Catalog {
     /// the transaction go to the free list.
     pub fn commit_transaction(&self) -> Result<()> {
         // Exclusive: no statement is mid-flight while the group seals.
-        let _dml = self.env.as_ref().map(|e| e.dml_lock.write());
+        let _dml = self.txn.dml_lock.write();
         let mut guard = self.txn.inner.lock();
         if guard.is_none() {
             return Err(EngineError::Execution("COMMIT without an open transaction".into()));
@@ -285,7 +257,7 @@ impl Catalog {
     /// declarations) so recovery and live state agree.
     pub fn rollback_transaction(&self) -> Result<()> {
         // Exclusive: undo must not race in-flight statements.
-        let _dml = self.env.as_ref().map(|e| e.dml_lock.write());
+        let _dml = self.txn.dml_lock.write();
         let mut guard = self.txn.inner.lock();
         let wal_offset = match guard.as_ref() {
             Some(open) => open.wal_offset,
@@ -307,15 +279,11 @@ impl Catalog {
             obs::metrics::STORAGE_TXN_UNDO_RECORDS.add(1);
             match rec {
                 UndoRecord::Create { name } => {
-                    let removed = {
-                        let mut tables = self.tables.write();
-                        tables.remove(&name)
-                    };
+                    let removed = self.tables.write().remove(&name);
                     if let (Some(table), Some(env)) = (removed, &self.env) {
                         env.free_pages(table.all_pages());
                     }
-                    self.epoch.fetch_add(1, Ordering::Release);
-                    obs::metrics::EXEC_CATALOG_EPOCH_BUMPS.add(1);
+                    self.bump_epoch();
                 }
                 UndoRecord::Drop { table, .. } => {
                     // The deferred page list is discarded: the table

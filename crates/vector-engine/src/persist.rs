@@ -27,12 +27,13 @@
 //! recovered engine bit-identical to an engine that executed exactly the
 //! committed statement prefix.
 //!
-//! **Checkpoint.** Holds the environment-wide DML lock exclusively
-//! (appends and DDL hold it shared), pages out every short last block
-//! (they live in memory between checkpoints), flushes every dirty pool
-//! frame, writes `directory.bin` atomically (temp file + fsync + rename),
-//! then truncates the WAL. LSNs keep counting across resets so a crash
-//! between the directory rename and the WAL reset replays nothing twice.
+//! **Checkpoint.** Holds the engine-wide DML lock ([`TxnState`], taken in
+//! both modes; appends and DDL hold it shared) exclusively, pages out
+//! every short last block (they live in memory between checkpoints),
+//! flushes every dirty pool frame, writes `directory.bin` atomically (temp
+//! file + fsync + rename), then truncates the WAL. LSNs keep counting
+//! across resets so a crash between the directory rename and the WAL reset
+//! replays nothing twice.
 //!
 //! **Space reclamation.** Page allocation prefers a persisted free list:
 //! `DROP TABLE` returns a table's pages to it (deferred to `COMMIT`
@@ -53,13 +54,15 @@
 //!
 //! **Multi-statement transactions.** `BEGIN` records the WAL offset and
 //! opens a logical-undo log shared by the catalog and every table.
-//! Statements inside the transaction append their WAL records *without*
-//! the commit marker, so the committed-prefix scan already recovers a
-//! crashed transaction to the last `COMMIT` with no new record kinds.
-//! `COMMIT` seals the whole group with one marker (+ group fsync);
-//! `ROLLBACK` applies the undo log in reverse (truncate appends, drop
-//! created tables, reinstall dropped ones) and truncates the WAL back to
-//! the `BEGIN` offset.
+//! Every statement logs through one helper, [`TxnState::log`]: inside a
+//! transaction it records the statement's undo and appends its WAL record
+//! *without* the commit marker, so the committed-prefix scan already
+//! recovers a crashed transaction to the last `COMMIT` with no new record
+//! kinds; without a data directory it only records the undo, and during
+//! replay it does nothing. `COMMIT` seals the whole group with one marker
+//! (+ group fsync); `ROLLBACK` truncates the WAL back to the `BEGIN`
+//! offset and applies the undo log in reverse (truncate appends, drop
+//! created tables, reinstall dropped ones, retract declarations).
 
 use crate::catalog::Catalog;
 use crate::column::ColumnVector;
@@ -196,11 +199,15 @@ pub(crate) struct OpenTxn {
 }
 
 /// Engine-wide transaction state, shared by the catalog and every table
-/// it owns (in-memory tables too — `BEGIN`/`ROLLBACK` work without a
-/// data directory; only WAL truncation is persistent-only).
+/// it owns, with or without a data directory: the open transaction, and
+/// the DML lock every statement holds shared across its whole log+apply.
 #[derive(Default)]
 pub(crate) struct TxnState {
     pub(crate) inner: Mutex<Option<OpenTxn>>,
+    /// Shared by DML and DDL, exclusive for BEGIN / COMMIT / ROLLBACK and
+    /// checkpoint / vacuum: the exclusive holders observe no in-flight
+    /// statement.
+    pub(crate) dml_lock: RwLock<()>,
 }
 
 impl TxnState {
@@ -208,16 +215,42 @@ impl TxnState {
         self.inner.lock().is_some()
     }
 
-    /// Push an undo record if a transaction is open; returns whether the
-    /// statement joined one.
-    pub(crate) fn record(&self, undo: impl FnOnce() -> UndoRecord) -> bool {
+    /// Log one statement, the one write-path step between a statement's
+    /// checks and its apply. Inside an open transaction `undo` joins the
+    /// undo log and, with an environment, the record is appended to the
+    /// WAL *without* a commit marker (the group stays open until
+    /// `COMMIT`), both under one txn-lock hold so the WAL and the undo log
+    /// never disagree. Outside one the record is a committed group of its
+    /// own (record, commit marker, group-batched fsync). Replay logs
+    /// nothing. `payload` is encoded only for the WAL. Returns whether the
+    /// statement joined an open transaction.
+    pub(crate) fn log(
+        &self,
+        env: Option<&StorageEnv>,
+        kind: u8,
+        payload: impl FnOnce() -> Vec<u8>,
+        undo: impl FnOnce() -> UndoRecord,
+    ) -> Result<bool> {
+        if env.is_some_and(StorageEnv::is_replaying) {
+            return Ok(false);
+        }
         let mut guard = self.inner.lock();
-        match guard.as_mut() {
-            Some(open) => {
+        match (guard.as_mut(), env) {
+            (Some(open), env) => {
+                if let Some(env) = env {
+                    env.wal.append(kind, &payload())?;
+                }
                 open.undo.push(undo());
-                true
+                Ok(true)
             }
-            None => false,
+            (None, Some(env)) => {
+                drop(guard);
+                env.wal.append(kind, &payload())?;
+                let (_, end) = env.wal.append_commit()?;
+                env.wal.commit(end)?;
+                Ok(false)
+            }
+            (None, None) => Ok(false),
         }
     }
 }
@@ -248,10 +281,6 @@ pub struct StorageEnv {
     checkpoint_lsn: AtomicU64,
     /// Set while recovery replays the WAL: DDL/DML skip logging.
     replaying: AtomicBool,
-    /// Shared by DML and DDL, exclusive for checkpoint / vacuum /
-    /// COMMIT / ROLLBACK: the exclusive holders observe no in-flight
-    /// statement.
-    pub(crate) dml_lock: RwLock<()>,
 }
 
 impl StorageEnv {
@@ -260,7 +289,7 @@ impl StorageEnv {
         &self.pool
     }
 
-    pub(crate) fn is_replaying(&self) -> bool {
+    fn is_replaying(&self) -> bool {
         self.replaying.load(Ordering::Acquire)
     }
 
@@ -335,43 +364,6 @@ impl StorageEnv {
         *free = runs;
         obs::metrics::STORAGE_PAGES_FREED.add(total.saturating_sub(before));
         obs::metrics::STORAGE_FREE_PAGES.set(total as i64);
-    }
-
-    /// Log one statement as a committed record group: the record, its
-    /// commit marker, then a (group-batched) fsync up to the marker.
-    pub(crate) fn log_committed(&self, kind: u8, payload: &[u8]) -> Result<()> {
-        self.wal.append(kind, payload)?;
-        let (_, end) = self.wal.append_commit()?;
-        self.wal.commit(end)?;
-        Ok(())
-    }
-
-    /// Log one statement, transaction-aware: inside an open transaction
-    /// the record is appended *without* a commit marker (the group stays
-    /// open until `COMMIT`) and `undo` is pushed onto the undo log, both
-    /// under one txn-lock hold so the WAL and the undo log never
-    /// disagree. Outside a transaction this is `log_committed`. Returns
-    /// whether the statement joined an open transaction.
-    pub(crate) fn log_statement(
-        &self,
-        txn: &TxnState,
-        kind: u8,
-        payload: &[u8],
-        undo: impl FnOnce() -> UndoRecord,
-    ) -> Result<bool> {
-        let mut guard = txn.inner.lock();
-        match guard.as_mut() {
-            Some(open) => {
-                self.wal.append(kind, payload)?;
-                open.undo.push(undo());
-                Ok(true)
-            }
-            None => {
-                drop(guard);
-                self.log_committed(kind, payload)?;
-                Ok(false)
-            }
-        }
     }
 
     /// Seal the current (transaction-spanning) record group with one
@@ -934,7 +926,6 @@ pub(crate) fn open_catalog(root: &Path, config: &EngineConfig) -> Result<Arc<Cat
         generation: AtomicU64::new(generation),
         checkpoint_lsn: AtomicU64::new(checkpoint_lsn),
         replaying: AtomicBool::new(true),
-        dml_lock: RwLock::new(()),
     });
     let catalog = Arc::new(Catalog::with_env(Some(Arc::clone(&env))));
 
@@ -998,7 +989,7 @@ pub(crate) fn open_catalog(root: &Path, config: &EngineConfig) -> Result<Arc<Cat
 }
 
 /// Redo one committed WAL record through the normal engine paths (the
-/// environment's `replaying` flag suppresses re-logging).
+/// environment's `replaying` flag makes [`TxnState::log`] log nothing).
 fn apply_record(catalog: &Catalog, config: &EngineConfig, record: &WalRecord) -> Result<()> {
     let mut r = Reader::new(&record.payload);
     match record.kind {
@@ -1072,7 +1063,7 @@ pub(crate) fn checkpoint(catalog: &Catalog) -> Result<()> {
     };
     // Exclusive against every DML/DDL statement: nothing moves between
     // the pool flush, the directory image, and the WAL truncation.
-    let _excl = env.dml_lock.write();
+    let _excl = catalog.txn_state().dml_lock.write();
     if catalog.txn_state().is_open() {
         return Err(EngineError::Execution(
             "cannot checkpoint while a transaction is open; COMMIT or ROLLBACK first".into(),
@@ -1115,7 +1106,7 @@ pub(crate) fn vacuum(catalog: &Catalog) -> Result<()> {
     let Some(env) = catalog.env() else {
         return Ok(());
     };
-    let _excl = env.dml_lock.write();
+    let _excl = catalog.txn_state().dml_lock.write();
     if catalog.txn_state().is_open() {
         return Err(EngineError::Execution(
             "cannot VACUUM while a transaction is open; COMMIT or ROLLBACK first".into(),

@@ -10,11 +10,14 @@
 //! MinMax indexes / zone maps — paper Sec. 4.4 and [Moerkotte, VLDB'98])
 //! that scans use to skip whole blocks under range predicates.
 //!
-//! In a persistent table every full block is paged; a short last block
-//! lives in memory (the WAL record of each append makes its rows durable)
-//! until a checkpoint pages it out. Scans pin rows, not blocks: a snapshot
-//! is each partition's row count, so rows an append adds to a block a scan
-//! will read stay invisible to it.
+//! Both modes write through one path, [`Table::append`]: stage the new
+//! blocks outside the partition write lock, log the statement (or record
+//! its undo), publish under a short write lock. In a persistent table
+//! every full block is paged; a short last block lives in memory (the WAL
+//! record of each append makes its rows durable) until a checkpoint pages
+//! it out. Without a data directory every block stays in memory. Scans
+//! pin rows, not blocks: a snapshot is each partition's row count, so rows
+//! an append adds to a block a scan will read stay invisible to it.
 
 use crate::column::{Batch, ColumnVector};
 use crate::config::EngineConfig;
@@ -188,12 +191,12 @@ impl Block {
     /// The block with its values in memory — what [`Block::new`] makes of
     /// its rows. A paged block is read and decoded (a constant one needs
     /// only its SMA); any other is a clone.
-    fn resident(&self, env: &StorageEnv) -> Result<Block> {
+    fn resident(&self, env: Option<&StorageEnv>) -> Result<Block> {
         let data = match &self.data {
             BlockData::Paged(chunk) if self.min.total_cmp(&self.max) == Ordering::Equal => {
                 BlockData::Const(chunk.rows as usize)
             }
-            BlockData::Paged(_) => BlockData::Mem(self.load(Some(env))?),
+            BlockData::Paged(_) => BlockData::Mem(self.load(env)?),
             data => data.clone(),
         };
         Ok(Block { data, min: self.min.clone(), max: self.max.clone() })
@@ -205,8 +208,8 @@ impl Block {
     /// what [`Block::new`] makes of the concatenated values (same SMA,
     /// same `Const`/`Mem` choice), but only `piece` is scanned for its
     /// SMA. The vector is copied only while something else shares it: a
-    /// scan's batch, the undo log, or the table when the persistent path
-    /// extends a staged copy.
+    /// scan's batch, the undo log, or the table, whose last block an
+    /// append tops up as a staged copy.
     fn extend(&mut self, piece: &ColumnVector) {
         let (lo, hi) = minmax(piece);
         let min = if lo.total_cmp(&self.min) == Ordering::Less { lo } else { self.min.clone() };
@@ -499,31 +502,22 @@ pub struct Table {
     /// appends inside an open transaction defer their commit marker and
     /// record logical undo.
     txn: Arc<TxnState>,
-    /// Serializes persistent appends on this table so WAL order equals
-    /// publish order — the invariant that makes redo replay
-    /// deterministic. Uncontended (and untouched) in in-memory mode.
+    /// Serializes appends (and placement-key declarations) on this table:
+    /// the cursor, the last blocks and the undo pre-state an append reads
+    /// stay as it found them until it publishes, and in persistent mode
+    /// WAL order equals publish order — the invariant that makes redo
+    /// replay deterministic.
     append_lock: Mutex<()>,
 }
 
 impl Table {
     pub fn new(name: impl Into<String>, schema: Schema, config: &EngineConfig) -> Table {
-        Table::with_epoch(name, schema, config, Arc::new(AtomicU64::new(0)))
+        Table::with_storage(name, schema, config, Arc::default(), None, Arc::default())
     }
 
-    /// A table whose appends also bump `catalog_epoch` — the constructor
-    /// the [`crate::catalog::Catalog`] uses to thread its version counter
-    /// through to DML.
-    pub fn with_epoch(
-        name: impl Into<String>,
-        schema: Schema,
-        config: &EngineConfig,
-        catalog_epoch: Arc<AtomicU64>,
-    ) -> Table {
-        Table::with_storage(name, schema, config, catalog_epoch, None, Arc::default())
-    }
-
-    /// Full constructor: a table backed by a persistent environment when
-    /// `env` is set, sharing the owning catalog's transaction state.
+    /// Full constructor: a table whose appends also bump `catalog_epoch`,
+    /// backed by a persistent environment when `env` is set, sharing the
+    /// owning catalog's transaction state.
     pub(crate) fn with_storage(
         name: impl Into<String>,
         schema: Schema,
@@ -651,6 +645,7 @@ impl Table {
                 self.name
             ))
         })?;
+        let _dml = self.txn.dml_lock.read();
         let added = {
             let mut cols = self.unique_columns.write();
             if cols.contains(&idx) {
@@ -661,23 +656,12 @@ impl Table {
             }
         };
         if added {
-            let undo =
-                || UndoRecord::Unique { name: self.name.clone(), column: column.to_string() };
-            match &self.env {
-                Some(env) if !env.is_replaying() => {
-                    let _dml = env.dml_lock.read();
-                    env.log_statement(
-                        &self.txn,
-                        persist::REC_UNIQUE,
-                        &persist::encode_table_column(&self.name, column),
-                        undo,
-                    )?;
-                }
-                Some(_) => {}
-                None => {
-                    self.txn.record(undo);
-                }
-            }
+            self.txn.log(
+                self.storage_env(),
+                persist::REC_UNIQUE,
+                || persist::encode_table_column(&self.name, column),
+                || UndoRecord::Unique { name: self.name.clone(), column: column.to_string() },
+            )?;
         }
         Ok(())
     }
@@ -713,7 +697,7 @@ impl Table {
         })?;
         // The locks an append holds while it deals, so none deals between
         // the emptiness check and the new key.
-        let _dml = self.env.as_ref().map(|env| env.dml_lock.read());
+        let _dml = self.txn.dml_lock.read();
         let _order = self.append_lock.lock();
         let parts = self.partitions.read();
         if parts.iter().any(|p| p.rows > 0) {
@@ -726,21 +710,12 @@ impl Table {
         if previous == Some(idx) {
             return Ok(());
         }
-        let undo = || UndoRecord::Placement { name: self.name.clone(), key: previous };
-        match &self.env {
-            Some(env) if !env.is_replaying() => {
-                env.log_statement(
-                    &self.txn,
-                    persist::REC_PLACEMENT,
-                    &persist::encode_table_column(&self.name, column),
-                    undo,
-                )?;
-            }
-            Some(_) => {}
-            None => {
-                self.txn.record(undo);
-            }
-        }
+        self.txn.log(
+            self.storage_env(),
+            persist::REC_PLACEMENT,
+            || persist::encode_table_column(&self.name, column),
+            || UndoRecord::Placement { name: self.name.clone(), key: previous },
+        )?;
         *self.placement_key.write() = Some(idx);
         Ok(())
     }
@@ -782,15 +757,102 @@ impl Table {
     /// two pieces. Only a placement key, a declared-unique column, or SMA
     /// ranges that happen to be disjoint lets the partition-parallel driver
     /// treat a column as a key.
+    ///
+    /// One write path for both modes. Under the partition read lock the
+    /// append deals its pieces, makes every last block it tops up resident
+    /// and logs the statement ([`TxnState::log`]: a committed WAL record
+    /// group — the durability point — or the undo record of an open
+    /// transaction). It then stages each piece's blocks, consuming the
+    /// input one column at a time so the load holds at most one input
+    /// column beside the table and the staged blocks, and, with an
+    /// environment, paging out every block a piece fills (a short one
+    /// stays in memory). The blocks and the new cursor publish under a
+    /// short partition write lock: readers never wait on the fsync or the
+    /// page writes. The shared DML lock keeps `ROLLBACK` and checkpoints
+    /// out from the undo record to the publish, and the per-table append
+    /// lock keeps the last blocks and the cursor still, so WAL order
+    /// equals publish order and redo replay lands every piece where it was
+    /// before a crash.
+    ///
+    /// Topping up a paged short last block (a checkpoint paged it) decodes
+    /// it into memory before the statement is logged, so a bad page fails
+    /// the append before it is durable. Its pages are not freed here: the
+    /// on-disk directory names them and replay decodes them again, so they
+    /// wait for the checkpoint whose directory stops naming them.
     pub fn append(&self, columns: Vec<ColumnVector>) -> Result<()> {
         let rows = self.check_columns(&columns)?;
         if rows == 0 {
             return Ok(());
         }
-        match self.env.clone() {
-            None => self.append_mem(columns, rows),
-            Some(env) => self.append_persistent(&env, &columns, rows),
+        let env = self.storage_env();
+        let _dml = self.txn.dml_lock.read();
+        let _order = self.append_lock.lock();
+        let cursor = self.next_partition.load(AtomicOrdering::Acquire);
+        let placed = self.placement(&columns, self.partition_count());
+        let (order, sizes) = placed.as_ref().map(|(o, s)| (o.as_slice(), s.as_slice())).unzip();
+        let mut superseded = Vec::new();
+        let (pieces, next, mut tails) = {
+            let parts = self.partitions.read();
+            let (pieces, next) = self.deal(&parts, cursor, sizes, rows);
+            // Per piece, the last block of every column it tops up, in
+            // memory (none for a piece that starts new blocks).
+            let mut tails = Vec::with_capacity(pieces.len());
+            for piece in &pieces {
+                let mut tail = Vec::new();
+                if piece.top_up {
+                    for block in parts[piece.partition].columns.iter().filter_map(|b| b.last()) {
+                        superseded.extend(block.pages());
+                        tail.push(block.resident(env)?);
+                    }
+                }
+                tails.push(tail.into_iter());
+            }
+            self.txn.log(
+                env,
+                persist::REC_APPEND,
+                || persist::encode_append(&self.name, &columns),
+                || self.append_undo(&parts, &pieces, cursor),
+            )?;
+            (pieces, next, tails)
+        };
+        let mut staged: Vec<Vec<Block>> =
+            pieces.iter().map(|_| Vec::with_capacity(columns.len())).collect();
+        for column in columns {
+            for ((piece, tail), blocks) in pieces.iter().zip(&mut tails).zip(&mut staged) {
+                let data = piece.of(&column, order);
+                let mut block = match tail.next() {
+                    Some(mut block) => {
+                        block.extend(&data);
+                        block
+                    }
+                    None => Block::new(data),
+                };
+                if let Some(env) = env.filter(|_| block.len() == self.vector_size) {
+                    block.page_out(env)?;
+                }
+                blocks.push(block);
+            }
         }
+        let mut parts = self.partitions.write();
+        for (piece, blocks) in pieces.iter().zip(staged) {
+            parts[piece.partition].publish(blocks, piece.top_up, piece.rows.len());
+        }
+        self.next_partition.store(next, AtomicOrdering::Release);
+        if let Some(env) = env {
+            env.supersede(superseded);
+        }
+        // Versions bump while the partition write lock is still held, so a
+        // reader that observes the old version has not yet seen any of the
+        // new blocks either.
+        self.bump_versions();
+        Ok(())
+    }
+
+    /// Bump the table's data version and the catalog epoch.
+    fn bump_versions(&self) {
+        self.data_version.fetch_add(1, AtomicOrdering::Release);
+        self.catalog_epoch.fetch_add(1, AtomicOrdering::Release);
+        obs::metrics::EXEC_CATALOG_EPOCH_BUMPS.add(1);
     }
 
     /// Check columnar input against the schema — column count, equal
@@ -844,8 +906,8 @@ impl Table {
     /// partition `p`, and each group is cut in turn; the cursor stays. A
     /// piece holds the room left in its partition's last block, or
     /// `vector_size` rows when it is full or missing, so only a
-    /// partition's first piece can top up. Both append paths deal this
-    /// way, so WAL replay from a checkpoint re-derives every row's place.
+    /// partition's first piece can top up. Replay appends through the same
+    /// deal, so WAL replay from a checkpoint re-derives every row's place.
     /// Returns the pieces and the cursor after them.
     fn deal(
         &self,
@@ -922,130 +984,6 @@ impl Table {
         Some((order, sizes))
     }
 
-    /// The in-memory append path. The input is consumed column by column,
-    /// each piece copied once into its block and the column freed before
-    /// the next, so the append holds at most one input column beside the
-    /// table. A topped-up block grows in place unless a scan shares it.
-    fn append_mem(&self, columns: Vec<ColumnVector>, rows: usize) -> Result<()> {
-        let mut parts = self.partitions.write();
-        let cursor = self.next_partition.load(AtomicOrdering::Acquire);
-        let placed = self.placement(&columns, parts.len());
-        let (order, sizes) = placed.as_ref().map(|(o, s)| (o.as_slice(), s.as_slice())).unzip();
-        let (pieces, next) = self.deal(&parts, cursor, sizes, rows);
-        self.txn.record(|| self.append_undo(&parts, &pieces, cursor));
-        for (c, column) in columns.into_iter().enumerate() {
-            for piece in &pieces {
-                let data = piece.of(&column, order);
-                let blocks = &mut parts[piece.partition].columns[c];
-                match blocks.last_mut() {
-                    Some(tail) if piece.top_up => tail.extend(&data),
-                    _ => blocks.push(Block::new(data)),
-                }
-            }
-        }
-        for piece in &pieces {
-            parts[piece.partition].rows += piece.rows.len();
-        }
-        self.next_partition.store(next, AtomicOrdering::Release);
-        // Version bumps happen while the partition write lock is still
-        // held, so a reader that observes the old version has not yet seen
-        // any of the new blocks either.
-        self.data_version.fetch_add(1, AtomicOrdering::Release);
-        self.catalog_epoch.fetch_add(1, AtomicOrdering::Release);
-        obs::metrics::EXEC_CATALOG_EPOCH_BUMPS.add(1);
-        Ok(())
-    }
-
-    /// WAL-then-page append: read every short last block the append tops
-    /// up, log the statement as a committed record group (durability
-    /// point), stage each piece's blocks — paging out every block the
-    /// piece fills, keeping a short one in memory — then publish them and
-    /// the new cursor under a short partition write lock. Readers never
-    /// wait on the fsync or the page writes. The per-table append lock
-    /// keeps WAL order identical to round-robin cursor order, so redo
-    /// replay lands every piece where it was before the crash; with the
-    /// DML lock held shared it also keeps the last blocks still from the
-    /// reads to publish.
-    ///
-    /// Topping up a paged short last block (a checkpoint paged it)
-    /// decodes it into memory before the statement is logged, so a bad
-    /// page fails the append before it is durable. Its pages are not freed
-    /// here: the on-disk directory names them and replay decodes them
-    /// again, so they wait for the checkpoint whose directory stops naming
-    /// them.
-    fn append_persistent(
-        &self,
-        env: &Arc<StorageEnv>,
-        columns: &[ColumnVector],
-        rows: usize,
-    ) -> Result<()> {
-        let _dml = env.dml_lock.read();
-        let _order = self.append_lock.lock();
-        // The append lock keeps the cursor, the last blocks and the undo
-        // pre-state exact from here to the publish.
-        let cursor = self.next_partition.load(AtomicOrdering::Acquire);
-        let mut superseded = Vec::new();
-        let placed = self.placement(columns, self.partition_count());
-        let (order, sizes) = placed.as_ref().map(|(o, s)| (o.as_slice(), s.as_slice())).unzip();
-        let (pieces, next, tails, undo) = {
-            let parts = self.partitions.read();
-            let (pieces, next) = self.deal(&parts, cursor, sizes, rows);
-            // Per piece, the last block of every column it tops up, in
-            // memory (none for a piece that starts new blocks).
-            let mut tails = Vec::with_capacity(pieces.len());
-            for piece in &pieces {
-                let mut tail = Vec::new();
-                if piece.top_up {
-                    for block in parts[piece.partition].columns.iter().filter_map(|b| b.last()) {
-                        superseded.extend(block.pages());
-                        tail.push(block.resident(env)?);
-                    }
-                }
-                tails.push(tail);
-            }
-            let undo = self.append_undo(&parts, &pieces, cursor);
-            (pieces, next, tails, undo)
-        };
-        if !env.is_replaying() {
-            env.log_statement(
-                &self.txn,
-                persist::REC_APPEND,
-                &persist::encode_append(&self.name, columns),
-                || undo,
-            )?;
-        }
-        let mut staged = Vec::with_capacity(pieces.len());
-        for (piece, tail) in pieces.iter().zip(tails) {
-            let mut tail = tail.into_iter();
-            let mut blocks = Vec::with_capacity(columns.len());
-            for col in columns {
-                let data = piece.of(col, order);
-                let mut block = match tail.next() {
-                    Some(mut block) => {
-                        block.extend(&data);
-                        block
-                    }
-                    None => Block::new(data),
-                };
-                if block.len() == self.vector_size {
-                    block.page_out(env)?;
-                }
-                blocks.push(block);
-            }
-            staged.push(blocks);
-        }
-        let mut parts = self.partitions.write();
-        for (piece, blocks) in pieces.iter().zip(staged) {
-            parts[piece.partition].publish(blocks, piece.top_up, piece.rows.len());
-        }
-        self.next_partition.store(next, AtomicOrdering::Release);
-        env.supersede(superseded);
-        self.data_version.fetch_add(1, AtomicOrdering::Release);
-        self.catalog_epoch.fetch_add(1, AtomicOrdering::Release);
-        obs::metrics::EXEC_CATALOG_EPOCH_BUMPS.add(1);
-        Ok(())
-    }
-
     /// Append row-oriented values (used by SQL `INSERT ... VALUES`).
     pub fn append_rows(&self, rows: &[Vec<Value>]) -> Result<()> {
         let mut columns: Vec<ColumnVector> =
@@ -1106,9 +1044,7 @@ impl Table {
             env.unsupersede(prestate.iter().flat_map(|s| s.tail.iter().flat_map(Block::pages)));
         }
         self.next_partition.store(next_partition, AtomicOrdering::Release);
-        self.data_version.fetch_add(1, AtomicOrdering::Release);
-        self.catalog_epoch.fetch_add(1, AtomicOrdering::Release);
-        obs::metrics::EXEC_CATALOG_EPOCH_BUMPS.add(1);
+        self.bump_versions();
         freed
     }
 
@@ -1493,7 +1429,14 @@ mod tests {
     #[test]
     fn appends_bump_shared_epoch() {
         let epoch = Arc::new(AtomicU64::new(7));
-        let t = Table::with_epoch("t", int_schema(), &config(), Arc::clone(&epoch));
+        let t = Table::with_storage(
+            "t",
+            int_schema(),
+            &config(),
+            Arc::clone(&epoch),
+            None,
+            Arc::default(),
+        );
         t.append(vec![ColumnVector::Int(vec![1]), ColumnVector::Float(vec![0.1])]).unwrap();
         assert_eq!(epoch.load(AtomicOrdering::Acquire), 8);
         assert_eq!(t.version(), 1, "table-local version independent of epoch base");

@@ -141,19 +141,52 @@ fn open_transaction_is_invisible_after_a_crash() {
 #[test]
 fn rollback_restores_a_dropped_table_and_retracts_unique() {
     let dir = fresh_dir("resurrect");
-    let e = Engine::open(config(&dir)).unwrap();
-    e.execute("CREATE TABLE t (id INT)").unwrap();
-    e.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
-    e.execute("BEGIN").unwrap();
-    e.execute("DROP TABLE t").unwrap();
-    e.execute("ROLLBACK").unwrap();
-    assert_eq!(ids(&e, "t"), vec![1, 2, 3]);
+    for e in [mem_engine(), Engine::open(config(&dir)).unwrap()] {
+        e.execute("CREATE TABLE t (id INT)").unwrap();
+        e.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
+        e.execute("BEGIN").unwrap();
+        e.execute("DROP TABLE t").unwrap();
+        e.execute("ROLLBACK").unwrap();
+        assert_eq!(ids(&e, "t"), vec![1, 2, 3]);
 
-    e.execute("BEGIN").unwrap();
-    e.table("t").unwrap().declare_unique("id").unwrap();
-    assert!(e.table("t").unwrap().is_unique_column(0));
-    e.execute("ROLLBACK").unwrap();
-    assert!(!e.table("t").unwrap().is_unique_column(0), "unique declaration retracts on rollback");
+        e.execute("BEGIN").unwrap();
+        e.table("t").unwrap().declare_unique("id").unwrap();
+        assert!(e.table("t").unwrap().is_unique_column(0));
+        e.execute("ROLLBACK").unwrap();
+        let unique = e.table("t").unwrap().is_unique_column(0);
+        assert!(!unique, "unique declaration retracts on rollback");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Rows per partition of table `t`.
+fn partition_rows(e: &Engine) -> Vec<usize> {
+    e.table("t").unwrap().snapshot()
+}
+
+#[test]
+fn rollback_forgets_a_placement_key_and_inserts_deal_round_robin() {
+    let dir = fresh_dir("placement");
+    for e in [mem_engine(), Engine::open(config(&dir)).unwrap()] {
+        e.execute("CREATE TABLE t (id INT)").unwrap();
+        e.execute("BEGIN").unwrap();
+        e.table("t").unwrap().declare_placement_key("id").unwrap();
+        assert_eq!(e.table("t").unwrap().placement_key(), Some(0));
+        e.execute("ROLLBACK").unwrap();
+        assert_eq!(e.table("t").unwrap().placement_key(), None);
+        // Round-robin: with vector size 4 over 2 partitions the first
+        // block goes to partition 0 and the next to partition 1; a hash
+        // placement would put every row of id 2 in one partition.
+        e.execute("INSERT INTO t VALUES (2), (2), (2), (2), (2), (2)").unwrap();
+        assert_eq!(partition_rows(&e), vec![4, 2]);
+    }
+    let e = Engine::open(config(&dir)).unwrap();
+    assert_eq!(e.table("t").unwrap().placement_key(), None, "no key after reopen");
+    assert_eq!(partition_rows(&e), vec![4, 2]);
+    e.execute("INSERT INTO t VALUES (2), (2), (2)").unwrap();
+    // The cursor stands at partition 0 again, whose full block makes the
+    // piece a new block there.
+    assert_eq!(partition_rows(&e), vec![7, 2], "reopened cursor keeps dealing round-robin");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
