@@ -7,7 +7,9 @@
 //! The plan is fixed when the model is built, never per batch: each fp32
 //! weight matrix is packed once into the micro-kernel's panel layout, the
 //! bias stays a `units` vector that the GEMM's first K slice adds, and
-//! the activation runs in its last slice's write-back. Every batch, from
+//! the activation runs in its last slice's write-back. An LSTM gate's
+//! activation runs in the write-back of its step's last GEMM, and the
+//! cell update is one fused element-wise pass per step. Every batch, from
 //! one row to the vector size, runs the same kernel on the caller's
 //! thread, so a row's output is a function of the model and the row
 //! alone. Parallelism comes from the callers: each partition morsel runs
@@ -59,9 +61,9 @@ impl GemmPlan {
     }
 
     /// `out = act(x·W + b)` (`init` = [`Init::Bias`], or [`Init::Zero`]
-    /// without a bias) or `out += x·W` ([`Init::Accumulate`]), into an
-    /// `out` already shaped `x.rows() x units`, charged to `device` as the
-    /// paper's kernels.
+    /// without a bias) or `out = act(out + x·W)` ([`Init::Accumulate`]),
+    /// into an `out` already shaped `x.rows() x units`, charged to
+    /// `device` as the paper's kernels.
     fn run(
         &self,
         x: &Matrix,
@@ -133,12 +135,8 @@ struct LstmScratch {
     c: Matrix,
     /// The time-step input slice `X_t`.
     x_t: Matrix,
-    /// Gate pre-activations/activations `z_i, z_f, z_c, z_o`.
+    /// Gate activations `i, f, c~, o`.
     z: [Matrix; 4],
-    /// `f * c` (then reused for `tanh(c)`).
-    tmp_a: Vec<f32>,
-    /// `i * c~`.
-    tmp_b: Vec<f32>,
 }
 
 impl BuiltModel {
@@ -302,13 +300,27 @@ impl BuiltModel {
     }
 }
 
+/// The activation of each gate, in the order i, f, c~, o.
+const GATE_ACTIVATIONS: [Activation; 4] =
+    [Activation::Sigmoid, Activation::Sigmoid, Activation::Tanh, Activation::Sigmoid];
+
+/// Bytes per element of each element-wise kernel of Listing 5's cell
+/// update, which the fused pass below stands for: `vsMul` f*c, `vsMul`
+/// i*c~ and `vsAdd` (two reads, one write each), `tanh(c)` (one read, one
+/// write) and `vsMul` o*tanh(c).
+const CELL_KERNEL_BYTES: [usize; 5] = [12, 12, 12, 8, 12];
+
 /// The LSTM layer forward function of paper Listing 5, vectorized over the
-/// batch: per time step `z_x := bias ; z_x += X_t W_x ; z_x += H U_x`,
-/// gate activations, cell/hidden update. The hidden state `h` lives
+/// batch: per time step `z_x := act_x(bias + X_t W_x + H U_x)`, then the
+/// cell/hidden update. Each gate's activation runs in the write-back of
+/// its last GEMM (the kernel GEMM at `t = 0`, the accumulating recurrent
+/// GEMM after that), and the update `c := f*c + i*c~; h := o*tanh(c)` is
+/// one pass with the roundings of Listing 5's separate `vsMul`/`vsAdd`
+/// calls, which the device charges as such. The hidden state `h` lives
 /// directly in `out`, which holds the final `h` when the loop ends; all
 /// other working buffers come from `scratch`. In int8 both GEMM inputs
 /// are re-quantized row-wise per step (`h` changes every iteration);
-/// the gate activations and elementwise updates stay fp32.
+/// the gate activations and the cell update stay fp32.
 #[allow(clippy::too_many_arguments)]
 fn lstm_forward_into(
     input: &Matrix,
@@ -325,41 +337,36 @@ fn lstm_forward_into(
     let rows = input.rows();
     let h = out;
     h.resize_zeroed(rows, units);
-    scratch.c.resize_zeroed(rows, units);
-    scratch.x_t.resize_zeroed(rows, features);
-    for zg in &mut scratch.z {
+    let LstmScratch { c, x_t, z } = scratch;
+    c.resize_zeroed(rows, units);
+    x_t.resize_zeroed(rows, features);
+    for zg in z.iter_mut() {
         zg.resize_zeroed(rows, units);
     }
-    scratch.tmp_a.clear();
-    scratch.tmp_a.resize(rows * units, 0.0);
-    scratch.tmp_b.clear();
-    scratch.tmp_b.resize(rows * units, 0.0);
-    let LstmScratch { c, x_t, z, tmp_a, tmp_b } = scratch;
 
     for t in 0..timesteps {
         for r in 0..rows {
             x_t.row_mut(r).copy_from_slice(&input.row(r)[t * features..(t + 1) * features]);
         }
         for (g, zg) in z.iter_mut().enumerate() {
-            kernel[g].run(x_t, false, Activation::Linear, device, q, zg);
-            if t > 0 {
-                recurrent[g].run(h, true, Activation::Linear, device, q, zg);
+            let act = GATE_ACTIVATIONS[g];
+            if t == 0 {
+                kernel[g].run(x_t, false, act, device, q, zg);
+            } else {
+                kernel[g].run(x_t, false, Activation::Linear, device, q, zg);
+                recurrent[g].run(h, true, act, device, q, zg);
             }
         }
-        device.activation(Activation::Sigmoid, z[0].as_mut_slice());
-        device.activation(Activation::Sigmoid, z[1].as_mut_slice());
-        device.activation(Activation::Tanh, z[2].as_mut_slice());
-        device.activation(Activation::Sigmoid, z[3].as_mut_slice());
-
-        // c := f*c + i*c~   (vsMul / vsAdd of Listing 5)
-        device.vs_mul(z[1].as_slice(), c.as_slice(), tmp_a);
-        device.vs_mul(z[0].as_slice(), z[2].as_slice(), tmp_b);
-        device.vs_add(tmp_a, tmp_b, c.as_mut_slice());
-
-        // h := o * tanh(c)
-        tmp_a.copy_from_slice(c.as_slice());
-        device.activation(Activation::Tanh, tmp_a);
-        device.vs_mul(z[3].as_slice(), tmp_a, h.as_mut_slice());
+        let [i, f, g, o] = z.each_ref().map(Matrix::as_slice);
+        device.elementwise(rows * units, &CELL_KERNEL_BYTES, || {
+            let cells = c.as_mut_slice().iter_mut().zip(h.as_mut_slice());
+            for (j, (c, h)) in cells.enumerate() {
+                // Separate roundings, as the separate kernels round.
+                let (fc, ig) = (f[j] * *c, i[j] * g[j]);
+                *c = fc + ig;
+                *h = o[j] * c.tanh();
+            }
+        });
     }
 }
 

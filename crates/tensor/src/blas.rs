@@ -1,4 +1,7 @@
 //! The subset of BLAS the paper's ModelJoin operator needs (Listing 5).
+//! Listing 5's element-wise MKL calls (`vsMul`, `vsAdd`) have no kernel
+//! here: the LSTM cell runs them as one fused pass, which
+//! [`crate::Device::elementwise`] charges as the separate kernels.
 //!
 //! `sgemm` follows the BLAS convention `C := alpha * A * B + beta * C`,
 //! which is what lets the paper's operator fold the bias addition into the
@@ -138,24 +141,6 @@ pub fn sgemm_reference(alpha: f32, a: &Matrix, b: &Matrix, beta: f32, c: &mut Ma
     }
 }
 
-/// Element-wise multiply: `out[i] := a[i] * b[i]` (MKL `vsMul`, paper Listing 5).
-pub fn vs_mul(a: &[f32], b: &[f32], out: &mut [f32]) {
-    assert_eq!(a.len(), b.len(), "vs_mul: length mismatch");
-    assert_eq!(a.len(), out.len(), "vs_mul: output length mismatch");
-    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *o = x * y;
-    }
-}
-
-/// Element-wise add: `out[i] := a[i] + b[i]` (MKL `vsAdd`, paper Listing 5).
-pub fn vs_add(a: &[f32], b: &[f32], out: &mut [f32]) {
-    assert_eq!(a.len(), b.len(), "vs_add: length mismatch");
-    assert_eq!(a.len(), out.len(), "vs_add: output length mismatch");
-    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *o = x + y;
-    }
-}
-
 /// FLOP count of an `m x k * k x n` multiply, used by the GPU cost model
 /// and the kernel dispatch thresholds.
 pub fn gemm_flops(m: usize, k: usize, n: usize) -> u64 {
@@ -260,17 +245,6 @@ mod tests {
         sgemm_unblocked(1.0, &a, &b, 0.0, &mut c1);
         sgemm(Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut c2);
         assert!(c1.max_abs_diff(&c2) < 1e-5);
-    }
-
-    #[test]
-    fn elementwise_kernels() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [4.0, 5.0, 6.0];
-        let mut out = [0.0; 3];
-        vs_mul(&a, &b, &mut out);
-        assert_eq!(out, [4.0, 10.0, 18.0]);
-        vs_add(&a, &b, &mut out);
-        assert_eq!(out, [5.0, 7.0, 9.0]);
     }
 
     #[test]

@@ -11,6 +11,12 @@
 //! `total_wall − device_section_wall + device_section_modeled`
 //! (see [`Device::adjust`]). CPU runs are pure wall time; the adjustment is
 //! the identity, and a CPU device times nothing.
+//!
+//! The modeled device charges the kernels the paper's operator launches
+//! (Sec. 5.4), whatever the host fuses: [`Device::dense`] times one fused
+//! GEMM and charges the bias copy, the `sgemm` and the activation kernel;
+//! [`Device::elementwise`] times one fused pass and charges each of the
+//! element-wise kernels it stands for.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -187,9 +193,10 @@ impl Device {
         }
     }
 
-    /// Run `f` as one kernel: on the simulated GPU, time it on the host and
-    /// charge its launch; on a CPU, just run it.
-    fn run_kernel<R>(&self, modeled_seconds: f64, f: impl FnOnce() -> R) -> R {
+    /// Run `f`, the host's work for a device section: on the simulated
+    /// GPU, time it on the host as device wall time; on a CPU, just run it.
+    /// The caller charges the launches it models.
+    fn run_timed<R>(&self, f: impl FnOnce() -> R) -> R {
         if !self.is_gpu() {
             return f();
         }
@@ -197,7 +204,6 @@ impl Device {
         let out = f();
         let wall = start.elapsed().as_nanos() as u64;
         self.counters.wall_ns.fetch_add(wall, Ordering::Relaxed);
-        self.launch(modeled_seconds);
         out
     }
 
@@ -232,7 +238,8 @@ impl Device {
         activation: Activation,
         kernel: impl FnOnce() -> R,
     ) -> R {
-        let out = self.run_kernel(self.model.gemm_time(blas::gemm_flops(m, k, n)), kernel);
+        let out = self.run_timed(kernel);
+        self.launch(self.model.gemm_time(blas::gemm_flops(m, k, n)));
         let elementwise = self.model.elementwise_time(8 * m * n);
         if bias {
             self.launch(elementwise);
@@ -243,25 +250,22 @@ impl Device {
         out
     }
 
-    /// Device element-wise multiply.
-    pub fn vs_mul(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        let cost = self.model.elementwise_time(12 * out.len());
-        self.run_kernel(cost, || blas::vs_mul(a, b, out));
-    }
-
-    /// Device element-wise add.
-    pub fn vs_add(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        let cost = self.model.elementwise_time(12 * out.len());
-        self.run_kernel(cost, || blas::vs_add(a, b, out));
-    }
-
-    /// Device activation kernel (the "handcrafted CUDA kernels" of Sec. 5.4).
-    pub fn activation(&self, act: Activation, buf: &mut [f32]) {
-        if act == Activation::Linear {
-            return;
+    /// Run `kernel`, one host pass fusing several element-wise kernels
+    /// over `len` elements, and charge each kernel the paper launches for
+    /// it (Sec. 5.4): one launch per entry of `bytes_per_kernel`, streaming
+    /// that many bytes per element. (Listing 5's cell update is three
+    /// `vsMul` and one `vsAdd` at 12 bytes per element and a `tanh` at 8.)
+    pub fn elementwise<R>(
+        &self,
+        len: usize,
+        bytes_per_kernel: &[usize],
+        kernel: impl FnOnce() -> R,
+    ) -> R {
+        let out = self.run_timed(kernel);
+        for &bytes in bytes_per_kernel {
+            self.launch(self.model.elementwise_time(bytes * len));
         }
-        let cost = self.model.elementwise_time(8 * buf.len());
-        self.run_kernel(cost, || act.apply(buf));
+        out
     }
 }
 
@@ -362,6 +366,24 @@ mod tests {
         gpu.dense((64, 32, 16), false, Activation::Linear, || ());
         assert_eq!(gpu.report().kernel_launches, 1);
         assert_eq!(gpu.report().device_modeled.as_nanos() as u64, gemm);
+    }
+
+    /// One fused host pass charges every kernel it stands for, each
+    /// truncated to whole nanoseconds as a separate launch would be.
+    #[test]
+    fn elementwise_charges_one_launch_per_kernel() {
+        let gpu = Device::gpu();
+        let mut runs = 0;
+        gpu.elementwise(1000, &[12, 12, 8], || runs += 1);
+        let model = GpuModel::a100();
+        let ns = |bytes: usize| (model.elementwise_time(bytes * 1000) * 1e9) as u64;
+        let r = gpu.report();
+        assert_eq!(runs, 1);
+        assert_eq!(r.kernel_launches, 3);
+        assert_eq!(r.device_modeled.as_nanos() as u64, 2 * ns(12) + ns(8));
+        let cpu = Device::cpu();
+        cpu.elementwise(1000, &[12], || runs += 1);
+        assert_eq!((runs, cpu.report().kernel_launches), (2, 0));
     }
 
     #[test]

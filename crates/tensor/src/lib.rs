@@ -2,14 +2,16 @@
 //!
 //! The paper's native ModelJoin operator (Sec. 5) performs its vectorized
 //! inference through the BLAS interface (Intel MKL on the CPU, cuBLAS on the
-//! GPU). This crate is the stand-in for both: it provides the handful of
-//! kernels Listing 5 of the paper needs (`sgemm`, element-wise
-//! multiply/add, activations) over row-major `f32` matrices — a model
-//! keeps its weights "already in a transposed way" (Sec. 5.4), so no
-//! GEMM transposes an operand — weight matrices packed once for a fused
-//! bias-and-activation GEMM ([`PackedMatrix`]), plus a
-//! [`device::Device`] abstraction with a real CPU backend and a *simulated*
-//! GPU backend.
+//! GPU). This crate is the stand-in for both: it provides the kernels
+//! Listing 5 of the paper needs (`sgemm` and the activations) over
+//! row-major `f32` matrices — a model keeps its weights "already in a
+//! transposed way" (Sec. 5.4), so no GEMM transposes an operand — weight
+//! matrices packed once for a fused bias-and-activation GEMM
+//! ([`PackedMatrix`]), plus a [`device::Device`] abstraction with a real
+//! CPU backend and a *simulated* GPU backend. Listing 5's element-wise
+//! `vsMul`/`vsAdd` calls have no kernel of their own: the LSTM cell runs
+//! them as one fused pass that [`Device::elementwise`] charges as the
+//! separate kernels.
 //!
 //! The simulated GPU executes the identical arithmetic on the host (so every
 //! approach in the repository is bit-comparable) while charging a calibrated

@@ -33,6 +33,10 @@
 //! out[i][j] = act( scale_a[i]·scale_w[j]·(acc[i][j] − 64·col_sums[j]) + bias[j] )
 //! ```
 //!
+//! [`Init::Accumulate`] adds onto `out[i][j]` instead of `bias[j]`, and
+//! the activation follows as for the other inits: the contract of the
+//! fp32 [`crate::PackedMatrix::gemm`].
+//!
 //! # Error bound
 //!
 //! Rounding perturbs each activation by at most `scale_a/2` and each
@@ -153,14 +157,12 @@ pub struct QuantScratch {
 
 /// Quantized dense layer forward:
 /// `out = activation(dequant(quant(a) · w) + bias)`, or with
-/// `accumulate`, `out += dequant(quant(a) · w)`. [`QuantizedWeights::gemm`]
-/// is the same with the [`Init`] spelled out.
+/// `accumulate`, `out = activation(out + dequant(quant(a) · w))`.
+/// [`QuantizedWeights::gemm`] is the same with the [`Init`] spelled out.
 ///
 /// `a` is the fp32 activation matrix (`m x k`), quantized row-wise per
 /// call; `w` the pre-quantized weights (`k x n`); `out` must already be
-/// `m x n`. `accumulate` is the LSTM recurrent-term mode and requires
-/// `Activation::Linear` with no bias (the caller applies gate activations
-/// after both contributions land).
+/// `m x n`. `accumulate` (the LSTM recurrent term) takes no bias.
 ///
 /// Dequantization, zero-point correction, bias and activation are fused
 /// into a single epilogue pass — the integer accumulator is walked once.
@@ -184,8 +186,8 @@ pub fn qgemm_dense(
 
 impl QuantizedWeights {
     /// `out = activation(init + dequant(quant(a) · self))`, the int8
-    /// sibling of [`crate::PackedMatrix::gemm`]. [`Init::Accumulate`] composes before the caller's activation and
-    /// so requires `Activation::Linear`.
+    /// sibling of [`crate::PackedMatrix::gemm`], with the same [`Init`]
+    /// contract.
     pub fn gemm(
         &self,
         a: &Matrix,
@@ -200,19 +202,8 @@ impl QuantizedWeights {
         assert_eq!(k, w.k, "qgemm: inner dimensions differ ({k} vs {})", w.k);
         assert_eq!(out.rows(), m, "qgemm: out row count mismatch");
         assert_eq!(out.cols(), n, "qgemm: out column count mismatch");
-        let (bias, accumulate) = match init {
-            Init::Zero => (None, false),
-            Init::Bias(b) => (Some(b), false),
-            Init::Accumulate => (None, true),
-        };
-        if let Some(b) = bias {
+        if let Init::Bias(b) = init {
             assert_eq!(b.len(), n, "qgemm: bias length mismatch");
-        }
-        if accumulate {
-            assert!(
-                activation == Activation::Linear,
-                "qgemm accumulate mode composes before bias/activation"
-            );
         }
         if m == 0 || n == 0 {
             return;
@@ -239,39 +230,22 @@ impl QuantizedWeights {
             }
         }
 
-        // 3. Fused dequantize + zero-point correction + bias + activation.
-        // The dequant+bias loops are branch-free so they autovectorize; the
-        // non-linear activation then runs over the same L1-resident row — the
+        // 3. Fused dequantize + zero-point correction + init + activation.
+        // The dequant loops are branch-free so they autovectorize; the
+        // activation then runs over the same L1-resident row — the
         // accumulator and output matrices are each walked exactly once.
         let (ws, cs) = (&w.scales[..n], &w.col_sums[..n]);
         for i in 0..m {
             let sa = scratch.row_scales[i];
             let acc_row = &scratch.acc[i * n..(i + 1) * n];
             let out_row = out.row_mut(i);
-            if accumulate {
-                for j in 0..n {
-                    let v = (acc_row[j] - ACT_ZERO_POINT * cs[j]) as f32;
-                    out_row[j] += sa * ws[j] * v;
-                }
-                continue;
+            let dequant = |j: usize| sa * ws[j] * (acc_row[j] - ACT_ZERO_POINT * cs[j]) as f32;
+            match init {
+                Init::Zero => (0..n).for_each(|j| out_row[j] = dequant(j)),
+                Init::Bias(b) => (0..n).for_each(|j| out_row[j] = dequant(j) + b[j]),
+                Init::Accumulate => (0..n).for_each(|j| out_row[j] += dequant(j)),
             }
-            match bias {
-                Some(b) => {
-                    for j in 0..n {
-                        let v = (acc_row[j] - ACT_ZERO_POINT * cs[j]) as f32;
-                        out_row[j] = sa * ws[j] * v + b[j];
-                    }
-                }
-                None => {
-                    for j in 0..n {
-                        let v = (acc_row[j] - ACT_ZERO_POINT * cs[j]) as f32;
-                        out_row[j] = sa * ws[j] * v;
-                    }
-                }
-            }
-            if activation != Activation::Linear {
-                activation.apply(out_row);
-            }
+            activation.apply(out_row);
         }
     }
 }
@@ -412,11 +386,8 @@ pub fn qgemm_dense_reference(
             let v = (acc - ACT_ZERO_POINT as i64 * w.col_sums[j] as i64) as f32;
             let x = row_scales[i] * w.scales[j] * v;
             let out_row = out.row_mut(i);
-            if accumulate {
-                out_row[j] += x;
-            } else {
-                out_row[j] = activation.apply_scalar(x + bias.map_or(0.0, |b| b[j]));
-            }
+            let init = if accumulate { out_row[j] } else { bias.map_or(0.0, |b| b[j]) };
+            out_row[j] = activation.apply_scalar(x + init);
         }
     }
 }

@@ -206,3 +206,29 @@ fn saturating_weights_hold_both_contracts() {
     qgemm_dense_reference(&a, &wq, None, Activation::Linear, false, &mut expected);
     assert_eq!(got, expected, "saturated weights broke bit-identity");
 }
+
+/// `Init::Accumulate` takes an activation as the other inits do: the call
+/// equals the same call with `Linear` followed by `Activation::apply`, bit
+/// for bit, and so does the quantized reference; at one shape below and
+/// one above the blocked kernel's FLOP threshold (2^17).
+#[test]
+fn accumulate_then_activation_equals_linear_accumulate_then_apply() {
+    let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for (m, k, n) in [(4, 16, 8), (70, 130, 75)] {
+        let a = fill(m, k, 21);
+        let wq = QuantizedWeights::quantize(&fill(k, n, 22));
+        let base = fill(m, n, 23);
+        let mut scratch = QuantScratch::default();
+        for act in [Activation::Sigmoid, Activation::Tanh] {
+            let mut want = base.clone();
+            wq.gemm(&a, Init::Accumulate, Activation::Linear, &mut want, &mut scratch);
+            act.apply(want.as_mut_slice());
+            let mut got = base.clone();
+            wq.gemm(&a, Init::Accumulate, act, &mut got, &mut scratch);
+            assert_eq!(bits(&got), bits(&want), "{m}x{k}x{n} {act}");
+            let mut reference = base.clone();
+            qgemm_dense_reference(&a, &wq, None, act, true, &mut reference);
+            assert_eq!(bits(&got), bits(&reference), "{m}x{k}x{n} {act} reference");
+        }
+    }
+}
