@@ -9,10 +9,11 @@
 //! ```
 //!
 //! Output: one CSV line per cell on stdout (`width,depth,rows,approach,
-//! seconds,measured|modeled`) followed by formatted panels. GPU numbers
-//! are device-model-derived (`*`), see DESIGN.md §2.
+//! seconds,measured|modeled|mixed`) followed by formatted panels. A GPU
+//! number is marked `*` when the device model derives all of it
+//! (DESIGN.md §2), `~` when it adds measured host time.
 
-use bench::{print_panel, run_cell, Scale};
+use bench::{print_panel, run_cell, Scale, MARK_LEGEND};
 use indbml_core::Workload;
 use vector_engine::EngineConfig;
 
@@ -41,5 +42,5 @@ fn main() {
             );
         }
     }
-    println!("\n(*) GPU runtimes are calibrated-device-model derived; see DESIGN.md §2.");
+    println!("\n{MARK_LEGEND}");
 }

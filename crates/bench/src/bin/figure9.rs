@@ -7,7 +7,7 @@
 //! LSTM layer, Sec. 6.1: "As typically a single LSTM layer is used, we do
 //! not use different model_depths in this experiment").
 
-use bench::{print_panel, run_cell, Scale};
+use bench::{print_panel, run_cell, Scale, MARK_LEGEND};
 use indbml_core::Workload;
 use vector_engine::EngineConfig;
 
@@ -30,5 +30,5 @@ fn main() {
         }
         print_panel(&format!("Model width = {width}"), &panel, &scale.fact_sizes);
     }
-    println!("\n(*) GPU runtimes are calibrated-device-model derived; see DESIGN.md §2.");
+    println!("\n{MARK_LEGEND}");
 }

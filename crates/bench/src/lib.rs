@@ -130,18 +130,44 @@ pub fn ml2sql_cost(rows: usize, model: &Model) -> u64 {
     rows as u64 * edges
 }
 
+/// The footnote of a figure's panels: what the `*` and `~` marks mean.
+pub const MARK_LEGEND: &str = "(*) GPU runtime wholly modeled device time, from the calibrated \
+     device model (DESIGN.md §2); it repeats exactly.\n(~) GPU runtime mixed: modeled device \
+     time plus measured host wall time (e.g. the client's wire path), which varies from run to run.";
+
 /// One measured cell of a figure.
 #[derive(Clone, Debug)]
 pub struct Cell {
     pub workload: Workload,
     pub fact_rows: usize,
     pub approach: Approach,
-    /// `None` when the cell was skipped by the budget (or failed).
+    /// `None` when the cell was skipped by the budget (or, outside
+    /// `--verify`, failed).
     pub runtime: Option<Duration>,
-    pub gpu_modeled: bool,
+    /// The modeled device time inside `runtime` (zero on the CPU).
+    pub modeled: Duration,
 }
 
 impl Cell {
+    /// How the runtime was obtained: `measured` (host wall time only),
+    /// `modeled` (device-model time only) or `mixed` (both).
+    pub fn kind(&self) -> &'static str {
+        match self.runtime {
+            _ if self.modeled.is_zero() => "measured",
+            Some(d) if d == self.modeled => "modeled",
+            _ => "mixed",
+        }
+    }
+
+    /// The panel mark of [`Cell::kind`]: none, `*` or `~`.
+    fn mark(&self) -> &'static str {
+        match self.kind() {
+            "modeled" => "*",
+            "mixed" => "~",
+            _ => "",
+        }
+    }
+
     pub fn csv(&self) -> String {
         let (width, depth) = match self.workload {
             Workload::Dense { width, depth } => (width, depth),
@@ -153,7 +179,7 @@ impl Cell {
                 rows = self.fact_rows,
                 a = self.approach.label(),
                 secs = d.as_secs_f64(),
-                m = if self.gpu_modeled { "modeled" } else { "measured" }
+                m = self.kind()
             ),
             None => format!(
                 "{width},{depth},{rows},{a},skipped,-",
@@ -177,15 +203,20 @@ pub fn run_cell(
     let experiment = match Experiment::build(config) {
         Ok(e) => e,
         Err(e) => {
-            eprintln!("setup failed for {}: {e}", workload.label());
+            fail(scale, format!("setup failed for {}: {e}", workload.label()));
             return Vec::new();
         }
     };
-    let oracle = if scale.verify { experiment.oracle_predictions().ok() } else { None };
+    let oracle = scale.verify.then(|| {
+        let oracle = experiment.oracle_predictions();
+        oracle.unwrap_or_else(|e| panic!("oracle failed on {}: {e}", workload.label()))
+    });
     let mut cells = Vec::new();
+    let skipped =
+        |approach| Cell { workload, fact_rows, approach, runtime: None, modeled: Duration::ZERO };
     for &approach in &scale.approaches {
         if approach == Approach::Ml2Sql && ml2sql_cost(fact_rows, &model) > scale.ml2sql_budget {
-            cells.push(Cell { workload, fact_rows, approach, runtime: None, gpu_modeled: false });
+            cells.push(skipped(approach));
             continue;
         }
         match experiment.run(approach, scale.verify) {
@@ -199,30 +230,30 @@ pub fn run_cell(
                     assert!(max_diff < 1e-3, "{approach} diverges from oracle by {max_diff}");
                 }
                 cells.push(Cell {
-                    workload,
-                    fact_rows,
-                    approach,
                     runtime: Some(outcome.runtime),
-                    gpu_modeled: outcome.gpu_modeled,
+                    modeled: outcome.modeled,
+                    ..skipped(approach)
                 });
             }
             Err(e) => {
-                eprintln!("{approach} failed on {}: {e}", workload.label());
-                cells.push(Cell {
-                    workload,
-                    fact_rows,
-                    approach,
-                    runtime: None,
-                    gpu_modeled: false,
-                });
+                fail(scale, format!("{approach} failed on {}: {e}", workload.label()));
+                cells.push(skipped(approach));
             }
         }
     }
     cells
 }
 
+/// Report a failed setup or approach. Under `--verify` it fails the run,
+/// as an oracle mismatch does: a failure must not pass as a skipped cell.
+/// Otherwise it goes to stderr and the cell reads `skipped`.
+fn fail(scale: &Scale, message: String) {
+    assert!(!scale.verify, "{message}");
+    eprintln!("{message}");
+}
+
 /// Print a figure panel: one line per approach, one column per fact size.
-/// GPU-modeled results carry a `*` (DESIGN.md §2).
+/// GPU results carry [`Cell::kind`]'s mark, explained by [`MARK_LEGEND`].
 pub fn print_panel(title: &str, cells: &[Cell], fact_sizes: &[usize]) {
     println!("\n== {title} ==");
     print!("{:<16}", "approach");
@@ -240,11 +271,8 @@ pub fn print_panel(title: &str, cells: &[Cell], fact_sizes: &[usize]) {
         print!("{:<16}", a.label());
         for &n in fact_sizes {
             let cell = cells.iter().find(|c| c.approach == a && c.fact_rows == n);
-            match cell.and_then(|c| c.runtime) {
-                Some(d) => {
-                    let flag = if cell.is_some_and(|c| c.gpu_modeled) { "*" } else { "" };
-                    print!("{:>16}", format!("{:.3}s{flag}", d.as_secs_f64()));
-                }
+            match cell.and_then(|c| Some((c.runtime?, c.mark()))) {
+                Some((d, mark)) => print!("{:>16}", format!("{:.3}s{mark}", d.as_secs_f64())),
                 None => print!("{:>16}", "skipped"),
             }
         }
@@ -282,11 +310,23 @@ mod tests {
             fact_rows: 100,
             approach: Approach::Udf,
             runtime: Some(Duration::from_millis(1500)),
-            gpu_modeled: false,
+            modeled: Duration::ZERO,
         };
         assert_eq!(cell.csv(), "32,2,100,UDF,1.500000,measured");
-        let skipped = Cell { runtime: None, ..cell };
+        let skipped = Cell { runtime: None, ..cell.clone() };
         assert!(skipped.csv().ends_with("skipped,-"));
+        let modeled = Cell { modeled: Duration::from_millis(1500), ..cell.clone() };
+        assert_eq!((modeled.kind(), modeled.mark()), ("modeled", "*"));
+        let mixed = Cell { modeled: Duration::from_millis(1400), ..cell };
+        assert_eq!((mixed.kind(), mixed.mark()), ("mixed", "~"));
+        assert!(mixed.csv().ends_with(",mixed"));
+    }
+
+    #[test]
+    #[should_panic(expected = "UDF failed")]
+    fn a_failure_under_verify_fails_the_run() {
+        let scale = Scale { verify: true, ..Scale::default_scale() };
+        fail(&scale, "UDF failed on Dense(4,2): host gone".into());
     }
 
     #[test]

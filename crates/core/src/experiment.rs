@@ -79,6 +79,9 @@ pub struct RunOutcome {
     pub runtime: Duration,
     /// True when `runtime` contains modeled GPU time.
     pub gpu_modeled: bool,
+    /// The modeled device time inside `runtime` (zero on the CPU); the
+    /// rest of `runtime` is measured host wall time.
+    pub modeled: Duration,
     /// Tuples inferred.
     pub rows: usize,
     /// `(id, first prediction)` sorted by id, when collection was
@@ -174,8 +177,9 @@ impl Experiment {
         let result = self.engine.execute(&sql)?;
         let runtime = device.adjust(start.elapsed());
         let predictions = if collect { Some(self.id_predictions(&result)?) } else { None };
-        let (gpu_modeled, rows) = (device.is_gpu(), result.num_rows());
-        Ok(RunOutcome { approach, runtime, gpu_modeled, rows, predictions })
+        let (gpu_modeled, modeled) = (device.is_gpu(), device.report().device_modeled);
+        let rows = result.num_rows();
+        Ok(RunOutcome { approach, runtime, gpu_modeled, modeled, rows, predictions })
     }
 
     /// UDF hosts to spawn: one per scheduler thread when the engine runs
@@ -238,8 +242,8 @@ impl Experiment {
             out.sort_by_key(|r| r.0);
             out
         });
-        let (gpu_modeled, rows) = (device.is_gpu(), ids.len());
-        Ok(RunOutcome { approach, runtime, gpu_modeled, rows, predictions })
+        let (gpu_modeled, modeled) = (device.is_gpu(), device.report().device_modeled);
+        Ok(RunOutcome { approach, runtime, gpu_modeled, modeled, rows: ids.len(), predictions })
     }
 
     /// `id` and the model inputs of every fact row, as `SELECT id, c0, …
@@ -309,6 +313,8 @@ mod tests {
                 assert!(bits(&preds) == native, "{approach} is not bit-identical to ModelJoin_CPU");
             }
             assert_eq!(outcome.gpu_modeled, approach.uses_gpu());
+            assert_eq!(outcome.modeled.is_zero(), !approach.uses_gpu(), "{approach}: modeled time");
+            assert!(outcome.modeled <= outcome.runtime, "{approach}: modeled above runtime");
         }
     }
 

@@ -1,6 +1,6 @@
 //! The one batched forward pass (paper Sec. 5.4): a model built into a
-//! kernel plan per GEMM, and one layer loop over a whole
-//! `rows x input_dim` batch. ModelJoin builds it from a model table,
+//! kernel plan, and one layer loop run over any number of `rows x
+//! input_dim` rows. ModelJoin builds it from a model table,
 //! [`crate::Session`] from a model file; both run it here, in fp32 or,
 //! after [`BuiltModel::quantize`], int8.
 //!
@@ -9,15 +9,35 @@
 //! bias stays a `units` vector that the GEMM's first K slice adds, and
 //! the activation runs in its last slice's write-back. An LSTM gate's
 //! activation runs in the write-back of its step's last GEMM, and the
-//! cell update is one fused element-wise pass per step. Every batch, from
-//! one row to the vector size, runs the same kernel on the caller's
-//! thread, so a row's output is a function of the model and the row
-//! alone. Parallelism comes from the callers: each partition morsel runs
-//! its own batches.
+//! cell update is one fused element-wise pass per step.
+//!
+//! The plan also fixes the row block. The paper's operator pushes a whole
+//! 1024-tuple vector through one layer before the next (Sec. 5.4). On the
+//! CPU, rows instead run depth first: in blocks of
+//! [`BuiltModel::block_rows`] rows, each passing through every layer
+//! before the next block starts. A block is as many rows as fit
+//! [`BLOCK_BUDGET_BYTES`] at the model's widest layer, so a layer's input
+//! and output stay in the core's L2 and the scratch holds one block, not
+//! one vector: 256 rows at width 512, a whole vector at width 64 or less.
+//! The simulated GPU keeps one pass per vector, because its device model
+//! charges one launch per GEMM, as the paper's cuBLAS path pays.
+//!
+//! Every block, from one row to the vector size, runs the same kernel on
+//! the caller's thread, so a row's output is a function of the model and
+//! the row alone, whichever block it lands in. Parallelism comes from the
+//! callers: each partition morsel runs its own batches.
 
 use nn::Layer;
-use std::borrow::Cow;
-use tensor::{Activation, Device, Init, Matrix, PackedMatrix, QuantScratch, QuantizedWeights};
+use tensor::{
+    Activation, Device, Init, Matrix, MatrixView, PackedMatrix, QuantScratch, QuantizedWeights, MR,
+};
+
+/// The bytes one CPU row block may keep live: half of this host's 2 MiB
+/// per-core L2, the other half left to the GEMM's packed `A` block and
+/// weight panels. A model's block is this budget over its widest per-row
+/// working set, in whole micro-panels of `MR` rows, capped at the vector
+/// size (see [`BuiltModel::block_rows`]).
+pub const BLOCK_BUDGET_BYTES: usize = 1 << 20;
 
 /// The weights of one GEMM of a built layer, in the kernel's layout.
 #[derive(Clone)]
@@ -66,7 +86,7 @@ impl GemmPlan {
     /// `device` as the paper's kernels.
     fn run(
         &self,
-        x: &Matrix,
+        x: MatrixView<'_>,
         accumulate: bool,
         act: Activation,
         device: &Device,
@@ -103,6 +123,16 @@ pub enum BuiltLayer {
     },
 }
 
+impl BuiltLayer {
+    /// Output width.
+    fn units(&self) -> usize {
+        match self {
+            BuiltLayer::Dense { gemm, .. } => gemm.units(),
+            BuiltLayer::Lstm { units, .. } => *units,
+        }
+    }
+}
+
 /// A built model — fp32, or int8 after [`BuiltModel::quantize`]. Both run
 /// through the same layer loop; only the GEMM kernels differ.
 pub struct BuiltModel {
@@ -110,16 +140,25 @@ pub struct BuiltModel {
     pub input_dim: usize,
     pub output_dim: usize,
     vector_size: usize,
+    block_rows: usize,
 }
 
 /// Per-caller scratch arena for [`BuiltModel::infer_into`]: every buffer
-/// inference needs — the ping-pong layer output matrices, the int8 GEMM
-/// scratch and the LSTM gate and state buffers — lives here and is reused
-/// across batches. Capacity is retained when the batch shrinks (the short
-/// final vector of a partition), so steady-state inference allocates
-/// nothing.
+/// inference needs lives here and is reused across batches. It holds one
+/// row block's working set, whatever the batch length, plus the stitched
+/// output of a batch longer than one block. Capacity is retained when the
+/// batch shrinks (the short final vector of a partition), so steady-state
+/// inference allocates nothing.
 #[derive(Default)]
 pub struct InferScratch {
+    block: BlockScratch,
+    /// The `rows x output_dim` output of a batch of several blocks.
+    out: Matrix,
+}
+
+/// The buffers one row block runs in (see [`BuiltModel::infer_into`]).
+#[derive(Default)]
+struct BlockScratch {
     /// Ping-pong layer outputs: layer `l` writes one while reading the other.
     ping: Matrix,
     pong: Matrix,
@@ -178,9 +217,10 @@ impl BuiltModel {
                     }
                 }
             })
-            .collect();
+            .collect::<Vec<_>>();
         device.transfer_h2d(bytes);
-        BuiltModel { layers, input_dim, output_dim, vector_size }
+        let block_rows = block_rows(input_dim, &layers, vector_size);
+        BuiltModel { layers, input_dim, output_dim, vector_size, block_rows }
     }
 
     /// [`BuiltModel::from_layers`] over a model object's layers.
@@ -216,46 +256,37 @@ impl BuiltModel {
             input_dim: self.input_dim,
             output_dim: self.output_dim,
             vector_size: self.vector_size,
+            block_rows: self.block_rows,
         }
     }
 
-    /// Vectorized inference (paper Sec. 5.4): one pass over the layer list
-    /// for a whole `rows x input_dim` input matrix. Allocating wrapper
-    /// around [`BuiltModel::infer_into`] for one-shot callers.
+    /// The rows of one CPU pass through every layer, fixed at build:
+    /// [`BLOCK_BUDGET_BYTES`] over the widest per-row working set of any
+    /// layer (a dense layer's input and output; an LSTM step's `x_t`, four
+    /// gates, `c` and `h`), rounded down to a multiple of `MR` and capped
+    /// at the vector size.
+    pub fn block_rows(&self) -> usize {
+        self.block_rows
+    }
+
+    /// Vectorized inference (paper Sec. 5.4) over a whole `rows x
+    /// input_dim` input matrix. Allocating wrapper around
+    /// [`BuiltModel::infer_into`] for one-shot callers.
     pub fn infer(&self, input: &Matrix, device: &Device) -> Matrix {
         let mut scratch = InferScratch::default();
         self.infer_into(input, device, &mut scratch).clone()
     }
 
-    /// Inference over any number of `input` rows, row-major `rows x
-    /// output_dim`: one [`BuiltModel::infer_into`] pass (borrowing from
-    /// `scratch`) when they fit the vector size the model was built for,
-    /// else one pass per vector-size slice, the outputs concatenated.
-    pub fn infer_rows<'s>(
-        &self,
-        input: &Matrix,
-        device: &Device,
-        scratch: &'s mut InferScratch,
-    ) -> Cow<'s, [f32]> {
-        let (rows, dim) = (input.rows(), input.cols());
-        if rows <= self.vector_size {
-            return Cow::Borrowed(self.infer_into(input, device, scratch).as_slice());
-        }
-        let mut out = Vec::with_capacity(rows * self.output_dim);
-        for start in (0..rows).step_by(self.vector_size) {
-            let end = (start + self.vector_size).min(rows);
-            let slice = input.as_slice()[start * dim..end * dim].to_vec();
-            let x = Matrix::from_vec(end - start, dim, slice);
-            out.extend_from_slice(self.infer_into(&x, device, scratch).as_slice());
-        }
-        Cow::Owned(out)
-    }
-
-    /// Inference writing exclusively into `scratch`; the returned reference
-    /// points at the scratch buffer holding the final layer's output.
-    /// Batch-at-a-time callers pass the same scratch every call and pay
-    /// zero allocations after the first batch. Input upload and output
-    /// download are charged to the device transfer model.
+    /// Inference over one vector (at most the vector size the model was
+    /// built for) of `input` rows, writing only into `scratch`; the
+    /// returned reference points at the scratch buffer holding the
+    /// `rows x output_dim` output. On the CPU the rows run in blocks of
+    /// [`BuiltModel::block_rows`], each through every layer before the
+    /// next block starts; on the simulated GPU as one pass, charged its
+    /// input upload and output download. A vector of one block returns
+    /// its last layer's output in place; a longer one is stitched into one
+    /// output matrix. Batch-at-a-time callers pass the same scratch every
+    /// call and pay zero allocations after the first batch.
     pub fn infer_into<'s>(
         &self,
         input: &Matrix,
@@ -263,16 +294,61 @@ impl BuiltModel {
         scratch: &'s mut InferScratch,
     ) -> &'s Matrix {
         assert!(input.rows() <= self.vector_size, "batch exceeds vector size");
+        self.run_blocks(input, device, scratch)
+    }
+
+    /// [`BuiltModel::infer_into`] over any number of `input` rows: the
+    /// same block loop, on the GPU one pass per vector. Row-major `rows x
+    /// output_dim`, borrowed from `scratch`.
+    pub fn infer_rows<'s>(
+        &self,
+        input: &Matrix,
+        device: &Device,
+        scratch: &'s mut InferScratch,
+    ) -> &'s [f32] {
+        self.run_blocks(input, device, scratch).as_slice()
+    }
+
+    fn run_blocks<'s>(
+        &self,
+        input: &Matrix,
+        device: &Device,
+        scratch: &'s mut InferScratch,
+    ) -> &'s Matrix {
         assert_eq!(input.cols(), self.input_dim, "input width mismatch");
-        device.transfer_h2d(input.byte_len());
         let rows = input.rows();
-        let InferScratch { ping, pong, q, lstm } = scratch;
+        let block = if device.is_gpu() { self.vector_size } else { self.block_rows }.max(1);
+        let InferScratch { block: s, out } = scratch;
+        if rows <= block {
+            return self.forward_block(input.view(), device, s);
+        }
+        let width = self.output_dim;
+        out.reshape(rows, width);
+        for start in (0..rows).step_by(block) {
+            let end = (start + block).min(rows);
+            let y = self.forward_block(input.row_block(start..end), device, s);
+            out.as_mut_slice()[start * width..end * width].copy_from_slice(y.as_slice());
+        }
+        out
+    }
+
+    /// One pass of the rows of `x` (at most one block) through every
+    /// layer; returns the scratch matrix holding the last layer's output.
+    fn forward_block<'s>(
+        &self,
+        x: MatrixView<'_>,
+        device: &Device,
+        scratch: &'s mut BlockScratch,
+    ) -> &'s Matrix {
+        device.transfer_h2d(x.byte_len());
+        let rows = x.rows();
+        let BlockScratch { ping, pong, q, lstm } = scratch;
         // Invariant: the current layer input lives in `ping` (or is the
-        // caller's matrix on the first layer); each layer computes into
+        // caller's rows on the first layer); each layer computes into
         // `pong`, then the two swap — a pointer swap, never a data copy.
         let mut first = true;
         for layer in &self.layers {
-            let cur: &Matrix = if first { input } else { &*ping };
+            let cur = if first { x } else { ping.view() };
             match layer {
                 BuiltLayer::Dense { gemm, activation } => {
                     // The GEMM writes every element: no zeroing.
@@ -292,12 +368,28 @@ impl BuiltModel {
         if first {
             // Zero-layer model: the output is the input, copied so the
             // return value always borrows from the scratch.
-            ping.resize_zeroed(rows, input.cols());
-            ping.as_mut_slice().copy_from_slice(input.as_slice());
+            ping.reshape(rows, x.cols());
+            ping.as_mut_slice().copy_from_slice(x.as_slice());
         }
         device.transfer_d2h(ping.byte_len());
         &*ping
     }
+}
+
+/// [`BuiltModel::block_rows`] of a model whose `layers` take
+/// `input_dim`-wide rows (a zero-layer model's working set is its copied
+/// input).
+fn block_rows(input_dim: usize, layers: &[BuiltLayer], vector_size: usize) -> usize {
+    let (mut width, mut floats) = (input_dim, input_dim);
+    for layer in layers {
+        floats = floats.max(match layer {
+            BuiltLayer::Dense { gemm, .. } => width + gemm.units(),
+            BuiltLayer::Lstm { features, units, .. } => features + 6 * units,
+        });
+        width = layer.units();
+    }
+    let rows = BLOCK_BUDGET_BYTES / (std::mem::size_of::<f32>() * floats.max(1)) / MR * MR;
+    rows.max(MR).min(vector_size.max(1))
 }
 
 /// The activation of each gate, in the order i, f, c~, o.
@@ -323,7 +415,7 @@ const CELL_KERNEL_BYTES: [usize; 5] = [12, 12, 12, 8, 12];
 /// the gate activations and the cell update stay fp32.
 #[allow(clippy::too_many_arguments)]
 fn lstm_forward_into(
-    input: &Matrix,
+    input: MatrixView<'_>,
     features: usize,
     timesteps: usize,
     units: usize,
@@ -351,10 +443,10 @@ fn lstm_forward_into(
         for (g, zg) in z.iter_mut().enumerate() {
             let act = GATE_ACTIVATIONS[g];
             if t == 0 {
-                kernel[g].run(x_t, false, act, device, q, zg);
+                kernel[g].run(x_t.view(), false, act, device, q, zg);
             } else {
-                kernel[g].run(x_t, false, Activation::Linear, device, q, zg);
-                recurrent[g].run(h, true, act, device, q, zg);
+                kernel[g].run(x_t.view(), false, Activation::Linear, device, q, zg);
+                recurrent[g].run(h.view(), true, act, device, q, zg);
             }
         }
         let [i, f, g, o] = z.each_ref().map(Matrix::as_slice);
@@ -436,6 +528,38 @@ mod tests {
         assert_eq!(report.h2d_bytes, x.byte_len() as u64);
         assert_eq!(report.d2h_bytes, out.byte_len() as u64);
         assert!(report.kernel_launches > 0);
+    }
+
+    /// The memory claim of the row blocks: after a 1024-row pass of a
+    /// width-512 model, every matrix of the arena holds at most one block
+    /// of the widest layer (256 × 512 floats), not one vector of it.
+    #[test]
+    fn scratch_holds_one_block_of_the_widest_layer() {
+        let (rows, width) = (1024, 512);
+        let built = BuiltModel::from_model(&paper::dense_model(width, 2, 5), &Device::cpu(), rows);
+        assert_eq!(built.block_rows(), 256);
+        let mut scratch = InferScratch::default();
+        let out = built.infer_into(&inputs(rows, 4), &Device::cpu(), &mut scratch);
+        assert_eq!((out.rows(), out.cols()), (rows, 1));
+        let InferScratch { block: BlockScratch { ping, pong, lstm, .. }, out } = &scratch;
+        let bound = built.block_rows() * width;
+        for m in [ping, pong, out, &lstm.c, &lstm.x_t].into_iter().chain(&lstm.z) {
+            assert!(m.capacity() <= bound, "capacity {} above {bound}", m.capacity());
+        }
+        assert_eq!(ping.capacity().max(pong.capacity()), bound);
+    }
+
+    /// The narrow models of serving run a whole vector as one block (the
+    /// wide ones are pinned by `tests/batch_invariance.rs`), and no block
+    /// exceeds the vector size.
+    #[test]
+    fn narrow_models_run_one_block_per_vector() {
+        let block = |model: &nn::Model, vector_size| {
+            BuiltModel::from_model(model, &Device::cpu(), vector_size).block_rows()
+        };
+        assert_eq!(block(&paper::dense_model(64, 4, 0), 1024), 1024);
+        assert_eq!(block(&paper::dense_model(32, 2, 0), 1024), 1024);
+        assert_eq!(block(&paper::dense_model(512, 4, 0), 100), 100);
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! *The runtime runs models, ModelJoin builds them from a table, and the
 //! C-API builds them from a model file.*
 //!
-//! * [`forward`] — [`BuiltModel`]: a kernel plan per GEMM fixed at build
-//!   time (fp32 weights packed once with the bias and activation fused
-//!   into the GEMM, or int8) and one layer loop over a `rows x input_dim`
-//!   batch on a [`tensor::Device`] (CPU or
-//!   simulated GPU), with a reusable [`InferScratch`] arena;
+//! * [`forward`] — [`BuiltModel`]: a kernel plan fixed at build time
+//!   (fp32 weights packed once with the bias and activation fused into
+//!   the GEMM, or int8, and the CPU row block) and one layer loop over a
+//!   `rows x input_dim` batch on a [`tensor::Device`] (CPU, block by
+//!   block, or simulated GPU, vector by vector), with a reusable
+//!   [`InferScratch`] arena;
 //! * [`session::Session`] — a model object or a saved model file built
 //!   into a [`BuiltModel`] at the paper's vector size of 1,024 rows, and
 //!   [`RowModel`], the row-major `run` an engine operator calls on a

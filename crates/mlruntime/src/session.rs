@@ -85,7 +85,7 @@ impl RowModel for Session {
                 input.cols()
             ));
         }
-        Ok(self.model.infer_rows(input, &self.device, scratch))
+        Ok(Cow::Borrowed(self.model.infer_rows(input, &self.device, scratch)))
     }
 }
 

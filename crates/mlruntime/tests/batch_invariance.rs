@@ -12,10 +12,15 @@
 //! kernel's `KC = 512` K slice (a hidden layer whose product spans two
 //! slices), and batches long enough to span several of the kernel's row
 //! blocks.
+//!
+//! A wide model runs a vector depth first, in row blocks fixed at build
+//! ([`BuiltModel::block_rows`]); the block tests pin that its rows keep
+//! their one-row bits at every batch length around a block boundary.
 
 use mlruntime::BuiltModel;
 use nn::{paper, Activation, ModelBuilder};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 use tensor::{Device, Matrix};
 
@@ -90,6 +95,55 @@ proptest! {
                 pos,
                 rows
             );
+        }
+    }
+}
+
+/// Wide models whose vectors run as several row blocks: 256 rows at
+/// Dense(512,·), 336 (no power of two) at LSTM(128), 248 at Dense(520,·).
+fn blocked_models() -> &'static [(String, BuiltModel, usize)] {
+    static MODELS: OnceLock<Vec<(String, BuiltModel, usize)>> = OnceLock::new();
+    MODELS.get_or_init(|| {
+        [
+            ("dense w512", paper::dense_model(512, 2, 4), 256),
+            ("lstm w128", paper::lstm_model(128, 5), 336),
+            ("dense w520", paper::dense_model(520, 2, 6), 248),
+        ]
+        .into_iter()
+        .flat_map(|(name, model, block)| {
+            let built = BuiltModel::from_model(&model, &Device::cpu(), 1024);
+            let int8 = built.quantize();
+            [(name.to_string(), built, block), (format!("int8 {name}"), int8, block)]
+        })
+        .collect()
+    })
+}
+
+/// Each batch length around a block boundary, in fp32 and int8: every
+/// row at a block edge, the batch's last row and every 13th row (a stride
+/// no block size divides, so the samples fall at shifting offsets inside
+/// the blocks) has the bits it has inferred alone. One-row passes of the
+/// int8 kernel are slow unoptimized, hence the sample.
+#[test]
+fn blocked_rows_have_their_one_row_bits() {
+    let cpu = Device::cpu();
+    for (name, built, block) in blocked_models() {
+        assert_eq!(built.block_rows(), *block, "{name}: block rows");
+        let x = Matrix::from_fn(1024, built.input_dim, |r, c| input(7, r, c));
+        let mut alone = BTreeMap::new();
+        let b = *block;
+        for rows in [1, b - 1, b, b + 1, 2 * b + 3, 1024] {
+            let batch = Matrix::from_vec(rows, x.cols(), x.as_slice()[..rows * x.cols()].to_vec());
+            let out = built.infer(&batch, &cpu);
+            assert_eq!(out.rows(), rows, "{name}: output rows of {rows}");
+            let checked = (0..rows).filter(|r| r % b == 0 || r % b == b - 1 || r % 13 == 0);
+            for r in checked.chain([rows - 1]) {
+                let want = alone.entry(r).or_insert_with(|| {
+                    let row = Matrix::from_vec(1, x.cols(), x.row(r).to_vec());
+                    bits(built.infer(&row, &cpu).row(0))
+                });
+                assert_eq!(&bits(out.row(r)), want, "{name}: row {r} of {rows}");
+            }
         }
     }
 }

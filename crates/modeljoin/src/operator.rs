@@ -54,7 +54,7 @@ impl ModelNode {
                 // `infer_rows`, not `infer_into`: a stored block of a
                 // reopened table may be longer than the vector size the
                 // model was built for.
-                built.infer_rows(input, shared.device(), scratch)
+                Cow::Borrowed(built.infer_rows(input, shared.device(), scratch))
             }
             ModelNode::Runtime(model) => {
                 model.run(input, scratch).map_err(EngineError::Execution)?

@@ -82,7 +82,7 @@ pub fn sgemm(
             pack_b_all(b, k, n, &mut bbuf);
         }
         let c = c.as_mut_slice();
-        gemm_panels(a, m, k, n, &bbuf, alpha, Init::Accumulate, Activation::Linear, c);
+        gemm_panels(a.view(), m, k, n, &bbuf, alpha, Init::Accumulate, Activation::Linear, c);
     });
 }
 

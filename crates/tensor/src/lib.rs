@@ -36,7 +36,8 @@ mod simd;
 
 pub use activation::Activation;
 pub use device::{Device, DeviceKind, DeviceReport, GpuModel};
-pub use matrix::Matrix;
+pub use matrix::{Matrix, MatrixView};
+pub use pack::MR;
 pub use packed::{Init, PackedMatrix};
 pub use quant::{qgemm_dense, QuantScratch, QuantizedWeights};
 pub use simd::{f32_kernel_name, i8_kernel_name};

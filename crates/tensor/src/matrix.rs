@@ -1,6 +1,8 @@
-//! Row-major dense `f32` matrix.
+//! Row-major dense `f32` matrix, and a borrowed view of a block of its
+//! rows.
 
 use std::fmt;
+use std::ops::Range;
 
 /// A dense, row-major matrix of `f32` values.
 ///
@@ -75,6 +77,17 @@ impl Matrix {
     #[inline]
     pub fn row(&self, r: usize) -> &[f32] {
         &self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// The whole matrix as a [`MatrixView`].
+    pub fn view(&self) -> MatrixView<'_> {
+        MatrixView { rows: self.rows, cols: self.cols, data: &self.data }
+    }
+
+    /// Rows `rows` as a [`MatrixView`], without a copy.
+    pub fn row_block(&self, rows: Range<usize>) -> MatrixView<'_> {
+        let data = &self.data[rows.start * self.cols..rows.end * self.cols];
+        MatrixView { rows: rows.len(), cols: self.cols, data }
     }
 
     /// Borrow row `r` mutably.
@@ -164,6 +177,50 @@ impl Matrix {
         assert_eq!(self.rows, other.rows);
         assert_eq!(self.cols, other.cols);
         self.data.iter().zip(&other.data).map(|(a, b)| (a - b).abs()).fold(0.0, f32::max)
+    }
+}
+
+/// A borrowed row-major `rows x cols` matrix: a whole [`Matrix`] or a
+/// block of its rows ([`Matrix::row_block`]). The GEMMs read their `A`
+/// operand through it, so a caller can run a block of an input's rows
+/// without copying them out.
+#[derive(Clone, Copy, Debug)]
+pub struct MatrixView<'a> {
+    rows: usize,
+    cols: usize,
+    data: &'a [f32],
+}
+
+impl<'a> MatrixView<'a> {
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Borrow row `r` as a slice.
+    #[inline]
+    pub fn row(&self, r: usize) -> &'a [f32] {
+        &self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// The viewed rows' elements (row-major).
+    pub fn as_slice(&self) -> &'a [f32] {
+        self.data
+    }
+
+    /// Size of the viewed elements in bytes (used by the GPU transfer
+    /// model).
+    pub fn byte_len(&self) -> usize {
+        std::mem::size_of_val(self.data)
+    }
+}
+
+impl<'a> From<&'a Matrix> for MatrixView<'a> {
+    fn from(m: &'a Matrix) -> Self {
+        m.view()
     }
 }
 
@@ -257,6 +314,17 @@ mod tests {
         m.resize_zeroed(8, 4);
         assert_eq!(m.capacity(), cap, "regrowth within capacity must not reallocate");
         assert!(m.as_slice().iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn row_block_views_rows_in_place() {
+        let m = Matrix::from_fn(5, 3, |r, c| (r * 3 + c) as f32);
+        let block = m.row_block(1..4);
+        assert_eq!((block.rows(), block.cols()), (3, 3));
+        assert_eq!(block.row(0), m.row(1));
+        assert_eq!(block.as_slice(), &m.as_slice()[3..12]);
+        assert_eq!(m.row_block(5..5).rows(), 0);
+        assert_eq!(m.view().as_slice(), m.as_slice());
     }
 
     #[test]

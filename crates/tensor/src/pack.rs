@@ -20,10 +20,10 @@
 //!                     element (k, j) of the panel at  q*kc*NR + k*NR + j
 //! ```
 
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, MatrixView};
 
 /// Rows per A micro-panel (register tile height).
-pub(crate) const MR: usize = 8;
+pub const MR: usize = 8;
 /// Columns per B micro-panel (register tile width). The AVX-512 kernels
 /// hold two 16-lane accumulator registers per A row (16 zmm total), so the
 /// tile is 32 columns wide. The width is fixed rather than gated on
@@ -55,7 +55,14 @@ pub(crate) fn packed_b_len(kc: usize, nc: usize) -> usize {
 }
 
 /// Pack the `mc x kc` block of `a` starting at `(ic, pc)` into `out`.
-pub(crate) fn pack_a(a: &Matrix, ic: usize, mc: usize, pc: usize, kc: usize, out: &mut [f32]) {
+pub(crate) fn pack_a(
+    a: MatrixView<'_>,
+    ic: usize,
+    mc: usize,
+    pc: usize,
+    kc: usize,
+    out: &mut [f32],
+) {
     debug_assert!(out.len() >= packed_a_len(mc, kc));
     let (data, ld) = (a.as_slice(), a.cols());
     let panels = mc.div_ceil(MR);
@@ -242,7 +249,7 @@ mod tests {
         let a = sample(10, 6);
         let (mc, kc) = (10, 4);
         let mut out = vec![-1.0; packed_a_len(mc, kc)];
-        pack_a(&a, 0, mc, 1, kc, &mut out);
+        pack_a(a.view(), 0, mc, 1, kc, &mut out);
         for p in 0..mc.div_ceil(MR) {
             for k in 0..kc {
                 for i in 0..MR {
@@ -262,7 +269,7 @@ mod tests {
         let a = sample(19, 30);
         let (ic, mc, pc, kc) = (1, 17, 3, 27);
         let mut out = vec![-1.0; packed_a_len(mc, kc)];
-        pack_a(&a, ic, mc, pc, kc, &mut out);
+        pack_a(a.view(), ic, mc, pc, kc, &mut out);
         for p in 0..mc.div_ceil(MR) {
             for k in 0..kc {
                 for i in 0..MR {

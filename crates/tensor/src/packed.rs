@@ -25,7 +25,7 @@
 
 use crate::activation::Activation;
 use crate::blas::gemm_flops;
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, MatrixView};
 use crate::microkernel::microkernel;
 use crate::pack::{
     pack_a, pack_b_all, packed_a_len, packed_b_all_len, packed_b_offset, KC, MC, MR, NC, NR,
@@ -80,10 +80,18 @@ impl PackedMatrix {
         })
     }
 
-    /// `out = activation(init + x · self)`, with `init` as [`Init`] says.
+    /// `out = activation(init + x · self)`, with `init` as [`Init`] says;
+    /// `x` is a [`Matrix`] or a [`MatrixView`] of some of its rows.
     /// `out` must be shaped `x.rows() x self.cols()`; with [`Init::Zero`]
     /// or [`Init::Bias`] its prior contents are never read.
-    pub fn gemm(&self, x: &Matrix, init: Init<'_>, activation: Activation, out: &mut Matrix) {
+    pub fn gemm<'a>(
+        &self,
+        x: impl Into<MatrixView<'a>>,
+        init: Init<'_>,
+        activation: Activation,
+        out: &mut Matrix,
+    ) {
+        let x = x.into();
         let (m, k, n) = (x.rows(), self.k, self.n);
         assert_eq!(x.cols(), k, "gemm: inner dimensions differ ({} vs {k})", x.cols());
         assert_eq!((out.rows(), out.cols()), (m, n), "gemm: output shape mismatch");
@@ -121,7 +129,7 @@ thread_local! {
 /// ```
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_panels(
-    a: &Matrix,
+    a: MatrixView<'_>,
     m: usize,
     k: usize,
     n: usize,

@@ -52,7 +52,7 @@
 
 use crate::activation::Activation;
 use crate::blas::gemm_flops;
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, MatrixView};
 use crate::microkernel::microkernel_i8;
 use crate::pack::{pack_a_q, pack_b_q, packed_a_q_len, packed_b_q_len, KC, KG, MC, MR, NC, NR};
 use crate::packed::Init;
@@ -186,17 +186,17 @@ pub fn qgemm_dense(
 
 impl QuantizedWeights {
     /// `out = activation(init + dequant(quant(a) · self))`, the int8
-    /// sibling of [`crate::PackedMatrix::gemm`], with the same [`Init`]
-    /// contract.
-    pub fn gemm(
+    /// sibling of [`crate::PackedMatrix::gemm`], with the same operand
+    /// and [`Init`] contract.
+    pub fn gemm<'a>(
         &self,
-        a: &Matrix,
+        a: impl Into<MatrixView<'a>>,
         init: Init<'_>,
         activation: Activation,
         out: &mut Matrix,
         scratch: &mut QuantScratch,
     ) {
-        let w = self;
+        let (w, a) = (self, a.into());
         let (m, k) = (a.rows(), a.cols());
         let n = w.n;
         assert_eq!(k, w.k, "qgemm: inner dimensions differ ({k} vs {})", w.k);
@@ -257,7 +257,7 @@ impl QuantizedWeights {
 /// positive, so the whole loop is one FMA plus a truncating cast and
 /// autovectorizes. The error contract only needs |Δ| ≤ scale/2, which
 /// any round-to-nearest variant satisfies.
-fn quantize_activations(a: &Matrix, aq: &mut [u8], row_scales: &mut [f32]) {
+fn quantize_activations(a: MatrixView<'_>, aq: &mut [u8], row_scales: &mut [f32]) {
     let (m, k) = (a.rows(), a.cols());
     for i in 0..m {
         let row = a.row(i);
@@ -376,7 +376,7 @@ pub fn qgemm_dense_reference(
     assert_eq!((out.rows(), out.cols()), (m, n));
     let mut aq = vec![0u8; m * k];
     let mut row_scales = vec![0.0f32; m];
-    quantize_activations(a, &mut aq, &mut row_scales);
+    quantize_activations(a.view(), &mut aq, &mut row_scales);
     for i in 0..m {
         for j in 0..n {
             let mut acc = 0i64;
